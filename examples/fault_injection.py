@@ -88,7 +88,7 @@ def main() -> None:
         raise AssertionError("the crash point should have fired")
     except CrashError as exc:
         print(f"3. mid-query crash: {exc}")
-        result = session.recover()
+        (result,) = session.recover()
     print(f"   recovered run bit-identical to reference: "
           f"{np.array_equal(result.levels, reference)}")
     print(f"   recoveries recorded: {result.extras['recovered']:.0f}")

@@ -115,10 +115,6 @@ class ExperimentRunner:
         # Traced-run memo: key -> (result, machine, tracer), kept separate
         # from _runs so untraced benches never pay span allocation.
         self._traced_runs: Dict[Tuple, Tuple] = {}
-        # Staged-artifact memo: key -> (engine, staged, post-staging
-        # checkpoint).  Lets query-level benches traverse the same staged
-        # graph repeatedly without re-splitting the edge list.
-        self._staged: Dict[Tuple, Tuple] = {}
 
     # ------------------------------------------------------------------
     def graph(self, dataset: str) -> Graph:
@@ -240,49 +236,6 @@ class ExperimentRunner:
             result = eng.run(graph, machine, root=self.root(dataset))
             self._traced_runs[key] = (result, machine, tracer)
         return self._traced_runs[key]
-
-    def run_query(
-        self,
-        dataset: str,
-        engine: str,
-        root: int,
-        disk_kind: str = "hdd",
-        num_disks: int = 1,
-        memory: Optional[str] = None,
-        threads: int = 4,
-        **config_overrides,
-    ) -> EngineResult:
-        """One query against a memoized staged artifact.
-
-        The (dataset, engine, hardware) staging is performed once and
-        cached with its post-staging checkpoint; each call rewinds the
-        machine and runs a fresh query session, so results are per-query
-        deltas and repeated roots are deterministic.  The edge-centric
-        engines only — GraphChi's front door is :meth:`run`/``run_many``.
-        """
-        if engine == "graphchi":
-            raise ConfigError(
-                "run_query drives the staged-graph session protocol; "
-                "use run()/run_many() for graphchi"
-            )
-        key = (
-            dataset,
-            engine,
-            disk_kind,
-            num_disks,
-            memory or self.memory,
-            threads,
-            tuple(sorted(config_overrides.items())),
-        )
-        if key not in self._staged:
-            graph = self.graph(dataset)
-            machine = self.machine(disk_kind, num_disks, memory)
-            eng = self._engine(engine, threads, config_overrides)
-            staged = eng.stage(graph, machine)
-            self._staged[key] = (eng, staged, machine.checkpoint())
-        eng, staged, checkpoint = self._staged[key]
-        staged.machine.restore(checkpoint)
-        return eng.session(staged).run(root=root)
 
     def run_batch(
         self,

@@ -126,9 +126,9 @@ class _RunState:
     """Mutable per-query bundle so engines stay reusable across queries.
 
     This is session-internal state: outside the ``engines``/``core``
-    subsystems nothing may construct one or poke at an engine's ``_rt``
-    (lint rule FB107) — go through ``engine.run()`` / ``engine.run_many()``
-    or a :class:`~repro.engines.session.QuerySession`.
+    subsystems nothing may construct one (lint rule FB107) — go through
+    ``engine.run()`` / ``engine.run_many()`` or a
+    :class:`~repro.engines.session.QuerySession`.
     """
 
     def __init__(self) -> None:
@@ -148,8 +148,7 @@ class _RunState:
         self.pending_vertex_writes: List[ScheduledRequest] = []
         self.iterations: List[IterationStats] = []
         self.extras: Dict[str, float] = {}
-        #: Staged-artifact file names this query must not delete/displace
-        #: (empty in the monolithic run() path).
+        #: Staged-artifact file names this query must not delete/displace.
         self.protected_files: frozenset = frozenset()
         # FastBFS session state (attached by FastBFSEngine._before_run;
         # declared here so the per-query ownership is explicit).
@@ -159,11 +158,6 @@ class _RunState:
         self.trim_active = False
 
 
-def _is_root_sequence(entry) -> bool:
-    """Whether a ``run_many`` roots entry is a multi-source root set."""
-    return isinstance(entry, (list, tuple, np.ndarray))
-
-
 class EdgeCentricEngine:
     """X-Stream-style scatter/gather engine; subclass hooks add FastBFS."""
 
@@ -171,7 +165,6 @@ class EdgeCentricEngine:
 
     def __init__(self, config: Optional[EngineConfig] = None) -> None:
         self.config = config if config is not None else EngineConfig()
-        self._rt: Optional[_RunState] = None
 
     # ------------------------------------------------------------------
     # public API
@@ -187,33 +180,23 @@ class EdgeCentricEngine:
         """Execute ``algorithm`` (default BFS from ``root``) on ``machine``.
 
         The machine must be fresh (zero clock, empty VFS) so the report
-        covers exactly this run.  Internally this is ``stage()`` plus one
-        :class:`~repro.engines.session.QuerySession` in monolithic mode
-        (staged files are consumed by the query, the report is cumulative) —
-        bit-for-bit identical to the historical single-phase pipeline.  For
-        several traversals of one graph use :meth:`run_many`.
+        covers exactly this run.  This is ``stage()`` plus one
+        :class:`~repro.engines.session.QuerySession`, with the result's
+        report widened from the session's delta to the machine's
+        cumulative one (staging + query).  For several traversals of one
+        graph use :meth:`run_many`.
         """
-        from repro.engines.session import QuerySession
-
         algo = algorithm if algorithm is not None else BFSAlgorithm()
-        self._check_fresh(machine)
-        sanitizer = self._ensure_sanitizer(machine)
-        validated = algo.validate_roots(
-            graph.num_vertices, roots if roots is not None else [root]
+
+        def drive(staged, validated):
+            result = self.session(staged, algo).run(validated_roots=validated[0])
+            result.report = machine.report()
+            return result
+
+        return self._staged_run(
+            graph, machine, algo,
+            [list(roots) if roots is not None else root], "serial", drive,
         )
-        staged = self.stage(graph, machine, algorithm=algo)
-        session = QuerySession(
-            self, staged, algorithm=algo,
-            protect_staged=False, cumulative_report=True,
-        )
-        result = session.run(root=root, roots=roots, validated_roots=validated)
-        if sanitizer is not None:
-            result.extras["sanitizer_past_waits"] = float(sanitizer.past_waits)
-            sanitizer.finalize_run()
-            result.extras["sanitizer_violations"] = float(
-                len(sanitizer.violations)
-            )
-        return result
 
     def run_many(
         self,
@@ -227,63 +210,55 @@ class EdgeCentricEngine:
 
         Each entry is a root vertex (or a sequence of roots for a
         multi-source query).  The graph is staged once; every root entry is
-        validated up front (once — the sessions reuse the validated
-        arrays), so a bad query fails before any machine state changes.
+        validated before staging, so a bad query fails before any machine
+        state changes.  (``run_staged_queries`` validates its entries
+        again: it is also the serving layer's front door, which has no
+        staging step to validate ahead of.)
 
-        ``mode="serial"`` (default, bit-for-bit the historical behaviour):
-        between queries the machine is rewound to the post-staging
-        checkpoint, so every query starts from an identical clock/VFS/
-        device state and its report covers only that query.
+        ``mode="serial"`` (default): before every query the machine is
+        rewound to the post-staging checkpoint, so every query starts from
+        an identical clock/VFS/device state and its report covers only
+        that query.
 
         ``mode="batched"``: entries are packed into MS-BFS batches of up to
         :data:`~repro.algorithms.streaming.BATCH_WIDTH` queries, each batch
         advanced by one shared scatter/gather timeline (one edge scan for
         the whole batch) and demultiplexed into per-query results that are
-        bit-identical to the serial ones.  The machine is rewound between
-        *batches*; algorithms without a batched kernel (``algo.batched()``
-        is None) silently fall back to the serial path, recorded as
-        ``extras["batched_fallback"]``.
+        bit-identical to the serial ones.  The machine is rewound before
+        every *batch*; algorithms without a batched kernel
+        (``algo.batched()`` is None) silently fall back to the serial path,
+        recorded as ``extras["batched_fallback"]``.
 
         Returns a :class:`~repro.engines.result.BatchResult`.
         """
         from repro.engines.session import run_staged_queries
 
         algo = algorithm if algorithm is not None else BFSAlgorithm()
-        if len(roots) == 0:
-            raise EngineError("run_many needs at least one root entry")
-        if mode not in ("serial", "batched"):
-            raise ConfigError(
-                f"run_many mode must be 'serial' or 'batched', got {mode!r}"
+
+        def drive(staged, validated):
+            return run_staged_queries(
+                self, staged, machine.checkpoint(), roots,
+                algorithm=algo, mode=mode,
             )
+
+        return self._staged_run(graph, machine, algo, roots, mode, drive)
+
+    def _staged_run(self, graph, machine, algo, roots, mode, drive):
+        """The body ``run``/``run_many`` share: check the arguments and the
+        machine, stage, ``drive(staged, validated)``, sanitizer epilogue."""
+        from repro.engines.session import validate_entries
+
+        validated = validate_entries(algo, graph.num_vertices, roots, mode)
         self._check_fresh(machine)
         sanitizer = self._ensure_sanitizer(machine)
-        # Validate every entry before any machine state changes.
-        for entry in roots:
-            algo.validate_roots(
-                graph.num_vertices,
-                entry if _is_root_sequence(entry) else [entry],
-            )
-        staged = self.stage(graph, machine, algorithm=algo)
-        checkpoint = machine.checkpoint()
-        # The machine sits exactly at the checkpoint here, so the first
-        # execution needs no rewind: restore_first=False keeps this path
-        # bit-for-bit the historical behaviour.
-        batch = run_staged_queries(
-            self,
-            staged,
-            checkpoint,
-            roots,
-            algorithm=algo,
-            mode=mode,
-            restore_first=False,
-        )
+        outcome = drive(self.stage(graph, machine, algorithm=algo), validated)
         if sanitizer is not None:
-            batch.extras["sanitizer_past_waits"] = float(sanitizer.past_waits)
+            outcome.extras["sanitizer_past_waits"] = float(sanitizer.past_waits)
             sanitizer.finalize_run()
-            batch.extras["sanitizer_violations"] = float(
+            outcome.extras["sanitizer_violations"] = float(
                 len(sanitizer.violations)
             )
-        return batch
+        return outcome
 
     def session(self, staged, algorithm: Optional[StreamingAlgorithm] = None):
         """A fresh single-use :class:`QuerySession` against ``staged``."""

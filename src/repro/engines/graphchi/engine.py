@@ -170,7 +170,7 @@ class GraphChiEngine:
         if len(roots) == 0:
             raise EngineError("run_many needs at least one root entry")
         if mode not in ("serial", "batched"):
-            raise EngineError(
+            raise ConfigError(
                 f"run_many mode must be 'serial' or 'batched', got {mode!r}"
             )
         self._check_fresh(machine)

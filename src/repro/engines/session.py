@@ -13,10 +13,15 @@ different lifetimes:
 This module makes the cut explicit.  A :class:`StagedGraph` is the sealed
 artifact produced by ``engine.stage()``; a :class:`QuerySession` owns all
 per-query state and runs exactly one algorithm execution against a staged
-artifact.  ``engine.run()`` is now literally ``stage() + one session``, and
-``engine.run_many()`` stages once, then rewinds the machine between
-sessions via the ``Machine.checkpoint()/restore()`` protocol — amortizing
+artifact.  ``engine.run()`` is literally ``stage() + one session``, and
+``engine.run_many()`` stages once, then rewinds the machine before every
+session via the ``Machine.checkpoint()/restore()`` protocol — amortizing
 staging I/O to ~1/Q of its monolithic cost over Q queries.
+
+There is one session driver, :meth:`QuerySession._execute`, and one
+crash-replay loop, :func:`run_with_recovery`.  Serial execution is the
+one-slot case of the driver; :class:`BatchedQuerySession` runs many slots
+through it by swapping the kernel and overriding a few hooks.
 
 Session internals (the ``_RunState`` bundle) are private to the engine
 layer; external code must go through the session API (enforced by lint
@@ -31,12 +36,13 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 import numpy as np
 
 from repro.algorithms.streaming import (
+    BATCH_WIDTH,
     BatchedBFSAlgorithm,
     BFSAlgorithm,
     StreamingAlgorithm,
 )
-from repro.engines.result import EngineResult, IterationStats
-from repro.errors import CrashError, EngineError
+from repro.engines.result import BatchResult, EngineResult, IterationStats
+from repro.errors import ConfigError, CrashError, EngineError
 from repro.graph.graph import Graph
 from repro.graph.partition import VertexPartitioning
 from repro.storage.device import Device
@@ -99,19 +105,14 @@ class StagedGraph:
         )
 
 
-def _assemble_run_state(
-    engine: "EdgeCentricEngine",
-    staged: StagedGraph,
-    algo: StreamingAlgorithm,
-    protect_staged: bool,
-):
+def _assemble_run_state(staged: StagedGraph, kernel: StreamingAlgorithm):
     """Build the per-query ``_RunState`` bundle from a staged artifact."""
     from repro.engines.base import _RunState  # local: avoid import cycle
 
     rt = _RunState()
     rt.graph = staged.graph
     rt.machine = staged.machine
-    rt.algo = algo
+    rt.algo = kernel
     rt.partitioning = staged.partitioning
     rt.in_memory = staged.in_memory
     rt.dev_edges = staged.dev_edges
@@ -122,14 +123,12 @@ def _assemble_run_state(
     rt.update_in = [None] * staged.partitioning.count
     rt.extras["partitions"] = float(staged.partitioning.count)
     rt.extras["in_memory"] = float(staged.in_memory)
-    if protect_staged:
-        rt.protected_files = staged.protected_names()
+    rt.protected_files = staged.protected_names()
     return rt
 
 
 def _drive_passes(engine: "EdgeCentricEngine", rt) -> None:
-    """Run the scatter/gather timeline to convergence (shared by the
-    serial and batched sessions — one timeline either way)."""
+    """Run the scatter/gather timeline to convergence."""
     engine._before_run(rt)
     pass_updates = engine._scatter_only_pass(rt)
     iteration = 0
@@ -139,45 +138,58 @@ def _drive_passes(engine: "EdgeCentricEngine", rt) -> None:
     engine._after_run(rt)
 
 
-def _release_swapped_files(staged: StagedGraph, rt, protect_staged: bool) -> None:
+def _release_swapped_files(staged: StagedGraph, rt) -> None:
     """Delete per-query files swapped in over the staged edge files.
 
-    Only meaningful with ``protect_staged``: the artifact's own files are
-    untouched and any stay file a query promoted to edge-input duty is
-    transient session state.
+    The artifact's own files are never displaced; any stay file a query
+    promoted to edge-input duty is transient session state.
     """
-    if not protect_staged:
-        return
     vfs = staged.machine.vfs
     for p, f in enumerate(rt.edge_files):
         if f is not staged.edge_files[p]:
             vfs.delete_if_exists(f.name)
 
 
-def _run_with_recovery(session, invoke, max_recoveries: int):
+def validate_entries(
+    algo: StreamingAlgorithm, num_vertices: int, roots: Sequence, mode: str
+) -> List[np.ndarray]:
+    """The typed checks every query front door makes on its arguments.
+
+    Returns one validated root array per ``roots`` entry (a root vertex,
+    or a sequence of roots for a multi-source query).  Touches no machine
+    state, so the engines call it before staging.
+    """
+    if len(roots) == 0:
+        raise EngineError("a query batch needs at least one root entry")
+    if mode not in ("serial", "batched"):
+        raise ConfigError(f"mode must be 'serial' or 'batched', got {mode!r}")
+    return [
+        algo.validate_roots(
+            num_vertices,
+            entry if isinstance(entry, (list, tuple, np.ndarray)) else [entry],
+        )
+        for entry in roots
+    ]
+
+
+def run_with_recovery(session: "QuerySession", invoke, max_recoveries: int):
     """Run ``invoke()``; on :class:`CrashError`, replay via ``session.recover()``.
 
-    The chaos harness's crash/resume loop, packaged for callers that want
-    recovery built in (the serving layer's admission flushes).  Up to
-    ``max_recoveries`` replays are attempted — each rewinds the machine to
-    the session's entry checkpoint and re-runs, so a surviving replay is
-    bit-identical to an uncrashed run.  ``max_recoveries=0`` keeps the
-    historical behaviour: the first crash propagates untouched.
+    The crash/resume loop shared by the serving layer's admission flushes
+    and the chaos harness.  ``invoke`` must return the session's results
+    as a list, the shape ``recover()`` returns.  Up to ``max_recoveries``
+    replays are attempted — each rewinds the machine to the session's
+    entry checkpoint and re-runs, so a surviving replay is bit-identical
+    to an uncrashed run.  With ``max_recoveries=0`` the first crash
+    propagates untouched.
     """
-    try:
-        return invoke()
-    except CrashError:
-        recoveries = 0
-        outcome = None
-        while outcome is None:
-            recoveries += 1
-            if recoveries > max_recoveries:
-                raise
-            try:
-                outcome = session.recover()
-            except CrashError:
-                continue
-        return outcome
+    attempt = invoke
+    for _ in range(max_recoveries):
+        try:
+            return attempt()
+        except CrashError:
+            attempt = session.recover
+    return attempt()
 
 
 def run_staged_queries(
@@ -187,7 +199,6 @@ def run_staged_queries(
     roots: Sequence,
     algorithm: Optional[StreamingAlgorithm] = None,
     mode: str = "serial",
-    restore_first: bool = True,
     span_attrs: Optional[dict] = None,
     max_recoveries: int = 0,
 ):
@@ -196,59 +207,37 @@ def run_staged_queries(
     The registry-safe core of ``engine.run_many``: instead of demanding a
     fresh machine and staging inline, this takes a :class:`StagedGraph`
     plus the post-staging :class:`~repro.storage.machine.MachineCheckpoint`
-    and rewinds the machine to that quiescent point around every execution.
-    A long-lived front door (``repro.serve``) stages once at registration
-    and calls this for every request batch; the artifact's files are
-    protected by the sessions, so the checkpoint stays valid forever.
+    and rewinds the machine to that quiescent point before every
+    execution.  A long-lived front door (``repro.serve``) stages once at
+    registration and calls this for every request batch; sessions never
+    displace the artifact's files, so the checkpoint stays valid forever.
 
-    ``restore_first`` controls whether the machine is rewound before the
-    *first* execution too: a server reusing a machine whose state is dirty
-    from the previous batch needs it; ``run_many`` (whose machine is
-    exactly at the checkpoint when the loop starts) passes False to stay
-    bit-for-bit the historical behaviour.  Modes are as in ``run_many``:
-    ``"serial"`` rewinds between queries, ``"batched"`` packs MS-BFS
-    batches of up to :data:`~repro.algorithms.streaming.BATCH_WIDTH` and
-    rewinds between batches, falling back to serial (recorded in
-    ``extras["batched_fallback"]``) for algorithms without a batched
-    kernel.  Returns a :class:`~repro.engines.result.BatchResult` whose
-    ``staging_report`` is the artifact's (staging was paid when the
-    artifact was built, not here).
+    Modes are as in ``run_many``: ``"serial"`` runs one session per query,
+    ``"batched"`` packs MS-BFS batches of up to
+    :data:`~repro.algorithms.streaming.BATCH_WIDTH`, falling back to
+    serial (recorded in ``extras["batched_fallback"]``) for algorithms
+    without a batched kernel.  Either way it is one loop over chunks of
+    root entries, chunk size 1 or ``BATCH_WIDTH``.  Returns a
+    :class:`~repro.engines.result.BatchResult` whose ``staging_report`` is
+    the artifact's (staging was paid when the artifact was built, not
+    here).
 
     ``span_attrs`` attaches extra attributes to every ``query`` span this
     call opens (purely observational — attrs never touch the clock).  The
     serving layer uses it for end-to-end request tracing: it passes
     ``{"flush_id": ..., "request_ids": [...]}`` with one request id per
     root entry, and the ``request_ids`` list is sliced to match each
-    batch chunk (serial mode: each query span carries its own single-id
-    slice); batched query slots additionally carry their own
+    chunk; batched query slots additionally carry their own
     ``request_id`` on the ``query_slot`` marker.
 
-    ``max_recoveries > 0`` arms the crash/resume loop: a
+    ``max_recoveries > 0`` arms :func:`run_with_recovery`: a
     :class:`~repro.errors.CrashError` inside any session triggers up to
-    that many ``session.recover()`` replays (each counted in
+    that many ``session.recover()`` replays (each marked in
     ``extras["recovered"]`` and traced as a ``recover`` span) before the
     crash propagates.  Only meaningful on fault-injected machines.
     """
-    from repro.algorithms.streaming import BATCH_WIDTH
-    from repro.engines.base import _is_root_sequence
-    from repro.engines.result import BatchResult
-    from repro.errors import ConfigError
-
     algo = algorithm if algorithm is not None else BFSAlgorithm()
-    if len(roots) == 0:
-        raise EngineError("run_staged_queries needs at least one root entry")
-    if mode not in ("serial", "batched"):
-        raise ConfigError(
-            f"mode must be 'serial' or 'batched', got {mode!r}"
-        )
-    machine = staged.machine
-    validated = [
-        algo.validate_roots(
-            staged.graph.num_vertices,
-            entry if _is_root_sequence(entry) else [entry],
-        )
-        for entry in roots
-    ]
+    validated = validate_entries(algo, staged.graph.num_vertices, roots, mode)
     extras: dict = {}
     batched = mode == "batched" and algo.batched(1) is not None
     if mode == "batched" and not batched:
@@ -256,63 +245,41 @@ def run_staged_queries(
     queries: List[EngineResult] = []
     shared_iterations: List[IterationStats] = []
     batch_times: List[float] = []
-
-    def _sliced_attrs(start: int, count: int) -> Optional[dict]:
-        if span_attrs is None:
-            return None
-        out = dict(span_attrs)
-        ids = out.get("request_ids")
-        if isinstance(ids, (list, tuple)):
-            out["request_ids"] = list(ids[start:start + count])
-        return out
-
-    if batched:
-        for num_batches, start in enumerate(
-            range(0, len(validated), BATCH_WIDTH)
-        ):
-            chunk = validated[start:start + BATCH_WIDTH]
-            if num_batches or restore_first:
-                machine.restore(checkpoint)
+    width = BATCH_WIDTH if batched else 1
+    for index, start in enumerate(range(0, len(validated), width)):
+        chunk = validated[start:start + width]
+        attrs = dict(span_attrs or {})
+        if isinstance(attrs.get("request_ids"), (list, tuple)):
+            attrs["request_ids"] = list(
+                attrs["request_ids"][start:start + width]
+            )
+        staged.machine.restore(checkpoint)
+        if batched:
             session = BatchedQuerySession(
                 engine,
                 staged,
                 algo.batched(len(chunk)),
                 serial_algorithm=algo,
-                batch_index=num_batches,
-                span_attrs=_sliced_attrs(start, len(chunk)),
+                batch_index=index,
+                span_attrs=attrs,
             )
-            results = _run_with_recovery(
+            results = run_with_recovery(
                 session, lambda: session.run(chunk), max_recoveries
             )
             shared_iterations.extend(session.shared_iterations)
             batch_times.append(session.report.execution_time)
-            queries.extend(results)
-        extras["num_batches"] = float(len(batch_times))
-    else:
-        for q, entry in enumerate(roots):
-            if q or restore_first:
-                machine.restore(checkpoint)
+        else:
             session = QuerySession(
-                engine, staged, algorithm=algo,
-                span_attrs=_sliced_attrs(q, 1),
+                engine, staged, algorithm=algo, span_attrs=attrs
             )
-            if _is_root_sequence(entry):
-                result = _run_with_recovery(
-                    session,
-                    lambda: session.run(
-                        roots=entry, validated_roots=validated[q]
-                    ),
-                    max_recoveries,
-                )
-            else:
-                result = _run_with_recovery(
-                    session,
-                    lambda: session.run(
-                        root=int(entry), validated_roots=validated[q]
-                    ),
-                    max_recoveries,
-                )
-            queries.append(result)
+            results = run_with_recovery(
+                session,
+                lambda: [session.run(validated_roots=chunk[0])],
+                max_recoveries,
+            )
+        queries.extend(results)
+    if batched:
+        extras["num_batches"] = float(len(batch_times))
     for q, result in enumerate(queries):
         result.query_index = q
         result.extras["query_index"] = float(result.query_index)
@@ -338,17 +305,17 @@ class QuerySession:
     per query (``engine.session(staged)``), or let ``engine.run_many``
     drive the checkpoint/restore loop for you.
 
-    ``protect_staged=True`` (the default for reusable sessions) keeps the
-    artifact intact: FastBFS stay-file swaps leave the staged edge files in
-    place, and swapped-in per-query files are deleted when the session
-    finishes.  ``protect_staged=False`` reproduces the historical
-    monolithic behaviour bit-for-bit (stay files replace the staged edge
-    files in the VFS), which is what ``engine.run()`` uses.
+    The artifact stays intact: FastBFS stay-file swaps leave the staged
+    edge files in place, and swapped-in per-query files are deleted when
+    the session finishes.  The result's report covers only what this
+    session cost — the machine's counters at session end minus session
+    start.
 
-    ``cumulative_report=False`` (default) reports only what this session
-    cost — the machine's counters at session end minus session start.
-    ``engine.run()`` sets it to True so the monolithic report still covers
-    staging + query, exactly as before the split.
+    There is one driver, :meth:`_execute`, which runs a list of *slots*
+    (one validated root array per query) through one scatter/gather
+    timeline.  This class is its one-slot case; the methods below
+    ``_execute`` are the hooks :class:`BatchedQuerySession` overrides to
+    run several slots per timeline.
     """
 
     def __init__(
@@ -356,13 +323,14 @@ class QuerySession:
         engine: "EdgeCentricEngine",
         staged: StagedGraph,
         algorithm: Optional[StreamingAlgorithm] = None,
-        protect_staged: bool = True,
-        cumulative_report: bool = False,
         span_attrs: Optional[dict] = None,
     ) -> None:
         self.engine = engine
         self.staged = staged
+        #: The algorithm the artifact was planned for; names the results.
         self.algorithm = algorithm if algorithm is not None else BFSAlgorithm()
+        #: The algorithm whose kernels drive the passes.
+        self.kernel = self.algorithm
         if not staged.compatible_with(self.algorithm):
             raise EngineError(
                 f"staged artifact was planned for {staged.record_bytes}-byte "
@@ -370,14 +338,12 @@ class QuerySession:
                 f"{self.algorithm.disk_record_bytes} — re-stage for this "
                 "algorithm"
             )
-        self.protect_staged = protect_staged
-        self.cumulative_report = cumulative_report
         self.span_attrs = dict(span_attrs) if span_attrs else {}
         self._used = False
         # Crash/resume state: the quiescent entry checkpoint (taken only on
-        # fault-injected machines) and the (root, roots) of a crashed run.
+        # fault-injected machines) and the slots of a crashed run.
         self._checkpoint = None
-        self._crashed: Optional[tuple] = None
+        self._crashed: Optional[list] = None
 
     # ------------------------------------------------------------------
     def run(
@@ -389,103 +355,89 @@ class QuerySession:
         """Execute the session's algorithm from ``root`` (or ``roots``).
 
         ``validated_roots`` is the boundary-validation passthrough: the
-        engine front doors (``run``/``run_many``) validate every root entry
-        exactly once before staging and hand the validated array here, so
-        the session skips re-validation.  Callers driving a session
-        directly may omit it — the algorithm then validates in
-        ``init_state`` as before.
+        engine front doors validate every root entry before staging and
+        hand the validated array here.  Callers driving a session directly
+        may omit it — the roots are then validated here.
 
         Returns an :class:`EngineResult` whose report covers this query
-        only (unless ``cumulative_report``).  Raises on reuse: per-query
-        state is consumed by the run.
+        only.  Raises on reuse: per-query state is consumed by the run.
         """
+        if validated_roots is None:
+            validated_roots = self.algorithm.validate_roots(
+                self.staged.graph.num_vertices,
+                roots if roots is not None else [root],
+            )
+        return self._execute([validated_roots])[0]
+
+    # ------------------------------------------------------------------
+    def _execute(self, slots: list) -> List[EngineResult]:
+        """Run ``slots`` through one timeline; one result per slot."""
         if self._used:
             raise EngineError(
-                "QuerySession is single-use: one session per query "
-                "(open another via engine.session(staged))"
+                f"{type(self).__name__} is single-use: open another "
+                "session for the next execution"
             )
         self._used = True
         engine = self.engine
         staged = self.staged
         machine = staged.machine
-        algo = self.algorithm
+        kernel = self.kernel
         sanitizer = getattr(machine, "sanitizer", None)
         if sanitizer is not None:
             sanitizer.begin_session()
         if getattr(machine, "fault_injector", None) is not None:
             # Session entry is a quiescent point (post-staging barrier or
             # post-restore), so this checkpoint is the crash/resume anchor:
-            # recover() rewinds here and replays the whole query.
+            # recover() rewinds here and replays the whole execution.
             self._checkpoint = machine.checkpoint()
-        baseline = None if self.cumulative_report else machine.report()
+        baseline = machine.report()
 
-        # Assemble the per-query state bundle from the staged artifact.
-        rt = _assemble_run_state(engine, staged, algo, self.protect_staged)
-        if validated_roots is not None:
-            rt.state = algo.init_state_validated(
-                staged.graph.num_vertices, validated_roots
-            )
-        else:
-            rt.state = algo.init_state(
-                staged.graph.num_vertices,
-                roots if roots is not None else [root],
-            )
+        rt = _assemble_run_state(staged, kernel)
+        self._init_state(rt, slots)
         if "active" not in rt.state.dtype.names:
             raise EngineError("algorithm state must contain an 'active' field")
-
-        engine._rt = rt
         try:
             with machine.tracer.span(
                 "query",
                 engine=engine.name,
-                algorithm=algo.name,
+                algorithm=kernel.name,
                 graph=staged.graph.name,
-                roots=[int(r) for r in (roots if roots is not None else [root])],
+                roots=[int(r) for slot in slots for r in slot],
+                **self._query_attrs(),
                 **self.span_attrs,
             ) as q_span:
                 _drive_passes(engine, rt)
-                self._cleanup(rt)
+                _release_swapped_files(staged, rt)
                 q_span.set(iterations=len(rt.iterations))
+                self._mark_slots(rt, slots)
             if sanitizer is not None:
                 sanitizer.finalize_session()
-            report = machine.report()
-            if baseline is not None:
-                report = report.minus(baseline)
-            return EngineResult(
-                engine=engine.name,
-                algorithm=algo.name,
-                graph_name=staged.graph.name,
-                output=algo.result(rt.state),
-                report=report,
-                iterations=rt.iterations,
-                extras=dict(rt.extras),
-            )
+            return self._results(rt, machine.report().minus(baseline))
         except CrashError:
             # Remember what was being asked so recover() can replay it.
             # The injected "crash" span was already emitted by the fault
             # injector at the failure point; the open query/iteration spans
             # were closed by their context managers as the error unwound.
-            self._crashed = (root, roots, validated_roots)
+            self._crashed = slots
             raise
-        finally:
-            engine._rt = None
 
     # ------------------------------------------------------------------
-    def recover(self) -> EngineResult:
-        """Resume after a :class:`CrashError` killed :meth:`run` mid-query.
+    def recover(self) -> List[EngineResult]:
+        """Resume after a :class:`CrashError` killed the execution.
 
         Rewinds the machine to this session's entry checkpoint (the sealed
         :class:`StagedGraph` is untouched by queries, so staging is never
-        repeated) and replays the same query in a fresh session.  Because
-        the simulation is deterministic and the fault injector's one-shot
-        budgets are *not* rewound by restore, the replay runs past the
-        crash point and produces bit-identical output to an uncrashed run.
+        repeated) and replays the same slots from re-initialized state.
+        Because the simulation is deterministic and the fault injector's
+        one-shot budgets are *not* rewound by restore, the replay runs
+        past the crash point and produces bit-identical output to an
+        uncrashed run.
 
-        Returns the replayed :class:`EngineResult` with
-        ``extras["recovered"]`` counting the recovery attempts.  Raises
-        :class:`EngineError` if the session did not crash.  If the replay
-        crashes again (another crash fault with remaining budget), the
-        new crash state is adopted so ``recover()`` may be called again.
+        Returns the replayed results, one per slot (a one-element list
+        for a one-root session), each carrying ``extras["recovered"]``.
+        Raises :class:`EngineError` if the session did not crash.  If the
+        replay crashes again (another crash fault with remaining budget)
+        the session is recoverable again from the same anchor.
         """
         if self._crashed is None:
             raise EngineError(
@@ -500,25 +452,9 @@ class QuerySession:
         machine = self.staged.machine
         machine.restore(self._checkpoint)
         resumed_at = machine.clock.now
-        root, roots, validated_roots = self._crashed
-        self._crashed = None
-        session = QuerySession(
-            self.engine,
-            self.staged,
-            algorithm=self.algorithm,
-            protect_staged=self.protect_staged,
-            cumulative_report=self.cumulative_report,
-            span_attrs=self.span_attrs,
-        )
-        try:
-            result = session.run(
-                root=root, roots=roots, validated_roots=validated_roots
-            )
-        except CrashError:
-            # Adopt the replay's crash state so the caller can retry from
-            # the same quiescent anchor.
-            self._crashed = session._crashed
-            raise
+        slots, self._crashed = self._crashed, None
+        self._used = False
+        results = self._execute(slots)
         if machine.fault_injector is not None:
             machine.fault_injector.record_recovery()
         machine.tracer.emit(
@@ -526,35 +462,58 @@ class QuerySession:
             start=resumed_at,
             end=resumed_at,
             engine=self.engine.name,
-            roots=[int(r) for r in (roots if roots is not None else [root])],
+            roots=[int(r) for slot in slots for r in slot],
+            **self._query_attrs(),
         )
-        result.extras["recovered"] = result.extras.get("recovered", 0.0) + 1.0
-        return result
+        for result in results:
+            result.extras["recovered"] = 1.0
+        return results
 
     # ------------------------------------------------------------------
-    def _cleanup(self, rt) -> None:
-        _release_swapped_files(self.staged, rt, self.protect_staged)
+    # hooks: the one-slot case
+    # ------------------------------------------------------------------
+    def _init_state(self, rt, slots: list) -> None:
+        """Build ``rt.state`` for ``slots``."""
+        rt.state = self.kernel.init_state_validated(
+            self.staged.graph.num_vertices, slots[0]
+        )
+
+    def _query_attrs(self) -> dict:
+        """Extra attributes of the ``query`` span and ``recover`` marker."""
+        return {}
+
+    def _mark_slots(self, rt, slots: list) -> None:
+        """Emit per-slot trace markers inside the ``query`` span."""
+
+    def _results(self, rt, report: IOReport) -> List[EngineResult]:
+        """Assemble one :class:`EngineResult` per slot."""
+        return [
+            EngineResult(
+                engine=self.engine.name,
+                algorithm=self.algorithm.name,
+                graph_name=self.staged.graph.name,
+                output=self.kernel.result(rt.state),
+                report=report,
+                iterations=rt.iterations,
+                extras=dict(rt.extras),
+            )
+        ]
 
 
-class BatchedQuerySession:
+class BatchedQuerySession(QuerySession):
     """One MS-BFS batch: ≤64 queries sharing a single scatter/gather
     timeline against a :class:`StagedGraph`.
 
-    The session runs a :class:`~repro.algorithms.streaming.
-    BatchedBFSAlgorithm` through exactly the same engine passes as a
-    serial query — one `query` span, one sequence of iteration spans, one
-    delta report — and demultiplexes the batch state into per-query
-    :class:`EngineResult`\\ s whose levels/parents are bit-identical to Q
+    The same driver as :class:`QuerySession` with a :class:`~repro.
+    algorithms.streaming.BatchedBFSAlgorithm` as the kernel — one `query`
+    span, one sequence of iteration spans, one delta report — and hooks
+    that demultiplex the batch state into per-query
+    :class:`EngineResult` objects whose levels/parents are bit-identical to Q
     serial runs.  Per-query iteration stats are synthesized from the
     kernel's per-pass bookkeeping (updates/activated per query per pass);
     shared-scan counters (edges scanned, partitions processed) belong to
     the batch timeline and are exposed as :attr:`shared_iterations`, with
     each demuxed query reporting zero edge scans of its own.
-
-    Sessions are single-use, like :class:`QuerySession`, and support the
-    same crash/recover protocol: on a fault-injected machine the entry
-    checkpoint anchors :meth:`recover`, which replays the whole batch and
-    returns bit-identical per-query results.
     """
 
     def __init__(
@@ -564,128 +523,81 @@ class BatchedQuerySession:
         algorithm: BatchedBFSAlgorithm,
         serial_algorithm: Optional[StreamingAlgorithm] = None,
         batch_index: int = 0,
-        protect_staged: bool = True,
-        cumulative_report: bool = False,
         span_attrs: Optional[dict] = None,
     ) -> None:
-        self.engine = engine
-        self.staged = staged
-        self.algorithm = algorithm
-        self.serial = (
-            serial_algorithm if serial_algorithm is not None else algorithm.serial
-        )
         # The artifact's partition plan was made for the *serial* record
-        # width; the batched kernel streams the same staged files and
-        # charges its own (mask-word) width for per-pass vertex I/O.
-        if not staged.compatible_with(self.serial):
-            raise EngineError(
-                f"staged artifact was planned for {staged.record_bytes}-byte "
-                f"vertex records; algorithm {self.serial.name!r} uses "
-                f"{self.serial.disk_record_bytes} — re-stage for this "
-                "algorithm"
-            )
+        # width, which is what the base class checks; the batched kernel
+        # streams the same staged files and charges its own (mask-word)
+        # width for per-pass vertex I/O.
+        super().__init__(
+            engine,
+            staged,
+            serial_algorithm if serial_algorithm is not None else algorithm.serial,
+            span_attrs=span_attrs,
+        )
+        self.kernel = algorithm
         self.batch_index = batch_index
-        self.protect_staged = protect_staged
-        self.cumulative_report = cumulative_report
-        self.span_attrs = dict(span_attrs) if span_attrs else {}
         #: Per-pass counters of the shared timeline (set by :meth:`run`).
         self.shared_iterations: List[IterationStats] = []
         #: Delta report of the shared timeline (set by :meth:`run`).
         self.report: Optional[IOReport] = None
-        self._used = False
-        self._checkpoint = None
-        self._crashed: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     def run(self, validated_roots: Sequence) -> List[EngineResult]:
         """Execute the batch; one validated root entry per query slot.
 
-        ``validated_roots`` comes from the engine boundary (``run_many``
-        validates every entry once); each entry is the validated root
-        array of one slot (multi-source slots are allowed).  Returns one
-        demultiplexed :class:`EngineResult` per slot, in order.
+        ``validated_roots`` comes from the engine boundary; each entry is
+        the validated root array of one slot (multi-source slots are
+        allowed).  Returns one demultiplexed :class:`EngineResult` per
+        slot, in order.
         """
-        if self._used:
-            raise EngineError(
-                "BatchedQuerySession is single-use: one session per batch"
-            )
-        self._used = True
-        engine = self.engine
-        staged = self.staged
-        machine = staged.machine
-        algo = self.algorithm
-        slots = [np.atleast_1d(np.asarray(r)) for r in validated_roots]
-        sanitizer = getattr(machine, "sanitizer", None)
-        if sanitizer is not None:
-            sanitizer.begin_session()
-        if getattr(machine, "fault_injector", None) is not None:
-            # Same crash/resume anchor as the serial session: entry is a
-            # quiescent point, recover() rewinds here and replays the batch.
-            self._checkpoint = machine.checkpoint()
-        baseline = None if self.cumulative_report else machine.report()
-
-        rt = _assemble_run_state(engine, staged, algo, self.protect_staged)
-        rt.extras["batch_size"] = float(algo.num_queries)
-        rt.state = algo.init_state_validated(staged.graph.num_vertices, slots)
-
-        engine._rt = rt
-        try:
-            with machine.tracer.span(
-                "query",
-                engine=engine.name,
-                algorithm=algo.name,
-                graph=staged.graph.name,
-                roots=[int(r) for slot in slots for r in slot],
-                batch=self.batch_index,
-                batch_size=algo.num_queries,
-                **self.span_attrs,
-            ) as q_span:
-                _drive_passes(engine, rt)
-                self._cleanup(rt)
-                q_span.set(iterations=len(rt.iterations))
-                # Zero-width per-slot markers inside the batch's query
-                # span; purely observational (never touches the clock).
-                parent = machine.tracer.current_id
-                now = machine.clock.now
-                slot_ids = self.span_attrs.get("request_ids")
-                for q, slot in enumerate(slots):
-                    slot_attrs = {}
-                    if (
-                        isinstance(slot_ids, (list, tuple))
-                        and q < len(slot_ids)
-                    ):
-                        slot_attrs["request_id"] = slot_ids[q]
-                    machine.tracer.emit(
-                        "query_slot",
-                        start=now,
-                        end=now,
-                        parent_id=parent,
-                        batch=self.batch_index,
-                        query_slot=q,
-                        roots=[int(r) for r in slot],
-                        iterations=algo.query_iterations(
-                            q, len(rt.iterations)
-                        ),
-                        **slot_attrs,
-                    )
-            if sanitizer is not None:
-                sanitizer.finalize_session()
-            report = machine.report()
-            if baseline is not None:
-                report = report.minus(baseline)
-            self.report = report
-            self.shared_iterations = rt.iterations
-            return [
-                self._demux_query(rt, report, q)
-                for q in range(algo.num_queries)
-            ]
-        except CrashError:
-            self._crashed = (validated_roots,)
-            raise
-        finally:
-            engine._rt = None
+        return self._execute(
+            [np.atleast_1d(np.asarray(r)) for r in validated_roots]
+        )
 
     # ------------------------------------------------------------------
+    # hooks: many slots per timeline
+    # ------------------------------------------------------------------
+    def _init_state(self, rt, slots: list) -> None:
+        rt.extras["batch_size"] = float(self.kernel.num_queries)
+        rt.state = self.kernel.init_state_validated(
+            self.staged.graph.num_vertices, slots
+        )
+
+    def _query_attrs(self) -> dict:
+        return {"batch": self.batch_index, "batch_size": self.kernel.num_queries}
+
+    def _mark_slots(self, rt, slots: list) -> None:
+        # Zero-width per-slot markers inside the batch's query span;
+        # purely observational (never touches the clock).
+        machine = self.staged.machine
+        parent = machine.tracer.current_id
+        now = machine.clock.now
+        slot_ids = self.span_attrs.get("request_ids")
+        for q, slot in enumerate(slots):
+            slot_attrs = {}
+            if isinstance(slot_ids, (list, tuple)) and q < len(slot_ids):
+                slot_attrs["request_id"] = slot_ids[q]
+            machine.tracer.emit(
+                "query_slot",
+                start=now,
+                end=now,
+                parent_id=parent,
+                batch=self.batch_index,
+                query_slot=q,
+                roots=[int(r) for r in slot],
+                iterations=self.kernel.query_iterations(q, len(rt.iterations)),
+                **slot_attrs,
+            )
+
+    def _results(self, rt, report: IOReport) -> List[EngineResult]:
+        self.report = report
+        self.shared_iterations = rt.iterations
+        return [
+            self._demux_query(rt, report, q)
+            for q in range(self.kernel.num_queries)
+        ]
+
     def _demux_query(self, rt, report: IOReport, q: int) -> EngineResult:
         """Per-query result: slot ``q``'s output columns plus iteration
         stats synthesized from the kernel's per-pass bookkeeping.
@@ -695,16 +607,16 @@ class BatchedQuerySession:
         happened once for the whole batch and are *not* attributed to any
         query (they live in :attr:`shared_iterations`).
         """
-        algo = self.algorithm
+        kernel = self.kernel
         num_passes = len(rt.iterations)
         iterations = []
-        for i in range(algo.query_iterations(q, num_passes)):
+        for i in range(kernel.query_iterations(q, num_passes)):
             shared = rt.iterations[i] if i < num_passes else None
             iterations.append(
                 IterationStats(
                     iteration=i,
-                    updates_generated=int(algo.per_query_updates(i)[q]),
-                    activated=int(algo.per_query_activated(i)[q]),
+                    updates_generated=int(kernel.per_query_updates(i)[q]),
+                    activated=int(kernel.per_query_activated(i)[q]),
                     clock_end=shared.clock_end if shared else 0.0,
                 )
             )
@@ -713,76 +625,10 @@ class BatchedQuerySession:
         extras["query_slot"] = float(q)
         return EngineResult(
             engine=self.engine.name,
-            algorithm=self.serial.name,
+            algorithm=self.algorithm.name,
             graph_name=self.staged.graph.name,
-            output=algo.query_output(rt.state, q),
+            output=kernel.query_output(rt.state, q),
             report=report,
             iterations=iterations,
             extras=extras,
         )
-
-    # ------------------------------------------------------------------
-    def recover(self) -> List[EngineResult]:
-        """Resume after a :class:`CrashError` killed :meth:`run` mid-batch.
-
-        Rewinds the machine to the entry checkpoint and replays the whole
-        batch in a fresh session (the kernel's per-pass bookkeeping is
-        reset by state re-initialization).  Deterministic replay plus the
-        fault injector's unrewound one-shot budgets mean the replay runs
-        past the crash point and every demultiplexed query is bit-identical
-        to an uncrashed batch; each result carries ``extras["recovered"]``.
-        """
-        if self._crashed is None:
-            raise EngineError(
-                "nothing to recover: the session did not crash "
-                "(recover() is only valid after run() raised CrashError)"
-            )
-        if self._checkpoint is None:
-            raise EngineError(
-                "cannot recover: no entry checkpoint was taken "
-                "(the machine has no fault injector)"
-            )
-        machine = self.staged.machine
-        machine.restore(self._checkpoint)
-        resumed_at = machine.clock.now
-        (validated_roots,) = self._crashed
-        self._crashed = None
-        session = BatchedQuerySession(
-            self.engine,
-            self.staged,
-            self.algorithm,
-            serial_algorithm=self.serial,
-            batch_index=self.batch_index,
-            protect_staged=self.protect_staged,
-            cumulative_report=self.cumulative_report,
-            span_attrs=self.span_attrs,
-        )
-        try:
-            results = session.run(validated_roots)
-        except CrashError:
-            # Adopt the replay's crash state so the caller can retry from
-            # the same quiescent anchor.
-            self._crashed = session._crashed
-            raise
-        self.report = session.report
-        self.shared_iterations = session.shared_iterations
-        if machine.fault_injector is not None:
-            machine.fault_injector.record_recovery()
-        machine.tracer.emit(
-            "recover",
-            start=resumed_at,
-            end=resumed_at,
-            engine=self.engine.name,
-            roots=[int(r) for slot in validated_roots
-                   for r in np.atleast_1d(np.asarray(slot))],
-            batch=self.batch_index,
-        )
-        for result in results:
-            result.extras["recovered"] = (
-                result.extras.get("recovered", 0.0) + 1.0
-            )
-        return results
-
-    # ------------------------------------------------------------------
-    def _cleanup(self, rt) -> None:
-        _release_swapped_files(self.staged, rt, self.protect_staged)

@@ -322,9 +322,9 @@ class AdmissionController:
         """Run one drained batch: batched-with-retries, serial fallback.
 
         Each batched attempt rewinds the machine to the staging checkpoint
-        first (``restore_first=True`` default), so failed attempts leave
-        no residue and a success-after-retry result is bit-identical to a
-        fault-free run; crashes *inside* an attempt are absorbed by the
+        first, so failed attempts leave no residue and a
+        success-after-retry result is bit-identical to a fault-free run;
+        crashes *inside* an attempt are absorbed by the
         session recovery loop (``max_recoveries``).  Exhausting all
         ``flush_retries`` batched attempts enters the serial fallback and
         reports one flush failure to the entry's circuit breaker.

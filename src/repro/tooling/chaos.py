@@ -56,17 +56,19 @@ breaker ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.algorithms.reference import bfs_levels
+from repro.algorithms.streaming import BFSAlgorithm
 from repro.core.config import FastBFSConfig
 from repro.core.engine import FastBFSEngine
 from repro.engines.base import EdgeCentricEngine, EngineConfig
 from repro.engines.result import EngineResult
+from repro.engines.session import BatchedQuerySession, run_with_recovery
 from repro.engines.xstream import XStreamEngine
-from repro.errors import ConfigError, CrashError, ReproError
+from repro.errors import ConfigError, ReproError
 from repro.graph.generators import rmat_graph
 from repro.graph.graph import Graph
 from repro.obs.counters import CounterRegistry
@@ -76,9 +78,6 @@ from repro.storage.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.storage.machine import Machine
 from repro.utils.rng import rng_from_seed
 from repro.utils.units import KB, MB
-
-if TYPE_CHECKING:
-    from repro.engines.session import StagedGraph
 
 #: (engine name, disk count, session mode) scenarios each sweep cycles
 #: through.  ``"single"`` cells run one QuerySession; ``"batched"`` cells
@@ -330,44 +329,6 @@ def _reconcile(machine: Machine) -> List[str]:
     return problems
 
 
-def _run_batched_session(
-    engine: EdgeCentricEngine,
-    staged: "StagedGraph",
-    graph: Graph,
-    roots: List[int],
-) -> Tuple[List[EngineResult], int]:
-    """One MS-BFS batch against ``staged`` with the crash/recover loop.
-
-    Returns ``(results, recoveries)`` where ``results`` is the demuxed
-    per-query list; raises like the serial path when the schedule is
-    unrecoverable.
-    """
-    from repro.algorithms.streaming import BFSAlgorithm
-    from repro.engines.session import BatchedQuerySession
-
-    algo = BFSAlgorithm()
-    validated = [
-        algo.validate_roots(graph.num_vertices, [r]) for r in roots
-    ]
-    session = BatchedQuerySession(
-        engine, staged, algo.batched(len(validated)), serial_algorithm=algo
-    )
-    recoveries = 0
-    results: Optional[List[EngineResult]] = None
-    try:
-        results = session.run(validated)
-    except CrashError:
-        while results is None:
-            recoveries += 1
-            if recoveries > MAX_RECOVERIES:
-                raise
-            try:
-                results = session.recover()
-            except CrashError:
-                continue
-    return results, recoveries
-
-
 def _run_trial(
     index: int,
     engine_name: str,
@@ -386,29 +347,25 @@ def _run_trial(
         index=index, engine=engine_name, disks=disks, seed=trial_seed,
         outcome="violation", mode=mode,
     )
-    recoveries = 0
     results: Optional[List[EngineResult]] = None
     try:
         staged = engine.stage(graph, machine)
         if mode == "batched":
-            results, recoveries = _run_batched_session(
-                engine, staged, graph, roots
+            algo = BFSAlgorithm()
+            session = BatchedQuerySession(
+                engine, staged, algo.batched(len(roots)), serial_algorithm=algo
+            )
+            validated = [
+                algo.validate_roots(graph.num_vertices, [r]) for r in roots
+            ]
+            results = run_with_recovery(
+                session, lambda: session.run(validated), MAX_RECOVERIES
             )
         else:
             session = engine.session(staged)
-            result: Optional[EngineResult] = None
-            try:
-                result = session.run(root=roots[0])
-            except CrashError:
-                while result is None:
-                    recoveries += 1
-                    if recoveries > MAX_RECOVERIES:
-                        raise
-                    try:
-                        result = session.recover()
-                    except CrashError:
-                        continue
-            results = [result]
+            results = run_with_recovery(
+                session, lambda: [session.run(root=roots[0])], MAX_RECOVERIES
+            )
     except ReproError as exc:
         trial.outcome = "typed-error"
         trial.detail = f"{type(exc).__name__}: {exc}"
@@ -431,7 +388,8 @@ def _run_trial(
                     f"{int(np.argmax(levels != references[q]))}"
                 )
                 return trial
-        trial.outcome = "recovered" if recoveries else "ok"
+        recovered = "recovered" in results[0].extras
+        trial.outcome = "recovered" if recovered else "ok"
     problems = _reconcile(machine)
     if problems:
         trial.outcome = "violation"

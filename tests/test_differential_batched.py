@@ -26,6 +26,7 @@ import pytest
 from repro.algorithms.reference import bfs_levels
 from repro.algorithms.validation import validate_bfs_result
 from repro.core.engine import FastBFSEngine
+from repro.engines.graphchi import GraphChiEngine
 from repro.engines.xstream import XStreamEngine
 from repro.graph.generators import random_graph, rmat_graph
 from repro.graph.graph import Graph
@@ -231,11 +232,14 @@ def test_serial_mode_unchanged_by_the_refactor():
     assert default.total_time == explicit.total_time
 
 
-def test_bad_mode_rejected():
+@pytest.mark.parametrize(
+    "engine",
+    [FastBFSEngine(small_fastbfs_config()), GraphChiEngine()],
+    ids=["fastbfs", "graphchi"],
+)
+def test_bad_mode_rejected(engine):
     from repro.errors import ConfigError
 
     graph = random_graph(40, 200, seed=1)
     with pytest.raises(ConfigError):
-        FastBFSEngine(small_fastbfs_config()).run_many(
-            graph, fresh_machine(), roots=[0], mode="parallel"
-        )
+        engine.run_many(graph, fresh_machine(), roots=[0], mode="parallel")

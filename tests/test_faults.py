@@ -11,7 +11,9 @@ import pytest
 from tests.helpers import fresh_machine, hub_root, small_fastbfs_config
 
 from repro.algorithms.reference import bfs_levels
+from repro.algorithms.streaming import BFSAlgorithm
 from repro.core.engine import FastBFSEngine
+from repro.engines.session import BatchedQuerySession, run_with_recovery
 from repro.errors import (
     ConfigError,
     CrashError,
@@ -364,7 +366,8 @@ class TestCrashRecovery:
         return Machine([DeviceSpec.hdd("hdd0")], memory=2 * MB, cores=4,
                        fault_plan=plan)
 
-    def test_crash_and_recover_bit_identical(self, rmat10):
+    @pytest.mark.parametrize("kind", ["serial", "batched"])
+    def test_crash_and_recover_bit_identical(self, rmat10, kind):
         root = hub_root(rmat10)
         baseline = FastBFSEngine(small_fastbfs_config()).run(
             rmat10, self._machine(), root=root
@@ -373,10 +376,26 @@ class TestCrashRecovery:
         machine.attach_tracer(Tracer())
         engine = FastBFSEngine(small_fastbfs_config())
         staged = engine.stage(rmat10, machine)
-        session = engine.session(staged)
-        with pytest.raises(CrashError):
-            session.run(root=root)
-        result = session.recover()
+        if kind == "serial":
+            session = engine.session(staged)
+            first_run = lambda: [session.run(root=root)]  # noqa: E731
+        else:
+            algo = BFSAlgorithm()
+            session = BatchedQuerySession(
+                engine, staged, algo.batched(1), serial_algorithm=algo
+            )
+            first_run = lambda: session.run([np.array([root])])  # noqa: E731
+        crashes = []
+
+        def invoke():
+            try:
+                return first_run()
+            except CrashError:
+                crashes.append(session)
+                raise
+
+        (result,) = run_with_recovery(session, invoke, 1)
+        assert crashes == [session]
         assert np.array_equal(result.levels, baseline.levels)
         assert result.extras["recovered"] == 1.0
         injector = machine.fault_injector
@@ -401,7 +420,7 @@ class TestCrashRecovery:
         engine = FastBFSEngine(small_fastbfs_config())
         staged = engine.stage(rmat10, machine)
         session = engine.session(staged)
-        session._crashed = (0, None)  # simulate an externally-raised crash
+        session._crashed = [np.array([0])]  # simulate an externally-raised crash
         with pytest.raises(EngineError):
             session.recover()
 

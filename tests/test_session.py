@@ -1,10 +1,10 @@
 """Staged-graph artifact + query-session architecture tests.
 
 The contract under test: ``run()`` is literally ``stage()`` plus one
-monolithic session (bit-for-bit identical to the historical pipeline),
-and ``run_many()`` stages once, rewinding the machine between query
-sessions via ``Machine.checkpoint()/restore()`` so every query is
-deterministic and pays zero staging I/O.
+session with a cumulative report, and ``run_many()`` stages once,
+rewinding the machine before every query session via
+``Machine.checkpoint()/restore()`` so every query is deterministic and
+pays zero staging I/O.
 """
 
 import numpy as np
@@ -171,6 +171,20 @@ class TestSessionDeterminism:
         m.restore(cp)
         third = eng.session(staged).run(root=hub_root(g))
         assert third.num_iterations > 0
+
+    def test_run_leaves_staged_edge_files_in_place(self):
+        """``run()`` is ``stage()`` plus a default session, so trimming
+        must not displace the staged edge files or leak a stay file."""
+        g = graph()
+        m = fresh_machine()
+        result = make_engine("fastbfs").run(g, m, root=hub_root(g))
+        assert result.extras["stay_swaps"] > 0
+
+        staging = fresh_machine()
+        staged = make_engine("fastbfs").stage(g, staging)
+        for f in staged.edge_files:
+            assert m.vfs.get(f.name).num_records == f.num_records
+        assert not [name for name in m.vfs.names() if name.startswith("stay:")]
 
 
 # ----------------------------------------------------------------------
