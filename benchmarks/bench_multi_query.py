@@ -18,15 +18,22 @@ promises: per-query outputs stay bit-identical to the serial path, and
 the batch's edge scans amortize to at most ``MAX_AMORTIZATION`` (0.2x)
 of the serial total.
 
+Last, it times a 64-root batched run against a 1-root batched run of the
+same graph and config: the kernels' host work per buffer must not grow
+with batch width, so the wide run may cost at most ``MAX_WIDTH_COST``
+(6x) the host seconds of the narrow one.
+
 Runnable standalone for CI smoke checks::
 
     PYTHONPATH=src python benchmarks/bench_multi_query.py --smoke
 """
 
 import argparse
+import time
 
 import numpy as np
 
+from repro.algorithms.streaming import BATCH_WIDTH
 from repro.analysis.tables import format_table
 from repro.core.config import FastBFSConfig
 from repro.core.engine import FastBFSEngine
@@ -40,6 +47,14 @@ Q = 8
 #: batch of Q=8 hub queries must scan at most this fraction of the
 #: edges the serial rewind path streams.
 MAX_AMORTIZATION = 0.2
+
+#: Acceptance bound on host seconds of a 64-root batched run over a 1-root
+#: one (each best of ``WIDTH_REPEATS``).  On the smoke graph the ratio is
+#: 2.3-3.1 with width-independent kernels and was 13-16 when gather ran one
+#: ``np.unique`` per query bit, so per-bit work in either kernel trips it
+#: with 2x room on both sides for a noisy host.
+MAX_WIDTH_COST = 6.0
+WIDTH_REPEATS = 3
 
 #: The I/O roles that belong to staging, not to any query.
 STAGING_ROLES = (("input", "read"), ("partition", "write"))
@@ -59,10 +74,32 @@ def _machine() -> Machine:
     return Machine.commodity_server(memory="8MB")
 
 
-def _roots(graph) -> list:
-    """Q deterministic roots: the Q best-connected vertices."""
+def _roots(graph, count: int = Q) -> list:
+    """``count`` deterministic roots: the best-connected vertices."""
     order = np.argsort(-graph.out_degrees())
-    return [int(v) for v in order[:Q]]
+    return [int(v) for v in order[:count]]
+
+
+def _batched_host_seconds(graph, roots) -> float:
+    start = time.perf_counter()
+    FastBFSEngine(_config()).run_many(
+        graph, _machine(), roots=roots, mode="batched"
+    )
+    return time.perf_counter() - start
+
+
+def width_cost(graph) -> float:
+    """Host seconds of a full-width batch relative to a width-1 batch.
+
+    The two widths alternate so a host that changes speed mid-measurement
+    slows both; each side keeps its best run.
+    """
+    wide, narrow = _roots(graph, BATCH_WIDTH), _roots(graph, 1)
+    pairs = [
+        (_batched_host_seconds(graph, wide), _batched_host_seconds(graph, narrow))
+        for _ in range(WIDTH_REPEATS)
+    ]
+    return min(w for w, _ in pairs) / min(n for _, n in pairs)
 
 
 def _staging_bytes(report) -> int:
@@ -117,6 +154,13 @@ def run_comparison(scale: int) -> dict:
     )
     assert batched.total_time < batch.total_time
 
+    cost = width_cost(graph)
+    assert cost <= MAX_WIDTH_COST, (
+        f"a {BATCH_WIDTH}-root batch took {cost:.1f}x the host time of a "
+        f"1-root batch (bound {MAX_WIDTH_COST}): per-query-bit work is back "
+        "in a batched kernel"
+    )
+
     return {
         "graph": graph,
         "roots": roots,
@@ -124,6 +168,7 @@ def run_comparison(scale: int) -> dict:
         "batch": batch,
         "batched": batched,
         "amortization": amortization,
+        "width_cost": cost,
         "monolithic_total": monolithic_total,
     }
 
@@ -174,7 +219,8 @@ def render(data: dict) -> str:
         f"{data['graph'].name}, staged once "
         f"(amortized {format_seconds(batch.amortized_time)}/query; "
         f"batched scans {data['amortization']:.1%} of serial's "
-        f"{batch.edges_scanned:,} edges)"
+        f"{batch.edges_scanned:,} edges; a {BATCH_WIDTH}-root batch costs "
+        f"{data['width_cost']:.1f}x the host time of a 1-root batch)"
     )
     return format_table(["phase", "root", "time", "I/O", "iters"], rows, title)
 

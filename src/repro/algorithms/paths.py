@@ -61,7 +61,7 @@ def path_exists_in_graph(graph: Graph, path: List[int]) -> bool:
         return True
     src = graph.edges["src"].astype(np.uint64)
     dst = graph.edges["dst"].astype(np.uint64)
-    keys = np.unique(src * np.uint64(graph.num_vertices) + dst)
+    keys = np.sort(src * np.uint64(graph.num_vertices) + dst)
     hops_src = np.asarray(path[:-1], dtype=np.uint64)
     hops_dst = np.asarray(path[1:], dtype=np.uint64)
     hop_keys = hops_src * np.uint64(graph.num_vertices) + hops_dst

@@ -112,7 +112,7 @@ def validate_bfs_result(
                         bad = int((levels[p] != levels[tv] - 1).sum())
                         errors.append(f"{bad} tree edges don't descend one level")
                     # Rule 3: tree edges exist in the graph.
-                    graph_keys = np.unique(_edge_keys(src, dst, n))
+                    graph_keys = np.sort(_edge_keys(src, dst, n))
                     tree_keys = _edge_keys(p.astype(np.uint32), tv.astype(np.uint32), n)
                     pos = np.searchsorted(graph_keys, tree_keys)
                     pos = np.minimum(pos, len(graph_keys) - 1) if len(graph_keys) else pos

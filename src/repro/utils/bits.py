@@ -6,7 +6,30 @@ cost model can use it without an import cycle.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
+
+#: Row ``v`` holds the eight bits of byte value ``v``, lowest first.
+_BYTE_BITS = np.unpackbits(
+    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
+).astype(np.int64)
+
+#: Set-bit count of every 16-bit value: a ``uint64`` mask is four lookups
+#: instead of a 64-byte ``unpackbits`` expansion.
+_POPCOUNT16 = np.add.outer(
+    _BYTE_BITS.sum(axis=1), _BYTE_BITS.sum(axis=1)
+).ravel().astype(np.uint8)
+
+#: Where byte ``b`` of a mask starts in a histogram over all byte values.
+_BYTE_OFFSETS = np.arange(8) * 256
+
+
+def _low_bytes(masks: np.ndarray, width: int) -> np.ndarray:
+    """One row per mask holding its low ``ceil(width / 8)`` bytes: every
+    byte a batch of ``width`` queries can set, and no others."""
+    flat = np.ascontiguousarray(masks, dtype="<u8")
+    return flat.view(np.uint8).reshape(-1, 8)[:, : (width + 7) // 8]
 
 
 def popcount64(masks: np.ndarray) -> int:
@@ -16,24 +39,57 @@ def popcount64(masks: np.ndarray) -> int:
     batched kernels use this to weight shuffle/gather cost charging (see
     ``repro.engines.costs``).
     """
-    if len(masks) == 0:
-        return 0
     flat = np.ascontiguousarray(masks, dtype=np.uint64)
-    return int(np.unpackbits(flat.view(np.uint8)).sum())
+    return int(_POPCOUNT16.take(flat.view(np.uint16)).sum(dtype=np.int64))
 
 
 def mask_bit_counts(masks: np.ndarray, width: int) -> np.ndarray:
     """Per-bit set counts over ``uint64`` masks, for bits ``0..width-1``.
 
     Column ``q`` is how many masks carry query ``q``'s bit — the per-query
-    update counts a batched scatter pass generated.
+    update counts a batched scatter pass generated.  Counted from one
+    histogram of byte values per mask byte, so the masks are never expanded
+    into one element per bit.
     """
-    if len(masks) == 0:
-        return np.zeros(width, dtype=np.int64)
-    bits = np.unpackbits(
-        np.ascontiguousarray(masks, dtype=np.uint64).view(np.uint8)
-        .reshape(-1, 8),
-        axis=1,
-        bitorder="little",
+    low = _low_bytes(masks, width)
+    nbytes = low.shape[1]
+    hist = np.bincount(
+        (low + _BYTE_OFFSETS[:nbytes]).ravel(), minlength=256 * nbytes
     )
-    return bits.sum(axis=0, dtype=np.int64)[:width]
+    return (hist.reshape(nbytes, 256) @ _BYTE_BITS).ravel()[:width]
+
+
+def mask_bit_pairs(masks: np.ndarray, width: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Expand masks into their set bits: ``(rows, bits)`` with one entry
+    per set bit, ordered by row then bit, so that mask ``rows[k]`` carries
+    bit ``bits[k]``.  The masks must carry no bit at or above ``width``
+    (a batch of that width cannot set one)."""
+    return np.nonzero(
+        np.unpackbits(_low_bytes(masks, width), axis=1, bitorder="little")
+    )
+
+
+def earlier_bits_in_run(masks: np.ndarray, is_start: np.ndarray) -> np.ndarray:
+    """Segmented exclusive prefix-OR: for each record, the OR of the masks
+    of the records before it in its run.
+
+    ``is_start`` flags the first record of every run of consecutive
+    records (so ``is_start[0]`` is set).  A doubling scan: round ``d`` ORs
+    in the partial result ``d`` records back, which only records at offset
+    ``>= d`` inside their run still need, so the rounds number
+    ``log2(longest run)`` and each touches only the runs that long.
+    """
+    earlier = np.zeros(len(masks), dtype=masks.dtype)
+    later = tail = (~is_start).nonzero()[0]
+    if len(later) == 0:  # every run is one record long
+        return earlier
+    pos = np.arange(len(masks))
+    pos -= np.maximum.accumulate(pos * is_start)
+    acc = masks.copy()
+    step = 1
+    while len(tail):
+        acc[tail] |= acc[tail - step]
+        step *= 2
+        tail = tail[pos[tail] >= step]
+    earlier[later] = acc[later - 1]
+    return earlier

@@ -72,6 +72,11 @@ class TestPathExists:
         assert path_exists_in_graph(g, [1])
         assert path_exists_in_graph(g, [])
 
+    def test_duplicate_edges(self):
+        g = Graph.from_edge_pairs(3, [(0, 1), (1, 2), (0, 1), (1, 2), (0, 1)])
+        assert path_exists_in_graph(g, [0, 1, 2])
+        assert not path_exists_in_graph(g, [0, 2])
+
 
 class TestHopDistances:
     def test_matches_levels(self):

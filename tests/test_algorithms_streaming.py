@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.algorithms.streaming import (
+    BATCH_UPDATE_DTYPE,
     AlgoContext,
+    BatchedBFSAlgorithm,
     BFSAlgorithm,
     UnitSSSPAlgorithm,
     WCCAlgorithm,
@@ -175,3 +177,222 @@ class TestWCC:
         )
         assert activated == 1
         assert state["label"][2] == 0
+
+
+def gather_per_bit_oracle(algo, ctx, state, dst_local, buf) -> int:
+    """The reference ``BatchedBFSAlgorithm.gather``: one serial-kernel
+    first-wins claim (``np.unique``) per query bit present in the buffer.
+    Host work grows with batch width, which is why the kernel no longer
+    runs it; the semantics are the contract the kernel is held to."""
+    masks = buf["mask"]
+    level = ctx.iteration + 1
+    activated = 0
+    present = int(np.bitwise_or.reduce(masks)) if len(masks) else 0
+    for q in range(algo.num_queries):
+        bit = np.uint64(1 << q)
+        if not present & (1 << q):
+            continue
+        has = (masks & bit) != 0
+        dst = dst_local[has]
+        fresh = (state["visited"][dst] & bit) == 0
+        if not fresh.any():
+            continue
+        dst = dst[fresh]
+        parents = buf["payload"][has][fresh]
+        uniq, first_idx = np.unique(dst, return_index=True)
+        state["visited"][uniq] |= bit
+        state["frontier"][uniq] |= bit
+        state["level"][uniq, q] = level
+        state["parent"][uniq, q] = parents[first_idx]
+        state["active"][uniq] = 1
+        claimed = len(uniq)
+        activated += claimed
+        per_q = algo._activated_by_pass.setdefault(
+            level, np.zeros(algo.num_queries, dtype=np.int64)
+        )
+        per_q[q] += claimed
+    return activated
+
+
+def _batch_buffer(dst, payload, mask) -> np.ndarray:
+    buf = np.empty(len(dst), dtype=BATCH_UPDATE_DTYPE)
+    buf["dst"] = dst
+    buf["payload"] = payload
+    buf["mask"] = mask
+    return buf
+
+
+def _full_mask(width: int) -> int:
+    return (1 << width) - 1
+
+
+class TestBatchedGather:
+    """The sort + segmented-claim gather against the per-bit oracle."""
+
+    NUM_VERTICES = 40
+
+    def _pair(self, width, rng):
+        """Two kernels over identical state: a root per slot, plus random
+        visited bits so some destinations are stale for some bits only."""
+        roots = [[int(rng.integers(self.NUM_VERTICES))] for _ in range(width)]
+        pair = []
+        for _ in range(2):
+            algo = BatchedBFSAlgorithm(width)
+            pair.append((algo, algo.init_state(self.NUM_VERTICES, roots)))
+        extra = rng.integers(
+            0, 1 << 63, size=self.NUM_VERTICES, dtype=np.uint64
+        ) & np.uint64(_full_mask(width))
+        extra[rng.random(self.NUM_VERTICES) < 0.5] = 0
+        for _, state in pair:
+            state["visited"] |= extra
+        return pair
+
+    def _random_buffer(self, width, rng, lo, hi, n):
+        """Few distinct destinations (long duplicate runs) and a mix of
+        sparse, dense and single-bit masks, some sharing bits and some
+        disjoint; the top bit of the width is always exercised."""
+        dst = rng.integers(lo, hi, size=n)
+        mask = rng.integers(0, 1 << 63, size=n, dtype=np.uint64)
+        mask &= rng.integers(0, 1 << 63, size=n, dtype=np.uint64)
+        single = rng.random(n) < 0.3
+        mask[single] = np.uint64(1) << rng.integers(
+            0, width, size=int(single.sum()), dtype=np.uint64
+        )
+        mask[rng.random(n) < 0.1] = np.uint64(_full_mask(width))
+        mask[rng.random(n) < 0.2] |= np.uint64(1 << (width - 1))
+        mask &= np.uint64(_full_mask(width))
+        payload = rng.integers(0, 1 << 32, size=n, dtype=np.uint32)
+        return _batch_buffer(dst, payload, mask)
+
+    def _assert_same(self, new, ref, level, returned, expected):
+        (algo, state), (ref_algo, ref_state) = new, ref
+        assert returned == expected
+        for field in ("frontier", "visited", "level", "parent", "active"):
+            assert np.array_equal(state[field], ref_state[field]), field
+        assert np.array_equal(
+            algo.per_query_activated(level), ref_algo.per_query_activated(level)
+        )
+
+    def _gather_both(self, new, ref, ctx, buf, lo=0, hi=None):
+        hi = self.NUM_VERTICES if hi is None else hi
+        dst_local = buf["dst"].astype(np.int64) - lo
+        (algo, state), (ref_algo, ref_state) = new, ref
+        returned = algo.gather(
+            ctx, state[lo:hi], dst_local, algo.gather_payload(buf)
+        )
+        expected = gather_per_bit_oracle(
+            ref_algo, ctx, ref_state[lo:hi], dst_local, buf
+        )
+        self._assert_same(new, ref, ctx.iteration + 1, returned, expected)
+        return returned
+
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 63, 64])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_oracle_over_consecutive_buffers(self, width, seed):
+        """Several buffers in a row over few destinations: later buffers
+        re-offer vertices an earlier one claimed (first buffer wins), and
+        the per-pass counts accumulate across them."""
+        rng = np.random.default_rng([width, seed])
+        new, ref = self._pair(width, rng)
+        total = 0
+        for n in (60, 17, 1, 200):
+            buf = self._random_buffer(width, rng, 0, self.NUM_VERTICES, n)
+            total += self._gather_both(new, ref, AlgoContext(2), buf)
+        assert int(new[0].per_query_activated(3).sum()) == total
+
+    @pytest.mark.parametrize("width", [1, 9, 64])
+    def test_partition_slice_with_nonzero_lo(self, width):
+        rng = np.random.default_rng([width, 99])
+        new, ref = self._pair(width, rng)
+        lo, hi = 13, 31
+        buf = self._random_buffer(width, rng, lo, hi, 120)
+        untouched = new[1].copy()
+        self._gather_both(new, ref, AlgoContext(0), buf, lo=lo, hi=hi)
+        outside = np.r_[0:lo, hi:self.NUM_VERTICES]
+        assert np.array_equal(new[1][outside], untouched[outside])
+
+    def test_overlapping_masks_first_record_wins_each_bit(self):
+        algo = BatchedBFSAlgorithm(64)
+        state = algo.init_state(6, [[0]] * 64)
+        top = 1 << 63
+        buf = _batch_buffer(
+            dst=[4, 2, 4, 4, 2],
+            payload=[10, 11, 12, 13, 14],
+            mask=[0b0110, 0b0001, 0b0011 | top, 0b1111 | top, 0b0001],
+        )
+        claims = algo.gather(
+            AlgoContext(5), state, buf["dst"].astype(np.int64), buf
+        )
+        # vertex 4: bits 1,2 <- record 0; bits 0,63 <- record 2; bit 3 <-
+        # record 3.  vertex 2: bit 0 <- record 1.
+        assert claims == 6
+        assert state["parent"][4, [0, 1, 2, 3, 63]].tolist() == [12, 10, 10, 13, 12]
+        assert state["parent"][2, 0] == 11
+        assert state["level"][4, [0, 1, 2, 3, 63]].tolist() == [6] * 5
+        assert state["level"][4, 4] == UNVISITED
+        assert int(state["visited"][4]) == 0b1111 | top
+        assert int(state["frontier"][4]) == 0b1111 | top
+        assert int(state["frontier"][2]) == 0b0001
+        assert state["active"].tolist() == [1, 0, 1, 0, 1, 0]
+        per_q = algo.per_query_activated(6)
+        assert per_q[[0, 1, 2, 3, 63]].tolist() == [2, 1, 1, 1, 1]
+        assert int(per_q.sum()) == 6
+
+    def test_disjoint_masks_all_claim(self):
+        algo = BatchedBFSAlgorithm(8)
+        state = algo.init_state(3, [[0]] * 8)
+        buf = _batch_buffer([1, 1, 1], [5, 6, 7], [0b001, 0b010, 0b100])
+        assert algo.gather(AlgoContext(0), state, np.array([1, 1, 1]), buf) == 3
+        assert state["parent"][1, :3].tolist() == [5, 6, 7]
+
+    def test_second_buffer_cannot_reclaim(self):
+        algo = BatchedBFSAlgorithm(2)
+        state = algo.init_state(3, [[0], [0]])
+        first = _batch_buffer([2], [7], [0b01])
+        second = _batch_buffer([2, 2], [8, 9], [0b11, 0b11])
+        dst = np.array([2])
+        assert algo.gather(AlgoContext(0), state, dst, first) == 1
+        assert algo.gather(AlgoContext(0), state, np.array([2, 2]), second) == 1
+        assert state["parent"][2].tolist() == [7, 8]
+        assert algo.per_query_activated(1).tolist() == [1, 1]
+
+    def test_all_stale_buffer_changes_nothing(self):
+        algo = BatchedBFSAlgorithm(64)
+        state = algo.init_state(4, [[0]] * 64)
+        state["visited"][:] = np.uint64(_full_mask(64))
+        before = state.copy()
+        buf = _batch_buffer([1, 3, 1], [5, 6, 7], [1 << 63, 0b1, _full_mask(64)])
+        assert algo.gather(
+            AlgoContext(0), state, buf["dst"].astype(np.int64), buf
+        ) == 0
+        assert np.array_equal(state, before)
+        assert not algo.per_query_activated(1).any()
+
+    def test_empty_buffer(self):
+        algo = BatchedBFSAlgorithm(9)
+        state = algo.init_state(4, [[0]] * 9)
+        before = state.copy()
+        buf = np.empty(0, dtype=BATCH_UPDATE_DTYPE)
+        assert algo.gather(
+            AlgoContext(0), state, np.empty(0, dtype=np.int64), buf
+        ) == 0
+        assert np.array_equal(state, before)
+
+
+class TestBatchedScatter:
+    def test_masks_weights_and_per_query_counts(self):
+        algo = BatchedBFSAlgorithm(9)
+        state = algo.init_state(4, [[0], [0], [1]] + [[3]] * 6)
+        src = np.array([0, 1, 2, 0])
+        updates, eliminate = algo.scatter(
+            AlgoContext(0), state, src, src.astype(np.uint32),
+            np.array([2, 2, 3, 1], dtype=np.uint32),
+        )
+        assert updates["dst"].tolist() == [2, 2, 1]
+        assert updates["payload"].tolist() == [0, 1, 0]
+        assert updates["mask"].tolist() == [0b011, 0b100, 0b011]
+        assert not eliminate.any()  # no source is visited for all 9 queries
+        assert algo.per_query_updates(0).tolist() == [2, 2, 1] + [0] * 6
+        assert int(algo.live_mask(1)) == 0b111
+        assert algo.shuffle_weight(updates) == 5
+        assert algo.gather_weight(updates) == 5

@@ -113,6 +113,30 @@ class TestRejectsCorruption:
             report.raise_if_failed()
 
 
+class TestDuplicateEdges:
+    """Rule 3 (tree edges are graph edges) is a membership test on the
+    sorted edge keys; repeated edges must not change its verdict."""
+
+    @pytest.fixture
+    def multigraph(self):
+        return Graph.from_edge_pairs(
+            4, [(0, 1), (0, 2), (0, 1), (1, 3), (0, 2), (1, 3), (0, 1)]
+        )
+
+    def test_valid_tree_accepted(self, multigraph):
+        levels, parents = bfs_parents_and_levels(multigraph, 0)
+        report = validate_bfs_result(multigraph, 0, levels, parents, levels)
+        assert report.ok, report.errors
+
+    def test_phantom_edge_still_rejected(self, multigraph):
+        # 2 -> 3 descends one level like a tree edge should, but is not
+        # in the graph: only the membership test can catch it.
+        levels = np.array([0, 1, 1, 2], dtype=np.int32)
+        parents = np.array([NO_PARENT, 0, 0, 2], dtype=np.uint32)
+        report = validate_bfs_result(multigraph, 0, levels, parents)
+        assert report.errors == ["1 claimed tree edges are not graph edges"]
+
+
 class TestTeps:
     def test_traversed_edges_counts_visited_sources(self):
         g = Graph.from_edge_pairs(4, [(0, 1), (1, 2), (3, 0)])
