@@ -197,7 +197,6 @@ class ExperimentRunner:
         num_disks: int = 1,
         memory: Optional[str] = None,
         threads: int = 4,
-        host_clock=None,
         **config_overrides,
     ) -> Tuple[EngineResult, object, object]:
         """Like :meth:`run`, but with a span tracer attached.
@@ -206,12 +205,7 @@ class ExperimentRunner:
         trace and reconcile counters against the machine's report.
         Memoized separately from :meth:`run` (tracing on vs. off is
         bit-for-bit identical in timings, but the memo keeps each world's
-        objects intact).  ``host_clock`` binds a
-        :class:`~repro.obs.hostprof.HostClock` to the tracer for
-        dual-clock profiling — host stamps on every span, simulated
-        results untouched; host-clocked runs are memoized apart from
-        single-clock ones (host durations are a property of *this*
-        execution, not of the simulated result).
+        objects intact).
         """
         from repro.obs.tracer import Tracer  # local: keep obs optional here
 
@@ -222,7 +216,6 @@ class ExperimentRunner:
             num_disks,
             memory or self.memory,
             threads,
-            host_clock is not None,
             tuple(sorted(config_overrides.items())),
         )
         if key not in self._traced_runs:
@@ -230,8 +223,6 @@ class ExperimentRunner:
             machine = self.machine(disk_kind, num_disks, memory)
             tracer = Tracer()
             machine.attach_tracer(tracer)
-            if host_clock is not None:
-                tracer.bind_host_clock(host_clock)
             eng = self._engine(engine, threads, config_overrides)
             result = eng.run(graph, machine, root=self.root(dataset))
             self._traced_runs[key] = (result, machine, tracer)

@@ -303,7 +303,7 @@ def analyze_tree(
     paths: Sequence[str] = ("src/repro",),
     baseline_path: Optional[str] = None,
 ):
-    """Run the whole-program static analyzer (rules FB2xx) over ``paths``.
+    """Run the static analyzer (every FBxxx rule) over ``paths``.
 
     Returns an :class:`~repro.tooling.analyzer.AnalysisResult` whose
     ``findings`` are already ``# noqa``-suppressed and baseline-filtered;

@@ -23,9 +23,9 @@ Subcommands:
 * ``chaos`` — sweep seeded fault-injection schedules across engines and
   disk placements; every surviving run must produce bit-identical BFS
   levels (nonzero exit on any violation);
-* ``lint`` — per-file repo lint pass (rules FB1xx; text/JSON/SARIF);
-* ``analyze`` — whole-program effect & determinism analyzer (rules
-  FB2xx; shares findings, baselines and exit codes with ``lint``);
+* ``analyze`` — the static analyzer: module-local source rules and
+  whole-program effect & determinism contracts (``--list-rules``;
+  text/JSON/SARIF, exit 0 clean / 1 findings / 2 usage);
 * ``datasets`` — list the Table II registry.
 """
 
@@ -175,24 +175,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("datasets", help="list the Table II dataset registry")
 
-    lint_p = sub.add_parser(
-        "lint",
-        help="repo-specific per-file lint pass (rules FB1xx)",
-    )
-    _add_report_args(lint_p)
-    an = sub.add_parser(
+    # Listed for --help only: main() hands everything after ``analyze`` to
+    # the analyzer's own parser, which is the one place its options live.
+    sub.add_parser(
         "analyze",
-        help="whole-program effect analyzer (rules FB2xx)",
-    )
-    _add_report_args(an)
-    an.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="baseline file of intentionally-accepted findings "
-             "(default: analyzer_baseline.json if present)",
-    )
-    an.add_argument(
-        "--effects", action="store_true",
-        help="print the inferred per-function effect table and exit",
+        help="static analyzer: source rules + effect contracts (FBxxx)",
     )
 
     gantt = sub.add_parser(
@@ -293,20 +280,6 @@ def _add_machine_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--disks", type=int, default=1)
     p.add_argument("--disk-kind", choices=["hdd", "ssd"], default="hdd")
     p.add_argument("--threads", type=int, default=4)
-
-
-def _add_report_args(p: argparse.ArgumentParser) -> None:
-    """Arguments shared by the ``lint`` and ``analyze`` report CLIs."""
-    from repro.tooling.report import OUTPUT_FORMATS
-
-    p.add_argument("paths", nargs="*", default=["src/repro"],
-                   help="files or directories to check (default: src/repro)")
-    p.add_argument("--format", choices=OUTPUT_FORMATS, default="text",
-                   dest="fmt", help="report format (default: text)")
-    p.add_argument("--output", default=None, metavar="FILE",
-                   help="write the report to this file instead of stdout")
-    p.add_argument("--list-rules", action="store_true",
-                   help="print the rule catalogue")
 
 
 def _add_obs_args(p: argparse.ArgumentParser) -> None:
@@ -678,34 +651,6 @@ def cmd_datasets(_args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    from repro.tooling import lint
-
-    argv = list(args.paths)
-    if args.list_rules:
-        argv.append("--list-rules")
-    argv += ["--format", args.fmt]
-    if args.output is not None:
-        argv += ["--output", args.output]
-    return lint.main(argv)
-
-
-def cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.tooling.analyzer import main as analyzer_main
-
-    argv = list(args.paths)
-    if args.list_rules:
-        argv.append("--list-rules")
-    argv += ["--format", args.fmt]
-    if args.output is not None:
-        argv += ["--output", args.output]
-    if args.baseline is not None:
-        argv += ["--baseline", args.baseline]
-    if args.effects:
-        argv.append("--effects")
-    return analyzer_main(argv)
-
-
 def cmd_gantt(args: argparse.Namespace) -> int:
     from repro.sim.trace import render_gantt
 
@@ -845,6 +790,11 @@ def cmd_top(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["analyze"]:
+        from repro.tooling.analyzer import main as analyzer_main
+
+        return analyzer_main(argv[1:])
     args = _build_parser().parse_args(argv)
     handlers = {
         "generate": cmd_generate,
@@ -855,8 +805,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "bench": cmd_bench,
         "chaos": cmd_chaos,
         "datasets": cmd_datasets,
-        "lint": cmd_lint,
-        "analyze": cmd_analyze,
         "gantt": cmd_gantt,
         "shapes": cmd_shapes,
         "serve": cmd_serve,

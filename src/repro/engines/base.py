@@ -126,7 +126,7 @@ class _RunState:
     """Mutable per-query bundle so engines stay reusable across queries.
 
     This is session-internal state: outside the ``engines``/``core``
-    subsystems nothing may construct one (lint rule FB107) — go through
+    subsystems nothing may construct one (analyzer rule FB107) — go through
     ``engine.run()`` / ``engine.run_many()`` or a
     :class:`~repro.engines.session.QuerySession`.
     """

@@ -24,8 +24,8 @@ one-slot case of the driver; :class:`BatchedQuerySession` runs many slots
 through it by swapping the kernel and overriding a few hooks.
 
 Session internals (the ``_RunState`` bundle) are private to the engine
-layer; external code must go through the session API (enforced by lint
-rule FB107).
+layer; external code must go through the session API (enforced by
+analyzer rule FB107).
 """
 
 from __future__ import annotations

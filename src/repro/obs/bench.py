@@ -4,20 +4,11 @@ A *snapshot* is one canonical JSON document (``BENCH_<seq>.json`` at the
 repo root) recording what the simulation measures for a fixed scenario
 set: per-scenario simulated execution time, input/total bytes, iowait
 ratio, iteration count, trim effectiveness, and a profile summary
-distilled from the run's span trace.  The *gated* body of a snapshot
-carries **no timestamps or host facts** — two runs of the same code at
-the same seed produce byte-identical gated content, so a committed
-snapshot is a reviewable statement of the repo's performance claims.
-
-Schema v3 adds one deliberately *informational* top-level ``host``
-section: per-scenario wall-clock cost of running the simulation itself
-(``host_seconds_per_sim_second``, ``edges_scanned_per_host_second``),
-collected by binding the dual-clock profiler
-(:mod:`repro.obs.hostprof`) to the same traced runs.  Host facts are
-machine-dependent by nature, so the section is excluded from both the
-determinism contract (compare :func:`canonical_snapshot` views, not raw
-documents) and the regression gate (:func:`compare_snapshots` walks
-``scenarios`` only and never looks at ``host``).
+distilled from the run's span trace.  A snapshot carries **no timestamps
+or host facts** — two runs of the same code at the same seed produce
+byte-identical documents, so a committed snapshot is a reviewable
+statement of the repo's performance claims.  (Host time is measured and
+gated elsewhere: ``BENCHMARK.json`` + ``benchmarks/perf``.)
 
 The *gate* (:func:`compare_snapshots`) diffs the newest snapshot against
 the previous one under per-metric tolerances: each metric declares how
@@ -45,9 +36,9 @@ from repro.obs.profile import profile_trace
 #: Bump when the snapshot layout changes incompatibly.
 #: v2: multi-query scenarios (``kind="multi-query"``) recording the MS-BFS
 #: edge-scan amortization metric alongside the single-query cells.
-#: v3: informational top-level ``host`` section (dual-clock profiler
-#: output; excluded from the determinism contract and the gate).
-SNAPSHOT_SCHEMA_VERSION = 3
+#: v3: informational top-level ``host`` section (dual-clock profiler).
+#: v4: ``host`` section retired; the whole document is deterministic.
+SNAPSHOT_SCHEMA_VERSION = 4
 
 #: Queries per tracked multi-query cell (matches bench_multi_query.py).
 MULTI_QUERY_Q = 8
@@ -193,28 +184,16 @@ def _multi_query_entry(runner, sc: Scenario) -> Dict[str, object]:
     }
 
 
-def _scenario_entry(
-    runner, sc: Scenario
-) -> Tuple[Dict[str, object], Optional[Dict[str, object]]]:
-    """``(gated_entry, host_entry_or_None)`` for one scenario.
-
-    Single-run scenarios execute exactly once, dual-clocked: the shared
-    :data:`~repro.obs.hostprof.HOST_CLOCK` is bound to the tracer, so the
-    same trace yields both the gated simulated metrics (host stamping is
-    strictly neutral for those — see tests/test_obs_hostprof.py) and the
-    informational host breakdown.  Multi-query cells have no single
-    traced run to attribute, so they carry no host entry.
-    """
+def _scenario_entry(runner, sc: Scenario) -> Dict[str, object]:
+    """The snapshot entry for one scenario (one traced run, or one
+    multi-query cell)."""
     if sc.kind == "multi-query":
-        return _multi_query_entry(runner, sc), None
-    from repro.obs.hostprof import HOST_CLOCK
-
+        return _multi_query_entry(runner, sc)
     result, machine, tracer = runner.run_traced(
         sc.dataset,
         sc.engine,
         disk_kind=sc.disk_kind,
         num_disks=sc.num_disks,
-        host_clock=HOST_CLOCK,
     )
     report = result.report
     graph = runner.graph(sc.dataset)
@@ -226,7 +205,7 @@ def _scenario_entry(
     prof = profile_trace(tracer)
     q = prof.queries[0]
     stay = q.stay
-    entry: Dict[str, object] = {
+    return {
         "engine": sc.engine,
         "dataset": sc.dataset,
         "disk_kind": sc.disk_kind,
@@ -248,8 +227,6 @@ def _scenario_entry(
             "stay_hidden_fraction": stay.hidden_fraction,
         },
     }
-    host = prof.host()
-    return entry, (host if host else None)
 
 
 def collect_snapshot(
@@ -263,13 +240,7 @@ def collect_snapshot(
         from repro.analysis.harness import ExperimentRunner
 
         runner = ExperimentRunner(divisor=divisor, seed=seed)
-    scenario_docs: Dict[str, Dict[str, object]] = {}
-    host_docs: Dict[str, Dict[str, object]] = {}
-    for sc in scenarios:
-        entry, host = _scenario_entry(runner, sc)
-        scenario_docs[sc.name] = entry
-        if host is not None:
-            host_docs[sc.name] = host
+    scenario_docs = {sc.name: _scenario_entry(runner, sc) for sc in scenarios}
 
     derived: Dict[str, float] = {}
     times = {
@@ -301,21 +272,7 @@ def collect_snapshot(
         "seed": runner.seed,
         "scenarios": scenario_docs,
         "derived": derived,
-        # Informational only: machine-dependent wall-clock cost of the
-        # collection run.  Never gated, never part of the determinism
-        # contract — see canonical_snapshot().
-        "host": host_docs,
     }
-
-
-def canonical_snapshot(snapshot: Dict[str, object]) -> Dict[str, object]:
-    """The deterministic view of a snapshot: everything but ``host``.
-
-    Two collections of the same code at the same divisor/seed agree
-    byte-for-byte on this view; the informational ``host`` section is the
-    one place wall-clock facts are allowed to differ between them.
-    """
-    return {k: v for k, v in snapshot.items() if k != "host"}
 
 
 # ----------------------------------------------------------------------
@@ -528,7 +485,6 @@ __all__ = [
     "Tolerance",
     "TOLERANCES",
     "collect_snapshot",
-    "canonical_snapshot",
     "snapshot_files",
     "snapshot_to_json",
     "write_snapshot",

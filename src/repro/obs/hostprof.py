@@ -2,11 +2,10 @@
 
 Everything else in this repository observes *simulated* time — the
 :class:`~repro.sim.clock.SimClock` the cost model advances — and the
-tooling enforces it: lint rule FB108 bans ``time`` from the engine layer
-outright, and analyzer rule FB207 restricts direct wall-clock reads
-(``time.monotonic`` and friends, the WALLCLOCK pattern sites) to this
-one module.  Host time is still a real quantity we need: the vectorized
-data path on the roadmap is gated on *host seconds per simulated
+tooling enforces it: analyzer rule FB207 restricts direct wall-clock
+reads (``time.monotonic`` and friends, the WALLCLOCK pattern sites), in
+every subsystem, to this one module.  Host time is still a real quantity
+we need: the vectorized data path on the roadmap is gated on *host seconds per simulated
 second*, attributed per stage, so we can prove the pure-Python
 scatter/shuffle/gather loops are the bottleneck and ratchet the scale
 divisor down as the kernels get faster.

@@ -79,6 +79,10 @@ QUEUE_WAIT_BUCKETS = (0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0)
 
 QUERY_ALGORITHMS = ("bfs", "sssp", "pagerank")
 
+#: Largest request body the server reads; a larger ``Content-Length`` is
+#: refused with a typed 413 before any of it is read.
+MAX_BODY_BYTES = 1 << 20
+
 #: Client-supplied ``X-Request-Id`` values must match this (safe charset,
 #: length-capped); anything else falls back to a generated id.
 REQUEST_ID_PATTERN = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
@@ -563,6 +567,7 @@ class GraphService:
             tracer = Tracer()
             entry.machine.attach_tracer(tracer)
             tracer.bind_host_clock(self.clock)
+            failure: Optional[FlushFailedError] = None
             try:
                 batch = run_staged_queries(
                     engine,
@@ -579,23 +584,30 @@ class GraphService:
                 )
             except (CrashError, IOFaultError) as exc:
                 entry.health.record_flush_failure(type(exc).__name__)
-                raise FlushFailedError(
+                failure = FlushFailedError(
                     f"serial {kind} query {request_id} failed: "
                     f"{type(exc).__name__}: {exc}",
                     retry_after=entry.health.retry_after(),
-                ) from exc
-            entry.health.record_flush_success()
-            result = batch.queries[0]
-            registry = CounterRegistry.from_report(result.report)
-            registry.ingest_result(result)
-            registry.ingest_spans(tracer)
-            registry.inc("serve_serial_queries_total", 1.0,
-                         graph=entry.name, algorithm=kind)
+                )
+                failure.__cause__ = exc
+                registry = CounterRegistry()
+            else:
+                entry.health.record_flush_success()
+                result = batch.queries[0]
+                registry = CounterRegistry.from_report(result.report)
+                registry.ingest_result(result)
+                registry.ingest_spans(tracer)
+                registry.inc("serve_serial_queries_total", 1.0,
+                             graph=entry.name, algorithm=kind)
+                entry.queries_served += 1
+            # Injector counts are lifetime (a rewind never takes them
+            # back), so a failed query's faults reach /metrics too.
             if fault_base is not None:
                 for cname, labels, value in injector.delta_samples(fault_base):
                     registry.inc(cname, value, graph=entry.name, **labels)
-            entry.queries_served += 1
         self._merge_metrics(registry)
+        if failure is not None:
+            raise failure
         report = result.report
         if kind == "sssp":
             output = {
@@ -826,8 +838,25 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
     def _read_json(self) -> Dict:
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        raw = self.rfile.read(length) if length else b""
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        # A refused body stays unread, and an unread body cannot be
+        # resynchronised on a keep-alive socket: both refusals close it.
+        if not (declared.isascii() and declared.isdigit()):
+            raise _RequestProblem(
+                400, "bad_request",
+                "Content-Length must be a non-negative integer, got "
+                f"{declared[:32]!r}",
+                headers={"Connection": "close"},
+            )
+        # Digit count first: int() itself refuses absurdly long strings.
+        if len(declared) > 18 or int(declared) > MAX_BODY_BYTES:
+            raise _RequestProblem(
+                413, "payload_too_large",
+                f"request body of {declared[:32]} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+                headers={"Connection": "close"},
+            )
+        raw = self.rfile.read(int(declared))
         if not raw:
             return {}
         try:

@@ -1,20 +1,22 @@
-"""Correctness tooling: the runtime sanitizer and the repo-specific linter.
+"""Correctness tooling: runtime sanitizer, static analyzer, chaos harness.
 
-Two layers guard the invariants ordinary tests cannot see:
+Three layers guard the invariants ordinary tests cannot see:
 
 * :mod:`repro.tooling.sanitizer` — opt-in runtime checkers (``sanitize=True``
   on a :class:`~repro.storage.machine.Machine` or an engine config) that
   watch a live run for VFS leaks, clock regressions, stay-writer
   state-machine violations, and device I/O that bypasses the cost model.
-* :mod:`repro.tooling.lint` — an AST-based static pass
-  (``python -m repro.tooling.lint src/repro``) enforcing repo-specific
-  source rules such as "no wall-clock calls inside the simulation".
+* :mod:`repro.tooling.analyzer` — the one static rule engine
+  (``repro analyze``): module-local source rules such as "no bare assert"
+  and whole-program effect contracts such as "no wall-clock read outside
+  ``obs/hostprof.py``", all stdlib ``ast``.
 * :mod:`repro.tooling.chaos` — the chaos harness (``repro chaos``):
   seeded fault schedules swept across engines and disk placements, every
   surviving run held to bit-identical BFS levels.
 
-See ``docs/correctness_tooling.md`` for the full checker/rule catalogue
-and ``docs/fault_injection.md`` for the chaos regimen.
+See ``docs/correctness_tooling.md`` for the sanitizer's checkers,
+``docs/static_analysis.md`` for the rule catalogue and
+``docs/fault_injection.md`` for the chaos regimen.
 """
 
 from __future__ import annotations
@@ -24,26 +26,18 @@ from typing import Any
 __all__ = [
     "ChaosReport",
     "ChaosTrial",
-    "LintViolation",
     "Sanitizer",
     "Violation",
-    "lint_paths",
-    "lint_source",
     "run_chaos",
 ]
 
-_LINT_EXPORTS = {"LintViolation", "lint_paths", "lint_source"}
 _SANITIZER_EXPORTS = {"Sanitizer", "Violation"}
 _CHAOS_EXPORTS = {"ChaosReport", "ChaosTrial", "run_chaos"}
 
 
 def __getattr__(name: str) -> Any:
-    # Lazy so `python -m repro.tooling.lint` does not import the lint
-    # module twice (once via the package, once as __main__).
-    if name in _LINT_EXPORTS:
-        from repro.tooling import lint
-
-        return getattr(lint, name)
+    # Lazy: the engines import the sanitizer and the chaos harness imports
+    # the engines, so eager exports here would be an import cycle.
     if name in _SANITIZER_EXPORTS:
         from repro.tooling import sanitizer
 

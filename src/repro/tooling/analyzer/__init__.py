@@ -1,6 +1,8 @@
-"""Whole-program effect & determinism analyzer (rules FB201-FB207).
+"""The static analyzer: the repo's one rule engine (``--list-rules``).
 
-Three layers over stdlib ``ast`` — no analyzed code is executed:
+Module-local source rules and whole-program effect & determinism
+contracts, judged over three layers of stdlib ``ast`` — no analyzed code
+is executed:
 
 1. **Symbols** (:mod:`.symbols`) — project symbol table: modules,
    classes, functions, import maps.
@@ -15,7 +17,7 @@ Run it standalone::
 
     PYTHONPATH=src python -m repro.tooling.analyzer src/repro
 
-or as ``repro analyze``.  Findings support ``# noqa: FB2xx`` line
+or as ``repro analyze``.  Findings support ``# noqa: FBxxx`` line
 suppressions and a committed baseline file (``analyzer_baseline.json``)
 for grandfathered, justified cases; output formats are text, JSON and
 SARIF (what CI uploads for annotations).  See ``docs/static_analysis.md``.

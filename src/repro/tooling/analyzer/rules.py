@@ -1,8 +1,41 @@
-"""FB2xx rule checks: effect contracts over the whole program.
+"""The rule catalogue: module-local source rules and whole-program contracts.
 
-Where the FB1xx lint rules match syntax one file at a time, these rules
-consume the symbol table / call graph / effect tables and judge *reach*:
+Two kinds of rule share one table (:data:`RULES`), one dispatcher
+(:func:`run_all_rules`) and one finding type.  The *local* rules
+(FB102-FB109, FB205, FB208) walk one module's AST, scoped by the module's
+subsystem; the *whole-program* rules consume the symbol table / call
+graph / effect tables and judge *reach*.  ``docs/static_analysis.md`` has
+the one catalogue table with scopes.
 
+FB102  bare-assert
+    No ``assert`` in library code: it vanishes under ``python -O``.  Raise
+    a :class:`~repro.errors.ReproError` subclass instead.
+FB103  scatter-hook-pairing
+    A class overriding ``_pre_partition_scatter`` must also override
+    ``_post_partition_scatter``, or per-partition resources (stay
+    writers) leak across partitions.
+FB104  direct-virtualfile
+    ``VirtualFile`` is constructed only inside ``storage/vfs.py``; files
+    built elsewhere bypass the namespace and the leak tracking.
+FB105  clock-private-mutation
+    No assignment to ``._now`` / ``._compute_time`` / ``._iowait_time``
+    outside ``sim/clock.py``: it bypasses the monotonicity guarantee.
+FB106  timeline-direct-schedule
+    No ``*.timeline.schedule(...)`` outside ``storage/device.py`` and
+    ``sim/``: requests go through ``Device.submit`` so seeks, bytes and
+    the page cache are accounted.
+FB107  runstate-outside-engine
+    No ``_RunState(...)`` construction outside ``engines/`` and ``core/``:
+    per-query state is owned by
+    :class:`~repro.engines.session.QuerySession`.
+FB108  engine-print
+    No ``print(...)`` inside ``engines/`` or ``core/``: engines report
+    through ``EngineResult``, spans and counters (``repro.obs``).
+FB109  broad-except-in-engine
+    No bare ``except:`` / ``except Exception:`` / ``except BaseException:``
+    inside ``engines/`` or ``core/``: fault injection signals through
+    typed :class:`~repro.errors.ReproError` subclasses, and a broad
+    handler turns a recoverable fault into wrong output.
 FB201  obs-timing-neutrality
     Observability code (``repro/obs/``, except the benchmark driver
     ``obs/bench.py``) must not reach ``CLOCK_ADVANCE`` or ``DEVICE_IO``.
@@ -54,9 +87,8 @@ FB207  wallclock-choke-point
     — the one sanctioned host-clock module.  Everything else takes a
     :class:`~repro.obs.hostprof.HostClock` handle, so host time stays
     injectable (tests pass a ``ManualHostClock``) and grep-ably absent
-    from the simulation.  The per-file lint (FB101/FB108) bans wall
-    clocks in the sim/engine layers; this rule closes the rest of the
-    tree.
+    from the simulation.  It holds in every subsystem, so the sim and
+    engine layers need no wall-clock rule of their own.
 """
 
 from __future__ import annotations
@@ -76,10 +108,24 @@ from repro.tooling.analyzer.effects import (
     WALLCLOCK,
     witness_path,
 )
-from repro.tooling.analyzer.symbols import SymbolTable, subsystem_of
+from repro.tooling.analyzer.symbols import (
+    PACKAGE_NAME,
+    ModuleInfo,
+    SymbolTable,
+    last_name,
+    subsystem_of,
+)
 from repro.tooling.report import Finding
 
 RULES: Dict[str, str] = {
+    "FB102": "bare assert in library code (stripped under python -O)",
+    "FB103": "_pre_partition_scatter without _post_partition_scatter",
+    "FB104": "direct VirtualFile construction outside storage/vfs.py",
+    "FB105": "mutation of SimClock internals outside sim/clock.py",
+    "FB106": "Timeline.schedule call outside Device.submit",
+    "FB107": "_RunState construction outside engines/core",
+    "FB108": "print() call inside engines/core",
+    "FB109": "bare/broad except inside engines/core (catch ReproError subclasses)",
     "FB200": "file failed to parse (syntax error)",
     "FB201": "observability code reaches CLOCK_ADVANCE/DEVICE_IO",
     "FB202": "front-end layer reaches VFS_MUTATE outside engine entry points",
@@ -154,6 +200,7 @@ def run_all_rules(project: Project) -> List[Finding]:
             Finding(path=path, line=line, col=1, code="FB200",
                     message=f"syntax error: {message}")
         )
+    findings.extend(check_local_rules(project))
     findings.extend(check_obs_neutrality(project))
     findings.extend(check_frontend_vfs(project))
     findings.extend(check_fault_choke_point(project))
@@ -163,6 +210,172 @@ def run_all_rules(project: Project) -> List[Finding]:
     findings.extend(check_wallclock_choke_point(project))
     findings.extend(check_serve_typed_errors(project))
     return findings
+
+
+# ----------------------------------------------------------------------
+# FB102-FB109
+# ----------------------------------------------------------------------
+
+#: Subsystems that own per-query run state and run under injected faults.
+_ENGINE_SUBSYSTEMS = frozenset({"engines", "core"})
+_CLOCK_PRIVATE_ATTRS = frozenset({"_now", "_compute_time", "_iowait_time"})
+_BROAD_EXCEPTION_NAMES = frozenset({"Exception", "BaseException"})
+
+
+def check_local_rules(project: Project) -> List[Finding]:
+    """FB102-FB109, one AST pass per module of the ``repro`` package.
+
+    Modules outside the package are exempt, so a ``tests/`` tree handed
+    to the analyzer may assert and build fixtures by hand.
+    """
+    findings = []
+    for module_name in sorted(project.table.modules):
+        if module_name.split(".")[0] != PACKAGE_NAME:
+            continue
+        module = project.table.modules[module_name]
+        visitor = _LocalRulesVisitor(module)
+        visitor.visit(module.tree)
+        findings.extend(visitor.findings)
+    return findings
+
+
+class _LocalRulesVisitor(ast.NodeVisitor):
+    """All eight rules in one walk; each is scoped by the module's name."""
+
+    def __init__(self, module: ModuleInfo) -> None:
+        self.path = module.path
+        self.module = module.name
+        self.imports = module.imports
+        self.subsystem = subsystem_of(module.name)
+        self.in_engine_layer = self.subsystem in _ENGINE_SUBSYSTEMS
+        self.findings: List[Finding] = []
+
+    def _flag(self, node: ast.AST, code: str, message: str) -> None:
+        self.findings.append(_finding_at(self.path, node, code, message))
+
+    # -- FB102 ---------------------------------------------------------
+    def visit_Assert(self, node: ast.Assert) -> None:
+        self._flag(
+            node,
+            "FB102",
+            "bare assert is stripped under python -O; raise a ReproError "
+            "subclass instead",
+        )
+        self.generic_visit(node)
+
+    # -- FB103 ---------------------------------------------------------
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        methods = {
+            stmt.name
+            for stmt in node.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        if (
+            "_pre_partition_scatter" in methods
+            and "_post_partition_scatter" not in methods
+        ):
+            self._flag(
+                node,
+                "FB103",
+                f"class {node.name} overrides _pre_partition_scatter but "
+                "not _post_partition_scatter; per-partition resources "
+                "must be closed by the paired hook",
+            )
+        self.generic_visit(node)
+
+    # -- FB104 / FB106 / FB107 / FB108 ---------------------------------
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        callee = last_name(func, self.imports)
+        if callee == "VirtualFile" and self.module != "repro.storage.vfs":
+            self._flag(
+                node,
+                "FB104",
+                "construct files through VFS.create(), not VirtualFile() "
+                "(bypasses the namespace and leak tracking)",
+            )
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr == "schedule"
+            and isinstance(func.value, ast.Attribute)
+            and func.value.attr == "timeline"
+            and self.subsystem != "sim"
+            and self.module != "repro.storage.device"
+        ):
+            self._flag(
+                node,
+                "FB106",
+                "submit requests through Device.submit(), not "
+                "timeline.schedule() (bypasses seek/byte accounting)",
+            )
+        if callee == "_RunState" and not self.in_engine_layer:
+            self._flag(
+                node,
+                "FB107",
+                "per-query state is owned by QuerySession; do not construct "
+                "_RunState outside engines/ or core/",
+            )
+        if (
+            self.in_engine_layer
+            and isinstance(func, ast.Name)
+            and func.id == "print"
+        ):
+            self._flag(
+                node,
+                "FB108",
+                f"print() in {self.subsystem}/ — engines report through "
+                "EngineResult, spans and counters (repro.obs), never stdout",
+            )
+        self.generic_visit(node)
+
+    # -- FB105 ---------------------------------------------------------
+    def visit_Assign(self, node: ast.Assign) -> None:
+        for target in node.targets:
+            self._check_clock_mutation(target)
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        self._check_clock_mutation(node.target)
+        self.generic_visit(node)
+
+    def _check_clock_mutation(self, target: ast.expr) -> None:
+        if (
+            isinstance(target, ast.Attribute)
+            and target.attr in _CLOCK_PRIVATE_ATTRS
+            and self.module != "repro.sim.clock"
+        ):
+            self._flag(
+                target,
+                "FB105",
+                f"assignment to {target.attr} outside sim/clock.py breaks "
+                "the clock's monotonicity guarantee",
+            )
+
+    # -- FB109 ---------------------------------------------------------
+    def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
+        if self.in_engine_layer:
+            if node.type is None:
+                caught = ["bare except"]
+            else:
+                items = (
+                    node.type.elts
+                    if isinstance(node.type, ast.Tuple)
+                    else [node.type]
+                )
+                caught = [
+                    f"except {name}"
+                    for name in map(last_name, items)
+                    if name in _BROAD_EXCEPTION_NAMES
+                ]
+            for clause in caught:
+                self._flag(
+                    node,
+                    "FB109",
+                    f"{clause} in {self.subsystem}/ swallows injected "
+                    "faults (CrashError, corruption signals); catch the "
+                    "specific ReproError subclass this layer can handle",
+                )
+        self.generic_visit(node)
 
 
 # ----------------------------------------------------------------------
@@ -450,15 +663,7 @@ class _OrderVisitor(ast.NodeVisitor):
         )
 
     def _flag(self, node: ast.AST, message: str) -> None:
-        self.findings.append(
-            Finding(
-                path=self.path,
-                line=getattr(node, "lineno", 1),
-                col=getattr(node, "col_offset", 0) + 1,
-                code="FB205",
-                message=message,
-            )
-        )
+        self.findings.append(_finding_at(self.path, node, "FB205", message))
 
 
 # ----------------------------------------------------------------------
@@ -711,17 +916,23 @@ class _ServeExceptVisitor(ast.NodeVisitor):
             if isinstance(child, ast.Raise):
                 return True
             if isinstance(child, ast.Call):
-                func = child.func
-                name = None
-                if isinstance(func, ast.Name):
-                    name = func.id
-                elif isinstance(func, ast.Attribute):
-                    name = func.attr
+                name = last_name(child.func)
                 if name is not None and (
                     name in _SERVE_ERROR_FUNNELS or name.endswith("Error")
                 ):
                     return True
         return False
+
+
+def _finding_at(path: str, node: ast.AST, code: str, message: str) -> Finding:
+    """A positional finding at ``node`` (1-based column)."""
+    return Finding(
+        path=path,
+        line=getattr(node, "lineno", 1),
+        col=getattr(node, "col_offset", 0) + 1,
+        code=code,
+        message=message,
+    )
 
 
 def _short(chain: List[str]) -> List[str]:

@@ -19,6 +19,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigError
@@ -123,8 +124,6 @@ def analyze_paths(
 ) -> AnalysisResult:
     """Analyze ``.py`` files under the given files/directories."""
     sources: Dict[str, str] = {}
-    from pathlib import Path
-
     for raw in paths:
         p = Path(raw)
         if p.is_dir():
@@ -149,7 +148,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.tooling.analyzer",
         description=(
-            "whole-program effect & determinism analyzer (rules FB201-FB206; "
+            "static analyzer: module-local source rules and whole-program "
+            f"effect & determinism contracts (rules {min(RULES)}-{max(RULES)}; "
             "see --list-rules)"
         ),
     )

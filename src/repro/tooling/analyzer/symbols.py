@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path, PurePosixPath
-from typing import Dict, Iterable, List, Optional, Tuple
-
-from repro.errors import ConfigError
+from pathlib import PurePosixPath
+from typing import Dict, List, Mapping, Optional, Tuple
 
 #: The package anchor used to turn file paths into dotted module names.
 PACKAGE_NAME = "repro"
@@ -106,21 +104,6 @@ class SymbolTable:
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_paths(cls, paths: Iterable[str]) -> "SymbolTable":
-        """Build from files/directories on disk (``.py`` files, sorted)."""
-        sources: Dict[str, str] = {}
-        for raw in paths:
-            p = Path(raw)
-            if p.is_dir():
-                for file in sorted(p.rglob("*.py")):
-                    sources[str(file)] = file.read_text(encoding="utf-8")
-            elif p.suffix == ".py":
-                sources[str(p)] = p.read_text(encoding="utf-8")
-            elif not p.exists():
-                raise ConfigError(f"no such file or directory: {raw}")
-        return cls.from_sources(sources)
-
-    @classmethod
     def from_sources(cls, sources: Dict[str, str]) -> "SymbolTable":
         """Build from in-memory ``{path: source}`` (tests use this)."""
         table = cls()
@@ -186,7 +169,7 @@ class SymbolTable:
             path=module.path,
             lineno=node.lineno,
             node=node,
-            bases=[_base_name(b) for b in node.bases if _base_name(b)],
+            bases=[name for name in map(last_name, node.bases) if name],
         )
         self.classes[qualname] = cls_info
         for stmt in node.body:
@@ -257,9 +240,18 @@ class SymbolTable:
         return [self.functions[q] for q in sorted(self.functions)]
 
 
-def _base_name(expr: ast.expr) -> str:
+def last_name(
+    expr: ast.expr, imports: Optional[Mapping[str, str]] = None
+) -> Optional[str]:
+    """Final identifier of a ``Name``/``Attribute`` reference, else None.
+
+    With ``imports`` a bare name is first resolved through the module's
+    import aliases, so ``from ...vfs import VirtualFile as VF`` does not
+    hide ``VF(...)``.
+    """
     if isinstance(expr, ast.Name):
-        return expr.id
+        target = imports.get(expr.id, expr.id) if imports else expr.id
+        return target.rsplit(".", 1)[-1]
     if isinstance(expr, ast.Attribute):
         return expr.attr
-    return ""
+    return None

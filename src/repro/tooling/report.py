@@ -1,15 +1,12 @@
-"""Shared reporting engine for the static-analysis tooling.
+"""Reporting engine of the static analyzer (:mod:`repro.tooling.analyzer`).
 
-Both the per-file lint pass (:mod:`repro.tooling.lint`, rules FB1xx) and
-the whole-program analyzer (:mod:`repro.tooling.analyzer`, rules FB2xx)
-emit :class:`Finding` records through this module, so suppression
-(``# noqa``), baselines, output formats (text / JSON / SARIF) and exit
-codes behave identically across the two tools::
+Every rule, module-local or whole-program, emits :class:`Finding` records
+through this module, so suppression (``# noqa``), baselines, output
+formats (text / JSON / SARIF) and exit codes are one mechanism::
 
-    repro lint src/repro --format sarif
     repro analyze src/repro --format sarif --baseline analyzer_baseline.json
 
-Exit-code contract (shared by both CLIs):
+Exit-code contract:
 
 * ``0`` — clean (no unsuppressed, non-baselined findings);
 * ``1`` — findings were reported;
@@ -24,12 +21,12 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 
-#: Exit-code semantics shared by ``repro lint`` and ``repro analyze``.
+#: Exit-code semantics of ``repro analyze``.
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 
-#: Output formats both CLIs accept.
+#: Output formats ``--format`` accepts.
 OUTPUT_FORMATS = ("text", "json", "sarif")
 
 #: Schema identifiers pinned by golden-output tests — bump deliberately.
@@ -72,10 +69,10 @@ def sort_findings(findings: Sequence[Finding]) -> List[Finding]:
 
 
 # ----------------------------------------------------------------------
-# suppression (``# noqa`` / ``# noqa: FB101[,FB205]``)
+# suppression (``# noqa`` / ``# noqa: FB102[,FB205]``)
 # ----------------------------------------------------------------------
 def is_suppressed(finding: Finding, source_lines: Sequence[str]) -> bool:
-    """Honour ``# noqa`` / ``# noqa: FB101[,FB102]`` on the flagged line."""
+    """Honour ``# noqa`` / ``# noqa: FB102[,FB205]`` on the flagged line."""
     if finding.line > len(source_lines) or finding.line < 1:
         return False
     line = source_lines[finding.line - 1]

@@ -1,8 +1,8 @@
-"""CLI and reporting-engine tests shared by ``repro lint``/``repro analyze``.
+"""CLI and reporting-engine tests of ``repro analyze``.
 
-Covers the 0/1/2 exit-code contract, ``--format text|json|sarif`` on both
-tools, golden-file schema stability, byte-determinism of reports, and
-baseline handling end to end.
+Covers the 0/1/2 exit-code contract, ``--format text|json|sarif``,
+golden-file schema stability, byte-determinism of reports, and baseline
+handling end to end.
 """
 
 import json
@@ -12,9 +12,8 @@ import pytest
 
 from repro.api import analyze_tree
 from repro.cli import main as cli_main
-from repro.tooling.analyzer import analyze_paths
+from repro.tooling.analyzer import RULES, analyze_paths
 from repro.tooling.analyzer.runner import main as analyzer_main
-from repro.tooling.lint import LintViolation, main as lint_main
 from repro.tooling.report import (
     EXIT_CLEAN,
     EXIT_FINDINGS,
@@ -75,25 +74,45 @@ class TestExitCodes:
         assert code == EXIT_USAGE
 
     def test_lint_shares_the_same_contract(self, isolated_cwd, capsys):
+        """A module-local (former lint) rule drives the same 0/1/2 codes."""
         clean = isolated_cwd / "clean.py"
         clean.write_text("X = 1\n")
-        assert lint_main([str(clean)]) == EXIT_CLEAN
+        assert analyzer_main([str(clean)]) == EXIT_CLEAN
         bad = isolated_cwd / "repro" / "sim" / "bad.py"
         bad.parent.mkdir(parents=True)
-        bad.write_text("import time\nT = time.time()\n")
-        assert lint_main([str(bad)]) == EXIT_FINDINGS
-        assert lint_main(["definitely/not/here"]) == EXIT_USAGE
+        bad.write_text("def f(x):\n    assert x\n")
+        assert analyzer_main([str(bad)]) == EXIT_FINDINGS
+        assert "bad.py:2:5: FB102" in capsys.readouterr().out
+        assert analyzer_main([str(isolated_cwd / "gone.py")]) == EXIT_USAGE
 
     def test_repro_cli_subcommands_dispatch(self, isolated_cwd, capsys):
         assert cli_main(["analyze", str(FIXTURES / "fb204")]) == EXIT_FINDINGS
+        capsys.readouterr()
         assert cli_main(["analyze", "--list-rules"]) == 0
-        assert "FB206" in capsys.readouterr().out
-        assert cli_main(["lint", "--list-rules"]) == 0
-        assert "FB101" in capsys.readouterr().out
+        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert listed == sorted(RULES)
         assert (
-            cli_main(["lint", str(REPO_ROOT / "src" / "repro" / "errors.py")])
+            cli_main(["analyze", str(REPO_ROOT / "src" / "repro" / "errors.py")])
             == EXIT_CLEAN
         )
+
+    def test_repro_analyze_hands_its_argv_to_the_analyzer(self, isolated_cwd):
+        """Options before paths, and every analyzer option, reach
+        ``analyzer.main`` without ``cli.py`` declaring any of them."""
+        out = isolated_cwd / "report.json"
+        code = cli_main([
+            "analyze", "--format", "json", "--output", str(out),
+            "--baseline", str(FIXTURES / "fb206" / "baseline.json"),
+            str(FIXTURES / "fb206"),
+        ])
+        assert code == EXIT_CLEAN
+        assert json.loads(out.read_text())["tool"] == "repro.tooling.analyzer"
+
+    def test_repro_lint_is_rejected_by_argparse(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["lint", "src/repro"])
+        assert exc.value.code == EXIT_USAGE
+        assert "invalid choice: 'lint'" in capsys.readouterr().err
 
 
 class TestOutputFormats:
@@ -106,10 +125,7 @@ class TestOutputFormats:
         assert set(doc["findings"][0]) == {
             "path", "line", "col", "code", "symbol", "message",
         }
-        assert set(doc["rules"]) == {
-            "FB200", "FB201", "FB202", "FB203", "FB204", "FB205", "FB206",
-            "FB207", "FB208",
-        }
+        assert doc["rules"] == RULES
 
     def test_sarif_document_shape(self, isolated_cwd, capsys):
         analyzer_main([str(FIXTURES / "fb204"), "--format", "sarif"])
@@ -124,14 +140,17 @@ class TestOutputFormats:
         assert set(region) == {"startLine", "startColumn"}
 
     def test_lint_json_format(self, isolated_cwd, capsys):
-        bad = isolated_cwd / "repro" / "sim" / "bad.py"
+        """Module-local findings are reported by the one tool, positional
+        (empty ``symbol``) like the lint's were."""
+        bad = isolated_cwd / "repro" / "engines" / "bad.py"
         bad.parent.mkdir(parents=True)
-        bad.write_text("import time\nT = time.time()\n")
-        lint_main([str(bad), "--format", "json"])
+        bad.write_text("def f(x):\n    print(x)\n")
+        analyzer_main([str(bad), "--format", "json"])
         doc = json.loads(capsys.readouterr().out)
         assert doc["schema"] == "fastbfs-findings/1"
-        assert doc["tool"] == "repro.tooling.lint"
-        assert doc["findings"][0]["code"] == "FB101"
+        assert doc["tool"] == "repro.tooling.analyzer"
+        assert [(f["code"], f["line"], f["col"], f["symbol"])
+                for f in doc["findings"]] == [("FB108", 2, 5, "")]
 
     def test_output_flag_writes_file(self, isolated_cwd):
         out = isolated_cwd / "report.sarif"
@@ -211,8 +230,3 @@ class TestBaselineFlow:
         )
         assert result.ok
         assert len(result.baselined) == 4
-
-
-class TestSharedFindingType:
-    def test_lint_violation_is_the_shared_finding(self):
-        assert LintViolation is Finding

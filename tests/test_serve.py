@@ -14,7 +14,9 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import socket
 import threading
+import time
 
 import pytest
 
@@ -241,6 +243,60 @@ class TestErrorBodies:
         )
         assert status == 400
         assert body["error"]["type"] == "bad_request"
+
+
+class TestHostileContentLength:
+    """``Content-Length`` is outside input.  A value that cannot be a body
+    size, or one past ``MAX_BODY_BYTES``, is refused at once with a typed
+    error, unread (the declared body never arrives here), and the handler
+    thread ends with the connection."""
+
+    @pytest.mark.parametrize("declared,status,kind", [
+        ("abc", 400, "bad_request"),
+        ("-1", 400, "bad_request"),
+        ("99999999999", 413, "payload_too_large"),
+        ("50000000", 413, "payload_too_large"),
+    ])
+    def test_typed_refusal_and_no_thread_left(
+        self, service, declared, status, kind
+    ):
+        threads_before = threading.active_count()
+        with socket.create_connection(
+            ("127.0.0.1", service.port), timeout=1.0
+        ) as sock:
+            sock.sendall(
+                b"POST /graphs/tiny/bfs HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Length: " + declared.encode() + b"\r\n\r\n"
+                b'{"root": 3}'
+            )
+            response = b""
+            while True:  # until the server closes; a stall times out
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(f"HTTP/1.1 {status} ".encode()), head
+        assert b"Connection: close" in head
+        doc = json.loads(body)
+        assert doc["error"]["type"] == kind
+        assert doc["request_id"].startswith("req-")
+        deadline = time.monotonic() + 1.0
+        while (threading.active_count() > threads_before
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert threading.active_count() <= threads_before
+
+    def test_body_at_the_limit_is_read(self, service):
+        from repro.serve.app import MAX_BODY_BYTES
+
+        padding = " " * (MAX_BODY_BYTES - len('{"root": 3}'))
+        status, _, body = request(
+            service, "POST", "/graphs/tiny/bfs",
+            raw_body='{"root": 3}' + padding,
+        )
+        assert status == 200
+        assert body["root"] == 3
 
 
 class TestShutdownDrain:

@@ -40,6 +40,7 @@ from repro.serve import AdmissionController, BreakerPolicy, GraphService
 from repro.storage.device import DeviceSpec
 from repro.storage.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.storage.machine import IOReport, Machine, merge_reports
+from repro.tooling.chaos import serve_fault_plan
 from repro.utils.units import KB, MB
 
 from tests.test_serve import request
@@ -209,6 +210,32 @@ class TestBreakerOverHTTP:
             registry = svc.metrics_snapshot()
             assert registry.total("breaker_state", graph="g") == 3.0
             assert registry.total("breaker_transitions_total", graph="g") == 4.0
+        finally:
+            svc.shutdown()
+
+
+class TestSerialEndpointFaultAccounting:
+    """Check (4) of ``chaos._reconcile_serve`` (every injector count was
+    sampled into exactly one metrics delta) holds for the serial
+    endpoints too, including when the query fails."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_failed_sssp_faults_reach_metrics(self, seed):
+        svc = make_service(fault_plan=serve_fault_plan("hostile", seed))
+        try:
+            entry = svc.register("g", GRAPH)
+            statuses = [
+                request(svc, "POST", "/graphs/g/sssp", payload={"root": 3})[0]
+                for _ in range(5)
+            ]
+            assert statuses == [503] * 5
+            counts = entry.machine.fault_injector.counts_snapshot()
+            assert sum(counts.values()) == 3  # then the breaker opened
+            registry = parse_prometheus(request(svc, "GET", "/metrics")[2])
+            for (cname, device), count in sorted(counts.items()):
+                labels = {} if device == "-" else {"device": device}
+                got = registry.total(f"{cname}_total", graph="g", **labels)
+                assert got == float(count), (cname, device)
         finally:
             svc.shutdown()
 
