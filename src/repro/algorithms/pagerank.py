@@ -41,6 +41,11 @@ class PageRankAlgorithm(StreamingAlgorithm):
     state_dtype = np.dtype(
         [("rank", "<f4"), ("accum", "<f4"), ("active", "u1")]
     )
+    scatter_columns = ("active", "rank")
+    gather_columns = ("accum",)
+    #: ``np.add.at`` accumulates in index order, so float32 sums over a run
+    #: are bit-equal to the same updates applied buffer by buffer.
+    gather_run_invariant = True
 
     def __init__(self, out_degrees: np.ndarray, damping: float = 0.85) -> None:
         if not 0.0 < damping < 1.0:
@@ -63,13 +68,14 @@ class PageRankAlgorithm(StreamingAlgorithm):
         return state
 
     def scatter(self, ctx, state, src_local, src_global, dst_global):
-        mask = state["active"][src_local] == 1
-        src_sel = src_local[mask]
+        sel = np.flatnonzero(state["active"].take(src_local) == 1)
         contribution = (
-            state["rank"][src_sel] / self.out_degrees[src_global[mask]]
+            state["rank"].take(src_local.take(sel))
+            / self.out_degrees[src_global[sel]]
         ).astype(np.float32)
         # Ship the f4 bit pattern inside the u4 payload field.
-        return _make_updates(dst_global[mask], contribution.view(np.uint32)), None
+        updates = _make_updates(dst_global[sel], contribution.view(np.uint32))
+        return updates, sel, None
 
     def gather(self, ctx, state, dst_local, payload) -> int:
         np.add.at(state["accum"], dst_local, payload.view(np.float32))

@@ -65,6 +65,10 @@ class WeightedSSSPAlgorithm(StreamingAlgorithm):
     name = "sssp"
     supports_trimming = False
     state_dtype = np.dtype([("dist", "<u4"), ("active", "u1")])
+    scatter_columns = ("active", "dist")
+    gather_columns = ("dist",)
+    # gather_run_invariant stays False: a vertex whose distance improves in
+    # two buffers is counted in each.
 
     def __init__(self, weight_fn: Optional[WeightFn] = None) -> None:
         self.weight_fn = weight_fn if weight_fn is not None else hash_weights()
@@ -78,15 +82,15 @@ class WeightedSSSPAlgorithm(StreamingAlgorithm):
         return state
 
     def scatter(self, ctx, state, src_local, src_global, dst_global):
-        mask = state["active"][src_local] == 1
-        src_sel = src_global[mask]
-        dst_sel = dst_global[mask]
-        dist = state["dist"][src_local][mask]
+        sel = np.flatnonzero(state["active"].take(src_local) == 1)
+        src_sel = src_global[sel]
+        dst_sel = dst_global[sel]
+        dist = state["dist"].take(src_local.take(sel))
         new_dist = dist + self.weight_fn(src_sel, dst_sel)
         # Saturate instead of wrapping (paths longer than u4 are unreal
         # here, but property tests feed adversarial graphs).
         new_dist = np.where(new_dist < dist, UNREACHED - 1, new_dist)
-        return _make_updates(dst_sel, new_dist), None
+        return _make_updates(dst_sel, new_dist), sel, None
 
     def gather(self, ctx, state, dst_local, payload) -> int:
         before = state["dist"][dst_local].copy()

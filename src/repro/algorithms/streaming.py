@@ -12,6 +12,11 @@ algorithm object supplies the per-edge and per-update semantics:
   vertices; returns how many were activated (global termination = zero
   updates generated in a scatter pass).
 
+The engines call a kernel once per *host run* (many modeled stream buffers
+at a time; see ``repro.engines.base``), so ``scatter`` must be a per-edge
+function of the partition's state, and a kernel whose ``gather`` is not
+invariant under concatenating buffers says so (``gather_run_invariant``).
+
 ``supports_trimming`` is True only when "edge generated an update" implies
 "edge is useless forever" — true for BFS-like monotone visits (paper §II-C1:
 vertices are marked once and never revisited), false for label-correcting
@@ -33,7 +38,7 @@ from repro.utils.bits import (
     earlier_bits_in_run,
     mask_bit_counts,
     mask_bit_pairs,
-    popcount64,
+    popcounts64,
 )
 
 #: Width of one MS-BFS batch: one query per bit of a ``uint64`` mask word.
@@ -65,6 +70,19 @@ class StreamingAlgorithm:
     disk_record_bytes: int = 8
     #: On-disk layout of one update record (batched kernels widen this).
     update_dtype: np.dtype = UPDATE_DTYPE
+    #: State columns ``scatter`` indexes once per edge, and ``gather`` once
+    #: per update.  The engines hand the kernel contiguous working copies of
+    #: these (:class:`StagedColumns`), staged once per partition pass:
+    #: element lookups on the packed record array cost several times more,
+    #: and every staged column costs O(partition vertices) per pass, so name
+    #: only the ones indexed per element.
+    scatter_columns: Tuple[str, ...] = ("active",)
+    gather_columns: Tuple[str, ...] = ()
+    #: True when ``gather`` over the concatenation of consecutive update
+    #: buffers leaves the same state *and returns the same count* as
+    #: gathering them one by one.  The engines then gather a whole host run
+    #: in one call; otherwise they call once per modeled buffer.
+    gather_run_invariant: bool = False
 
     def init_state(self, num_vertices: int, roots) -> np.ndarray:
         raise NotImplementedError
@@ -88,8 +106,11 @@ class StreamingAlgorithm:
         src_local: np.ndarray,
         src_global: np.ndarray,
         dst_global: np.ndarray,
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Return (updates, eliminate_mask or None) for one edge buffer."""
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """Return ``(updates, sources, eliminate_mask or None)`` for a run of
+        edges: ``sources[k]`` is the position, within the run, of the edge
+        that produced ``updates[k]`` (ascending), which is how the engine
+        attributes updates to the modeled buffers of the run."""
         raise NotImplementedError
 
     def gather(
@@ -123,18 +144,16 @@ class StreamingAlgorithm:
         """
         return buf["payload"]
 
-    def shuffle_weight(self, updates: np.ndarray) -> int:
-        """Serial-equivalent work units for routing ``updates`` (shuffle).
+    def update_weights(self, updates: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+        """Serial-equivalent work units of routing (shuffle) or applying
+        (gather) each modeled buffer ``updates[cuts[b]:cuts[b + 1]]`` of a
+        run of update records.
 
         One per record for serial kernels; the liveness-mask popcount for
-        batched kernels, so per-update shuffle cost scales with how many
-        queries each record serves (see ``repro.engines.costs``).
+        batched kernels, so per-update cost scales with how many queries
+        each record serves (see ``repro.engines.costs``).
         """
-        return len(updates)
-
-    def gather_weight(self, buf: np.ndarray) -> int:
-        """Serial-equivalent work units for applying one update buffer."""
-        return len(buf)
+        return np.diff(cuts)
 
     def batched(self, num_queries: int) -> Optional["StreamingAlgorithm"]:
         """A batched (MS-BFS style) kernel advancing ``num_queries``
@@ -175,11 +194,60 @@ class StreamingAlgorithm:
         return roots
 
 
+class StagedColumns(dict):
+    """Contiguous working copies of some columns of a partition's state.
+
+    ``columns[name]`` is the working copy of a staged column and the
+    strided view into the record array of any other, so a kernel indexes
+    ``state[name]`` the same way whether it is handed the record array or
+    this.  Staging copies each column once (O(partition vertices)), so the
+    engines do it once per partition pass, never per run.  Writes to a
+    staged column reach the record array at :meth:`write_back`.
+    """
+
+    def __init__(self, state: np.ndarray, names) -> None:
+        super().__init__(
+            (name, np.ascontiguousarray(state[name])) for name in names
+        )
+        self.state = state
+
+    def __missing__(self, name: str) -> np.ndarray:
+        return self.state[name]
+
+    def write_back(self) -> None:
+        for name, column in self.items():
+            self.state[name] = column
+
+
 def _make_updates(dst: np.ndarray, payload: np.ndarray) -> np.ndarray:
     updates = np.empty(len(dst), dtype=UPDATE_DTYPE)
     updates["dst"] = dst
     updates["payload"] = payload
     return updates
+
+
+def _by_destination(
+    dst_local: np.ndarray, keep: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stable-sort the records at positions ``keep`` by destination.
+
+    Returns ``(dst, order, is_start)``: the sorted destinations, the stream
+    position of each sorted record, and a flag on the first record of every
+    run of equal destinations, which is the first of them to arrive.
+    Sorting the unique keys (destination, stream position) with the default
+    sort gives the stable order several times faster than ``kind="stable"``
+    (and than ``np.unique``, which sorts stably inside); vertex ids are
+    32-bit and a run holds under 2**31 records, so a key fits an int64.
+    """
+    shift = len(dst_local).bit_length()
+    keys = (dst_local.take(keep).astype(np.int64, copy=False) << shift) | keep
+    keys.sort()
+    dst = keys >> shift
+    order = keys & ((1 << shift) - 1)
+    is_start = np.empty(len(dst), dtype=bool)
+    is_start[0] = True
+    np.not_equal(dst[1:], dst[:-1], out=is_start[1:])
+    return dst, order, is_start
 
 
 class BFSAlgorithm(StreamingAlgorithm):
@@ -197,6 +265,10 @@ class BFSAlgorithm(StreamingAlgorithm):
     #: Key the per-query hop-count array is published under in ``result()``
     #: (also used when demultiplexing a batched run).
     level_output_key = "level"
+    gather_columns = ("level",)
+    #: The first update in stream order wins and a vertex is claimed once,
+    #: so where the buffer boundaries fall changes nothing.
+    gather_run_invariant = True
 
     def init_state(self, num_vertices: int, roots) -> np.ndarray:
         return self.init_state_validated(
@@ -216,21 +288,20 @@ class BFSAlgorithm(StreamingAlgorithm):
         return BatchedBFSAlgorithm(num_queries, serial=self)
 
     def scatter(self, ctx, state, src_local, src_global, dst_global):
-        mask = state["active"][src_local] == 1
-        updates = _make_updates(dst_global[mask], src_global[mask])
-        return updates, mask
+        mask = state["active"].take(src_local) == 1
+        sel = np.flatnonzero(mask)
+        return _make_updates(dst_global[sel], src_global[sel]), sel, mask
 
     def gather(self, ctx, state, dst_local, payload) -> int:
-        fresh = state["level"][dst_local] == UNVISITED
-        if not fresh.any():
+        fresh = np.flatnonzero(state["level"].take(dst_local) == UNVISITED)
+        if len(fresh) == 0:
             return 0
-        dst = dst_local[fresh]
-        parents = payload[fresh]
         # First update to arrive wins (stream order), matching the paper's
         # "marks the corresponding destination vertices as visited".
-        uniq, first_idx = np.unique(dst, return_index=True)
+        dst, order, is_start = _by_destination(dst_local, fresh)
+        uniq = dst[is_start]
         state["level"][uniq] = ctx.iteration + 1
-        state["parent"][uniq] = parents[first_idx]
+        state["parent"][uniq] = payload[order[is_start]]
         state["active"][uniq] = 1
         return len(uniq)
 
@@ -281,6 +352,10 @@ class WCCAlgorithm(StreamingAlgorithm):
     name = "wcc"
     supports_trimming = False
     state_dtype = np.dtype([("label", "<u4"), ("active", "u1")])
+    scatter_columns = ("active", "label")
+    gather_columns = ("label",)
+    # gather_run_invariant stays False: a vertex that improves in two
+    # buffers is counted in each, so the count depends on the boundaries.
 
     def init_state(self, num_vertices: int, roots=None) -> np.ndarray:
         state = np.zeros(num_vertices, dtype=self.state_dtype)
@@ -289,9 +364,9 @@ class WCCAlgorithm(StreamingAlgorithm):
         return state
 
     def scatter(self, ctx, state, src_local, src_global, dst_global):
-        mask = state["active"][src_local] == 1
-        updates = _make_updates(dst_global[mask], state["label"][src_local][mask])
-        return updates, None
+        sel = np.flatnonzero(state["active"].take(src_local) == 1)
+        labels = state["label"].take(src_local.take(sel))
+        return _make_updates(dst_global[sel], labels), sel, None
 
     def gather(self, ctx, state, dst_local, payload) -> int:
         before = state["label"][dst_local].copy()
@@ -332,6 +407,11 @@ class BatchedBFSAlgorithm(StreamingAlgorithm):
     #: and live with the result arrays, like the serial kernel's ``active``.
     disk_record_bytes = 16
     update_dtype = BATCH_UPDATE_DTYPE
+    scatter_columns = ("frontier", "visited")
+    gather_columns = ("visited",)
+    #: Sorting by (destination, stream position) gives first-wins per
+    #: (vertex, query) across a whole run, as it does within one buffer.
+    gather_run_invariant = True
 
     def __init__(
         self, num_queries: int, serial: Optional[BFSAlgorithm] = None
@@ -409,9 +489,9 @@ class BatchedBFSAlgorithm(StreamingAlgorithm):
     # kernels
     # ------------------------------------------------------------------
     def scatter(self, ctx, state, src_local, src_global, dst_global):
-        fmask = state["frontier"][src_local]
+        fmask = state["frontier"].take(src_local)
         sel = fmask.nonzero()[0]
-        masks = fmask[sel]
+        masks = fmask.take(sel)
         updates = np.empty(len(masks), dtype=BATCH_UPDATE_DTYPE)
         updates["dst"] = dst_global[sel]
         updates["payload"] = src_global[sel]
@@ -429,31 +509,19 @@ class BatchedBFSAlgorithm(StreamingAlgorithm):
         if live == 0:
             eliminate = np.zeros(len(src_local), dtype=bool)
         else:
-            eliminate = (state["visited"][src_local] & live) == live
-        return updates, eliminate
+            eliminate = (state["visited"].take(src_local) & live) == live
+        return updates, sel, eliminate
 
     def gather(self, ctx, state, dst_local, payload) -> int:
         buf = payload  # full records (see gather_payload)
         # Bits the destination has not been claimed for yet; a record left
         # with none is stale for every query it serves.
-        fresh = buf["mask"] & ~state["visited"][dst_local]
+        fresh = buf["mask"] & ~state["visited"].take(dst_local)
         keep = fresh.nonzero()[0]
         if len(keep) == 0:
             return 0
-        # Stable-sort the live records by destination.  Sorting the unique
-        # keys (destination, stream position) with the default sort gives
-        # the same order several times faster than kind="stable"; vertex
-        # ids are 32-bit and a buffer holds under 2**31 records, so a key
-        # fits an int64.
-        shift = len(buf).bit_length()
-        keys = (dst_local[keep] << shift) | keep
-        keys.sort()
-        dst = keys >> shift
-        order = keys & ((1 << shift) - 1)
-        fresh = fresh[order]
-        is_start = np.empty(len(dst), dtype=bool)
-        is_start[0] = True
-        is_start[1:] = dst[1:] != dst[:-1]
+        dst, order, is_start = _by_destination(dst_local, keep)
+        fresh = fresh.take(order)
         # Strip from every record the bits an earlier record of the same
         # destination carries: what is left is the first update to arrive
         # per (vertex, query), exactly the serial kernel's tie-break.
@@ -487,11 +555,10 @@ class BatchedBFSAlgorithm(StreamingAlgorithm):
     def gather_payload(self, buf: np.ndarray) -> np.ndarray:
         return buf
 
-    def shuffle_weight(self, updates: np.ndarray) -> int:
-        return popcount64(updates["mask"])
-
-    def gather_weight(self, buf: np.ndarray) -> int:
-        return popcount64(buf["mask"])
+    def update_weights(self, updates: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+        upto = np.zeros(len(updates) + 1, dtype=np.int64)
+        np.cumsum(popcounts64(updates["mask"]), dtype=np.int64, out=upto[1:])
+        return np.diff(upto.take(cuts))
 
     def result(self, state):
         return {

@@ -6,8 +6,9 @@ X-Stream scaffolding by overriding its partition hooks:
 * ``_edge_input_file`` — the cross-iteration swap: take the stay file
   written during the *previous* iteration as this scatter's input, or
   cancel it if it isn't durable yet (§II-C2);
-* ``_pre/_on/_post_partition_scatter`` — produce the stay-out stream for
-  surviving edges through the dedicated asynchronous writer (§III);
+* ``_pre_partition_scatter`` / ``_on_scatter_run`` /
+  ``_post_partition_scatter`` — produce the stay-out stream for surviving
+  edges through the dedicated asynchronous writer (§III);
 * ``_should_process_partition`` / ``_should_scatter`` — selective
   scheduling: converged partitions (no updates received) are skipped
   entirely (§II-C3).
@@ -18,11 +19,11 @@ policy disables stay streams and only selective scheduling remains.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from repro.algorithms.streaming import AlgoContext
+from repro.algorithms.streaming import AlgoContext, StagedColumns
 from repro.core.config import FastBFSConfig
 from repro.core.policies import TrimPolicy
 from repro.core.staystream import StayStreamManager
@@ -147,37 +148,45 @@ class FastBFSEngine(EdgeCentricEngine):
         if self._trimming_active(rt, ctx.iteration):
             rt.stay.open(p, ctx.iteration, device=self._write_disk(rt, ctx.iteration))
 
-    def _on_scatter_buffer(
+    def _on_scatter_run(
         self,
         rt: _RunState,
         p: int,
-        ctx: AlgoContext,
-        buf: np.ndarray,
+        columns: StagedColumns,
+        run: np.ndarray,
         src_local: np.ndarray,
         eliminate: Optional[np.ndarray],
+        bounds: np.ndarray,
         stats: IterationStats,
-    ) -> None:
-        writer = rt.stay.current(p)
-        if writer is None or eliminate is None:
-            return
+    ) -> Optional[Callable[[int], None]]:
+        if rt.stay.current(p) is None or eliminate is None:
+            return None
         cfg: FastBFSConfig = self.config  # type: ignore[assignment]
-        lo, hi = rt.partitioning.range_of(p)
         if cfg.extended_trim:
-            eliminate = rt.algo.extended_eliminate(
-                rt.state[lo:hi], src_local, eliminate
+            eliminate = rt.algo.extended_eliminate(columns, src_local, eliminate)
+        # Select the run's survivors once; each modeled buffer's share of
+        # them is a slice, found from where the buffer bounds fall among
+        # the surviving positions.
+        keep = np.flatnonzero(~eliminate)
+        survivors = run.take(keep)
+        cuts = np.searchsorted(keep, bounds).tolist()
+        scanned = np.diff(bounds).tolist()
+
+        def replay(b: int) -> None:
+            kept = cuts[b + 1] - cuts[b]
+            stats.edges_eliminated += scanned[b] - kept
+            stats.stay_records_written += kept
+            cfg.cost_model.charge(
+                rt.machine.clock,
+                "trim",
+                cfg.cost_model.trim_per_edge,
+                kept,
+                cfg.threads,
+                rt.machine.cores,
             )
-        survivors = buf[~eliminate]
-        stats.edges_eliminated += int(eliminate.sum())
-        stats.stay_records_written += len(survivors)
-        cfg.cost_model.charge(
-            rt.machine.clock,
-            "trim",
-            cfg.cost_model.trim_per_edge,
-            len(survivors),
-            cfg.threads,
-            rt.machine.cores,
-        )
-        rt.stay.append(p, survivors)
+            rt.stay.append(p, survivors[cuts[b]:cuts[b + 1]])
+
+        return replay
 
     def _post_partition_scatter(self, rt: _RunState, p: int, ctx: AlgoContext) -> None:
         rt.stay.finish_partition(p)

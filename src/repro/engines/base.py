@@ -18,21 +18,35 @@ scatter/gather iterations over streaming partitions (paper §II-A):
    on the RAM pseudo-device (the Fig. 9 cliff).
 
 Subclass hooks (``_should_process_partition``, ``_edge_input_file``,
-``_on_scatter_buffer``, ``_post_partition_scatter``, ...) are where FastBFS
-adds trimming, cancellation and selective scheduling without duplicating the
-pipeline.
+``_pre_partition_scatter``, ``_on_scatter_run``, ``_post_partition_scatter``,
+...) are where FastBFS adds trimming, cancellation and selective scheduling
+without duplicating the pipeline.
+
+Modeled buffers and host runs.  What the simulation is *charged* is one
+device request and one or two compute charges per modeled stream buffer
+(``edge_buffer_bytes`` / ``update_buffer_bytes``).  What the host *computes*
+is decoupled from that: the three streaming loops (staging split, scatter,
+gather) cut a file into host runs of :data:`HOST_RUN_RECORDS` records
+(whole modeled buffers), run the kernel, the survivor selection and the
+partition routing once per run, and derive every per-buffer count from that
+one result.  The per-buffer loop then only replays the schedule: it steps
+the :class:`StreamReader`, issues the charges and hands same-length slices
+to the writers, in the order a buffer-at-a-time loop would.  That order is
+an invariant: stay-file cancellation races and fault-plan positions depend
+on the exact sequence of device requests and clock charges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.algorithms.streaming import (
     AlgoContext,
     BFSAlgorithm,
+    StagedColumns,
     StreamingAlgorithm,
 )
 from repro.engines.costs import CostModel
@@ -47,6 +61,56 @@ from repro.storage.machine import Machine
 from repro.storage.streams import StreamReader, StreamWriter
 from repro.storage.vfs import VirtualFile
 from repro.utils.units import KB, parse_bytes
+
+#: Records of one host run: how much of a stream the kernels, the survivor
+#: selection and the partition routing see per call.  Rounded down to whole
+#: modeled buffers (at least one).  Host granularity only; nothing the
+#: simulation charges depends on it, which is why it is not a config field.
+HOST_RUN_RECORDS = 1 << 18
+
+
+def _host_runs(reader: StreamReader) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Cut ``reader``'s file into host runs of whole modeled buffers.
+
+    Yields ``(run, bounds)``: a zero-copy view of the run's records and the
+    positions where its modeled buffers begin and end, so buffer ``b`` of
+    the run is ``run[bounds[b]:bounds[b + 1]]``, exactly what the reader's
+    next ``__next__`` returns.  The caller steps the reader itself, once per
+    modeled buffer, after computing on the run.
+    """
+    per_buffer = reader.records_per_buffer
+    if not per_buffer:  # empty file that never learned its dtype
+        return
+    records = reader.file.records()
+    per_run = max(1, HOST_RUN_RECORDS // per_buffer) * per_buffer
+    for start in range(0, len(records), per_run):
+        run = records[start:start + per_run]
+        bounds = np.minimum(
+            np.arange(0, len(run) + per_buffer, per_buffer), len(run)
+        )
+        yield run, bounds
+
+
+def _route(
+    part: VertexPartitioning,
+    vertices: np.ndarray,
+    records: np.ndarray,
+    positions: np.ndarray,
+    bounds: np.ndarray,
+) -> List[Tuple[int, np.ndarray, List[int]]]:
+    """Route one run's ``records`` to their owning partitions in one split.
+
+    ``positions[k]`` is where in the run ``records[k]`` comes from
+    (ascending).  Returns ``(p, records_p, cuts_p)`` per receiving partition,
+    in partition order; ``records_p[cuts_p[b]:cuts_p[b + 1]]`` is what
+    modeled buffer ``b`` of the run sends to partition ``p``.
+    """
+    return [
+        (p, chunk, np.searchsorted(origin, bounds).tolist())
+        for p, (_, chunk, origin) in part.split_by_partition(
+            vertices, records, positions
+        )
+    ]
 
 
 @dataclass
@@ -370,17 +434,22 @@ class EdgeCentricEngine:
                 for p in part
             ]
             cm = cfg.cost_model
-            for buf in reader:
-                cm.charge(
-                    machine.clock,
-                    "partition",
-                    cm.partition_per_edge,
-                    len(buf),
-                    cfg.threads,
-                    machine.cores,
+            for run, bounds in _host_runs(reader):
+                routed = _route(
+                    part, run["src"], run, np.arange(len(run)), bounds
                 )
-                for p, (_, chunk) in part.split_by_partition(buf["src"], buf):
-                    writers[p].append(chunk)
+                for b in range(len(bounds) - 1):
+                    cm.charge(
+                        machine.clock,
+                        "partition",
+                        cm.partition_per_edge,
+                        len(next(reader)),
+                        cfg.threads,
+                        machine.cores,
+                    )
+                    for p, chunk, cuts in routed:
+                        if cuts[b] != cuts[b + 1]:
+                            writers[p].append(chunk[cuts[b]:cuts[b + 1]])
             for w in writers:
                 w.close(drain=False)
             last_ends = [w.last_end for w in writers if w.last_end is not None]
@@ -552,39 +621,57 @@ class EdgeCentricEngine:
             )
             generated = 0
             streamed = 0
-            for buf in reader:
-                stats.edges_scanned += len(buf)
-                streamed += len(buf)
-                cm.charge(
-                    machine.clock,
-                    "scatter",
-                    cm.scatter_per_edge,
-                    len(buf),
-                    cfg.threads,
-                    machine.cores,
+            # The partition's state is read-only for the whole scatter, so
+            # one staging of the indexed columns serves every run.
+            columns = StagedColumns(state_view, rt.algo.scatter_columns)
+            for run, bounds in _host_runs(reader):
+                src_local = run["src"].astype(np.int64)
+                src_local -= lo
+                updates, sources, eliminate = rt.algo.scatter(
+                    ctx, columns, src_local, run["src"], run["dst"]
                 )
-                src_local = buf["src"].astype(np.int64) - lo
-                updates, eliminate = rt.algo.scatter(
-                    ctx, state_view, src_local, buf["src"], buf["dst"]
+                trim = self._on_scatter_run(
+                    rt, p, columns, run, src_local, eliminate, bounds, stats
                 )
-                self._on_scatter_buffer(rt, p, ctx, buf, src_local, eliminate, stats)
-                if len(updates):
-                    # Batched kernels weight the charge by liveness-mask
-                    # popcount (one unit per query served); serial kernels
-                    # weight by record count — identical values there.
+                sent = np.searchsorted(sources, bounds)
+                # Batched kernels weight the charge by liveness-mask
+                # popcount (one unit per query served); serial kernels
+                # weight by record count — identical values there.
+                weights = rt.algo.update_weights(updates, sent).tolist()
+                produced = np.diff(sent).tolist()
+                routed = _route(
+                    rt.partitioning, updates["dst"], updates, sources, bounds
+                )
+                # Replay the run's schedule, one modeled buffer at a time.
+                for b, weight in enumerate(weights):
+                    count = len(next(reader))
+                    stats.edges_scanned += count
+                    streamed += count
                     cm.charge(
                         machine.clock,
-                        "shuffle",
-                        cm.shuffle_per_update,
-                        rt.algo.shuffle_weight(updates),
+                        "scatter",
+                        cm.scatter_per_edge,
+                        count,
                         cfg.threads,
                         machine.cores,
                     )
-                    for j, (_, chunk) in rt.partitioning.split_by_partition(
-                        updates["dst"], updates
-                    ):
-                        rt.update_writers[j].append(chunk)
-                    generated += len(updates)
+                    if trim is not None:
+                        trim(b)
+                    if produced[b]:
+                        cm.charge(
+                            machine.clock,
+                            "shuffle",
+                            cm.shuffle_per_update,
+                            weight,
+                            cfg.threads,
+                            machine.cores,
+                        )
+                        for j, chunk, cuts in routed:
+                            if cuts[b] != cuts[b + 1]:
+                                rt.update_writers[j].append(
+                                    chunk[cuts[b]:cuts[b + 1]]
+                                )
+                generated += len(updates)
             state_view["active"][:] = 0
             rt.algo.after_partition_scatter(ctx, state_view)
             self._post_partition_scatter(rt, p, ctx)
@@ -614,20 +701,33 @@ class EdgeCentricEngine:
             )
             activated = 0
             gathered = 0
-            for buf in reader:
-                gathered += len(buf)
-                cm.charge(
-                    machine.clock,
-                    "gather",
-                    cm.gather_per_update,
-                    rt.algo.gather_weight(buf),
-                    cfg.threads,
-                    machine.cores,
-                )
-                dst_local = buf["dst"].astype(np.int64) - lo
-                activated += rt.algo.gather(
-                    ctx, state_view, dst_local, rt.algo.gather_payload(buf)
-                )
+            columns = StagedColumns(state_view, rt.algo.gather_columns)
+            whole_run = rt.algo.gather_run_invariant
+            for run, bounds in _host_runs(reader):
+                dst_local = run["dst"].astype(np.int64)
+                dst_local -= lo
+                payload = rt.algo.gather_payload(run)
+                weights = rt.algo.update_weights(run, bounds).tolist()
+                if whole_run:
+                    activated += rt.algo.gather(ctx, columns, dst_local, payload)
+                for b, weight in enumerate(weights):
+                    gathered += len(next(reader))
+                    cm.charge(
+                        machine.clock,
+                        "gather",
+                        cm.gather_per_update,
+                        weight,
+                        cfg.threads,
+                        machine.cores,
+                    )
+                    if not whole_run:
+                        # The kernel's count depends on where the buffers
+                        # end (it says so): apply them one by one.
+                        cut = slice(bounds[b], bounds[b + 1])
+                        activated += rt.algo.gather(
+                            ctx, columns, dst_local[cut], payload[cut]
+                        )
+            columns.write_back()
             g_span.set(updates_gathered=gathered, activated=activated)
         return activated
 
@@ -721,17 +821,25 @@ class EdgeCentricEngine:
     def _pre_partition_scatter(self, rt: _RunState, p: int, ctx: AlgoContext) -> None:
         """Hook before streaming a partition's edges."""
 
-    def _on_scatter_buffer(
+    def _on_scatter_run(
         self,
         rt: _RunState,
         p: int,
-        ctx: AlgoContext,
-        buf: np.ndarray,
+        columns: StagedColumns,
+        run: np.ndarray,
         src_local: np.ndarray,
         eliminate: Optional[np.ndarray],
+        bounds: np.ndarray,
         stats: IterationStats,
-    ) -> None:
-        """Hook per edge buffer (FastBFS writes the stay stream here)."""
+    ) -> Optional[Callable[[int], None]]:
+        """Hook per host run of edges, after its scatter kernel.
+
+        May return ``replay(b)``, which the schedule replay calls for each
+        modeled buffer ``b`` of the run between that buffer's scatter and
+        shuffle charges (FastBFS selects the run's surviving edges here and
+        replays the trim charge and the stay append per buffer).
+        """
+        return None
 
     def _post_partition_scatter(self, rt: _RunState, p: int, ctx: AlgoContext) -> None:
         """Hook after a partition's scatter finished."""

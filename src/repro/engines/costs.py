@@ -15,9 +15,9 @@ degradation once threads exceed cores.
 Batched (MS-BFS) charging: a batched update record carries one liveness
 mask bit per query it serves, so the serial-equivalent work of a buffer is
 the *popcount* of its masks, not its record count.  The engines obtain that
-weight from the algorithm (``shuffle_weight`` / ``gather_weight``, both
-backed by :func:`popcount64`) and pass it to :meth:`CostModel.charge` as
-the item count — per-update shuffle and gather costs therefore scale with
+weight from the algorithm (``update_weights``: per-record popcounts summed
+over each modeled buffer of a run) and pass it to :meth:`CostModel.charge`
+as the item count — per-update shuffle and gather costs therefore scale with
 mask width while the edge-scan cost is paid once per batch, keeping the
 compute:I/O ratio comparable between serial and batched modes.
 """

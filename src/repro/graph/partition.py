@@ -52,9 +52,22 @@ class VertexPartitioning:
 
         Yields ``(p, (vertices_p, *arrays_p))`` for partitions that received
         at least one element, in partition order.  One stable argsort — this
-        is the scatter phase's update shuffle.
+        is the scatter phase's update shuffle.  The engines call it once per
+        host run with the records' stream positions as a parallel array, and
+        cut each group back into modeled buffers with one ``searchsorted``.
+        A single partition owns everything: the inputs are yielded as they
+        are, unsorted and uncopied.
         """
-        parts = self.partition_of(vertices)
+        if self.count == 1:
+            if len(vertices):
+                yield 0, (vertices, *arrays)
+            return
+        # Partition ids in the narrowest dtype: numpy's stable sort is a
+        # radix sort for 8- and 16-bit keys, several times the merge sort
+        # it runs on int64.
+        parts = self.partition_of(vertices).astype(
+            np.min_scalar_type(self.count - 1)
+        )
         order = np.argsort(parts, kind="stable")
         sorted_parts = parts[order]
         cut = np.searchsorted(sorted_parts, np.arange(self.count + 1))

@@ -259,8 +259,9 @@ class AsyncStreamWriter(StreamWriter):
         super().append(arr)
 
     def _on_chunk(self, chunk: np.ndarray, offset: int) -> None:
+        # crc32 reads the array's own buffer: no copy of the chunk.
         self._chunk_sums.append(
-            (offset, chunk.nbytes, zlib.crc32(chunk.view(np.uint8).tobytes()))
+            (offset, chunk.nbytes, zlib.crc32(chunk.view(np.uint8)))
         )
 
     def _submit(self, nbytes: int, offset: int) -> ScheduledRequest:
@@ -299,7 +300,7 @@ class AsyncStreamWriter(StreamWriter):
             return bad
         data = self.file.records().view(np.uint8)
         for offset, nbytes, crc in self._chunk_sums:
-            stored = zlib.crc32(data[offset : offset + nbytes].tobytes())
+            stored = zlib.crc32(data[offset : offset + nbytes])
             if stored != crc:
                 bad.append(offset)
         return bad

@@ -32,15 +32,23 @@ def _low_bytes(masks: np.ndarray, width: int) -> np.ndarray:
     return flat.view(np.uint8).reshape(-1, 8)[:, : (width + 7) // 8]
 
 
-def popcount64(masks: np.ndarray) -> int:
-    """Total set bits across an array of ``uint64`` liveness masks.
+def popcounts64(masks: np.ndarray) -> np.ndarray:
+    """Set bits of each ``uint64`` liveness mask.
 
     One set bit = one serial-equivalent unit of per-query update work; the
-    batched kernels use this to weight shuffle/gather cost charging (see
-    ``repro.engines.costs``).
+    batched kernels sum these over each modeled buffer of a run to weight
+    shuffle/gather cost charging (see ``repro.engines.costs``).
     """
     flat = np.ascontiguousarray(masks, dtype=np.uint64)
-    return int(_POPCOUNT16.take(flat.view(np.uint16)).sum(dtype=np.int64))
+    # Four byte-sized counts per mask, summed in one multiply: the top byte
+    # of x * 0x01010101 is the sum of x's four bytes (at most 64: no carry).
+    quads = _POPCOUNT16.take(flat.view(np.uint16)).view(np.uint32)
+    return (quads * np.uint32(0x01010101)) >> np.uint32(24)
+
+
+def popcount64(masks: np.ndarray) -> int:
+    """Total set bits across an array of ``uint64`` liveness masks."""
+    return int(popcounts64(masks).sum())
 
 
 def mask_bit_counts(masks: np.ndarray, width: int) -> np.ndarray:

@@ -6,8 +6,10 @@ import numpy as np
 
 from repro.core.config import FastBFSConfig
 from repro.engines.base import EngineConfig
-from repro.storage.device import DeviceSpec
+from repro.sim.clock import SimClock
+from repro.storage.device import Device, DeviceSpec
 from repro.storage.machine import Machine
+from repro.storage.vfs import VirtualFile
 from repro.utils.units import KB, MB
 
 
@@ -19,6 +21,21 @@ def fresh_machine(num_disks: int = 1, memory: int = 2 * MB, cores: int = 4,
     else:
         specs = [DeviceSpec.ssd(f"ssd{i}") for i in range(num_disks)]
     return Machine(specs, memory=memory, cores=cores)
+
+
+def slow_stay_disk_machine(write_bandwidth=64 * 1024, memory=2 * MB) -> Machine:
+    """Disk 0 is normal; disk 1 (the stay target) barely writes.
+
+    On a single disk the update drain barrier also flushes the queued stay
+    writes (FIFO), so cancellation can only be forced when stays live on
+    their own, slower device.
+    """
+    specs = [
+        DeviceSpec.hdd("main"),
+        DeviceSpec("slowstay", seek_time=0.0, read_bandwidth=200 * MB,
+                   write_bandwidth=write_bandwidth),
+    ]
+    return Machine(specs, memory=memory)
 
 
 def small_engine_config(**overrides) -> EngineConfig:
@@ -47,3 +64,51 @@ def small_fastbfs_config(**overrides) -> FastBFSConfig:
 
 def hub_root(graph) -> int:
     return int(np.argmax(graph.out_degrees()))
+
+
+class ScheduleRecorder:
+    """Everything a run shows the time path, in order, plus file contents.
+
+    ``calls`` holds one tuple per ``Device.submit`` (``"submit"``, device,
+    kind, nbytes, offset, group, submit time), ``SimClock.charge_compute``
+    (``"charge"``, seconds, category) and ``SimClock.wait_until``
+    (``"wait"``, target); ``sealed`` the name and bytes of every file at the
+    ``seal`` that froze it.  Patches last as long as ``monkeypatch`` does.
+    """
+
+    def __init__(self, monkeypatch) -> None:
+        self.calls = []
+        self.sealed = []
+        recorder = self
+        submit, charge = Device.submit, SimClock.charge_compute
+        wait, seal = SimClock.wait_until, VirtualFile.seal
+
+        def record_submit(self, submit_time, kind, nbytes, file_id, offset, group=""):
+            recorder.calls.append(
+                ("submit", self.name, kind, nbytes, offset, group, submit_time)
+            )
+            return submit(self, submit_time, kind, nbytes, file_id, offset, group)
+
+        def record_charge(self, seconds, category="compute"):
+            recorder.calls.append(("charge", seconds, category))
+            return charge(self, seconds, category)
+
+        def record_wait(self, t):
+            recorder.calls.append(("wait", t))
+            return wait(self, t)
+
+        def record_seal(self):
+            first = self._sealed is None
+            seal(self)
+            if first:
+                recorder.sealed.append((self.name, self._sealed.tobytes()))
+
+        monkeypatch.setattr(Device, "submit", record_submit)
+        monkeypatch.setattr(SimClock, "charge_compute", record_charge)
+        monkeypatch.setattr(SimClock, "wait_until", record_wait)
+        monkeypatch.setattr(VirtualFile, "seal", record_seal)
+
+    @property
+    def submits(self) -> list:
+        """``(kind, nbytes, offset, group)`` of every device request."""
+        return [call[2:6] for call in self.calls if call[0] == "submit"]

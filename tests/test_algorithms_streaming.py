@@ -1,8 +1,12 @@
 """Unit tests for the scatter/gather algorithm kernels."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.algorithms.pagerank import PageRankAlgorithm
+from repro.algorithms.sssp import WeightedSSSPAlgorithm
 from repro.algorithms.streaming import (
     BATCH_UPDATE_DTYPE,
     AlgoContext,
@@ -11,8 +15,20 @@ from repro.algorithms.streaming import (
     UnitSSSPAlgorithm,
     WCCAlgorithm,
 )
+from repro.core.engine import FastBFSEngine
+from repro.engines.base import HOST_RUN_RECORDS
+from repro.engines.xstream import XStreamEngine
 from repro.errors import EngineError
-from repro.graph.types import NO_PARENT, UNVISITED
+from repro.graph.graph import Graph
+from repro.graph.partition import VertexPartitioning
+from repro.graph.types import NO_PARENT, UNVISITED, UPDATE_DTYPE
+from repro.storage.device import Device
+from tests.helpers import (
+    fresh_machine,
+    hub_root,
+    small_engine_config,
+    small_fastbfs_config,
+)
 
 
 class TestBFSInit:
@@ -46,7 +62,7 @@ class TestBFSScatter:
         src_local = np.array([0, 1, 1, 2])
         src_global = np.array([0, 1, 1, 2], dtype=np.uint32)
         dst_global = np.array([9, 5, 6, 7], dtype=np.uint32)
-        updates, eliminate = algo.scatter(
+        updates, sources, eliminate = algo.scatter(
             AlgoContext(0), state, src_local, src_global, dst_global
         )
         assert updates["dst"].tolist() == [5, 6]
@@ -60,7 +76,7 @@ class TestBFSScatter:
         src_local = np.arange(8)
         src_global = src_local.astype(np.uint32)
         dst_global = ((src_local + 1) % 8).astype(np.uint32)
-        updates, eliminate = algo.scatter(
+        updates, sources, eliminate = algo.scatter(
             AlgoContext(0), state, src_local, src_global, dst_global
         )
         assert int(eliminate.sum()) == len(updates)
@@ -88,6 +104,31 @@ class TestBFSGather:
         assert state["parent"][2] == 7  # stream order: first wins
         assert state["parent"][3] == 9
         assert state["active"][2] == 1
+
+    def test_first_update_wins_across_a_run(self):
+        """The engines gather a host run of many modeled buffers in one
+        call.  A destination offered in what would have been two different
+        buffers keeps the earlier parent, exactly as when the first buffer
+        claimed it and the second found it visited."""
+        per_buffer = 4
+        dst_local = np.array([5, 1, 5, 2,   2, 5, 3, 1,   3, 6])
+        payload = np.arange(10, 20, dtype=np.uint32)
+        whole, split = BFSAlgorithm(), BFSAlgorithm()
+        whole_state = whole.init_state(8, [0])
+        split_state = split.init_state(8, [0])
+        claimed = whole.gather(AlgoContext(0), whole_state, dst_local, payload)
+        by_buffer = sum(
+            split.gather(
+                AlgoContext(0), split_state,
+                dst_local[at:at + per_buffer], payload[at:at + per_buffer],
+            )
+            for at in range(0, len(dst_local), per_buffer)
+        )
+        assert claimed == by_buffer == 5
+        assert np.array_equal(whole_state, split_state)
+        # 2 is offered by records 3 and 4 (buffers 0 and 1), 3 by records 6
+        # and 8 (buffers 1 and 2): the earlier record is the parent.
+        assert whole_state["parent"][[1, 2, 3, 5, 6]].tolist() == [11, 13, 16, 10, 19]
 
     def test_visited_vertices_ignored(self):
         algo = BFSAlgorithm()
@@ -139,7 +180,7 @@ class TestWCC:
     def test_scatter_broadcasts_labels(self):
         algo = WCCAlgorithm()
         state = algo.init_state(3)
-        updates, eliminate = algo.scatter(
+        updates, sources, eliminate = algo.scatter(
             AlgoContext(0),
             state,
             np.array([0, 2]),
@@ -384,7 +425,7 @@ class TestBatchedScatter:
         algo = BatchedBFSAlgorithm(9)
         state = algo.init_state(4, [[0], [0], [1]] + [[3]] * 6)
         src = np.array([0, 1, 2, 0])
-        updates, eliminate = algo.scatter(
+        updates, sources, eliminate = algo.scatter(
             AlgoContext(0), state, src, src.astype(np.uint32),
             np.array([2, 2, 3, 1], dtype=np.uint32),
         )
@@ -394,5 +435,101 @@ class TestBatchedScatter:
         assert not eliminate.any()  # no source is visited for all 9 queries
         assert algo.per_query_updates(0).tolist() == [2, 2, 1] + [0] * 6
         assert int(algo.live_mask(1)) == 0b111
-        assert algo.shuffle_weight(updates) == 5
-        assert algo.gather_weight(updates) == 5
+        assert sources.tolist() == [0, 1, 3]
+        # Per modeled buffer of the run: records [0, 2) and [2, 3).
+        assert algo.update_weights(updates, np.array([0, 2, 3])).tolist() == [3, 2]
+
+
+class TestKernelGranularity:
+    """What the engines may and may not batch into one kernel call."""
+
+    def _one_record_update_buffers(self):
+        # One partition, every edge in one modeled edge buffer, one update
+        # record per modeled update buffer.
+        return XStreamEngine(
+            small_engine_config(
+                num_partitions=1, edge_buffer_bytes=64 * 1024,
+                update_buffer_bytes=UPDATE_DTYPE.itemsize,
+            )
+        )
+
+    def test_declared_invariance(self):
+        assert BFSAlgorithm.gather_run_invariant
+        assert UnitSSSPAlgorithm.gather_run_invariant
+        assert BatchedBFSAlgorithm.gather_run_invariant
+        assert PageRankAlgorithm.gather_run_invariant
+        assert not WCCAlgorithm.gather_run_invariant
+        assert not WeightedSSSPAlgorithm.gather_run_invariant
+
+    def test_wcc_counts_an_improvement_per_modeled_buffer(self):
+        """Vertex 3 improves 3 -> 2 -> 1 -> 0 in three consecutive modeled
+        update buffers of one gather: ``activated`` counts it in each (a
+        gather over the whole run would count it once)."""
+        graph = Graph.from_arrays(4, [2, 1, 0], [3, 3, 3])
+        result = self._one_record_update_buffers().run(
+            graph, fresh_machine(), algorithm=WCCAlgorithm()
+        )
+        assert result.output["label"].tolist() == [0, 1, 2, 0]
+        assert [it.activated for it in result.iterations] == [0, 3]
+
+    def test_weighted_sssp_counts_an_improvement_per_modeled_buffer(self):
+        """Two roots reach vertex 3 at distance 7 then 2, in two consecutive
+        modeled update buffers: two activations, not one."""
+        graph = Graph.from_arrays(4, [0, 1], [3, 3])
+        weights = lambda src, dst: np.where(src == 0, 7, 2).astype(np.uint32)
+        result = self._one_record_update_buffers().run(
+            graph, fresh_machine(),
+            algorithm=WeightedSSSPAlgorithm(weights), roots=[0, 1],
+        )
+        assert result.output["distance"][3] == 2
+        assert [it.activated for it in result.iterations] == [0, 2]
+
+    @pytest.mark.parametrize(
+        "make_engine",
+        [
+            lambda **kw: FastBFSEngine(small_fastbfs_config(**kw)),
+            lambda **kw: XStreamEngine(small_engine_config(**kw)),
+        ],
+        ids=["fastbfs", "x-stream"],
+    )
+    def test_kernel_calls_do_not_scale_with_the_modeled_buffer(
+        self, monkeypatch, rmat10, make_engine
+    ):
+        """Regression guard: kernels and the partition split run once per
+        host run.  When every file fits one run, a 16 times smaller modeled
+        buffer makes more device requests and not one more kernel call."""
+        calls = Counter()
+
+        def counted(owner, name):
+            inner = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(BFSAlgorithm, "scatter")
+        counted(BFSAlgorithm, "gather")
+        counted(VertexPartitioning, "split_by_partition")
+        counted(Device, "submit")
+
+        def traverse(buffer_bytes):
+            calls.clear()
+            result = make_engine(
+                edge_buffer_bytes=buffer_bytes, update_buffer_bytes=buffer_bytes
+            ).run(rmat10, fresh_machine(), root=hub_root(rmat10))
+            return result, dict(calls)
+
+        assert rmat10.num_edges < HOST_RUN_RECORDS
+        large, large_calls = traverse(64 * 1024)
+        small, small_calls = traverse(4 * 1024)
+        assert np.array_equal(large.levels, small.levels)
+        assert small_calls.pop("submit") > large_calls.pop("submit")
+        assert small_calls == large_calls
+        # One scatter per partition file streamed, one split per scatter
+        # plus one for staging, one gather per partition update file.
+        passes = large.num_iterations
+        assert 0 < large_calls["scatter"] <= 4 * passes
+        assert large_calls["split_by_partition"] == large_calls["scatter"] + 1
+        assert 0 < large_calls["gather"] <= 4 * (passes - 1)

@@ -5,7 +5,12 @@ starved devices — correctness must survive every degraded mode.
 import numpy as np
 import pytest
 
-from tests.helpers import fresh_machine, hub_root, small_fastbfs_config
+from tests.helpers import (
+    fresh_machine,
+    hub_root,
+    slow_stay_disk_machine,
+    small_fastbfs_config,
+)
 
 from repro.algorithms.reference import bfs_levels
 from repro.core.engine import FastBFSEngine
@@ -22,21 +27,6 @@ def slow_write_machine(write_bandwidth=0.5 * MB, memory=2 * MB):
         write_bandwidth=write_bandwidth,
     )
     return Machine([spec], memory=memory)
-
-
-def slow_stay_disk_machine(write_bandwidth=64 * 1024, memory=2 * MB):
-    """Disk 0 is normal; disk 1 (the stay target) barely writes.
-
-    On a single disk the update drain barrier also flushes the queued stay
-    writes (FIFO), so cancellation can only be forced when stays live on
-    their own, slower device.
-    """
-    specs = [
-        DeviceSpec.hdd("main"),
-        DeviceSpec("slowstay", seek_time=0.0, read_bandwidth=200 * MB,
-                   write_bandwidth=write_bandwidth),
-    ]
-    return Machine(specs, memory=memory)
 
 
 class TestForcedCancellation:

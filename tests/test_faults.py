@@ -5,10 +5,17 @@ stay-file integrity fallback, crash/resume through QuerySession.recover,
 and the chaos harness built on all of it.
 """
 
+import zlib
+
 import numpy as np
 import pytest
 
-from tests.helpers import fresh_machine, hub_root, small_fastbfs_config
+from tests.helpers import (
+    ScheduleRecorder,
+    fresh_machine,
+    hub_root,
+    small_fastbfs_config,
+)
 
 from repro.algorithms.reference import bfs_levels
 from repro.algorithms.streaming import BFSAlgorithm
@@ -307,8 +314,18 @@ class TestTornWriteIntegrity:
         writer = AsyncStreamWriter(clock, f, buffer_bytes=8 * 256,
                                    num_buffers=4)
         writer.append(edges_of(200))
+        writer.append(edges_of(300, start=200))  # fills the buffer: one flush
+        writer.append(edges_of(100, start=500))  # flushed by close
         writer.close(drain=True)
         assert writer.verify_integrity() == []
+        # The ledger is over the bytes each flushed chunk occupies in the
+        # file (checksummed from the array's buffer, never from a copy).
+        raw = f.records().tobytes()
+        assert [nbytes for _, nbytes, _ in writer._chunk_sums] == [8 * 500, 8 * 100]
+        assert all(
+            crc == zlib.crc32(raw[offset:offset + nbytes])
+            for offset, nbytes, crc in writer._chunk_sums
+        )
 
     def test_torn_stay_degrades_to_previous_file(self, rmat10):
         """Every stay flush torn: swap-ins fail their checksum and the run
@@ -430,6 +447,43 @@ class TestCrashRecovery:
             FastBFSEngine(small_fastbfs_config()).run(
                 rmat10, machine, root=hub_root(rmat10)
             )
+
+
+class TestFaultPositionInsideHostRun:
+    """The engines compute on host runs of many modeled buffers but issue
+    device requests one modeled buffer at a time, in the order they always
+    did, so an ``after_index`` names the same request whatever the host
+    granularity.  Expected requests were recorded at the commit before host
+    runs existed (one kernel call per modeled buffer)."""
+
+    @pytest.mark.parametrize(
+        "after_index, expected",
+        [
+            # Scatter: an edge read well past its partition's first buffer.
+            (150, ("read", 2048, 12288, "edges:p2")),
+            # Shuffle: an update flush in the middle of a partition's scatter.
+            (157, ("write", 1248, 6528, "updates:1:p0")),
+            # Gather: an update read past the file's first buffer.
+            (213, ("read", 1024, 9216, "updates:p1")),
+        ],
+    )
+    def test_fault_lands_on_the_same_request(
+        self, rmat10, monkeypatch, after_index, expected
+    ):
+        recorder = ScheduleRecorder(monkeypatch)
+        plan = FaultPlan(
+            specs=(FaultSpec(kind="persistent_error", after_index=after_index,
+                             max_fires=1),),
+        )
+        machine = Machine([DeviceSpec.hdd("hdd0")], memory=2 * MB, cores=4,
+                          fault_plan=plan)
+        with pytest.raises(PersistentIOError, match=f"#{after_index} on 'hdd0'"):
+            FastBFSEngine(small_fastbfs_config()).run(
+                rmat10, machine, root=hub_root(rmat10)
+            )
+        assert len(recorder.submits) - 1 == after_index
+        assert recorder.submits[-1] == expected
+        assert expected[2] > 0  # not the first modeled buffer of its file
 
 
 class TestFaultObservability:
