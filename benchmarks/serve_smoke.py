@@ -11,7 +11,12 @@ the CI ``serve-smoke`` job:
 3. check ``/healthz`` and that ``/metrics`` reconciles **exactly**
    (``CounterRegistry.reconcile``) against the merged per-request
    reports (deduped by ``report_id``) plus the staging report;
-4. print the coalescing achieved (flush sizes, served amortization).
+4. print the coalescing achieved (flush sizes, served amortization);
+5. time 30 sequential BFS requests on ONE keep-alive connection against
+   30 on fresh connections and fail when keep-alive is slower by more
+   than 10 ms in the median: a response that leaves in two writes stalls
+   a keep-alive client for the kernel's delayed-ACK timer (~40 ms on any
+   host), one that leaves in one write does not.
 
 Runnable standalone::
 
@@ -20,8 +25,10 @@ Runnable standalone::
 
 import http.client
 import json
+import statistics
 import sys
 import threading
+import time
 
 from repro.api import run_queries, serve
 from repro.graph.generators import rmat_graph
@@ -30,7 +37,15 @@ from repro.storage.machine import IOReport, merge_reports
 
 SPEC = "smoke@rmat:scale=9,edge_factor=8,seed=17"
 BURST = 16
-ROOTS = [(7 * i) % 500 for i in range(BURST)]
+KEEPALIVE_REQUESTS = 30
+KEEPALIVE_MARGIN_MS = 10.0
+
+
+def _roots(count):
+    return [(7 * i) % 500 for i in range(count)]
+
+
+ROOTS = _roots(BURST)
 
 
 def _request(port, method, path, payload=None):
@@ -52,6 +67,48 @@ def _request_text(port, path):
         return resp.status, resp.read().decode()
     finally:
         conn.close()
+
+
+def _timed_bfs_ms(conn, root):
+    """One BFS request on ``conn``, request to last body byte, in ms."""
+    start = time.perf_counter()
+    conn.request(
+        "POST", "/graphs/smoke/bfs", body=json.dumps({"root": root}).encode()
+    )
+    resp = conn.getresponse()
+    resp.read()
+    assert resp.status == 200, resp.status
+    return (time.perf_counter() - start) * 1e3
+
+
+def _keepalive_check(port) -> bool:
+    roots = _roots(KEEPALIVE_REQUESTS)
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
+    try:
+        kept = [_timed_bfs_ms(conn, root) for root in roots]
+    finally:
+        conn.close()
+    fresh = []
+    for root in roots:
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
+        try:
+            fresh.append(_timed_bfs_ms(conn, root))
+        finally:
+            conn.close()
+    kept_ms, fresh_ms = statistics.median(kept), statistics.median(fresh)
+    print(
+        f"{KEEPALIVE_REQUESTS} sequential BFS requests: median "
+        f"{kept_ms:.1f} ms on one keep-alive connection, "
+        f"{fresh_ms:.1f} ms on fresh connections"
+    )
+    if kept_ms > fresh_ms + KEEPALIVE_MARGIN_MS:
+        print(
+            "keep-alive requests stall: is a response leaving in more "
+            "than one write?",
+            file=sys.stderr,
+        )
+        return False
+    return True
 
 
 def main() -> int:
@@ -138,7 +195,7 @@ def main() -> int:
             f"served amortization: {served_bytes / serial_bytes:.3f}x "
             f"of serial bytes ({served_bytes} vs {serial_bytes})"
         )
-        return 0
+        return 0 if _keepalive_check(port) else 1
     finally:
         service.shutdown()
 

@@ -21,11 +21,18 @@ Endpoints (details + curl examples in docs/serving.md):
 * ``POST /graphs/{name}/sssp`` — ``{"root": 3, "max_weight": 8}``.
 * ``POST /graphs/{name}/pagerank`` — ``{"rounds": 5, "damping": 0.85}``.
 
-Every response carries ``X-Request-Id``; query responses additionally
-carry queue-wait and simulated-time breakdown headers plus the flush id
-(``report_id``) that keys the per-flush delta
-:class:`~repro.storage.machine.IOReport` echoed in the JSON body — the
-handle the metrics-reconciliation tests dedup shared batch reports by.
+Every response leaves through one responder (``_Handler._respond``) as
+ONE write of head + body on a ``TCP_NODELAY`` socket, so a keep-alive
+client never waits out a delayed ACK between headers and body; that
+includes the refusals ``http.server`` makes on its own (bad request line,
+414, 431, 501, 505), which are typed JSON problems like every other
+error.  Every response with a head carries ``X-Request-Id`` (a request
+line without an HTTP/1.x version gets, per HTTP/0.9, the body alone);
+query responses additionally carry queue-wait and simulated-time
+breakdown headers plus the flush id (``report_id``) that keys the
+per-flush delta :class:`~repro.storage.machine.IOReport` echoed in the
+JSON body — the handle the metrics-reconciliation tests dedup shared
+batch reports by.
 
 The ``/metrics`` registry is **exactly reconcilable**: it is built purely
 by merging per-staging and per-flush ``CounterRegistry.from_report``
@@ -38,7 +45,9 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 import threading
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlparse
@@ -87,6 +96,16 @@ MAX_BODY_BYTES = 1 << 20
 #: length-capped); anything else falls back to a generated id.
 REQUEST_ID_PATTERN = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
 
+#: Problem types of the statuses ``BaseHTTPRequestHandler`` refuses a
+#: request with before any ``do_*`` method runs.
+PROTOCOL_PROBLEM_KINDS = {
+    400: "bad_request",
+    414: "uri_too_long",
+    431: "headers_too_large",
+    501: "method_not_implemented",
+    505: "http_version_not_supported",
+}
+
 
 class _RequestProblem(Exception):
     """Internal: an HTTP error response (status + typed JSON body)."""
@@ -100,6 +119,11 @@ class _RequestProblem(Exception):
         self.headers = headers or {}
         #: Queue wait carried by deadline problems (504 accounting).
         self.queue_wait: Optional[float] = None
+
+
+def _is_int(value: object) -> bool:
+    """A JSON integer: ``true``/``false`` are ``int`` to Python, not here."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _problem_for(exc: Exception) -> _RequestProblem:
@@ -420,7 +444,7 @@ class GraphService:
             if (
                 not isinstance(roots, list)
                 or not roots
-                or not all(isinstance(r, int) for r in roots)
+                or not all(_is_int(r) for r in roots)
             ):
                 raise _RequestProblem(
                     400, "bad_root",
@@ -428,7 +452,7 @@ class GraphService:
                 )
             root_entry: object = roots
         elif "root" in payload:
-            if not isinstance(payload["root"], int):
+            if not _is_int(payload["root"]):
                 raise _RequestProblem(
                     400, "bad_root", "\"root\" must be an integer"
                 )
@@ -450,11 +474,13 @@ class GraphService:
         if (
             isinstance(deadline_ms, bool)
             or not isinstance(deadline_ms, (int, float))
-            or deadline_ms <= 0
+            # False for NaN (it never expires), for +-Infinity and for an
+            # integer float() cannot hold; int/float comparison is exact.
+            or not 0 < deadline_ms <= sys.float_info.max
         ):
             raise _RequestProblem(
                 400, "bad_request",
-                "\"deadline_ms\" must be a number > 0 (milliseconds)",
+                "\"deadline_ms\" must be a finite number > 0 (milliseconds)",
             )
         return float(deadline_ms)
 
@@ -533,14 +559,14 @@ class GraphService:
         if kind == "sssp":
             root_entry = self._extract_roots(entry, payload)
             max_weight = payload.get("max_weight", 8)
-            if not isinstance(max_weight, int) or max_weight < 1:
+            if not _is_int(max_weight) or max_weight < 1:
                 raise _RequestProblem(
                     400, "bad_request", "\"max_weight\" must be an int >= 1"
                 )
             algo = WeightedSSSPAlgorithm(hash_weights(max_weight))
         else:
             rounds = payload.get("rounds", 5)
-            if not isinstance(rounds, int) or rounds < 1:
+            if not _is_int(rounds) or rounds < 1:
                 raise _RequestProblem(
                     400, "bad_request", "\"rounds\" must be an int >= 1"
                 )
@@ -730,6 +756,9 @@ class GraphService:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted socket: the tail of a response larger
+    # than one segment is never held for the peer's ACK either.
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> GraphService:
@@ -737,6 +766,33 @@ class _Handler(BaseHTTPRequestHandler):
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # HTTP access logging is the deployment's job, not ours
+
+    def handle_one_request(self) -> None:
+        # The stdlib refuses some requests before it parses their path or
+        # headers; on a keep-alive connection those refusals must not see
+        # (and answer with the id of) the previous request's.
+        self.path = ""
+        self.headers = self.MessageClass()
+        super().handle_one_request()
+
+    def send_error(self, code, message=None, explain=None) -> None:
+        """Refusals ``BaseHTTPRequestHandler`` makes on its own (bad request
+        line, 414, 431, 501, 505) leave as typed problems, not HTML pages.
+
+        No ``do_*`` ran, so the rest of the request is unread and the
+        connection closes, as it does in the stdlib.
+        """
+        status = int(code)
+        text = message or HTTPStatus(status).phrase
+        if explain:
+            text = f"{text}: {explain}"
+        problem = _RequestProblem(
+            status,
+            PROTOCOL_PROBLEM_KINDS.get(status, "protocol_error"),
+            text,
+            headers={"Connection": "close"},
+        )
+        self._send_problem(problem, self._request_id())
 
     def _request_id(self) -> str:
         """Honor a valid client-supplied ``X-Request-Id``, else generate.
@@ -871,6 +927,47 @@ class _Handler(BaseHTTPRequestHandler):
             )
         return payload
 
+    def _respond(
+        self,
+        status: int,
+        content_type: str,
+        data: bytes,
+        request_id: str,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> None:
+        """The one responder: status line, headers and body in ONE write.
+
+        Two writes on a keep-alive socket let Nagle hold the body until
+        the peer's delayed ACK (~40 ms) fires; one buffer is one syscall
+        and, for a small answer, one segment.
+        """
+        extras = headers or {}
+        lines = [
+            f"{self.protocol_version} {status} {HTTPStatus(status).phrase}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            f"Content-Type: {content_type}",
+            f"Content-Length: {len(data)}",
+            f"X-Request-Id: {request_id}",
+            *(f"{key}: {value}" for key, value in extras.items()),
+            "",
+            "",
+        ]
+        if extras.get("Connection", "").lower() == "close":
+            self.close_connection = True
+        # An HTTP/0.9 request (no version on its request line) is answered
+        # with the body alone, and a HEAD with the head alone.
+        head = b"" if self.request_version == "HTTP/0.9" else (
+            "\r\n".join(lines).encode("latin-1")
+        )
+        try:
+            self.wfile.write(head if self.command == "HEAD" else head + data)
+        except ConnectionError:
+            # The client hung up mid-response.  The work is already done
+            # and accounted; swallow the write failure (re-raising would
+            # just stack-trace in the handler thread) and count it.
+            self.service.count_disconnect(self.path, request_id)
+
     def _send_json(
         self,
         status: int,
@@ -879,32 +976,12 @@ class _Handler(BaseHTTPRequestHandler):
         headers: Optional[Dict[str, str]] = None,
     ) -> None:
         data = json.dumps(body).encode("utf-8")
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", JSON_CONTENT_TYPE)
-            self.send_header("Content-Length", str(len(data)))
-            self.send_header("X-Request-Id", request_id)
-            for key, value in (headers or {}).items():
-                self.send_header(key, value)
-            self.end_headers()
-            self.wfile.write(data)
-        except (BrokenPipeError, ConnectionResetError):
-            # The client hung up mid-response.  The work is already done
-            # and accounted; swallow the write failure (re-raising would
-            # just stack-trace in the handler thread) and count it.
-            self.service.count_disconnect(self.path, request_id)
+        self._respond(status, JSON_CONTENT_TYPE, data, request_id, headers)
 
     def _send_text(self, status: int, text: str, request_id: str) -> None:
-        data = text.encode("utf-8")
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", PROMETHEUS_CONTENT_TYPE)
-            self.send_header("Content-Length", str(len(data)))
-            self.send_header("X-Request-Id", request_id)
-            self.end_headers()
-            self.wfile.write(data)
-        except (BrokenPipeError, ConnectionResetError):
-            self.service.count_disconnect(self.path, request_id)
+        self._respond(
+            status, PROMETHEUS_CONTENT_TYPE, text.encode("utf-8"), request_id
+        )
 
     def _send_problem(self, problem: _RequestProblem, request_id: str) -> None:
         graph = None

@@ -212,6 +212,38 @@ class TestErrorBodies:
             assert status == 400, payload
             assert body["error"]["type"] == "bad_root", payload
 
+    @pytest.mark.parametrize("algorithm,payload,kind", [
+        ("bfs", {"root": True}, "bad_root"),
+        ("bfs", {"roots": [True, False]}, "bad_root"),
+        ("bfs", {"roots": [3, True]}, "bad_root"),
+        ("sssp", {"root": False}, "bad_root"),
+        ("sssp", {"root": 3, "max_weight": True}, "bad_request"),
+        ("pagerank", {"rounds": True}, "bad_request"),
+    ])
+    def test_booleans_are_not_integers(
+        self, service, algorithm, payload, kind
+    ):
+        status, _, body = request(
+            service, "POST", f"/graphs/tiny/{algorithm}", payload=payload
+        )
+        assert status == 400, body
+        assert body["error"]["type"] == kind
+
+    @pytest.mark.parametrize(
+        "literal", ["NaN", "Infinity", "1" + "0" * 400],
+        ids=["NaN", "Infinity", "401-digit-int"],
+    )
+    def test_non_finite_deadline_is_refused(self, service, literal):
+        # json.loads accepts these literals; a NaN deadline never expires
+        # and the integer is too large for float()
+        status, _, body = request(
+            service, "POST", "/graphs/tiny/bfs",
+            raw_body='{"root": 3, "deadline_ms": %s}' % literal,
+        )
+        assert status == 400, body
+        assert body["error"]["type"] == "bad_request"
+        assert "deadline_ms" in body["error"]["message"]
+
     def test_malformed_json(self, service):
         status, _, body = request(
             service, "POST", "/graphs/tiny/bfs", raw_body=b"{not json"
