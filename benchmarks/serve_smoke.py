@@ -5,9 +5,10 @@ the CI ``serve-smoke`` job:
 
 1. boot a ``GraphService`` on an ephemeral port with a small R-MAT graph
    warmed up at registration;
-2. fire a 16-request concurrent burst of single-root BFS queries over
-   HTTP and check every answer is bit-identical to a serial
-   ``api.run_queries`` over the same roots;
+2. fire a 16-request concurrent burst over HTTP, single-root BFS
+   queries with SSSP and PageRank mixed in (every algorithm rides the
+   same admission queue), and check every BFS answer is bit-identical to
+   a serial ``api.run_queries`` over the same roots;
 3. check ``/healthz`` and that ``/metrics`` reconciles **exactly**
    (``CounterRegistry.reconcile``) against the merged per-request
    reports (deduped by ``report_id``) plus the staging report;
@@ -46,6 +47,18 @@ def _roots(count):
 
 
 ROOTS = _roots(BURST)
+#: Algorithm of burst request ``i`` (cycled).
+ALGORITHMS = ("bfs", "bfs", "bfs", "sssp", "bfs", "bfs", "bfs", "pagerank")
+
+
+def _query(i):
+    """``(algorithm, payload, key of the answer array)`` of request ``i``."""
+    algorithm = ALGORITHMS[i % len(ALGORITHMS)]
+    if algorithm == "pagerank":
+        return algorithm, {"rounds": 2}, "ranks"
+    if algorithm == "sssp":
+        return algorithm, {"root": ROOTS[i], "max_weight": 4}, "distances"
+    return algorithm, {"root": ROOTS[i]}, "levels"
 
 
 def _request(port, method, path, payload=None):
@@ -126,10 +139,12 @@ def main() -> int:
 
         def worker(i):
             try:
+                algorithm, payload, answer = _query(i)
                 st, body = _request(
-                    port, "POST", "/graphs/smoke/bfs", {"root": ROOTS[i]}
+                    port, "POST", f"/graphs/smoke/{algorithm}", payload
                 )
                 assert st == 200, body
+                assert len(body["result"][answer]) == 512, body["result"]
                 bodies[i] = body
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append((i, exc))
@@ -146,15 +161,20 @@ def main() -> int:
                 print(f"request {i} failed: {exc!r}", file=sys.stderr)
             return 1
 
+        bfs = [i for i in range(BURST) if _query(i)[0] == "bfs"]
         serial = run_queries(
-            rmat_graph(scale=9, edge_factor=8, seed=17), ROOTS
+            rmat_graph(scale=9, edge_factor=8, seed=17),
+            [ROOTS[i] for i in bfs],
         )
-        for i, body in enumerate(bodies):
-            assert body["result"]["levels"] == serial.queries[i].levels.tolist()
-            assert (
-                body["result"]["parents"] == serial.queries[i].parents.tolist()
-            )
-        print(f"{BURST} served answers bit-identical to serial run_queries")
+        for query, i in zip(serial.queries, bfs):
+            result = bodies[i]["result"]
+            assert result["levels"] == query.levels.tolist()
+            assert result["parents"] == query.parents.tolist()
+        print(
+            f"{len(bfs)} served BFS answers bit-identical to serial "
+            f"run_queries; {BURST - len(bfs)} SSSP/PageRank answers rode "
+            "the same queue"
+        )
 
         flushes = {}
         for body in bodies:
@@ -183,7 +203,14 @@ def main() -> int:
         )
 
         served_bytes = sum(
-            d.bytes_read + d.bytes_written for d in merged.devices
+            d.bytes_read + d.bytes_written
+            for d in merge_reports(
+                [reports["__staging__"]]
+                + [
+                    reports[rid]
+                    for rid in sorted({bodies[i]["report_id"] for i in bfs})
+                ]
+            ).devices
         )
         serial_bytes = sum(
             d.bytes_read + d.bytes_written
@@ -192,7 +219,7 @@ def main() -> int:
             ).devices
         )
         print(
-            f"served amortization: {served_bytes / serial_bytes:.3f}x "
+            f"served BFS amortization: {served_bytes / serial_bytes:.3f}x "
             f"of serial bytes ({served_bytes} vs {serial_bytes})"
         )
         return 0 if _keepalive_check(port) else 1

@@ -1,17 +1,21 @@
-"""Admission control: bounded queues coalescing BFS requests into batches.
+"""Admission control: one bounded queue per graph, every query a ticket.
 
 The serving-side half of the MS-BFS amortization argument: batched
 execution (`run_many(mode="batched")`, PR 7) only pays off when many
 concurrent root queries share one edge-scan timeline, and it is admission
 control that *produces* that sharing.  Each registered graph gets one
-:class:`AdmissionController` holding a bounded FIFO of tickets; concurrent
-HTTP threads enqueue their roots and then compete for the flush lock
-(leader/follower): whichever thread wins drains up to
-:data:`~repro.algorithms.streaming.BATCH_WIDTH` tickets and runs them as
-**one** batched `run_staged_queries` call, fulfilling every drained
-ticket's event; the losers just wait on their tickets.  A full queue
-rejects deterministically (:class:`~repro.errors.QueueFullError`, mapped
-to HTTP 429 + ``Retry-After``).
+:class:`AdmissionController` holding a bounded FIFO of tickets; a ticket
+carries what to run (an algorithm kernel, absent = BFS), so every served
+algorithm waits in the same queue under the same rules.  Concurrent HTTP
+threads enqueue their tickets and then compete for the flush lock
+(leader/follower): whichever thread wins drains the longest queue prefix
+that can share one run — consecutive BFS tickets up to
+:data:`~repro.algorithms.streaming.BATCH_WIDTH`, run as **one** batched
+`run_staged_queries` call, or exactly one ticket of any other algorithm
+— and fulfils every drained ticket's event; the losers just wait on their
+tickets.  A full queue rejects deterministically
+(:class:`~repro.errors.QueueFullError`, mapped to HTTP 429 +
+``Retry-After``).
 
 The controller's state machine is exposed as synchronous primitives —
 :meth:`offer`, :meth:`flush`, :meth:`drain_pending` — so the accept/reject
@@ -24,39 +28,41 @@ drain-on-shutdown tests.
 Resilience semantics (entry machines may run fault plans):
 
 * **Flush-level recovery.**  ``run_staged_queries(max_recoveries=...)``
-  absorbs crashes via checkpoint-replay inside one attempt; an attempt
-  that still fails (``CrashError`` after exhausted recoveries, or an
-  ``IOFaultError`` give-up) is retried up to ``flush_retries`` times —
+  absorbs crashes via checkpoint-replay inside one attempt; a batched
+  attempt that still fails (``CrashError`` after exhausted recoveries, or
+  an ``IOFaultError`` give-up) is retried up to ``flush_retries`` times —
   the machine rewinds to the staging checkpoint between attempts, so a
   success-after-retry response is bit-identical to a fault-free run.
-* **Serial fallback.**  When every batched attempt fails the flush
-  degrades: each ticket re-runs alone in serial mode (its own delta
+* **Serial runs are tried once.**  When every batched attempt fails the
+  flush degrades: each ticket re-runs alone in serial mode (its own delta
   report, its own ``report_id``).  Shared-scan amortization is lost but
-  individual requests still complete; only tickets whose serial run
-  *also* fails surface a typed :class:`~repro.errors.FlushFailedError`
-  (HTTP 503 + ``Retry-After``).  Entering the fallback is what counts as
-  a flush *failure* for the entry's circuit breaker.
+  individual requests still complete.  A serial-algorithm ticket runs
+  that way from the start.  Only a ticket whose serial run fails surfaces
+  a typed :class:`~repro.errors.FlushFailedError` (HTTP 503 +
+  ``Retry-After``).
 * **Circuit breaking.**  :meth:`offer` gates through
   ``entry.health.admit()`` — a quarantined graph rejects with
   :class:`~repro.errors.GraphQuarantinedError` before anything touches
   the machine; tickets already queued when the breaker opens are failed
-  (typed, never dropped) at their flush.
+  (typed, never dropped) at their flush.  A flush that ran reports one
+  event: a *failure* if it entered the fallback or its serial ticket
+  failed, else a success.
 * **Deadlines.**  Tickets optionally carry an absolute host-clock
   deadline (per-request ``deadline_ms`` or the controller default); it is
   checked at dequeue and again after the flush, and an expired ticket is
   fulfilled with :class:`~repro.errors.DeadlineExceededError` (HTTP 504)
   carrying its queue wait — expired work is never silently dropped.
 
-Every flush attaches a fresh dual-clock
+Every run attaches a fresh dual-clock
 :class:`~repro.obs.tracer.Tracer` to the machine (tracing is
-timing/byte-neutral; the bound host clock only annotates spans) and hands
-the per-flush delta reports, engine counters, span histograms and fault
-counter deltas (``fault_*``, ``io_retries_total``, ...) to a
+timing/byte-neutral; the bound host clock only annotates spans), and
+every flush hands its delta reports, engine counters, span histograms and
+fault counter deltas (``fault_*``, ``io_retries_total``, ...) to a
 ``metrics_sink`` callback — the service merges them into the long-lived
 ``/metrics`` registry, preserving the exact-reconciliation invariant (see
 docs/serving.md).  The flush id and every drained ticket's request id are
-stamped into the batch's ``query`` span attributes (end-to-end request
-tracing), and each fulfilled ticket carries the flush's span list for the
+stamped into the run's ``query`` span attributes (end-to-end request
+tracing), and each fulfilled ticket carries its run's span list for the
 service's ``/debug/requests`` ring.
 """
 
@@ -64,9 +70,9 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Union
 
-from repro.algorithms.streaming import BATCH_WIDTH
+from repro.algorithms.streaming import BATCH_WIDTH, StreamingAlgorithm
 from repro.engines.session import run_staged_queries
 from repro.errors import (
     CrashError,
@@ -90,13 +96,13 @@ DEFAULT_MAX_RECOVERIES = 4
 
 
 class Ticket:
-    """One admitted request: a root entry waiting for its flush."""
+    """One admitted request: what to run, waiting for its flush."""
 
     __slots__ = (
-        "request_id", "entry", "enqueued_at", "queue_wait",
-        "deadline_at", "deadline_ms",
-        "done", "result", "report", "flush_id", "flush_size", "error",
-        "report_id", "spans",
+        "request_id", "entry", "algorithm", "engine",
+        "enqueued_at", "queue_wait", "deadline_at", "deadline_ms",
+        "done", "result", "report", "flush_id", "flush_size", "flush_mode",
+        "error", "report_id", "spans",
     )
 
     def __init__(
@@ -106,24 +112,34 @@ class Ticket:
         enqueued_at: float = 0.0,
         deadline_at: Optional[float] = None,
         deadline_ms: Optional[float] = None,
+        algorithm: Optional[StreamingAlgorithm] = None,
+        engine=None,
     ):
         self.request_id = request_id
         self.entry = entry
+        #: The kernel to run; None is BFS, the one algorithm with a batched
+        #: kernel, so only such tickets share a flush.
+        self.algorithm = algorithm
+        #: A per-request engine (PageRank's round cap); None is the entry's.
+        self.engine = engine
         self.enqueued_at = enqueued_at
         self.queue_wait = 0.0
         self.deadline_at = deadline_at    # absolute host-clock expiry
         self.deadline_ms = deadline_ms    # as requested (for the 504 body)
         self.done = threading.Event()
         self.result = None          # EngineResult once fulfilled
-        self.report = None          # that flush's delta IOReport
+        self.report = None          # its run's delta IOReport
         self.flush_id: Optional[str] = None
         self.flush_size = 0
+        #: How the executor ran it: ``batched``, ``serial`` (a serial
+        #: algorithm) or ``serial_fallback`` (a degraded batch).
+        self.flush_mode: Optional[str] = None
         self.error: Optional[BaseException] = None
-        #: Report identity for metrics dedup: the flush id for batched
-        #: execution, ``{flush_id}-sNN`` for a serial-fallback re-run
-        #: (each fallback ticket carries its own delta report).
+        #: Report identity for metrics dedup: the flush id, except
+        #: ``{flush_id}-sNN`` for a serial-fallback re-run (each fallback
+        #: ticket carries its own delta report).
         self.report_id: Optional[str] = None
-        self.spans: Optional[list] = None  # the flush's span trace
+        self.spans: Optional[list] = None  # its run's span trace
 
 
 class FlushRecord:
@@ -206,8 +222,10 @@ class AdmissionController:
         request_id: str,
         entry: Union[int, Sequence[int]],
         deadline_ms: Optional[float] = None,
+        algorithm: Optional[StreamingAlgorithm] = None,
+        engine=None,
     ) -> Ticket:
-        """Admit one root entry or raise.
+        """Admit one query (a root entry and what to run on it) or raise.
 
         Deterministic: accepts iff the graph is not quarantined and the
         queue holds fewer than ``capacity`` tickets at the instant of the
@@ -215,7 +233,7 @@ class AdmissionController:
         :class:`GraphQuarantinedError` (its ``retry_after`` is the exact
         remaining cooldown) *before* anything touches the queue or the
         machine; a saturated queue raises :class:`QueueFullError` whose
-        ``retry_after`` is the (integer) number of full flushes needed to
+        ``retry_after`` is the (integer) number of flushes needed to
         drain the backlog.  A closed (shutting-down) controller raises
         :class:`ServeError`.  ``deadline_ms`` (or the controller default)
         stamps an absolute host-clock deadline on the ticket.
@@ -231,7 +249,7 @@ class AdmissionController:
             pending = len(self._queue)
             if pending >= self.capacity:
                 self._rejected += 1
-                flushes_needed = -(-pending // self.batch_width)  # ceil
+                flushes_needed = sum(1 for _ in self._flush_sizes())
                 raise QueueFullError(
                     f"admission queue for {self.entry.name!r} is full "
                     f"({pending}/{self.capacity})",
@@ -248,23 +266,48 @@ class AdmissionController:
                     else None
                 ),
                 deadline_ms=deadline_ms,
+                algorithm=algorithm,
+                engine=engine,
             )
             self._queue.append(ticket)
             self._accepted += 1
             return ticket
 
-    def flush(self) -> Optional[FlushRecord]:
-        """Drain up to ``batch_width`` tickets and run them as one batch.
+    def _flush_sizes(self) -> Iterator[int]:
+        """Sizes of the flushes that would drain the queue (mutex held).
 
-        Serialized on the entry lock (the machine rewinds to the staging
-        checkpoint around the batch).  Returns None when the queue was
-        empty.  Every drained ticket is fulfilled — already-expired
-        tickets get :class:`DeadlineExceededError`, tickets drained while
-        the breaker is open get :class:`GraphQuarantinedError` (the
-        machine is not touched), engine failures that survive retries and
-        the serial fallback get :class:`FlushFailedError`; nothing is
-        silently dropped.  A post-flush deadline check catches tickets
-        whose flush outlived their budget.
+        Each flush takes the longest queue prefix that can share one run:
+        consecutive BFS tickets up to ``batch_width``, or exactly one
+        ticket of any other algorithm.
+        """
+        size = 0  # BFS tickets in the run being formed
+        for ticket in self._queue:
+            if ticket.algorithm is not None:
+                if size:
+                    yield size
+                yield 1
+                size = 0
+            else:
+                size += 1
+                if size == self.batch_width:
+                    yield size
+                    size = 0
+        if size:
+            yield size
+
+    def flush(self) -> Optional[FlushRecord]:
+        """Drain the queue prefix that can share one run, and run it.
+
+        The prefix rule is :meth:`_flush_sizes`'s.  Serialized on the
+        entry lock (the machine rewinds to the staging checkpoint around
+        the run).  Returns None when the queue was empty.  Every drained
+        ticket is fulfilled — already-expired tickets get
+        :class:`DeadlineExceededError`, tickets drained while the breaker
+        is open get :class:`GraphQuarantinedError` (the machine is not
+        touched), engine failures that survive retries and the serial
+        fallback get :class:`FlushFailedError`; nothing is silently
+        dropped.  A post-flush deadline check catches tickets whose flush
+        outlived their budget.
         """
         with self.entry.lock:
             with self._mutex:
@@ -272,7 +315,7 @@ class AdmissionController:
                     return None
                 tickets = [
                     self._queue.popleft()
-                    for _ in range(min(self.batch_width, len(self._queue)))
+                    for _ in range(next(self._flush_sizes()))
                 ]
                 self._flush_count += 1
                 flush_id = f"{self.entry.name}-flush-{self._flush_count:06d}"
@@ -318,191 +361,170 @@ class AdmissionController:
                 t.done.set()
             return record
 
-    def _execute(self, flush_id: str, tickets: List[Ticket]) -> FlushRecord:
-        """Run one drained batch: batched-with-retries, serial fallback.
+    def _attempt(
+        self, tickets: List[Ticket], run_id: str, mode: str, **attrs: object
+    ):
+        """Rewind the machine and run ``tickets`` as one staged call, once.
 
-        Each batched attempt rewinds the machine to the staging checkpoint
-        first, so failed attempts leave no residue and a
-        success-after-retry result is bit-identical to a fault-free run;
-        crashes *inside* an attempt are absorbed by the
-        session recovery loop (``max_recoveries``).  Exhausting all
-        ``flush_retries`` batched attempts enters the serial fallback and
-        reports one flush failure to the entry's circuit breaker.
+        The one place the serving layer touches an entry's machine.
+        ``tickets`` share the head's kernel and engine (the flush prefix
+        rule).  Returns ``(batch, tracer)``; a ``CrashError`` that outlived
+        the session recovery loop (``max_recoveries``) or an
+        ``IOFaultError`` give-up propagates, and leaves no residue: the
+        next attempt starts from the staging checkpoint again.
+        """
+        entry = self.entry
+        head = tickets[0]
+        tracer = Tracer()
+        entry.machine.attach_tracer(tracer)
+        # Dual-clock: host stamps on the run's spans feed the request
+        # trace (/debug/requests/{id}); strictly neutral for sim results.
+        tracer.bind_host_clock(self.clock)
+        batch = run_staged_queries(
+            head.engine if head.engine is not None else entry.engine,
+            entry.staged,
+            entry.checkpoint,
+            [t.entry for t in tickets],
+            algorithm=head.algorithm,
+            mode=mode,
+            span_attrs={
+                "flush_id": run_id,
+                "request_ids": [t.request_id for t in tickets],
+                **attrs,
+            },
+            max_recoveries=self.max_recoveries,
+        )
+        return batch, tracer
+
+    def _execute(self, flush_id: str, tickets: List[Ticket]) -> FlushRecord:
+        """Run one drained prefix and account it: the one executor.
+
+        BFS tickets run batched, retried whole up to ``flush_retries``
+        times.  Exhausting those attempts enters the serial fallback:
+        each ticket runs alone, once, and a serial-algorithm ticket takes
+        that last step directly.  A ticket whose serial run fails carries
+        a typed :class:`FlushFailedError` chaining the underlying fault.
+        Whatever the route, one metrics delta reaches the sink and exactly
+        one event the entry's circuit breaker.
         """
         entry = self.entry
         injector = entry.machine.fault_injector
         fault_base = (
             injector.counts_snapshot() if injector is not None else None
         )
-        roots = [t.entry for t in tickets]
-        attempts = 0
-        failure: Optional[BaseException] = None
-        batch = None
-        tracer = Tracer()
-        while attempts < self.flush_retries:
-            attempts += 1
-            tracer = Tracer()
-            entry.machine.attach_tracer(tracer)
-            # Dual-clock: host stamps on the flush's spans feed the request
-            # trace (/debug/requests/{id}); strictly neutral for sim results.
-            tracer.bind_host_clock(self.clock)
-            try:
-                batch = run_staged_queries(
-                    entry.engine,
-                    entry.staged,
-                    entry.checkpoint,
-                    roots,
-                    mode="batched",
-                    span_attrs={
-                        "flush_id": flush_id,
-                        "request_ids": [t.request_id for t in tickets],
-                        "attempt": attempts,
-                    },
-                    max_recoveries=self.max_recoveries,
+        runs = []  # (tickets, batch, tracer, report id) of each run that held
+        attempts = 0  # batched attempts made
+        # The first typed failure still standing: the breaker's one event.
+        failure: Optional[FlushFailedError] = None
+        mode = "serial"
+        if tickets[0].algorithm is None:
+            mode = "batched"
+            while not runs and attempts < self.flush_retries:
+                attempts += 1
+                try:
+                    batch, tracer = self._attempt(
+                        tickets, flush_id, mode, attempt=attempts
+                    )
+                except (CrashError, IOFaultError) as exc:
+                    failure = FlushFailedError(
+                        f"flush {flush_id} batched attempt {attempts}/"
+                        f"{self.flush_retries} failed: {type(exc).__name__}",
+                        retry_after=1.0,
+                    )
+                    failure.__cause__ = exc
+                else:
+                    runs.append((tickets, batch, tracer, flush_id))
+                    failure = None
+        fallback = failure is not None
+        if not runs:
+            # No shared run: every ticket runs alone, once.
+            attrs, history = {}, "serial run"
+            if fallback:
+                mode, attrs = "serial_fallback", {"serial_fallback": 1}
+                history = (
+                    f"{attempts} batched attempt(s) "
+                    f"({type(failure.__cause__).__name__}), "
+                    "then serial fallback"
                 )
-                failure = None
-                break
-            except (CrashError, IOFaultError) as exc:
-                failure = FlushFailedError(
-                    f"flush {flush_id} batched attempt {attempts}/"
-                    f"{self.flush_retries} failed: {type(exc).__name__}",
-                    retry_after=1.0,
-                )
-                failure.__cause__ = exc
-        if batch is None:
-            return self._serial_fallback(
-                flush_id, tickets, failure, fault_base, attempts
-            )
-        # All queries of one <=BATCH_WIDTH flush share a single batch
-        # timeline, hence a single delta report object.
-        report = batch.queries[0].report
-        registry = CounterRegistry.from_report(report)
-        for ticket, result in zip(tickets, batch.queries):
-            ticket.result = result
-            ticket.report = report
-            ticket.report_id = flush_id
-            ticket.spans = tracer.spans
-            registry.ingest_result(result)
-        registry.ingest_spans(tracer)
-        registry.inc(
-            "serve_flushes_total", 1.0, graph=entry.name
-        )
-        registry.inc(
-            "serve_flushed_queries_total", float(len(tickets)),
-            graph=entry.name,
-        )
-        registry.observe(
-            "serve_flush_size", float(len(tickets)),
-            buckets=FLUSH_SIZE_BUCKETS, graph=entry.name,
-        )
-        if attempts > 1:
-            registry.inc(
-                "flush_retry_total", float(attempts - 1), graph=entry.name
-            )
-        self._ingest_fault_deltas(registry, fault_base)
-        with self._mutex:
-            entry.queries_served += len(tickets)
-            entry.flushes += 1
-            self._flush_retries_total += attempts - 1
-        entry.health.record_flush_success()
-        if self.metrics_sink is not None:
-            self.metrics_sink(registry)
-        return FlushRecord(flush_id, tickets, report, registry, tracer.spans)
-
-    def _serial_fallback(
-        self,
-        flush_id: str,
-        tickets: List[Ticket],
-        failure: Optional[BaseException],
-        fault_base: Optional[Dict],
-        attempts: int,
-    ) -> FlushRecord:
-        """Degraded mode: re-run each ticket alone after batched exhaustion.
-
-        Amortization is lost (one edge-scan timeline per ticket instead of
-        one shared) but requests still complete where the fault schedule
-        allows; a ticket whose serial run also fails carries a typed
-        :class:`FlushFailedError` chaining the underlying fault.  Exactly
-        one breaker failure event is recorded for the whole flush.
-        """
-        entry = self.entry
-        cause = getattr(failure, "__cause__", None)
-        cause_name = type(cause).__name__ if cause is not None else "unknown"
+            for index, t in enumerate(tickets):
+                run_id = f"{flush_id}-s{index:02d}" if fallback else flush_id
+                try:
+                    batch, tracer = self._attempt(
+                        [t], run_id, "serial", **attrs
+                    )
+                except (CrashError, IOFaultError) as exc:
+                    t.error = FlushFailedError(
+                        f"flush {flush_id} failed for request "
+                        f"{t.request_id}: {history} ({type(exc).__name__})",
+                        retry_after=entry.health.cooldown_seconds(),
+                    )
+                    t.error.__cause__ = exc
+                    failure = failure or t.error
+                else:
+                    runs.append(([t], batch, tracer, run_id))
         registry = CounterRegistry()
         spans: List = []
-        succeeded = 0
-        for index, t in enumerate(tickets):
-            report_id = f"{flush_id}-s{index:02d}"
-            tracer = Tracer()
-            entry.machine.attach_tracer(tracer)
-            tracer.bind_host_clock(self.clock)
-            try:
-                batch = run_staged_queries(
-                    entry.engine,
-                    entry.staged,
-                    entry.checkpoint,
-                    [t.entry],
-                    mode="serial",
-                    span_attrs={
-                        "flush_id": report_id,
-                        "request_ids": [t.request_id],
-                        "serial_fallback": 1,
-                    },
-                    max_recoveries=self.max_recoveries,
-                )
-            except (CrashError, IOFaultError) as exc:
-                error = FlushFailedError(
-                    f"flush {flush_id} failed for request "
-                    f"{t.request_id}: {attempts} batched attempt(s) "
-                    f"({cause_name}), then serial fallback "
-                    f"({type(exc).__name__})",
-                    retry_after=entry.health.cooldown_seconds(),
-                )
-                error.__cause__ = exc
-                t.error = error
-                continue
-            result = batch.queries[0]
-            t.result = result
-            t.report = result.report
-            t.report_id = report_id
-            t.spans = tracer.spans
+        report = None
+        for run_tickets, batch, tracer, report_id in runs:
+            # All queries of one run share a single timeline, hence a
+            # single delta report object.
+            report = batch.queries[0].report
+            registry.merge(CounterRegistry.from_report(report))
+            for ticket, result in zip(run_tickets, batch.queries):
+                ticket.result = result
+                ticket.report = report
+                ticket.report_id = report_id
+                ticket.flush_mode = mode
+                ticket.spans = tracer.spans
+                registry.ingest_result(result)
+            registry.ingest_spans(tracer)
             spans.extend(tracer.spans)
-            sub = CounterRegistry.from_report(result.report)
-            sub.ingest_result(result)
-            sub.ingest_spans(tracer)
-            registry.merge(sub)
-            succeeded += 1
+        served = sum(len(run_tickets) for run_tickets, *_ in runs)
+        retries = max(0, attempts - 1)
         registry.inc("serve_flushes_total", 1.0, graph=entry.name)
         registry.inc(
-            "serve_flushed_queries_total", float(succeeded),
-            graph=entry.name,
+            "serve_flushed_queries_total", float(served), graph=entry.name
         )
         registry.observe(
             "serve_flush_size", float(len(tickets)),
             buckets=FLUSH_SIZE_BUCKETS, graph=entry.name,
         )
-        registry.inc(
-            "flush_retry_total", float(attempts - 1), graph=entry.name
-        )
-        registry.inc(
-            "serve_flush_serial_fallback_total", 1.0, graph=entry.name
-        )
-        if succeeded < len(tickets):
+        if retries:
             registry.inc(
-                "serve_flush_failed_total",
-                float(len(tickets) - succeeded),
+                "flush_retry_total", float(retries), graph=entry.name
+            )
+        if fallback:
+            registry.inc(
+                "serve_flush_serial_fallback_total", 1.0, graph=entry.name
+            )
+        if served < len(tickets):
+            registry.inc(
+                "serve_flush_failed_total", float(len(tickets) - served),
                 graph=entry.name,
             )
-        self._ingest_fault_deltas(registry, fault_base)
+        if fault_base is not None:
+            # Injector counters are lifetime (never rewound by restores),
+            # so the delta against the pre-flush snapshot also captures
+            # faults from attempts that were rolled back — exactly what
+            # the chaos harness reconciles against the span trace.
+            for name, labels, value in injector.delta_samples(fault_base):
+                registry.inc(name, value, graph=entry.name, **labels)
         with self._mutex:
-            entry.queries_served += succeeded
+            entry.queries_served += served
             entry.flushes += 1
-            self._flush_retries_total += attempts - 1
-            self._serial_fallbacks += 1
-        entry.health.record_flush_failure(cause_name)
+            self._flush_retries_total += retries
+            self._serial_fallbacks += fallback
+        if failure is None:
+            entry.health.record_flush_success()
+        else:
+            entry.health.record_flush_failure(
+                type(failure.__cause__).__name__
+            )
         if self.metrics_sink is not None:
             self.metrics_sink(registry)
-        return FlushRecord(flush_id, tickets, None, registry, spans)
+        # One run is one delta report; fallback tickets each carry theirs.
+        shared = report if len(runs) == 1 else None
+        return FlushRecord(flush_id, tickets, shared, registry, spans)
 
     def _expire_tickets(self, tickets: List[Ticket], where: str) -> None:
         """Fulfil expired tickets with typed 504s; count, never drop."""
@@ -543,22 +565,6 @@ class AdmissionController:
         if self.metrics_sink is not None:
             self.metrics_sink(registry)
 
-    def _ingest_fault_deltas(
-        self, registry: CounterRegistry, fault_base: Optional[Dict]
-    ) -> None:
-        """Fold this flush's fault-counter growth into its metrics delta.
-
-        Injector counters are lifetime (never rewound by restores), so the
-        delta against the pre-flush snapshot also captures faults from
-        batched attempts that were rolled back — exactly what the chaos
-        harness reconciles against the span trace.
-        """
-        injector = self.entry.machine.fault_injector
-        if injector is None or fault_base is None:
-            return
-        for name, labels, value in injector.delta_samples(fault_base):
-            registry.inc(name, value, graph=self.entry.name, **labels)
-
     def drain_pending(self) -> int:
         """Flush until the queue is empty; returns tickets fulfilled."""
         total = 0
@@ -594,6 +600,8 @@ class AdmissionController:
         entry: Union[int, Sequence[int]],
         poll_interval: float = 0.005,
         deadline_ms: Optional[float] = None,
+        algorithm: Optional[StreamingAlgorithm] = None,
+        engine=None,
     ) -> Ticket:
         """Admit, then leader-or-wait until the ticket is fulfilled.
 
@@ -604,7 +612,10 @@ class AdmissionController:
         terminates.  Typed failures recorded on the ticket (engine, flush,
         quarantine, deadline) re-raise here.
         """
-        ticket = self.offer(request_id, entry, deadline_ms=deadline_ms)
+        ticket = self.offer(
+            request_id, entry, deadline_ms=deadline_ms,
+            algorithm=algorithm, engine=engine,
+        )
         while not ticket.done.is_set():
             with self._mutex:
                 held = self._held

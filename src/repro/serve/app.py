@@ -1,10 +1,12 @@
 """HTTP/JSON front door for the graph query service.
 
 Stdlib only (``http.server`` + ``ThreadingHTTPServer`` — no new runtime
-deps): each request runs on its own thread, BFS requests funnel through
-the per-graph :class:`~repro.serve.admission.AdmissionController` (so
-concurrent roots coalesce into MS-BFS batches), SSSP/PageRank run as
-serial staged queries under the graph's entry lock.
+deps): each request runs on its own thread, and every query, whatever its
+algorithm, is a ticket of the per-graph
+:class:`~repro.serve.admission.AdmissionController` (concurrent BFS roots
+coalesce into MS-BFS batches; an SSSP or PageRank ticket runs alone, in
+queue order).  This module parses payloads and encodes results; it never
+runs anything on a graph's machine or reports to its breaker itself.
 
 Endpoints (details + curl examples in docs/serving.md):
 
@@ -16,17 +18,21 @@ Endpoints (details + curl examples in docs/serving.md):
   (``{"spec": "rmat:scale=10,edge_factor=8,seed=7"}``).
 * ``GET  /graphs/{name}/stats`` — artifact + serving statistics.
 * ``POST /graphs/{name}/bfs`` — ``{"root": 3}`` or ``{"roots": [3, 4]}``
-  (one multi-source query); coalesced + batched.  Optional
-  ``"deadline_ms"`` bounds queue wait + flush time (expired → 504).
+  (one multi-source query); coalesced + batched.
 * ``POST /graphs/{name}/sssp`` — ``{"root": 3, "max_weight": 8}``.
 * ``POST /graphs/{name}/pagerank`` — ``{"rounds": 5, "damping": 0.85}``.
+
+The three query endpoints take an optional ``"deadline_ms"`` bounding
+queue wait + flush time (expired → 504).
 
 Every response leaves through one responder (``_Handler._respond``) as
 ONE write of head + body on a ``TCP_NODELAY`` socket, so a keep-alive
 client never waits out a delayed ACK between headers and body; that
 includes the refusals ``http.server`` makes on its own (bad request line,
 414, 431, 501, 505), which are typed JSON problems like every other
-error.  Every response with a head carries ``X-Request-Id`` (a request
+error.  A peer silent for :data:`READ_TIMEOUT_SECONDS` is given up: in
+the middle of a declared body with a typed 408, before that by closing.
+Every response with a head carries ``X-Request-Id`` (a request
 line without an HTTP/1.x version gets, per HTTP/0.9, the body alone);
 query responses additionally carry queue-wait and simulated-time
 breakdown headers plus the flush id (``report_id``) that keys the
@@ -45,6 +51,7 @@ from __future__ import annotations
 
 import json
 import re
+import socket
 import sys
 import threading
 from http import HTTPStatus
@@ -55,15 +62,12 @@ from urllib.parse import parse_qs, urlparse
 from repro.algorithms.pagerank import PageRankAlgorithm
 from repro.algorithms.sssp import WeightedSSSPAlgorithm, hash_weights
 from repro.algorithms.streaming import BFSAlgorithm
-from repro.engines.session import run_staged_queries
 from repro.errors import (
     ConfigError,
-    CrashError,
     DeadlineExceededError,
     EngineError,
     FlushFailedError,
     GraphQuarantinedError,
-    IOFaultError,
     QueueFullError,
     ReproError,
     ServeError,
@@ -73,8 +77,7 @@ from repro.obs.counters import DEFAULT_DURATION_BUCKETS, CounterRegistry
 from repro.obs.exporters import PROMETHEUS_CONTENT_TYPE, to_prometheus
 from repro.obs.hostprof import HOST_CLOCK, HostClock
 from repro.obs.timeseries import TimeSeries, quantile_summary
-from repro.obs.tracer import Tracer
-from repro.serve.admission import DEFAULT_MAX_RECOVERIES, AdmissionController
+from repro.serve.admission import AdmissionController
 from repro.serve.debug import RequestLog, RequestRecord
 from repro.serve.health import STATE_CODES, BreakerPolicy
 from repro.serve.registry import ArtifactRegistry, GraphEntry, parse_graph_spec
@@ -86,11 +89,20 @@ JSON_CONTENT_TYPE = "application/json"
 #: seconds a request sat in the admission queue).
 QUEUE_WAIT_BUCKETS = (0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0)
 
-QUERY_ALGORITHMS = ("bfs", "sssp", "pagerank")
-
 #: Largest request body the server reads; a larger ``Content-Length`` is
 #: refused with a typed 413 before any of it is read.
 MAX_BODY_BYTES = 1 << 20
+
+#: Most PageRank rounds one request may ask for: every round is a full
+#: edge scan on the graph's one machine, with every other ticket waiting.
+MAX_PAGERANK_ROUNDS = 100
+
+#: Seconds a connection may stay silent in a read (request line, headers
+#: or a declared body) before its handler thread gives it up.  Not
+#: smaller: keep-alive clients legitimately idle between requests, and
+#: ``benchmarks/perf``'s connections park for seconds at phase and block
+#: boundaries while the harness probes the host.
+READ_TIMEOUT_SECONDS = 30.0
 
 #: Client-supplied ``X-Request-Id`` values must match this (safe charset,
 #: length-capped); anything else falls back to a generated id.
@@ -162,6 +174,132 @@ def _problem_for(exc: Exception) -> _RequestProblem:
     return _RequestProblem(
         500, "internal_error", f"{type(exc).__name__}: {exc}"
     )
+
+
+def _extract_roots(entry: GraphEntry, payload: Dict):
+    """Pull root/roots out of a payload, boundary-validated."""
+    if "roots" in payload:
+        roots = payload["roots"]
+        if (
+            not isinstance(roots, list)
+            or not roots
+            or not all(_is_int(r) for r in roots)
+        ):
+            raise _RequestProblem(
+                400, "bad_root",
+                "\"roots\" must be a non-empty list of integers",
+            )
+        root_entry: object = roots
+    elif "root" in payload:
+        if not _is_int(payload["root"]):
+            raise _RequestProblem(
+                400, "bad_root", "\"root\" must be an integer"
+            )
+        root_entry = int(payload["root"])
+    else:
+        raise _RequestProblem(
+            400, "bad_root", "payload needs \"root\" or \"roots\""
+        )
+    roots_list = root_entry if isinstance(root_entry, list) else [root_entry]
+    # Validate here so a bad root 400s instead of poisoning a batch.
+    BFSAlgorithm().validate_roots(entry.graph.num_vertices, roots_list)
+    return root_entry
+
+
+def _extract_deadline(payload: Dict) -> Optional[float]:
+    """Pull an optional per-request ``deadline_ms`` out of a payload."""
+    deadline_ms = payload.get("deadline_ms")
+    if deadline_ms is None:
+        return None
+    if (
+        isinstance(deadline_ms, bool)
+        or not isinstance(deadline_ms, (int, float))
+        # False for NaN (it never expires), for +-Infinity and for an
+        # integer float() cannot hold; int/float comparison is exact.
+        or not 0 < deadline_ms <= sys.float_info.max
+    ):
+        raise _RequestProblem(
+            400, "bad_request",
+            "\"deadline_ms\" must be a finite number > 0 (milliseconds)",
+        )
+    return float(deadline_ms)
+
+
+# Per algorithm: a payload parser returning what the ticket carries,
+# ``(root entry or None, kernel or None = BFS, per-request engine or
+# None)``, and an encoder of the result's JSON.
+
+def _parse_bfs(entry: GraphEntry, payload: Dict):
+    return _extract_roots(entry, payload), None, None
+
+
+def _parse_sssp(entry: GraphEntry, payload: Dict):
+    root_entry = _extract_roots(entry, payload)
+    max_weight = payload.get("max_weight", 8)
+    # Weights ride in the u4 update payload; a larger bound would only
+    # fail inside the flush, in whichever thread leads it.
+    if not _is_int(max_weight) or not 1 <= max_weight < 1 << 32:
+        raise _RequestProblem(
+            400, "bad_request", "\"max_weight\" must be an int in [1, 2^32)"
+        )
+    return root_entry, WeightedSSSPAlgorithm(hash_weights(max_weight)), None
+
+
+def _parse_pagerank(entry: GraphEntry, payload: Dict):
+    rounds = payload.get("rounds", 5)
+    if not _is_int(rounds) or not 1 <= rounds <= MAX_PAGERANK_ROUNDS:
+        raise _RequestProblem(
+            400, "bad_request",
+            f"\"rounds\" must be an int in [1, {MAX_PAGERANK_ROUNDS}]",
+        )
+    damping = payload.get("damping", 0.85)
+    if not isinstance(damping, (int, float)) or not 0.0 < damping < 1.0:
+        raise _RequestProblem(
+            400, "bad_request", "\"damping\" must be in (0, 1)"
+        )
+    kernel = PageRankAlgorithm(
+        entry.graph.out_degrees(), damping=float(damping)
+    )
+    # PageRank has no convergence event: cap the rounds on a per-request
+    # engine sharing the staged artifact's config.
+    engine = type(entry.engine)(
+        entry.engine.config.with_(max_iterations=rounds)
+    )
+    return None, kernel, engine
+
+
+def _encode_bfs(result) -> Dict:
+    return {
+        "levels": result.levels.tolist(),
+        "parents": result.parents.tolist(),
+        "num_iterations": int(result.num_iterations),
+        "edges_scanned": int(result.edges_scanned),
+    }
+
+
+def _encode_sssp(result) -> Dict:
+    return {
+        "distances": result.output["distance"].tolist(),
+        "unreached_value": 0xFFFFFFFF,
+        "num_iterations": int(result.num_iterations),
+    }
+
+
+def _encode_pagerank(result) -> Dict:
+    return {
+        "ranks": result.output["rank"].tolist(),
+        "rounds": int(result.num_iterations),
+    }
+
+
+#: The whole dispatch: algorithm -> (payload parser, result encoder).
+_QUERIES = {
+    "bfs": (_parse_bfs, _encode_bfs),
+    "sssp": (_parse_sssp, _encode_sssp),
+    "pagerank": (_parse_pagerank, _encode_pagerank),
+}
+
+QUERY_ALGORITHMS = tuple(_QUERIES)
 
 
 class GraphService:
@@ -358,6 +496,11 @@ class GraphService:
         with self._metrics_lock:
             self._registry_metrics.inc("client_disconnect_total", 1.0)
 
+    def count_timeout(self) -> None:
+        """A peer went silent mid-request and its connection was given up."""
+        with self._metrics_lock:
+            self._registry_metrics.inc("client_timeout_total", 1.0)
+
     def metrics_snapshot(self) -> CounterRegistry:
         """Copy of the service registry (safe to export/reconcile)."""
         snap = CounterRegistry()
@@ -365,39 +508,45 @@ class GraphService:
             snap.merge(self._registry_metrics)
         return snap
 
-    def _count_request(
-        self, graph: str, algorithm: str, status: int,
-        queue_wait: Optional[float] = None,
-        sim_seconds: Optional[float] = None,
-    ) -> None:
+    def finish_request(self, record: RequestRecord) -> None:
+        """Account one answered query request, whatever its status.
+
+        ``serve_requests_total`` and the wait / service histograms, the
+        rolling time-series and the debug ring all read the one record:
+        a 429 burst or a 504 is explainable after the fact by id, and an
+        expired ticket's queue wait stays visible in the histograms.
+        """
+        queue_wait = record.timing.get("queue_wait_seconds")
+        sim_seconds = record.timing.get("sim_execution_seconds")
         with self._metrics_lock:
             self._registry_metrics.inc(
                 "serve_requests_total",
                 1.0,
-                graph=graph,
-                algorithm=algorithm,
-                status=status,
+                graph=record.graph,
+                algorithm=record.algorithm,
+                status=record.status,
             )
             if queue_wait is not None:
                 self._registry_metrics.observe(
                     "serve_queue_wait_seconds",
                     queue_wait,
                     buckets=QUEUE_WAIT_BUCKETS,
-                    graph=graph,
+                    graph=record.graph,
                 )
             if sim_seconds is not None:
                 self._registry_metrics.observe(
                     "serve_service_sim_seconds",
                     sim_seconds,
                     buckets=DEFAULT_DURATION_BUCKETS,
-                    graph=graph,
+                    graph=record.graph,
                 )
         self.timeseries.record_request(
-            graph,
+            record.graph,
             queue_wait=queue_wait or 0.0,
             service_time=sim_seconds or 0.0,
-            error=status >= 400,
+            error=record.status >= 400,
         )
+        self.request_log.record(record)
 
     def next_request_id(self) -> str:
         with self._request_lock:
@@ -417,105 +566,43 @@ class GraphService:
     ) -> Tuple[Dict, Dict[str, str]]:
         """Run one query; returns (JSON body, extra headers).
 
-        Raises library errors for the handler to map to HTTP problems.
+        Every algorithm takes the same path: parse and validate the
+        payload, wait for the ticket's flush, encode the result.  Raises
+        library errors for the handler to map to HTTP problems.
         """
         if self._draining:
             raise ServeError("service is shutting down")
         entry = self.registry.get(name)
-        if algorithm == "bfs":
-            return self._handle_bfs(entry, payload, request_id)
-        if algorithm == "sssp":
-            return self._handle_serial(
-                entry, payload, request_id, "sssp"
-            )
-        if algorithm == "pagerank":
-            return self._handle_serial(
-                entry, payload, request_id, "pagerank"
-            )
-        raise _RequestProblem(
-            404, "not_found",
-            f"unknown algorithm {algorithm!r}; options: {QUERY_ALGORITHMS}",
-        )
-
-    def _extract_roots(self, entry: GraphEntry, payload: Dict):
-        """Pull root/roots out of a payload, boundary-validated."""
-        if "roots" in payload:
-            roots = payload["roots"]
-            if (
-                not isinstance(roots, list)
-                or not roots
-                or not all(_is_int(r) for r in roots)
-            ):
-                raise _RequestProblem(
-                    400, "bad_root",
-                    "\"roots\" must be a non-empty list of integers",
-                )
-            root_entry: object = roots
-        elif "root" in payload:
-            if not _is_int(payload["root"]):
-                raise _RequestProblem(
-                    400, "bad_root", "\"root\" must be an integer"
-                )
-            root_entry = int(payload["root"])
-        else:
+        if algorithm not in _QUERIES:
             raise _RequestProblem(
-                400, "bad_root", "payload needs \"root\" or \"roots\""
+                404, "not_found",
+                f"unknown algorithm {algorithm!r}; options: {QUERY_ALGORITHMS}",
             )
-        roots_list = root_entry if isinstance(root_entry, list) else [root_entry]
-        # Validate here so a bad root 400s instead of poisoning a batch.
-        BFSAlgorithm().validate_roots(entry.graph.num_vertices, roots_list)
-        return root_entry
-
-    def _extract_deadline(self, payload: Dict) -> Optional[float]:
-        """Pull an optional per-request ``deadline_ms`` out of a payload."""
-        deadline_ms = payload.get("deadline_ms")
-        if deadline_ms is None:
-            return None
-        if (
-            isinstance(deadline_ms, bool)
-            or not isinstance(deadline_ms, (int, float))
-            # False for NaN (it never expires), for +-Infinity and for an
-            # integer float() cannot hold; int/float comparison is exact.
-            or not 0 < deadline_ms <= sys.float_info.max
-        ):
-            raise _RequestProblem(
-                400, "bad_request",
-                "\"deadline_ms\" must be a finite number > 0 (milliseconds)",
-            )
-        return float(deadline_ms)
-
-    def _handle_bfs(
-        self, entry: GraphEntry, payload: Dict, request_id: str
-    ) -> Tuple[Dict, Dict[str, str]]:
-        root_entry = self._extract_roots(entry, payload)
-        deadline_ms = self._extract_deadline(payload)
+        parse, encode = _QUERIES[algorithm]
+        root_entry, kernel, engine = parse(entry, payload)
+        deadline_ms = _extract_deadline(payload)
         controller = self.controller(entry)
         ticket = controller.submit(
-            request_id, root_entry, deadline_ms=deadline_ms
+            request_id,
+            # A root-free algorithm still fills a slot; 0 satisfies the API.
+            0 if root_entry is None else root_entry,
+            deadline_ms=deadline_ms,
+            algorithm=kernel,
+            engine=engine,
         )
-        result = ticket.result
         report = ticket.report
         body = {
             "graph": entry.name,
-            "algorithm": "bfs",
+            "algorithm": algorithm,
             "engine": entry.engine.name,
             "request_id": request_id,
             "root": root_entry,
             "flush": {
                 "id": ticket.flush_id,
                 "size": ticket.flush_size,
-                "mode": (
-                    "batched"
-                    if ticket.report_id == ticket.flush_id
-                    else "serial_fallback"
-                ),
+                "mode": ticket.flush_mode,
             },
-            "result": {
-                "levels": result.levels.tolist(),
-                "parents": result.parents.tolist(),
-                "num_iterations": int(result.num_iterations),
-                "edges_scanned": int(result.edges_scanned),
-            },
+            "result": encode(ticket.result),
             "report": report.to_dict(),
             "report_id": ticket.report_id,
             "timing": {
@@ -533,154 +620,18 @@ class GraphService:
             "X-Flush-Id": str(ticket.flush_id),
             "X-Flush-Size": str(ticket.flush_size),
         }
-        self._count_request(
-            entry.name, "bfs", 200, ticket.queue_wait, report.execution_time
-        )
         self.timeseries.sample_depth(entry.name, controller.depth)
-        self.request_log.record(
+        self.finish_request(
             RequestRecord(
                 request_id=request_id,
                 graph=entry.name,
-                algorithm="bfs",
+                algorithm=algorithm,
                 roots=root_entry,
                 status=200,
                 flush_id=ticket.flush_id,
                 flush_size=ticket.flush_size,
                 timing=body["timing"],
                 spans=ticket.spans,
-            )
-        )
-        return body, headers
-
-    def _handle_serial(
-        self, entry: GraphEntry, payload: Dict, request_id: str, kind: str
-    ) -> Tuple[Dict, Dict[str, str]]:
-        engine = entry.engine
-        if kind == "sssp":
-            root_entry = self._extract_roots(entry, payload)
-            max_weight = payload.get("max_weight", 8)
-            if not _is_int(max_weight) or max_weight < 1:
-                raise _RequestProblem(
-                    400, "bad_request", "\"max_weight\" must be an int >= 1"
-                )
-            algo = WeightedSSSPAlgorithm(hash_weights(max_weight))
-        else:
-            rounds = payload.get("rounds", 5)
-            if not _is_int(rounds) or rounds < 1:
-                raise _RequestProblem(
-                    400, "bad_request", "\"rounds\" must be an int >= 1"
-                )
-            damping = payload.get("damping", 0.85)
-            if not isinstance(damping, (int, float)) or not 0.0 < damping < 1.0:
-                raise _RequestProblem(
-                    400, "bad_request", "\"damping\" must be in (0, 1)"
-                )
-            algo = PageRankAlgorithm(
-                entry.graph.out_degrees(), damping=float(damping)
-            )
-            root_entry = 0  # PageRank is root-free; slot 0 satisfies the API
-            # PageRank has no convergence event: cap the rounds on a
-            # per-request engine sharing the staged artifact's config.
-            engine = type(entry.engine)(
-                entry.engine.config.with_(max_iterations=rounds)
-            )
-        entry.health.admit()
-        with entry.lock:
-            injector = entry.machine.fault_injector
-            fault_base = (
-                injector.counts_snapshot() if injector is not None else None
-            )
-            tracer = Tracer()
-            entry.machine.attach_tracer(tracer)
-            tracer.bind_host_clock(self.clock)
-            failure: Optional[FlushFailedError] = None
-            try:
-                batch = run_staged_queries(
-                    engine,
-                    entry.staged,
-                    entry.checkpoint,
-                    [root_entry],
-                    algorithm=algo,
-                    mode="serial",
-                    span_attrs={
-                        "flush_id": request_id,
-                        "request_ids": [request_id],
-                    },
-                    max_recoveries=DEFAULT_MAX_RECOVERIES,
-                )
-            except (CrashError, IOFaultError) as exc:
-                entry.health.record_flush_failure(type(exc).__name__)
-                failure = FlushFailedError(
-                    f"serial {kind} query {request_id} failed: "
-                    f"{type(exc).__name__}: {exc}",
-                    retry_after=entry.health.retry_after(),
-                )
-                failure.__cause__ = exc
-                registry = CounterRegistry()
-            else:
-                entry.health.record_flush_success()
-                result = batch.queries[0]
-                registry = CounterRegistry.from_report(result.report)
-                registry.ingest_result(result)
-                registry.ingest_spans(tracer)
-                registry.inc("serve_serial_queries_total", 1.0,
-                             graph=entry.name, algorithm=kind)
-                entry.queries_served += 1
-            # Injector counts are lifetime (a rewind never takes them
-            # back), so a failed query's faults reach /metrics too.
-            if fault_base is not None:
-                for cname, labels, value in injector.delta_samples(fault_base):
-                    registry.inc(cname, value, graph=entry.name, **labels)
-        self._merge_metrics(registry)
-        if failure is not None:
-            raise failure
-        report = result.report
-        if kind == "sssp":
-            output = {
-                "distances": result.output["distance"].tolist(),
-                "unreached_value": 0xFFFFFFFF,
-                "num_iterations": int(result.num_iterations),
-            }
-        else:
-            output = {
-                "ranks": result.output["rank"].tolist(),
-                "rounds": int(result.num_iterations),
-            }
-        body = {
-            "graph": entry.name,
-            "algorithm": kind,
-            "engine": engine.name,
-            "request_id": request_id,
-            "root": root_entry if kind == "sssp" else None,
-            "flush": None,
-            "result": output,
-            "report": report.to_dict(),
-            "report_id": request_id,
-            "timing": {
-                "queue_wait_seconds": 0.0,
-                "sim_execution_seconds": report.execution_time,
-                "sim_compute_seconds": report.compute_time,
-                "sim_iowait_seconds": report.iowait_time,
-            },
-        }
-        headers = {
-            "X-Queue-Wait-Seconds": "0.000000",
-            "X-Sim-Execution-Seconds": f"{report.execution_time:.9f}",
-            "X-Sim-Compute-Seconds": f"{report.compute_time:.9f}",
-            "X-Sim-Iowait-Seconds": f"{report.iowait_time:.9f}",
-        }
-        self._count_request(entry.name, kind, 200, None, report.execution_time)
-        self.request_log.record(
-            RequestRecord(
-                request_id=request_id,
-                graph=entry.name,
-                algorithm=kind,
-                roots=root_entry if kind == "sssp" else None,
-                status=200,
-                flush_id=request_id,
-                flush_size=1,
-                timing=body["timing"],
-                spans=tracer.spans,
             )
         )
         return body, headers
@@ -759,6 +710,11 @@ class _Handler(BaseHTTPRequestHandler):
     # TCP_NODELAY on every accepted socket: the tail of a response larger
     # than one segment is never held for the peer's ACK either.
     disable_nagle_algorithm = True
+    # socketserver's own class attribute: a socket timeout on every
+    # accepted connection, so a silent peer cannot pin its handler thread.
+    # Expiry is caught as socket.timeout, the class raised on Python 3.9
+    # (an alias of TimeoutError only from 3.10).
+    timeout = READ_TIMEOUT_SECONDS
 
     @property
     def service(self) -> GraphService:
@@ -766,6 +722,14 @@ class _Handler(BaseHTTPRequestHandler):
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # HTTP access logging is the deployment's job, not ours
+
+    def log_error(self, format, *args):  # noqa: A002 - stdlib signature
+        # With send_error overridden the stdlib has one caller left:
+        # handle_one_request, whose read of a request line or of headers
+        # timed out.  It closes the connection without a response (there
+        # is no request to answer); all that is left to do is count it.
+        if args and isinstance(args[0], socket.timeout):
+            self.service.count_timeout()
 
     def handle_one_request(self) -> None:
         # The stdlib refuses some requests before it parses their path or
@@ -912,12 +876,24 @@ class _Handler(BaseHTTPRequestHandler):
                 f"{MAX_BODY_BYTES}-byte limit",
                 headers={"Connection": "close"},
             )
-        raw = self.rfile.read(int(declared))
+        try:
+            raw = self.rfile.read(int(declared))
+        except socket.timeout:
+            # Raised out of do_POST's funnel it would be a 500; the rest
+            # of the body may still arrive, so the connection closes.
+            self.service.count_timeout()
+            raise _RequestProblem(
+                408, "request_timeout",
+                f"request body stopped short of its {declared} declared "
+                f"bytes for {self.timeout:g}s",
+                headers={"Connection": "close"},
+            )
         if not raw:
             return {}
         try:
             payload = json.loads(raw.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
+        except (ValueError, UnicodeDecodeError, RecursionError) as exc:
+            # RecursionError is the parser's own refusal of absurd nesting.
             raise _RequestProblem(
                 400, "bad_request", f"malformed JSON body: {exc}"
             )
@@ -962,10 +938,13 @@ class _Handler(BaseHTTPRequestHandler):
         )
         try:
             self.wfile.write(head if self.command == "HEAD" else head + data)
-        except ConnectionError:
-            # The client hung up mid-response.  The work is already done
-            # and accounted; swallow the write failure (re-raising would
-            # just stack-trace in the handler thread) and count it.
+        except (ConnectionError, socket.timeout):
+            # The client hung up, or stopped reading, mid-response.  The
+            # work is already done and accounted; swallow the write
+            # failure (re-raising would just stack-trace in the handler
+            # thread), count it, and write nothing more to a connection
+            # that holds half a response.
+            self.close_connection = True
             self.service.count_disconnect(self.path, request_id)
 
     def _send_json(
@@ -990,19 +969,13 @@ class _Handler(BaseHTTPRequestHandler):
             graph = parts[1]
         algorithm = parts[2] if len(parts) == 3 else None
         if graph is not None and algorithm in QUERY_ALGORITHMS:
-            # Deadline problems carry the expired ticket's queue wait so
-            # 504s stay visible in the wait histograms and time-series.
-            self.service._count_request(
-                graph, algorithm, problem.status, problem.queue_wait
-            )
-            # Failed query requests land in the debug ring too — a 429
-            # burst should be explainable after the fact by id.
-            self.service.request_log.record(
+            self.service.finish_request(
                 RequestRecord(
                     request_id=request_id,
                     graph=graph,
                     algorithm=algorithm,
                     status=problem.status,
+                    # Deadline problems carry the expired ticket's wait.
                     timing=(
                         {"queue_wait_seconds": problem.queue_wait}
                         if problem.queue_wait is not None

@@ -32,7 +32,7 @@ from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engines.session import StagedGraph
-from repro.errors import ConfigError, UnknownGraphError
+from repro.errors import ConfigError, GraphError, UnknownGraphError
 from repro.graph.datasets import DATASETS, build_dataset
 from repro.graph.generators import (
     grid_graph,
@@ -123,6 +123,8 @@ def parse_graph_spec(spec: str) -> Tuple[str, Graph]:
             f"generator spec {spec!r} is missing required parameters "
             f"(accepted: {param_names})"
         )
+    except GraphError as exc:
+        raise ConfigError(f"generator spec {spec!r} is refused: {exc}")
     return alias or graph.name, graph
 
 
@@ -130,9 +132,10 @@ class GraphEntry:
     """One registered graph: sealed artifact, warm machine, serial lock.
 
     ``lock`` serializes every execution touching ``machine`` — the machine
-    rewinds to ``checkpoint`` around each query batch, so two concurrent
-    executions would corrupt each other's timelines.  The admission
-    controller holds it for the whole of a batched flush.
+    rewinds to ``checkpoint`` around each run, so two concurrent
+    executions would corrupt each other's timelines.  Its one taker is
+    the admission controller, which holds it for the whole of a flush
+    (whatever the algorithm of the tickets it drained).
     """
 
     def __init__(

@@ -2,7 +2,7 @@
 
 Two kinds of rule share one table (:data:`RULES`), one dispatcher
 (:func:`run_all_rules`) and one finding type.  The *local* rules
-(FB102-FB109, FB205, FB208) walk one module's AST, scoped by the module's
+(FB102-FB110, FB205, FB208) walk one module's AST, scoped by the module's
 subsystem; the *whole-program* rules consume the symbol table / call
 graph / effect tables and judge *reach*.  ``docs/static_analysis.md`` has
 the one catalogue table with scopes.
@@ -36,6 +36,13 @@ FB109  broad-except-in-engine
     inside ``engines/`` or ``core/``: fault injection signals through
     typed :class:`~repro.errors.ReproError` subclasses, and a broad
     handler turns a recoverable fault into wrong output.
+FB110  serve-single-executor
+    Under ``serve/``, no ``run_staged_queries(...)`` or
+    ``*.attach_tracer(...)`` call outside ``serve/admission.py``: every
+    served query is a ticket of the admission queue, whose executor is the
+    one place a registered graph's machine runs anything.  A second call
+    site is a second path that deadlines, capacity, quarantine and drain
+    never see.
 FB201  obs-timing-neutrality
     Observability code (``repro/obs/``, except the benchmark driver
     ``obs/bench.py``) must not reach ``CLOCK_ADVANCE`` or ``DEVICE_IO``.
@@ -126,6 +133,7 @@ RULES: Dict[str, str] = {
     "FB107": "_RunState construction outside engines/core",
     "FB108": "print() call inside engines/core",
     "FB109": "bare/broad except inside engines/core (catch ReproError subclasses)",
+    "FB110": "serve-layer query execution outside the admission executor",
     "FB200": "file failed to parse (syntax error)",
     "FB201": "observability code reaches CLOCK_ADVANCE/DEVICE_IO",
     "FB202": "front-end layer reaches VFS_MUTATE outside engine entry points",
@@ -213,17 +221,19 @@ def run_all_rules(project: Project) -> List[Finding]:
 
 
 # ----------------------------------------------------------------------
-# FB102-FB109
+# FB102-FB110
 # ----------------------------------------------------------------------
 
 #: Subsystems that own per-query run state and run under injected faults.
 _ENGINE_SUBSYSTEMS = frozenset({"engines", "core"})
 _CLOCK_PRIVATE_ATTRS = frozenset({"_now", "_compute_time", "_iowait_time"})
 _BROAD_EXCEPTION_NAMES = frozenset({"Exception", "BaseException"})
+#: What running a query on a registered graph's machine takes.
+_SERVE_EXECUTION_CALLS = frozenset({"run_staged_queries", "attach_tracer"})
 
 
 def check_local_rules(project: Project) -> List[Finding]:
-    """FB102-FB109, one AST pass per module of the ``repro`` package.
+    """FB102-FB110, one AST pass per module of the ``repro`` package.
 
     Modules outside the package are exempt, so a ``tests/`` tree handed
     to the analyzer may assert and build fixtures by hand.
@@ -240,7 +250,7 @@ def check_local_rules(project: Project) -> List[Finding]:
 
 
 class _LocalRulesVisitor(ast.NodeVisitor):
-    """All eight rules in one walk; each is scoped by the module's name."""
+    """All nine rules in one walk; each is scoped by the module's name."""
 
     def __init__(self, module: ModuleInfo) -> None:
         self.path = module.path
@@ -283,7 +293,7 @@ class _LocalRulesVisitor(ast.NodeVisitor):
             )
         self.generic_visit(node)
 
-    # -- FB104 / FB106 / FB107 / FB108 ---------------------------------
+    # -- FB104 / FB106 / FB107 / FB108 / FB110 -------------------------
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         callee = last_name(func, self.imports)
@@ -325,6 +335,19 @@ class _LocalRulesVisitor(ast.NodeVisitor):
                 "FB108",
                 f"print() in {self.subsystem}/ — engines report through "
                 "EngineResult, spans and counters (repro.obs), never stdout",
+            )
+        if (
+            callee in _SERVE_EXECUTION_CALLS
+            and self.subsystem == "serve"
+            and self.module != "repro.serve.admission"
+        ):
+            self._flag(
+                node,
+                "FB110",
+                f"{callee}() in serve/ outside admission.py — submit a "
+                "ticket to the graph's AdmissionController instead (a "
+                "second executor bypasses deadlines, capacity, quarantine "
+                "and drain)",
             )
         self.generic_visit(node)
 

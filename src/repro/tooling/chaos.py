@@ -44,13 +44,15 @@ The ``serve`` profile points the same seeded-fault machinery at a live
 server on a fault-injected registry (one of the named
 :data:`SERVE_FAULT_PROFILES` plans — the same plans ``repro serve
 --fault-profile`` installs), replays a deterministic request sequence
-twice to prove health-state transitions are a pure function of the seed,
-fires a 16-way concurrent burst asserting no response is lost or
-duplicated and every failure is a typed error, drives an expired-deadline
-sweep, and finally reconciles ``/metrics`` exactly — device bytes against
-the deduped per-flush reports, and ``fault_*`` / ``flush_retry_total`` /
-``breaker_state`` / ``deadline_exceeded_total`` against the injector and
-breaker ground truth.
+(BFS with SSSP and PageRank steps mixed in: every algorithm is a ticket
+of the one admission queue) twice to prove health-state transitions are a
+pure function of the seed, checks every 200 against its query's
+fault-free answer, fires a 16-way concurrent burst asserting no response
+is lost or duplicated and every failure is a typed error, drives an
+expired-deadline sweep, and finally reconciles ``/metrics`` exactly —
+device bytes against the deduped per-flush reports, and ``fault_*`` /
+``flush_retry_total`` / ``breaker_state`` / ``deadline_exceeded_total``
+against the injector and breaker ground truth.
 """
 
 from __future__ import annotations
@@ -138,6 +140,15 @@ SERVE_FAULT_PROFILES: Tuple[str, ...] = ("transient", "crashy", "hostile")
 
 #: Requests in the deterministic (phase A) serve-chaos sequence.
 SERVE_SEQUENCE = 12
+
+#: Algorithm of sequence step ``i`` (cycled): the serial algorithms ride
+#: the same admission queue, so faults must find them on it too.
+SERVE_STEP_ALGORITHMS = ("bfs", "bfs", "sssp", "bfs", "bfs", "pagerank")
+SERVE_SSSP_MAX_WEIGHT = 4
+SERVE_PAGERANK_ROUNDS = 2
+
+#: Where a 200 body of each algorithm carries its answer.
+_ANSWER_FIELDS = {"bfs": "levels", "sssp": "distances", "pagerank": "ranks"}
 
 #: Concurrent clients in the serve-chaos burst phase.
 SERVE_BURST = 16
@@ -536,34 +547,79 @@ def _serve_request(
     return status, resp_headers, data
 
 
-def _serve_service(profile: str, trial_seed: int, graph: Graph, clock):
-    """Boot one fault-injected GraphService over ``graph`` (as ``"g"``)."""
-    from repro.serve import GraphService
-
-    plan = serve_fault_plan(profile, trial_seed)
-    config = FastBFSConfig(
-        edge_buffer_bytes=2 * KB,
-        update_buffer_bytes=1 * KB,
-        stay_buffer_bytes=1 * KB,
-        num_partitions=4,
-        allow_in_memory=False,
-        rotate_streams=True,
-        retry=RetryPolicy(max_attempts=4),
-    )
-    service = GraphService(
-        port=0,
+def _serve_registry_kwargs() -> dict:
+    """How the serve profile stages graphs: tiny buffers, two disks,
+    out-of-core always (faults fire on device I/O), I/O retries on."""
+    return dict(
         engine="fastbfs",
-        config=config,
+        config=FastBFSConfig(
+            edge_buffer_bytes=2 * KB,
+            update_buffer_bytes=1 * KB,
+            stay_buffer_bytes=1 * KB,
+            num_partitions=4,
+            allow_in_memory=False,
+            rotate_streams=True,
+            retry=RetryPolicy(max_attempts=4),
+        ),
         machine_factory=lambda: Machine(
             [DeviceSpec.hdd("hdd0"), DeviceSpec.hdd("hdd1")],
             memory=2 * MB,
             cores=4,
         ),
-        fault_plan=plan,
+    )
+
+
+def _serve_service(profile: str, trial_seed: int, graph: Graph, clock):
+    """Boot one fault-injected GraphService over ``graph`` (as ``"g"``)."""
+    from repro.serve import GraphService
+
+    service = GraphService(
+        port=0,
+        fault_plan=serve_fault_plan(profile, trial_seed),
         clock=clock,
+        **_serve_registry_kwargs(),
     ).start()
     service.register("g", graph)
     return service
+
+
+def _serve_answers(graph: Graph, roots: List[int]) -> Dict[tuple, list]:
+    """The fault-free answer of every query the serve profile sends,
+    keyed ``(algorithm, root)`` as a 200 body names them.
+
+    BFS and SSSP have in-memory references.  PageRank is float32, equal
+    to its reference only within accumulation-order noise, so its oracle
+    is a clean direct run on an identically staged artifact.
+    """
+    from repro.algorithms.pagerank import PageRankAlgorithm
+    from repro.algorithms.sssp import hash_weights, reference_sssp
+    from repro.engines.session import run_staged_queries
+    from repro.serve.registry import ArtifactRegistry
+
+    answers: Dict[tuple, list] = {}
+    weights = hash_weights(SERVE_SSSP_MAX_WEIGHT)
+    for root in roots:
+        answers["bfs", root] = bfs_levels(graph, root).tolist()
+        answers["sssp", root] = reference_sssp(graph, root, weights).tolist()
+    entry = ArtifactRegistry(**_serve_registry_kwargs()).register("g", graph)
+    (clean,) = run_staged_queries(
+        type(entry.engine)(
+            entry.engine.config.with_(max_iterations=SERVE_PAGERANK_ROUNDS)
+        ),
+        entry.staged,
+        entry.checkpoint,
+        [0],
+        algorithm=PageRankAlgorithm(graph.out_degrees()),
+    ).queries
+    answers["pagerank", None] = clean.output["rank"].tolist()
+    return answers
+
+
+def _diverges(body: dict, answers: Dict[tuple, list]) -> bool:
+    """Whether a 200 body differs from its query's fault-free answer."""
+    algorithm = body["algorithm"]
+    got = body["result"][_ANSWER_FIELDS[algorithm]]
+    return got != answers[algorithm, body["root"]]
 
 
 def _serve_transitions(port: int) -> List[Tuple[str, str, str]]:
@@ -584,9 +640,18 @@ def _drive_sequence(service, clock, roots) -> Tuple[List[int], List[dict], str]:
     statuses: List[int] = []
     ok_bodies: List[dict] = []
     for i in range(SERVE_SEQUENCE):
+        algorithm = SERVE_STEP_ALGORITHMS[i % len(SERVE_STEP_ALGORITHMS)]
+        payload = {
+            "bfs": {"root": roots[i % len(roots)]},
+            "sssp": {
+                "root": roots[i % len(roots)],
+                "max_weight": SERVE_SSSP_MAX_WEIGHT,
+            },
+            "pagerank": {"rounds": SERVE_PAGERANK_ROUNDS},
+        }[algorithm]
         status, _, body = _serve_request(
-            service.port, "POST", "/graphs/g/bfs",
-            payload={"root": roots[i % len(roots)]},
+            service.port, "POST", f"/graphs/g/{algorithm}",
+            payload=payload,
             request_id=f"seq-{i:02d}",
         )
         statuses.append(status)
@@ -604,7 +669,7 @@ def _drive_sequence(service, clock, roots) -> Tuple[List[int], List[dict], str]:
     return statuses, ok_bodies, ""
 
 
-def _drive_burst(service, roots, references) -> Tuple[List[dict], int, str]:
+def _drive_burst(service, roots, answers) -> Tuple[List[dict], int, str]:
     """Phase B: a concurrent burst; no response lost, duplicated or untyped."""
     import threading
 
@@ -644,8 +709,7 @@ def _drive_burst(service, roots, references) -> Tuple[List[dict], int, str]:
         if not isinstance(body, dict) or body.get("request_id") != rid:
             return [], 0, f"{rid}: response id mismatch ({body!r})"
         if status == 200:
-            levels = np.asarray(body["result"]["levels"])
-            if not np.array_equal(levels, references[i % len(references)]):
+            if _diverges(body, answers):
                 return [], 0, f"{rid}: levels diverge from reference"
             ok_bodies.append(body)
         elif status in (429, 503, 504):
@@ -765,7 +829,7 @@ def _run_serve_trial(
     trial_seed: int,
     graph: Graph,
     roots: List[int],
-    references: List[np.ndarray],
+    answers: Dict[tuple, list],
 ) -> ChaosTrial:
     from repro.obs.hostprof import ManualHostClock
 
@@ -782,13 +846,11 @@ def _run_serve_trial(
             trial.detail = problem
             return trial
         for body in seq_bodies:
-            root = body["root"]
-            ref = references[roots.index(root)]
-            if not np.array_equal(np.asarray(body["result"]["levels"]), ref):
+            if _diverges(body, answers):
                 trial.detail = f"sequence response {body['request_id']} diverges"
                 return trial
         burst_bodies, burst_errors, problem = _drive_burst(
-            service, roots, references
+            service, roots, answers
         )
         if problem:
             trial.detail = problem
@@ -863,15 +925,13 @@ def run_serve_chaos(
     )
     order = np.argsort(-graph.out_degrees())
     roots = [int(v) for v in order[:BATCH_QUERIES]]
-    references = [bfs_levels(graph, r) for r in roots]
+    answers = _serve_answers(graph, roots)
     records: List[ChaosTrial] = []
     for index in range(count):
         profile = SERVE_FAULT_PROFILES[index % len(SERVE_FAULT_PROFILES)]
         trial_seed = seed * 1_000_003 + index
         records.append(
-            _run_serve_trial(
-                index, profile, trial_seed, graph, roots, references
-            )
+            _run_serve_trial(index, profile, trial_seed, graph, roots, answers)
         )
     return ChaosReport(profile="serve", seed=seed, trials=records)
 

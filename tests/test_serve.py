@@ -18,9 +18,18 @@ import socket
 import threading
 import time
 
+import numpy as np
 import pytest
 
+from repro.algorithms.pagerank import PageRankAlgorithm
+from repro.algorithms.reference import bfs_levels
+from repro.algorithms.sssp import (
+    WeightedSSSPAlgorithm,
+    hash_weights,
+    reference_sssp,
+)
 from repro.api import run_queries
+from repro.engines.session import run_staged_queries
 from repro.errors import ConfigError, QueueFullError, UnknownGraphError
 from repro.graph.generators import rmat_graph, star_graph
 from repro.obs.exporters import parse_prometheus
@@ -75,6 +84,20 @@ def service():
 QUERY_KEYS = {
     "graph", "algorithm", "engine", "request_id", "root",
     "flush", "result", "report", "report_id", "timing",
+}
+
+
+#: Per serial algorithm: the payload of request ``i`` (root ``i`` where
+#: there is one) and whether a 200 body answers it.
+SERIAL_QUERIES = {
+    "sssp": (
+        lambda i: {"root": i},
+        lambda i, body: body["result"]["distances"][i] == 0,
+    ),
+    "pagerank": (
+        lambda i: {"rounds": 1 + i % 2},
+        lambda i, body: len(body["result"]["ranks"]) == 256,
+    ),
 }
 
 
@@ -152,7 +175,8 @@ class TestEndpointSchemas:
         )
         assert status == 200
         assert set(body) == QUERY_KEYS
-        assert body["algorithm"] == "sssp" and body["flush"] is None
+        assert body["algorithm"] == "sssp"
+        assert body["flush"]["mode"] == "serial" and body["flush"]["size"] == 1
         result = body["result"]
         assert set(result) == {"distances", "unreached_value", "num_iterations"}
         assert len(result["distances"]) == 256
@@ -276,6 +300,62 @@ class TestErrorBodies:
         assert status == 400
         assert body["error"]["type"] == "bad_request"
 
+    @pytest.mark.parametrize("spec", [
+        "rmat:scale=40,edge_factor=8,seed=1",
+        "rmat:scale=-3,edge_factor=8,seed=1",
+        "path:num_vertices=0",
+    ])
+    def test_register_spec_the_generator_refuses(self, service, spec):
+        with pytest.raises(ConfigError) as exc:
+            parse_graph_spec(spec)
+        status, _, body = request(
+            service, "POST", "/graphs/bad", payload={"spec": spec}
+        )
+        assert status == 400, body
+        assert body["error"] == {
+            "type": "bad_request", "message": str(exc.value),
+        }
+        assert "bad" not in service.registry
+
+    def test_deeply_nested_json_is_a_typed_400(self, service):
+        # json.loads gives up on this with RecursionError, not ValueError
+        depth = 100_000
+        status, _, body = request(
+            service, "POST", "/graphs/tiny/bfs",
+            raw_body="[" * depth + "]" * depth,
+        )
+        assert status == 400, body
+        assert body["error"]["type"] == "bad_request"
+        assert "malformed JSON body" in body["error"]["message"]
+
+    def test_sssp_weight_bound_must_fit_the_update_payload(self, service):
+        # json integers are unbounded; numpy's uint64 is not
+        status, _, body = request(
+            service, "POST", "/graphs/tiny/sssp",
+            raw_body='{"root": 3, "max_weight": 1%s}' % ("0" * 30),
+        )
+        assert status == 400, body
+        assert body["error"]["type"] == "bad_request"
+        assert "max_weight" in body["error"]["message"]
+
+    def test_pagerank_rounds_are_capped(self, service):
+        from repro.serve.app import MAX_PAGERANK_ROUNDS
+
+        for rounds in (MAX_PAGERANK_ROUNDS + 1, 1_000_000_000):
+            status, _, body = request(
+                service, "POST", "/graphs/tiny/pagerank",
+                payload={"rounds": rounds},
+            )
+            assert status == 400, rounds
+            assert body["error"]["type"] == "bad_request"
+            assert str(MAX_PAGERANK_ROUNDS) in body["error"]["message"]
+        status, _, body = request(
+            service, "POST", "/graphs/tiny/pagerank",
+            payload={"rounds": MAX_PAGERANK_ROUNDS},
+        )
+        assert status == 200
+        assert len(body["result"]["ranks"]) == 256
+
 
 class TestHostileContentLength:
     """``Content-Length`` is outside input.  A value that cannot be a body
@@ -332,18 +412,25 @@ class TestHostileContentLength:
 
 
 class TestShutdownDrain:
-    def test_shutdown_fulfills_queued_tickets(self):
-        svc = GraphService(port=0, warmup=(TINY_SPEC,)).start()
+    @staticmethod
+    def drain(algorithm, payload_for, check, flushes):
+        """Fill a held queue to capacity, overflow it once, shut down.
+
+        The overflow is a deterministic 429 whose ``Retry-After`` is the
+        ``flushes`` the backlog needs; ``shutdown(drain=True)`` answers
+        every queued request (``check(i, body)``) in that many flushes.
+        """
+        n = 5
+        svc = GraphService(port=0, warmup=(TINY_SPEC,), capacity=n).start()
         entry = svc.registry.get("tiny")
         controller = svc.controller(entry)
         controller.hold()  # tickets accumulate, nobody can flush
-        n = 5
+        path = f"/graphs/tiny/{algorithm}"
         results = [None] * n
 
         def fire(i):
             results[i] = request(
-                svc, "POST", "/graphs/tiny/bfs", payload={"root": i},
-                retries=2,
+                svc, "POST", path, payload=payload_for(i), retries=2
             )
 
         threads = [
@@ -356,81 +443,232 @@ class TestShutdownDrain:
             threading.Event().wait(0.05)
             deadline -= 1
         assert controller.depth == n
+        status, headers, body = request(
+            svc, "POST", path, payload=payload_for(0)
+        )
+        assert status == 429
+        assert body["error"]["type"] == "queue_full"
+        assert headers["Retry-After"] == str(flushes)
         svc.shutdown()  # drain=True: every queued ticket must be answered
         for t in threads:
             t.join(timeout=30)
         for i, (status, _, body) in enumerate(results):
             assert status == 200
-            assert body["result"]["levels"][i] == 0
-        # the whole backlog went out as one coalesced flush
+            check(i, body)
         flush_ids = {body["flush"]["id"] for _, _, body in results}
-        assert len(flush_ids) == 1
+        assert len(flush_ids) == flushes
+        assert controller.depth == 0
         with pytest.raises(OSError):
             request(svc, "GET", "/healthz", timeout=2)
 
+    def test_shutdown_fulfills_queued_tickets(self):
+        def check(i, body):
+            assert body["result"]["levels"][i] == 0
+
+        # the whole backlog goes out as one coalesced flush
+        self.drain("bfs", lambda i: {"root": i}, check, flushes=1)
+
+    @pytest.mark.parametrize("algorithm", sorted(SERIAL_QUERIES))
+    def test_shutdown_fulfills_queued_serial_tickets(self, algorithm):
+        payload_for, answers = SERIAL_QUERIES[algorithm]
+
+        def check(i, body):
+            assert answers(i, body)
+            assert body["flush"]["size"] == 1
+
+        self.drain(algorithm, payload_for, check, flushes=5)
+
 
 class TestConcurrencyEquivalence:
-    def test_concurrent_bfs_matches_serial_and_metrics_reconcile(self):
+    GRAPH = dict(scale=9, edge_factor=8, seed=17)
+
+    def burst(self, queries):
+        """Fire ``(algorithm, payload)`` queries at one fresh service, one
+        thread each; returns the 200 bodies in query order, after checking
+        that the flushes partition the burst and ``/metrics`` reconciles."""
         spec = "g@rmat:scale=9,edge_factor=8,seed=17"
         svc = GraphService(port=0, warmup=(spec,)).start()
         try:
-            roots = [(7 * i) % 500 for i in range(16)]
-            results = [None] * len(roots)
+            results = [None] * len(queries)
 
             def fire(i):
+                algorithm, payload = queries[i]
                 results[i] = request(
-                    svc, "POST", "/graphs/g/bfs",
-                    payload={"root": roots[i]}, retries=2,
+                    svc, "POST", f"/graphs/g/{algorithm}",
+                    payload=payload, retries=2,
                 )
 
             threads = [
                 threading.Thread(target=fire, args=(i,))
-                for i in range(len(roots))
+                for i in range(len(queries))
             ]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join(timeout=300)
             assert all(r is not None and r[0] == 200 for r in results)
+            bodies = [body for _, _, body in results]
 
-            # (1) bit-identical to the serial batch front door
-            graph = rmat_graph(scale=9, edge_factor=8, seed=17)
-            serial = run_queries(graph, roots)
-            for i, (_, _, body) in enumerate(results):
-                assert serial.queries[i].levels.tolist() == (
-                    body["result"]["levels"]
-                )
-                assert serial.queries[i].parents.tolist() == (
-                    body["result"]["parents"]
-                )
-
-            # (2) flushes coalesce and never exceed the batch width
+            # flushes coalesce and never exceed the batch width
             sizes_by_flush = {}
-            for _, _, body in results:
+            for body in bodies:
                 sizes_by_flush[body["flush"]["id"]] = body["flush"]["size"]
             assert all(1 <= s <= 64 for s in sizes_by_flush.values())
-            assert sum(sizes_by_flush.values()) == len(roots)
+            assert sum(sizes_by_flush.values()) == len(queries)
 
-            # (3) /metrics reconciles exactly with the per-request
+            # /metrics reconciles exactly with the per-request
             # IOReports: queries of one flush share that flush's delta
             # report (dedup by report_id), plus the staging report.
             _, _, metrics_text = request(svc, "GET", "/metrics")
             registry = parse_prometheus(metrics_text)
             _, _, stats = request(svc, "GET", "/graphs/g/stats")
             unique = {}
-            for _, _, body in results:
+            for body in bodies:
                 unique[body["report_id"]] = body["report"]
             merged = merge_reports(
                 [IOReport.from_dict(stats["staging_report"])]
                 + [IOReport.from_dict(d) for d in unique.values()]
             )
             assert registry.reconcile(merged) == []
+            return bodies
         finally:
             svc.shutdown()
 
+    def test_concurrent_bfs_matches_serial_and_metrics_reconcile(self):
+        roots = [(7 * i) % 500 for i in range(16)]
+        bodies = self.burst([("bfs", {"root": root}) for root in roots])
+        # bit-identical to the serial batch front door
+        serial = run_queries(rmat_graph(**self.GRAPH), roots)
+        for i, body in enumerate(bodies):
+            assert serial.queries[i].levels.tolist() == (
+                body["result"]["levels"]
+            )
+            assert serial.queries[i].parents.tolist() == (
+                body["result"]["parents"]
+            )
+
+    def test_concurrent_mixed_algorithms_reconcile(self):
+        roots = [(7 * i) % 500 for i in range(16)]
+        queries = [
+            (
+                ("bfs", {"root": root}),
+                ("sssp", {"root": root, "max_weight": 4}),
+                ("pagerank", {"rounds": 2}),
+            )[i % 3]
+            for i, root in enumerate(roots)
+        ]
+        bodies = self.burst(queries)
+        graph = rmat_graph(**self.GRAPH)
+        ranks = None
+        for (algorithm, payload), body in zip(queries, bodies):
+            assert body["algorithm"] == algorithm
+            result = body["result"]
+            if algorithm == "bfs":
+                assert result["levels"] == bfs_levels(
+                    graph, payload["root"]
+                ).tolist()
+                assert body["flush"]["mode"] == "batched"
+                continue
+            # a serial ticket never shares a flush, hence nor a report
+            assert body["flush"] == {
+                "id": body["report_id"], "size": 1, "mode": "serial",
+            }
+            if algorithm == "sssp":
+                assert result["distances"] == reference_sssp(
+                    graph, payload["root"], hash_weights(4)
+                ).tolist()
+            else:
+                ranks = ranks or result["ranks"]
+                assert result["ranks"] == ranks  # same query, same bits
+
+
+def direct_entry():
+    """The tiny graph registered as ``GraphService()`` registers it."""
+    return ArtifactRegistry().register(
+        "tiny", rmat_graph(scale=8, edge_factor=8, seed=7)
+    )
+
+
+class TestServedEqualsDirect:
+    """A served serial answer and its report are, bit for bit, those of a
+    direct ``run_staged_queries`` on an identically registered entry."""
+
+    @pytest.mark.parametrize("max_weight", [1, 4])
+    def test_sssp(self, service, max_weight):
+        entry = direct_entry()
+        for root in (3, 17, 100, 255):
+            status, _, body = request(
+                service, "POST", "/graphs/tiny/sssp",
+                payload={"root": root, "max_weight": max_weight},
+            )
+            assert status == 200
+            (direct,) = run_staged_queries(
+                entry.engine, entry.staged, entry.checkpoint, [root],
+                algorithm=WeightedSSSPAlgorithm(hash_weights(max_weight)),
+            ).queries
+            distances = direct.output["distance"]
+            assert body["result"]["distances"] == distances.tolist()
+            assert body["result"]["num_iterations"] == direct.num_iterations
+            assert body["report"] == direct.report.to_dict()
+            assert np.array_equal(
+                distances,
+                reference_sssp(entry.graph, root, hash_weights(max_weight)),
+            )
+
+    @pytest.mark.parametrize("rounds", [1, 3])
+    def test_pagerank(self, service, rounds):
+        # float32: the in-memory reference agrees only to within
+        # accumulation-order noise, so the direct run is the oracle
+        entry = direct_entry()
+        status, _, body = request(
+            service, "POST", "/graphs/tiny/pagerank",
+            payload={"rounds": rounds},
+        )
+        assert status == 200
+        engine = type(entry.engine)(
+            entry.engine.config.with_(max_iterations=rounds)
+        )
+        (direct,) = run_staged_queries(
+            engine, entry.staged, entry.checkpoint, [0],
+            algorithm=PageRankAlgorithm(entry.graph.out_degrees()),
+        ).queries
+        assert body["result"]["ranks"] == direct.output["rank"].tolist()
+        assert body["result"]["rounds"] == direct.num_iterations
+        assert body["report"] == direct.report.to_dict()
+
+
+def ticket_kwargs(entry, algorithm):
+    """What ``offer``/``submit`` take to run ``algorithm`` (cf. serve.app)."""
+    if algorithm == "sssp":
+        return {"algorithm": WeightedSSSPAlgorithm(hash_weights(4))}
+    if algorithm == "pagerank":
+        return {
+            "algorithm": PageRankAlgorithm(entry.graph.out_degrees()),
+            "engine": type(entry.engine)(
+                entry.engine.config.with_(max_iterations=2)
+            ),
+        }
+    return {}
+
+
+def answered(ticket, algorithm, root):
+    """Whether a fulfilled ticket holds its own query's answer."""
+    if algorithm == "bfs":
+        return ticket.result.levels[root] == 0
+    if algorithm == "sssp":
+        return ticket.result.output["distance"][root] == 0
+    return len(ticket.result.output["rank"]) > root
+
 
 class TestAdmissionFuzz:
-    def test_seeded_bursts_deterministic(self):
+    @staticmethod
+    def seeded_bursts(draw_algorithm):
+        """80 seeded offer/flush steps against a sequential model queue.
+
+        The model applies the prefix rule (a run of BFS tickets up to
+        ``width``, anything else alone) and must agree with the controller
+        on every accept, every 429 hint and every flush's tickets.
+        """
         registry = ArtifactRegistry(max_graphs=2)
         entry = registry.register("star", star_graph(63))
         capacity, width = 8, 4
@@ -438,50 +676,92 @@ class TestAdmissionFuzz:
             entry, capacity=capacity, batch_width=width
         )
         rng = random.Random(1234)
-        model_queue = []  # mirrors the controller's FIFO: request ids
+        model_queue = []  # mirrors the controller's FIFO: (id, algorithm)
         tickets = {}
-        flushed = []  # (flush_id, [request ids]) in flush order
+
+        def model_flushes():
+            """The runs the model queue drains in, oldest first."""
+            runs = []
+            for rid, algorithm in model_queue:
+                if (
+                    algorithm == "bfs" and runs
+                    and runs[-1][-1][1] == "bfs" and len(runs[-1]) < width
+                ):
+                    runs[-1].append((rid, algorithm))
+                else:
+                    runs.append([(rid, algorithm)])
+            return runs
+
         next_id = 0
         for step in range(80):
             if rng.random() < 0.7:
                 rid = f"t-{next_id:04d}"
                 next_id += 1
                 root = rng.randrange(64)
+                algorithm = draw_algorithm(rng)
+                kwargs = ticket_kwargs(entry, algorithm)
                 if len(model_queue) < capacity:
-                    ticket = controller.offer(rid, root)
-                    tickets[rid] = (ticket, root)
-                    model_queue.append(rid)
+                    ticket = controller.offer(rid, root, **kwargs)
+                    tickets[rid] = (ticket, algorithm, root)
+                    model_queue.append((rid, algorithm))
                 else:
                     # deterministic rejection with a deterministic hint
                     with pytest.raises(QueueFullError) as exc:
-                        controller.offer(rid, root)
-                    expected = max(1, -(-len(model_queue) // width))
+                        controller.offer(rid, root, **kwargs)
+                    expected = max(1, len(model_flushes()))
                     assert exc.value.retry_after == float(expected)
             else:
                 record = controller.flush()
                 if not model_queue:
                     assert record is None
                 else:
-                    expected = model_queue[: width]
+                    expected = [rid for rid, _ in model_flushes()[0]]
                     del model_queue[: len(expected)]
                     assert record is not None
-                    assert record.size == len(expected) <= 64
+                    assert record.size == len(expected) <= width
                     got = [t.request_id for t in record.tickets]
                     assert got == expected  # strict FIFO, no dup/loss
-                    flushed.append((record.flush_id, got))
         drained = controller.drain_pending()
         assert drained == len(model_queue)
 
         # no lost or duplicated responses: every accepted ticket was
-        # fulfilled exactly once with its own root's traversal
-        for rid, (ticket, root) in tickets.items():
+        # fulfilled exactly once with its own query's answer
+        for rid, (ticket, algorithm, root) in tickets.items():
             assert ticket.done.is_set(), rid
             assert ticket.error is None
-            assert ticket.result.levels[root] == 0
+            assert answered(ticket, algorithm, root), rid
         counters = controller.counters()
         assert counters["accepted"] == len(tickets)
         assert counters["queue_depth"] == 0
-        assert all(size <= 64 for _, ids in flushed for size in [len(ids)])
+        return [algorithm for _, algorithm, _ in tickets.values()]
+
+    def test_seeded_bursts_deterministic(self):
+        self.seeded_bursts(lambda rng: "bfs")
+
+    def test_seeded_bursts_mixed_algorithms(self):
+        ran = self.seeded_bursts(
+            lambda rng: rng.choice(["bfs", "bfs", "sssp", "pagerank"])
+        )
+        assert set(ran) == {"bfs", "sssp", "pagerank"}
+
+    def test_flush_takes_the_prefix_that_can_share_one_run(self):
+        registry = ArtifactRegistry(max_graphs=1)
+        entry = registry.register("star", star_graph(15))
+        controller = AdmissionController(entry)
+        offered = ["bfs", "bfs", "sssp", "bfs", "pagerank"]
+        for i, algorithm in enumerate(offered):
+            controller.offer(f"r{i}", i, **ticket_kwargs(entry, algorithm))
+        records = []
+        while (record := controller.flush()) is not None:
+            records.append(record)
+        assert [r.size for r in records] == [2, 1, 1, 1]
+        drained = [t for r in records for t in r.tickets]
+        assert [t.request_id for t in drained] == [f"r{i}" for i in range(5)]
+        assert [t.flush_mode for t in drained] == [
+            "batched", "batched", "serial", "batched", "serial",
+        ]
+        for i, (ticket, algorithm) in enumerate(zip(drained, offered)):
+            assert ticket.error is None and answered(ticket, algorithm, i)
 
     def test_same_seed_same_decisions(self):
         """The accept/reject trace is a pure function of the op sequence."""

@@ -43,7 +43,7 @@ from repro.storage.machine import IOReport, Machine, merge_reports
 from repro.tooling.chaos import serve_fault_plan
 from repro.utils.units import KB, MB
 
-from tests.test_serve import request
+from tests.test_serve import request, ticket_kwargs
 
 GRAPH = rmat_graph(scale=8, edge_factor=8, seed=7)
 
@@ -240,22 +240,33 @@ class TestSerialEndpointFaultAccounting:
             svc.shutdown()
 
 
+#: One request per algorithm, for the cases that must not care which.
+PAYLOADS = {
+    "bfs": {"root": 3},
+    "sssp": {"root": 3, "max_weight": 4},
+    "pagerank": {"rounds": 2},
+}
+SERIAL = ["sssp", "pagerank"]
+
+
 class TestDeadlines:
-    def test_bad_deadline_payloads_are_rejected(self):
+    @staticmethod
+    def bad_deadline_payloads(algorithm):
         svc = make_service()
         try:
             svc.register("g", GRAPH)
             for bad in (-5, 0, "fast", True):
                 status, _, body = request(
-                    svc, "POST", "/graphs/g/bfs",
-                    payload={"root": 3, "deadline_ms": bad},
+                    svc, "POST", f"/graphs/g/{algorithm}",
+                    payload={**PAYLOADS[algorithm], "deadline_ms": bad},
                 )
                 assert status == 400
                 assert body["error"]["type"] == "bad_request"
         finally:
             svc.shutdown()
 
-    def test_queue_expiry_is_a_typed_504(self):
+    @staticmethod
+    def queue_expiry(algorithm):
         clock = ManualHostClock()
         svc = make_service(clock=clock)
         try:
@@ -266,8 +277,8 @@ class TestDeadlines:
 
             def fire(i):
                 outcomes[i] = request(
-                    svc, "POST", "/graphs/g/bfs",
-                    payload={"root": 3, "deadline_ms": 50.0},
+                    svc, "POST", f"/graphs/g/{algorithm}",
+                    payload={**PAYLOADS[algorithm], "deadline_ms": 50.0},
                 )
 
             threads = [
@@ -283,6 +294,12 @@ class TestDeadlines:
             for status, headers, body in outcomes.values():
                 assert status == 504
                 assert body["error"]["type"] == "deadline_exceeded"
+                # the 504 carries the wait that ate the budget
+                assert "queue wait 200.0ms" in body["error"]["message"]
+                _, _, record = request(
+                    svc, "GET", f"/debug/requests/{body['request_id']}"
+                )
+                assert record["queue_wait_seconds"] == pytest.approx(0.2)
             assert controller.counters()["deadline_expired"] == 3
             assert controller.depth == 0
             registry = svc.metrics_snapshot()
@@ -290,7 +307,8 @@ class TestDeadlines:
         finally:
             svc.shutdown()
 
-    def test_default_deadline_applies_server_wide(self):
+    @staticmethod
+    def default_deadline(algorithm):
         clock = ManualHostClock()
         svc = make_service(clock=clock, default_deadline_ms=50.0)
         try:
@@ -300,7 +318,10 @@ class TestDeadlines:
             out = {}
             t = threading.Thread(
                 target=lambda: out.update(
-                    r=request(svc, "POST", "/graphs/g/bfs", payload={"root": 3})
+                    r=request(
+                        svc, "POST", f"/graphs/g/{algorithm}",
+                        payload=PAYLOADS[algorithm],
+                    )
                 )
             )
             t.start()
@@ -314,7 +335,8 @@ class TestDeadlines:
         finally:
             svc.shutdown()
 
-    def test_post_flush_expiry_never_drops_the_ticket(self):
+    @staticmethod
+    def post_flush_expiry(algorithm):
         clock = ManualHostClock()
         svc = make_service(clock=clock)
         try:
@@ -324,12 +346,68 @@ class TestDeadlines:
                 clock=clock,
                 metrics_sink=lambda registry: clock.advance(10.0),
             )
-            ticket = controller.offer("late", 3, deadline_ms=1000.0)
+            ticket = controller.offer(
+                "late", 3, deadline_ms=1000.0,
+                **ticket_kwargs(entry, algorithm),
+            )
             controller.flush()
             assert ticket.done.is_set()
             assert isinstance(ticket.error, DeadlineExceededError)
             assert "post-flush" in str(ticket.error)
             assert controller.counters()["deadline_expired"] == 1
+        finally:
+            svc.shutdown()
+
+    def test_bad_deadline_payloads_are_rejected(self):
+        self.bad_deadline_payloads("bfs")
+
+    def test_queue_expiry_is_a_typed_504(self):
+        self.queue_expiry("bfs")
+
+    def test_default_deadline_applies_server_wide(self):
+        self.default_deadline("bfs")
+
+    def test_post_flush_expiry_never_drops_the_ticket(self):
+        self.post_flush_expiry("bfs")
+
+    @pytest.mark.parametrize("algorithm", SERIAL)
+    @pytest.mark.parametrize("case", [
+        "bad_deadline_payloads", "queue_expiry", "default_deadline",
+        "post_flush_expiry",
+    ])
+    def test_serial_algorithms_keep_the_deadline_contract(
+        self, case, algorithm
+    ):
+        getattr(self, case)(algorithm)
+
+    @pytest.mark.parametrize("algorithm", SERIAL)
+    def test_served_serial_ticket_reports_its_queue_wait(self, algorithm):
+        clock = ManualHostClock()
+        svc = make_service(clock=clock)
+        try:
+            entry = svc.register("g", GRAPH)
+            controller = svc.controller(entry)
+            controller.hold()
+            out = {}
+            t = threading.Thread(
+                target=lambda: out.update(
+                    r=request(
+                        svc, "POST", f"/graphs/g/{algorithm}",
+                        payload=PAYLOADS[algorithm],
+                    )
+                )
+            )
+            t.start()
+            assert wait_until(lambda: controller.depth == 1)
+            clock.advance(5.0)
+            controller.release()
+            t.join()
+            status, headers, body = out["r"]
+            assert status == 200
+            assert headers["X-Queue-Wait-Seconds"] == "5.000000"
+            assert body["timing"]["queue_wait_seconds"] == 5.0
+            assert headers["X-Flush-Id"] == body["flush"]["id"]
+            assert headers["X-Flush-Size"] == "1"
         finally:
             svc.shutdown()
 
@@ -373,7 +451,8 @@ class TestClientDisconnect:
 
 
 class TestDrainUnderFaults:
-    def test_drain_pending_types_every_ticket_and_empties_the_queue(self):
+    @staticmethod
+    def drain_pending_types_every_ticket(algorithm):
         svc = make_service(
             fault_plan=BROKEN_PLAN,
             # Keep the breaker out of the way: this test pins down drain
@@ -383,9 +462,10 @@ class TestDrainUnderFaults:
         try:
             entry = svc.register("g", GRAPH)
             controller = svc.controller(entry)
+            kwargs = ticket_kwargs(entry, algorithm)
             controller.hold()
             tickets = [
-                controller.offer(f"drain-{i}", 3) for i in range(3)
+                controller.offer(f"drain-{i}", 3, **kwargs) for i in range(3)
             ]
             assert controller.depth == 3
             controller.release()
@@ -395,21 +475,100 @@ class TestDrainUnderFaults:
                 assert ticket.done.is_set()
                 assert isinstance(ticket.error, FlushFailedError)
             with pytest.raises(FlushFailedError):
-                controller.submit("one-more", 3)
+                controller.submit("one-more", 3, **kwargs)
         finally:
             svc.shutdown(drain=True)  # must not hang
 
-    def test_quarantined_offer_is_rejected_before_the_queue(self):
+    @staticmethod
+    def quarantined_offer_is_rejected(algorithm):
         svc = make_service(fault_plan=BROKEN_PLAN)
         try:
             entry = svc.register("g", GRAPH)
+            kwargs = ticket_kwargs(entry, algorithm)
             for _ in range(3):
                 with pytest.raises(FlushFailedError):
-                    svc.controller(entry).submit("x", 3)
+                    svc.controller(entry).submit("x", 3, **kwargs)
             assert entry.health.state == "quarantined"
             with pytest.raises(GraphQuarantinedError) as exc:
-                svc.controller(entry).offer("y", 3)
+                svc.controller(entry).offer("y", 3, **kwargs)
             assert exc.value.retry_after > 0
             assert svc.controller(entry).depth == 0
+        finally:
+            svc.shutdown()
+
+    def test_drain_pending_types_every_ticket_and_empties_the_queue(self):
+        self.drain_pending_types_every_ticket("bfs")
+
+    def test_quarantined_offer_is_rejected_before_the_queue(self):
+        self.quarantined_offer_is_rejected("bfs")
+
+    @pytest.mark.parametrize("algorithm", SERIAL)
+    @pytest.mark.parametrize("case", [
+        "drain_pending_types_every_ticket", "quarantined_offer_is_rejected",
+    ])
+    def test_serial_algorithms_drain_and_quarantine_alike(
+        self, case, algorithm
+    ):
+        getattr(self, case)(algorithm)
+
+    @pytest.mark.parametrize("algorithm", sorted(PAYLOADS))
+    def test_ticket_queued_when_the_breaker_opens(self, algorithm):
+        """Quarantine at dequeue: the ticket fails typed and the machine is
+        never touched (on this plan any run would move the injector)."""
+        svc = make_service(fault_plan=BROKEN_PLAN)
+        try:
+            entry = svc.register("g", GRAPH)
+            controller = svc.controller(entry)
+            ticket = controller.offer(
+                "queued", 3, **ticket_kwargs(entry, algorithm)
+            )
+            for _ in range(entry.health.policy.quarantine_after):
+                entry.health.record_flush_failure("elsewhere")
+            assert entry.health.state == "quarantined"
+            injector = entry.machine.fault_injector
+            counts_before = injector.counts_snapshot()
+            record = controller.flush()
+            assert record.tickets == [ticket] and ticket.done.is_set()
+            assert isinstance(ticket.error, GraphQuarantinedError)
+            assert ticket.error.retry_after > 0
+            assert injector.counts_snapshot() == counts_before
+            assert ticket.result is None and controller.depth == 0
+            registry = svc.metrics_snapshot()
+            assert registry.total(
+                "serve_quarantine_rejections_total", graph="g"
+            ) == 1.0
+        finally:
+            svc.shutdown()
+
+    def test_quarantined_sssp_over_http_never_touches_the_machine(self):
+        """The same, end to end: a request that passed ``admit()`` before
+        the breaker opened is answered ``503 graph_quarantined``."""
+        svc = make_service(fault_plan=BROKEN_PLAN)
+        try:
+            entry = svc.register("g", GRAPH)
+            controller = svc.controller(entry)
+            controller.hold()
+            out = {}
+            t = threading.Thread(
+                target=lambda: out.update(
+                    r=request(
+                        svc, "POST", "/graphs/g/sssp", payload={"root": 3}
+                    )
+                )
+            )
+            t.start()
+            assert wait_until(lambda: controller.depth == 1)
+            for _ in range(entry.health.policy.quarantine_after):
+                entry.health.record_flush_failure("elsewhere")
+            counts_before = entry.machine.fault_injector.counts_snapshot()
+            controller.release()
+            t.join()
+            status, headers, body = out["r"]
+            assert status == 503
+            assert body["error"]["type"] == "graph_quarantined"
+            assert float(headers["Retry-After"]) > 0
+            assert (
+                entry.machine.fault_injector.counts_snapshot() == counts_before
+            )
         finally:
             svc.shutdown()

@@ -73,6 +73,9 @@ class RecordingSocket:
     def setsockopt(self, *args):
         pass
 
+    def settimeout(self, timeout):
+        pass
+
 
 @pytest.fixture(scope="module")
 def offline():
@@ -374,6 +377,89 @@ class TestKeepAlive:
             assert status == 501
             assert headers["X-Request-Id"] == "mine"
             assert json.loads(body)["request_id"] == "mine"
+
+
+class TestSilentPeers:
+    """A peer that stops sending is given up after ``_Handler.timeout``
+    seconds of silence: counted, its handler thread ended, and answered
+    only when there is a request to answer."""
+
+    @pytest.fixture(autouse=True)
+    def short_timeout(self, monkeypatch):
+        monkeypatch.setattr(_Handler, "timeout", 0.2)
+
+    @staticmethod
+    def timeouts(service):
+        return service.metrics_snapshot().total("client_timeout_total")
+
+    @pytest.mark.parametrize("sent", [
+        b"",
+        b"POST /graphs/tiny/bfs HTT",
+        b"POST /graphs/tiny/bfs HTTP/1.1\r\nHost: t\r\n",
+    ], ids=["nothing", "half-a-request-line", "unfinished-headers"])
+    def test_silence_before_a_request_closes_without_a_response(
+        self, service, sent
+    ):
+        before = self.timeouts(service)
+        threads_before = threading.active_count()
+        with RawConnection(service) as conn:
+            conn.send(sent)
+            assert conn.closed_by_server()
+        assert wait_until(lambda: self.timeouts(service) == before + 1)
+        assert wait_until(lambda: threading.active_count() <= threads_before)
+
+    def test_body_short_of_its_content_length_is_a_typed_408(self, service):
+        before = self.timeouts(service)
+        threads_before = threading.active_count()
+        with RawConnection(service) as conn:
+            conn.send(
+                b"POST /graphs/tiny/bfs HTTP/1.1\r\nHost: t\r\n"
+                b"X-Request-Id: short-1\r\nContent-Length: 1000\r\n\r\n"
+                b'{"root": 3'
+            )
+            status, headers, body = conn.read_response()
+            assert status == 408
+            assert headers["Connection"] == "close"
+            assert headers["X-Request-Id"] == "short-1"
+            assert json.loads(body) == {
+                "error": {
+                    "type": "request_timeout",
+                    "message": "request body stopped short of its 1000 "
+                               "declared bytes for 0.2s",
+                },
+                "request_id": "short-1",
+            }
+            assert conn.closed_by_server()
+        assert self.timeouts(service) == before + 1
+        assert wait_until(lambda: threading.active_count() <= threads_before)
+        requests = service.metrics_snapshot().total(
+            "serve_requests_total", graph="tiny", status=408
+        )
+        assert requests >= 1.0  # a query request like any other refused one
+
+    def test_idle_keep_alive_connection_is_given_up_too(self, service):
+        with RawConnection(service) as conn:
+            conn.send(http_request("GET", "/healthz"))
+            assert conn.read_response()[0] == 200
+            assert conn.closed_by_server()  # after the timeout, not before
+
+    def test_peer_that_stops_reading_is_counted_not_crashed_on(
+        self, offline, capsys
+    ):
+        class StalledSocket(RecordingSocket):
+            def sendall(self, data):
+                # not TimeoutError: a separate class until Python 3.10
+                raise socket.timeout("timed out")
+
+        before = offline.metrics_snapshot().total("client_disconnect_total")
+        sock = StalledSocket(
+            http_request("GET", "/healthz") + http_request("GET", "/graphs")
+        )
+        _Handler(sock, ("127.0.0.1", 0), SimpleNamespace(service=offline))
+        # one failed write, and the pipelined second request is not served
+        after = offline.metrics_snapshot().total("client_disconnect_total")
+        assert after == before + 1
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestSockets:

@@ -1,4 +1,4 @@
-"""The analyzer's module-local source rules (FB102-FB109).
+"""The analyzer's module-local source rules (FB102-FB110).
 
 These began as a separate per-file lint pass; they are now rules of
 :mod:`repro.tooling.analyzer` like any other, so every case runs through
@@ -344,6 +344,7 @@ PLANTED = {
         "    except Exception:\n"
         "        return 0",
     ),
+    "FB110": ("src/repro/serve/fake.py", "batch.machine.attach_tracer(None)"),
 }
 
 CLEAN_MODULE = '''\
@@ -393,8 +394,8 @@ class TestHarness:
     def test_rule_catalogue_is_complete(self):
         assert sorted(RULES) == [
             "FB102", "FB103", "FB104", "FB105", "FB106", "FB107", "FB108",
-            "FB109", "FB200", "FB201", "FB202", "FB203", "FB204", "FB205",
-            "FB206", "FB207", "FB208",
+            "FB109", "FB110", "FB200", "FB201", "FB202", "FB203", "FB204",
+            "FB205", "FB206", "FB207", "FB208",
         ]
 
     def test_rule_catalogue_is_documented(self):
@@ -406,7 +407,7 @@ class TestHarness:
 
     def test_repo_source_tree_is_clean(self):
         """Acceptance gate: the shipped src/repro has zero findings under
-        all 17 rules, and the committed baseline has no stale entry."""
+        all 18 rules, and the committed baseline has no stale entry."""
         result = analyze_paths(
             [str(REPO_ROOT / "src" / "repro")],
             baseline=Baseline.load(str(REPO_ROOT / "analyzer_baseline.json")),
