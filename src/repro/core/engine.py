@@ -146,7 +146,13 @@ class FastBFSEngine(EdgeCentricEngine):
 
     def _pre_partition_scatter(self, rt: _RunState, p: int, ctx: AlgoContext) -> None:
         if self._trimming_active(rt, ctx.iteration):
-            rt.stay.open(p, ctx.iteration, device=self._write_disk(rt, ctx.iteration))
+            # ``_edge_input_file`` ran first: this is the file being trimmed.
+            rt.stay.open(
+                p,
+                ctx.iteration,
+                device=self._write_disk(rt, ctx.iteration),
+                input_file=rt.edge_files[p],
+            )
 
     def _on_scatter_run(
         self,
@@ -164,11 +170,11 @@ class FastBFSEngine(EdgeCentricEngine):
         cfg: FastBFSConfig = self.config  # type: ignore[assignment]
         if cfg.extended_trim:
             eliminate = rt.algo.extended_eliminate(columns, src_local, eliminate)
-        # Select the run's survivors once; each modeled buffer's share of
-        # them is a slice, found from where the buffer bounds fall among
-        # the surviving positions.
+        # Select the run's survivors once, into the stay writer's own
+        # buffer; each modeled buffer's share of them is a slice, found
+        # from where the buffer bounds fall among the surviving positions.
         keep = np.flatnonzero(~eliminate)
-        survivors = run.take(keep)
+        survivors = rt.stay.stage_survivors(p, run, keep)
         cuts = np.searchsorted(keep, bounds).tolist()
         scanned = np.diff(bounds).tolist()
 

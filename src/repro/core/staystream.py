@@ -2,10 +2,13 @@
 
 Every trimming scatter over partition *p* produces a new stay file through
 an :class:`~repro.storage.streams.AsyncStreamWriter` (the "dedicated thread"
-with private edge buffers).  The file is *not* drained when the partition
-finishes — its writes keep flushing in the background across the rest of the
-pass and into the next iteration.  When scatter reaches *p* again, exactly
-one of two things happens:
+with private edge buffers).  The engine selects each host run's survivors
+straight into that writer's buffer (:meth:`StayStreamManager.stage_survivors`)
+and appends read-only views of it, so a stay record is copied once between
+the input edge file and the stay file that replaces it.  The file is *not*
+drained when the partition finishes — its writes keep flushing in the
+background across the rest of the pass and into the next iteration.  When
+scatter reaches *p* again, exactly one of two things happens:
 
 * **swap** — the stay file is durable (or will be within the cancellation
   grace): it replaces *p*'s edge file as input, and the displaced file is
@@ -175,13 +178,20 @@ class StayStreamManager:
     # output production (during a partition's scatter)
     # ------------------------------------------------------------------
     def open(
-        self, p: int, iteration: int, device: Optional[Device] = None
+        self,
+        p: int,
+        iteration: int,
+        device: Optional[Device] = None,
+        input_file: Optional[VirtualFile] = None,
     ) -> AsyncStreamWriter:
         """Create the stay-out writer for partition ``p`` this iteration.
 
         ``device`` overrides the manager's default target (used by the
         two-disk rotation, which alternates the stay-out disk per
-        iteration).
+        iteration).  ``input_file`` is the edge file being trimmed: a stay
+        file never outgrows it, so its record count is the capacity of the
+        writer's private buffer (without it nothing can be staged, only
+        appended).
         """
         if p in self._current:
             raise EngineError(f"stay writer for partition {p} already open")
@@ -193,6 +203,7 @@ class StayStreamManager:
             num_buffers=self.config.num_stay_buffers,
             group=f"stay:p{p}:i{iteration}",
             retry=self.config.retry,
+            capacity=input_file.num_records if input_file is not None else 0,
         )
         self._current[p] = writer
         self._iteration_of[id(writer)] = iteration
@@ -201,6 +212,13 @@ class StayStreamManager:
 
     def current(self, p: int) -> Optional[AsyncStreamWriter]:
         return self._current.get(p)
+
+    def stage_survivors(self, p: int, run: np.ndarray, keep: np.ndarray) -> np.ndarray:
+        """Select ``run[keep]`` into ``p``'s stay writer; a read-only view."""
+        writer = self._current.get(p)
+        if writer is None:
+            raise EngineError(f"no open stay writer for partition {p}")
+        return writer.take_survivors(run, keep)
 
     def append(self, p: int, records: np.ndarray) -> None:
         writer = self._current.get(p)

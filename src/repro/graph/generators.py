@@ -23,6 +23,10 @@ from repro.graph.types import make_edges
 from repro.utils.rng import SeedLike, rng_from_seed
 
 
+#: Largest R-MAT scale :func:`rmat_graph` builds (vertex ids are uint32).
+RMAT_MAX_SCALE = 31
+
+
 def rmat_graph(
     scale: int,
     edge_factor: int = 16,
@@ -44,8 +48,8 @@ def rmat_graph(
     so locality can't be gamed); multi-edges and self-loops are kept, as the
     benchmark specifies.
     """
-    if scale < 0 or scale > 31:
-        raise GraphError(f"scale must be in [0, 31], got {scale}")
+    if scale < 0 or scale > RMAT_MAX_SCALE:
+        raise GraphError(f"scale must be in [0, {RMAT_MAX_SCALE}], got {scale}")
     if edge_factor <= 0:
         raise GraphError(f"edge_factor must be positive, got {edge_factor}")
     total = abs(a) + abs(b) + abs(c) + abs(d)

@@ -93,6 +93,12 @@ QUEUE_WAIT_BUCKETS = (0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0)
 #: refused with a typed 413 before any of it is read.
 MAX_BODY_BYTES = 1 << 20
 
+#: Most edges a ``POST /graphs/{name}`` generator spec may ask for; a
+#: larger one is refused with a typed 400 before anything is allocated
+#: (16M edges is 128 MB of edge records).  Operator ``--warmup`` specs are
+#: not capped.
+MAX_SPEC_EDGES = 1 << 24
+
 #: Most PageRank rounds one request may ask for: every round is a full
 #: edge scan on the graph's one machine, with every other ticket waiting.
 MAX_PAGERANK_ROUNDS = 100
@@ -846,7 +852,7 @@ class _Handler(BaseHTTPRequestHandler):
                         400, "bad_request",
                         "registration payload needs a \"spec\" string",
                     )
-                _, graph = parse_graph_spec(spec)
+                _, graph = parse_graph_spec(spec, max_edges=MAX_SPEC_EDGES)
                 entry = self.service.register(parts[1], graph)
                 self._send_json(201, entry.stats(), request_id)
             else:

@@ -37,6 +37,7 @@ from repro.graph.datasets import DATASETS, build_dataset
 from repro.graph.generators import (
     grid_graph,
     path_graph,
+    RMAT_MAX_SCALE,
     powerlaw_graph,
     random_graph,
     rmat_graph,
@@ -53,18 +54,35 @@ from repro.storage.machine import Machine
 SERVABLE_ENGINES = ("fastbfs", "fast-bfs", "x-stream", "xstream")
 
 #: Generator spec kinds accepted by :func:`parse_graph_spec`, mapping
-#: ``kind`` to (builder, integer parameter names in builder order).
-_GENERATORS: Dict[str, Tuple[Callable, Tuple[str, ...]]] = {
-    "rmat": (rmat_graph, ("scale", "edge_factor", "seed")),
-    "random": (random_graph, ("num_vertices", "num_edges", "seed")),
-    "powerlaw": (powerlaw_graph, ("num_vertices", "num_edges", "seed")),
-    "grid": (grid_graph, ("width", "height")),
-    "path": (path_graph, ("num_vertices",)),
-    "star": (star_graph, ("num_leaves",)),
+#: ``kind`` to (builder, integer parameter names in builder order, the edge
+#: count the builder would allocate for those parameters).  The estimate
+#: runs before the builder and on anything a client sends: it only has to
+#: be right for parameters the builder accepts (an R-MAT scale the builder
+#: refuses is left for it to refuse, not shifted by).
+_GENERATORS: Dict[str, Tuple[Callable, Tuple[str, ...], Callable[..., int]]] = {
+    "rmat": (
+        rmat_graph, ("scale", "edge_factor", "seed"),
+        lambda scale, edge_factor=16, seed=0: (
+            edge_factor << scale if 0 <= scale <= RMAT_MAX_SCALE else 0
+        ),
+    ),
+    "random": (
+        random_graph, ("num_vertices", "num_edges", "seed"),
+        lambda num_vertices, num_edges, seed=0: num_edges,
+    ),
+    "powerlaw": (
+        powerlaw_graph, ("num_vertices", "num_edges", "seed"),
+        lambda num_vertices, num_edges, seed=0: num_edges,
+    ),
+    "grid": (grid_graph, ("width", "height"), lambda width, height: 2 * width * height),
+    "path": (path_graph, ("num_vertices",), lambda num_vertices: num_vertices),
+    "star": (star_graph, ("num_leaves",), lambda num_leaves: num_leaves),
 }
 
 
-def parse_graph_spec(spec: str) -> Tuple[str, Graph]:
+def parse_graph_spec(
+    spec: str, max_edges: Optional[int] = None
+) -> Tuple[str, Graph]:
     """Resolve one warmup/registration spec to ``(name, graph)``.
 
     Three forms:
@@ -76,6 +94,9 @@ def parse_graph_spec(spec: str) -> Tuple[str, Graph]:
       ``star`` (e.g. ``"rmat:scale=12,edge_factor=8,seed=7"``);
     * either of the above aliased as ``"name@spec"`` — the registry name
       to serve the graph under (defaults to the graph's own name).
+
+    With ``max_edges``, a generator spec whose parameters ask for more
+    edges than that is refused before the generator runs.
     """
     alias: Optional[str] = None
     if "@" in spec:
@@ -96,7 +117,7 @@ def parse_graph_spec(spec: str) -> Tuple[str, Graph]:
             f"unknown generator kind {kind!r}; options: "
             f"{sorted(_GENERATORS)}"
         )
-    builder, param_names = _GENERATORS[kind]
+    builder, param_names, edge_estimate = _GENERATORS[kind]
     params: Dict[str, int] = {}
     for item in filter(None, body.split(",")):
         key, sep, value = item.partition("=")
@@ -117,6 +138,13 @@ def parse_graph_spec(spec: str) -> Tuple[str, Graph]:
                 f"generator parameter {key!r} must be an int, got {value!r}"
             )
     try:
+        if max_edges is not None:
+            estimate = edge_estimate(**params)
+            if estimate > max_edges:
+                raise ConfigError(
+                    f"generator spec {spec!r} asks for about {estimate} "
+                    f"edges; the limit is {max_edges}"
+                )
         graph = builder(**params)
     except TypeError:
         raise ConfigError(

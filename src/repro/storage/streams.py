@@ -15,6 +15,15 @@ path (device timelines + the engine clock):
   FastBFS §III: a private pool of edge buffers, fire-and-forget flushes that
   only block when the pool is exhausted, a readiness query, and
   cancellation.
+
+A written record is copied as rarely as the arrays allow: a flush whose
+pending arrays are consecutive views of one array submits one view over
+them instead of a concatenation (:func:`~repro.storage.vfs.as_one_array`),
+and the file seals its chunks by the same rule.  The stay writer makes that the
+rule rather than luck: survivors are selected straight into its private
+buffer (:meth:`AsyncStreamWriter.take_survivors`), so a stay record is
+written once, the file seals by reference, and swap-in can tell that what
+it holds is what was checksummed (:meth:`AsyncStreamWriter.verify_integrity`).
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from repro.errors import IOFaultError, StorageError
 from repro.sim.clock import SimClock
 from repro.sim.timeline import ScheduledRequest
 from repro.storage.faults import RetryPolicy, submit_with_retry
-from repro.storage.vfs import VirtualFile
+from repro.storage.vfs import VirtualFile, as_one_array
 
 
 class StreamReader:
@@ -120,6 +129,13 @@ class StreamWriter:
         self._pending: List[np.ndarray] = []
         self._pending_bytes = 0
         self._requests: List[ScheduledRequest] = []
+        # Requests are appended in submit order and one that was cancelled
+        # or has landed never becomes live again (a landed write cannot be
+        # cancelled, and ends only ever move earlier), so the scans below
+        # start after that prefix; ``_settled_end`` is its latest
+        # uncancelled end.
+        self._settled = 0
+        self._settled_end: Optional[float] = None
         self.records_written = 0
         self.flush_count = 0
         self.closed = False
@@ -139,11 +155,7 @@ class StreamWriter:
         """Submit buffered records as one device write (non-blocking)."""
         if not self._pending:
             return None
-        chunk = (
-            self._pending[0]
-            if len(self._pending) == 1
-            else np.concatenate(self._pending)
-        )
+        chunk = as_one_array(self._pending)
         offset = self.file.nbytes
         self._on_chunk(chunk, offset)
         self.file.append_records(chunk)
@@ -185,10 +197,28 @@ class StreamWriter:
         if end is not None:
             self.clock.wait_until(end)
 
+    def _unsettled(self) -> List[ScheduledRequest]:
+        """The requests past the cancelled-or-landed prefix."""
+        now = self.clock.now
+        requests = self._requests
+        i = self._settled
+        while i < len(requests):
+            req = requests[i]
+            if not req.cancelled:
+                if req.end > now:
+                    break
+                if self._settled_end is None or req.end > self._settled_end:
+                    self._settled_end = req.end
+            i += 1
+        self._settled = i
+        return requests[i:]
+
     @property
     def last_end(self) -> Optional[float]:
         """Completion time of the latest uncancelled write, if any."""
-        ends = [r.end for r in self._requests if not r.cancelled]
+        ends = [r.end for r in self._unsettled() if not r.cancelled]
+        if self._settled_end is not None:
+            ends.append(self._settled_end)
         return max(ends) if ends else None
 
     def close(self, drain: bool = True) -> None:
@@ -211,6 +241,12 @@ class AsyncStreamWriter(StreamWriter):
     file and cancellation of the not-yet-started tail are exposed for the
     cross-iteration swap logic (condition 2).
 
+    The private buffers are real on the host too: ``capacity`` records,
+    allocated once, that :meth:`take_survivors` selects into and whose
+    consecutive read-only views are what gets appended.  The file's chunks
+    are then that buffer, in order, and it seals by reference, so a stay
+    record exists once.  Nothing else ever holds the buffer writable.
+
     Because a stay file is advisory (an optimization, never the only copy
     of the data), this writer is also where I/O faults degrade instead of
     propagate: a per-chunk CRC ledger detects torn writes at swap-in, and
@@ -227,6 +263,7 @@ class AsyncStreamWriter(StreamWriter):
         num_buffers: int = 4,
         group: str = "",
         retry: Optional[RetryPolicy] = None,
+        capacity: int = 0,
     ) -> None:
         if num_buffers < 1:
             raise StorageError(f"num_buffers must be >= 1, got {num_buffers}")
@@ -234,6 +271,10 @@ class AsyncStreamWriter(StreamWriter):
             clock, file, buffer_bytes, group or f"stay:{file.name}", retry=retry
         )
         self.num_buffers = num_buffers
+        #: Records the private buffer holds (the most the file can grow to).
+        self.capacity = capacity
+        self._buffer: Optional[np.ndarray] = None  # allocated at first use
+        self._taken = 0  # records of it selected so far
         self.pool_waits = 0  # times the engine stalled on buffer exhaustion
         self.cancelled = False
         #: Flipped when a flush keeps failing after retries; the manager
@@ -245,11 +286,35 @@ class AsyncStreamWriter(StreamWriter):
 
     def _live_requests(self) -> List[ScheduledRequest]:
         now = self.clock.now
-        return [r for r in self._requests if not r.cancelled and r.end > now]
+        return [r for r in self._unsettled() if not r.cancelled and r.end > now]
 
     @property
     def buffers_in_flight(self) -> int:
         return len(self._live_requests())
+
+    def take_survivors(self, run: np.ndarray, keep: np.ndarray) -> np.ndarray:
+        """Select ``run[keep]`` into the private buffer.
+
+        Returns a read-only view of the selected records, for the caller
+        to :meth:`append` in consecutive slices.
+        """
+        start = self._taken
+        stop = start + len(keep)
+        if stop > self.capacity:
+            raise StorageError(
+                f"stay writer for {self.file.name!r} has a capacity of "
+                f"{self.capacity} records and holds {start}; "
+                f"cannot take {len(keep)} more"
+            )
+        if self._buffer is None:
+            self._buffer = np.empty(self.capacity, dtype=run.dtype)
+        taken = self._buffer[start:stop]
+        # mode="clip" writes into ``out`` directly ("raise" goes through a
+        # temporary); ``keep`` indexes ``run``, so nothing is ever clipped.
+        np.take(run, keep, out=taken, mode="clip")
+        taken.flags.writeable = False
+        self._taken = stop
+        return taken
 
     def append(self, arr: np.ndarray) -> None:
         if self.write_failed:
@@ -294,11 +359,29 @@ class AsyncStreamWriter(StreamWriter):
         Compares the CRC of what each flush *sent* against the bytes the
         file holds now — a torn write shows up as exactly one damaged
         chunk.  An empty list means the file is intact.
+
+        The one case with nothing to re-read: the file's array *is* the
+        private buffer (same object behind it, from its first byte through
+        the last byte flushed) and is read-only.  Every flush was then a
+        view of those very bytes, and nothing could have written to them
+        since.  Anything that stores other bytes (``corrupt_at`` copies a
+        chunk; so does a seal over chunks that are not one array) breaks
+        that identity and gets the full comparison.
         """
         bad: List[int] = []
         if not self._chunk_sums:
             return bad
-        data = self.file.records().view(np.uint8)
+        held = self.file.records()
+        last_offset, last_nbytes, _ = self._chunk_sums[-1]
+        if (
+            self._buffer is not None
+            and held.base is self._buffer
+            and not held.flags.writeable
+            and held.ctypes.data == self._buffer.ctypes.data
+            and held.nbytes == last_offset + last_nbytes
+        ):
+            return bad
+        data = held.view(np.uint8)
         for offset, nbytes, crc in self._chunk_sums:
             stored = zlib.crc32(data[offset : offset + nbytes])
             if stored != crc:

@@ -3,7 +3,10 @@
 A :class:`VirtualFile` stores real numpy record arrays (the engines' data
 path) while its timing lives on the owning device's timeline (the time
 path).  Files are append-only while open, then sealed into one contiguous
-array for zero-copy streamed reads.
+array for zero-copy streamed reads.  When the appended arrays already are
+one array in memory (:func:`joined_view`: a writer that appended consecutive
+views of its own buffer), sealing keeps that array by reference, without a
+copy.
 
 The VFS supports the file-level operations FastBFS needs each iteration:
 create, delete, and atomic *replace* (swapping a freshly written stay file in
@@ -13,12 +16,58 @@ for the previous edge file).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import StorageError
 from repro.storage.device import Device
+
+
+def joined_view(arrays: Sequence[np.ndarray]) -> Optional[np.ndarray]:
+    """One view over ``arrays`` if joining them needs no copy, else None.
+
+    That is the case when every array is a plain slice of the same 1-D
+    base array and each begins at the byte after the one before it.  The
+    result is a slice of that base, read-only if any of its parts is.
+    """
+    first = arrays[0]
+    base = first.base
+    if (
+        type(base) is not np.ndarray
+        or arrays[-1].base is not base
+        or base.ndim != 1
+        or not base.flags.c_contiguous
+        or first.dtype != base.dtype
+        or first.strides != base.strides
+    ):
+        return None
+    origin = first.ctypes.data
+    next_byte = origin + first.nbytes
+    writeable = first.flags.writeable
+    for arr in arrays[1:]:
+        if (
+            arr.base is not base
+            or arr.dtype != base.dtype
+            or arr.strides != base.strides
+            or arr.ctypes.data != next_byte
+        ):
+            return None
+        next_byte += arr.nbytes
+        writeable = writeable and arr.flags.writeable
+    start = (origin - base.ctypes.data) // base.itemsize
+    joined = base[start : start + (next_byte - origin) // base.itemsize]
+    if not writeable:
+        joined.flags.writeable = False
+    return joined
+
+
+def as_one_array(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """``arrays`` as one array: a view if they are one in memory, else a copy."""
+    if len(arrays) == 1:
+        return arrays[0]
+    joined = joined_view(arrays)
+    return joined if joined is not None else np.concatenate(arrays)
 
 
 class VirtualFile:
@@ -70,7 +119,7 @@ class VirtualFile:
         subsequent reads see differs from what the writer sent.  The flip
         is copy-on-corrupt — the stored chunk is replaced by a modified
         copy, never mutated in place — because appended arrays may still
-        be shared with engine buffers.
+        be shared with engine or writer buffers.
         """
         self._check_alive()
         if not 0 <= offset < self._nbytes:
@@ -94,15 +143,13 @@ class VirtualFile:
         self.corruptions.append(offset)
 
     def seal(self) -> None:
-        """Concatenate chunks into one contiguous array (idempotent)."""
+        """Freeze the chunks as one contiguous array (idempotent)."""
         self._check_alive()
         if self._sealed is None:
             if self._chunks:
-                self._sealed = (
-                    self._chunks[0]
-                    if len(self._chunks) == 1
-                    else np.concatenate(self._chunks)
-                )
+                # By reference when the chunks are one array in memory (a
+                # writer that appended consecutive views of its own buffer).
+                self._sealed = as_one_array(self._chunks)
             else:
                 dtype = self._dtype if self._dtype is not None else np.uint8
                 self._sealed = np.empty(0, dtype=dtype)

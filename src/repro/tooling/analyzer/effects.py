@@ -9,7 +9,9 @@ guarded capabilities it can reach, directly or through any call chain:
   ``Timeline.schedule``);
 * ``VFS_MUTATE``    — changes the virtual filesystem namespace or file
   contents (``VFS.create/delete/replace/restore``,
-  ``VirtualFile.append_records/corrupt_at``);
+  ``VirtualFile.append_records/corrupt_at``, and
+  ``AsyncStreamWriter.take_survivors``, which writes the buffer a stay
+  file holds by reference);
 * ``RNG``           — consumes randomness (seeded sources in
   ``repro.utils.rng``, plus any direct ``numpy.random``/``random`` call);
 * ``WALLCLOCK``     — reads host wall-clock time (``time.time`` and
@@ -64,6 +66,7 @@ NAMED_SEEDS: Tuple[Tuple[str, Optional[str], str, str], ...] = (
     ("storage.vfs", "VFS", "restore", VFS_MUTATE),
     ("storage.vfs", "VirtualFile", "append_records", VFS_MUTATE),
     ("storage.vfs", "VirtualFile", "corrupt_at", VFS_MUTATE),
+    ("storage.streams", "AsyncStreamWriter", "take_survivors", VFS_MUTATE),
     ("utils.rng", None, "rng_from_seed", RNG),
     ("utils.rng", None, "spawn_rngs", RNG),
     ("obs.tracer", "Tracer", "span", TRACE_EMIT),

@@ -238,13 +238,17 @@ class Sanitizer:
     def watch_staystream(self, mgr: "StayStreamManager") -> None:
         """Attach the stay-writer state-machine checker to ``mgr``."""
         orig_open = mgr.open
+        orig_stage = mgr.stage_survivors
         orig_append = mgr.append
         orig_finish = mgr.finish_partition
         orig_resolve = mgr.resolve_input
         orig_discard = mgr.discard_all
 
         def open(
-            p: int, iteration: int, device: Optional["Device"] = None
+            p: int,
+            iteration: int,
+            device: Optional["Device"] = None,
+            input_file: Optional["VirtualFile"] = None,
         ) -> Any:
             if mgr.current(p) is not None:
                 self._record(
@@ -252,7 +256,7 @@ class Sanitizer:
                     f"double open of stay writer for partition {p} "
                     f"(iteration {iteration})",
                 )
-            writer = orig_open(p, iteration, device=device)
+            writer = orig_open(p, iteration, device=device, input_file=input_file)
             self._stay[id(writer)] = _StayRecord(
                 partition=p,
                 name=writer.file.name,
@@ -261,18 +265,25 @@ class Sanitizer:
             )
             return writer
 
-        def append(p: int, records: np.ndarray) -> None:
+        def check_open(p: int, verb: str) -> None:
             writer = mgr.current(p)
             if writer is None:
                 self._record(
                     "stay-state",
-                    f"append without an open stay writer for partition {p}",
+                    f"{verb} without an open stay writer for partition {p}",
                 )
             elif writer.closed:
                 self._record(
                     "stay-state",
-                    f"append to closed stay writer {writer.file.name!r}",
+                    f"{verb} to closed stay writer {writer.file.name!r}",
                 )
+
+        def stage_survivors(p: int, run: np.ndarray, keep: np.ndarray) -> Any:
+            check_open(p, "stage")
+            return orig_stage(p, run, keep)
+
+        def append(p: int, records: np.ndarray) -> None:
+            check_open(p, "append")
             orig_append(p, records)
 
         def finish_partition(p: int) -> None:
@@ -299,6 +310,7 @@ class Sanitizer:
                     rec.state = "discarded"
 
         mgr.open = open  # type: ignore[method-assign]
+        mgr.stage_survivors = stage_survivors  # type: ignore[method-assign]
         mgr.append = append  # type: ignore[method-assign]
         mgr.finish_partition = finish_partition  # type: ignore[method-assign]
         mgr.resolve_input = resolve_input  # type: ignore[method-assign]

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.config import FastBFSConfig
 from repro.core.staystream import StayStreamManager
-from repro.errors import EngineError
+from repro.errors import EngineError, StorageError
 from repro.graph.types import make_edges
 from repro.sim.clock import SimClock
 from repro.storage.device import Device, DeviceSpec
@@ -62,6 +62,65 @@ class TestLifecycle:
         assert mgr.current(0) is None
         w = mgr.open(0, iteration=1)
         assert mgr.current(0) is w
+
+
+class TestStagedSurvivors:
+    """The engine's path: survivors go straight into the writer's buffer."""
+
+    def _trimmed(self, ctx, num_records):
+        clock, device, vfs, mgr = ctx
+        old = vfs.create("edges:p0", device)
+        old.append_records(edges(num_records))
+        old.seal()
+        mgr.open(0, iteration=0, input_file=old)
+        return old, mgr
+
+    def test_staged_file_swaps_in_as_the_writers_buffer(self, ctx):
+        clock = ctx[0]
+        old, mgr = self._trimmed(ctx, 500)
+        writer = mgr.current(0)
+        run = old.records()
+        first = mgr.stage_survivors(0, run[:256], np.arange(0, 256, 2))
+        mgr.append(0, first[:100])
+        mgr.append(0, first[100:])
+        second = mgr.stage_survivors(0, run[256:], np.arange(1, 244, 2))
+        mgr.append(0, second)
+        mgr.finish_partition(0)
+        clock.charge_compute(1.0)
+        f, outcome = mgr.resolve_input(0, old)
+        assert outcome == "swap"
+        expected = np.concatenate([run[:256:2], run[257:500:2]])
+        assert np.array_equal(f.records(), expected)
+        assert f.records().base is writer._buffer
+        assert mgr.stats.records_written == len(expected)
+        assert mgr.stats.bytes_written == expected.nbytes
+
+    def test_staging_past_the_capacity_is_a_typed_error(self, ctx):
+        old, mgr = self._trimmed(ctx, 10)
+        run = old.records()
+        mgr.stage_survivors(0, run, np.arange(8))
+        with pytest.raises(StorageError) as exc:
+            mgr.stage_survivors(0, run, np.arange(5))
+        message = str(exc.value)
+        assert "'stay:p0:i0'" in message  # the file
+        assert "capacity of 10 records" in message and "holds 8" in message
+        assert "cannot take 5 more" in message  # the request
+        # The refused request staged nothing: the rest still fits.
+        assert len(mgr.stage_survivors(0, run, np.arange(2))) == 2
+
+    def test_writer_opened_without_an_input_file_stages_nothing(self, ctx):
+        _, _, _, mgr = ctx
+        mgr.open(0, iteration=0)
+        assert len(mgr.stage_survivors(0, edges(4), np.arange(0))) == 0
+        with pytest.raises(StorageError, match="capacity of 0 records"):
+            mgr.stage_survivors(0, edges(4), np.arange(1))
+        mgr.append(0, edges(4))  # appending arrays of the caller's still works
+        assert mgr.stats.records_written == 4
+
+    def test_stage_without_open_rejected(self, ctx):
+        _, _, _, mgr = ctx
+        with pytest.raises(EngineError, match="no open stay writer"):
+            mgr.stage_survivors(3, edges(2), np.arange(1))
 
 
 class TestResolveInput:

@@ -43,7 +43,7 @@ from repro.storage.faults import (
 )
 from repro.storage.machine import Machine
 from repro.storage.streams import AsyncStreamWriter, StreamReader, StreamWriter
-from repro.storage.vfs import VFS
+from repro.storage.vfs import VFS, VirtualFile
 from repro.utils.units import MB
 
 
@@ -376,6 +376,133 @@ class TestTornWriteIntegrity:
             and s.attrs.get("reason") == "write_failure"
         ]
         assert len(failures) == result.extras["stay_write_failures"]
+
+
+    # -- a stay file that is the writer's own buffer ---------------------
+    # Swap-in skips the re-read only when the file provably still holds
+    # the very bytes each flush checksummed; the cases below fail on a
+    # design that skips it because the fault injector tagged nothing.
+
+    PIECES = (200, 300, 100)  # flushes of 500 (buffer full) and 100 (close)
+
+    def _staged(self, close=True):
+        """A stay file written the way the engine writes one: survivors
+        selected into the writer's buffer, read-only views appended."""
+        clock = SimClock()
+        f = VFS().create("stay", Device(DeviceSpec.hdd("d0")))
+        total = sum(self.PIECES)
+        writer = AsyncStreamWriter(clock, f, buffer_bytes=8 * 256,
+                                   num_buffers=4, capacity=total)
+        run, views, start = edges_of(2 * total), [], 0
+        for count in self.PIECES:
+            keep = np.arange(start, start + 2 * count, 2)  # every other edge
+            views.append(writer.take_survivors(run, keep))
+            writer.append(views[-1])
+            start += 2 * count
+        if close:
+            writer.close(drain=True)
+        return writer, f, views, run[::2]
+
+    def test_hand_damaged_chunk_is_reported_without_the_injector(self):
+        writer, f, _, _ = self._staged()
+        assert writer.verify_integrity() == []
+        damaged = f.records().copy()
+        damaged.view(np.uint8)[8 * 500 + 17] ^= 0xFF  # inside the second flush
+        f._sealed = damaged
+        assert f.corruptions == []  # no injector ever tagged this file
+        assert writer.verify_integrity() == [8 * 500]
+
+    def test_hand_damaged_chunk_is_reported_before_the_seal_too(self):
+        writer, f, _, _ = self._staged(close=False)
+        (chunk,) = f._chunks
+        damaged = chunk.copy()
+        damaged.view(np.uint8)[3] ^= 0xFF
+        f._chunks[0] = damaged
+        writer.close(drain=True)
+        assert f.corruptions == []
+        assert writer.verify_integrity() == [0]
+
+    def test_stored_records_and_handed_views_are_read_only(self):
+        writer, f, views, _ = self._staged()
+        for array in (f.records(), f.read_records(10, 5), views[0], views[-1][3:]):
+            with pytest.raises(ValueError, match="read-only"):
+                array["src"][0] = 7
+            with pytest.raises(ValueError, match="read-only"):
+                array.view(np.uint8)[0] ^= 0xFF
+        assert writer.verify_integrity() == []
+
+    def test_clean_staged_file_is_sealed_by_reference(self, monkeypatch):
+        def no_copy(*args, **kwargs):
+            raise AssertionError("a fault-free stay file is never concatenated")
+
+        checksummed = []
+        crc32 = zlib.crc32
+        monkeypatch.setattr(np, "concatenate", no_copy)
+        monkeypatch.setattr(
+            zlib, "crc32", lambda data: checksummed.append(len(data)) or crc32(data)
+        )
+        writer, f, _, survivors = self._staged()
+        stored = f.records()
+        assert stored.base is writer._buffer
+        assert np.shares_memory(stored, writer._buffer)
+        assert np.array_equal(stored, survivors)
+        assert checksummed == [8 * 500, 8 * 100]  # once per flush, at send
+        assert writer.verify_integrity() == []
+        assert checksummed == [8 * 500, 8 * 100]  # and swap-in re-reads nothing
+
+    def test_a_writable_or_shifted_view_of_the_buffer_gets_the_full_check(self):
+        """Same base object is not enough: the stored array must be the
+        buffer from its first byte, whole, and read-only."""
+        writer, f, _, _ = self._staged()
+        checked = []
+        crc32 = zlib.crc32
+        own = f.records()
+        for stored in (writer._buffer[:600], own[1:], own[:-1]):
+            f._sealed = stored
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(
+                    zlib, "crc32", lambda data: checked.append(1) or crc32(data)
+                )
+                bad = writer.verify_integrity()
+            assert checked, "identity was trusted"
+            checked.clear()
+            # Truncated or shifted contents do not match the ledger.
+            assert bool(bad) == (len(stored) != 600)
+
+    def test_every_flush_torn_copies_one_flush_at_a_time(self, rmat10, monkeypatch):
+        """64+ torn flushes per stay file: each copy-on-corrupt copies the
+        flushed chunk, never the merged file so far, and the run degrades
+        exactly as it did when every flush was its own chunk."""
+        root = hub_root(rmat10)
+        plan = FaultPlan(
+            specs=(FaultSpec(kind="torn_write", role="stay", probability=1.0),),
+            seed=0,
+        )
+        machine = Machine([DeviceSpec.hdd("hdd0")], memory=2 * MB, cores=4,
+                          fault_plan=plan)
+        config = small_fastbfs_config(
+            edge_buffer_bytes=256, stay_buffer_bytes=128, num_partitions=2
+        )
+        corrupt_at = VirtualFile.corrupt_at
+        copied = {}  # file id -> bytes copied by each corrupt_at
+
+        def measured(self, offset):
+            corrupt_at(self, offset)
+            damaged = self._chunks[-1]
+            assert damaged.base is None and damaged.flags.writeable
+            assert damaged.nbytes == self.nbytes - offset  # the flush, alone
+            copied.setdefault(self.file_id, []).append(damaged.nbytes)
+
+        monkeypatch.setattr(VirtualFile, "corrupt_at", measured)
+        result = FastBFSEngine(config).run(rmat10, machine, root=root)
+        assert np.array_equal(result.levels, bfs_levels(rmat10, root))
+        assert max(len(sizes) for sizes in copied.values()) >= 64
+        # A flush holds less than a stay buffer plus one edge buffer's survivors.
+        assert max(max(sizes) for sizes in copied.values()) <= 128 + 256
+        # Recorded at the parent commit (f52d07b) for this plan and config.
+        assert result.extras["stay_integrity_failures"] == 5
+        assert result.extras["stay_cancellations"] == 5
+        assert result.extras["stay_swaps"] == 0
 
 
 class TestCrashRecovery:

@@ -12,6 +12,9 @@ positions depend on exactly this order.
 
 from __future__ import annotations
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -27,7 +30,11 @@ from repro.engines import base
 from repro.engines.xstream import XStreamEngine
 from repro.graph.generators import path_graph, rmat_graph, star_graph
 from repro.graph.types import EDGE_DTYPE
-from repro.storage.streams import StreamReader
+from repro.storage.device import DeviceSpec
+from repro.storage.faults import FaultPlan, FaultSpec
+from repro.storage.machine import Machine
+from repro.storage.streams import AsyncStreamWriter, StreamReader
+from repro.utils.units import MB
 from tests.helpers import (
     ScheduleRecorder,
     fresh_machine,
@@ -210,6 +217,214 @@ class TestCancellationRaces:
         assert result.extras["stay_cancellations"] > 0
         if extended_trim or write_bandwidth == 16384:
             assert result.extras["stay_swaps"] > 0
+
+
+def schedule_digest(records) -> str:
+    """sha256 of a list of tuples, independent of ``repr``.
+
+    Integers (numpy's too) are packed as int64 and floats as IEEE doubles
+    with ``struct``, strings and bytes length-prefixed, each behind a type
+    tag, so numpy 1.x / 2.x and Python 3.9 / 3.11 hash the same schedule
+    to the same digest.  Takes ``ScheduleRecorder.calls`` or ``.sealed``.
+    """
+    digest = hashlib.sha256()
+    for record in records:
+        digest.update(struct.pack("<B", len(record)))
+        for value in record:
+            if isinstance(value, (str, bytes)):
+                raw = value.encode() if isinstance(value, str) else value
+                digest.update(b"s" + struct.pack("<I", len(raw)) + raw)
+            elif isinstance(value, (int, np.integer)):
+                digest.update(b"i" + struct.pack("<q", int(value)))
+            else:
+                digest.update(b"f" + struct.pack("<d", float(value)))
+    return digest.hexdigest()
+
+
+def _faulted_machine(*specs, seed=0):
+    return Machine(
+        [DeviceSpec.hdd("hdd0")], memory=2 * MB, cores=4,
+        fault_plan=FaultPlan(specs=specs, seed=seed),
+    )
+
+
+def _single(engine, algorithm=None, symmetrize=False, machine=fresh_machine,
+            **config):
+    def drive(graph):
+        if symmetrize:
+            graph, root = graph.symmetrized(), 0
+        else:
+            root = hub_root(graph)
+        return [
+            ENGINES[engine](**config).run(
+                graph, machine(), algorithm=algorithm and algorithm(), root=root
+            )
+        ]
+
+    return drive
+
+
+def _batched_64(graph):
+    roots = [int(v) for v in np.argsort(-graph.out_degrees(), kind="stable")[:64]]
+    batch = ENGINES["fastbfs"]().run_many(
+        graph, fresh_machine(), roots, mode="batched"
+    )
+    assert batch.mode == "batched"
+    return batch.queries
+
+
+#: scenario -> (drive(graph) -> [EngineResult], the extras the row must show
+#: are non-zero so that it exercises what its name says).
+DIGEST_SCENARIOS = {
+    **{
+        f"{engine} {name}": (_single(engine, algorithm, symmetrize), ())
+        for engine in ENGINES
+        for name, algorithm, symmetrize in (
+            ("bfs", None, False),
+            ("unit-sssp", UnitSSSPAlgorithm, False),
+            ("wcc", WCCAlgorithm, True),
+        )
+    },
+    "fastbfs bfs torn-stay": (
+        _single("fastbfs", machine=lambda: _faulted_machine(
+            FaultSpec(kind="torn_write", role="stay", probability=0.5), seed=3,
+        )),
+        ("stay_integrity_failures", "stay_swaps"),
+    ),
+    "fastbfs bfs transient": (
+        _single("fastbfs", machine=lambda: _faulted_machine(
+            FaultSpec(kind="transient_error", probability=0.05), seed=5,
+        )),
+        ("stay_swaps",),
+    ),
+    # Extended trim widens the mask only after a cancellation put trimmed
+    # edges back, so this is the row where the two engines part.
+    **{
+        f"{engine} bfs slow-stay-disk": (
+            _single(
+                engine, machine=lambda: slow_stay_disk_machine(8192),
+                cancellation_grace=0.0, num_stay_buffers=4, stay_disk=1,
+            ),
+            ("stay_cancellations", "stay_swaps", "stay_pool_waits"),
+        )
+        for engine in ("fastbfs", "fastbfs-extended")
+    },
+    "fastbfs batched-64": (_batched_64, ()),
+}
+
+#: scenario -> (digest of the time-path calls, digest of the sealed files).
+#: Recorded at the parent of the PR that made stay records single-copy
+#: (commit f52d07b) and regenerated only by a PR whose stated purpose is to
+#: change the schedule: print ``TestScheduleDigests.record(...)`` for the
+#: moved rows and say in CHANGES.md why they moved.
+SCHEDULE_DIGESTS = {
+    "fastbfs bfs": (
+        "068b47d8148d12bfaf26a9263a258c5ba5ddaaad67458a62011a0c307d98872d",
+        "ce798db1ab8e1e5b218fa80d39abed759874c26dfe88bb0ca758020819b528b4",
+    ),
+    "fastbfs unit-sssp": (
+        "068b47d8148d12bfaf26a9263a258c5ba5ddaaad67458a62011a0c307d98872d",
+        "ce798db1ab8e1e5b218fa80d39abed759874c26dfe88bb0ca758020819b528b4",
+    ),
+    "fastbfs wcc": (
+        "54664a6ff31cd4529fbb9cd7f4bb4924258169d99d25f908b04c5ecc96d7d465",
+        "e770fb2d901292296f64d2dcfd844c94ace01c59519e6d5fbf50d1e1b96f6b04",
+    ),
+    "fastbfs-extended bfs": (
+        "068b47d8148d12bfaf26a9263a258c5ba5ddaaad67458a62011a0c307d98872d",
+        "ce798db1ab8e1e5b218fa80d39abed759874c26dfe88bb0ca758020819b528b4",
+    ),
+    "fastbfs-extended unit-sssp": (
+        "068b47d8148d12bfaf26a9263a258c5ba5ddaaad67458a62011a0c307d98872d",
+        "ce798db1ab8e1e5b218fa80d39abed759874c26dfe88bb0ca758020819b528b4",
+    ),
+    "fastbfs-extended wcc": (
+        "54664a6ff31cd4529fbb9cd7f4bb4924258169d99d25f908b04c5ecc96d7d465",
+        "e770fb2d901292296f64d2dcfd844c94ace01c59519e6d5fbf50d1e1b96f6b04",
+    ),
+    "x-stream bfs": (
+        "e65fc06e44b3a6136bb822060c59b733351344550ddf6053883f73f8d2076fda",
+        "ef2249bed1e393cbb0fabde3d9cad40413d176a30cf498b045bb76b4656abedf",
+    ),
+    "x-stream unit-sssp": (
+        "e65fc06e44b3a6136bb822060c59b733351344550ddf6053883f73f8d2076fda",
+        "ef2249bed1e393cbb0fabde3d9cad40413d176a30cf498b045bb76b4656abedf",
+    ),
+    "x-stream wcc": (
+        "d42b8b909dc10810b303f2ddf45887f3b2cb0a69b222f5dad888f59977b81183",
+        "e770fb2d901292296f64d2dcfd844c94ace01c59519e6d5fbf50d1e1b96f6b04",
+    ),
+    "fastbfs bfs torn-stay": (
+        "6062542add19229edffafac9b1b1ba3ac367183217508f2c020fd84f8f44d65a",
+        "b11363f3facd1a616b4a2501b498178b96915cb25d3f6f56e9a97fa351004a68",
+    ),
+    "fastbfs bfs transient": (
+        "5298355a64a4aac21ef663302a1f3e25d2d7db10489f118c361357bafd46b564",
+        "ce798db1ab8e1e5b218fa80d39abed759874c26dfe88bb0ca758020819b528b4",
+    ),
+    "fastbfs bfs slow-stay-disk": (
+        "c1487128e16181b8fc53110a723adf904043931865cee575c9627f13d1191590",
+        "ce981c73e4cfb9652ea94abbe453a425c02731a62935f1f9eb3f3c6dde1ca551",
+    ),
+    "fastbfs-extended bfs slow-stay-disk": (
+        "4425855fd4f3e4d15d10749f10995df14535ffb58a0fa51a0951a7822a0c4c71",
+        "ce798db1ab8e1e5b218fa80d39abed759874c26dfe88bb0ca758020819b528b4",
+    ),
+    "fastbfs batched-64": (
+        "72db87221dadb7544a7d5abf730c3aefcc4179fefdb262150b72b27c144164a7",
+        "a6dee46f760a89ce35c042afb22d6290459e75c5eec31874d64032905043f9c1",
+    ),
+}
+
+
+class TestScheduleDigests:
+    """The schedule of the parent commit, pinned as digests.
+
+    ``TestScheduleIdentity`` proves host granularity moves nothing *within*
+    a commit; this table proves a data-path change moved nothing *across*
+    commits: every ``Device.submit``, ``charge_compute`` and ``wait_until``
+    argument, every stay ``cancel()`` count, each result's ``extras`` and
+    every sealed file byte.
+    """
+
+    @staticmethod
+    def record(monkeypatch, graph, scenario):
+        drive, must_show = DIGEST_SCENARIOS[scenario]
+        with monkeypatch.context() as patch:
+            recorder = ScheduleRecorder(patch)
+            cancel = AsyncStreamWriter.cancel
+
+            def record_cancel(self):
+                dropped = cancel(self)
+                recorder.calls.append(("cancel", self.file.name, dropped))
+                return dropped
+
+            patch.setattr(AsyncStreamWriter, "cancel", record_cancel)
+            results = drive(graph)
+        for result in results:
+            recorder.calls.extend(
+                ("extra", key, value) for key, value in sorted(result.extras.items())
+            )
+        for key in must_show:
+            assert results[0].extras[key] > 0, key
+        assert any(call[0] == "submit" for call in recorder.calls)
+        return schedule_digest(recorder.calls), schedule_digest(recorder.sealed)
+
+    @pytest.mark.parametrize("scenario", DIGEST_SCENARIOS)
+    def test_schedule_is_the_recorded_one(self, monkeypatch, graph, scenario):
+        calls, sealed = self.record(monkeypatch, graph, scenario)
+        want_calls, want_sealed = SCHEDULE_DIGESTS[scenario]
+        assert calls == want_calls, "time-path calls moved"
+        assert sealed == want_sealed, "sealed file bytes moved"
+
+    def test_digest_does_not_depend_on_repr(self):
+        plain = [("submit", "hdd0", 4096, 0.5), ("wait", 2)]
+        numpy_typed = [
+            ("submit", "hdd0", np.int64(4096), np.float64(0.5)),
+            ("wait", np.uint32(2)),
+        ]
+        assert schedule_digest(plain) == schedule_digest(numpy_typed)
+        assert schedule_digest(plain) != schedule_digest([("wait", 2.0)])
 
 
 class TestHostRuns:

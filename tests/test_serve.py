@@ -39,6 +39,8 @@ from repro.serve import (
     GraphService,
     parse_graph_spec,
 )
+from repro.serve import registry as serve_registry
+from repro.serve.app import MAX_SPEC_EDGES
 from repro.storage.machine import IOReport, merge_reports
 
 TINY_SPEC = "tiny@rmat:scale=8,edge_factor=8,seed=7"
@@ -316,6 +318,70 @@ class TestErrorBodies:
             "type": "bad_request", "message": str(exc.value),
         }
         assert "bad" not in service.registry
+
+    @pytest.mark.parametrize("spec, estimate", [
+        ("rmat:scale=31,edge_factor=16", 16 << 31),
+        ("rmat:scale=21", 16 << 21),  # edge_factor defaults to 16
+        (f"random:num_vertices=8,num_edges={MAX_SPEC_EDGES + 1}",
+         MAX_SPEC_EDGES + 1),
+        (f"powerlaw:num_vertices=8,num_edges={MAX_SPEC_EDGES + 1},seed=3",
+         MAX_SPEC_EDGES + 1),
+        ("grid:width=4096,height=4096", 2 * 4096 * 4096),
+        (f"path:num_vertices={10 ** 400}", 10 ** 400),
+        (f"star:num_leaves={MAX_SPEC_EDGES + 1}", MAX_SPEC_EDGES + 1),
+    ])
+    def test_oversized_register_spec_is_refused_before_it_is_built(
+        self, service, monkeypatch, spec, estimate
+    ):
+        kind = spec.partition(":")[0]
+        built = []
+        _, names, edge_estimate = serve_registry._GENERATORS[kind]
+        monkeypatch.setitem(
+            serve_registry._GENERATORS, kind,
+            (lambda **params: built.append(params), names, edge_estimate),
+        )
+        threads_before = threading.active_count()
+        status, _, body = request(
+            service, "POST", "/graphs/huge", payload={"spec": spec}
+        )
+        assert status == 400, body
+        assert body["error"]["type"] == "bad_request"
+        assert f"about {estimate} edges" in body["error"]["message"]
+        assert f"the limit is {MAX_SPEC_EDGES}" in body["error"]["message"]
+        assert built == []  # refused by size, not by trying
+        assert "huge" not in service.registry
+        deadline = time.monotonic() + 5
+        while (threading.active_count() > threads_before
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert threading.active_count() <= threads_before
+
+    def test_largest_accepted_register_spec_still_registers(
+        self, service, monkeypatch
+    ):
+        built = []
+        _, names, edge_estimate = serve_registry._GENERATORS["rmat"]
+
+        def small_stand_in(**params):
+            built.append(params)
+            return star_graph(8)
+
+        monkeypatch.setitem(
+            serve_registry._GENERATORS, "rmat",
+            (small_stand_in, names, edge_estimate),
+        )
+        assert edge_estimate(scale=20, edge_factor=16) == MAX_SPEC_EDGES
+        status, _, body = request(
+            service, "POST", "/graphs/atlimit",
+            payload={"spec": "rmat:scale=20,edge_factor=16,seed=1"},
+        )
+        assert status == 201, body
+        assert built == [{"scale": 20, "edge_factor": 16, "seed": 1}]
+        assert "atlimit" in service.registry
+        # Operator warmup specs are not capped: no limit unless one is given.
+        with pytest.raises(ConfigError, match="the limit is 5"):
+            parse_graph_spec("path:num_vertices=6", max_edges=5)
+        assert parse_graph_spec("path:num_vertices=6")[1].num_edges == 5
 
     def test_deeply_nested_json_is_a_typed_400(self, service):
         # json.loads gives up on this with RecursionError, not ValueError

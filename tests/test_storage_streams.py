@@ -141,6 +141,49 @@ class TestStreamWriter:
         with pytest.raises(StorageError):
             w.append(edges(1))
 
+    def test_consecutive_views_are_written_without_a_copy(self, setup, monkeypatch):
+        clock, device, vfs = setup
+        f = vfs.create("f", device)
+        w = StreamWriter(clock, f, buffer_bytes=10 * RECORD)
+        whole = edges(30)
+        monkeypatch.setattr(np, "concatenate", None)  # would raise if called
+        w.append(whole[0:4])
+        w.append(whole[4:9])
+        w.append(whole[9:12])  # flush of three consecutive views
+        w.append(whole[12:30])  # flush of one array that continues the file
+        assert w.flush_count == 2
+        w.close()
+        monkeypatch.undo()
+        assert f.records().base is whole
+        assert np.array_equal(f.records(), whole)
+
+    def test_unrelated_arrays_are_still_concatenated(self, setup):
+        clock, device, vfs = setup
+        f = vfs.create("f", device)
+        w = StreamWriter(clock, f, buffer_bytes=10 * RECORD)
+        whole = edges(30)
+        w.append(whole[0:4])
+        w.append(whole[5:9])  # skips a record
+        w.append(edges(3, start=50))
+        w.close()
+        assert np.array_equal(
+            f.records(), np.concatenate([whole[0:4], whole[5:9], edges(3, start=50)])
+        )
+
+    def test_last_end_skips_landed_requests_without_losing_them(self, setup):
+        clock, device, vfs = setup
+        w = StreamWriter(clock, vfs.create("f", device), buffer_bytes=RECORD)
+        assert w.last_end is None
+        ends = []
+        for i in range(5):
+            w.append(edges(10**4, start=i))
+            ends.append(w._requests[-1].end)
+            assert w.last_end == max(ends)
+            clock.wait_until(ends[-1])  # landed: settled, still the last end
+            assert w.last_end == max(ends)
+        assert w._settled == 5
+        assert w._unsettled() == []
+
     def test_writes_do_not_block_engine(self, setup):
         clock, device, vfs = setup
         w = StreamWriter(clock, vfs.create("f", device), buffer_bytes=RECORD)
@@ -207,6 +250,24 @@ class TestAsyncStreamWriter:
         assert dropped >= 2
         assert w.cancelled
         assert dev.bytes_written < before
+
+    def test_live_requests_equal_a_scan_of_every_request(self, setup):
+        """The settled prefix is bookkeeping: in flight, ready time and the
+        cancel count are what a rescan of all requests gives."""
+        clock, w = self._writer(setup, num_buffers=3, buffer_records=10**4)
+        for i in range(12):
+            w.append(edges(10**4 + 1000 * i))
+            clock.charge_compute(0.0004 * (i % 4))
+            live = [r for r in w._requests if not r.cancelled and r.end > clock.now]
+            assert w._live_requests() == live
+            assert w.buffers_in_flight == len(live) <= 3
+            assert w.ready_at() == max(r.end for r in w._requests)
+        assert w.pool_waits > 0 and w._settled > 0
+        queued = [r for r in w._requests if r.start >= clock.now]
+        assert w.cancel() == len(queued) > 0
+        assert w.buffers_in_flight == len(
+            [r for r in w._requests if not r.cancelled and r.end > clock.now]
+        )
 
     def test_cancel_discards_unflushed_records(self, setup):
         clock, w = self._writer(setup, buffer_records=1000)

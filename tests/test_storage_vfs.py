@@ -6,7 +6,7 @@ import pytest
 from repro.errors import StorageError
 from repro.graph.types import EDGE_DTYPE, make_edges
 from repro.storage.device import Device, DeviceSpec
-from repro.storage.vfs import VFS, VirtualFile
+from repro.storage.vfs import VFS, VirtualFile, joined_view
 
 
 @pytest.fixture
@@ -92,6 +92,81 @@ class TestVirtualFile:
         a = vfs.create("a", device)
         b = vfs.create("b", device)
         assert a.file_id != b.file_id
+
+
+class TestJoinedView:
+    def test_consecutive_slices_join_without_a_copy(self):
+        whole = edges(20)
+        joined = joined_view([whole[3:8], whole[8:9], whole[9:15]])
+        assert joined.base is whole
+        assert np.shares_memory(joined, whole)
+        assert np.array_equal(joined, whole[3:15])
+        assert joined.flags.writeable
+
+    def test_slices_of_slices_join(self):
+        whole = edges(20)
+        part = whole[2:18]
+        assert np.array_equal(joined_view([part[:5], part[5:]]), part)
+
+    def test_one_read_only_part_makes_the_join_read_only(self):
+        whole = edges(20)
+        locked = whole[5:10]
+        locked.flags.writeable = False
+        joined = joined_view([whole[0:5], locked])
+        assert not joined.flags.writeable
+        assert whole.flags.writeable  # the base is untouched
+
+    @pytest.mark.parametrize("parts", [
+        lambda a, b: [a[0:5], a[6:10]],           # a gap
+        lambda a, b: [a[0:5], a[4:10]],           # an overlap
+        lambda a, b: [a[5:10], a[0:5]],           # out of order
+        lambda a, b: [a[0:5], a[0:5], a[10:15]],  # sizes add up, bytes do not
+        lambda a, b: [a[0:5], b[5:10]],           # two bases
+        lambda a, b: [a, a],                      # owners, not views
+        lambda a, b: [a[0:10:2], a[10:20:2]],     # strided
+        lambda a, b: [a[0:5], a[5:10]["src"]],    # a field of the next slice
+        lambda a, b: [a.view(np.uint64)[0:5], a.view(np.uint64)[5:10]],
+    ])
+    def test_anything_else_does_not_join(self, parts):
+        assert joined_view(parts(edges(20), edges(20))) is None
+
+    def test_file_of_consecutive_views_seals_by_reference(self, vfs, device):
+        whole = edges(30)
+        f = vfs.create("a", device)
+        f.append_records(whole[0:10])
+        f.append_records(whole[10:24])
+        f.append_records(whole[24:25])
+        assert f.num_records == 25
+        assert f.records().base is whole
+        assert np.array_equal(f.records(), whole[:25])
+
+    def test_file_of_anything_else_seals_into_a_copy(self, vfs, device):
+        whole = edges(30)
+        f = vfs.create("a", device)
+        f.append_records(whole[0:10])
+        f.append_records(whole[12:20])  # not the continuation
+        f.append_records(whole[20:25])
+        f.append_records(edges(5))
+        assert not np.shares_memory(f.records(), whole)
+        assert np.array_equal(
+            f.records(),
+            np.concatenate([whole[0:10], whole[12:20], whole[20:25], edges(5)]),
+        )
+
+    def test_corrupt_at_copies_only_the_chunk_it_damages(self, vfs, device):
+        whole = edges(30)
+        f = vfs.create("a", device)
+        f.append_records(whole[0:10])
+        f.append_records(whole[10:20])
+        f.corrupt_at(10 * EDGE_DTYPE.itemsize + 3)
+        head, damaged = f._chunks
+        assert head.base is whole and len(head) == 10
+        assert damaged.base is None and len(damaged) == 10
+        f.append_records(whole[20:30])
+        stored = f.records().view(np.uint8)
+        assert not np.shares_memory(stored, whole)  # no longer one array
+        assert np.flatnonzero(stored != whole.view(np.uint8)).tolist() == [83]
+        assert np.array_equal(whole, edges(30))  # never mutated in place
 
 
 class TestVFS:

@@ -240,6 +240,34 @@ class TestStayStateChecker:
         )
 
 
+    def test_stage_without_open_recorded_and_raises(self):
+        m = sanitized_machine()
+        mgr = self._manager(m)
+        with pytest.raises(EngineError):
+            mgr.stage_survivors(2, edges(4), np.arange(2))
+        assert any(
+            v.checker == "stay-state"
+            and "stage without an open stay writer for partition 2" in v.message
+            for v in m.sanitizer.violations
+        )
+
+    def test_stage_after_finish_recorded_and_raises(self):
+        m = sanitized_machine()
+        mgr = self._manager(m)
+        old = m.vfs.create("edges:p0", m.disks[0])
+        old.append_records(edges(10))
+        mgr.open(0, iteration=0, input_file=old)
+        m.clock.charge_compute(1e-9, category="trim")
+        mgr.append(0, mgr.stage_survivors(0, old.records(), np.arange(4)))
+        assert m.sanitizer.violations == []
+        mgr.finish_partition(0)
+        with pytest.raises(EngineError):
+            mgr.stage_survivors(0, old.records(), np.arange(2))
+        assert [
+            v.message for v in m.sanitizer.violations if v.checker == "stay-state"
+        ] == ["stage without an open stay writer for partition 0"]
+
+
 class TestSessionScoping:
     def test_preexisting_files_are_not_session_leaks(self):
         # A sealed staged artifact is alive before the session begins; it
