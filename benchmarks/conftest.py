@@ -1,9 +1,11 @@
 """Shared infrastructure for the benchmark suite.
 
-Every figure/table of the paper's evaluation has one bench file here.  A
-single session-scoped :class:`ExperimentRunner` memoizes engine runs, so
-Figs. 4, 5 and 6 — which report different metrics of the same executions —
-share one set of runs, exactly like the paper's methodology.
+The paper's tables and figures are the parametrized cases of
+``bench_figures.py`` (one per entry of ``repro.analysis.figures.FIGURES``);
+the ablations and the multi-query cell have a bench file each.  A single
+session-scoped :class:`ExperimentRunner` memoizes engine runs, so Figs. 4,
+5 and 6 — which report different metrics of the same executions — share
+one set of runs, exactly like the paper's methodology.
 
 Rendered tables are printed and also written to ``benchmarks/results/`` so
 `EXPERIMENTS.md` can reference them.  Set ``REPRO_SCALE_DIVISOR`` (e.g.

@@ -1,4 +1,4 @@
-"""Experiment infrastructure: calibration, paper claims, harness, tables.
+"""Experiment infrastructure: calibration, paper claims, harness, tables, figures.
 
 * :mod:`repro.analysis.calibration` — the single scale divisor that maps
   the paper's test bed onto the reduced-scale reproduction, plus factories
@@ -7,7 +7,11 @@
   evaluation section, as data;
 * :mod:`repro.analysis.harness` — run + memoize the engine comparisons the
   figures share, pick roots, compute speedups;
-* :mod:`repro.analysis.tables` — render paper-style tables and shape checks.
+* :mod:`repro.analysis.tables` — render paper-style tables;
+* :mod:`repro.analysis.figures` — the one table of the paper's tables and
+  figures: what each runs, how it prints and which claims must hold of it
+  (imported on demand by ``repro shapes`` / ``repro reproduce`` and the
+  benches, not from here).
 """
 
 from repro.analysis.calibration import (

@@ -1,7 +1,7 @@
 """Experiment runner: build datasets, run engines, memoize, compare.
 
 Figures 4, 5 and 6 report different metrics of the *same* runs; the runner
-memoizes each (dataset, engine, hardware) execution so every bench file can
+memoizes each (dataset, engine, hardware) execution so every figure can
 ask for its metric without re-running the traversal.  Roots are chosen
 deterministically as the maximum-out-degree vertex (a hub, so the traversal
 covers the giant component — the paper does not specify its roots).
@@ -9,19 +9,18 @@ covers the giant component — the paper does not specify its roots).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
 from repro.analysis.calibration import (
-    SCALE_DIVISOR,
     scaled_engine_config,
     scaled_fastbfs_config,
     scaled_graphchi_config,
     scaled_machine,
 )
-from repro.core.config import FastBFSConfig
+from repro.api import export_observability
 from repro.core.engine import FastBFSEngine
 from repro.engines.graphchi import GraphChiEngine
 from repro.engines.result import EngineResult
@@ -29,40 +28,12 @@ from repro.engines.xstream import XStreamEngine
 from repro.errors import ConfigError
 from repro.graph.datasets import build_dataset, scale_divisor
 from repro.graph.graph import Graph
+from repro.obs.tracer import Tracer
 
 
 def default_root(graph: Graph) -> int:
     """Deterministic traversal root: the highest-out-degree vertex (a hub)."""
     return int(np.argmax(graph.out_degrees()))
-
-
-def peripheral_root(graph: Graph) -> int:
-    """A root on the periphery of the giant component.
-
-    BFS depth shrinks logarithmically when a graph is scaled down, which
-    under-states X-Stream's per-iteration waste relative to the paper's
-    full-size runs.  Starting from the periphery (the deepest BFS level of
-    a hub traversal, choosing its best-connected vertex) restores the
-    paper's iteration counts while traversing the same component.  Falls
-    back to the hub when the peripheral start reaches too little of it.
-    """
-    from repro.algorithms.reference import bfs_levels  # local: avoid cycle
-
-    hub = default_root(graph)
-    hub_levels = bfs_levels(graph, hub)
-    hub_reach = int((hub_levels >= 0).sum())
-    out_deg = graph.out_degrees()
-    best = hub
-    for depth in range(int(hub_levels.max()), 0, -1):
-        candidates = np.flatnonzero((hub_levels == depth) & (out_deg > 0))
-        if len(candidates) == 0:
-            continue
-        cand = int(candidates[np.argmax(out_deg[candidates])])
-        reach = int((bfs_levels(graph, cand) >= 0).sum())
-        if reach >= 0.5 * hub_reach:
-            return cand
-        best = hub  # deepest level is a dead end; try one shallower
-    return best
 
 
 @dataclass
@@ -111,10 +82,9 @@ class ExperimentRunner:
         self.cores = cores
         self._graphs: Dict[str, Graph] = {}
         self._roots: Dict[str, int] = {}
-        self._runs: Dict[Tuple, EngineResult] = {}
-        # Traced-run memo: key -> (result, machine, tracer), kept separate
-        # from _runs so untraced benches never pay span allocation.
-        self._traced_runs: Dict[Tuple, Tuple] = {}
+        # (result, machine, tracer) per key; an untraced entry keeps only
+        # its result, so those runs pay no span allocation and pin no machine.
+        self._runs: Dict[Tuple, Tuple] = {}
 
     # ------------------------------------------------------------------
     def graph(self, dataset: str) -> Graph:
@@ -162,6 +132,40 @@ class ExperimentRunner:
         raise ConfigError(f"unknown engine {name!r}")
 
     # ------------------------------------------------------------------
+    def _setup(self, dataset, engine, disk_kind, num_disks, memory, threads,
+               overrides):
+        """Graph, fresh machine and configured engine for one execution."""
+        return (
+            self.graph(dataset),
+            self.machine(disk_kind, num_disks, memory),
+            self._engine(engine, threads, overrides),
+        )
+
+    def _memoized(self, traced, dataset, engine, disk_kind, num_disks, memory,
+                  threads, overrides) -> Tuple:
+        key = (
+            dataset,
+            engine,
+            disk_kind,
+            num_disks,
+            memory or self.memory,
+            threads,
+            tuple(sorted(overrides.items())),
+            traced,
+        )
+        if key not in self._runs:
+            graph, machine, eng = self._setup(
+                dataset, engine, disk_kind, num_disks, memory, threads, overrides
+            )
+            if traced:
+                machine.attach_tracer(Tracer())
+            result = eng.run(graph, machine, root=self.root(dataset))
+            self._runs[key] = (
+                (result, machine, machine.tracer) if traced
+                else (result, None, None)
+            )
+        return self._runs[key]
+
     def run(
         self,
         dataset: str,
@@ -173,21 +177,10 @@ class ExperimentRunner:
         **config_overrides,
     ) -> EngineResult:
         """Run one engine on one dataset and memoize the result."""
-        key = (
-            dataset,
-            engine,
-            disk_kind,
-            num_disks,
-            memory or self.memory,
-            threads,
-            tuple(sorted(config_overrides.items())),
-        )
-        if key not in self._runs:
-            graph = self.graph(dataset)
-            machine = self.machine(disk_kind, num_disks, memory)
-            eng = self._engine(engine, threads, config_overrides)
-            self._runs[key] = eng.run(graph, machine, root=self.root(dataset))
-        return self._runs[key]
+        return self._memoized(
+            False, dataset, engine, disk_kind, num_disks, memory, threads,
+            config_overrides,
+        )[0]
 
     def run_traced(
         self,
@@ -203,30 +196,14 @@ class ExperimentRunner:
 
         Returns ``(result, machine, tracer)`` so callers can profile the
         trace and reconcile counters against the machine's report.
-        Memoized separately from :meth:`run` (tracing on vs. off is
-        bit-for-bit identical in timings, but the memo keeps each world's
-        objects intact).
+        Memoized apart from the untraced run of the same arguments
+        (tracing on vs. off is bit-for-bit identical in timings, but each
+        entry keeps its own world's objects intact).
         """
-        from repro.obs.tracer import Tracer  # local: keep obs optional here
-
-        key = (
-            dataset,
-            engine,
-            disk_kind,
-            num_disks,
-            memory or self.memory,
-            threads,
-            tuple(sorted(config_overrides.items())),
+        return self._memoized(
+            True, dataset, engine, disk_kind, num_disks, memory, threads,
+            config_overrides,
         )
-        if key not in self._traced_runs:
-            graph = self.graph(dataset)
-            machine = self.machine(disk_kind, num_disks, memory)
-            tracer = Tracer()
-            machine.attach_tracer(tracer)
-            eng = self._engine(engine, threads, config_overrides)
-            result = eng.run(graph, machine, root=self.root(dataset))
-            self._traced_runs[key] = (result, machine, tracer)
-        return self._traced_runs[key]
 
     def run_batch(
         self,
@@ -251,17 +228,12 @@ class ExperimentRunner:
         report — so per-query byte counters reconcile with per-query
         :class:`IOReport` totals by construction.
         """
-        from repro.obs.counters import CounterRegistry
-
-        graph = self.graph(dataset)
-        machine = self.machine(disk_kind, num_disks, memory)
-        eng = self._engine(engine, threads, config_overrides)
+        graph, machine, eng = self._setup(
+            dataset, engine, disk_kind, num_disks, memory, threads,
+            config_overrides,
+        )
         batch = eng.run_many(graph, machine, roots=list(roots), mode=mode)
-        registry = CounterRegistry.from_machine(machine)
-        for q in batch.queries:
-            q.metrics = CounterRegistry.from_report(q.report).ingest_result(q)
-            registry.ingest_result(q)
-        batch.metrics = registry
+        export_observability(machine, batch, None, None)
         return batch
 
     def compare(
@@ -279,35 +251,3 @@ class ExperimentRunner:
             )
             for name in engines
         }
-
-    # ------------------------------------------------------------------
-    def speedup(
-        self, dataset: str, slow: str, fast: str, disk_kind: str = "hdd", **kwargs
-    ) -> float:
-        """Execution-time ratio slow/fast (>1 means ``fast`` wins)."""
-        t_slow = self.run(dataset, slow, disk_kind, **kwargs).execution_time
-        t_fast = self.run(dataset, fast, disk_kind, **kwargs).execution_time
-        return t_slow / t_fast
-
-    def input_reduction(self, dataset: str, disk_kind: str = "hdd") -> float:
-        """Fraction of X-Stream's input bytes that FastBFS avoids."""
-        x = self.run(dataset, "x-stream", disk_kind).report.bytes_read
-        f = self.run(dataset, "fastbfs", disk_kind).report.bytes_read
-        return 1.0 - f / x if x else 0.0
-
-    def total_reduction(self, dataset: str, disk_kind: str = "hdd") -> float:
-        """Fraction of X-Stream's total (read+write) bytes FastBFS avoids."""
-        x = self.run(dataset, "x-stream", disk_kind).report.bytes_total
-        f = self.run(dataset, "fastbfs", disk_kind).report.bytes_total
-        return 1.0 - f / x if x else 0.0
-
-
-#: Process-wide runner shared by the benchmark files (Figs. 4-6 reuse runs).
-_shared: Optional[ExperimentRunner] = None
-
-
-def shared_runner() -> ExperimentRunner:
-    global _shared
-    if _shared is None:
-        _shared = ExperimentRunner()
-    return _shared

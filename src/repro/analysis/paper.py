@@ -2,9 +2,9 @@
 
 The evaluation section quotes *ranges* across the four big datasets rather
 than per-dataset values (the figures are bar charts without data labels),
-so claims are stored as (low, high) ranges and qualitative shape statements.
-EXPERIMENTS.md and the benchmark harness check measured values against
-these.
+so claims are stored as (low, high) ranges.  The qualitative statements
+(who wins, what stays flat) and the check of each range against measured
+values live with their figure in :mod:`repro.analysis.figures`.
 """
 
 from __future__ import annotations
@@ -77,20 +77,3 @@ TABLE2 = {
 #: Fig. 1 — the motivating convergence example: useful edges 100% -> <88% ->
 #: <55% over the first three levels of a toy 33-edge graph.
 FIG1_EXAMPLE = {"total_edges": 33, "useful_after": [33, 29, 18]}
-
-#: Qualitative shape claims (checked as booleans by the harness/tests).
-SHAPE_CLAIMS = [
-    ("fig4", "FastBFS fastest on every dataset (HDD)"),
-    ("fig4", "GraphChi slowest on most datasets (HDD)"),
-    ("fig5", "X-Stream reads the most input data"),
-    ("fig5", "FastBFS reads the least input data"),
-    ("fig6", "GraphChi iowait ratio below X-Stream's and FastBFS's"),
-    ("fig6", "FastBFS iowait ratio >= X-Stream's"),
-    ("fig7", "SSD is faster than HDD for all three systems"),
-    ("fig7", "FastBFS on HDD is close to X-Stream on SSD"),
-    ("fig8", "thread count does not help (I/O bound)"),
-    ("fig8", "threads beyond core count degrade slightly"),
-    ("fig9", "performance is flat across 256MB-2GB memory"),
-    ("fig9", "4GB turns on in-memory mode and drops execution time sharply"),
-    ("fig10", "two disks beat one disk which beats X-Stream"),
-]

@@ -194,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     shapes = sub.add_parser(
         "shapes",
-        help="run the executable shape claims (the EXPERIMENTS scoreboard)",
+        help="check every claim of the paper's tables and figures",
     )
     shapes.add_argument("--divisor", type=int, default=1024,
                         help="scale divisor (default 1024 for speed)")
@@ -678,9 +678,9 @@ def cmd_gantt(args: argparse.Namespace) -> int:
 
 def cmd_shapes(args: argparse.Namespace) -> int:
     from repro.analysis.harness import ExperimentRunner
-    from repro.analysis.shapes import check_all, scoreboard
+    from repro.analysis.figures import check_claims, scoreboard
 
-    results = check_all(
+    results = check_claims(
         ExperimentRunner(divisor=args.divisor), datasets=args.datasets
     )
     print(scoreboard(results))
@@ -691,12 +691,12 @@ def cmd_shapes(args: argparse.Namespace) -> int:
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
     from repro.analysis.harness import ExperimentRunner
-    from repro.analysis.report import ALL_FIGURES, build_report
+    from repro.analysis.figures import FIGURES, build_report
 
     runner = ExperimentRunner(divisor=args.divisor)
     report = build_report(
         runner,
-        figures=args.figures if args.figures else ALL_FIGURES,
+        figures=args.figures if args.figures else list(FIGURES),
         datasets=args.datasets,
     )
     if args.output:

@@ -56,7 +56,7 @@ import sys
 import threading
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.algorithms.pagerank import PageRankAlgorithm
@@ -114,6 +114,11 @@ READ_TIMEOUT_SECONDS = 30.0
 #: length-capped); anything else falls back to a generated id.
 REQUEST_ID_PATTERN = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
 
+#: What a graph may be registered and addressed as.  The name rides in
+#: every flush id, metrics label and ``/graphs`` listing, so it is held to
+#: a safe charset, may not start with a dot and is length-capped.
+GRAPH_NAME_PATTERN = re.compile(r"^[A-Za-z0-9_-][A-Za-z0-9._-]{0,63}$")
+
 #: Problem types of the statuses ``BaseHTTPRequestHandler`` refuses a
 #: request with before any ``do_*`` method runs.
 PROTOCOL_PROBLEM_KINDS = {
@@ -137,6 +142,15 @@ class _RequestProblem(Exception):
         self.headers = headers or {}
         #: Queue wait carried by deadline problems (504 accounting).
         self.queue_wait: Optional[float] = None
+
+
+def check_graph_name(name: str) -> None:
+    """Refuse a graph name outside :data:`GRAPH_NAME_PATTERN`."""
+    if not GRAPH_NAME_PATTERN.fullmatch(name):
+        raise ConfigError(
+            f"graph name {name[:80]!r} is not allowed: 1-64 characters of "
+            "[A-Za-z0-9._-], not starting with a dot"
+        )
 
 
 def _is_int(value: object) -> bool:
@@ -432,6 +446,7 @@ class GraphService:
         """Stage ``graph`` under ``name`` and account its staging I/O."""
         if self._draining:
             raise ServeError("service is shutting down")
+        check_graph_name(name)
         entry = self.registry.register(name, graph)
         if entry.staged.staging_report is not None:
             staging = CounterRegistry.from_report(entry.staged.staging_report)
@@ -776,11 +791,23 @@ class _Handler(BaseHTTPRequestHandler):
             return supplied
         return self.service.next_request_id()
 
+    def _route(self) -> List[str]:
+        """The path's segments; the name of a ``/graphs/{name}...`` route
+        is refused here, before anything is parsed, built or labelled
+        with it."""
+        parts = [p for p in self.path.split("?")[0].split("/") if p]
+        if len(parts) >= 2 and parts[0] == "graphs":
+            try:
+                check_graph_name(parts[1])
+            except ConfigError as exc:
+                raise _RequestProblem(400, "bad_graph_name", str(exc))
+        return parts
+
     # ------------------------------------------------------------------
     def do_GET(self) -> None:
         request_id = self._request_id()
-        parts = [p for p in self.path.split("?")[0].split("/") if p]
         try:
+            parts = self._route()
             if parts == ["healthz"]:
                 self._send_json(200, self.service.healthz(), request_id)
             elif parts == ["metrics"]:
@@ -835,9 +862,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:
         request_id = self._request_id()
-        parts = [p for p in self.path.split("?")[0].split("/") if p]
         try:
             payload = self._read_json()
+            parts = self._route()
             if len(parts) == 3 and parts[0] == "graphs" and parts[2] in (
                 QUERY_ALGORITHMS
             ):
@@ -971,7 +998,13 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_problem(self, problem: _RequestProblem, request_id: str) -> None:
         graph = None
         parts = [p for p in self.path.split("?")[0].split("/") if p]
-        if len(parts) >= 2 and parts[0] == "graphs":
+        # A refused name labels nothing, whatever the request failed on
+        # first (a malformed body is read before the route is looked at).
+        if (
+            len(parts) >= 2
+            and parts[0] == "graphs"
+            and GRAPH_NAME_PATTERN.fullmatch(parts[1])
+        ):
             graph = parts[1]
         algorithm = parts[2] if len(parts) == 3 else None
         if graph is not None and algorithm in QUERY_ALGORITHMS:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import paper
+from repro.analysis import figures, paper
 from repro.analysis.calibration import (
     SCALE_DIVISOR,
     scaled_bytes,
@@ -16,7 +16,6 @@ from repro.analysis.harness import (
     ComparisonRow,
     ExperimentRunner,
     default_root,
-    peripheral_root,
 )
 from repro.analysis.tables import (
     comparison_table,
@@ -85,22 +84,14 @@ class TestPaperClaims:
         assert useful == sorted(useful, reverse=True)
 
     def test_shape_claims_enumerated(self):
-        figures = {fig for fig, _ in paper.SHAPE_CLAIMS}
-        assert {"fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10"} <= figures
+        claimed = {name for name, fig in figures.FIGURES.items() if fig.claims}
+        assert {"fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10"} <= claimed
 
 
 class TestRoots:
     def test_default_root_is_hub(self):
         g = rmat_graph(scale=8, edge_factor=8, seed=1)
         assert default_root(g) == int(np.argmax(g.out_degrees()))
-
-    def test_peripheral_root_deepens(self):
-        from repro.algorithms.reference import bfs_levels
-
-        g = rmat_graph(scale=10, edge_factor=8, seed=2)
-        hub = default_root(g)
-        peri = peripheral_root(g)
-        assert bfs_levels(g, peri).max() >= bfs_levels(g, hub).max()
 
 
 class TestRunner:
@@ -131,9 +122,21 @@ class TestRunner:
             assert np.array_equal(lv, levels[0])
 
     def test_speedup_and_reductions(self, runner):
-        s = runner.speedup("rmat25", "x-stream", "fastbfs")
-        assert s > 1.0
-        assert 0.0 < runner.input_reduction("rmat25") < 1.0
+        rows = {"rmat25": runner.compare("rmat25")}
+
+        def measured(figure, text):
+            (claim,) = [c for c in figures.FIGURES[figure].claims if c.text == text]
+            ((_, value),) = claim.cases(rows)
+            return value
+
+        x, f = rows["rmat25"]["x-stream"], rows["rmat25"]["fastbfs"]
+        speedup = measured("fig4", "FastBFS vs X-Stream, HDD: in the paper's range")
+        assert speedup == x.time / f.time > 1.0
+        reduction = measured(
+            "fig5", "input data reduction vs X-Stream: in the paper's range"
+        )
+        assert reduction == 1.0 - f.input_bytes / x.input_bytes
+        assert 0.0 < reduction < 1.0
 
     def test_unknown_engine(self, runner):
         with pytest.raises(ConfigError):

@@ -423,6 +423,143 @@ class TestErrorBodies:
         assert len(body["result"]["ranks"]) == 256
 
 
+class TestGraphNames:
+    """The ``{name}`` of every ``/graphs/{name}...`` route is outside input
+    that ends up in flush ids, metrics labels and the listing: anything
+    outside ``GRAPH_NAME_PATTERN`` is a typed 400 before a spec is parsed,
+    a graph staged or an entry evicted."""
+
+    HOSTILE = ["..", "%2e%2e", "x%00y", "a%2Fb", "n" * 300]
+
+    @pytest.fixture(scope="class")
+    def svc(self):
+        svc = GraphService(port=0, warmup=(TINY_SPEC,)).start()
+        yield svc
+        svc.shutdown()
+
+    @staticmethod
+    def raw(svc, method, path, payload=None):
+        """One request over a bare socket (no client-side path handling);
+        returns (status, decoded JSON body)."""
+        body = b"" if payload is None else json.dumps(payload).encode()
+        with socket.create_connection(
+            ("127.0.0.1", svc.port), timeout=5.0
+        ) as sock:
+            sock.sendall(
+                f"{method} {path} HTTP/1.1\r\nHost: t\r\n"
+                f"Connection: close\r\nContent-Length: {len(body)}\r\n\r\n"
+                .encode() + body
+            )
+            response = b""
+            while True:  # until the server closes; a stall times out
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                response += chunk
+        head, _, data = response.partition(b"\r\n\r\n")
+        return int(head.split()[1]), json.loads(data)
+
+    @pytest.mark.parametrize("name", HOSTILE, ids=[
+        "dotdot", "pct-dotdot", "pct-nul", "pct-slash", "300-chars",
+    ])
+    def test_hostile_name_is_refused_on_every_route(
+        self, svc, monkeypatch, name
+    ):
+        built = []
+        _, names, edge_estimate = serve_registry._GENERATORS["star"]
+        monkeypatch.setitem(
+            serve_registry._GENERATORS, "star",
+            (lambda **params: built.append(params), names, edge_estimate),
+        )
+        registered = sorted(svc.registry.names())
+        threads_before = threading.active_count()
+        for method, path, payload in [
+            ("POST", f"/graphs/{name}", {"spec": "star:num_leaves=4"}),
+            ("POST", f"/graphs/{name}", {"spec": "no-such-dataset"}),
+            ("POST", f"/graphs/{name}/bfs", {"root": 0}),
+            ("POST", f"/graphs/{name}/sssp", {"root": 0}),
+            ("GET", f"/graphs/{name}/stats", None),
+            ("GET", f"/graphs/{name}/bfs", None),
+        ]:
+            status, doc = self.raw(svc, method, path, payload)
+            assert status == 400, (method, path, doc)
+            assert doc["error"]["type"] == "bad_graph_name"
+            assert len(doc["error"]["message"]) < 250
+            assert doc["request_id"].startswith("req-")
+        # A body that fails first must not smuggle the name into a label.
+        status, _, doc = request(
+            svc, "POST", f"/graphs/{name}/bfs", raw_body="{not json"
+        )
+        assert (status, doc["error"]["type"]) == (400, "bad_request")
+        assert built == []  # refused by name, before the spec was looked at
+        assert sorted(svc.registry.names()) == registered == ["tiny"]
+        # ... and the name reached no metrics label and no request record.
+        _, _, metrics = request(svc, "GET", "/metrics")
+        assert name[:8] not in metrics
+        assert all(
+            r["graph"] == "tiny"
+            for r in request(svc, "GET", "/debug/requests")[2]["requests"]
+        )
+        deadline = time.monotonic() + 5
+        while (threading.active_count() > threads_before
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert threading.active_count() <= threads_before
+
+    def test_longest_allowed_name_registers_and_serves(self, svc):
+        name = "A" + "b._-0" * 12 + "xyz"
+        assert len(name) == 64
+        status, doc = self.raw(
+            svc, "POST", f"/graphs/{name}", {"spec": "star:num_leaves=4"}
+        )
+        assert status == 201, doc
+        assert name in svc.registry
+        status, doc = self.raw(svc, "POST", f"/graphs/{name}/bfs", {"root": 0})
+        assert status == 200 and doc["graph"] == name
+        status, doc = self.raw(svc, "POST", f"/graphs/{name}x", {"spec": "rmat22"})
+        assert (status, doc["error"]["type"]) == (400, "bad_graph_name")
+
+    def test_library_and_warmup_callers_are_inside_the_rule(self, svc):
+        with pytest.raises(ConfigError, match="graph name '..' is not allowed"):
+            svc.register("..", star_graph(4))
+        with pytest.raises(ConfigError, match="is not allowed"):
+            svc.register("trailing-newline\n", star_graph(4))
+        with pytest.raises(ConfigError, match="is not allowed"):
+            GraphService(port=0, warmup=(".hidden@star:num_leaves=4",)).start()
+        assert sorted(svc.registry.names())[-1] == "tiny"
+
+
+class TestRootLists:
+    """Pinned as tests only: a multi-source ``roots`` list may repeat a
+    vertex and may name every vertex of the graph."""
+
+    @staticmethod
+    def multi_source_levels(graph, roots):
+        per_root = np.stack([bfs_levels(graph, r) for r in set(roots)])
+        reached = np.where(per_root >= 0, per_root, np.iinfo(np.int32).max)
+        best = reached.min(axis=0)
+        return np.where((per_root >= 0).any(axis=0), best, -1).tolist()
+
+    def test_duplicate_roots(self, service):
+        graph = service.registry.get("tiny").graph
+        roots = [3, 5, 3, 3, 5]
+        status, _, body = request(
+            service, "POST", "/graphs/tiny/bfs", payload={"roots": roots}
+        )
+        assert status == 200, body
+        assert body["result"]["levels"] == self.multi_source_levels(graph, roots)
+
+    def test_one_root_per_vertex(self, service):
+        graph = service.registry.get("tiny").graph
+        roots = list(range(graph.num_vertices))
+        status, _, body = request(
+            service, "POST", "/graphs/tiny/bfs", payload={"roots": roots}
+        )
+        assert status == 200, body
+        assert body["result"]["levels"] == self.multi_source_levels(graph, roots)
+        assert body["result"]["levels"] == [0] * graph.num_vertices
+
+
 class TestHostileContentLength:
     """``Content-Length`` is outside input.  A value that cannot be a body
     size, or one past ``MAX_BODY_BYTES``, is refused at once with a typed
