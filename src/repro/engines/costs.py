@@ -90,10 +90,23 @@ class CostModel:
         threads: int,
         cores: int,
     ) -> float:
-        """Charge one buffer's processing to the clock; returns the time."""
-        dt = self.buffer_time(per_item, count, threads, cores)
+        """Charge one buffer's processing to the clock; returns the time.
+
+        The time is :meth:`buffer_time`'s, computed in this one frame (the
+        engines call this thousands of times per query) with the same
+        operations in the same order, so the float is the same.
+        """
+        if count <= 0:
+            return 0.0
+        # effective_parallelism's max(1, min(threads, cores)) without the
+        # two builtin calls; each branch picks the object max/min would.
+        par = cores if cores < threads else threads
+        if not par > 1:
+            par = 1
+        sync = self.thread_sync_per_buffer * threads if threads > 1 else 0.0
+        dt = per_item * count / par + sync + self.buffer_overhead
         if dt > 0.0:
-            clock.charge_compute(dt, category=category)
+            clock.charge_compute(dt, category)
         return dt
 
     def charge_phase(self, clock: SimClock, threads: int) -> float:

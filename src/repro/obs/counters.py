@@ -3,7 +3,7 @@
 The storage substrate already keeps exact byte accounting in two
 independent ledgers — per-kind (``Timeline._bytes_by_kind``, what
 ``IOReport.bytes_read``/``bytes_written`` report) and per-role
-(``Timeline._bytes_by_role``, behind ``IOReport.bytes_by_role``).  This
+(``Timeline.bytes_by_role``, behind ``IOReport.bytes_by_role``).  This
 module gives that accounting a queryable, exportable shape: a
 :class:`CounterRegistry` is a flat map of ``(name, labels)`` to float
 values, filled from the storage layer's own ``counter_samples()`` hooks

@@ -32,6 +32,8 @@ includes the refusals ``http.server`` makes on its own (bad request line,
 414, 431, 501, 505), which are typed JSON problems like every other
 error.  A peer silent for :data:`READ_TIMEOUT_SECONDS` is given up: in
 the middle of a declared body with a typed 408, before that by closing.
+A connection past :data:`MAX_HANDLER_THREADS` live handlers gets no
+thread: a typed 503 on the accept thread, then the connection closes.
 Every response with a head carries ``X-Request-Id`` (a request
 line without an HTTP/1.x version gets, per HTTP/0.9, the body alone);
 query responses additionally carry queue-wait and simulated-time
@@ -109,6 +111,11 @@ MAX_PAGERANK_ROUNDS = 100
 #: ``benchmarks/perf``'s connections park for seconds at phase and block
 #: boundaries while the harness probes the host.
 READ_TIMEOUT_SECONDS = 30.0
+
+#: Most connections with a live handler thread.  One past it is answered
+#: a typed ``503 server_busy`` on the accept thread and closed, so N silent
+#: peers cannot hold N threads for :data:`READ_TIMEOUT_SECONDS` each.
+MAX_HANDLER_THREADS = 64
 
 #: Client-supplied ``X-Request-Id`` values must match this (safe charset,
 #: length-capped); anything else falls back to a generated id.
@@ -391,6 +398,26 @@ class GraphService:
             # Survive bursts of simultaneous connects (the admission
             # queue, not the TCP backlog, is the intended choke point).
             request_queue_size = 128
+            # One slot per live handler thread.
+            handler_slots = threading.BoundedSemaphore(MAX_HANDLER_THREADS)
+
+            def process_request(self, request, client_address):
+                # The accept thread: past the cap, answer here and close.
+                if not self.handler_slots.acquire(blocking=False):
+                    _BusyHandler(request, client_address, self)
+                    self.shutdown_request(request)
+                    return
+                try:
+                    super().process_request(request, client_address)
+                except BaseException:
+                    self.handler_slots.release()  # no thread was started
+                    raise
+
+            def process_request_thread(self, request, client_address):
+                try:
+                    super().process_request_thread(request, client_address)
+                finally:
+                    self.handler_slots.release()
 
         self._httpd = _Server((self.host, self._requested_port), _Handler)
         self._httpd.service = service  # type: ignore[attr-defined]
@@ -521,6 +548,11 @@ class GraphService:
         """A peer went silent mid-request and its connection was given up."""
         with self._metrics_lock:
             self._registry_metrics.inc("client_timeout_total", 1.0)
+
+    def count_busy(self) -> None:
+        """A connection came past MAX_HANDLER_THREADS and was refused."""
+        with self._metrics_lock:
+            self._registry_metrics.inc("server_busy_total", 1.0)
 
     def metrics_snapshot(self) -> CounterRegistry:
         """Copy of the service registry (safe to export/reconcile)."""
@@ -1028,6 +1060,25 @@ class _Handler(BaseHTTPRequestHandler):
             "request_id": request_id,
         }
         self._send_json(problem.status, body, request_id, problem.headers)
+
+
+class _BusyHandler(_Handler):
+    """A connection past :data:`MAX_HANDLER_THREADS`, on the accept thread:
+    a typed 503 through the one responder, its request left unread."""
+
+    def handle(self) -> None:
+        self.path, self.command = "", None
+        self.request_version = self.protocol_version
+        self.headers = self.MessageClass()
+        self.service.count_busy()
+        self._send_problem(
+            _RequestProblem(
+                503, "server_busy",
+                f"all {MAX_HANDLER_THREADS} connection handlers are busy",
+                headers={"Retry-After": "1", "Connection": "close"},
+            ),
+            self._request_id(),
+        )
 
 
 __all__ = ["GraphService", "JSON_CONTENT_TYPE", "QUERY_ALGORITHMS"]

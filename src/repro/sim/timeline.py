@@ -17,13 +17,11 @@ buffers are dropped, and later requests move up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import TimelineError
 
 
-@dataclass
 class ScheduledRequest:
     """One device request as placed on a timeline.
 
@@ -31,19 +29,58 @@ class ScheduledRequest:
     requests can be queried or cancelled together.  ``start``/``end`` may
     shift earlier if a request queued ahead of this one is cancelled, so
     always read them from the live object rather than caching.
+
+    ``kind`` is ``"read"`` or ``"write"``; ``fault`` is the non-raising
+    injected fault applied to the request, if any (``"torn_write"`` |
+    ``"latency"`` | ``"stall"``; see repro.storage.faults).
+
+    A hand-written slotted class (a device makes thousands per query, and
+    ``dataclass(slots=True)`` needs Python 3.10) with the dataclass it
+    replaces' constructor, ``repr`` and field-wise ``==``.
     """
 
-    group: str
-    kind: str  # "read" | "write"
-    nbytes: int
-    submit: float
-    service: float
-    start: float = 0.0
-    end: float = 0.0
-    cancelled: bool = False
-    #: Non-raising injected fault applied to this request, if any
-    #: ("torn_write" | "latency" | "stall"); see repro.storage.faults.
-    fault: Optional[str] = None
+    __slots__ = (
+        "group", "kind", "nbytes", "submit", "service",
+        "start", "end", "cancelled", "fault",
+    )
+
+    def __init__(
+        self,
+        group: str,
+        kind: str,
+        nbytes: int,
+        submit: float,
+        service: float,
+        start: float = 0.0,
+        end: float = 0.0,
+        cancelled: bool = False,
+        fault: Optional[str] = None,
+    ) -> None:
+        self.group = group
+        self.kind = kind
+        self.nbytes = nbytes
+        self.submit = submit
+        self.service = service
+        self.start = start
+        self.end = end
+        self.cancelled = cancelled
+        self.fault = fault
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    __hash__ = None  # type: ignore[assignment]  # mutable, like the dataclass
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields())
+        )
+        return f"ScheduledRequest({fields})"
 
     @property
     def queue_delay(self) -> float:
@@ -67,8 +104,9 @@ class Timeline:
         self._settled_busy = 0.0
         self._settled_count = 0
         self._bytes_by_kind: Dict[str, int] = {"read": 0, "write": 0}
-        # (role, kind) -> bytes, where role is the stream-group prefix.
-        self._bytes_by_role: Dict[tuple, int] = {}
+        # (group, kind) -> bytes; bytes_by_role() folds groups into their
+        # role, so no request pays for splitting its group label.
+        self._bytes_by_group: Dict[Tuple[str, str], int] = {}
         self._last_submit = 0.0
 
     @staticmethod
@@ -80,10 +118,10 @@ class Timeline:
     def lane_of(cls, request: ScheduledRequest) -> tuple:
         """Canonical (role, kind) lane of a request.
 
-        The single definition shared by the byte ledger below and every
-        lane-keyed consumer (the Gantt renderer, per-role reports) — keep
-        them keyed identically or per-role accounting and rendering drift
-        apart.
+        The single definition shared by the byte ledger below (which
+        folds its groups with :meth:`role_of`) and every lane-keyed
+        consumer (the Gantt renderer, per-role reports) — keep them keyed
+        identically or per-role accounting and rendering drift apart.
         """
         return cls.role_of(request.group), request.kind
 
@@ -103,31 +141,36 @@ class Timeline:
             raise TimelineError(f"negative service time {service}")
         if nbytes < 0:
             raise TimelineError(f"negative request size {nbytes}")
-        if kind not in ("read", "write"):
-            raise TimelineError(f"request kind must be 'read' or 'write', got {kind!r}")
-        if submit < self._last_submit - 1e-12:
+        key = (group, kind)
+        by_group = self._bytes_by_group
+        group_bytes = by_group.get(key)
+        if group_bytes is None:
+            # Only a pair never accepted before can carry a bad kind.
+            if kind not in ("read", "write"):
+                raise TimelineError(
+                    f"request kind must be 'read' or 'write', got {kind!r}"
+                )
+            group_bytes = 0
+        last_submit = self._last_submit
+        if submit < last_submit - 1e-12:
             raise TimelineError(
-                f"submissions must be monotonic: {submit} after {self._last_submit}"
+                f"submissions must be monotonic: {submit} after {last_submit}"
             )
-        self._last_submit = max(self._last_submit, submit)
-        self._prune(submit)
-        free_at = self._queue[-1].end if self._queue else self._settled_end
-        start = max(submit, free_at)
-        req = ScheduledRequest(
-            group=group,
-            kind=kind,
-            nbytes=nbytes,
-            submit=submit,
-            service=service,
-            start=start,
-            end=start + service,
-        )
-        self._queue.append(req)
+        # The branches below are max() spelled out: same winner on ties.
+        if submit > last_submit:
+            self._last_submit = submit
+        queue = self._queue
+        if queue and queue[0].end <= submit:
+            self._prune(submit)  # deletes in place: ``queue`` stays the queue
+        free_at = queue[-1].end if queue else self._settled_end
+        start = free_at if free_at > submit else submit
+        req = ScheduledRequest(group, kind, nbytes, submit, service, start, start + service)
+        queue.append(req)
         if self.keep_trace:
             self.trace.append(req)
-        self._bytes_by_kind[kind] = self._bytes_by_kind.get(kind, 0) + nbytes
-        role_key = self.lane_of(req)
-        self._bytes_by_role[role_key] = self._bytes_by_role.get(role_key, 0) + nbytes
+        by_kind = self._bytes_by_kind
+        by_kind[kind] = by_kind.get(kind, 0) + nbytes
+        by_group[key] = group_bytes + nbytes
         return req
 
     def _prune(self, watermark: float) -> None:
@@ -169,7 +212,7 @@ class Timeline:
             if req.start >= now and predicate(req):
                 req.cancelled = True
                 self._bytes_by_kind[req.kind] -= req.nbytes
-                self._bytes_by_role[self.lane_of(req)] -= req.nbytes
+                self._bytes_by_group[(req.group, req.kind)] -= req.nbytes
                 cancelled.append(req)
             else:
                 kept.append(req)
@@ -209,7 +252,7 @@ class Timeline:
             "settled_busy": self._settled_busy,
             "settled_count": self._settled_count,
             "bytes_by_kind": dict(self._bytes_by_kind),
-            "bytes_by_role": dict(self._bytes_by_role),
+            "bytes_by_group": dict(self._bytes_by_group),
             "last_submit": self._last_submit,
             "trace_len": len(self.trace),
         }
@@ -221,7 +264,7 @@ class Timeline:
         self._settled_busy = state["settled_busy"]  # type: ignore[assignment]
         self._settled_count = state["settled_count"]  # type: ignore[assignment]
         self._bytes_by_kind = dict(state["bytes_by_kind"])  # type: ignore[arg-type]
-        self._bytes_by_role = dict(state["bytes_by_role"])  # type: ignore[arg-type]
+        self._bytes_by_group = dict(state["bytes_by_group"])  # type: ignore[arg-type]
         self._last_submit = state["last_submit"]  # type: ignore[assignment]
         del self.trace[state["trace_len"] :]  # type: ignore[misc]
 
@@ -261,7 +304,11 @@ class Timeline:
 
     def bytes_by_role(self) -> Dict[tuple, int]:
         """Copy of (stream role, kind) -> bytes accounting."""
-        return {k: v for k, v in self._bytes_by_role.items() if v}
+        totals: Dict[tuple, int] = {}
+        for (group, kind), nbytes in self._bytes_by_group.items():
+            lane = (self.role_of(group), kind)
+            totals[lane] = totals.get(lane, 0) + nbytes
+        return {k: v for k, v in totals.items() if v}
 
     @property
     def bytes_read(self) -> int:

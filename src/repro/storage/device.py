@@ -203,22 +203,21 @@ class Device:
                     )
             else:
                 self.cache.write(file_id, offset, nbytes)
+        spec = self.spec
         seeks = 0
-        if self.spec.seek_time > 0.0:
+        if spec.seek_time > 0.0:
             if self._head is None or self._head != (file_id, offset):
                 seeks = 1
         self._head = (file_id, offset + nbytes)
         self._seek_count += seeks
-        service = self.service_time(kind, disk_bytes, seeks)
+        # service_time(kind, disk_bytes, seeks), inline: same operands, same
+        # order, so the same float.
+        service = seeks * spec.seek_time + disk_bytes / (
+            spec.read_bandwidth if kind == "read" else spec.write_bandwidth
+        )
         if outcome is not None and outcome.delay > 0.0:
             service += outcome.delay
-        req = self.timeline.schedule(
-            submit=submit_time,
-            service=service,
-            nbytes=disk_bytes,
-            kind=kind,
-            group=group,
-        )
+        req = self.timeline.schedule(submit_time, service, disk_bytes, kind, group)
         if outcome is not None and outcome.torn and kind == "write":
             req.fault = "torn_write"
         return req

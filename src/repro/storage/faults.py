@@ -427,20 +427,13 @@ def submit_with_retry(
     cannot help them.
     """
     device = file.device
-    policy = retry if retry is not None else RetryPolicy(max_attempts=1)
     attempt = 0
     while True:
         attempt += 1
         try:
-            return device.submit(
-                submit_time=clock.now,
-                kind=kind,
-                nbytes=nbytes,
-                file_id=file.file_id,
-                offset=offset,
-                group=group,
-            )
+            return device.submit(clock.now, kind, nbytes, file.file_id, offset, group)
         except TransientIOError as exc:
+            policy = retry if retry is not None else RetryPolicy(max_attempts=1)
             injector = device.injector
             if attempt >= policy.max_attempts:
                 if injector is not None:

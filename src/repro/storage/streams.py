@@ -67,7 +67,9 @@ class StreamReader:
         self.group = group or f"read:{file.name}"
         self.retry = retry
         self.prefetch = prefetch
-        record_size = file.record_size
+        # Fixed for the reader's life: it reads the records the file held
+        # at open, and a file with records has a fixed dtype.
+        self._record_size = record_size = file.record_size
         self.records_per_buffer = (
             max(1, buffer_bytes // record_size) if record_size else 0
         )
@@ -77,20 +79,16 @@ class StreamReader:
         self.buffers_read = 0
 
     def _fill(self) -> None:
-        while len(self._pending) < self.prefetch and self._next_submit < self._total:
-            count = min(self.records_per_buffer, self._total - self._next_submit)
-            offset = self._next_submit * self.file.record_size
+        pending, total, record_size = self._pending, self._total, self._record_size
+        while len(pending) < self.prefetch and self._next_submit < total:
+            first = self._next_submit
+            count = min(self.records_per_buffer, total - first)
             req = submit_with_retry(
-                self.clock,
-                self.file,
-                kind="read",
-                nbytes=count * self.file.record_size,
-                offset=offset,
-                group=self.group,
-                retry=self.retry,
+                self.clock, self.file, "read", count * record_size,
+                first * record_size, self.group, self.retry,
             )
-            self._pending.append((req, self._next_submit, count))
-            self._next_submit += count
+            pending.append((req, first, count))
+            self._next_submit = first + count
 
     def __iter__(self) -> Iterator[np.ndarray]:
         return self
@@ -175,13 +173,7 @@ class StreamWriter:
 
     def _submit(self, nbytes: int, offset: int) -> ScheduledRequest:
         req = submit_with_retry(
-            self.clock,
-            self.file,
-            kind="write",
-            nbytes=nbytes,
-            offset=offset,
-            group=self.group,
-            retry=self.retry,
+            self.clock, self.file, "write", nbytes, offset, self.group, self.retry
         )
         self._requests.append(req)
         if req.fault == "torn_write":

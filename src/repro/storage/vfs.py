@@ -63,11 +63,27 @@ def joined_view(arrays: Sequence[np.ndarray]) -> Optional[np.ndarray]:
 
 
 def as_one_array(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """``arrays`` as one array: a view if they are one in memory, else a copy."""
+    """``arrays`` as one array: a view if they are one in memory, else a copy.
+
+    1-D record arrays that share one structured dtype object and are
+    C-contiguous are copied as bytes into a fresh array of that dtype:
+    ``np.concatenate`` would first promote the dtype field by field, in
+    Python, on every call.  The copy owns its data, like a concatenation.
+    """
     if len(arrays) == 1:
         return arrays[0]
     joined = joined_view(arrays)
-    return joined if joined is not None else np.concatenate(arrays)
+    if joined is not None:
+        return joined
+    dtype = arrays[0].dtype
+    if dtype.names is None or not all(
+        arr.dtype is dtype and arr.ndim == 1 and arr.flags.c_contiguous
+        for arr in arrays
+    ):
+        return np.concatenate(arrays)
+    out = np.empty(sum(len(arr) for arr in arrays), dtype=dtype)
+    np.concatenate([arr.view(np.uint8) for arr in arrays], out=out.view(np.uint8))
+    return out
 
 
 class VirtualFile:
@@ -165,7 +181,9 @@ class VirtualFile:
 
     def read_records(self, start: int, count: int) -> np.ndarray:
         """Zero-copy view of ``count`` records beginning at ``start``."""
-        data = self.records()
+        data = self._sealed
+        if data is None or self.deleted:
+            data = self.records()  # seals, or raises for a deleted file
         if start < 0 or start > len(data):
             raise StorageError(
                 f"read out of range in {self.name!r}: start={start}, len={len(data)}"

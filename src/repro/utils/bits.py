@@ -71,10 +71,15 @@ def mask_bit_pairs(masks: np.ndarray, width: int) -> Tuple[np.ndarray, np.ndarra
     """Expand masks into their set bits: ``(rows, bits)`` with one entry
     per set bit, ordered by row then bit, so that mask ``rows[k]`` carries
     bit ``bits[k]``.  The masks must carry no bit at or above ``width``
-    (a batch of that width cannot set one)."""
-    return np.nonzero(
-        np.unpackbits(_low_bytes(masks, width), axis=1, bitorder="little")
-    )
+    (a batch of that width cannot set one).
+
+    One flat ``flatnonzero`` over the unpacked bits read as ``bool``, split
+    into row and bit by ``divmod``: the same ``intp`` arrays, in the same
+    row-major order, as a 2-D ``nonzero`` of the unpacked rows, at a
+    fraction of its cost.
+    """
+    bits = np.unpackbits(_low_bytes(masks, width), axis=1, bitorder="little")
+    return np.divmod(np.flatnonzero(bits.view(bool)), bits.shape[1])
 
 
 def earlier_bits_in_run(masks: np.ndarray, is_start: np.ndarray) -> np.ndarray:

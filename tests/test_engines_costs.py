@@ -76,6 +76,28 @@ class TestCharging:
         CostModel().charge(clock, "scatter", 1e-8, 0, 4, 4)
         assert clock.now == 0.0
 
+    @pytest.mark.parametrize("count", [0, 1, 257])
+    @pytest.mark.parametrize("threads", [1, 2, 4, 8])
+    @pytest.mark.parametrize("cores", [1, 4])
+    def test_charge_is_buffer_time_to_the_bit(self, count, threads, cores):
+        """``charge`` computes in its own frame what ``buffer_time`` does:
+        the returned and the charged float are ``buffer_time``'s exactly."""
+        cm = CostModel()
+        for per_item in (cm.scatter_per_edge, cm.gather_per_update,
+                         cm.trim_per_edge, 1.0 / 3.0):
+            charged = []
+
+            class Recorder(SimClock):
+                def charge_compute(self, seconds, category="compute"):
+                    charged.append((seconds, category))
+                    super().charge_compute(seconds, category=category)
+
+            expected = cm.buffer_time(per_item, count, threads, cores)
+            assert cm.charge(
+                Recorder(), "gather", per_item, count, threads, cores
+            ) == expected
+            assert charged == ([(expected, "gather")] if count else [])
+
     def test_charge_phase_single_thread_free(self):
         clock = SimClock()
         assert CostModel().charge_phase(clock, 1) == 0.0

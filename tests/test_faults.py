@@ -249,11 +249,18 @@ class TestRetryLoop:
             specs=(FaultSpec(kind="transient_error", max_fires=1),), seed=0
         )
         clock, device, f = self._setup(plan)
-        with pytest.raises(IOFaultError):
+        with pytest.raises(IOFaultError) as exc_info:
             submit_with_retry(
                 clock, f, kind="read", nbytes=f.nbytes, offset=0, group="g",
                 retry=None,
             )
+        assert str(exc_info.value).startswith(
+            "read on 'd0' (group 'g') still failing after 1 attempt(s): "
+        )
+        assert isinstance(exc_info.value.__cause__, TransientIOError)
+        assert device.injector.total("io_retries") == 0
+        assert device.injector.total("io_giveups") == 1
+        assert clock.now == 0.0  # no backoff: the one attempt was the last
 
     def test_persistent_error_passes_straight_through(self):
         plan = FaultPlan(

@@ -15,6 +15,7 @@ import http.client
 import json
 import random
 import socket
+import sys
 import threading
 import time
 
@@ -39,6 +40,7 @@ from repro.serve import (
     GraphService,
     parse_graph_spec,
 )
+from repro.serve import app as serve_app
 from repro.serve import registry as serve_registry
 from repro.serve.app import MAX_SPEC_EDGES
 from repro.storage.machine import IOReport, merge_reports
@@ -277,6 +279,15 @@ class TestErrorBodies:
         assert status == 400
         assert body["error"]["type"] == "bad_request"
         assert "malformed JSON" in body["error"]["message"]
+
+    def test_invalid_utf8_body(self, service):
+        status, _, body = request(
+            service, "POST", "/graphs/tiny/bfs", raw_body=b'{"root": \xff}'
+        )
+        assert status == 400, body
+        assert body["error"]["type"] == "bad_request"
+        assert "malformed JSON body" in body["error"]["message"]
+        assert "utf-8" in body["error"]["message"]
 
     def test_unknown_route(self, service):
         status, _, body = request(service, "GET", "/nope")
@@ -558,6 +569,127 @@ class TestRootLists:
         assert status == 200, body
         assert body["result"]["levels"] == self.multi_source_levels(graph, roots)
         assert body["result"]["levels"] == [0] * graph.num_vertices
+
+    def test_more_distinct_roots_than_a_flush_is_wide(self, service):
+        """65 sources: one more than the 64 bits of a batched mask."""
+        graph = service.registry.get("tiny").graph
+        roots = list(range(0, 2 * 65, 2))
+        status, _, body = request(
+            service, "POST", "/graphs/tiny/bfs", payload={"roots": roots}
+        )
+        assert status == 200, body
+        assert body["result"]["levels"] == self.multi_source_levels(graph, roots)
+
+
+class TestHandlerThreadCap:
+    """Past ``MAX_HANDLER_THREADS`` live handlers a connection is answered
+    a typed 503 on the accept thread and closed: silent peers cannot pile
+    up threads, and the server serves again once they go."""
+
+    @staticmethod
+    def live_threads_reach(target, compare=int.__eq__):
+        deadline = time.monotonic() + 5
+        while (not compare(threading.active_count(), target)
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        return compare(threading.active_count(), target)
+
+    def test_silent_peers_fill_the_cap_and_the_next_one_reads_a_503(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(serve_app, "MAX_HANDLER_THREADS", 2)
+        svc = GraphService(port=0, warmup=(TINY_SPEC,)).start()
+        try:
+            baseline = threading.active_count()
+            silent = [
+                socket.create_connection(("127.0.0.1", svc.port), timeout=5.0)
+                for _ in range(2)
+            ]
+            assert self.live_threads_reach(baseline + 2)
+            with socket.create_connection(
+                ("127.0.0.1", svc.port), timeout=5.0
+            ) as third:
+                third.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+                response = b""
+                while True:  # until the server closes; a stall times out
+                    chunk = third.recv(65536)
+                    if not chunk:
+                        break
+                    response += chunk
+            head, _, data = response.partition(b"\r\n\r\n")
+            lines = head.decode("latin-1").split("\r\n")
+            headers = dict(line.split(": ", 1) for line in lines[1:])
+            assert lines[0] == "HTTP/1.1 503 Service Unavailable"
+            assert headers["Retry-After"] == "1"
+            assert headers["Connection"] == "close"
+            assert headers["Content-Type"] == "application/json"
+            assert json.loads(data) == {
+                "error": {
+                    "type": "server_busy",
+                    "message": "all 2 connection handlers are busy",
+                },
+                "request_id": headers["X-Request-Id"],
+            }
+            assert headers["X-Request-Id"].startswith("req-")
+            assert threading.active_count() == baseline + 2  # none spawned
+            assert svc.metrics_snapshot().total("server_busy_total") == 1.0
+            for sock in silent:
+                sock.close()
+            assert self.live_threads_reach(baseline, int.__le__)
+            status, _, body = request(
+                svc, "POST", "/graphs/tiny/bfs", payload={"root": 3}
+            )
+            assert status == 200 and body["root"] == 3
+            assert svc.metrics_snapshot().total("server_busy_total") == 1.0
+        finally:
+            svc.shutdown()
+
+    def test_a_burst_leaves_every_slot_free(self, monkeypatch):
+        """Many clients at once, with thread switches forced often: each
+        is served or refused, every refusal is counted, and afterwards
+        exactly the cap's worth of silent peers gets a handler again (a
+        lost release would refuse one of them, a double one admit one
+        more)."""
+        monkeypatch.setattr(serve_app, "MAX_HANDLER_THREADS", 3)
+        svc = GraphService(port=0, warmup=(TINY_SPEC,)).start()
+        baseline = threading.active_count()
+        statuses = []
+
+        def client():
+            try:
+                statuses.append(request(svc, "GET", "/healthz", timeout=10)[0])
+            except (ConnectionError, http.client.HTTPException):
+                statuses.append("reset")  # refused before its request was sent
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            clients = [threading.Thread(target=client) for _ in range(24)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert len(statuses) == 24
+            assert set(statuses) <= {200, 503, "reset"}
+            assert statuses.count(200) >= 3
+            refused = svc.metrics_snapshot().total("server_busy_total")
+            assert refused == 24 - statuses.count(200)
+            assert self.live_threads_reach(baseline, int.__le__)
+            silent = [
+                socket.create_connection(("127.0.0.1", svc.port), timeout=5.0)
+                for _ in range(3)
+            ]
+            assert self.live_threads_reach(baseline + 3)
+            assert request(svc, "GET", "/healthz")[0] == 503
+            for sock in silent:
+                sock.close()
+            assert self.live_threads_reach(baseline, int.__le__)
+        finally:
+            svc.shutdown()
 
 
 class TestHostileContentLength:

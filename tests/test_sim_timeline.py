@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import TimelineError
-from repro.sim.timeline import Timeline
+from repro.sim.timeline import ScheduledRequest, Timeline
 
 
 class TestScheduling:
@@ -71,6 +71,138 @@ class TestScheduling:
         for i in range(5):
             tl.schedule(float(i), 0.1, 1, "read")
         assert tl.request_count == 5
+
+    @pytest.mark.parametrize("args,message", [
+        ((0.0, -1.0, 10, "read"), "negative service time -1.0"),
+        ((0.0, 1.0, -1, "read"), "negative request size -1"),
+        ((0.0, 1.0, 1, "erase"),
+         "request kind must be 'read' or 'write', got 'erase'"),
+        ((4.0, 1.0, 10, "read"), "submissions must be monotonic: 4.0 after 5.0"),
+    ])
+    def test_every_error_keeps_its_message(self, args, message):
+        """Also for a (group, kind) pair already in the ledger, whose kind
+        is not checked again: its service, size and submit time are."""
+        tl = Timeline()
+        tl.schedule(5.0, 1.0, 10, "read")
+        with pytest.raises(TimelineError) as exc_info:
+            tl.schedule(*args)
+        assert str(exc_info.value) == message
+        assert tl.request_count == 1 and tl.bytes_read == 10
+
+
+class TestScheduledRequest:
+    def test_is_slotted(self):
+        req = Timeline().schedule(1.0, 2.0, 3, "read", group="g")
+        assert not hasattr(req, "__dict__")
+        with pytest.raises(AttributeError):
+            req.colour = "red"
+
+    def test_fields_properties_and_mutation(self):
+        req = ScheduledRequest(
+            group="g", kind="write", nbytes=8, submit=1.0, service=2.0,
+            start=4.0, end=6.0,
+        )
+        assert req.queue_delay == 3.0
+        assert (req.cancelled, req.fault) == (False, None)
+        req.fault = "torn_write"
+        req.cancelled = True
+        assert repr(req) == (
+            "ScheduledRequest(group='g', kind='write', nbytes=8, submit=1.0, "
+            "service=2.0, start=4.0, end=6.0, cancelled=True, "
+            "fault='torn_write')"
+        )
+
+    def test_equality_is_field_wise(self):
+        a = ScheduledRequest("g", "read", 1, 0.0, 1.0, 0.0, 1.0)
+        assert a == ScheduledRequest("g", "read", 1, 0.0, 1.0, 0.0, 1.0)
+        assert a != ScheduledRequest("g", "read", 1, 0.0, 1.0, 0.0, 2.0)
+        with pytest.raises(TypeError):
+            hash(a)
+
+
+def reference_schedule(state, submit, service, nbytes, kind, group):
+    """``Timeline.schedule``'s placement as first written: prune the head
+    at every call, ``max`` for the start, the lane from the group."""
+    queue = state["queue"]
+    while queue and queue[0][1] <= submit:
+        state["settled_end"] = queue.pop(0)[1]
+    free_at = queue[-1][1] if queue else state["settled_end"]
+    start = max(submit, free_at)
+    queue.append((start, start + service))
+    lane = (Timeline.role_of(group), kind)
+    state["by_role"][lane] = state["by_role"].get(lane, 0) + nbytes
+    return start, start + service
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0]),  # submit delta
+            st.sampled_from([0.0, 0.5, 1.0, 2.0]),  # service
+            st.integers(min_value=0, max_value=64),
+            st.sampled_from(["read", "write"]),
+            st.sampled_from(["", "read:a", "stay:p0:i1", "stay:p1:i1", "upd"]),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_placements_and_ledger_match_the_reference(ops):
+    """Head pruning only when the head has ended, the spelled-out ``max``
+    and the per-group ledger place and account every request as before."""
+    tl = Timeline()
+    state = {"queue": [], "settled_end": 0.0, "by_role": {}}
+    t = 0.0
+    for delta, service, nbytes, kind, group in ops:
+        t += delta
+        req = tl.schedule(t, service, nbytes, kind, group)
+        assert (req.start, req.end) == reference_schedule(
+            state, t, service, nbytes, kind, group
+        )
+    assert tl.bytes_by_role() == {k: v for k, v in state["by_role"].items() if v}
+
+
+def recomputed_bytes_by_role(requests):
+    totals = {}
+    for req in requests:
+        if not req.cancelled:
+            lane = Timeline.lane_of(req)
+            totals[lane] = totals.get(lane, 0) + req.nbytes
+    return {lane: n for lane, n in totals.items() if n}
+
+
+class TestBytesByRole:
+    """The (role, kind) ledger against a recount of the requests it saw:
+    what keeping it per (group, kind) and folding on read must not change."""
+
+    def test_schedule_cancel_snapshot_restore(self):
+        tl = Timeline()
+        seen = []
+
+        def put(submit, nbytes, kind, group):
+            seen.append(tl.schedule(submit, 1.0, nbytes, kind, group))
+
+        put(0.0, 10, "read", "read:edges")
+        put(0.0, 20, "write", "stay:p0:i1")
+        put(0.0, 30, "write", "stay:p0:i1")
+        put(0.0, 5, "read", "")
+        assert tl.bytes_by_role() == recomputed_bytes_by_role(seen)
+        snap = tl.snapshot()
+        at_snapshot = list(seen)
+        put(0.0, 7, "write", "stay:p1:i1")
+        put(0.0, 9, "read", "read:edges")
+        tl.cancel(now=0.5, predicate=lambda r: r.group.startswith("stay:"))
+        assert sum(r.cancelled for r in seen) == 3
+        assert tl.bytes_by_role() == recomputed_bytes_by_role(seen)
+        for req in seen:
+            req.cancelled = False  # restore brings back the snapshot's ledger
+        tl.restore(snap)
+        assert tl.bytes_by_role() == recomputed_bytes_by_role(at_snapshot)
+        put(20.0, 11, "write", "stay:p0:i1")  # a known pair, after restore
+        put(20.0, 13, "write", "upd:p2")
+        assert tl.bytes_by_role() == recomputed_bytes_by_role(
+            at_snapshot + seen[-2:]
+        )
 
 
 class TestCancellation:

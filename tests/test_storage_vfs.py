@@ -6,7 +6,7 @@ import pytest
 from repro.errors import StorageError
 from repro.graph.types import EDGE_DTYPE, make_edges
 from repro.storage.device import Device, DeviceSpec
-from repro.storage.vfs import VFS, VirtualFile, joined_view
+from repro.storage.vfs import VFS, VirtualFile, as_one_array, joined_view
 
 
 @pytest.fixture
@@ -76,6 +76,14 @@ class TestVirtualFile:
         f.append_records(edges(5))
         with pytest.raises(StorageError):
             f.read_records(6, 1)
+
+    def test_read_of_a_deleted_sealed_file_raises(self, vfs, device):
+        f = vfs.create("a", device)
+        f.append_records(edges(5))
+        assert len(f.read_records(0, 5)) == 5  # sealed, and read once
+        vfs.delete("a")
+        with pytest.raises(StorageError, match="was deleted"):
+            f.read_records(0, 1)
 
     def test_dtype_mismatch_rejected(self, vfs, device):
         f = vfs.create("a", device)
@@ -167,6 +175,62 @@ class TestJoinedView:
         assert not np.shares_memory(stored, whole)  # no longer one array
         assert np.flatnonzero(stored != whole.view(np.uint8)).tolist() == [83]
         assert np.array_equal(whole, edges(30))  # never mutated in place
+
+
+_concatenate = np.concatenate
+
+
+def _no_record_concatenate(arrays, *args, **kwargs):
+    """``np.concatenate`` that refuses record arrays: the byte join may
+    only concatenate their ``uint8`` views."""
+    assert all(arr.dtype.names is None for arr in arrays)
+    return _concatenate(arrays, *args, **kwargs)
+
+
+class TestByteJoin:
+    """``as_one_array`` of record arrays that are not one in memory: a
+    byte copy when they share a structured dtype object and are
+    C-contiguous, ``np.concatenate`` otherwise."""
+
+    def test_same_dtype_parts_join_as_bytes(self, monkeypatch):
+        parts = [edges(7), edges(0), edges(3, start=50), edges(12, start=9)]
+        expected = np.concatenate(parts)
+        monkeypatch.setattr(np, "concatenate", _no_record_concatenate)
+        joined = as_one_array(parts)
+        assert joined.dtype is EDGE_DTYPE
+        assert joined.tobytes() == expected.tobytes()
+        assert joined.base is None and joined.flags.writeable
+        later = joined_view([joined[2:9], joined[9:20]])  # it owns its data
+        assert later is not None and later.base is joined
+        assert np.array_equal(later, expected[2:20])
+
+    def test_read_only_parts_join_into_a_writeable_copy(self):
+        parts = [edges(4), edges(5, start=4)]
+        for part in parts:
+            part.flags.writeable = False
+        joined = as_one_array(parts)
+        assert joined.flags.writeable and joined.base is None
+        assert np.array_equal(joined, edges(9))
+
+    @pytest.mark.parametrize("parts", [
+        lambda: [edges(4), edges(3).astype(np.dtype(EDGE_DTYPE.descr))],
+        lambda: [edges(8)[::2], edges(3)],
+        lambda: [np.arange(5, dtype=np.uint64), np.arange(3, dtype=np.uint64)],
+    ], ids=["mixed-dtype-objects", "non-contiguous", "plain"])
+    def test_anything_else_concatenates(self, parts, monkeypatch):
+        arrays = parts()
+        expected = np.concatenate(arrays)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("out"))
+            return _concatenate(*args, **kwargs)
+
+        monkeypatch.setattr(np, "concatenate", counted)
+        joined = as_one_array(arrays)
+        assert calls == [None]
+        assert joined.tobytes() == expected.tobytes()
+        assert joined.base is None
 
 
 class TestVFS:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.algorithms.streaming import BATCH_UPDATE_DTYPE
 from repro.utils.bits import (
+    _low_bytes,
     earlier_bits_in_run,
     mask_bit_counts,
     mask_bit_pairs,
@@ -104,6 +105,36 @@ class TestMaskBitPairs:
     def test_empty(self):
         rows, bits = mask_bit_pairs(np.empty(0, dtype=np.uint64), 64)
         assert len(rows) == 0 and len(bits) == 0
+
+    @staticmethod
+    def nonzero_oracle(masks, width):
+        """The expansion as first written: a 2-D ``nonzero`` of the
+        unpacked low bytes."""
+        return np.nonzero(
+            np.unpackbits(_low_bytes(masks, width), axis=1, bitorder="little")
+        )
+
+    def assert_same_as_oracle(self, masks, width):
+        rows, bits = mask_bit_pairs(masks, width)
+        want_rows, want_bits = self.nonzero_oracle(masks, width)
+        assert rows.dtype == want_rows.dtype == np.intp
+        assert bits.dtype == want_bits.dtype == np.intp
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(bits, want_bits)
+
+    @pytest.mark.parametrize("width", range(1, 65))
+    def test_flat_expansion_matches_the_2d_nonzero(self, width):
+        masks = random_masks(width + 100, 80) & np.uint64((1 << width) - 1)
+        masks[::7] = 0  # rows with no bit at all
+        self.assert_same_as_oracle(masks, width)
+
+    @pytest.mark.parametrize("masks", [
+        [ALL, ALL, 0, ALL],
+        [TOP, 0, TOP, TOP],
+        [],
+    ], ids=["all-ones", "top-bit-only", "empty"])
+    def test_edge_masks_match_the_2d_nonzero(self, masks):
+        self.assert_same_as_oracle(np.array(masks, dtype=np.uint64), 64)
 
 
 class TestEarlierBitsInRun:
