@@ -27,7 +27,7 @@ from repro.algorithms.streaming import AlgoContext, StagedColumns
 from repro.core.config import FastBFSConfig
 from repro.core.policies import TrimPolicy
 from repro.core.staystream import StayStreamManager
-from repro.engines.base import EdgeCentricEngine, _RunState
+from repro.engines.base import EdgeCentricEngine, _feeds, _RunState
 from repro.engines.result import IterationStats
 from repro.storage.vfs import VirtualFile
 
@@ -177,6 +177,10 @@ class FastBFSEngine(EdgeCentricEngine):
         survivors = rt.stay.stage_survivors(p, run, keep)
         cuts = np.searchsorted(keep, bounds).tolist()
         scanned = np.diff(bounds).tolist()
+        # The stay writer is fed where it flushes, and the tail at the end.
+        flushes, tail = _feeds(rt.stay.current(p), survivors, cuts)
+        if len(tail):
+            flushes[len(scanned) - 1] = tail
 
         def replay(b: int) -> None:
             kept = cuts[b + 1] - cuts[b]
@@ -190,7 +194,9 @@ class FastBFSEngine(EdgeCentricEngine):
                 cfg.threads,
                 rt.machine.cores,
             )
-            rt.stay.append(p, survivors[cuts[b]:cuts[b + 1]])
+            records = flushes.get(b)
+            if records is not None:
+                rt.stay.append(p, records)
 
         return replay
 

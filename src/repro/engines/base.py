@@ -30,10 +30,13 @@ gather) cut a file into host runs of :data:`HOST_RUN_RECORDS` records
 (whole modeled buffers), run the kernel, the survivor selection and the
 partition routing once per run, and derive every per-buffer count from that
 one result.  The per-buffer loop then only replays the schedule: it steps
-the :class:`StreamReader`, issues the charges and hands same-length slices
-to the writers, in the order a buffer-at-a-time loop would.  That order is
-an invariant: stay-file cancellation races and fault-plan positions depend
-on the exact sequence of device requests and clock charges.
+the :class:`StreamReader` and issues the charges in the order a
+buffer-at-a-time loop would, and it feeds each writer once per flush: at a
+buffer where the writer's own rule (:meth:`StreamWriter.flush_buffers`)
+says it flushes, one slice holding everything since its last flush, and
+after the run the tail, which fills no buffer (:func:`_appends_due`).  The
+order of device requests and clock charges is an invariant: stay-file
+cancellation races and fault-plan positions depend on it.
 """
 
 from __future__ import annotations
@@ -111,6 +114,53 @@ def _route(
             vertices, records, positions
         )
     ]
+
+
+def _feeds(
+    writer: StreamWriter, records: np.ndarray, cuts: List[int]
+) -> Tuple[Dict[int, np.ndarray], np.ndarray]:
+    """What a replay appends to ``writer`` when modeled buffer ``b`` of a
+    run sends it ``records[cuts[b]:cuts[b + 1]]``.
+
+    Returns ``(flushes, tail)``: per buffer at which the writer flushes
+    (:meth:`StreamWriter.flush_buffers`), one slice holding everything since
+    its previous flush, and the records after the last flush, which fill no
+    buffer.  Appending each slice at its buffer and the tail after the run
+    submits the same writes, with the same bytes, at the same points as one
+    append per buffer.
+    """
+    flushes: Dict[int, np.ndarray] = {}
+    start = 0
+    for b in writer.flush_buffers(cuts, records.itemsize):
+        stop = cuts[b + 1]
+        flushes[b] = records[start:stop]
+        start = stop
+    return flushes, records[start:]
+
+
+_Append = Tuple[StreamWriter, np.ndarray]
+
+
+def _appends_due(
+    routed: List[Tuple[int, np.ndarray, List[int]]],
+    writers: Sequence[StreamWriter],
+) -> Tuple[Dict[int, List[_Append]], List[_Append]]:
+    """:func:`_feeds` for each partition of a routed run.
+
+    Returns ``(due, tails)``: ``due[b]`` lists, in partition order, the
+    ``(writer, records)`` appends that flush at buffer ``b``, and ``tails``
+    the non-empty rest of each writer, for after the run's last buffer.
+    """
+    due: Dict[int, List[_Append]] = {}
+    tails: List[_Append] = []
+    for p, chunk, cuts in routed:
+        writer = writers[p]
+        flushes, tail = _feeds(writer, chunk, cuts)
+        for b, records in flushes.items():
+            due.setdefault(b, []).append((writer, records))
+        if len(tail):
+            tails.append((writer, tail))
+    return due, tails
 
 
 @dataclass
@@ -435,8 +485,9 @@ class EdgeCentricEngine:
             ]
             cm = cfg.cost_model
             for run, bounds in _host_runs(reader):
-                routed = _route(
-                    part, run["src"], run, np.arange(len(run)), bounds
+                due, tails = _appends_due(
+                    _route(part, run["src"], run, np.arange(len(run)), bounds),
+                    writers,
                 )
                 for b in range(len(bounds) - 1):
                     cm.charge(
@@ -447,9 +498,10 @@ class EdgeCentricEngine:
                         cfg.threads,
                         machine.cores,
                     )
-                    for p, chunk, cuts in routed:
-                        if cuts[b] != cuts[b + 1]:
-                            writers[p].append(chunk[cuts[b]:cuts[b + 1]])
+                    for writer, records in due.get(b, ()):
+                        writer.append(records)
+                for writer, records in tails:
+                    writer.append(records)
             for w in writers:
                 w.close(drain=False)
             last_ends = [w.last_end for w in writers if w.last_end is not None]
@@ -639,10 +691,14 @@ class EdgeCentricEngine:
                 # weight by record count — identical values there.
                 weights = rt.algo.update_weights(updates, sent).tolist()
                 produced = np.diff(sent).tolist()
-                routed = _route(
-                    rt.partitioning, updates["dst"], updates, sources, bounds
+                due, tails = _appends_due(
+                    _route(
+                        rt.partitioning, updates["dst"], updates, sources, bounds
+                    ),
+                    rt.update_writers,
                 )
-                # Replay the run's schedule, one modeled buffer at a time.
+                # Replay the run's schedule, one modeled buffer at a time;
+                # a writer is fed only where it flushes, and its tail after.
                 for b, weight in enumerate(weights):
                     count = len(next(reader))
                     stats.edges_scanned += count
@@ -666,11 +722,10 @@ class EdgeCentricEngine:
                             cfg.threads,
                             machine.cores,
                         )
-                        for j, chunk, cuts in routed:
-                            if cuts[b] != cuts[b + 1]:
-                                rt.update_writers[j].append(
-                                    chunk[cuts[b]:cuts[b + 1]]
-                                )
+                        for writer, records in due.get(b, ()):
+                            writer.append(records)
+                for writer, records in tails:
+                    writer.append(records)
                 generated += len(updates)
             state_view["active"][:] = 0
             rt.algo.after_partition_scatter(ctx, state_view)
@@ -837,7 +892,8 @@ class EdgeCentricEngine:
         May return ``replay(b)``, which the schedule replay calls for each
         modeled buffer ``b`` of the run between that buffer's scatter and
         shuffle charges (FastBFS selects the run's surviving edges here and
-        replays the trim charge and the stay append per buffer).
+        replays the trim charge per buffer and the stay appends at the
+        buffers where the stay writer flushes, see :func:`_feeds`).
         """
         return None
 

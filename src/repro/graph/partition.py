@@ -32,6 +32,13 @@ class VertexPartitioning:
         self.boundaries = np.linspace(0, num_vertices, count + 1).astype(np.int64)
         self.boundaries[0] = 0
         self.boundaries[-1] = num_vertices
+        # Owner of every vertex, in the narrowest dtype: numpy's stable sort
+        # is a radix sort for 8- and 16-bit keys, several times the merge
+        # sort it runs on int64, and a lookup is one ``take``.
+        self._owner = np.repeat(
+            np.arange(count, dtype=np.min_scalar_type(count - 1)),
+            np.diff(self.boundaries),
+        )
 
     def range_of(self, p: int) -> Tuple[int, int]:
         """Half-open vertex range ``[lo, hi)`` of partition ``p``."""
@@ -44,8 +51,21 @@ class VertexPartitioning:
         return hi - lo
 
     def partition_of(self, vertices: np.ndarray) -> np.ndarray:
-        """Vectorized partition lookup for an array of vertex ids."""
-        return np.searchsorted(self.boundaries[1:], vertices, side="right")
+        """Owning partition of each vertex id, in the narrowest unsigned dtype.
+
+        Raises :class:`PartitionError` for an id outside
+        ``[0, num_vertices)``.
+        """
+        vertices = np.asarray(vertices)
+        try:
+            if vertices.dtype.kind == "i" and vertices.size and vertices.min() < 0:
+                raise IndexError
+            return self._owner.take(vertices)
+        except IndexError:
+            raise PartitionError(
+                f"vertex ids must lie in [0, {self.num_vertices}); got "
+                f"{vertices.min()} to {vertices.max()}"
+            ) from None
 
     def split_by_partition(self, vertices: np.ndarray, *arrays) -> Iterator[Tuple[int, tuple]]:
         """Group ``vertices`` (and parallel arrays) by owning partition.
@@ -55,19 +75,16 @@ class VertexPartitioning:
         is the scatter phase's update shuffle.  The engines call it once per
         host run with the records' stream positions as a parallel array, and
         cut each group back into modeled buffers with one ``searchsorted``.
-        A single partition owns everything: the inputs are yielded as they
-        are, unsorted and uncopied.
+        An id outside ``[0, num_vertices)`` raises :class:`PartitionError`
+        (:meth:`partition_of`), except on a single partition: that owns
+        everything, so no lookup runs and the inputs are yielded as they
+        are, unchecked, unsorted and uncopied.
         """
         if self.count == 1:
             if len(vertices):
                 yield 0, (vertices, *arrays)
             return
-        # Partition ids in the narrowest dtype: numpy's stable sort is a
-        # radix sort for 8- and 16-bit keys, several times the merge sort
-        # it runs on int64.
-        parts = self.partition_of(vertices).astype(
-            np.min_scalar_type(self.count - 1)
-        )
+        parts = self.partition_of(vertices)  # narrow keys: a radix sort
         order = np.argsort(parts, kind="stable")
         sorted_parts = parts[order]
         cut = np.searchsorted(sorted_parts, np.arange(self.count + 1))

@@ -609,8 +609,11 @@ class AdmissionController:
         returns; otherwise it tries to run a flush itself (becoming this
         round's leader) unless the controller is held.  Each flush retires
         at least one ticket while the queue is non-empty, so the loop
-        terminates.  Typed failures recorded on the ticket (engine, flush,
-        quarantine, deadline) re-raise here.
+        terminates.  Only this ticket's own failure re-raises here (typed:
+        engine, flush, quarantine, deadline; or whatever a flush it rode
+        in raised).  A flush this thread led for other tickets may raise
+        too, but :meth:`flush` has already stored that error on each of
+        them and woken their callers, so the loop goes on to its own.
         """
         ticket = self.offer(
             request_id, entry, deadline_ms=deadline_ms,
@@ -622,7 +625,13 @@ class AdmissionController:
             if held:
                 ticket.done.wait(poll_interval)
                 continue
-            self.flush()
+            try:
+                self.flush()
+            except Exception as exc:
+                # flush() stored the failure on every ticket it drained
+                # and woke their callers: only this ticket's is ours.
+                if ticket.error is exc:
+                    raise
             ticket.done.wait(poll_interval)
         if ticket.error is not None:
             raise ticket.error

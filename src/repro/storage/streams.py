@@ -29,8 +29,9 @@ it holds is what was checksummed (:meth:`AsyncStreamWriter.verify_integrity`).
 from __future__ import annotations
 
 import zlib
+from bisect import bisect_left
 from collections import deque
-from typing import Deque, Iterator, List, Optional, Tuple
+from typing import Deque, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -148,6 +149,34 @@ class StreamWriter:
         self.records_written += len(arr)
         if self._pending_bytes >= self.buffer_bytes:
             self.flush()
+
+    def flush_buffers(self, cuts: Sequence[int], record_bytes: int) -> List[int]:
+        """Where :meth:`append` of consecutive slices would flush.
+
+        ``cuts`` are ascending record positions in one array of
+        ``record_bytes``-byte records; slice ``b`` is
+        ``records[cuts[b]:cuts[b + 1]]``.  Returns, in order, every ``b`` at
+        which appending those slices one at a time, starting from what the
+        writer holds pending now, would flush: empty slices add nothing, and
+        a flush happens once the pending bytes reach ``buffer_bytes``.
+        Integer arithmetic only; the writer is not touched.  A caller that
+        appends everything since the previous flush at each of these ``b``,
+        and the rest after the last slice, submits the same writes at the
+        same points.
+        """
+        # Records that fill a buffer: on top of what is pending, then from
+        # empty.  ``append`` flushes whenever pending reaches the buffer, so
+        # less than a buffer is ever pending and ``owed`` is at least one.
+        owed = -(-(self.buffer_bytes - self._pending_bytes) // record_bytes)
+        per_flush = -(-self.buffer_bytes // record_bytes)
+        target = cuts[0] + owed
+        last = cuts[-1]
+        due: List[int] = []
+        while target <= last:
+            b = bisect_left(cuts, target, 1) - 1
+            due.append(b)
+            target = cuts[b + 1] + per_flush
+        return due
 
     def flush(self) -> Optional[ScheduledRequest]:
         """Submit buffered records as one device write (non-blocking)."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.graph.generators import (
     grid_graph,
@@ -12,6 +13,10 @@ from repro.graph.generators import (
     rmat_graph,
     star_graph,
 )
+
+# A larger example budget, for CI's `pytest tests/test_model_properties.py
+# --hypothesis-profile=ci`; tier-1 keeps Hypothesis's default profile.
+settings.register_profile("ci", max_examples=800)
 
 
 @pytest.fixture

@@ -48,6 +48,66 @@ class TestPartitioning:
         assert part.partition_of(np.array([5])).tolist() == [1]
         assert part.partition_of(np.array([9])).tolist() == [1]
 
+    @given(
+        st.integers(min_value=1, max_value=5_000),
+        st.integers(min_value=1, max_value=5_000),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_owner_table_is_the_interval_search(self, n, count, seed):
+        """The table lookup answers what a search of the boundaries does,
+        for one partition, for more than 256 (a uint16 table) and for one
+        vertex per partition."""
+        part = VertexPartitioning(n, count)
+        ids = np.random.default_rng(seed).integers(0, n, 300)
+        owners = part.partition_of(ids)
+        searched = np.searchsorted(part.boundaries[1:], ids, side="right")
+        assert owners.tolist() == searched.tolist()
+        assert owners.dtype == np.min_scalar_type(part.count - 1)
+        assert part.partition_of(np.arange(n)).tolist() == [
+            p for p in part for _ in range(part.size_of(p))
+        ]
+
+    def test_owner_table_dtypes(self):
+        assert VertexPartitioning(10, 1).partition_of(np.arange(10)).dtype == np.uint8
+        assert VertexPartitioning(300, 256).partition_of(np.arange(3)).dtype == np.uint8
+        wide = VertexPartitioning(300, 257)
+        assert wide.partition_of(np.arange(300)).dtype == np.uint16
+        assert wide.partition_of(np.array([299])).tolist() == [256]
+        every = VertexPartitioning(300, 300)
+        assert every.partition_of(np.arange(300)).tolist() == list(range(300))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint32, np.uint64])
+    def test_ids_past_the_last_vertex_are_refused(self, dtype):
+        part = VertexPartitioning(100, 4)
+        ids = np.array([5, 130, 60, 99, 100], dtype=dtype)
+        with pytest.raises(PartitionError, match=r"\[0, 100\)"):
+            part.partition_of(ids)
+        with pytest.raises(PartitionError):
+            list(part.split_by_partition(ids))
+        assert part.partition_of(ids[[0, 2, 3]]).tolist() == [0, 2, 3]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8])
+    def test_negative_ids_are_refused_not_wrapped(self, dtype):
+        part = VertexPartitioning(100, 4)
+        with pytest.raises(PartitionError):
+            part.partition_of(np.array([3, -1], dtype=dtype))
+        with pytest.raises(PartitionError):
+            list(part.split_by_partition(np.array([-100], dtype=dtype)))
+
+    def test_empty_lookup(self):
+        part = VertexPartitioning(100, 4)
+        assert part.partition_of(np.array([], dtype=np.int64)).tolist() == []
+
+    def test_single_partition_split_does_no_lookup(self):
+        """One partition owns everything: nothing is looked up or checked."""
+        part = VertexPartitioning(100, 1)
+        ids = np.array([5, 130, -1])
+        ((p, (got,)),) = part.split_by_partition(ids)
+        assert p == 0 and got is ids
+        with pytest.raises(PartitionError):
+            part.partition_of(ids)
+
     def test_bad_args(self):
         with pytest.raises(PartitionError):
             VertexPartitioning(0, 1)

@@ -33,7 +33,7 @@ from repro.graph.types import EDGE_DTYPE
 from repro.storage.device import DeviceSpec
 from repro.storage.faults import FaultPlan, FaultSpec
 from repro.storage.machine import Machine
-from repro.storage.streams import AsyncStreamWriter, StreamReader
+from repro.storage.streams import AsyncStreamWriter, StreamReader, StreamWriter
 from repro.utils.units import MB
 from tests.helpers import (
     ScheduleRecorder,
@@ -425,6 +425,50 @@ class TestScheduleDigests:
         ]
         assert schedule_digest(plain) == schedule_digest(numpy_typed)
         assert schedule_digest(plain) != schedule_digest([("wait", 2.0)])
+
+
+class TestFedOncePerFlush:
+    """The replay feeds a writer where it flushes, plus one tail per run."""
+
+    @pytest.mark.parametrize("label", ["three buffers", "whole file"])
+    def test_batched_run(self, monkeypatch, graph, label):
+        monkeypatch.setattr(base, "HOST_RUN_RECORDS", RUN_LENGTHS[label])
+        events = []  # ("run",) per host run; (writer, flushed) per append
+        host_runs, append = base._host_runs, StreamWriter.append
+
+        def marked_runs(reader):
+            for cut in host_runs(reader):
+                events.append(("run",))
+                yield cut
+
+        def counted_append(self, arr):
+            before = self.flush_count
+            append(self, arr)
+            events.append((self, self.flush_count != before))
+
+        monkeypatch.setattr(base, "_host_runs", marked_runs)
+        monkeypatch.setattr(StreamWriter, "append", counted_append)
+        roots = [int(v) for v in np.argsort(-graph.out_degrees(), kind="stable")[:8]]
+        batch = ENGINES["fastbfs"]().run_many(
+            graph, fresh_machine(), roots, mode="batched"
+        )
+        assert batch.mode == "batched"
+
+        runs = sum(1 for event in events if event[0] == "run")
+        appends = [event for event in events if event[0] != "run"]
+        flushing = sum(1 for _, flushed in appends if flushed)
+        assert runs > 3 and flushing > 50
+        # Per run, at most one append per writer does not flush (its tail).
+        tails = set()
+        for event in events:
+            if event[0] == "run":
+                tails.clear()
+            elif not event[1]:
+                writer = event[0]
+                assert writer not in tails, f"{writer.file.name}: two tails in a run"
+                tails.add(writer)
+        kinds = {type(writer) for writer, _ in appends}
+        assert kinds == {StreamWriter, AsyncStreamWriter}  # updates, staging, stay
 
 
 class TestHostRuns:

@@ -29,6 +29,7 @@ from repro.algorithms.sssp import (
     hash_weights,
     reference_sssp,
 )
+from repro.algorithms.streaming import WCCAlgorithm
 from repro.api import run_queries
 from repro.engines.session import run_staged_queries
 from repro.errors import ConfigError, QueueFullError, UnknownGraphError
@@ -1122,6 +1123,33 @@ class TestAdmissionFuzz:
             return trace
 
         assert run_trace() == run_trace()
+
+    def test_leader_raises_only_its_own_error(self, monkeypatch):
+        """A flush led for someone else's ticket fails untyped: that ticket
+        carries the error, and the leader goes on to answer its own."""
+        registry = ArtifactRegistry(max_graphs=1)
+        entry = registry.register("star", star_graph(15))
+        controller = AdmissionController(entry)
+        queued = controller.offer("x", 0, algorithm=WCCAlgorithm())
+        boom = RuntimeError("untyped failure inside a flush")
+        execute, ran = controller._execute, []
+
+        def fail_once(flush_id, tickets):
+            ran.append([t.request_id for t in tickets])
+            if len(ran) == 1:
+                raise boom
+            return execute(flush_id, tickets)
+
+        monkeypatch.setattr(controller, "_execute", fail_once)
+        mine = controller.submit("mine", 3)
+        assert mine.error is None and answered(mine, "bfs", 3)
+        assert queued.done.is_set() and queued.error is boom
+        assert controller.depth == 0
+        # every accepted ticket answered exactly once, each in its own flush
+        assert ran == [["x"], ["mine"]]
+        counters = controller.counters()
+        assert (counters["accepted"], counters["flushes"]) == (2, 2)
+        assert counters["queue_depth"] == 0
 
 
 class TestRegistry:

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.engines import base
 from repro.errors import StorageError
 from repro.graph.types import EDGE_DTYPE, make_edges
 from repro.sim.clock import SimClock
@@ -10,6 +13,7 @@ from repro.storage.device import Device, DeviceSpec
 from repro.storage.streams import AsyncStreamWriter, StreamReader, StreamWriter
 from repro.storage.vfs import VFS
 from repro.utils.units import MB
+from tests.helpers import fresh_machine
 
 RECORD = EDGE_DTYPE.itemsize  # 8 bytes
 
@@ -210,6 +214,74 @@ class TestStreamWriter:
         w.append(edges(3))
         w.append(edges(2))
         assert w.records_written == 5
+
+
+class TestFlushBuffers:
+    """``flush_buffers`` is ``append``'s flush rule, in integers."""
+
+    @staticmethod
+    def _writer(buffer_bytes, name="f"):
+        machine = fresh_machine()
+        file = machine.vfs.create(name, machine.disk(0))
+        return StreamWriter(machine.clock, file, buffer_bytes)
+
+    @given(
+        record_bytes=st.sampled_from([1, 3, 8, 12, 20]),
+        buffer_bytes=st.integers(min_value=1, max_value=256),
+        carried=st.integers(min_value=0, max_value=40),
+        # 0 is an empty slice; up to 60 records overshoot most buffers
+        sizes=st.lists(st.integers(min_value=0, max_value=60), max_size=24),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_append_per_slice_flushes_where_predicted(
+        self, record_bytes, buffer_bytes, carried, sizes
+    ):
+        dtype = np.dtype([("raw", f"S{record_bytes}")])
+        records = np.zeros(sum(sizes), dtype=dtype)
+        records["raw"] = [b"%d" % (i % 97) for i in range(len(records))]
+        cuts = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))).tolist()
+
+        sliced, fed = self._writer(buffer_bytes), self._writer(buffer_bytes)
+        carry = np.zeros(carried, dtype=dtype)
+        for writer in (sliced, fed):
+            writer.append(carry)  # whatever stays pending is carried in
+        predicted = sliced.flush_buffers(cuts, record_bytes)
+        assert predicted == fed.flush_buffers(cuts, record_bytes)
+
+        flushed = []
+        for b in range(len(sizes)):
+            before = sliced.flush_count
+            sliced.append(records[cuts[b]:cuts[b + 1]])
+            if sliced.flush_count != before:
+                flushed.append(b)
+        assert flushed == predicted
+
+        # Fed once per flush plus the tail: the same writes, same bytes.
+        flushes, tail = base._feeds(fed, records, cuts)
+        assert sorted(flushes) == predicted
+        for b in range(len(sizes)):
+            if b in flushes:
+                before = fed.flush_count
+                fed.append(flushes[b])
+                assert fed.flush_count == before + 1
+        fed.append(tail)
+        assert fed.flush_count == sliced.flush_count
+        assert [(r.nbytes, r.submit, r.end) for r in fed._requests] == [
+            (r.nbytes, r.submit, r.end) for r in sliced._requests
+        ]
+        for writer in (sliced, fed):
+            writer.close()
+        assert fed.file.records().tobytes() == sliced.file.records().tobytes()
+
+    def test_examples(self):
+        writer = self._writer(buffer_bytes=10 * RECORD)
+        # Slices of 4, 0, 7, 25, 3 and 9 records: 11 fill one buffer at 2,
+        # 25 overshoot one at 3, and 12 fill one at 5.
+        assert writer.flush_buffers([0, 4, 4, 11, 36, 39, 48], RECORD) == [2, 3, 5]
+        writer.append(edges(6))  # 6 records carried: 4 more flush
+        assert writer.flush_buffers([0, 4, 4, 11, 36, 39, 48], RECORD) == [0, 3, 5]
+        assert writer.flush_buffers([0, 3], RECORD) == []
+        assert writer.flush_buffers([7], RECORD) == []
 
 
 class TestAsyncStreamWriter:
