@@ -489,14 +489,20 @@ class BatchedBFSAlgorithm(StreamingAlgorithm):
     # kernels
     # ------------------------------------------------------------------
     def scatter(self, ctx, state, src_local, src_global, dst_global):
-        fmask = state["frontier"].take(src_local)
+        frontier = state["frontier"]
+        fmask = frontier.take(src_local)
         sel = fmask.nonzero()[0]
-        masks = fmask.take(sel)
-        updates = np.empty(len(masks), dtype=BATCH_UPDATE_DTYPE)
+        updates = np.empty(len(sel), dtype=BATCH_UPDATE_DTYPE)
         updates["dst"] = dst_global[sel]
         updates["payload"] = src_global[sel]
-        updates["mask"] = masks
-        if len(masks):
+        updates["mask"] = fmask.take(sel)
+        if len(sel):
+            # Every update carries its source's frontier word, so the pass's
+            # bookkeeping needs each distinct source once, with the number
+            # of updates it emitted.
+            emitted = np.bincount(src_local.take(sel))
+            srcs = np.flatnonzero(emitted)
+            masks = frontier.take(srcs)
             gen = self._generated_mask.get(ctx.iteration, 0)
             self._generated_mask[ctx.iteration] = gen | int(
                 np.bitwise_or.reduce(masks)
@@ -504,7 +510,9 @@ class BatchedBFSAlgorithm(StreamingAlgorithm):
             counts = self._updates_by_pass.setdefault(
                 ctx.iteration, np.zeros(self.num_queries, dtype=np.int64)
             )
-            counts += mask_bit_counts(masks, self.num_queries)
+            counts += mask_bit_counts(
+                masks, self.num_queries, weights=emitted.take(srcs)
+            )
         live = self.live_mask(ctx.iteration)
         if live == 0:
             eliminate = np.zeros(len(src_local), dtype=bool)

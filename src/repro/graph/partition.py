@@ -9,7 +9,7 @@ are streamed, only the vertex set must fit in memory.
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -67,33 +67,34 @@ class VertexPartitioning:
                 f"{vertices.min()} to {vertices.max()}"
             ) from None
 
-    def split_by_partition(self, vertices: np.ndarray, *arrays) -> Iterator[Tuple[int, tuple]]:
+    def split_by_partition(self, vertices: np.ndarray, *arrays) -> List[Tuple[int, tuple]]:
         """Group ``vertices`` (and parallel arrays) by owning partition.
 
-        Yields ``(p, (vertices_p, *arrays_p))`` for partitions that received
-        at least one element, in partition order.  One stable argsort — this
-        is the scatter phase's update shuffle.  The engines call it once per
-        host run with the records' stream positions as a parallel array, and
-        cut each group back into modeled buffers with one ``searchsorted``.
-        An id outside ``[0, num_vertices)`` raises :class:`PartitionError`
+        Returns ``(p, (vertices_p, *arrays_p))`` for partitions that received
+        at least one element, in partition order, every group built before
+        it returns.  One stable argsort — this is the scatter phase's update
+        shuffle.  The engines call it once per host run with the records'
+        stream positions as a parallel array, and cut each group back into
+        modeled buffers with one ``searchsorted``.  An id outside
+        ``[0, num_vertices)`` raises :class:`PartitionError`
         (:meth:`partition_of`), except on a single partition: that owns
-        everything, so no lookup runs and the inputs are yielded as they
+        everything, so no lookup runs and the inputs are returned as they
         are, unchecked, unsorted and uncopied.
         """
         if self.count == 1:
-            if len(vertices):
-                yield 0, (vertices, *arrays)
-            return
+            return [(0, (vertices, *arrays))] if len(vertices) else []
         parts = self.partition_of(vertices)  # narrow keys: a radix sort
         order = np.argsort(parts, kind="stable")
         sorted_parts = parts[order]
         cut = np.searchsorted(sorted_parts, np.arange(self.count + 1))
+        groups = []
         for p in range(self.count):
             lo, hi = cut[p], cut[p + 1]
             if lo == hi:
                 continue
             sel = order[lo:hi]
-            yield p, (vertices[sel], *(a[sel] for a in arrays))
+            groups.append((p, (vertices[sel], *(a[sel] for a in arrays))))
+        return groups
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(self.count))

@@ -324,29 +324,27 @@ class CounterRegistry:
     # engine-level counters
     # ------------------------------------------------------------------
     def ingest_result(self, result) -> "CounterRegistry":
-        """Fold one :class:`EngineResult`'s run counters into the registry."""
+        """Fold one :class:`EngineResult`'s run counters into the registry.
+
+        Each per-iteration counter is summed over the iterations as integers
+        and added once: the same value as one ``inc`` per iteration, since
+        every partial sum is an integer a float holds exactly.  A result
+        without iterations creates none of their series.
+        """
         eng = result.engine
         self.inc(
             "engine_iterations_total", float(result.num_iterations), engine=eng
         )
-        for it in result.iterations:
-            self.inc("engine_edges_scanned_total", it.edges_scanned, engine=eng)
-            self.inc(
-                "engine_updates_generated_total", it.updates_generated, engine=eng
-            )
-            self.inc(
-                "engine_partitions_processed_total",
-                it.partitions_processed,
-                engine=eng,
-            )
-            self.inc(
-                "engine_partitions_skipped_total",
-                it.partitions_skipped,
-                engine=eng,
-            )
-            self.inc(
-                "engine_edges_eliminated_total", it.edges_eliminated, engine=eng
-            )
+        if result.iterations:
+            for field in (
+                "edges_scanned",
+                "updates_generated",
+                "partitions_processed",
+                "partitions_skipped",
+                "edges_eliminated",
+            ):
+                total = sum(getattr(it, field) for it in result.iterations)
+                self.inc(f"engine_{field}_total", total, engine=eng)
         for extra in (
             "stay_swaps",
             "stay_cancellations",

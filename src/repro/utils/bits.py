@@ -6,7 +6,7 @@ cost model can use it without an import cycle.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -51,15 +51,26 @@ def popcount64(masks: np.ndarray) -> int:
     return int(popcounts64(masks).sum())
 
 
-def mask_bit_counts(masks: np.ndarray, width: int) -> np.ndarray:
+def mask_bit_counts(
+    masks: np.ndarray, width: int, weights: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Per-bit set counts over ``uint64`` masks, for bits ``0..width-1``.
 
     Column ``q`` is how many masks carry query ``q``'s bit — the per-query
     update counts a batched scatter pass generated.  Counted from one
     histogram of byte values per mask byte, so the masks are never expanded
     into one element per bit.
+
+    With ``weights``, mask ``k`` counts ``weights[k]`` times: the same
+    ``int64`` counts as ``mask_bit_counts(np.repeat(masks, weights),
+    width)``, for a caller that holds each distinct mask once with its
+    multiplicity.  Those few masks are unpacked and weighted in integer
+    arithmetic.
     """
     low = _low_bytes(masks, width)
+    if weights is not None:
+        bits = np.unpackbits(low, axis=1, bitorder="little")[:, :width]
+        return np.asarray(weights, dtype=np.int64) @ bits.astype(np.int64)
     nbytes = low.shape[1]
     hist = np.bincount(
         (low + _BYTE_OFFSETS[:nbytes]).ravel(), minlength=256 * nbytes
@@ -73,13 +84,17 @@ def mask_bit_pairs(masks: np.ndarray, width: int) -> Tuple[np.ndarray, np.ndarra
     bit ``bits[k]``.  The masks must carry no bit at or above ``width``
     (a batch of that width cannot set one).
 
-    One flat ``flatnonzero`` over the unpacked bits read as ``bool``, split
-    into row and bit by ``divmod``: the same ``intp`` arrays, in the same
-    row-major order, as a 2-D ``nonzero`` of the unpacked rows, at a
-    fraction of its cost.
+    Only the nonzero masks are unpacked; one flat ``flatnonzero`` over
+    their bits read as ``bool``, split into row and bit by ``divmod``, with
+    rows mapped back through the nonzero index: the same ``intp`` arrays,
+    in the same row-major order, as a 2-D ``nonzero`` of all the unpacked
+    rows, at a fraction of its cost when most masks are zero.
     """
-    bits = np.unpackbits(_low_bytes(masks, width), axis=1, bitorder="little")
-    return np.divmod(np.flatnonzero(bits.view(bool)), bits.shape[1])
+    nonzero = np.flatnonzero(masks)
+    low = _low_bytes(masks.take(nonzero), width)
+    bits = np.unpackbits(low, axis=1, bitorder="little")
+    rows, bit = np.divmod(np.flatnonzero(bits.view(bool)), bits.shape[1])
+    return nonzero.take(rows), bit
 
 
 def earlier_bits_in_run(masks: np.ndarray, is_start: np.ndarray) -> np.ndarray:

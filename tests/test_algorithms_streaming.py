@@ -23,6 +23,7 @@ from repro.graph.graph import Graph
 from repro.graph.partition import VertexPartitioning
 from repro.graph.types import NO_PARENT, UNVISITED, UPDATE_DTYPE
 from repro.storage.device import Device
+from repro.utils.bits import mask_bit_counts
 from tests.helpers import (
     fresh_machine,
     hub_root,
@@ -438,6 +439,36 @@ class TestBatchedScatter:
         assert sources.tolist() == [0, 1, 3]
         # Per modeled buffer of the run: records [0, 2) and [2, 3).
         assert algo.update_weights(updates, np.array([0, 2, 3])).tolist() == [3, 2]
+
+    @pytest.mark.parametrize("width", [1, 7, 64])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pass_bookkeeping_matches_a_per_update_count(self, width, seed):
+        """The scatter counts each distinct source once, weighted by the
+        updates it emitted; summing every update's own mask over the runs
+        of a pass must give the same per-query counts and liveness."""
+        rng = np.random.default_rng([width, seed])
+        num_vertices = 30
+        algo = BatchedBFSAlgorithm(width)
+        state = algo.init_state(num_vertices, [[0]] * width)
+        for iteration in range(3):
+            frontier = rng.integers(
+                0, 1 << 63, size=num_vertices, dtype=np.uint64
+            ) & np.uint64(_full_mask(width))
+            frontier[rng.random(num_vertices) < 0.4] = 0
+            state["frontier"] = frontier
+            counts = np.zeros(width, dtype=np.int64)
+            generated = 0
+            for edges in (0, 1, 40, 300):  # runs of a pass; sources repeat
+                src = rng.integers(0, num_vertices, size=edges)
+                dst = rng.integers(0, num_vertices, size=edges, dtype=np.uint32)
+                updates, _, _ = algo.scatter(
+                    AlgoContext(iteration), state, src, src.astype(np.uint32), dst
+                )
+                for mask in updates["mask"]:
+                    counts += mask_bit_counts(np.array([mask]), width)
+                    generated |= int(mask)
+            assert algo.per_query_updates(iteration).tolist() == counts.tolist()
+            assert int(algo.live_mask(iteration + 1)) == generated
 
 
 class TestKernelGranularity:

@@ -15,6 +15,7 @@ Four contracts are locked down here:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -352,6 +353,48 @@ class TestNoopEquivalence:
     def test_untraced_machine_defaults_to_the_shared_null_tracer(self):
         machine = fresh_machine()
         assert machine.tracer is NULL_TRACER
+
+
+# ----------------------------------------------------------------------
+# Engine counters folded from a result
+# ----------------------------------------------------------------------
+ITERATION_FIELDS = (
+    "edges_scanned",
+    "updates_generated",
+    "partitions_processed",
+    "partitions_skipped",
+    "edges_eliminated",
+)
+
+
+class TestIngestResult:
+    def test_result_without_iterations_creates_no_iteration_series(self, traced):
+        result, _, _ = traced
+        empty = dataclasses.replace(result, iterations=[], extras={})
+        registry = CounterRegistry().ingest_result(empty)
+        assert registry.as_dict() == {
+            ("engine_iterations_total", (("engine", result.engine),)): 0.0
+        }
+
+    def test_totals_are_the_per_iteration_sums(self, traced):
+        result, _, _ = traced
+        assert len(result.iterations) > 1
+        registry = CounterRegistry().ingest_result(result).ingest_result(result)
+        per_iteration = CounterRegistry()
+        for _ in range(2):
+            for it in result.iterations:
+                for field in ITERATION_FIELDS:
+                    per_iteration.inc(
+                        f"engine_{field}_total", getattr(it, field),
+                        engine=result.engine,
+                    )
+        for field in ITERATION_FIELDS:
+            name = f"engine_{field}_total"
+            want = 2 * sum(getattr(it, field) for it in result.iterations)
+            assert registry.get(name, engine=result.engine) == want
+            assert registry.get(name, engine=result.engine) == per_iteration.get(
+                name, engine=result.engine
+            )
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,13 @@
-"""Tests for repro.utils.bits against plain-Python bit arithmetic."""
+"""Tests for repro.utils.bits against plain-Python bit arithmetic.
+
+The Hypothesis properties run derandomized at the loaded profile's example
+budget (CI reruns this file with ``--hypothesis-profile=ci``).
+"""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.streaming import BATCH_UPDATE_DTYPE
 from repro.utils.bits import (
@@ -29,6 +35,39 @@ def random_masks(seed, n):
     lo = rng.integers(0, 1 << 32, size=n, dtype=np.uint64)
     hi = rng.integers(0, 1 << 32, size=n, dtype=np.uint64)
     return (hi << np.uint64(32)) | lo
+
+
+WIDTHS = st.sampled_from([1, 7, 64])
+PROPERTY = settings(derandomize=True, deadline=None)
+
+
+def uint64s(values) -> np.ndarray:
+    return np.array(values, dtype=np.uint64)
+
+
+@st.composite
+def weighted_masks(draw):
+    """``(masks, width, weights)``: any 64-bit masks, so bits at or above
+    the width occur too, each with a multiplicity that may be zero."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    masks = draw(st.lists(
+        st.integers(min_value=0, max_value=ALL), min_size=n, max_size=n
+    ))
+    weights = draw(st.lists(
+        st.integers(min_value=0, max_value=30), min_size=n, max_size=n
+    ))
+    return uint64s(masks), draw(WIDTHS), np.array(weights, dtype=np.int64)
+
+
+@st.composite
+def mostly_zero_masks(draw):
+    """``(masks, width)``: masks within the width, about three in four of
+    them zero, like the claims a gather expands."""
+    width = draw(WIDTHS)
+    mask = st.integers(min_value=1, max_value=(1 << width) - 1)
+    zero = st.just(0)
+    masks = draw(st.lists(st.one_of(zero, zero, zero, mask), max_size=60))
+    return uint64s(masks), width
 
 
 class TestPopcount64:
@@ -90,6 +129,19 @@ class TestMaskBitCounts:
         masks = random_masks(5, 128)
         assert int(mask_bit_counts(masks, 64).sum()) == popcount64(masks)
 
+    @PROPERTY
+    @example(case=(uint64s([]), 7, np.array([], dtype=np.int64)))
+    @example(case=(uint64s([ALL, TOP, 5]), 64, np.array([0, 3, 0])))
+    @given(case=weighted_masks())
+    def test_weights_count_like_repeated_masks(self, case):
+        """A mask of weight ``w`` counts as ``w`` copies of it: the scatter
+        counts each distinct source once, weighted by its updates."""
+        masks, width, weights = case
+        got = mask_bit_counts(masks, width, weights=weights)
+        want = mask_bit_counts(np.repeat(masks, weights), width)
+        assert got.dtype == np.int64 and got.shape == (width,)
+        assert np.array_equal(got, want)
+
 
 class TestMaskBitPairs:
     @pytest.mark.parametrize("width", [1, 8, 9, 64])
@@ -135,6 +187,15 @@ class TestMaskBitPairs:
     ], ids=["all-ones", "top-bit-only", "empty"])
     def test_edge_masks_match_the_2d_nonzero(self, masks):
         self.assert_same_as_oracle(np.array(masks, dtype=np.uint64), 64)
+
+    @PROPERTY
+    @example(case=(uint64s([0] * 9), 64))
+    @example(case=(uint64s([0, 0, TOP, 0, 1]), 64))
+    @given(case=mostly_zero_masks())
+    def test_mostly_zero_masks_match_the_2d_nonzero(self, case):
+        """Zero rows are skipped before unpacking and the surviving rows
+        mapped back: same pairs, same order as expanding every row."""
+        self.assert_same_as_oracle(*case)
 
 
 class TestEarlierBitsInRun:
