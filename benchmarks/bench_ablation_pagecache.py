@@ -16,9 +16,8 @@ I/O rather than moving it to RAM.
 
 from conftest import once
 
-from repro.analysis.calibration import scaled_bytes, scaled_device
+from repro.analysis.calibration import ENGINES, scaled_bytes, scaled_device
 from repro.analysis.tables import format_table
-from repro.engines.graphchi import GraphChiEngine
 from repro.storage.machine import Machine
 from repro.utils.units import format_bytes, format_seconds
 
@@ -39,9 +38,7 @@ def test_ablation_page_cache(benchmark, runner, emit):
 
     def run_all():
         out = {}
-        chi = GraphChiEngine(
-            runner._engine("graphchi", 4, {}).config  # same scaled config
-        )
+        chi = ENGINES["graphchi"].scaled(runner.divisor)  # the runner's config
         out["graphchi, blocked (paper)"] = chi.run(
             graph, machine(None), root=root
         )

@@ -31,9 +31,10 @@ import sys
 import threading
 import time
 
-from repro.api import run_queries, serve
+from repro.api import run_queries
 from repro.graph.generators import rmat_graph
 from repro.obs.exporters import parse_prometheus
+from repro.serve import GraphService
 from repro.storage.machine import IOReport, merge_reports
 
 SPEC = "smoke@rmat:scale=9,edge_factor=8,seed=17"
@@ -125,7 +126,7 @@ def _keepalive_check(port) -> bool:
 
 
 def main() -> int:
-    service = serve(port=0, warmup=[SPEC], block=False)
+    service = GraphService(warmup=[SPEC]).start()
     try:
         port = service.port
         print(f"service listening on 127.0.0.1:{port}")

@@ -12,14 +12,8 @@ Run:  python examples/social_network_analysis.py
 import numpy as np
 
 from repro import build_dataset, run_bfs
-from repro.analysis.calibration import (
-    scaled_engine_config,
-    scaled_fastbfs_config,
-    scaled_graphchi_config,
-    scaled_machine,
-)
+from repro.analysis.calibration import ENGINES, PAPER_ENGINES, scaled_machine
 from repro.analysis.tables import format_table
-from repro.api import make_engine
 from repro.utils.units import format_bytes, format_seconds
 
 
@@ -30,16 +24,10 @@ def main() -> None:
     root = int(np.argmax(graph.out_degrees()))
     print(f"graph: {graph!r}; BFS from hub vertex {root}")
 
-    configs = {
-        "graphchi": scaled_graphchi_config(1024),
-        "x-stream": scaled_engine_config(1024),
-        "fastbfs": scaled_fastbfs_config(1024),
-    }
     results = {}
-    for name, config in configs.items():
+    for name in PAPER_ENGINES:
         machine = scaled_machine(memory="4GB", divisor=1024)
-        engine = make_engine(name, config)
-        results[name] = engine.run(graph, machine, root=root)
+        results[name] = ENGINES[name].scaled(1024).run(graph, machine, root=root)
 
     # All engines must tell the same story.
     levels = results["fastbfs"].levels

@@ -30,16 +30,22 @@ stay stream buffer     8 MB                32 KB
 HDD seek               8.5 ms              33.2 us
 cancellation grace     ~1.3 s              5 ms
 =====================  ==================  =====================
+
+:data:`ENGINES` maps each engine name to its class and its scaled config
+builder; every front door that builds an engine by name reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional, Union
+from functools import partial
+from typing import Any, Callable, Dict, NamedTuple, Union
 
 from repro.core.config import FastBFSConfig
+from repro.core.engine import FastBFSEngine
 from repro.engines.base import EngineConfig
-from repro.engines.graphchi import GraphChiConfig
+from repro.engines.graphchi import GraphChiConfig, GraphChiEngine
+from repro.engines.xstream import XStreamEngine
 from repro.errors import ConfigError
 from repro.storage.device import DeviceSpec
 from repro.storage.machine import Machine
@@ -121,3 +127,60 @@ def scaled_graphchi_config(
 ) -> GraphChiConfig:
     """GraphChi config (record sizes are per-item; nothing to scale)."""
     return GraphChiConfig(**overrides)
+
+
+class EngineKind(NamedTuple):
+    """One row of :data:`ENGINES`: an engine class and its scaled config
+    builder, ``scaled_config(divisor, **overrides)``."""
+
+    engine: type
+    scaled_config: Callable[..., Any]
+
+    def scaled(self, divisor: int = SCALE_DIVISOR, **overrides):
+        """The engine with its config scaled by ``divisor``."""
+        return self.engine(self.scaled_config(divisor, **overrides))
+
+
+#: The one place an engine is chosen by name: the CLI, ``run_bfs``, the
+#: serve registry and the experiment runner all read it.  At the default
+#: divisor every builder gives its class's default config.
+#: ``fastbfs-2disk`` is FastBFS with the paper's Fig. 10 stream rotation.
+ENGINES: Dict[str, EngineKind] = {
+    "fastbfs": EngineKind(FastBFSEngine, scaled_fastbfs_config),
+    "fastbfs-2disk": EngineKind(
+        FastBFSEngine, partial(scaled_fastbfs_config, rotate_streams=True)
+    ),
+    "x-stream": EngineKind(XStreamEngine, scaled_engine_config),
+    "graphchi": EngineKind(GraphChiEngine, scaled_graphchi_config),
+}
+
+#: Other spellings of an :data:`ENGINES` name.
+ENGINE_ALIASES = {"fast-bfs": "fastbfs", "xstream": "x-stream"}
+
+#: The three systems the paper compares, in its figures' order.
+PAPER_ENGINES = ("graphchi", "x-stream", "fastbfs")
+
+
+def engine_kind(name: str, num_disks: int = 1) -> EngineKind:
+    """The :data:`ENGINES` row ``name`` means on ``num_disks`` disks.
+
+    FastBFS on two or more disks is ``fastbfs-2disk``: the paper's
+    two-disk FastBFS rotates its streams (Fig. 10), and without the
+    rotation every stream stays on the first disk.
+    """
+    name = ENGINE_ALIASES.get(name, name)
+    if name not in ENGINES:
+        raise ConfigError(
+            f"unknown engine {name!r}; options: "
+            f"{sorted([*ENGINES, *ENGINE_ALIASES])}"
+        )
+    if name == "fastbfs" and num_disks >= 2:
+        name = "fastbfs-2disk"
+    return ENGINES[name]
+
+
+def make_engine(name: str, config=None):
+    """Instantiate an engine by name or alias; with no ``config``, its row's
+    scaled config at the default divisor."""
+    kind = engine_kind(name)
+    return kind.engine(config if config is not None else kind.scaled_config())

@@ -14,18 +14,8 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.calibration import (
-    scaled_engine_config,
-    scaled_fastbfs_config,
-    scaled_graphchi_config,
-    scaled_machine,
-)
-from repro.api import export_observability
-from repro.core.engine import FastBFSEngine
-from repro.engines.graphchi import GraphChiEngine
+from repro.analysis.calibration import PAPER_ENGINES, engine_kind, scaled_machine
 from repro.engines.result import EngineResult
-from repro.engines.xstream import XStreamEngine
-from repro.errors import ConfigError
 from repro.graph.datasets import build_dataset, scale_divisor
 from repro.graph.graph import Graph
 from repro.obs.tracer import Tracer
@@ -63,8 +53,6 @@ class ComparisonRow:
 
 class ExperimentRunner:
     """Builds scaled machines/configs and memoizes engine runs."""
-
-    ENGINE_NAMES = ("graphchi", "x-stream", "fastbfs")
 
     def __init__(
         self,
@@ -110,35 +98,18 @@ class ExperimentRunner:
             divisor=self.divisor,
         )
 
-    def _engine(self, name: str, threads: int, overrides: dict):
-        if name == "fastbfs":
-            return FastBFSEngine(
-                scaled_fastbfs_config(self.divisor, threads=threads, **overrides)
-            )
-        if name == "fastbfs-2disk":
-            merged = dict(rotate_streams=True)
-            merged.update(overrides)
-            return FastBFSEngine(
-                scaled_fastbfs_config(self.divisor, threads=threads, **merged)
-            )
-        if name == "x-stream":
-            return XStreamEngine(
-                scaled_engine_config(self.divisor, threads=threads, **overrides)
-            )
-        if name == "graphchi":
-            return GraphChiEngine(
-                scaled_graphchi_config(self.divisor, threads=threads, **overrides)
-            )
-        raise ConfigError(f"unknown engine {name!r}")
-
     # ------------------------------------------------------------------
     def _setup(self, dataset, engine, disk_kind, num_disks, memory, threads,
                overrides):
-        """Graph, fresh machine and configured engine for one execution."""
+        """Graph, fresh machine and configured engine for one execution.
+
+        An engine name is its own row whatever ``num_disks`` is, so an
+        ablation can place FastBFS's streams on two disks by hand.
+        """
         return (
             self.graph(dataset),
             self.machine(disk_kind, num_disks, memory),
-            self._engine(engine, threads, overrides),
+            engine_kind(engine).scaled(self.divisor, threads=threads, **overrides),
         )
 
     def _memoized(self, traced, dataset, engine, disk_kind, num_disks, memory,
@@ -228,19 +199,19 @@ class ExperimentRunner:
         report — so per-query byte counters reconcile with per-query
         :class:`IOReport` totals by construction.
         """
+        from repro.api import run_queries  # not at the top: repro.api imports this package
+
         graph, machine, eng = self._setup(
             dataset, engine, disk_kind, num_disks, memory, threads,
             config_overrides,
         )
-        batch = eng.run_many(graph, machine, roots=list(roots), mode=mode)
-        export_observability(machine, batch, None, None)
-        return batch
+        return run_queries(graph, list(roots), engine=eng, machine=machine, mode=mode)
 
     def compare(
         self,
         dataset: str,
         disk_kind: str = "hdd",
-        engines: Iterable[str] = ENGINE_NAMES,
+        engines: Iterable[str] = PAPER_ENGINES,
         **kwargs,
     ) -> Dict[str, ComparisonRow]:
         """The Fig. 4/5/6/7 comparison for one dataset."""

@@ -1,17 +1,22 @@
 """One-call convenience front-end.
 
 :func:`run_bfs` wires together a dataset, a machine and an engine with
-sensible defaults — the examples and the CLI go through it, and it is the
-quickest way to reproduce a single data point of the paper.
+sensible defaults — the examples go through it, and it is the quickest
+way to reproduce a single data point of the paper.
 :func:`run_queries` is the batch front door: stage the graph once, run one
-query per root entry, and report per-query plus amortized costs.
+query per root entry, and report per-query plus amortized costs.  The CLI
+traces and exports through the same :func:`_prepare_tracing` and
+:func:`export_observability`.  Engine names resolve through
+:data:`~repro.analysis.calibration.ENGINES`; the service is
+:class:`repro.serve.GraphService` and the static analyzer
+:func:`repro.tooling.analyzer.analyze_paths`.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence, Union
 
-from repro.core.config import FastBFSConfig
+from repro.analysis.calibration import ENGINES, make_engine
 from repro.core.engine import FastBFSEngine
 from repro.engines.base import EngineConfig
 from repro.engines.graphchi import GraphChiConfig, GraphChiEngine
@@ -21,31 +26,26 @@ from repro.errors import ConfigError, EngineError
 from repro.graph.graph import Graph
 from repro.obs import (
     CounterRegistry,
-    TraceProfile,
     Tracer,
+    profile_trace,
     write_prometheus,
     write_spans_jsonl,
 )
-from repro.obs import profile_trace as _profile_trace
 from repro.storage.faults import FaultPlan
 from repro.storage.machine import Machine
 
-ENGINES = ("fastbfs", "x-stream", "graphchi")
+__all__ = [
+    "ENGINES",
+    "export_observability",
+    "make_engine",
+    "profile_trace",
+    "run_bfs",
+    "run_queries",
+]
 
 #: Anything run_bfs accepts as an engine instance.
 AnyEngine = Union[FastBFSEngine, XStreamEngine, GraphChiEngine]
 AnyEngineConfig = Union[EngineConfig, GraphChiConfig]
-
-
-def make_engine(name: str, config: Optional[AnyEngineConfig] = None) -> AnyEngine:
-    """Instantiate an engine by name ('fastbfs', 'x-stream', 'graphchi')."""
-    if name in ("fastbfs", "fast-bfs"):
-        return FastBFSEngine(config)
-    if name in ("x-stream", "xstream"):
-        return XStreamEngine(config)
-    if name == "graphchi":
-        return GraphChiEngine(config)
-    raise ConfigError(f"unknown engine {name!r}; options: {ENGINES}")
 
 
 def _resolve_machine(
@@ -108,23 +108,6 @@ def export_observability(
         write_spans_jsonl(machine.tracer, trace_path)
     if metrics_path is not None:
         write_prometheus(registry, metrics_path)
-
-
-def profile_trace(
-    source,
-    registry: Optional[CounterRegistry] = None,
-    report=None,
-) -> TraceProfile:
-    """Analyze a span trace into a :class:`~repro.obs.TraceProfile`.
-
-    ``source`` is a JSONL trace path (as written by ``run_bfs(...,
-    trace_path=...)``), a :class:`~repro.obs.Tracer`, a machine with a
-    tracer attached, or an iterable of spans.  Supplying the run's
-    ``registry`` (``result.metrics``) joins per-device I/O attribution
-    into the report; supplying its ``report`` additionally enables exact
-    reconciliation against the :class:`~repro.storage.machine.IOReport`.
-    """
-    return _profile_trace(source, registry=registry, report=report)
 
 
 def run_bfs(
@@ -221,98 +204,3 @@ def run_queries(
     batch = eng.run_many(graph, machine, roots=roots, mode=mode)
     export_observability(machine, batch, trace_path, metrics_path)
     return batch
-
-
-def serve(
-    host: str = "127.0.0.1",
-    port: int = 0,
-    warmup: Sequence[str] = (),
-    engine: str = "fastbfs",
-    capacity: int = 128,
-    max_graphs: int = 4,
-    block: bool = True,
-    fault_profile: Optional[str] = None,
-    fault_seed: int = 0,
-    fault_plan=None,
-    retry=None,
-    breaker_policy=None,
-    default_deadline_ms: Optional[float] = None,
-    flush_retries: int = 2,
-):
-    """Boot the long-lived graph query service (see docs/serving.md).
-
-    Stages every ``warmup`` graph spec into the artifact registry, binds
-    the HTTP/JSON API on ``host:port`` (port 0 picks an ephemeral port)
-    and — with ``block=True`` — serves until interrupted.  ``block=False``
-    returns the running :class:`~repro.serve.app.GraphService` (serving on
-    a daemon thread) for embedding and tests; call ``service.shutdown()``
-    to drain and stop it.
-
-    ``warmup`` entries are dataset names from the Table II registry
-    (``rmat22``), generator specs (``rmat:scale=12,edge_factor=8,seed=7``)
-    or either form aliased as ``name@spec``.  ``capacity`` bounds the
-    per-graph admission queue; ``max_graphs`` bounds the registry LRU.
-
-    Resilience knobs (see "Serving under faults" in docs/serving.md):
-    ``fault_profile`` names a seeded serve fault plan
-    (:data:`~repro.tooling.chaos.SERVE_FAULT_PROFILES`; drawn with
-    ``fault_seed``) attached to every registered graph's machine, or pass
-    an explicit ``fault_plan`` / per-registration override.  ``retry``
-    is an I/O-level :class:`~repro.storage.faults.RetryPolicy`,
-    ``breaker_policy`` a :class:`~repro.serve.health.BreakerPolicy`,
-    ``default_deadline_ms`` the server-wide request deadline and
-    ``flush_retries`` the batched-flush attempt budget before the
-    serial fallback.
-    """
-    from repro.serve import GraphService
-
-    if fault_profile is not None:
-        if fault_plan is not None:
-            raise ConfigError(
-                "pass either fault_profile or fault_plan, not both"
-            )
-        from repro.tooling.chaos import serve_fault_plan
-
-        fault_plan = serve_fault_plan(fault_profile, fault_seed)
-    service = GraphService(
-        host=host,
-        port=port,
-        warmup=warmup,
-        engine=engine,
-        capacity=capacity,
-        max_graphs=max_graphs,
-        fault_plan=fault_plan,
-        retry=retry,
-        breaker_policy=breaker_policy,
-        default_deadline_ms=default_deadline_ms,
-        flush_retries=flush_retries,
-    )
-    service.start()
-    if not block:
-        return service
-    try:
-        service.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
-        pass
-    finally:
-        service.shutdown()
-    return service
-
-
-def analyze_tree(
-    paths: Sequence[str] = ("src/repro",),
-    baseline_path: Optional[str] = None,
-):
-    """Run the static analyzer (every FBxxx rule) over ``paths``.
-
-    Returns an :class:`~repro.tooling.analyzer.AnalysisResult` whose
-    ``findings`` are already ``# noqa``-suppressed and baseline-filtered;
-    ``result.ok`` is the same pass/fail the ``repro analyze`` CLI exits
-    with.  ``baseline_path`` names a committed ``fastbfs-baseline/1``
-    file of intentionally-accepted findings (see docs/static_analysis.md).
-    """
-    from repro.tooling.analyzer import analyze_paths
-    from repro.tooling.report import Baseline
-
-    baseline = Baseline.load(baseline_path) if baseline_path else None
-    return analyze_paths(list(paths), baseline=baseline)

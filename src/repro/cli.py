@@ -1,11 +1,13 @@
 """Command-line interface: ``fastbfs`` (or ``python -m repro``).
 
-Subcommands:
+Every subcommand is one row of :data:`COMMANDS` (help line, argument
+groups, handler); the parser and :func:`main` read that table.
 
 * ``generate`` — build a synthetic graph (rmat/powerlaw/random/grid or a
   Table II dataset stand-in) and write it as a binary edge list + config;
-* ``run`` — run BFS (or WCC) on a graph file or named dataset with a chosen
-  engine and simulated machine, printing the execution report;
+* ``run`` — run BFS (or WCC, or weighted SSSP) on a graph file or named
+  dataset with a chosen engine and simulated machine, printing the
+  execution report;
 * ``batch`` — stage a graph once and run one BFS query per given root,
   printing per-query and staging-amortized timings;
 * ``compare`` — run all three engines on one input and print the
@@ -14,136 +16,102 @@ Subcommands:
   overlap; ``--host`` adds the dual-clock host-cost table for traces
   recorded with ``--host-profile``) or, with ``--graph``/``--dataset``,
   print the per-level convergence profile (Fig. 1 data);
-* ``top`` — poll a running graph service's ``/debug/timeseries`` ring
-  and render a live per-graph RPS / queue-depth / latency-quantile
-  view (``--once`` for a single CI-friendly sample);
 * ``bench`` — collect a ``BENCH_<seq>.json`` benchmark snapshot
   (``bench run``) or diff the two newest under the tolerance policy
   (``bench compare``, nonzero exit on regression);
 * ``chaos`` — sweep seeded fault-injection schedules across engines and
   disk placements; every surviving run must produce bit-identical BFS
   levels (nonzero exit on any violation);
+* ``datasets`` — list the Table II registry;
 * ``analyze`` — the static analyzer: module-local source rules and
   whole-program effect & determinism contracts (``--list-rules``;
   text/JSON/SARIF, exit 0 clean / 1 findings / 2 usage);
-* ``datasets`` — list the Table II registry.
+* ``gantt`` — run one BFS with request tracing and draw each device's
+  stream lanes;
+* ``shapes`` — check every claim of the paper's tables and figures
+  (``repro.analysis.figures.FIGURES``; exit 1 on a failing claim);
+* ``serve`` — boot the long-lived graph query service (docs/serving.md);
+* ``top`` — poll a running graph service's ``/debug/timeseries`` ring
+  and render a live per-graph RPS / queue-depth / latency-quantile
+  view (``--once`` for a single CI-friendly sample);
+* ``reproduce`` — run the paper's experiments and write the markdown
+  report of every table and figure.
+
+The machine flags (``--memory``, ``--cores``, ``--disks``, ``--disk-kind``,
+``--threads``) are quoted at paper scale and divided by the same divisor as
+the datasets (``REPRO_SCALE_DIVISOR``, default 256).  FastBFS on two or
+more disks runs with the paper's Fig. 10 stream rotation
+(``fastbfs-2disk`` in :data:`repro.analysis.calibration.ENGINES`).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.algorithms.reference import level_profile
+from repro.algorithms.reference import bfs_levels, level_profile
+from repro.algorithms.sssp import UNREACHED, WeightedSSSPAlgorithm, hash_weights
 from repro.algorithms.streaming import WCCAlgorithm
 from repro.algorithms.validation import teps, validate_bfs_result
-from repro.analysis.calibration import (
-    scaled_engine_config,
-    scaled_fastbfs_config,
-    scaled_graphchi_config,
-    scaled_machine,
-)
+from repro.analysis.calibration import PAPER_ENGINES, engine_kind, scaled_machine
 from repro.analysis.harness import default_root
 from repro.analysis.tables import format_table
-from repro.api import ENGINES, AnyEngine, export_observability, make_engine
+from repro.api import _prepare_tracing, export_observability, profile_trace
 from repro.errors import ReproError
-from repro.graph.datasets import DATASETS, build_dataset
-from repro.graph.graph import Graph
-from repro.storage.machine import Machine
+from repro.graph.datasets import DATASETS, build_dataset, scale_divisor
 from repro.graph.generators import (
     grid_graph,
     powerlaw_graph,
     random_graph,
     rmat_graph,
 )
+from repro.graph.graph import Graph
 from repro.graph.io import load_graph, save_graph
 from repro.utils.units import format_bytes, format_seconds
 
+#: Adds some arguments to a subcommand's parser.
+ArgGroup = Callable[[argparse.ArgumentParser], object]
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fastbfs",
-        description="FastBFS (IPDPS 2016) reproduction toolkit",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("generate", help="generate a synthetic graph file")
-    gen.add_argument("kind", choices=["rmat", "powerlaw", "random", "grid", "dataset"])
-    gen.add_argument("output", help="output path (binary edge list)")
-    gen.add_argument("--scale", type=int, default=14, help="rmat scale")
-    gen.add_argument("--edge-factor", type=int, default=16)
-    gen.add_argument("--vertices", type=int, default=1 << 16)
-    gen.add_argument("--edges", type=int, default=1 << 20)
-    gen.add_argument("--width", type=int, default=256)
-    gen.add_argument("--height", type=int, default=256)
-    gen.add_argument("--dataset", choices=sorted(DATASETS), default="rmat22")
-    gen.add_argument("--seed", type=int, default=1)
+def _arg(*flags: str, **kwargs) -> ArgGroup:
+    """A group of one argument."""
+    return lambda p: p.add_argument(*flags, **kwargs)
 
-    run = sub.add_parser("run", help="run an engine on a graph")
-    _add_input_args(run)
-    run.add_argument("--engine", choices=list(ENGINES), default="fastbfs")
-    run.add_argument("--algorithm", choices=["bfs", "wcc", "sssp"],
-                     default="bfs")
-    run.add_argument("--max-weight", type=int, default=8,
-                     help="sssp: synthetic edge weights in [1, max]")
-    run.add_argument("--root", type=int, default=None,
-                     help="BFS root (default: highest-out-degree vertex)")
-    run.add_argument("--roots", type=int, nargs="+", default=None,
-                     help="multi-source traversal: start from all of these")
-    run.add_argument("--validate", action="store_true",
-                     help="validate the BFS tree against the in-memory reference")
-    run.add_argument("--verbose", action="store_true",
-                     help="print the per-iteration breakdown")
-    _add_machine_args(run)
-    _add_obs_args(run)
 
-    batch = sub.add_parser(
-        "batch",
-        help="stage a graph once and run one BFS query per root",
-    )
-    _add_input_args(batch)
-    batch.add_argument("--engine", choices=list(ENGINES), default="fastbfs")
-    batch.add_argument("--roots", type=int, nargs="+", required=True,
-                       help="one BFS query is run per root")
-    batch.add_argument("--batch", action="store_true",
-                       help="MS-BFS batched scheduling: advance up to 64 "
-                            "queries per shared edge scan (bit-identical "
-                            "per-query results; see docs/batched_bfs.md)")
-    batch.add_argument("--verbose", action="store_true",
-                       help="print each query's per-iteration breakdown")
-    _add_machine_args(batch)
-    _add_obs_args(batch)
+def _input_args(p: argparse.ArgumentParser, required: bool = True) -> None:
+    group = p.add_mutually_exclusive_group(required=required)
+    group.add_argument("--graph", help="path to a binary edge-list file")
+    group.add_argument("--dataset", choices=sorted(DATASETS),
+                       help="Table II dataset stand-in")
+    p.add_argument("--seed", type=int, default=1)
 
-    cmp_ = sub.add_parser("compare", help="compare all engines on one graph")
-    _add_input_args(cmp_)
-    cmp_.add_argument("--root", type=int, default=None)
-    _add_machine_args(cmp_)
 
-    prof = sub.add_parser(
-        "profile",
-        help="analyze a span trace (or print the BFS convergence profile)",
-    )
-    prof.add_argument(
-        "trace", nargs="?", default=None,
-        help="span-trace JSONL (e.g. from 'run --trace'); omit to profile "
-             "convergence of --graph/--dataset instead",
-    )
-    prof.add_argument("--width", type=int, default=100,
-                      help="trace report width (columns)")
-    prof.add_argument("--host", action="store_true",
-                      help="append the dual-clock host-cost section "
-                           "(needs a trace recorded with --host-profile)")
-    _add_input_args(prof, required=False)
-    prof.add_argument("--root", type=int, default=None)
+def _machine_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--memory", default="4GB",
+                   help="paper-scale memory budget (scaled by the divisor)")
+    p.add_argument("--cores", type=int, default=4)
+    p.add_argument("--disks", type=int, default=1)
+    p.add_argument("--disk-kind", choices=["hdd", "ssd"], default="hdd")
+    p.add_argument("--threads", type=int, default=4)
 
-    bench = sub.add_parser(
-        "bench",
-        help="benchmark snapshots (BENCH_<seq>.json) and the regression gate",
-    )
-    bsub = bench.add_subparsers(dest="bench_command", required=True)
+
+def _obs_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--trace", metavar="PATH", default=None,
+                   help="write the span trace as JSONL (repro.obs)")
+    p.add_argument("--metrics", metavar="PATH", default=None,
+                   help="write a Prometheus-style counter snapshot")
+    p.add_argument("--host-profile", action="store_true",
+                   help="bind the host wall clock to the tracer so spans "
+                        "carry host stamps ('profile --host' reads them; "
+                        "simulated results are unaffected)")
+
+
+def _bench_args(p: argparse.ArgumentParser) -> None:
+    bsub = p.add_subparsers(dest="bench_command", required=True)
     brun = bsub.add_parser("run", help="collect a new snapshot file")
     brun.add_argument("--dir", default=".", dest="bench_dir",
                       help="directory holding BENCH_*.json (default: .)")
@@ -157,167 +125,10 @@ def _build_parser() -> argparse.ArgumentParser:
     bcmp.add_argument("--dir", default=".", dest="bench_dir",
                       help="directory holding BENCH_*.json (default: .)")
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="sweep seeded fault schedules; exit 1 on any violation",
-    )
-    chaos.add_argument(
-        "--profile", choices=["smoke", "full", "serve"], default="smoke",
-        help="sweep size: smoke (CI gate), full (acceptance, >=50 seeds) "
-             "or serve (live GraphService under seeded faults)",
-    )
-    chaos.add_argument("--seed", type=int, default=0,
-                       help="master seed; trials derive their schedules from it")
-    chaos.add_argument("--trials", type=int, default=None,
-                       help="override the profile's trial count")
-    chaos.add_argument("--verbose", action="store_true",
-                       help="print every trial, not just failures")
 
-    sub.add_parser("datasets", help="list the Table II dataset registry")
-
-    # Listed for --help only: main() hands everything after ``analyze`` to
-    # the analyzer's own parser, which is the one place its options live.
-    sub.add_parser(
-        "analyze",
-        help="static analyzer: source rules + effect contracts (FBxxx)",
-    )
-
-    gantt = sub.add_parser(
-        "gantt",
-        help="run one BFS with request tracing and draw the device Gantt",
-    )
-    _add_input_args(gantt)
-    gantt.add_argument("--engine", choices=list(ENGINES), default="fastbfs")
-    gantt.add_argument("--root", type=int, default=None)
-    gantt.add_argument("--width", type=int, default=100)
-    _add_machine_args(gantt)
-
-    shapes = sub.add_parser(
-        "shapes",
-        help="check every claim of the paper's tables and figures",
-    )
-    shapes.add_argument("--divisor", type=int, default=1024,
-                        help="scale divisor (default 1024 for speed)")
-    shapes.add_argument("--datasets", nargs="*", default=["rmat25"])
-
-    serve_p = sub.add_parser(
-        "serve",
-        help="boot the long-lived graph query service (docs/serving.md)",
-    )
-    serve_p.add_argument("--host", default="127.0.0.1",
-                         help="bind address (default 127.0.0.1)")
-    serve_p.add_argument("--port", type=int, default=8080,
-                         help="bind port; 0 picks an ephemeral port")
-    serve_p.add_argument(
-        "--warmup", nargs="*", default=[], metavar="SPEC",
-        help="graph specs staged at boot: a dataset name ('rmat22'), a "
-             "generator spec ('rmat:scale=12,edge_factor=8,seed=7'), or "
-             "'name@spec' to alias",
-    )
-    serve_p.add_argument("--engine", choices=["fastbfs", "x-stream"],
-                         default="fastbfs",
-                         help="engine staged artifacts are built for")
-    serve_p.add_argument("--capacity", type=int, default=128,
-                         help="per-graph admission queue capacity")
-    serve_p.add_argument("--max-graphs", type=int, default=4,
-                         help="artifact registry LRU size")
-    serve_p.add_argument(
-        "--fault-profile", choices=["transient", "crashy", "hostile"],
-        default=None, metavar="NAME",
-        help="attach a seeded serve fault plan to every registered "
-             "graph's machine (transient | crashy | hostile; see "
-             "docs/serving.md#serving-under-faults)",
-    )
-    serve_p.add_argument("--fault-seed", type=int, default=0,
-                         help="seed the --fault-profile plan is drawn with")
-    serve_p.add_argument(
-        "--default-deadline-ms", type=float, default=None, metavar="MS",
-        help="server-wide per-request deadline; expired requests get "
-             "typed 504s (default: no deadline)",
-    )
-    serve_p.add_argument("--flush-retries", type=int, default=2,
-                         help="batched flush attempts before the serial "
-                              "fallback (default 2)")
-
-    top = sub.add_parser(
-        "top",
-        help="live per-graph view of a running service (/debug/timeseries)",
-    )
-    top.add_argument("--url", default="http://127.0.0.1:8080",
-                     help="service base URL (default http://127.0.0.1:8080)")
-    top.add_argument("--interval", type=float, default=2.0,
-                     help="poll interval in seconds (default 2)")
-    top.add_argument("--once", action="store_true",
-                     help="print a single sample and exit (CI mode)")
-
-    rep = sub.add_parser(
-        "reproduce",
-        help="run the paper's experiments and write a markdown report",
-    )
-    rep.add_argument("--figures", nargs="*", default=None,
-                     help="subset, e.g. fig4 fig5 (default: all)")
-    rep.add_argument("--datasets", nargs="*", default=None,
-                     help="subset of the big datasets (default: all four)")
-    rep.add_argument("--divisor", type=int, default=None,
-                     help="scale divisor override (default: env or 256)")
-    rep.add_argument("--output", default=None,
-                     help="write the report here (default: stdout)")
-    return parser
-
-
-def _add_input_args(p: argparse.ArgumentParser, required: bool = True) -> None:
-    group = p.add_mutually_exclusive_group(required=required)
-    group.add_argument("--graph", help="path to a binary edge-list file")
-    group.add_argument("--dataset", choices=sorted(DATASETS),
-                       help="Table II dataset stand-in")
-    p.add_argument("--seed", type=int, default=1)
-
-
-def _add_machine_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--memory", default="4GB",
-                   help="paper-scale memory budget (scaled by the divisor)")
-    p.add_argument("--cores", type=int, default=4)
-    p.add_argument("--disks", type=int, default=1)
-    p.add_argument("--disk-kind", choices=["hdd", "ssd"], default="hdd")
-    p.add_argument("--threads", type=int, default=4)
-
-
-def _add_obs_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trace", metavar="PATH", default=None,
-                   help="write the span trace as JSONL (repro.obs)")
-    p.add_argument("--metrics", metavar="PATH", default=None,
-                   help="write a Prometheus-style counter snapshot")
-    p.add_argument("--host-profile", action="store_true",
-                   help="bind the host wall clock to the tracer so spans "
-                        "carry host stamps ('profile --host' reads them; "
-                        "simulated results are unaffected)")
-
-
-def _obs_attach(machine: Machine, args: argparse.Namespace) -> None:
-    """Install a tracer before the run when ``--trace``/``--host-profile``
-    was given; ``--host-profile`` additionally binds the host clock."""
-    host_profile = getattr(args, "host_profile", False)
-    if getattr(args, "trace", None) is not None or host_profile:
-        from repro.obs import Tracer
-
-        machine.attach_tracer(Tracer())
-    if host_profile:
-        from repro.obs import HOST_CLOCK
-
-        machine.tracer.bind_host_clock(HOST_CLOCK)
-
-
-def _obs_export(machine: Machine, result, args: argparse.Namespace) -> None:
-    """Write ``--trace``/``--metrics`` exports after the run, if requested."""
-    trace_path = getattr(args, "trace", None)
-    metrics_path = getattr(args, "metrics", None)
-    if trace_path is None and metrics_path is None:
-        return
-    export_observability(machine, result, trace_path, metrics_path)
-    if trace_path is not None:
-        print(f"trace: {len(machine.tracer.spans)} spans -> {trace_path}")
-    if metrics_path is not None:
-        print(f"metrics: {len(result.metrics)} series -> {metrics_path}")
+ENGINE = _arg("--engine", choices=PAPER_ENGINES, default="fastbfs")
+ROOT = _arg("--root", type=int, default=None,
+            help="BFS root (default: highest-out-degree vertex)")
 
 
 def _load_input(args: argparse.Namespace) -> Graph:
@@ -326,25 +137,35 @@ def _load_input(args: argparse.Namespace) -> Graph:
     return build_dataset(args.dataset, seed=args.seed)
 
 
-def _machine(args: argparse.Namespace) -> Machine:
-    return scaled_machine(
+def _testbed(args: argparse.Namespace, engine: str, trace: bool = False):
+    """``(machine, engine)`` for one run: the machine flags at paper scale,
+    scaled by the datasets' divisor, with the tracer ``--trace`` /
+    ``--host-profile`` ask for, and the engine ``engine`` means on that
+    many disks."""
+    divisor = scale_divisor()
+    machine = scaled_machine(
         memory=args.memory,
         cores=args.cores,
         num_disks=args.disks,
         disk_kind=args.disk_kind,
+        divisor=divisor,
+        trace=trace,
     )
-
-
-def _engine(name: str, args: argparse.Namespace) -> AnyEngine:
-    if name == "graphchi":
-        return make_engine(name, scaled_graphchi_config(threads=args.threads))
-    if name == "fastbfs":
-        return make_engine(name, scaled_fastbfs_config(threads=args.threads))
-    return make_engine(name, scaled_engine_config(threads=args.threads))
+    _prepare_tracing(
+        machine, getattr(args, "trace", None), getattr(args, "host_profile", False)
+    )
+    return machine, engine_kind(engine, args.disks).scaled(
+        divisor, threads=args.threads
+    )
 
 
 def _root(args: argparse.Namespace, graph: Graph) -> int:
     return args.root if args.root is not None else default_root(graph)
+
+
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -366,92 +187,66 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    graph = _load_input(args)
-    machine = _machine(args)
-    _obs_attach(machine, args)
-    engine = _engine(args.engine, args)
-
-    def run_engine(**kwargs):
-        result = engine.run(graph, machine, **kwargs)
-        _obs_export(machine, result, args)
-        return result
-
-    if args.algorithm in ("wcc", "sssp"):
+    if args.algorithm != "bfs":
+        for flag, given in (("--roots", args.roots is not None),
+                            ("--validate", args.validate)):
+            if given:
+                return _usage_error(f"{flag} applies to --algorithm bfs only")
         if args.engine == "graphchi" and args.algorithm == "sssp":
-            print("error: the GraphChi baseline implements bfs and wcc only",
-                  file=sys.stderr)
-            return 2
-        if args.algorithm == "wcc":
-            if args.engine == "graphchi":
-                result = run_engine(algorithm="wcc")
-            else:
-                result = run_engine(algorithm=WCCAlgorithm(), root=0)
-            labels = result.output["label"]
-            print(result.summary())
-            print(f"components: {len(np.unique(labels)):,}")
-            return 0
-        from repro.algorithms.sssp import (
-            UNREACHED,
-            WeightedSSSPAlgorithm,
-            hash_weights,
-        )
-
-        root = _root(args, graph)
-        result = run_engine(
+            return _usage_error("the GraphChi baseline implements bfs and wcc only")
+    elif args.roots is not None and args.validate:
+        return _usage_error("--validate needs a single --root traversal")
+    graph = _load_input(args)
+    machine, engine = _testbed(args, args.engine)
+    root = _root(args, graph)
+    if args.algorithm == "wcc":
+        wcc = "wcc" if args.engine == "graphchi" else WCCAlgorithm()
+        result = engine.run(graph, machine, algorithm=wcc, root=0)
+    elif args.algorithm == "sssp":
+        result = engine.run(
+            graph, machine,
             algorithm=WeightedSSSPAlgorithm(hash_weights(args.max_weight)),
             root=root,
         )
+    elif args.roots is not None:
+        result = engine.run(graph, machine, roots=args.roots)
+    else:
+        result = engine.run(graph, machine, root=root)
+    export_observability(machine, result, args.trace, args.metrics)
+    print(result.summary())
+    if args.algorithm == "wcc":
+        print(f"components: {len(np.unique(result.output['label'])):,}")
+        return 0
+    if args.algorithm == "sssp":
         dist = result.output["distance"]
         reached = dist != UNREACHED
-        print(result.summary())
         print(f"root: {root}  reached: {int(reached.sum()):,}  "
               f"max distance: {int(dist[reached].max()) if reached.any() else 0}")
         return 0
-    if args.roots is not None:
-        if args.validate:
-            print("error: --validate needs a single --root traversal",
-                  file=sys.stderr)
-            return 2
-        result = run_engine(roots=args.roots)
-        print(result.summary())
-        print(f"roots: {args.roots}  visited: {(result.levels >= 0).sum():,} "
-              f"of {graph.num_vertices:,}  depth: {result.levels.max()}")
-        print(f"TEPS: {teps(graph, result.levels, result.execution_time):,.0f}")
-        if args.verbose:
-            print()
-            print(result.iteration_table())
-        return 0
-    root = _root(args, graph)
-    result = run_engine(root=root)
-    print(result.summary())
-    print(f"root: {root}  visited: {(result.levels >= 0).sum():,} "
+    start = f"roots: {args.roots}" if args.roots is not None else f"root: {root}"
+    print(f"{start}  visited: {(result.levels >= 0).sum():,} "
           f"of {graph.num_vertices:,}  depth: {result.levels.max()}")
     print(f"TEPS: {teps(graph, result.levels, result.execution_time):,.0f}")
     if args.verbose:
         print()
         print(result.iteration_table())
     if args.validate:
-        from repro.algorithms.reference import bfs_levels
-
         report = validate_bfs_result(
             graph, root, result.levels, result.parents, bfs_levels(graph, root)
         )
-        if report.ok:
-            print("validation: OK (Graph500 rules + reference levels)")
-        else:
+        if not report.ok:
             print(f"validation: FAILED — {report.errors}", file=sys.stderr)
             return 1
+        print("validation: OK (Graph500 rules + reference levels)")
     return 0
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
     graph = _load_input(args)
-    machine = _machine(args)
-    _obs_attach(machine, args)
-    engine = _engine(args.engine, args)
+    machine, engine = _testbed(args, args.engine)
     mode = "batched" if args.batch else "serial"
     batch = engine.run_many(graph, machine, roots=args.roots, mode=mode)
-    _obs_export(machine, batch, args)
+    export_observability(machine, batch, args.trace, args.metrics)
     rows: List[List[object]] = [
         [
             "staging",
@@ -502,9 +297,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     root = _root(args, graph)
     rows: List[List[object]] = []
     times = {}
-    for name in ("graphchi", "x-stream", "fastbfs"):
-        machine = _machine(args)
-        engine = _engine(name, args)
+    for name in PAPER_ENGINES:
+        machine, engine = _testbed(args, name)
         result = engine.run(graph, machine, root=root)
         times[name] = result.execution_time
         rows.append(
@@ -532,18 +326,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     if args.trace is not None:
-        from repro.api import profile_trace
-
         prof = profile_trace(args.trace)
         print(prof.report_text(width=args.width, host=args.host))
         return 0
     if args.graph is None and args.dataset is None:
-        print(
-            "error: give a span-trace JSONL path, or --graph/--dataset for "
-            "the convergence profile",
-            file=sys.stderr,
+        return _usage_error(
+            "give a span-trace JSONL path, or --graph/--dataset for the "
+            "convergence profile"
         )
-        return 2
     graph = _load_input(args)
     root = _root(args, graph)
     prof = level_profile(graph, root)
@@ -651,25 +441,18 @@ def cmd_datasets(_args: argparse.Namespace) -> int:
     return 0
 
 
+def cmd_analyze(argv: List[str]) -> int:
+    from repro.tooling.analyzer import main as analyzer_main
+
+    return analyzer_main(argv)
+
+
 def cmd_gantt(args: argparse.Namespace) -> int:
     from repro.sim.trace import render_gantt
 
     graph = _load_input(args)
-    machine = scaled_machine(
-        memory=args.memory,
-        cores=args.cores,
-        num_disks=args.disks,
-        disk_kind=args.disk_kind,
-        trace=True,
-    )
-    engine = _engine(args.engine, args)
-    if args.engine == "fastbfs" and args.disks > 1:
-        engine = make_engine(
-            "fastbfs", scaled_fastbfs_config(threads=args.threads,
-                                             rotate_streams=True)
-        )
-    root = _root(args, graph)
-    result = engine.run(graph, machine, root=root)
+    machine, engine = _testbed(args, args.engine, trace=True)
+    result = engine.run(graph, machine, root=_root(args, graph))
     print(result.summary())
     print()
     print(render_gantt(machine, width=args.width))
@@ -709,21 +492,24 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.api import serve
+    from repro.serve import GraphService
 
-    service = serve(
+    fault_plan = None
+    if args.fault_profile is not None:
+        from repro.tooling.chaos import serve_fault_plan
+
+        fault_plan = serve_fault_plan(args.fault_profile, args.fault_seed)
+    service = GraphService(
         host=args.host,
         port=args.port,
         warmup=args.warmup,
         engine=args.engine,
         capacity=args.capacity,
         max_graphs=args.max_graphs,
-        block=False,
-        fault_profile=args.fault_profile,
-        fault_seed=args.fault_seed,
+        fault_plan=fault_plan,
         default_deadline_ms=args.default_deadline_ms,
         flush_retries=args.flush_retries,
-    )
+    ).start()
     graphs = ", ".join(sorted(service.registry.names())) or "(none)"
     print(f"serving on {service.address}  graphs: {graphs}")
     if args.fault_profile:
@@ -789,30 +575,202 @@ def cmd_top(args: argparse.Namespace) -> int:
         time.sleep(args.interval)
 
 
+class Command(NamedTuple):
+    """One subcommand: its ``--help`` line, handler and argument groups."""
+
+    help: str
+    handler: Callable[..., int]
+    args: Tuple[ArgGroup, ...] = ()
+    #: ``handler`` takes the argv after the name, unparsed: the command's
+    #: own parser is the one place its options live.
+    raw: bool = False
+
+
+COMMANDS: Dict[str, Command] = {
+    "generate": Command("generate a synthetic graph file", cmd_generate, (
+        _arg("kind", choices=["rmat", "powerlaw", "random", "grid", "dataset"]),
+        _arg("output", help="output path (binary edge list)"),
+        _arg("--scale", type=int, default=14, help="rmat scale"),
+        _arg("--edge-factor", type=int, default=16),
+        _arg("--vertices", type=int, default=1 << 16),
+        _arg("--edges", type=int, default=1 << 20),
+        _arg("--width", type=int, default=256),
+        _arg("--height", type=int, default=256),
+        _arg("--dataset", choices=sorted(DATASETS), default="rmat22"),
+        _arg("--seed", type=int, default=1),
+    )),
+    "run": Command("run an engine on a graph", cmd_run, (
+        _input_args,
+        ENGINE,
+        _arg("--algorithm", choices=["bfs", "wcc", "sssp"], default="bfs"),
+        _arg("--max-weight", type=int, default=8,
+             help="sssp: synthetic edge weights in [1, max]"),
+        ROOT,
+        _arg("--roots", type=int, nargs="+", default=None,
+             help="multi-source traversal: start from all of these"),
+        _arg("--validate", action="store_true",
+             help="validate the BFS tree against the in-memory reference"),
+        _arg("--verbose", action="store_true",
+             help="print the per-iteration breakdown"),
+        _machine_args,
+        _obs_args,
+    )),
+    "batch": Command("stage a graph once and run one BFS query per root", cmd_batch, (
+        _input_args,
+        ENGINE,
+        _arg("--roots", type=int, nargs="+", required=True,
+             help="one BFS query is run per root"),
+        _arg("--batch", action="store_true",
+             help="MS-BFS batched scheduling: advance up to 64 queries per "
+                  "shared edge scan (bit-identical per-query results; see "
+                  "docs/batched_bfs.md)"),
+        _arg("--verbose", action="store_true",
+             help="print each query's per-iteration breakdown"),
+        _machine_args,
+        _obs_args,
+    )),
+    "compare": Command("compare all engines on one graph", cmd_compare, (
+        _input_args, ROOT, _machine_args,
+    )),
+    "profile": Command(
+        "analyze a span trace (or print the BFS convergence profile)",
+        cmd_profile, (
+            _arg("trace", nargs="?", default=None,
+                 help="span-trace JSONL (e.g. from 'run --trace'); omit to "
+                      "profile convergence of --graph/--dataset instead"),
+            _arg("--width", type=int, default=100,
+                 help="trace report width (columns)"),
+            _arg("--host", action="store_true",
+                 help="append the dual-clock host-cost section (needs a "
+                      "trace recorded with --host-profile)"),
+            partial(_input_args, required=False),
+            ROOT,
+        ),
+    ),
+    "bench": Command(
+        "benchmark snapshots (BENCH_<seq>.json) and the regression gate",
+        cmd_bench, (_bench_args,),
+    ),
+    "chaos": Command(
+        "sweep seeded fault schedules; exit 1 on any violation", cmd_chaos, (
+            _arg("--profile", choices=["smoke", "full", "serve"],
+                 default="smoke",
+                 help="sweep size: smoke (CI gate), full (acceptance, >=50 "
+                      "seeds) or serve (live GraphService under seeded "
+                      "faults)"),
+            _arg("--seed", type=int, default=0,
+                 help="master seed; trials derive their schedules from it"),
+            _arg("--trials", type=int, default=None,
+                 help="override the profile's trial count"),
+            _arg("--verbose", action="store_true",
+                 help="print every trial, not just failures"),
+        ),
+    ),
+    "datasets": Command("list the Table II dataset registry", cmd_datasets),
+    "analyze": Command(
+        "static analyzer: source rules + effect contracts (FBxxx)",
+        cmd_analyze, raw=True,
+    ),
+    "gantt": Command(
+        "run one BFS with request tracing and draw the device Gantt",
+        cmd_gantt, (
+            _input_args,
+            ENGINE,
+            ROOT,
+            _arg("--width", type=int, default=100),
+            _machine_args,
+        ),
+    ),
+    "shapes": Command(
+        "check every claim of the paper's tables and figures", cmd_shapes, (
+            _arg("--divisor", type=int, default=1024,
+                 help="scale divisor (default 1024 for speed)"),
+            _arg("--datasets", nargs="*", default=["rmat25"]),
+        ),
+    ),
+    "serve": Command(
+        "boot the long-lived graph query service (docs/serving.md)",
+        cmd_serve, (
+            _arg("--host", default="127.0.0.1",
+                 help="bind address (default 127.0.0.1)"),
+            _arg("--port", type=int, default=8080,
+                 help="bind port; 0 picks an ephemeral port"),
+            _arg("--warmup", nargs="*", default=[], metavar="SPEC",
+                 help="graph specs staged at boot: a dataset name "
+                      "('rmat22'), a generator spec "
+                      "('rmat:scale=12,edge_factor=8,seed=7'), or "
+                      "'name@spec' to alias"),
+            _arg("--engine", choices=["fastbfs", "x-stream"],
+                 default="fastbfs",
+                 help="engine staged artifacts are built for"),
+            _arg("--capacity", type=int, default=128,
+                 help="per-graph admission queue capacity"),
+            _arg("--max-graphs", type=int, default=4,
+                 help="artifact registry LRU size"),
+            _arg("--fault-profile", choices=["transient", "crashy", "hostile"],
+                 default=None, metavar="NAME",
+                 help="attach a seeded serve fault plan to every registered "
+                      "graph's machine (transient | crashy | hostile; see "
+                      "docs/serving.md#serving-under-faults)"),
+            _arg("--fault-seed", type=int, default=0,
+                 help="seed the --fault-profile plan is drawn with"),
+            _arg("--default-deadline-ms", type=float, default=None,
+                 metavar="MS",
+                 help="server-wide per-request deadline; expired requests "
+                      "get typed 504s (default: no deadline)"),
+            _arg("--flush-retries", type=int, default=2,
+                 help="batched flush attempts before the serial fallback "
+                      "(default 2)"),
+        ),
+    ),
+    "top": Command(
+        "live per-graph view of a running service (/debug/timeseries)",
+        cmd_top, (
+            _arg("--url", default="http://127.0.0.1:8080",
+                 help="service base URL (default http://127.0.0.1:8080)"),
+            _arg("--interval", type=float, default=2.0,
+                 help="poll interval in seconds (default 2)"),
+            _arg("--once", action="store_true",
+                 help="print a single sample and exit (CI mode)"),
+        ),
+    ),
+    "reproduce": Command(
+        "run the paper's experiments and write a markdown report",
+        cmd_reproduce, (
+            _arg("--figures", nargs="*", default=None,
+                 help="subset, e.g. fig4 fig5 (default: all)"),
+            _arg("--datasets", nargs="*", default=None,
+                 help="subset of the big datasets (default: all four)"),
+            _arg("--divisor", type=int, default=None,
+                 help="scale divisor override (default: env or 256)"),
+            _arg("--output", default=None,
+                 help="write the report here (default: stdout)"),
+        ),
+    ),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="fastbfs",
+        description="FastBFS (IPDPS 2016) reproduction toolkit",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for group in command.args:
+            group(p)
+    return parser
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv[:1] == ["analyze"]:
-        from repro.tooling.analyzer import main as analyzer_main
-
-        return analyzer_main(argv[1:])
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is not None and command.raw:
+        return command.handler(argv[1:])
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "generate": cmd_generate,
-        "run": cmd_run,
-        "batch": cmd_batch,
-        "compare": cmd_compare,
-        "profile": cmd_profile,
-        "bench": cmd_bench,
-        "chaos": cmd_chaos,
-        "datasets": cmd_datasets,
-        "gantt": cmd_gantt,
-        "shapes": cmd_shapes,
-        "serve": cmd_serve,
-        "top": cmd_top,
-        "reproduce": cmd_reproduce,
-    }
     try:
-        return handlers[args.command](args)
+        return COMMANDS[args.command].handler(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

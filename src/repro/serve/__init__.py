@@ -1,12 +1,12 @@
 """Long-lived graph query service over staged artifacts.
 
-``repro serve`` / :func:`repro.api.serve` front door: an
+``repro serve`` boots :class:`~repro.serve.app.GraphService`: an
 :class:`~repro.serve.registry.ArtifactRegistry` of named staged graphs,
 an :class:`~repro.serve.admission.AdmissionController` per graph that
 coalesces concurrent BFS requests into MS-BFS batches, a per-graph
 :class:`~repro.serve.health.CircuitBreaker` (healthy → degraded →
-quarantined under flush failures), and a stdlib HTTP/JSON API
-(:class:`~repro.serve.app.GraphService`).  See docs/serving.md.
+quarantined under flush failures), and a stdlib HTTP/JSON API.  See
+docs/serving.md.
 """
 
 from repro.serve.admission import AdmissionController, FlushRecord, Ticket
@@ -15,7 +15,6 @@ from repro.serve.health import BreakerPolicy, CircuitBreaker
 from repro.serve.registry import (
     ArtifactRegistry,
     GraphEntry,
-    SERVABLE_ENGINES,
     parse_graph_spec,
 )
 
@@ -27,7 +26,6 @@ __all__ = [
     "FlushRecord",
     "GraphEntry",
     "GraphService",
-    "SERVABLE_ENGINES",
     "Ticket",
     "parse_graph_spec",
 ]

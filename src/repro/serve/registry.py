@@ -31,6 +31,8 @@ import threading
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.calibration import engine_kind, make_engine
+from repro.engines.base import EdgeCentricEngine
 from repro.engines.session import StagedGraph
 from repro.errors import ConfigError, GraphError, UnknownGraphError
 from repro.graph.datasets import DATASETS, build_dataset
@@ -48,10 +50,6 @@ from repro.obs.hostprof import HostClock
 from repro.serve.health import BreakerPolicy, CircuitBreaker
 from repro.storage.faults import FaultPlan, RetryPolicy
 from repro.storage.machine import Machine
-
-#: Engines the registry will stage.  GraphChi's PSW shards do not share
-#: the scatter/gather staging artifact the rewind protocol relies on.
-SERVABLE_ENGINES = ("fastbfs", "fast-bfs", "x-stream", "xstream")
 
 #: Generator spec kinds accepted by :func:`parse_graph_spec`, mapping
 #: ``kind`` to (builder, integer parameter names in builder order, the edge
@@ -234,17 +232,17 @@ class ArtifactRegistry:
         clock: Optional[HostClock] = None,
         on_transition: Optional[Callable[[str, str, str, str], None]] = None,
     ) -> None:
-        from repro.api import make_engine
-
-        if engine not in SERVABLE_ENGINES:
+        engine_class = engine_kind(engine).engine
+        # GraphChi's PSW shards are not the scatter/gather staging artifact
+        # the rewind protocol relies on.
+        if not issubclass(engine_class, EdgeCentricEngine):
             raise ConfigError(
-                f"engine {engine!r} is not servable; options: "
-                f"{SERVABLE_ENGINES} (staged-artifact rewind only)"
+                f"engine {engine!r} is not servable: {engine_class.__name__} "
+                "stages no artifact to rewind"
             )
         if max_graphs < 1:
             raise ConfigError(f"max_graphs must be >= 1, got {max_graphs}")
         self.engine_name = engine
-        self._config = config
         self._make_engine = lambda: make_engine(engine, config)
         self._machine_factory = machine_factory or Machine.commodity_server
         self.max_graphs = max_graphs
@@ -356,6 +354,5 @@ class ArtifactRegistry:
 __all__ = [
     "ArtifactRegistry",
     "GraphEntry",
-    "SERVABLE_ENGINES",
     "parse_graph_spec",
 ]

@@ -366,13 +366,20 @@ class Machine:
     def fresh(self) -> "Machine":
         """A new machine with identical hardware and a zeroed clock/VFS.
 
-        A fault plan carries over as a *fresh* injector: same seed, same
-        schedule, replayed from the beginning.
+        The page cache comes back cold at the same size, request tracing
+        stays on if it was, and a fault plan carries over as a *fresh*
+        injector: same seed, same schedule, replayed from the beginning.
         """
+        cache = self.page_cache
         return Machine(
             self._disk_specs,
             memory=self.memory_bytes,
             cores=self.cores,
+            trace=self.trace,
+            page_cache=(
+                cache.capacity_blocks * cache.block_bytes
+                if cache is not None else None
+            ),
             sanitize=self._sanitize,
             fault_plan=self.fault_plan,
         )

@@ -140,7 +140,7 @@ class TestTable:
         def boom(*args, **kwargs):
             raise AssertionError("a second measure ran an engine")
 
-        monkeypatch.setattr(runner, "_engine", boom)
+        monkeypatch.setattr(runner, "_setup", boom)
         for name, fig in FIGURES.items():
             again = fig.measure(runner, DATASETS)
             text = fig.render(measured[name])

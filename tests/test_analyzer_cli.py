@@ -10,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import analyze_tree
 from repro.cli import main as cli_main
 from repro.tooling.analyzer import RULES, analyze_paths
 from repro.tooling.analyzer.runner import main as analyzer_main
@@ -224,9 +223,9 @@ class TestBaselineFlow:
         assert analyzer_main([str(REPO_ROOT / "src" / "repro")]) == EXIT_CLEAN
 
     def test_api_analyze_tree(self):
-        result = analyze_tree(
+        result = analyze_paths(
             [str(REPO_ROOT / "src" / "repro")],
-            baseline_path=str(REPO_ROOT / "analyzer_baseline.json"),
+            baseline=Baseline.load(str(REPO_ROOT / "analyzer_baseline.json")),
         )
         assert result.ok
         assert len(result.baselined) == 4

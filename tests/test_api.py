@@ -5,6 +5,7 @@ import pytest
 
 from repro.algorithms.reference import bfs_levels
 from repro.api import ENGINES, make_engine, run_bfs, run_queries
+from repro.core.config import FastBFSConfig
 from repro.core.engine import FastBFSEngine
 from repro.engines.graphchi import GraphChiEngine
 from repro.engines.xstream import XStreamEngine
@@ -24,6 +25,7 @@ class TestMakeEngine:
         [
             ("fastbfs", FastBFSEngine),
             ("fast-bfs", FastBFSEngine),
+            ("fastbfs-2disk", FastBFSEngine),
             ("x-stream", XStreamEngine),
             ("xstream", XStreamEngine),
             ("graphchi", GraphChiEngine),
@@ -39,6 +41,10 @@ class TestMakeEngine:
     def test_engine_list_constant(self):
         for name in ENGINES:
             make_engine(name)
+
+    def test_no_config_is_the_rows_default(self):
+        assert make_engine("fastbfs").config == FastBFSConfig()
+        assert make_engine("fastbfs-2disk").config == FastBFSConfig.two_disk()
 
 
 class TestRunBfs:

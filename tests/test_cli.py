@@ -1,11 +1,19 @@
 """Tests for the command-line interface."""
 
-import os
+import shlex
+from pathlib import Path
 
 import pytest
 
+from repro import cli
+from repro.analysis.calibration import ENGINES, scaled_machine
+from repro.analysis.harness import default_root
 from repro.cli import main
+from repro.graph.datasets import scale_divisor
 from repro.graph.io import load_graph
+from repro.obs.exporters import parse_prometheus
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(args):
@@ -65,6 +73,18 @@ class TestRun:
     def test_roots_with_validate_rejected(self, graph_file, capsys):
         assert run_cli(["run", "--graph", graph_file, "--roots", "0", "5",
                         "--validate"]) == 2
+
+    @pytest.mark.parametrize("algorithm", ["wcc", "sssp"])
+    def test_roots_rejected_for_non_bfs(self, graph_file, capsys, algorithm):
+        assert run_cli(["run", "--graph", graph_file, "--algorithm", algorithm,
+                        "--roots", "0", "5"]) == 2
+        assert "--roots applies to --algorithm bfs only" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algorithm", ["wcc", "sssp"])
+    def test_validate_rejected_for_non_bfs(self, graph_file, capsys, algorithm):
+        assert run_cli(["run", "--graph", graph_file, "--algorithm", algorithm,
+                        "--validate"]) == 2
+        assert "--validate applies to --algorithm bfs only" in capsys.readouterr().err
 
     def test_wcc(self, graph_file, capsys):
         assert run_cli(["run", "--graph", graph_file, "--algorithm", "wcc"]) == 0
@@ -189,3 +209,55 @@ class TestShapes:
         text = capsys.readouterr().out
         assert "claims hold" in text
         assert "PASS" in text
+
+
+class TestTwoDisks:
+    """FastBFS on two disks is the ``fastbfs-2disk`` row in every command."""
+
+    @pytest.fixture(scope="class")
+    def graph_file(self, tmp_path_factory):
+        out = str(tmp_path_factory.mktemp("two_disks") / "g.bin")
+        run_cli(["generate", "rmat", out, "--scale", "12", "--edge-factor", "8"])
+        return out
+
+    def test_run_uses_the_second_disk(self, graph_file, tmp_path, monkeypatch):
+        results = []
+        export = cli.export_observability
+
+        def recording_export(machine, result, *paths):
+            results.append(result)
+            export(machine, result, *paths)
+
+        monkeypatch.setattr(cli, "export_observability", recording_export)
+        metrics = tmp_path / "m.prom"
+        assert run_cli(["run", "--graph", graph_file, "--memory", "16MB",
+                        "--disks", "2", "--metrics", str(metrics)]) == 0
+        counters = parse_prometheus(metrics.read_text())
+        for kind in ("read", "write"):
+            assert counters.total("device_bytes_total", device="hdd1", kind=kind) > 0
+
+        graph = load_graph(graph_file)
+        divisor = scale_divisor()
+        rotated = ENGINES["fastbfs-2disk"].scaled(divisor).run(
+            graph, scaled_machine(memory="16MB", num_disks=2, divisor=divisor),
+            root=default_root(graph),
+        )
+        (result,) = results
+        assert result.execution_time == rotated.execution_time
+        assert result.report.to_dict() == rotated.report.to_dict()
+
+
+class TestDocsEqualCode:
+    def test_docstring_lists_every_subcommand(self):
+        missing = [name for name in cli.COMMANDS if f"``{name}``" not in cli.__doc__]
+        assert not missing
+
+    def test_readme_command_lines_parse(self):
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        commands = [shlex.split(line, comments=True)[1:]
+                    for line in readme.splitlines() if line.startswith("fastbfs ")]
+        assert commands
+        parser = cli._build_parser()
+        for argv in commands:
+            if not cli.COMMANDS[argv[0]].raw:
+                parser.parse_args(argv)

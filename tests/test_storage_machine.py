@@ -57,6 +57,27 @@ class TestMachineConstruction:
         assert f.cores == 2
         assert f.num_disks == 2
 
+    def test_fresh_keeps_page_cache_and_trace(self):
+        """A run on ``m.fresh()`` reports what the same run on ``m`` does,
+        page-cache hits included (the engines' "already used" error points
+        users at ``fresh()``)."""
+        from repro.engines.graphchi import GraphChiEngine
+        from repro.graph.generators import rmat_graph
+
+        graph = rmat_graph(scale=9, edge_factor=8, seed=3)
+        m = Machine([DeviceSpec.hdd()], memory="256KB", page_cache="1MB",
+                    trace=True)
+        f = m.fresh()
+        assert f.trace and f.page_cache is not None
+        assert f.page_cache is not m.page_cache
+
+        def report(machine):
+            return GraphChiEngine().run(graph, machine, root=0).report.to_dict()
+
+        cached = report(m)
+        assert report(f) == cached
+        assert report(Machine([DeviceSpec.hdd()], memory="256KB")) != cached
+
 
 class TestDiskAccess:
     def test_disk_clamps_to_last(self):
