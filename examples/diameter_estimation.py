@@ -16,7 +16,7 @@ import numpy as np
 from repro import FastBFSEngine, build_dataset, grid_graph
 from repro.algorithms.diameter import double_sweep_diameter, engine_sweep
 from repro.analysis.calibration import scaled_fastbfs_config, scaled_machine
-from repro.sim.trace import render_gantt
+from repro.obs import Tracer, render_device_gantt
 
 DIVISOR = 1024
 
@@ -43,14 +43,15 @@ def main() -> None:
     # --- storage-level view of one sweep ---------------------------------
     print("\nGantt of one FastBFS sweep (2 disks, rotating streams):")
     graph = build_dataset("rmat25", divisor=DIVISOR)
-    machine = scaled_machine(
-        "4GB", num_disks=2, divisor=DIVISOR, trace=True
-    )
+    machine = scaled_machine("4GB", num_disks=2, divisor=DIVISOR)
+    tracer = Tracer()
+    machine.attach_tracer(tracer)
     two_disk = FastBFSEngine(
         scaled_fastbfs_config(DIVISOR, rotate_streams=True)
     )
     two_disk.run(graph, machine, root=int(np.argmax(graph.out_degrees())))
-    print(render_gantt(machine, width=88))
+    disks = [dev.name for dev in machine.disks]
+    print(render_device_gantt(tracer, devices=disks, width=88))
     print("\nReads (edges/updates) and writes (stay/updates) alternate "
           "spindles each iteration — the Fig. 10 rotation at work.")
 

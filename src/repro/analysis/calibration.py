@@ -83,18 +83,14 @@ def scaled_machine(
     num_disks: int = 1,
     disk_kind: str = "hdd",
     divisor: int = SCALE_DIVISOR,
-    trace: bool = False,
 ) -> Machine:
     """The paper's test bed at reproduction scale.
 
     ``memory`` is quoted at *paper* scale ("4GB", "256MB", ...) and divided
-    by the divisor; disks get scaled seek times.  ``trace=True`` keeps the
-    full request trace for Gantt rendering.
+    by the divisor; disks get scaled seek times.
     """
     specs = [scaled_device(disk_kind, f"{disk_kind}{i}", divisor) for i in range(num_disks)]
-    return Machine(
-        specs, memory=scaled_bytes(memory, divisor), cores=cores, trace=trace
-    )
+    return Machine(specs, memory=scaled_bytes(memory, divisor), cores=cores)
 
 
 def scaled_engine_config(

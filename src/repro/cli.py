@@ -26,8 +26,8 @@ groups, handler); the parser and :func:`main` read that table.
 * ``analyze`` — the static analyzer: module-local source rules and
   whole-program effect & determinism contracts (``--list-rules``;
   text/JSON/SARIF, exit 0 clean / 1 findings / 2 usage);
-* ``gantt`` — run one BFS with request tracing and draw each device's
-  stream lanes;
+* ``gantt`` — run one traced BFS and draw each disk's stream lanes from
+  the trace's ``io`` spans;
 * ``shapes`` — check every claim of the paper's tables and figures
   (``repro.analysis.figures.FIGURES``; exit 1 on a failing claim);
 * ``serve`` — boot the long-lived graph query service (docs/serving.md);
@@ -71,6 +71,7 @@ from repro.graph.generators import (
 )
 from repro.graph.graph import Graph
 from repro.graph.io import load_graph, save_graph
+from repro.obs import Tracer, render_device_gantt
 from repro.utils.units import format_bytes, format_seconds
 
 #: Adds some arguments to a subcommand's parser.
@@ -126,6 +127,14 @@ def _bench_args(p: argparse.ArgumentParser) -> None:
                       help="directory holding BENCH_*.json (default: .)")
 
 
+def _width(text: str) -> int:
+    """``--width``: at least 10 columns, checked before any work."""
+    width = int(text)
+    if width < 10:
+        raise argparse.ArgumentTypeError(f"must be >= 10 columns, got {width}")
+    return width
+
+
 ENGINE = _arg("--engine", choices=PAPER_ENGINES, default="fastbfs")
 ROOT = _arg("--root", type=int, default=None,
             help="BFS root (default: highest-out-degree vertex)")
@@ -137,7 +146,7 @@ def _load_input(args: argparse.Namespace) -> Graph:
     return build_dataset(args.dataset, seed=args.seed)
 
 
-def _testbed(args: argparse.Namespace, engine: str, trace: bool = False):
+def _testbed(args: argparse.Namespace, engine: str):
     """``(machine, engine)`` for one run: the machine flags at paper scale,
     scaled by the datasets' divisor, with the tracer ``--trace`` /
     ``--host-profile`` ask for, and the engine ``engine`` means on that
@@ -149,7 +158,6 @@ def _testbed(args: argparse.Namespace, engine: str, trace: bool = False):
         num_disks=args.disks,
         disk_kind=args.disk_kind,
         divisor=divisor,
-        trace=trace,
     )
     _prepare_tracing(
         machine, getattr(args, "trace", None), getattr(args, "host_profile", False)
@@ -448,14 +456,14 @@ def cmd_analyze(argv: List[str]) -> int:
 
 
 def cmd_gantt(args: argparse.Namespace) -> int:
-    from repro.sim.trace import render_gantt
-
     graph = _load_input(args)
-    machine, engine = _testbed(args, args.engine, trace=True)
+    machine, engine = _testbed(args, args.engine)
+    machine.attach_tracer(Tracer())
     result = engine.run(graph, machine, root=_root(args, graph))
     print(result.summary())
     print()
-    print(render_gantt(machine, width=args.width))
+    disks = [dev.name for dev in machine.disks]
+    print(render_device_gantt(machine, devices=disks, width=args.width))
     return 0
 
 
@@ -638,8 +646,8 @@ COMMANDS: Dict[str, Command] = {
             _arg("trace", nargs="?", default=None,
                  help="span-trace JSONL (e.g. from 'run --trace'); omit to "
                       "profile convergence of --graph/--dataset instead"),
-            _arg("--width", type=int, default=100,
-                 help="trace report width (columns)"),
+            _arg("--width", type=_width, default=100,
+                 help="trace report width (columns, >= 10)"),
             _arg("--host", action="store_true",
                  help="append the dual-clock host-cost section (needs a "
                       "trace recorded with --host-profile)"),
@@ -672,12 +680,13 @@ COMMANDS: Dict[str, Command] = {
         cmd_analyze, raw=True,
     ),
     "gantt": Command(
-        "run one BFS with request tracing and draw the device Gantt",
+        "run one traced BFS and draw the device Gantt",
         cmd_gantt, (
             _input_args,
             ENGINE,
             ROOT,
-            _arg("--width", type=int, default=100),
+            _arg("--width", type=_width, default=100,
+                 help="Gantt width (columns, >= 10)"),
             _machine_args,
         ),
     ),

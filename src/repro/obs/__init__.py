@@ -11,7 +11,8 @@ The subsystem has three parts, deliberately decoupled:
 * :mod:`repro.obs.exporters` — JSONL span traces and Prometheus-style
   text snapshots, both round-trippable;
 * :mod:`repro.obs.profile` — trace analysis (per-iteration stage
-  breakdowns, stay-write overlap, per-device I/O attribution);
+  breakdowns, stay-write overlap, per-device I/O attribution) and the
+  one Gantt renderer (span lanes, and device lanes from ``io`` spans);
 * :mod:`repro.obs.bench` — benchmark snapshots and the regression gate;
 * :mod:`repro.obs.hostprof` — the dual-clock host profiler: the one
   sanctioned wall-clock choke point (:class:`HostClock`), bindable to a
@@ -49,6 +50,8 @@ from repro.obs.profile import (
     TraceProfile,
     load_spans,
     profile_trace,
+    render_device_gantt,
+    render_span_gantt,
 )
 from repro.obs.timeseries import TimeSeries, quantile_summary
 from repro.obs.tracer import NULL_TRACER, NullTracer, Span, TraceError, Tracer
@@ -78,6 +81,8 @@ __all__ = [
     "TraceProfile",
     "load_spans",
     "profile_trace",
+    "render_device_gantt",
+    "render_span_gantt",
     "HOST_CLOCK",
     "HostClock",
     "ManualHostClock",

@@ -44,9 +44,9 @@ class ExportError(ReproError):
 # JSONL span traces
 # ----------------------------------------------------------------------
 def spans_to_jsonl(spans: Union[Tracer, Iterable[Span]]) -> str:
-    """Serialize spans (or a whole tracer) to JSONL text."""
+    """Serialize spans (or a whole tracer, ``io`` spans last) to JSONL text."""
     if isinstance(spans, Tracer):
-        spans = spans.spans
+        spans = spans.export()
     lines = [json.dumps(sp.to_dict(), sort_keys=True) for sp in spans]
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -92,8 +92,13 @@ def parse_spans_jsonl(text: str) -> List[Span]:
 
 
 def read_spans_jsonl(path: str) -> List[Span]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_spans_jsonl(fh.read())
+    """Read a JSONL trace file; an unreadable path is an :class:`ExportError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ExportError(f"cannot read trace {path}: {exc.strerror}") from None
+    return parse_spans_jsonl(text)
 
 
 # ----------------------------------------------------------------------

@@ -17,11 +17,14 @@ questions the paper's evaluation sections ask of it:
   from a :class:`~repro.obs.counters.CounterRegistry`, reconciled
   bit-for-bit against an :class:`~repro.storage.machine.IOReport` when
   one is supplied.
+* **Lanes** — the one Gantt renderer: a lane per span name and, from
+  the ``io`` spans, a lane per device and (role, kind) — the device view
+  ``repro gantt`` draws and the per-query lanes of ``repro profile``.
 
-The renderer reuses the shared lane Gantt from :mod:`repro.sim.trace`,
-so a profile report and a device-request Gantt share glyphs and axis
-conventions.  Everything here is read-only: profiling a trace never
-touches a clock, machine, or tracer.
+Every entry point takes any trace source through :func:`load_spans`, so
+a live tracer and its exported JSONL give the same report and Gantt.
+Everything here is read-only: profiling a trace never touches a clock,
+machine, or tracer.
 """
 
 from __future__ import annotations
@@ -32,8 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.obs.counters import CounterRegistry
-from repro.obs.tracer import Span
-from repro.sim.trace import render_lanes, span_lanes
+from repro.obs.tracer import Span, Tracer
 from repro.utils.units import format_bytes, format_seconds
 
 #: Child-span names treated as named stages inside an iteration; any
@@ -41,10 +43,12 @@ from repro.utils.units import format_bytes, format_seconds
 STAGE_NAMES = ("scatter", "gather", "shuffle", "interval")
 
 Interval = Tuple[float, float]
+#: A labelled Gantt row: (label, intervals).
+Lane = Tuple[str, List[Interval]]
 
 
 class ProfileError(ReproError):
-    """Raised when a trace cannot be profiled (empty, no query spans...)."""
+    """Raised when a trace cannot be profiled or drawn (no spans, no tracer...)."""
 
 
 # ----------------------------------------------------------------------
@@ -54,15 +58,16 @@ def load_spans(source) -> List[Span]:
     """Normalize any trace source into a span list.
 
     Accepts a JSONL trace path, a :class:`~repro.obs.tracer.Tracer`, a
-    machine with an attached tracer, or an iterable of spans.
+    machine with an attached tracer, or an iterable of spans.  A tracer
+    yields its ``io`` spans too (:meth:`~repro.obs.tracer.Tracer.export`),
+    as its JSONL file does.
     """
     if isinstance(source, (str, os.PathLike)):
         from repro.obs.exporters import read_spans_jsonl
 
         return read_spans_jsonl(os.fspath(source))
-    spans = getattr(source, "spans", None)
-    if spans is not None:
-        return list(spans)
+    if isinstance(source, Tracer):
+        return source.export()
     tracer = getattr(source, "tracer", None)
     if tracer is not None:
         if not tracer.enabled:
@@ -70,8 +75,155 @@ def load_spans(source) -> List[Span]:
                 "machine has no span tracer attached; call "
                 "machine.attach_tracer(Tracer()) before the run"
             )
-        return list(tracer.spans)
+        return tracer.export()
     return list(source)
+
+
+# ----------------------------------------------------------------------
+# lane rendering: the one Gantt renderer
+# ----------------------------------------------------------------------
+_FULL = "█"
+_PARTIAL = "▒"
+_IDLE = "·"
+
+#: Preferred ordering for span-trace rendering (taxonomy order).
+SPAN_LANE_ORDER = (
+    "stage",
+    "query",
+    "iteration",
+    "scatter",
+    "gather",
+    "shuffle",
+    "stay_flush",
+    "stay_cancel",
+    "interval",
+)
+
+
+def _coverage_chars(
+    intervals: Sequence[Interval], start: float, end: float, width: int
+) -> str:
+    """Render interval coverage of [start, end) into ``width`` cells."""
+    cell = (end - start) / width
+    coverage = [0.0] * width
+    for lo, hi in intervals:
+        lo = max(lo, start)
+        hi = min(hi, end)
+        if hi <= lo:
+            continue
+        first = int((lo - start) / cell)
+        last = min(int((hi - start) / cell), width - 1)
+        for i in range(first, last + 1):
+            cell_lo = start + i * cell
+            cell_hi = cell_lo + cell
+            coverage[i] += max(0.0, min(hi, cell_hi) - max(lo, cell_lo)) / cell
+    return "".join(
+        _FULL if c >= 0.75 else (_PARTIAL if c > 0.05 else _IDLE)
+        for c in coverage
+    )
+
+
+def render_lanes(
+    title: str,
+    lanes: Sequence[Lane],
+    start: float,
+    end: float,
+    width: int = 80,
+) -> str:
+    """Shared lane renderer: labelled interval sets on one time axis."""
+    if end <= start:
+        raise ProfileError(f"empty window [{start}, {end})")
+    if width < 10:
+        raise ProfileError("width must be >= 10 characters")
+    cell = (end - start) / width
+    lines = [
+        f"{title}: [{format_seconds(start)} .. {format_seconds(end)}]"
+        f"  ({format_seconds(cell)}/cell)"
+    ]
+    label_width = max((len(label) for label, _ in lanes), default=8)
+    for label, intervals in lanes:
+        chars = _coverage_chars(intervals, start, end, width)
+        lines.append(f"  {label.ljust(label_width)} {chars}")
+    if len(lines) == 1:
+        lines.append("  (no requests in window)")
+    return "\n".join(lines)
+
+
+def _window_end(lanes: Sequence[Lane], start: float) -> float:
+    """The latest end over ``lanes``; one second past ``start`` if empty."""
+    ends = [hi for _, intervals in lanes for _, hi in intervals]
+    return max(ends, default=start + 1.0)
+
+
+def span_lanes(source, names: Optional[Sequence[str]] = None) -> List[Lane]:
+    """One lane per span name in taxonomy order (``io`` spans excepted:
+    they are :func:`device_lanes`)."""
+    by_name: Dict[str, List[Interval]] = {}
+    for sp in load_spans(source):
+        if sp.finished and sp.name != "io" and (names is None or sp.name in names):
+            by_name.setdefault(sp.name, []).append((sp.start, sp.end))
+    order = {name: i for i, name in enumerate(SPAN_LANE_ORDER)}
+    return [
+        (name, by_name[name])
+        for name in sorted(by_name, key=lambda n: (order.get(n, len(order)), n))
+    ]
+
+
+def device_lanes(source) -> Dict[str, List[Lane]]:
+    """Per device, one ``role[R|W]`` lane per (role, kind) of its ``io``
+    spans, sorted; the keys are those of ``Timeline.bytes_by_role``."""
+    by_device: Dict[str, Dict[Tuple[str, str], List[Interval]]] = {}
+    for sp in load_spans(source):
+        if sp.name == "io":
+            device, role, kind = (str(sp.attrs[k]) for k in ("device", "role", "kind"))
+            lanes = by_device.setdefault(device, {})
+            lanes.setdefault((role, kind), []).append((sp.start, sp.end))
+    return {
+        device: [
+            (f"{role}[{kind[0].upper()}]", intervals)
+            for (role, kind), intervals in sorted(lanes.items())
+        ]
+        for device, lanes in by_device.items()
+    }
+
+
+def render_span_gantt(
+    source,
+    start: float = 0.0,
+    end: Optional[float] = None,
+    width: int = 80,
+    names: Optional[Sequence[str]] = None,
+    title: str = "spans",
+) -> str:
+    """Draw a trace as one lane per span name; ``names`` limits the lanes."""
+    lanes = span_lanes(source, names=names)
+    if end is None:
+        end = _window_end(lanes, start)
+    return render_lanes(title, lanes, start, end, width)
+
+
+def render_device_gantt(
+    source,
+    devices: Optional[Sequence[str]] = None,
+    start: float = 0.0,
+    end: Optional[float] = None,
+    width: int = 80,
+) -> str:
+    """Draw who held each device when: one block per device, one lane per
+    (role, kind) of its ``io`` spans, all on one time axis.
+
+    ``devices`` names the blocks in order (``[d.name for d in
+    machine.disks]`` leaves out RAM and keeps an idle disk as "no
+    requests"); the default is every device that served a request.
+    """
+    lanes = device_lanes(source)
+    names = sorted(lanes) if devices is None else list(devices)
+    blocks = [(name, lanes.get(name, [])) for name in names]
+    if end is None:
+        end = _window_end([lane for _, block in blocks for lane in block], start)
+    return "\n".join(
+        render_lanes(name, block, start, end, width) for name, block in blocks
+    )
 
 
 # ----------------------------------------------------------------------
@@ -278,14 +430,20 @@ class QueryProfile:
             self.stage_totals().items(), key=lambda kv: (-kv[1], kv[0])
         )
 
+    def lanes(self) -> List[Lane]:
+        """Span-name lanes (``query`` excepted), then a ``<device>
+        <role>[R|W]`` lane per device and (role, kind)."""
+        out = [lane for lane in span_lanes(self.spans) if lane[0] != "query"]
+        for device, rows in sorted(device_lanes(self.spans).items()):
+            out.extend((f"{device} {label}", iv) for label, iv in rows)
+        return out
+
     def lane_utilization(self) -> Dict[str, float]:
-        """Per-span-name busy fraction of the query window (union time)."""
+        """Per-lane busy fraction of the query window (union time)."""
         if self.duration <= 0:
             return {}
         out: Dict[str, float] = {}
-        for name, intervals in span_lanes(self.spans):
-            if name == "query":
-                continue
+        for name, intervals in self.lanes():
             merged = _merge_intervals(
                 [
                     (max(lo, self.span.start), min(hi, self.span.end))
@@ -639,15 +797,12 @@ class TraceProfile:
         util = q.lane_utilization()
         if util:
             lines.append("  lane utilization (busy share of query window):")
+            label_width = max(12, *map(len, util))
             for name, frac in sorted(
                 util.items(), key=lambda kv: (-kv[1], kv[0])
             ):
-                lines.append(f"    {name:<12} {frac:6.1%}")
-        lanes = [
-            (name, intervals)
-            for name, intervals in span_lanes(q.spans)
-            if name != "query"
-        ]
+                lines.append(f"    {name:<{label_width}} {frac:6.1%}")
+        lanes = q.lanes()
         if lanes and q.duration > 0:
             lines.append(
                 render_lanes(
@@ -679,6 +834,12 @@ __all__ = [
     "STAGE_NAMES",
     "ProfileError",
     "load_spans",
+    "SPAN_LANE_ORDER",
+    "render_lanes",
+    "span_lanes",
+    "device_lanes",
+    "render_span_gantt",
+    "render_device_gantt",
     "IterationBreakdown",
     "StayAccounting",
     "QueryProfile",

@@ -24,6 +24,7 @@ name           attrs
 ``stay_flush`` partition, iteration, records, bytes  (async span)
 ``stay_cancel``partition, iteration, end_of_run, reason (async span)
 ``interval``   partition (GraphChi's PSW unit of work)
+``io``         device, role, kind, group, bytes (+ fault): one device request
 ``io_retry``   device, group, attempt (backoff window; fault injection)
 ``io_giveup``  device, group, attempts (zero-width; retry exhaustion)
 ``crash``      device, group, index (zero-width; injected crash point)
@@ -51,6 +52,10 @@ Design rules:
   so they are emitted retroactively (via :meth:`Tracer.emit`) under an
   explicit parent — the enclosing ``query`` span — rather than the span
   stack's top.
+* **Requests by reference.**  ``Device.submit`` hands each request to an
+  attached tracer (:meth:`Tracer.record_request`, no span allocated);
+  :meth:`Tracer.io_spans` builds the ``io`` spans on export or drawing,
+  at each request's final placement.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.errors import ReproError
+from repro.sim.timeline import Timeline
 
 
 class TraceError(ReproError):
@@ -162,6 +168,8 @@ class Tracer:
         self._clock = None
         self._host = None
         self._next_id = 1
+        # (device name, ScheduledRequest, id of the span open at submit).
+        self._requests: List[tuple] = []
 
     # ------------------------------------------------------------------
     def bind_clock(self, clock) -> "Tracer":
@@ -250,6 +258,34 @@ class Tracer:
         self.spans.append(sp)
         return sp
 
+    def record_request(self, device: str, request) -> None:
+        """Keep a device request, under the span open now, for :meth:`io_spans`."""
+        stack = self._stack
+        self._requests.append((device, request, stack[-1].span_id if stack else None))
+
+    def io_spans(self) -> List[Span]:
+        """The recorded requests as ``io`` spans, numbered after every span
+        so far: a cancelled one drops out, a repacked one shows where it ran."""
+        out: List[Span] = []
+        span_id = self._next_id
+        for device, req, parent_id in self._requests:
+            if req.cancelled:
+                continue
+            role, kind = Timeline.lane_of(req)
+            attrs: Dict[str, object] = {
+                "device": device, "role": role, "kind": kind,
+                "group": req.group, "bytes": req.nbytes,
+            }
+            if req.fault is not None:
+                attrs["fault"] = req.fault
+            out.append(Span(span_id, parent_id, "io", req.start, req.end, attrs))
+            span_id += 1
+        return out
+
+    def export(self) -> List[Span]:
+        """Every span of the trace: the recorded ones, then the ``io`` spans."""
+        return self.spans + self.io_spans()
+
     # ------------------------------------------------------------------
     @property
     def current_id(self) -> Optional[int]:
@@ -259,9 +295,6 @@ class Tracer:
     @property
     def depth(self) -> int:
         return len(self._stack)
-
-    def finished_spans(self) -> List[Span]:
-        return [s for s in self.spans if s.finished]
 
     def find(self, name: str) -> List[Span]:
         """All spans with the given name, in emission order."""
@@ -315,6 +348,9 @@ class NullTracer(Tracer):
         return _NULL_SPAN
 
     def emit(self, name, start, end, parent_id=None, **attrs):  # type: ignore[override]
+        return None
+
+    def record_request(self, device, request) -> None:
         return None
 
     @property

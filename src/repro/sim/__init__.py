@@ -15,12 +15,9 @@ streamed through numpy buffers) but charge their time to a simulated clock:
 
 from repro.sim.clock import SimClock
 from repro.sim.timeline import ScheduledRequest, Timeline
-from repro.sim.trace import render_gantt, render_timeline_gantt
 
 __all__ = [
     "SimClock",
     "Timeline",
     "ScheduledRequest",
-    "render_gantt",
-    "render_timeline_gantt",
 ]

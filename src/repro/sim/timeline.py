@@ -91,12 +91,8 @@ class ScheduledRequest:
 class Timeline:
     """FIFO schedule of requests for a single device."""
 
-    def __init__(self, name: str = "device", keep_trace: bool = False) -> None:
+    def __init__(self, name: str = "device") -> None:
         self.name = name
-        #: When enabled, every accepted request is retained in ``trace``
-        #: (cancelled ones stay, flagged) for post-run Gantt rendering.
-        self.keep_trace = keep_trace
-        self.trace: List[ScheduledRequest] = []
         self._queue: List[ScheduledRequest] = []
         # End time of the last request pruned from the queue head.
         self._settled_end = 0.0
@@ -120,8 +116,9 @@ class Timeline:
 
         The single definition shared by the byte ledger below (which
         folds its groups with :meth:`role_of`) and every lane-keyed
-        consumer (the Gantt renderer, per-role reports) — keep them keyed
-        identically or per-role accounting and rendering drift apart.
+        consumer (``io`` spans and their Gantt lanes, per-role reports) —
+        keep them keyed identically or per-role accounting and rendering
+        drift apart.
         """
         return cls.role_of(request.group), request.kind
 
@@ -166,8 +163,6 @@ class Timeline:
         start = free_at if free_at > submit else submit
         req = ScheduledRequest(group, kind, nbytes, submit, service, start, start + service)
         queue.append(req)
-        if self.keep_trace:
-            self.trace.append(req)
         by_kind = self._bytes_by_kind
         by_kind[kind] = by_kind.get(kind, 0) + nbytes
         by_group[key] = group_bytes + nbytes
@@ -254,7 +249,6 @@ class Timeline:
             "bytes_by_kind": dict(self._bytes_by_kind),
             "bytes_by_group": dict(self._bytes_by_group),
             "last_submit": self._last_submit,
-            "trace_len": len(self.trace),
         }
 
     def restore(self, state: Dict[str, object]) -> None:
@@ -266,7 +260,6 @@ class Timeline:
         self._bytes_by_kind = dict(state["bytes_by_kind"])  # type: ignore[arg-type]
         self._bytes_by_group = dict(state["bytes_by_group"])  # type: ignore[arg-type]
         self._last_submit = state["last_submit"]  # type: ignore[assignment]
-        del self.trace[state["trace_len"] :]  # type: ignore[misc]
 
     # ------------------------------------------------------------------
     # queries

@@ -102,6 +102,9 @@ class Device:
         #: Optional fault injector (see repro.storage.faults); installed by
         #: ``Machine(fault_plan=...)``, shared across the machine's disks.
         self.injector = None
+        #: The attached span tracer, which records every request (``io``
+        #: spans); None while the machine is untraced.
+        self.tracer = None
 
     @property
     def name(self) -> str:
@@ -220,6 +223,8 @@ class Device:
         req = self.timeline.schedule(submit_time, service, disk_bytes, kind, group)
         if outcome is not None and outcome.torn and kind == "write":
             req.fault = "torn_write"
+        if self.tracer is not None:
+            self.tracer.record_request(spec.name, req)
         return req
 
     # ------------------------------------------------------------------

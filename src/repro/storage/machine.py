@@ -279,7 +279,6 @@ class Machine:
         disks: Sequence[DeviceSpec],
         memory: Union[int, str] = "4GB",
         cores: int = 4,
-        trace: bool = False,
         page_cache: Union[int, str, None] = None,
         sanitize: bool = False,
         fault_plan=None,
@@ -294,10 +293,6 @@ class Machine:
         self.clock = SimClock()
         self.disks: List[Device] = [Device(spec) for spec in disks]
         self.ram = Device(DeviceSpec.ram())
-        self.trace = trace
-        if trace:
-            for dev in [*self.disks, self.ram]:
-                dev.timeline.keep_trace = True
         self.page_cache = None
         if page_cache is not None:
             from repro.storage.pagecache import PageCache
@@ -366,16 +361,15 @@ class Machine:
     def fresh(self) -> "Machine":
         """A new machine with identical hardware and a zeroed clock/VFS.
 
-        The page cache comes back cold at the same size, request tracing
-        stays on if it was, and a fault plan carries over as a *fresh*
-        injector: same seed, same schedule, replayed from the beginning.
+        The page cache comes back cold at the same size, no tracer is
+        attached, and a fault plan carries over as a *fresh* injector:
+        same seed, same schedule, replayed from the beginning.
         """
         cache = self.page_cache
         return Machine(
             self._disk_specs,
             memory=self.memory_bytes,
             cores=self.cores,
-            trace=self.trace,
             page_cache=(
                 cache.capacity_blocks * cache.block_bytes
                 if cache is not None else None
@@ -408,10 +402,13 @@ class Machine:
         """Install a span tracer and bind it to this machine's clock.
 
         The tracer is the explicit observability handle engines reach as
-        ``machine.tracer`` — there is no global registry.  Pass the shared
-        ``NULL_TRACER`` (or a fresh ``NullTracer``) to detach.
+        ``machine.tracer`` — there is no global registry.  Every device
+        reports its requests to an enabled tracer (``io`` spans).  Pass the
+        shared ``NULL_TRACER`` (or a fresh ``NullTracer``) to detach.
         """
         self.tracer = tracer.bind_clock(self.clock)
+        for dev in self.all_devices():
+            dev.tracer = tracer if tracer.enabled else None
         if self.fault_injector is not None:
             self.fault_injector.tracer = self.tracer
         return self

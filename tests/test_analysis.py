@@ -184,13 +184,10 @@ class TestTables:
 
 
 class TestScaledMachineOptions:
-    def test_trace_flag(self):
-        m = scaled_machine("4GB", trace=True)
-        assert m.disks[0].timeline.keep_trace
-
     def test_default_no_trace(self):
         m = scaled_machine("4GB")
-        assert not m.disks[0].timeline.keep_trace
+        assert not m.tracer.enabled
+        assert all(dev.tracer is None for dev in m.all_devices())
 
     def test_ssd_two_disks(self):
         m = scaled_machine("2GB", num_disks=2, disk_kind="ssd", divisor=512)

@@ -163,6 +163,19 @@ class TestProfile:
         assert "frontier" in text
         assert "saved by trimming" in text
 
+    @pytest.mark.parametrize("name", ["missing.jsonl", "."])
+    def test_unreadable_trace_is_a_typed_error(self, tmp_path, capsys, name):
+        path = str(tmp_path / name)
+        assert run_cli(["profile", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read trace") and path in err
+
+    def test_narrow_width_rejected_when_parsed(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["profile", str(tmp_path / "t.jsonl"), "--width", "5"])
+        assert exc.value.code == 2
+        assert "--width: must be >= 10" in capsys.readouterr().err
+
 
 class TestDatasets:
     def test_listing(self, capsys):
@@ -192,6 +205,14 @@ class TestGantt:
                         "--width", "40"]) == 0
         text = capsys.readouterr().out
         assert "hdd1" in text
+
+    def test_narrow_width_rejected_before_the_run(self, tmp_path, capsys):
+        # The graph does not exist: a check made after loading would exit 1.
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["gantt", "--graph", str(tmp_path / "nope.bin"),
+                     "--width", "5"])
+        assert exc.value.code == 2
+        assert "--width: must be >= 10" in capsys.readouterr().err
 
     def test_verbose_run(self, tmp_path, capsys):
         out = str(tmp_path / "g.bin")

@@ -555,6 +555,10 @@ class TestCrashRecovery:
         names = [s.name for s in machine.tracer.spans]
         assert names.count("crash") == 1
         assert names.count("recover") == 1
+        # The trace keeps the crashed attempt's device requests; the
+        # rewound timelines, and so the byte counters, do not.
+        io_bytes = sum(sp.attrs["bytes"] for sp in machine.tracer.io_spans())
+        assert io_bytes > machine.counters().total("device_bytes_total")
 
     def test_recover_without_crash_is_an_error(self, rmat10):
         machine = self._machine(FaultPlan(seed=0))

@@ -116,6 +116,8 @@ class TestTracer:
         with ctx as sp:
             assert sp.set(a=2) is sp
         assert null.emit("x", 0.0, 1.0) is None
+        null.record_request("hdd0", object())
+        assert null.io_spans() == []
         assert null.current_id is None
         assert len(null) == 0
         assert null.span("a") is NULL_TRACER.span("b")  # no per-span alloc
@@ -130,7 +132,7 @@ class TestJsonlGoldenSchema:
         path = tmp_path / "trace.jsonl"
         count = write_spans_jsonl(tracer, str(path))
         lines = path.read_text().splitlines()
-        assert count == len(lines) == len(tracer.spans) > 0
+        assert count == len(lines) == len(tracer.export()) > len(tracer.spans) > 0
         for line in lines:
             obj = json.loads(line)
             assert set(obj) == set(SPAN_SCHEMA)
@@ -145,7 +147,7 @@ class TestJsonlGoldenSchema:
         path = tmp_path / "trace.jsonl"
         write_spans_jsonl(tracer, str(path))
         back = read_spans_jsonl(str(path))
-        assert [s.to_dict() for s in back] == [s.to_dict() for s in tracer.spans]
+        assert [s.to_dict() for s in back] == [s.to_dict() for s in tracer.export()]
 
     def test_parse_rejects_missing_keys(self):
         line = json.dumps({"span_id": 1, "name": "x"})

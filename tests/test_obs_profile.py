@@ -231,7 +231,7 @@ class TestSources:
 
     def test_machine_source(self, traced_run):
         _, machine, tracer, _ = traced_run
-        assert len(load_spans(machine)) == len(tracer.spans)
+        assert load_spans(machine) == tracer.spans + tracer.io_spans()
 
     def test_machine_without_tracer_raises(self):
         with pytest.raises(ProfileError):

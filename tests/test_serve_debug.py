@@ -159,6 +159,8 @@ class TestDebugRequests:
         assert spans, "flush span trace must ride along"
         names = {sp["name"] for sp in spans}
         assert "query" in names
+        # The ring keeps the flush's spans, not its device requests.
+        assert "io" not in names
         # The record points at its own query span, and the admission
         # controller's dual clock stamped it with host time.
         own = [sp for sp in spans if sp["span_id"] == record["query_span_id"]]

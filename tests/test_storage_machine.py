@@ -57,7 +57,7 @@ class TestMachineConstruction:
         assert f.cores == 2
         assert f.num_disks == 2
 
-    def test_fresh_keeps_page_cache_and_trace(self):
+    def test_fresh_keeps_page_cache(self):
         """A run on ``m.fresh()`` reports what the same run on ``m`` does,
         page-cache hits included (the engines' "already used" error points
         users at ``fresh()``)."""
@@ -65,10 +65,9 @@ class TestMachineConstruction:
         from repro.graph.generators import rmat_graph
 
         graph = rmat_graph(scale=9, edge_factor=8, seed=3)
-        m = Machine([DeviceSpec.hdd()], memory="256KB", page_cache="1MB",
-                    trace=True)
+        m = Machine([DeviceSpec.hdd()], memory="256KB", page_cache="1MB")
         f = m.fresh()
-        assert f.trace and f.page_cache is not None
+        assert f.page_cache is not None
         assert f.page_cache is not m.page_cache
 
         def report(machine):
