@@ -14,7 +14,6 @@ from repro.algorithms.reference import (
     bfs_levels,
     bfs_parents_and_levels,
     level_profile,
-    reachable_count,
 )
 from repro.algorithms.streaming import (
     BFSAlgorithm,
@@ -26,7 +25,6 @@ from repro.algorithms.sssp import (
     WeightedSSSPAlgorithm,
     hash_weights,
     reference_sssp,
-    unit_weights,
 )
 from repro.algorithms.hybrid import HybridBFSResult, hybrid_bfs
 from repro.algorithms.pagerank import PageRankAlgorithm, reference_pagerank
@@ -40,25 +38,18 @@ from repro.algorithms.diameter import (
     double_sweep_diameter,
     engine_sweep,
 )
-from repro.algorithms.paths import (
-    extract_path,
-    hop_distances_from_paths,
-    path_exists_in_graph,
-)
 from repro.algorithms.validation import teps, validate_bfs_result
 
 __all__ = [
     "bfs_levels",
     "bfs_parents_and_levels",
     "level_profile",
-    "reachable_count",
     "StreamingAlgorithm",
     "BFSAlgorithm",
     "WCCAlgorithm",
     "UnitSSSPAlgorithm",
     "WeightedSSSPAlgorithm",
     "hash_weights",
-    "unit_weights",
     "reference_sssp",
     "hybrid_bfs",
     "HybridBFSResult",
@@ -70,9 +61,6 @@ __all__ = [
     "double_sweep_diameter",
     "DiameterEstimate",
     "engine_sweep",
-    "extract_path",
-    "path_exists_in_graph",
-    "hop_distances_from_paths",
     "validate_bfs_result",
     "teps",
 ]

@@ -74,11 +74,6 @@ def bfs_parents_and_levels(
     return levels, parents
 
 
-def reachable_count(graph: Union[Graph, CSRGraph], root: int) -> int:
-    """Number of vertices reachable from ``root`` (including it)."""
-    return int((bfs_levels(graph, root) >= 0).sum())
-
-
 @dataclass
 class LevelProfile:
     """Per-level BFS convergence data (the Fig. 1 phenomenon).

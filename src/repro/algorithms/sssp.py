@@ -50,15 +50,6 @@ def hash_weights(max_weight: int = 8) -> WeightFn:
     return weights
 
 
-def unit_weights() -> WeightFn:
-    """All-ones weights (SSSP becomes BFS; useful for cross-checks)."""
-
-    def weights(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        return np.ones(len(src), dtype=np.uint32)
-
-    return weights
-
-
 class WeightedSSSPAlgorithm(StreamingAlgorithm):
     """Bellman-Ford over the streaming engines."""
 

@@ -12,7 +12,8 @@ reads this table: ``build_report`` (``repro reproduce``) renders it,
 
 Range claims carry the paper's range (:mod:`repro.analysis.paper`) and the
 relative slack it is held to here; EXPERIMENTS.md documents why each slack
-is what it is and lists every claim (``claims_table``).
+is what it is and lists every claim; ``tests/test_analysis_figures.py``
+holds that list to this table.
 """
 
 from __future__ import annotations
@@ -604,13 +605,3 @@ def build_report(
         text = figure.render(figure.measure(runner, datasets))
         sections.append("```\n" + text + "\n```")
     return "\n\n".join(sections) + "\n"
-
-
-def claims_table() -> str:
-    """The "Claims checked" table of EXPERIMENTS.md (pinned by a test)."""
-    lines = ["| Figure | Claim | Held to |", "|---|---|---|"]
-    lines += [
-        f"| {figure.name} | {claim.text} | {claim.bound or '-'} |"
-        for figure in FIGURES.values() for claim in figure.claims
-    ]
-    return "\n".join(lines)

@@ -69,9 +69,3 @@ class FastBFSConfig(EngineConfig):
             raise ConfigError("cancellation_grace must be >= 0")
         if self.stay_disk is not None and self.stay_disk < 0:
             raise ConfigError("stay_disk must be >= 0 or None")
-
-    @staticmethod
-    def two_disk(**kwargs) -> "FastBFSConfig":
-        """The Fig. 10 placement: alternate write streams across two disks."""
-        kwargs.setdefault("rotate_streams", True)
-        return FastBFSConfig(**kwargs)

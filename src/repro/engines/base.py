@@ -200,10 +200,6 @@ class EngineConfig:
     #: Disk index for vertex set files.
     vertex_disk: int = 0
     cost_model: CostModel = field(default_factory=CostModel)
-    #: Install the runtime sanitizer for this run (repro.tooling.sanitizer):
-    #: VFS leak detection, clock monotonicity, stay-writer state machine and
-    #: cost-charge coverage.  Violations raise SanitizerError at end of run.
-    sanitize: bool = False
     #: Stream-layer recovery from transient I/O faults: bounded retries
     #: with simulated-clock backoff (see repro.storage.faults.RetryPolicy).
     #: Only matters when the machine carries a fault plan — fault-free
@@ -364,7 +360,7 @@ class EdgeCentricEngine:
 
         validated = validate_entries(algo, graph.num_vertices, roots, mode)
         self._check_fresh(machine)
-        sanitizer = self._ensure_sanitizer(machine)
+        sanitizer = machine.sanitizer
         outcome = drive(self.stage(graph, machine, algorithm=algo), validated)
         if sanitizer is not None:
             outcome.extras["sanitizer_past_waits"] = float(sanitizer.past_waits)
@@ -384,17 +380,9 @@ class EdgeCentricEngine:
         if machine.clock.now != 0.0 or len(machine.vfs) != 0:
             raise EngineError(
                 "machine has already been used; engines need a fresh Machine "
-                "per run (use Machine.fresh(), or Machine.checkpoint()/"
-                "restore() via run_many for repeated queries)"
+                "per run (build a new one, or use run_many, which rewinds "
+                "with Machine.checkpoint()/restore() between queries)"
             )
-
-    def _ensure_sanitizer(self, machine: Machine):
-        sanitizer = getattr(machine, "sanitizer", None)
-        if sanitizer is None and self.config.sanitize:
-            from repro.tooling.sanitizer import Sanitizer
-
-            sanitizer = Sanitizer().install(machine)
-        return sanitizer
 
     # ------------------------------------------------------------------
     # planning & input staging

@@ -28,9 +28,8 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.sim.clock import SimClock
-from repro.utils.bits import popcount64
 
-__all__ = ["CostModel", "popcount64"]
+__all__ = ["CostModel"]
 
 
 @dataclass(frozen=True)
@@ -71,16 +70,6 @@ class CostModel:
     def effective_parallelism(self, threads: int, cores: int) -> int:
         return max(1, min(threads, cores))
 
-    def buffer_time(
-        self, per_item: float, count: int, threads: int, cores: int
-    ) -> float:
-        """CPU time to process ``count`` items of one buffer with ``threads``."""
-        if count <= 0:
-            return 0.0
-        par = self.effective_parallelism(threads, cores)
-        sync = self.thread_sync_per_buffer * threads if threads > 1 else 0.0
-        return per_item * count / par + sync + self.buffer_overhead
-
     def charge(
         self,
         clock: SimClock,
@@ -90,11 +79,11 @@ class CostModel:
         threads: int,
         cores: int,
     ) -> float:
-        """Charge one buffer's processing to the clock; returns the time.
+        """Charge the CPU time of ``count`` items of one buffer processed
+        by ``threads`` to the clock; returns the time.
 
-        The time is :meth:`buffer_time`'s, computed in this one frame (the
-        engines call this thousands of times per query) with the same
-        operations in the same order, so the float is the same.
+        The engines call this thousands of times per query, so it is one
+        frame: ``per_item * count / parallelism + sync + overhead``.
         """
         if count <= 0:
             return 0.0

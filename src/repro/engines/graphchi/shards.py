@@ -33,15 +33,6 @@ class Shard:
     def __len__(self) -> int:
         return len(self.src)
 
-    def window(self, lo: int, hi: int) -> slice:
-        """Index range of edges whose source lies in ``[lo, hi)``.
-
-        Contiguous because ``src`` is sorted — this is the sliding window.
-        """
-        start = int(np.searchsorted(self.src, lo, side="left"))
-        stop = int(np.searchsorted(self.src, hi, side="left"))
-        return slice(start, stop)
-
 
 @dataclass
 class ShardedGraph:

@@ -27,10 +27,6 @@ class StorageError(ReproError):
     """Virtual filesystem / device level failure."""
 
 
-class FileNotOpenError(StorageError):
-    """An operation was attempted on a closed virtual file handle."""
-
-
 class OutOfSpaceError(StorageError):
     """A device ran out of modeled capacity."""
 
@@ -50,10 +46,6 @@ class TransientIOError(IOFaultError):
 
 class PersistentIOError(IOFaultError):
     """A fault that will keep failing (bad sector, dead device)."""
-
-
-class ChecksumError(StorageError):
-    """Stored data failed an integrity check against its recorded checksum."""
 
 
 class CrashError(ReproError):

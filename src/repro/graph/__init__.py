@@ -12,7 +12,6 @@ from repro.graph.types import (
     EDGE_DTYPE,
     UPDATE_DTYPE,
     WEIGHTED_EDGE_DTYPE,
-    empty_edges,
     make_edges,
 )
 from repro.graph.graph import Graph
@@ -26,19 +25,13 @@ from repro.graph.generators import (
 )
 from repro.graph.partition import VertexPartitioning
 from repro.graph.csr import CSRGraph
-from repro.graph.io import (
-    load_edge_list_text,
-    load_graph,
-    save_edge_list_text,
-    save_graph,
-)
+from repro.graph.io import load_graph, save_graph
 from repro.graph.datasets import DATASETS, DatasetSpec, build_dataset
 
 __all__ = [
     "EDGE_DTYPE",
     "UPDATE_DTYPE",
     "WEIGHTED_EDGE_DTYPE",
-    "empty_edges",
     "make_edges",
     "Graph",
     "rmat_graph",
@@ -51,8 +44,6 @@ __all__ = [
     "CSRGraph",
     "load_graph",
     "save_graph",
-    "load_edge_list_text",
-    "save_edge_list_text",
     "DATASETS",
     "DatasetSpec",
     "build_dataset",

@@ -40,12 +40,6 @@ class CSRGraph:
     def num_edges(self) -> int:
         return len(self.indices)
 
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.indices[self.indptr[v] : self.indptr[v + 1]]
-
-    def out_degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
-
     def frontier_neighbors(self, frontier: np.ndarray) -> np.ndarray:
         """Concatenated neighbor lists of every vertex in ``frontier``.
 

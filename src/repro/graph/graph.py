@@ -62,16 +62,6 @@ class Graph:
     ) -> "Graph":
         return Graph(num_vertices, make_edges(src, dst), name=name, directed=directed)
 
-    @staticmethod
-    def from_edge_pairs(num_vertices: int, pairs, name: str = "graph") -> "Graph":
-        """Build from an iterable of (src, dst) tuples (tests/examples)."""
-        pairs = list(pairs)
-        if pairs:
-            src, dst = zip(*pairs)
-        else:
-            src, dst = [], []
-        return Graph.from_arrays(num_vertices, src, dst, name=name)
-
     # ------------------------------------------------------------------
     # properties
     # ------------------------------------------------------------------
@@ -86,9 +76,6 @@ class Graph:
 
     def out_degrees(self) -> np.ndarray:
         return np.bincount(self.edges["src"], minlength=self.num_vertices)
-
-    def in_degrees(self) -> np.ndarray:
-        return np.bincount(self.edges["dst"], minlength=self.num_vertices)
 
     # ------------------------------------------------------------------
     # transforms
@@ -105,21 +92,6 @@ class Graph:
             both,
             name=name or f"{self.name}-sym",
             directed=False,
-            meta=dict(self.meta),
-        )
-
-    def deduplicated(self, drop_self_loops: bool = False) -> "Graph":
-        """Remove duplicate edges (and optionally self loops)."""
-        edges = self.edges
-        if drop_self_loops:
-            edges = edges[edges["src"] != edges["dst"]]
-        keys = edges["src"].astype(np.uint64) * self.num_vertices + edges["dst"]
-        _, idx = np.unique(keys, return_index=True)
-        return Graph(
-            self.num_vertices,
-            edges[np.sort(idx)],
-            name=self.name,
-            directed=self.directed,
             meta=dict(self.meta),
         )
 

@@ -5,17 +5,13 @@ graph in a raw edge list format, which is stored as a binary file ... with
 an associated configuration file to describe the graph characteristics."
 ``<path>`` holds little-endian (u32 src, u32 dst) pairs and ``<path>.json``
 records vertex count, directedness and provenance metadata.
-
-A SNAP-style text format (one ``src<TAB>dst`` pair per line, ``#`` comment
-headers) is also supported — the paper's twitter_rv and friendster
-downloads ship in it — including relabeling of sparse vertex ids.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -85,70 +81,3 @@ def _jsonable(obj):
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
     return str(obj)
-
-
-def save_edge_list_text(graph: Graph, path: Union[str, os.PathLike]) -> None:
-    """Write a SNAP-style text edge list (``src<TAB>dst`` per line)."""
-    path = os.fspath(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {graph.name}\n")
-        fh.write(f"# Nodes: {graph.num_vertices} Edges: {graph.num_edges}\n")
-        fh.write("# FromNodeId\tToNodeId\n")
-        np.savetxt(
-            fh,
-            np.column_stack([graph.edges["src"], graph.edges["dst"]]),
-            fmt="%d",
-            delimiter="\t",
-        )
-
-
-def load_edge_list_text(
-    path: Union[str, os.PathLike],
-    name: Optional[str] = None,
-    relabel: bool = False,
-    num_vertices: Optional[int] = None,
-) -> Graph:
-    """Read a SNAP-style text edge list.
-
-    Lines starting with ``#`` are comments.  Vertex ids must fit u32;
-    ``relabel=True`` compacts sparse ids to ``0..V-1`` (recording the count
-    of distinct vertices), otherwise ``num_vertices`` defaults to
-    ``max id + 1``.
-    """
-    path = os.fspath(path)
-    try:
-        data = np.loadtxt(path, comments="#", dtype=np.int64, ndmin=2)
-    except ValueError as exc:
-        raise GraphFormatError(f"{path}: cannot parse edge list: {exc}")
-    if data.size == 0:
-        data = np.empty((0, 2), dtype=np.int64)
-    if data.shape[1] < 2:
-        raise GraphFormatError(
-            f"{path}: expected 2+ columns (src, dst), got {data.shape[1]}"
-        )
-    src, dst = data[:, 0], data[:, 1]
-    if len(src) and (src.min() < 0 or dst.min() < 0):
-        raise GraphFormatError(f"{path}: negative vertex ids")
-    if relabel:
-        uniq = np.unique(np.concatenate([src, dst]))
-        src = np.searchsorted(uniq, src)
-        dst = np.searchsorted(uniq, dst)
-        n = max(len(uniq), 1)
-    else:
-        top = int(max(src.max(), dst.max())) if len(src) else 0
-        if top >= 2**32:
-            raise GraphFormatError(f"{path}: vertex id {top} exceeds u32")
-        n = num_vertices if num_vertices is not None else top + 1
-    graph_name = name if name is not None else os.path.basename(path)
-    return Graph(
-        num_vertices=int(n),
-        edges=_pairs_to_edges(src, dst),
-        name=graph_name,
-        meta={"source": path, "format": "snap-text", "relabeled": relabel},
-    )
-
-
-def _pairs_to_edges(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    from repro.graph.types import make_edges
-
-    return make_edges(src.astype(np.uint32), dst.astype(np.uint32))

@@ -41,22 +41,3 @@ def make_edges(src, dst) -> np.ndarray:
     edges["src"] = src
     edges["dst"] = dst
     return edges
-
-
-def empty_edges(weighted: bool = False) -> np.ndarray:
-    """Zero-length edge array of the right dtype."""
-    return np.empty(0, dtype=WEIGHTED_EDGE_DTYPE if weighted else EDGE_DTYPE)
-
-
-def make_updates(dst, payload) -> np.ndarray:
-    """Build an UPDATE_DTYPE array from destination + payload sequences."""
-    dst = np.asarray(dst, dtype=np.uint32)
-    payload = np.asarray(payload, dtype=np.uint32)
-    if payload.ndim == 0:
-        payload = np.broadcast_to(payload, dst.shape)
-    if dst.shape != payload.shape:
-        raise GraphError("dst/payload length mismatch")
-    updates = np.empty(len(dst), dtype=UPDATE_DTYPE)
-    updates["dst"] = dst
-    updates["payload"] = payload
-    return updates

@@ -28,8 +28,6 @@ from repro.obs.counters import (
     DEFAULT_DURATION_BUCKETS,
     CounterRegistry,
     Histogram,
-    diff_registries,
-    machine_counters,
 )
 from repro.obs.exporters import (
     SPAN_SCHEMA,
@@ -51,7 +49,6 @@ from repro.obs.profile import (
     load_spans,
     profile_trace,
     render_device_gantt,
-    render_span_gantt,
 )
 from repro.obs.timeseries import TimeSeries, quantile_summary
 from repro.obs.tracer import NULL_TRACER, NullTracer, Span, TraceError, Tracer
@@ -65,8 +62,6 @@ __all__ = [
     "CounterRegistry",
     "DEFAULT_DURATION_BUCKETS",
     "Histogram",
-    "diff_registries",
-    "machine_counters",
     "SPAN_SCHEMA",
     "ExportError",
     "spans_to_jsonl",
@@ -82,7 +77,6 @@ __all__ = [
     "load_spans",
     "profile_trace",
     "render_device_gantt",
-    "render_span_gantt",
     "HOST_CLOCK",
     "HostClock",
     "ManualHostClock",

@@ -257,10 +257,6 @@ class CounterRegistry:
         ):
             yield name, dict(labels), hist
 
-    def as_dict(self) -> Dict[CounterKey, float]:
-        """Copy of the raw scalar mapping (for snapshot-equality assertions)."""
-        return dict(self._values)
-
     def __len__(self) -> int:
         return len(self._values) + len(self._histograms)
 
@@ -450,31 +446,8 @@ class CounterRegistry:
         return problems
 
 
-def diff_registries(
-    before: CounterRegistry, after: CounterRegistry
-) -> Dict[CounterKey, float]:
-    """Per-series ``after - before`` deltas, dropping exact zeros."""
-    keys = set(before.as_dict()) | set(after.as_dict())
-    out: Dict[CounterKey, float] = {}
-    for key in sorted(keys):
-        delta = after.as_dict().get(key, 0.0) - before.as_dict().get(key, 0.0)
-        if delta:
-            out[key] = delta
-    return out
-
-
-def machine_counters(machine, result=None) -> CounterRegistry:
-    """Convenience: sample ``machine`` and optionally fold in a result."""
-    reg = CounterRegistry.from_machine(machine)
-    if result is not None:
-        reg.ingest_result(result)
-    return reg
-
-
 __all__ = [
     "CounterRegistry",
     "DEFAULT_DURATION_BUCKETS",
     "Histogram",
-    "diff_registries",
-    "machine_counters",
 ]

@@ -38,7 +38,6 @@ from __future__ import annotations
 # The ONE sanctioned wall-clock import (analyzer rule FB207): every
 # other module takes host time through a HostClock handle.
 import time
-from typing import Iterable
 
 
 class HostClock:
@@ -74,9 +73,4 @@ class ManualHostClock(HostClock):
 HOST_CLOCK = HostClock()
 
 
-def host_timed_spans(spans: Iterable) -> list:
-    """The subset of ``spans`` carrying host-side annotations."""
-    return [sp for sp in spans if sp.host_timed]
-
-
-__all__ = ["HOST_CLOCK", "HostClock", "ManualHostClock", "host_timed_spans"]
+__all__ = ["HOST_CLOCK", "HostClock", "ManualHostClock"]

@@ -187,21 +187,6 @@ def device_lanes(source) -> Dict[str, List[Lane]]:
     }
 
 
-def render_span_gantt(
-    source,
-    start: float = 0.0,
-    end: Optional[float] = None,
-    width: int = 80,
-    names: Optional[Sequence[str]] = None,
-    title: str = "spans",
-) -> str:
-    """Draw a trace as one lane per span name; ``names`` limits the lanes."""
-    lanes = span_lanes(source, names=names)
-    if end is None:
-        end = _window_end(lanes, start)
-    return render_lanes(title, lanes, start, end, width)
-
-
 def render_device_gantt(
     source,
     devices: Optional[Sequence[str]] = None,
@@ -838,7 +823,6 @@ __all__ = [
     "render_lanes",
     "span_lanes",
     "device_lanes",
-    "render_span_gantt",
     "render_device_gantt",
     "IterationBreakdown",
     "StayAccounting",

@@ -182,13 +182,14 @@ class TimeSeries:
         Each window entry carries its grid ``index``, its ``start``
         offset in seconds since the ring's origin, and per-graph
         aggregates with derived ``rps`` and p50/p95/p99 summaries.
-        ``windows`` limits the view to the newest N windows.
+        ``windows`` limits the view to the newest N windows (none for
+        N <= 0).
         """
         with self._mutex:
             slots = list(self._ring)
             now = self._clock.now() - self._origin
         if windows is not None:
-            slots = slots[-max(0, int(windows)):]
+            slots = slots[-int(windows):] if int(windows) > 0 else []
         out_windows: List[Dict[str, object]] = []
         for slot in slots:
             graphs: Dict[str, object] = {}

@@ -189,10 +189,6 @@ class Tracer:
         self._host = host_clock
         return self
 
-    @property
-    def host_enabled(self) -> bool:
-        return self._host is not None
-
     def _now(self) -> float:
         if self._clock is None:
             raise TraceError(
@@ -299,9 +295,6 @@ class Tracer:
     def find(self, name: str) -> List[Span]:
         """All spans with the given name, in emission order."""
         return [s for s in self.spans if s.name == name]
-
-    def children_of(self, span_id: int) -> List[Span]:
-        return [s for s in self.spans if s.parent_id == span_id]
 
     def __len__(self) -> int:
         return len(self.spans)

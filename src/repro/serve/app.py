@@ -378,7 +378,7 @@ class GraphService:
         #: Bounded recent-request ring behind ``GET /debug/requests``.
         self.request_log = RequestLog()
         #: Rolling windowed metrics behind ``GET /debug/timeseries``.
-        self.timeseries = TimeSeries()
+        self.timeseries = TimeSeries(clock=self.clock)
         self._draining = False
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
@@ -874,6 +874,10 @@ class _Handler(BaseHTTPRequestHandler):
                         raise _RequestProblem(
                             400, "bad_request",
                             "\"windows\" must be an integer",
+                        )
+                    if windows < 1:
+                        raise _RequestProblem(
+                            400, "bad_request", "\"windows\" must be at least 1"
                         )
                 self._send_json(
                     200, self.service.debug_timeseries(windows), request_id

@@ -82,11 +82,6 @@ class ScheduledRequest:
         )
         return f"ScheduledRequest({fields})"
 
-    @property
-    def queue_delay(self) -> float:
-        """Seconds the request waited behind earlier requests."""
-        return self.start - self.submit
-
 
 class Timeline:
     """FIFO schedule of requests for a single device."""
@@ -98,7 +93,6 @@ class Timeline:
         self._settled_end = 0.0
         # Accounting for pruned requests (live ones are scanned on demand).
         self._settled_busy = 0.0
-        self._settled_count = 0
         self._bytes_by_kind: Dict[str, int] = {"read": 0, "write": 0}
         # (group, kind) -> bytes; bytes_by_role() folds groups into their
         # role, so no request pays for splitting its group label.
@@ -180,7 +174,6 @@ class Timeline:
             if req.end <= watermark:
                 self._settled_end = req.end
                 self._settled_busy += req.service
-                self._settled_count += 1
                 idx += 1
             else:
                 break
@@ -245,7 +238,6 @@ class Timeline:
             "queue": list(self._queue),
             "settled_end": self._settled_end,
             "settled_busy": self._settled_busy,
-            "settled_count": self._settled_count,
             "bytes_by_kind": dict(self._bytes_by_kind),
             "bytes_by_group": dict(self._bytes_by_group),
             "last_submit": self._last_submit,
@@ -256,7 +248,6 @@ class Timeline:
         self._queue = list(state["queue"])  # type: ignore[arg-type]
         self._settled_end = state["settled_end"]  # type: ignore[assignment]
         self._settled_busy = state["settled_busy"]  # type: ignore[assignment]
-        self._settled_count = state["settled_count"]  # type: ignore[assignment]
         self._bytes_by_kind = dict(state["bytes_by_kind"])  # type: ignore[arg-type]
         self._bytes_by_group = dict(state["bytes_by_group"])  # type: ignore[arg-type]
         self._last_submit = state["last_submit"]  # type: ignore[assignment]
@@ -268,21 +259,6 @@ class Timeline:
     def free_at(self) -> float:
         """Time at which the device has no queued or in-service work."""
         return self._queue[-1].end if self._queue else self._settled_end
-
-    def group_end(self, group: str) -> Optional[float]:
-        """Completion time of the latest *live* request in ``group``.
-
-        Returns None when the group has no requests still in the queue —
-        either none were ever submitted or they all settled (finished long
-        enough ago to be pruned).  Callers that need "done by time t"
-        semantics should combine this with their own submitted-count
-        bookkeeping; the storage layer's write tickets do exactly that.
-        """
-        end: Optional[float] = None
-        for req in self._queue:
-            if req.group == group:
-                end = req.end if end is None else max(end, req.end)
-        return end
 
     def busy_time_until(self, t: float) -> float:
         """Total seconds the device was busy in ``[0, t]``."""
@@ -310,11 +286,6 @@ class Timeline:
     @property
     def bytes_written(self) -> int:
         return self._bytes_by_kind.get("write", 0)
-
-    @property
-    def request_count(self) -> int:
-        """Requests accepted and not cancelled (settled + live)."""
-        return self._settled_count + len(self._queue)
 
     def pending_requests(self) -> List[ScheduledRequest]:
         """Snapshot of live (unsettled, uncancelled) requests, FIFO order."""

@@ -17,7 +17,7 @@ compute model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.errors import OutOfSpaceError, StorageError
@@ -82,9 +82,6 @@ class DeviceSpec:
             write_bandwidth=8 * GB,
             kind="ram",
         )
-
-    def renamed(self, name: str) -> "DeviceSpec":
-        return replace(self, name=name)
 
 
 class Device:
@@ -275,10 +272,6 @@ class Device:
     @property
     def seek_count(self) -> int:
         return self._seek_count
-
-    @property
-    def free_at(self) -> float:
-        return self.timeline.free_at
 
     def busy_time_until(self, t: float) -> float:
         return self.timeline.busy_time_until(t)

@@ -308,8 +308,6 @@ class Machine:
             raise ConfigError("memory budget must be positive")
         self.cores = cores
         self.vfs = VFS()
-        self._disk_specs = list(disks)
-        self._sanitize = sanitize
         #: Deterministic fault schedule (see repro.storage.faults), if any.
         self.fault_plan = fault_plan
         self.fault_injector = None
@@ -358,33 +356,9 @@ class Machine:
             fault_plan=fault_plan,
         )
 
-    def fresh(self) -> "Machine":
-        """A new machine with identical hardware and a zeroed clock/VFS.
-
-        The page cache comes back cold at the same size, no tracer is
-        attached, and a fault plan carries over as a *fresh* injector:
-        same seed, same schedule, replayed from the beginning.
-        """
-        cache = self.page_cache
-        return Machine(
-            self._disk_specs,
-            memory=self.memory_bytes,
-            cores=self.cores,
-            page_cache=(
-                cache.capacity_blocks * cache.block_bytes
-                if cache is not None else None
-            ),
-            sanitize=self._sanitize,
-            fault_plan=self.fault_plan,
-        )
-
     # ------------------------------------------------------------------
     # device access
     # ------------------------------------------------------------------
-    @property
-    def num_disks(self) -> int:
-        return len(self.disks)
-
     def disk(self, index: int) -> Device:
         """Persistent disk by index; out-of-range indices clamp to the last
         disk so single-disk machines accept configs written for two."""

@@ -3,7 +3,7 @@
 Three layers guard the invariants ordinary tests cannot see:
 
 * :mod:`repro.tooling.sanitizer` — opt-in runtime checkers (``sanitize=True``
-  on a :class:`~repro.storage.machine.Machine` or an engine config) that
+  on a :class:`~repro.storage.machine.Machine`) that
   watch a live run for VFS leaks, clock regressions, stay-writer
   state-machine violations, and device I/O that bypasses the cost model.
 * :mod:`repro.tooling.analyzer` — the one static rule engine

@@ -8,7 +8,8 @@ Resolution is tiered, most-precise first:
    ``__init__`` assignment anywhere in the project (``self.clock =
    SimClock()`` teaches the analyzer that any ``.clock`` attribute is a
    ``SimClock``).
-2. **Module-qualified calls** — ``mod.func(...)`` through an import alias.
+2. **Module-qualified calls** — ``mod.func(...)`` through an import alias;
+   a name a package ``__init__`` re-exports resolves to its definition.
 3. **Class-qualified calls** — ``Device.submit(instance, ...)``.
 4. **Name-match fallback** — an attribute call whose receiver type is
    unknown resolves to *every* project method of that name, unless the
@@ -27,13 +28,13 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.tooling.analyzer.symbols import (
-    ClassInfo,
     FunctionInfo,
     ModuleInfo,
     SymbolTable,
+    dotted_name,
 )
 
 #: Attribute-call names too generic for the name-match fallback: they are
@@ -91,6 +92,51 @@ def build_call_graph(table: SymbolTable) -> CallGraph:
         graph.edges[func.qualname] = sorted(callees)
     graph.sites.sort(key=lambda s: (s.path, s.line, s.col, s.caller, s.callee))
     return graph
+
+
+def build_reference_map(
+    table: SymbolTable, scripts: Sequence[ModuleInfo] = ()
+) -> Dict[str, Set[str]]:
+    """What each piece of code names (:meth:`_CallResolver.resolve_references`).
+
+    Keys are function qualnames, module names and script paths.  A
+    module's entry is its import-time code: everything outside the bodies
+    of its functions and methods, so class bodies, dispatch tables and
+    ``if __name__ == "__main__":`` blocks.  A script (a file outside the
+    analyzed tree) is read whole.
+
+    Receivers are typed only from what holds at the site (``self``, a
+    local built from a class, an annotated parameter): the project-wide
+    attribute types of the call graph are a guess that an assignment
+    outside ``__init__`` can break, and a wrong guess here would report
+    live code.
+    """
+    attr_types: Dict[str, Set[str]] = {}
+    refs: Dict[str, Set[str]] = {}
+    for func in table.sorted_functions():
+        resolver = _CallResolver(table, attr_types, func)
+        refs[func.qualname] = resolver.resolve_references(ast.walk(func.node))
+    bodies = {id(func.node) for func in table.functions.values()}
+    for key, module in [
+        *((m.name, m) for m in table.modules.values()),
+        *((s.path, s) for s in scripts),
+    ]:
+        scope = FunctionInfo(
+            qualname=key, module=module.name, name="<module>",
+            path=module.path, lineno=1, col=1, node=module.tree,
+        )
+        resolver = _CallResolver(table, attr_types, scope, module)
+        refs[key] = resolver.resolve_references(_outside(module.tree, bodies))
+    return refs
+
+
+def _outside(tree: ast.AST, skipped: Set[int]) -> Iterator[ast.AST]:
+    """``ast.walk`` that does not enter the nodes whose ids are ``skipped``."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo.extend(c for c in ast.iter_child_nodes(node) if id(c) not in skipped)
 
 
 def _collect_attr_types(table: SymbolTable) -> Dict[str, Set[str]]:
@@ -195,11 +241,12 @@ class _CallResolver:
         table: SymbolTable,
         attr_types: Dict[str, Set[str]],
         func: FunctionInfo,
+        module: Optional[ModuleInfo] = None,
     ) -> None:
         self.table = table
         self.attr_types = attr_types
         self.func = func
-        self.module = table.modules.get(func.module)
+        self.module = module or table.modules.get(func.module)
         #: local variable -> class qualname (flow-insensitive, last wins)
         self.local_types: Dict[str, str] = {}
         if func.class_qualname is not None:
@@ -237,21 +284,23 @@ class _CallResolver:
     # ------------------------------------------------------------------
     def resolve_calls(self) -> List[CallSite]:
         body = getattr(self.func.node, "body", [])
-        # First pass: pick up local constructor/typed assignments anywhere
-        # in the body (flow-insensitive).
-        for node in ast.walk(self.func.node):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name):
-                    inferred = self._infer_expr_type(node.value)
-                    if inferred is not None:
-                        self.local_types[target.id] = inferred
+        self._infer_local_types(ast.walk(self.func.node))
         sites: List[CallSite] = []
         for stmt in body:
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Call):
                     sites.extend(self._resolve_call(node))
         return sites
+
+    def _infer_local_types(self, nodes: Iterable[ast.AST]) -> None:
+        """Local constructor/typed assignments anywhere (flow-insensitive)."""
+        for node in nodes:
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target = node.targets[0]
+                if isinstance(target, ast.Name):
+                    inferred = self._infer_expr_type(node.value)
+                    if inferred is not None:
+                        self.local_types[target.id] = inferred
 
     def _infer_expr_type(self, expr: ast.expr) -> Optional[str]:
         if self.module is None:
@@ -291,58 +340,85 @@ class _CallResolver:
     def _resolve_call(self, node: ast.Call) -> List[CallSite]:
         func = node.func
         if isinstance(func, ast.Name):
-            return self._resolve_name_call(node, func)
-        if isinstance(func, ast.Attribute):
-            return self._resolve_attr_call(node, func)
-        return []
+            targets, via = self._name_targets(func.id), "direct"
+        elif isinstance(func, ast.Attribute):
+            targets, via = self._attr_targets(func)
+            if via == "name-match" and func.attr in COMMON_METHOD_NAMES:
+                return []
+        else:
+            return []
+        sites = []
+        for target in targets:
+            # Calling a class runs its constructor.
+            callee = (
+                self.table.resolve_method(target, "__init__")
+                if target in self.table.classes else target
+            )
+            if callee is not None:
+                sites.append(self._site(node, callee, via))
+        return sites
 
-    def _resolve_name_call(self, node: ast.Call, func: ast.Name) -> List[CallSite]:
+    def _name_targets(self, name: str) -> List[str]:
+        """The project function or class a bare name refers to, if any."""
         if self.module is None:
             return []
-        target = self.module.imports.get(func.id, f"{self.func.module}.{func.id}")
-        if target in self.table.functions:
-            return [self._site(node, target, "direct")]
-        if target in self.table.classes:
-            init = self.table.resolve_method(target, "__init__")
-            if init is not None:
-                return [self._site(node, init, "direct")]
-        return []
+        target = self.table.resolve_export(
+            self.module.imports.get(name, f"{self.func.module}.{name}")
+        )
+        return [target] if self.table.defines(target) else []
 
-    def _resolve_attr_call(
-        self, node: ast.Call, func: ast.Attribute
-    ) -> List[CallSite]:
+    def _attr_targets(self, func: ast.Attribute) -> Tuple[List[str], str]:
+        """The project symbols ``x.attr`` may name, and the tier that said so."""
         method = func.attr
         # Tier 1: typed receiver.
         recv_type = self._receiver_type(func.value)
         if recv_type is not None:
             resolved = self.table.resolve_method(recv_type, method)
-            if resolved is not None:
-                return [self._site(node, resolved, "typed")]
-            return []  # known type without that method: a builtin/ndarray op
-        if self.module is not None and isinstance(func.value, ast.Name):
-            base = self.module.imports.get(func.value.id)
+            # A known type without that method: a builtin/ndarray op.
+            return ([resolved] if resolved is not None else []), "typed"
+        if self.module is not None:
+            # Tier 2: module-qualified function or class (``mod.f``,
+            # ``pkg.mod.f``) through an import alias.
+            base = dotted_name(func.value, self.module.imports)
             if base is not None:
-                # Tier 2: module-qualified function.
-                target = f"{base}.{method}"
-                if target in self.table.functions:
-                    return [self._site(node, target, "module")]
-                if target in self.table.classes:
-                    init = self.table.resolve_method(target, "__init__")
-                    if init is not None:
-                        return [self._site(node, init, "module")]
-                # Tier 3: class-qualified (imported class) method.
-                if base in self.table.classes:
-                    resolved = self.table.resolve_method(base, method)
-                    if resolved is not None:
-                        return [self._site(node, resolved, "class")]
-            # Same-module class reference: ``Device.submit(...)``.
-            local_cls = f"{self.func.module}.{func.value.id}"
-            if local_cls in self.table.classes:
-                resolved = self.table.resolve_method(local_cls, method)
-                if resolved is not None:
-                    return [self._site(node, resolved, "class")]
+                target = self.table.resolve_export(f"{base}.{method}")
+                if self.table.defines(target):
+                    return [target], "module"
+            # Tier 3: class-qualified method, imported (``Device.submit``)
+            # or defined in the same module.
+            if isinstance(func.value, ast.Name):
+                for cls in (base, f"{self.func.module}.{func.value.id}"):
+                    if cls in self.table.classes:
+                        resolved = self.table.resolve_method(cls, method)
+                        if resolved is not None:
+                            return [resolved], "class"
         # Tier 4: name-match fallback over all project methods.
-        if method in COMMON_METHOD_NAMES:
-            return []
-        candidates = self.table.methods_by_name.get(method, [])
-        return [self._site(node, callee, "name-match") for callee in candidates]
+        return list(self.table.methods_by_name.get(method, [])), "name-match"
+
+    def resolve_references(self, nodes: Iterable[ast.AST]) -> Set[str]:
+        """Project functions, classes and methods named anywhere in ``nodes``.
+
+        Calls are a subset: a callback, a dispatch-table value, a
+        ``partial(f)`` argument or a property read names its target the
+        same way a call does, and ``getattr(x, "name")`` names ``name``.
+        Unlike calls, common builtin method names still match by name, so
+        the set over-approximates what the code can reach.
+        """
+        nodes = list(nodes)
+        self._infer_local_types(nodes)
+        found: Set[str] = set()
+        for node in nodes:
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.update(self._name_targets(node.id))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                found.update(self._attr_targets(node)[0])
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("getattr", "hasattr")
+                and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                found.update(self.table.methods_by_name.get(node.args[1].value, []))
+        return found
+

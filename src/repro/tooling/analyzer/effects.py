@@ -68,7 +68,6 @@ NAMED_SEEDS: Tuple[Tuple[str, Optional[str], str, str], ...] = (
     ("storage.vfs", "VirtualFile", "corrupt_at", VFS_MUTATE),
     ("storage.streams", "AsyncStreamWriter", "take_survivors", VFS_MUTATE),
     ("utils.rng", None, "rng_from_seed", RNG),
-    ("utils.rng", None, "spawn_rngs", RNG),
     ("obs.tracer", "Tracer", "span", TRACE_EMIT),
     ("obs.tracer", "Tracer", "emit", TRACE_EMIT),
     ("storage.faults", "FaultInjector", "on_submit", FAULT_EVAL),

@@ -63,7 +63,7 @@ FB203  fault-eval-choke-point
 FB204  unseeded-rng
     No direct ``numpy.random``/``random`` primitive outside
     ``repro/utils/rng.py``.  Randomness must be traceable to a seeded
-    ``rng_from_seed``/``spawn_rngs`` source or reruns stop being
+    ``rng_from_seed`` source or reruns stop being
     bit-identical.
 FB205  order-sensitive-iteration
     No iteration over ``set``/``frozenset`` values and no unsorted
@@ -96,15 +96,22 @@ FB207  wallclock-choke-point
     injectable (tests pass a ``ManualHostClock``) and grep-ably absent
     from the simulation.  It holds in every subsystem, so the sim and
     engine layers need no wall-clock rule of their own.
+FB209  unreached-public-code
+    Every public function, class and method must be reachable from a
+    front door (:data:`FRONT_DOORS`, every module's import-time code and
+    every script under :data:`FRONT_DOOR_DIRS`) by calls or references:
+    callbacks, dispatch-table values, ``partial(...)`` arguments and
+    property reads count.  Code only tests reach is code to delete.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from pathlib import Path
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
-from repro.tooling.analyzer.callgraph import CallGraph
+from repro.tooling.analyzer.callgraph import CallGraph, build_reference_map
 from repro.tooling.analyzer.effects import (
     CLOCK_ADVANCE,
     DEVICE_IO,
@@ -117,9 +124,14 @@ from repro.tooling.analyzer.effects import (
 )
 from repro.tooling.analyzer.symbols import (
     PACKAGE_NAME,
+    ClassInfo,
+    FunctionInfo,
     ModuleInfo,
     SymbolTable,
+    collect_imports,
+    dotted_name,
     last_name,
+    module_name_for,
     subsystem_of,
 )
 from repro.tooling.report import Finding
@@ -143,6 +155,7 @@ RULES: Dict[str, str] = {
     "FB206": "mutable attribute not covered by the snapshot/restore protocol",
     "FB207": "direct wall-clock read outside repro.obs.hostprof",
     "FB208": "serve-layer except handler swallows the failure untyped",
+    "FB209": "public code that no front door reaches",
 }
 
 #: Method names that mutate a container in place (FB206 mutation scan).
@@ -217,6 +230,7 @@ def run_all_rules(project: Project) -> List[Finding]:
     findings.extend(check_snapshot_completeness(project))
     findings.extend(check_wallclock_choke_point(project))
     findings.extend(check_serve_typed_errors(project))
+    findings.extend(check_unreached(project))
     return findings
 
 
@@ -531,7 +545,7 @@ def check_unseeded_rng(project: Project) -> List[Finding]:
                 symbol=site.function,
                 message=(
                     f"direct {site.detail}() call; take randomness from "
-                    "repro.utils.rng.rng_from_seed/spawn_rngs so reruns "
+                    "repro.utils.rng.rng_from_seed so reruns "
                     "stay bit-identical"
                 ),
             )
@@ -945,6 +959,199 @@ class _ServeExceptVisitor(ast.NodeVisitor):
                 ):
                     return True
         return False
+
+
+# ----------------------------------------------------------------------
+# FB209
+# ----------------------------------------------------------------------
+
+#: What a user of the repo calls.  A module stands for its ``__all__``, a
+#: class for all its methods.  The module-level tables (``cli.COMMANDS``,
+#: ``calibration.ENGINES``, ``serve.app._QUERIES``) need no entry: they
+#: are import-time code, which is a root in every module.  A tree that
+#: holds none of these is not a whole program: FB209 skips it.
+FRONT_DOORS = ("repro.api", "repro.serve.GraphService")
+#: Script directories beside the package; every file in them is a front
+#: door, read only for the references it makes.
+FRONT_DOOR_DIRS = ("benchmarks", "examples")
+
+
+def check_unreached(project: Project) -> List[Finding]:
+    table = project.table
+    roots: Set[str] = set()
+    for door in FRONT_DOORS:
+        roots.update(_door_targets(table, door))
+    if not roots:
+        return []
+    scripts = _front_door_scripts(table)
+    refs = build_reference_map(table, scripts)
+    roots.update(table.modules)
+    roots.update(script.path for script in scripts)
+    live = _reach(table, refs, roots)
+    infos: List[Union[ClassInfo, FunctionInfo]] = [
+        *(table.classes[q] for q in sorted(table.classes)),
+        *table.sorted_functions(),
+    ]
+    findings = []
+    for info in infos:
+        owner = getattr(info, "class_qualname", None)
+        if (
+            info.qualname not in live
+            and not any(part.startswith("_") for part in info.qualname.split("."))
+            and (owner is None or owner in live)
+        ):
+            findings.append(
+                Finding(
+                    path=info.path,
+                    line=info.lineno,
+                    col=info.node.col_offset + 1,  # type: ignore[attr-defined]
+                    code="FB209",
+                    symbol=info.qualname,
+                    message=(
+                        f"{_short([info.qualname])[0]} is public but no front "
+                        "door reaches it; delete it, or baseline it with the "
+                        "reason it stays"
+                    ),
+                )
+            )
+    return findings
+
+
+def _door_targets(table: SymbolTable, dotted: str) -> Set[str]:
+    """Roots one front door stands for (empty when the tree lacks it)."""
+    dotted = table.resolve_export(dotted)
+    module = table.modules.get(dotted)
+    if module is not None:
+        return {dotted}.union(*(
+            _door_targets(table, f"{dotted}.{name}") for name in _exported(module)
+        ))
+    if dotted in table.classes:
+        return {dotted, *table.classes[dotted].methods.values()}
+    return {dotted} if dotted in table.functions else set()
+
+
+def _exported(module: ModuleInfo) -> List[str]:
+    """The names a module's ``__all__`` lists."""
+    for stmt in module.tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
+        ):
+            return [
+                e.value for e in getattr(stmt.value, "elts", ())
+                if isinstance(e, ast.Constant) and isinstance(e.value, str)
+            ]
+    return []
+
+
+def _front_door_scripts(table: SymbolTable) -> List[ModuleInfo]:
+    """Parsed scripts under :data:`FRONT_DOOR_DIRS` beside the package.
+
+    The package's directory is found from any module's path; the script
+    directories are looked for in the directory holding it and, in a
+    ``src/`` layout, in that one's parent (the repo root).  A script that
+    cannot be read, decoded or parsed is skipped.
+    """
+    homes: Set[Path] = set()
+    for module in table.modules.values():
+        if module.name.split(".")[0] == PACKAGE_NAME:
+            depth = module.name.count(".") + module.path.endswith("__init__.py")
+            home = Path(module.path).parents[depth]
+            homes.update((home, home.parent) if home.name == "src" else (home,))
+    scripts = []
+    for home in sorted(homes):
+        for directory in FRONT_DOOR_DIRS:
+            for path in sorted((home / directory).rglob("*.py")):
+                try:
+                    source = path.read_text(encoding="utf-8")
+                    tree = ast.parse(source, filename=str(path))
+                except (OSError, UnicodeDecodeError, SyntaxError, ValueError):
+                    continue
+                script = ModuleInfo(
+                    name=module_name_for(str(path)), path=str(path),
+                    source=source, tree=tree,
+                )
+                collect_imports(script)
+                scripts.append(script)
+    return scripts
+
+
+def _reach(
+    table: SymbolTable, refs: Dict[str, Set[str]], roots: Set[str]
+) -> Set[str]:
+    """Everything the roots name, transitively.
+
+    A method counts once its class does: named methods wait for their
+    class, and a live class brings its dunders and its project bases.  A
+    live class with a base outside the project brings all its methods,
+    since that base may call any of them (``do_GET``, ``visit_If``).  A
+    live method brings the overrides of it in every subclass (a call
+    through the base may dispatch to them).
+    """
+    subclasses: Dict[str, List[str]] = {}
+    for qualname in sorted(table.classes):
+        for base in table.project_bases(qualname):
+            subclasses.setdefault(base, []).append(qualname)
+    live: Set[str] = set()
+    waiting: Set[str] = set()
+    todo = sorted(roots)
+    while todo:
+        qualname = todo.pop()
+        if qualname in live:
+            continue
+        func = table.functions.get(qualname)
+        owner = func.class_qualname if func is not None else None
+        if owner is not None and owner not in live:
+            waiting.add(qualname)
+            continue
+        live.add(qualname)
+        todo.extend(sorted(refs.get(qualname, ())))
+        if owner is not None:
+            stack = list(subclasses.get(owner, ()))
+            while stack:
+                sub = stack.pop()
+                override = table.classes[sub].methods.get(func.name)  # type: ignore[union-attr]
+                if override is not None:
+                    todo.append(override)
+                stack.extend(subclasses.get(sub, ()))
+        cls = table.classes.get(qualname)
+        if cls is not None:
+            todo.extend(table.project_bases(qualname))
+            foreign = _has_foreign_base(table, qualname)
+            for name in sorted(cls.methods):
+                method = cls.methods[name]
+                if (
+                    foreign
+                    or method in waiting
+                    or (name.startswith("__") and name.endswith("__"))
+                ):
+                    todo.append(method)
+    return live
+
+
+def _has_foreign_base(table: SymbolTable, class_qualname: str) -> bool:
+    """Whether the class or a project ancestor of it derives from a class
+    outside the project (``object`` aside)."""
+    seen: Set[str] = set()
+    todo = [class_qualname]
+    while todo:
+        qualname = todo.pop()
+        if qualname in seen:
+            continue
+        seen.add(qualname)
+        cls = table.classes[qualname]
+        imports = table.modules[cls.module].imports
+        for base in cls.node.bases:  # type: ignore[attr-defined]
+            if isinstance(base, ast.Subscript):  # Generic[T]
+                base = base.value
+            dotted = dotted_name(base, imports)
+            if dotted is None and isinstance(base, ast.Name):
+                local = f"{cls.module}.{base.id}"
+                dotted = local if local in table.classes else f"builtins.{base.id}"
+            if dotted in table.classes:
+                todo.append(dotted)
+            elif dotted != "builtins.object":
+                return True
+    return False
 
 
 def _finding_at(path: str, node: ast.AST, code: str, message: str) -> Finding:

@@ -88,6 +88,39 @@ class ModuleInfo:
     imports: Dict[str, str] = field(default_factory=dict)
 
 
+def collect_imports(info: ModuleInfo) -> None:
+    """Fill ``info.imports`` (local alias -> dotted target) from its tree."""
+    for node in ast.walk(info.tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                local = alias.asname or alias.name.split(".")[0]
+                target = alias.name if alias.asname else alias.name.split(".")[0]
+                info.imports[local] = target
+        elif isinstance(node, ast.ImportFrom):
+            base = _resolve_from(info.name, node)
+            if base is None:
+                continue
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                local = alias.asname or alias.name
+                info.imports[local] = f"{base}.{alias.name}" if base else alias.name
+
+
+def _resolve_from(module_name: str, node: ast.ImportFrom) -> Optional[str]:
+    """Absolute dotted base for a ``from X import ...`` statement."""
+    if node.level == 0:
+        return node.module or ""
+    # Relative import: climb from the importing module's package.
+    parts = module_name.split(".")
+    if len(parts) < node.level:
+        return None
+    base_parts = parts[: len(parts) - node.level]
+    if node.module:
+        base_parts.append(node.module)
+    return ".".join(base_parts)
+
+
 class SymbolTable:
     """All modules/classes/functions of the analyzed tree, by qualname."""
 
@@ -121,44 +154,13 @@ class SymbolTable:
             self.parse_errors.append((path, exc.lineno or 1, exc.msg or "syntax error"))
             return
         info = ModuleInfo(name=module_name, path=path, source=source, tree=tree)
-        self._collect_imports(info)
+        collect_imports(info)
         self.modules[module_name] = info
         for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._add_function(info, stmt, class_info=None)
             elif isinstance(stmt, ast.ClassDef):
                 self._add_class(info, stmt)
-
-    def _collect_imports(self, info: ModuleInfo) -> None:
-        for node in ast.walk(info.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.split(".")[0]
-                    target = alias.name if alias.asname else alias.name.split(".")[0]
-                    info.imports[local] = target
-            elif isinstance(node, ast.ImportFrom):
-                base = self._resolve_from(info.name, node)
-                if base is None:
-                    continue
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    local = alias.asname or alias.name
-                    info.imports[local] = f"{base}.{alias.name}" if base else alias.name
-
-    @staticmethod
-    def _resolve_from(module_name: str, node: ast.ImportFrom) -> Optional[str]:
-        """Absolute dotted base for a ``from X import ...`` statement."""
-        if node.level == 0:
-            return node.module or ""
-        # Relative import: climb from the importing module's package.
-        parts = module_name.split(".")
-        if len(parts) < node.level:
-            return None
-        base_parts = parts[: len(parts) - node.level]
-        if node.module:
-            base_parts.append(node.module)
-        return ".".join(base_parts)
 
     def _add_class(self, module: ModuleInfo, node: ast.ClassDef) -> None:
         qualname = f"{module.name}.{node.name}"
@@ -203,29 +205,46 @@ class SymbolTable:
     # ------------------------------------------------------------------
     # lookups
     # ------------------------------------------------------------------
+    def defines(self, qualname: str) -> bool:
+        """True for a project function, method or class."""
+        return qualname in self.functions or qualname in self.classes
+
+    def resolve_export(self, dotted: str) -> str:
+        """Follow package re-exports: ``repro.obs.Tracer`` (imported into
+        ``repro/obs/__init__.py``) -> ``repro.obs.tracer.Tracer``."""
+        for _ in range(len(self.modules)):
+            module_name, _, name = dotted.rpartition(".")
+            module = self.modules.get(module_name)
+            if self.defines(dotted) or module is None or name not in module.imports:
+                break
+            dotted = module.imports[name]
+        return dotted
+
+    def project_bases(self, class_qualname: str) -> List[str]:
+        """Qualnames the class's bases resolve to (project classes or not)."""
+        cls = self.classes[class_qualname]
+        module = self.modules.get(cls.module)
+        resolved = []
+        for base in cls.bases:
+            if module is not None and base in module.imports:
+                resolved.append(module.imports[base])
+            elif f"{cls.module}.{base}" in self.classes:
+                resolved.append(f"{cls.module}.{base}")
+        return resolved
+
     def resolve_method(self, class_qualname: str, method: str) -> Optional[str]:
         """Find ``method`` on a class or (project-local) ancestors."""
         seen = set()
         queue = [class_qualname]
         while queue:
             current = queue.pop(0)
-            if current in seen:
+            if current in seen or current not in self.classes:
                 continue
             seen.add(current)
-            cls = self.classes.get(current)
-            if cls is None:
-                continue
+            cls = self.classes[current]
             if method in cls.methods:
                 return cls.methods[method]
-            module = self.modules.get(cls.module)
-            for base in cls.bases:
-                resolved = None
-                if module is not None and base in module.imports:
-                    resolved = module.imports[base]
-                elif f"{cls.module}.{base}" in self.classes:
-                    resolved = f"{cls.module}.{base}"
-                if resolved is not None:
-                    queue.append(resolved)
+            queue.extend(self.project_bases(current))
         return None
 
     def classes_by_name(self, name: str) -> List[ClassInfo]:
@@ -254,4 +273,14 @@ def last_name(
         return target.rsplit(".", 1)[-1]
     if isinstance(expr, ast.Attribute):
         return expr.attr
+    return None
+
+
+def dotted_name(expr: ast.expr, imports: Mapping[str, str]) -> Optional[str]:
+    """``a.b.c`` with its head resolved through the import map, else None."""
+    if isinstance(expr, ast.Name):
+        return imports.get(expr.id)
+    if isinstance(expr, ast.Attribute):
+        base = dotted_name(expr.value, imports)
+        return None if base is None else f"{base}.{expr.attr}"
     return None

@@ -63,12 +63,11 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.algorithms.reference import bfs_levels
-from repro.algorithms.streaming import BFSAlgorithm
 from repro.core.config import FastBFSConfig
 from repro.core.engine import FastBFSEngine
 from repro.engines.base import EdgeCentricEngine, EngineConfig
 from repro.engines.result import EngineResult
-from repro.engines.session import BatchedQuerySession, run_with_recovery
+from repro.engines.session import run_staged_queries
 from repro.engines.xstream import XStreamEngine
 from repro.errors import ConfigError, ReproError
 from repro.graph.generators import rmat_graph
@@ -361,22 +360,13 @@ def _run_trial(
     results: Optional[List[EngineResult]] = None
     try:
         staged = engine.stage(graph, machine)
-        if mode == "batched":
-            algo = BFSAlgorithm()
-            session = BatchedQuerySession(
-                engine, staged, algo.batched(len(roots)), serial_algorithm=algo
-            )
-            validated = [
-                algo.validate_roots(graph.num_vertices, [r]) for r in roots
-            ]
-            results = run_with_recovery(
-                session, lambda: session.run(validated), MAX_RECOVERIES
-            )
-        else:
-            session = engine.session(staged)
-            results = run_with_recovery(
-                session, lambda: [session.run(root=roots[0])], MAX_RECOVERIES
-            )
+        batched = mode == "batched"
+        results = run_staged_queries(
+            engine, staged, machine.checkpoint(),
+            roots if batched else [roots[0]],
+            mode="batched" if batched else "serial",
+            max_recoveries=MAX_RECOVERIES,
+        ).queries
     except ReproError as exc:
         trial.outcome = "typed-error"
         trial.detail = f"{type(exc).__name__}: {exc}"
@@ -593,7 +583,6 @@ def _serve_answers(graph: Graph, roots: List[int]) -> Dict[tuple, list]:
     """
     from repro.algorithms.pagerank import PageRankAlgorithm
     from repro.algorithms.sssp import hash_weights, reference_sssp
-    from repro.engines.session import run_staged_queries
     from repro.serve.registry import ArtifactRegistry
 
     answers: Dict[tuple, list] = {}

@@ -12,14 +12,11 @@ opt-in sanitizer rather than in tests.
 Usage::
 
     machine = Machine.commodity_server(sanitize=True)
-    engine = FastBFSEngine(FastBFSConfig(sanitize=True))
-    result = engine.run(graph, machine)        # raises SanitizerError on
-                                               # any protocol violation
+    result = FastBFSEngine().run(graph, machine)   # raises SanitizerError
+                                                   # on any violation
 
-Either opt-in is sufficient: a sanitized machine is picked up by any
-edge-centric engine, and ``sanitize=True`` on the engine config installs a
-sanitizer onto a plain machine at the start of ``run()``.  The installed
-checkers are:
+The machine is the one switch: every edge-centric engine run on a
+sanitized machine is checked.  The installed checkers are:
 
 ``vfs-leak``
     Every :class:`~repro.storage.vfs.VirtualFile` created during the run
@@ -447,12 +444,6 @@ class Sanitizer:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def leaks(self) -> List[Violation]:
-        return [v for v in self.violations if v.checker == "vfs-leak"]
-
-    def by_checker(self, checker: str) -> List[Violation]:
-        return [v for v in self.violations if v.checker == checker]
 
     def report(self) -> str:
         """Human-readable summary of every recorded violation."""

@@ -10,7 +10,7 @@ from repro.utils.units import (
     parse_bytes,
 )
 from repro.utils.backoff import exponential_backoff
-from repro.utils.rng import rng_from_seed, spawn_rngs
+from repro.utils.rng import rng_from_seed
 
 __all__ = [
     "KB",
@@ -22,5 +22,4 @@ __all__ = [
     "format_seconds",
     "parse_bytes",
     "rng_from_seed",
-    "spawn_rngs",
 ]

@@ -46,11 +46,6 @@ def popcounts64(masks: np.ndarray) -> np.ndarray:
     return (quads * np.uint32(0x01010101)) >> np.uint32(24)
 
 
-def popcount64(masks: np.ndarray) -> int:
-    """Total set bits across an array of ``uint64`` liveness masks."""
-    return int(popcounts64(masks).sum())
-
-
 def mask_bit_counts(
     masks: np.ndarray, width: int, weights: Optional[np.ndarray] = None
 ) -> np.ndarray:

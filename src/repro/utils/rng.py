@@ -7,7 +7,7 @@ experiments replay bit-for-bit.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -19,21 +19,3 @@ def rng_from_seed(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: SeedLike, count: int) -> List[np.random.Generator]:
-    """Derive ``count`` independent child generators from one seed.
-
-    Used when an experiment fans out over multiple roots/trials and each
-    trial must be reproducible independently of the others.
-    """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    if isinstance(seed, np.random.SeedSequence):
-        seq = seed
-    elif isinstance(seed, np.random.Generator):
-        # Derive children deterministically from the generator's own stream.
-        seq = np.random.SeedSequence(seed.integers(0, 2**63 - 1, dtype=np.int64))
-    else:
-        seq = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in seq.spawn(count)]

@@ -6,6 +6,7 @@ import numpy as np
 
 from repro.core.config import FastBFSConfig
 from repro.engines.base import EngineConfig
+from repro.graph.graph import Graph
 from repro.sim.clock import SimClock
 from repro.storage.device import Device, DeviceSpec
 from repro.storage.machine import Machine
@@ -14,13 +15,13 @@ from repro.utils.units import KB, MB
 
 
 def fresh_machine(num_disks: int = 1, memory: int = 2 * MB, cores: int = 4,
-                  disk_kind: str = "hdd") -> Machine:
+                  disk_kind: str = "hdd", sanitize: bool = False) -> Machine:
     """A small out-of-core test machine."""
     if disk_kind == "hdd":
         specs = [DeviceSpec.hdd(f"hdd{i}") for i in range(num_disks)]
     else:
         specs = [DeviceSpec.ssd(f"ssd{i}") for i in range(num_disks)]
-    return Machine(specs, memory=memory, cores=cores)
+    return Machine(specs, memory=memory, cores=cores, sanitize=sanitize)
 
 
 def slow_stay_disk_machine(write_bandwidth=64 * 1024, memory=2 * MB) -> Machine:
@@ -60,6 +61,18 @@ def small_fastbfs_config(**overrides) -> FastBFSConfig:
     )
     base.update(overrides)
     return FastBFSConfig(**base)
+
+
+def graph_from_pairs(num_vertices: int, pairs, name: str = "graph") -> Graph:
+    """A graph from an iterable of (src, dst) tuples."""
+    pairs = list(pairs)
+    src, dst = zip(*pairs) if pairs else ((), ())
+    return Graph.from_arrays(num_vertices, src, dst, name=name)
+
+
+def by_checker(sanitizer, checker):
+    """The sanitizer's violations that one checker raised."""
+    return [v for v in sanitizer.violations if v.checker == checker]
 
 
 def hub_root(graph) -> int:

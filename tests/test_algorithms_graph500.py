@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tests.helpers import fresh_machine, small_fastbfs_config
+from tests.helpers import fresh_machine, graph_from_pairs, small_fastbfs_config
 
 from repro.algorithms.graph500 import (
     Graph500Result,
@@ -14,7 +14,6 @@ from repro.algorithms.graph500 import (
 from repro.core.engine import FastBFSEngine
 from repro.errors import EngineError, ValidationError
 from repro.graph.generators import rmat_graph, star_graph
-from repro.graph.graph import Graph
 
 
 class TestSampleRoots:
@@ -37,7 +36,7 @@ class TestSampleRoots:
         assert len(sample_roots(g, 10)) == 1
 
     def test_no_candidates_raises(self):
-        g = Graph.from_edge_pairs(3, [])
+        g = graph_from_pairs(3, [])
         with pytest.raises(EngineError):
             sample_roots(g, 4)
 

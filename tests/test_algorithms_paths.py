@@ -1,97 +1,10 @@
-"""Tests for BFS path extraction/checking and diameter estimation."""
+"""Tests for diameter estimation by BFS sweeps."""
 
-import numpy as np
 import pytest
 
-from repro.algorithms.diameter import (
-    DiameterEstimate,
-    double_sweep_diameter,
-    engine_sweep,
-)
-from repro.algorithms.paths import (
-    extract_path,
-    hop_distances_from_paths,
-    path_exists_in_graph,
-)
-from repro.algorithms.reference import bfs_parents_and_levels
-from repro.errors import GraphError, ValidationError
+from repro.algorithms.diameter import double_sweep_diameter, engine_sweep
+from repro.errors import GraphError
 from repro.graph.generators import grid_graph, path_graph, rmat_graph, star_graph
-from repro.graph.graph import Graph
-from repro.graph.types import NO_PARENT
-
-
-class TestExtractPath:
-    def setup_method(self):
-        self.graph = rmat_graph(scale=9, edge_factor=8, seed=8)
-        self.root = int(np.argmax(self.graph.out_degrees()))
-        self.levels, self.parents = bfs_parents_and_levels(self.graph, self.root)
-
-    def test_path_to_root_is_trivial(self):
-        assert extract_path(self.parents, self.root, self.root) == [self.root]
-
-    def test_extracted_path_is_real_and_shortest(self):
-        targets = np.flatnonzero(self.levels >= 2)[:20]
-        for t in targets:
-            path = extract_path(self.parents, self.root, int(t))
-            assert path[0] == self.root and path[-1] == t
-            assert len(path) - 1 == self.levels[t]
-            assert path_exists_in_graph(self.graph, path)
-
-    def test_unreached_returns_none(self):
-        unreached = np.flatnonzero(self.levels < 0)
-        if len(unreached) == 0:
-            pytest.skip("fully reachable")
-        assert extract_path(self.parents, self.root, int(unreached[0])) is None
-
-    def test_cycle_detected(self):
-        parents = np.array([1, 0, NO_PARENT], dtype=np.uint32)
-        with pytest.raises(ValidationError):
-            extract_path(parents, 2, 0)
-
-    def test_broken_chain_detected(self):
-        parents = np.array([NO_PARENT, 9, NO_PARENT], dtype=np.uint32)
-        with pytest.raises(ValidationError):
-            extract_path(parents, 0, 1)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValidationError):
-            extract_path(np.array([0], dtype=np.uint32), 0, 5)
-
-
-class TestPathExists:
-    def test_real_path(self):
-        g = path_graph(5)
-        assert path_exists_in_graph(g, [0, 1, 2, 3])
-
-    def test_fake_hop(self):
-        g = path_graph(5)
-        assert not path_exists_in_graph(g, [0, 2])
-
-    def test_trivial_paths(self):
-        g = path_graph(3)
-        assert path_exists_in_graph(g, [1])
-        assert path_exists_in_graph(g, [])
-
-    def test_duplicate_edges(self):
-        g = Graph.from_edge_pairs(3, [(0, 1), (1, 2), (0, 1), (1, 2), (0, 1)])
-        assert path_exists_in_graph(g, [0, 1, 2])
-        assert not path_exists_in_graph(g, [0, 2])
-
-
-class TestHopDistances:
-    def test_matches_levels(self):
-        g = grid_graph(8, 8)
-        levels, parents = bfs_parents_and_levels(g, 0)
-        hops = hop_distances_from_paths(parents, levels, 0, [0, 7, 63])
-        assert hops == [0, int(levels[7]), int(levels[63])]
-
-    def test_contradiction_raises(self):
-        g = path_graph(4)
-        levels, parents = bfs_parents_and_levels(g, 0)
-        levels = levels.copy()
-        levels[3] = 1  # lie
-        with pytest.raises(ValidationError):
-            hop_distances_from_paths(parents, levels, 0, [3])
 
 
 class TestDiameter:

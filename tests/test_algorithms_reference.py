@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 import networkx as nx
 
+from tests.helpers import graph_from_pairs
+
 from repro.algorithms.reference import (
     bfs_levels,
     bfs_parents_and_levels,
     level_profile,
-    reachable_count,
 )
 from repro.errors import GraphError
 from repro.graph.generators import grid_graph, path_graph, random_graph, rmat_graph
@@ -36,21 +37,21 @@ class TestBfsLevels:
         assert levels.tolist() == [0, 1, 2, 3, 4]
 
     def test_unreachable(self):
-        g = Graph.from_edge_pairs(4, [(0, 1)])
+        g = graph_from_pairs(4, [(0, 1)])
         levels = bfs_levels(g, 0)
         assert levels.tolist() == [0, 1, UNVISITED, UNVISITED]
 
     def test_root_only(self):
-        g = Graph.from_edge_pairs(3, [])
+        g = graph_from_pairs(3, [])
         assert bfs_levels(g, 2).tolist() == [UNVISITED, UNVISITED, 0]
 
     def test_self_loops_ignored(self):
-        g = Graph.from_edge_pairs(2, [(0, 0), (0, 1)])
+        g = graph_from_pairs(2, [(0, 0), (0, 1)])
         assert bfs_levels(g, 0).tolist() == [0, 1]
 
     def test_multi_edges_equivalent(self):
-        g1 = Graph.from_edge_pairs(3, [(0, 1), (0, 1), (1, 2)])
-        g2 = Graph.from_edge_pairs(3, [(0, 1), (1, 2)])
+        g1 = graph_from_pairs(3, [(0, 1), (0, 1), (1, 2)])
+        g2 = graph_from_pairs(3, [(0, 1), (1, 2)])
         assert np.array_equal(bfs_levels(g1, 0), bfs_levels(g2, 0))
 
     def test_bad_root(self):
@@ -94,22 +95,14 @@ class TestParents:
             assert (int(parents[v]), int(v)) in pairs
 
     def test_deterministic_lowest_parent(self):
-        g = Graph.from_edge_pairs(4, [(0, 2), (1, 2), (0, 1), (0, 3), (3, 2)])
+        g = graph_from_pairs(4, [(0, 2), (1, 2), (0, 1), (0, 3), (3, 2)])
         _, parents = bfs_parents_and_levels(g, 0)
         assert parents[2] == 0  # 0 beats 1 and 3 as parent of 2
 
     def test_unreachable_have_no_parent(self):
-        g = Graph.from_edge_pairs(3, [(0, 1)])
+        g = graph_from_pairs(3, [(0, 1)])
         _, parents = bfs_parents_and_levels(g, 0)
         assert parents[2] == NO_PARENT
-
-
-class TestReachableCount:
-    def test_counts_root(self):
-        assert reachable_count(path_graph(4), 3) == 1
-
-    def test_full_path(self):
-        assert reachable_count(path_graph(4), 0) == 4
 
 
 class TestLevelProfile:
@@ -149,4 +142,4 @@ class TestLevelProfile:
     def test_frontier_sums_to_reachable(self):
         g = random_graph(100, 400, seed=8)
         prof = level_profile(g, 0)
-        assert sum(prof.frontier_sizes) == reachable_count(g, 0)
+        assert sum(prof.frontier_sizes) == (bfs_levels(g, 0) >= 0).sum()

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.helpers import fresh_machine, hub_root, small_fastbfs_config
+from tests.helpers import (
+    fresh_machine,
+    graph_from_pairs,
+    hub_root,
+    small_fastbfs_config,
+)
 
 from repro.algorithms.reference import bfs_levels
 from repro.algorithms.sssp import (
@@ -13,13 +18,17 @@ from repro.algorithms.sssp import (
     WeightedSSSPAlgorithm,
     hash_weights,
     reference_sssp,
-    unit_weights,
 )
 from repro.core.engine import FastBFSEngine
 from repro.engines.xstream import XStreamEngine
 from repro.errors import EngineError
 from repro.graph.generators import path_graph, random_graph, rmat_graph
 from repro.graph.graph import Graph
+
+
+def unit_weights(src, dst):
+    """All-ones weights: SSSP becomes BFS."""
+    return np.ones(len(src), dtype=np.uint32)
 
 
 class TestWeightFunctions:
@@ -32,11 +41,6 @@ class TestWeightFunctions:
         assert w1.min() >= 1 and w1.max() <= 8
         assert len(np.unique(w1)) > 1  # actually varies
 
-    def test_unit_weights(self):
-        fn = unit_weights()
-        assert (fn(np.arange(5, dtype=np.uint32),
-                   np.arange(5, dtype=np.uint32)) == 1).all()
-
     def test_bad_max_weight(self):
         with pytest.raises(EngineError):
             hash_weights(0)
@@ -44,7 +48,7 @@ class TestWeightFunctions:
 
 class TestReferenceSSSP:
     def test_weighted_path(self):
-        g = Graph.from_edge_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        g = graph_from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 
         def fn(src, dst):
             # 0->3 direct costs 10; the 3-hop path costs 3.
@@ -56,14 +60,14 @@ class TestReferenceSSSP:
         assert dist.tolist() == [0, 1, 2, 3]
 
     def test_unreachable(self):
-        g = Graph.from_edge_pairs(3, [(0, 1)])
-        dist = reference_sssp(g, 0, unit_weights())
+        g = graph_from_pairs(3, [(0, 1)])
+        dist = reference_sssp(g, 0, unit_weights)
         assert dist[2] == UNREACHED
 
     def test_unit_weights_equal_bfs(self):
         g = rmat_graph(scale=8, edge_factor=8, seed=3)
         root = hub_root(g)
-        dist = reference_sssp(g, root, unit_weights()).astype(np.int64)
+        dist = reference_sssp(g, root, unit_weights).astype(np.int64)
         dist[dist == int(UNREACHED)] = -1
         assert np.array_equal(dist, bfs_levels(g, root))
 
@@ -94,7 +98,7 @@ class TestEngineSSSP:
 
     def test_shorter_paths_replace_longer(self):
         """Label-correcting: a vertex improves after first being settled."""
-        g = Graph.from_edge_pairs(4, [(0, 3), (0, 1), (1, 2), (2, 3)])
+        g = graph_from_pairs(4, [(0, 3), (0, 1), (1, 2), (2, 3)])
 
         def fn(src, dst):
             w = np.ones(len(src), dtype=np.uint32)
@@ -128,7 +132,8 @@ class TestEngineSSSP:
         import scipy.sparse as sp
         import scipy.sparse.csgraph as csgraph
 
-        g = rmat_graph(scale=8, edge_factor=6, seed=11).deduplicated()
+        g = rmat_graph(scale=8, edge_factor=6, seed=11)
+        g = Graph(g.num_vertices, np.unique(g.edges))  # no parallel edges
         root = hub_root(g)
         fn = hash_weights(5)
         w = fn(g.edges["src"], g.edges["dst"]).astype(np.float64)

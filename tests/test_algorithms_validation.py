@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from tests.helpers import graph_from_pairs
+
 from repro.algorithms.reference import bfs_parents_and_levels
 from repro.algorithms.validation import (
     teps,
@@ -11,7 +13,6 @@ from repro.algorithms.validation import (
 )
 from repro.errors import ValidationError
 from repro.graph.generators import path_graph, rmat_graph
-from repro.graph.graph import Graph
 from repro.graph.types import NO_PARENT, UNVISITED
 
 
@@ -68,7 +69,7 @@ class TestRejectsCorruption:
         assert not validate_bfs_result(graph, root, levels, parents).ok
 
     def test_phantom_tree_edge(self):
-        g = Graph.from_edge_pairs(4, [(0, 1), (1, 2), (2, 3)])
+        g = graph_from_pairs(4, [(0, 1), (1, 2), (2, 3)])
         levels = np.array([0, 1, 2, 3], dtype=np.int32)
         parents = np.array([NO_PARENT, 0, 1, 1], dtype=np.uint32)  # 1->3 fake
         # levels say parent of 3 is 2 levels up: both checks catch it
@@ -119,7 +120,7 @@ class TestDuplicateEdges:
 
     @pytest.fixture
     def multigraph(self):
-        return Graph.from_edge_pairs(
+        return graph_from_pairs(
             4, [(0, 1), (0, 2), (0, 1), (1, 3), (0, 2), (1, 3), (0, 1)]
         )
 
@@ -139,7 +140,7 @@ class TestDuplicateEdges:
 
 class TestTeps:
     def test_traversed_edges_counts_visited_sources(self):
-        g = Graph.from_edge_pairs(4, [(0, 1), (1, 2), (3, 0)])
+        g = graph_from_pairs(4, [(0, 1), (1, 2), (3, 0)])
         levels = np.array([0, 1, 2, UNVISITED], dtype=np.int32)
         assert traversed_edges(g, levels) == 2
 

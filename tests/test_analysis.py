@@ -52,7 +52,7 @@ class TestCalibration:
     def test_scaled_machine(self):
         m = scaled_machine(memory="4GB", num_disks=2, disk_kind="ssd", divisor=256)
         assert m.memory_bytes == 16 * MB
-        assert m.num_disks == 2
+        assert len(m.disks) == 2
         assert m.disks[0].spec.kind == "ssd"
 
     def test_scaled_configs_buffer_sizes(self):
@@ -191,7 +191,7 @@ class TestScaledMachineOptions:
 
     def test_ssd_two_disks(self):
         m = scaled_machine("2GB", num_disks=2, disk_kind="ssd", divisor=512)
-        assert m.num_disks == 2
+        assert len(m.disks) == 2
         assert m.disks[1].spec.kind == "ssd"
         assert m.disks[1].spec.seek_time == pytest.approx(
             DeviceSpec.ssd().seek_time / 512

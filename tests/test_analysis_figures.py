@@ -16,7 +16,6 @@ from repro.analysis.figures import (
     FigureClaim,
     build_report,
     check_claims,
-    claims_table,
     evaluate,
     scoreboard,
 )
@@ -210,6 +209,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "FAIL" in out and "never holds" in out
         assert "1/2 claims hold" in out
+
+
+def claims_table() -> str:
+    """The "Claims checked" table of EXPERIMENTS.md, one row per claim."""
+    lines = ["| Figure | Claim | Held to |", "|---|---|---|"]
+    lines += [
+        f"| {figure.name} | {claim.text} | {claim.bound or '-'} |"
+        for figure in FIGURES.values() for claim in figure.claims
+    ]
+    return "\n".join(lines)
 
 
 def test_claims_table_is_documented():

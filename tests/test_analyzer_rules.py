@@ -1,4 +1,4 @@
-"""Rule-level tests for the whole-program analyzer (FB200-FB208).
+"""Rule-level tests for the whole-program analyzer (FB200-FB209).
 
 Each FB2xx rule is exercised against a fixture mini-package under
 ``tests/analyzer_fixtures/`` shaped like the real tree, in three
@@ -8,10 +8,11 @@ proven live against the real ``Machine`` class by injecting a fake
 un-checkpointed attribute.
 """
 
+import shutil
 from pathlib import Path
 
-from repro.tooling.analyzer import analyze_paths, analyze_sources
-from repro.tooling.report import Baseline, BaselineEntry
+from repro.tooling.analyzer import RULES, analyze_paths, analyze_sources
+from repro.tooling.report import Baseline, BaselineEntry, render
 
 HERE = Path(__file__).resolve().parent
 FIXTURES = HERE / "analyzer_fixtures"
@@ -235,6 +236,82 @@ class TestFB208ServeTypedErrors:
         assert not any(f.code == "FB208" for f in result.findings)
 
 
+class TestFB209UnreachedCode:
+    def fb209(self, baseline=None):
+        result = run_fixture("fb209", baseline=baseline)
+        assert set(codes(result)) <= {"FB209"}
+        return result
+
+    def test_unreached_public_code_flagged(self):
+        result = self.fb209()
+        assert [f.symbol for f in result.findings] == [
+            "repro.core.work.Box.resize",
+            "repro.core.work.orphan",
+            "repro.core.work.grandfathered",
+        ]
+        finding = result.findings[1]
+        assert finding.path.endswith("repro/core/work.py")
+        assert finding.message.startswith(
+            "core.work.orphan is public but no front door reaches it"
+        )
+
+    def test_references_reach_what_calls_do_not(self):
+        """A dispatch-table value, a ``partial`` argument, a property read,
+        every method of a class with a stdlib base and a script's import
+        are all reached."""
+        flagged = {f.symbol.rsplit(".", 1)[-1] for f in self.fb209().findings}
+        reached = {
+            "run", "handle_bfs", "scaled", "size", "do_GET", "send_error",
+            "render", "visit_Call", "Box", "Handler", "Visitor", "scripted",
+        }
+        assert not flagged & reached
+
+    def test_noqa_suppresses(self):
+        assert not any(f.symbol.endswith("quiet") for f in self.fb209().findings)
+
+    def test_committed_fixture_baseline_absorbs_the_finding(self):
+        baseline = Baseline.load(str(FIXTURES / "fb209" / "baseline.json"))
+        result = self.fb209(baseline=baseline)
+        assert [f.symbol for f in result.baselined] == [
+            "repro.core.work.grandfathered"
+        ]
+        assert len(result.findings) == 2
+        assert result.unused_baseline == []
+
+    def test_two_runs_render_identical_json(self):
+        first, second = (
+            render(run_fixture("fb209").findings, "json", "t", RULES)
+            for _ in range(2)
+        )
+        assert first == second
+
+    def test_an_undecodable_script_is_skipped(self, tmp_path):
+        tree = tmp_path / "fb209"
+        shutil.copytree(FIXTURES / "fb209", tree)
+        before = analyze_paths([str(tree / "repro")]).findings
+        (tree / "examples" / "latin1.py").write_bytes(b"# caf\xe9\n")
+        assert analyze_paths([str(tree / "repro")]).findings == before
+
+    def test_scripts_outside_the_analyzed_tree_are_not_read(self, tmp_path):
+        """Only a ``src/`` layout looks one directory up for scripts."""
+        tree = tmp_path / "fb209"
+        shutil.copytree(FIXTURES / "fb209", tree)
+        (tmp_path / "examples").mkdir()
+        (tmp_path / "examples" / "outer.py").write_text(
+            "from repro.core.work import orphan\n\norphan()\n"
+        )
+        flagged = [f.symbol for f in analyze_paths([str(tree)]).findings]
+        assert "repro.core.work.orphan" in flagged
+        src = tmp_path / "src"
+        shutil.copytree(tree, src)
+        flagged = [f.symbol for f in analyze_paths([str(src)]).findings]
+        assert "repro.core.work.orphan" not in flagged
+
+    def test_a_tree_without_front_doors_is_not_judged(self):
+        result = analyze_sources({"x/repro/lone.py": "def orphan():\n    pass\n"})
+        assert result.findings == []
+
+
 class TestMergedTree:
     def test_src_repro_is_clean_under_committed_baseline(self):
         """Acceptance gate: the shipped tree has zero non-baselined findings."""
@@ -247,10 +324,15 @@ class TestMergedTree:
 
     def test_the_baselined_cases_are_exactly_the_documented_ones(self):
         result = analyze_paths([str(REPO_ROOT / "src" / "repro")])
-        assert {f.symbol for f in result.findings} == {
-            "repro.storage.faults.FaultInjector._fires",
-            "repro.storage.faults.FaultInjector._counts",
-            "repro.storage.machine.Machine.tracer",
-            "repro.storage.machine.Machine.fault_plan",
+        assert {(f.code, f.symbol) for f in result.findings} == {
+            ("FB206", "repro.storage.faults.FaultInjector._fires"),
+            ("FB206", "repro.storage.faults.FaultInjector._counts"),
+            ("FB206", "repro.storage.machine.Machine.tracer"),
+            ("FB206", "repro.storage.machine.Machine.fault_plan"),
+            ("FB209", "repro.algorithms.hybrid.HybridBFSResult"),
+            ("FB209", "repro.algorithms.hybrid.hybrid_bfs"),
+            ("FB209", "repro.sim.timeline.Timeline.pending_requests"),
+            ("FB209", "repro.storage.device.Device.used_bytes"),
+            ("FB209", "repro.storage.pagecache.PageCache.contains"),
+            ("FB209", "repro.storage.streams.AsyncStreamWriter.buffers_in_flight"),
         }
-        assert all(f.code == "FB206" for f in result.findings)

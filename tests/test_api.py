@@ -44,7 +44,7 @@ class TestMakeEngine:
 
     def test_no_config_is_the_rows_default(self):
         assert make_engine("fastbfs").config == FastBFSConfig()
-        assert make_engine("fastbfs-2disk").config == FastBFSConfig.two_disk()
+        assert make_engine("fastbfs-2disk").config == FastBFSConfig(rotate_streams=True)
 
 
 class TestRunBfs:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tests.helpers import fresh_machine, hub_root, small_engine_config
+from tests.helpers import fresh_machine, graph_from_pairs, hub_root, small_engine_config
 
 from repro.algorithms.reference import bfs_levels
 from repro.algorithms.streaming import WCCAlgorithm
@@ -67,7 +67,7 @@ class TestBasicCorrectness:
         assert result.num_iterations == 64
 
     def test_empty_frontier_root_sink(self):
-        g = Graph.from_edge_pairs(4, [(1, 2)])
+        g = graph_from_pairs(4, [(1, 2)])
         result = XStreamEngine(small_engine_config(num_partitions=2)).run(
             g, fresh_machine(), root=0
         )

@@ -27,30 +27,44 @@ class TestEffectiveParallelism:
         assert CostModel().effective_parallelism(threads, cores) == expected
 
 
+def buffer_time(cm, per_item, count, threads, cores):
+    """What ``charge`` charges, as the engines call it."""
+    return cm.charge(SimClock(), "compute", per_item, count, threads, cores)
+
+
+def reference_buffer_time(cm, per_item, count, threads, cores):
+    """The cost formula written out with ``effective_parallelism``."""
+    if count <= 0:
+        return 0.0
+    par = cm.effective_parallelism(threads, cores)
+    sync = cm.thread_sync_per_buffer * threads if threads > 1 else 0.0
+    return per_item * count / par + sync + cm.buffer_overhead
+
+
 class TestBufferTime:
     def test_zero_items_free(self):
-        assert CostModel().buffer_time(1e-8, 0, 4, 4) == 0.0
+        assert buffer_time(CostModel(), 1e-8, 0, 4, 4) == 0.0
 
     def test_scales_with_items(self):
         cm = CostModel()
-        t1 = cm.buffer_time(1e-8, 1000, 1, 4)
-        t2 = cm.buffer_time(1e-8, 2000, 1, 4)
+        t1 = buffer_time(cm, 1e-8, 1000, 1, 4)
+        t2 = buffer_time(cm, 1e-8, 2000, 1, 4)
         assert t2 > t1
 
     def test_parallelism_divides_work(self):
         cm = CostModel(thread_sync_per_buffer=0.0, buffer_overhead=0.0)
-        t1 = cm.buffer_time(1e-6, 1000, 1, 4)
-        t4 = cm.buffer_time(1e-6, 1000, 4, 4)
+        t1 = buffer_time(cm, 1e-6, 1000, 1, 4)
+        t4 = buffer_time(cm, 1e-6, 1000, 4, 4)
         assert t4 == pytest.approx(t1 / 4)
 
     def test_single_thread_pays_no_sync(self):
         cm = CostModel(thread_sync_per_buffer=1.0, buffer_overhead=0.0)
-        assert cm.buffer_time(0.0, 10, 1, 4) == 0.0
+        assert buffer_time(cm, 0.0, 10, 1, 4) == 0.0
 
     def test_oversubscription_adds_sync(self):
         cm = CostModel()
-        t4 = cm.buffer_time(1e-8, 100, 4, 4)
-        t8 = cm.buffer_time(1e-8, 100, 8, 4)
+        t4 = buffer_time(cm, 1e-8, 100, 4, 4)
+        t8 = buffer_time(cm, 1e-8, 100, 8, 4)
         assert t8 > t4  # same parallelism, more sync
 
     @given(
@@ -60,7 +74,7 @@ class TestBufferTime:
         cores=st.integers(min_value=1, max_value=16),
     )
     def test_never_negative(self, per_item, count, threads, cores):
-        assert CostModel().buffer_time(per_item, count, threads, cores) >= 0.0
+        assert buffer_time(CostModel(), per_item, count, threads, cores) >= 0.0
 
 
 class TestCharging:
@@ -92,7 +106,7 @@ class TestCharging:
                     charged.append((seconds, category))
                     super().charge_compute(seconds, category=category)
 
-            expected = cm.buffer_time(per_item, count, threads, cores)
+            expected = reference_buffer_time(cm, per_item, count, threads, cores)
             assert cm.charge(
                 Recorder(), "gather", per_item, count, threads, cores
             ) == expected

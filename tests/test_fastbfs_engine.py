@@ -37,7 +37,7 @@ class TestConfig:
             FastBFSConfig(**kwargs)
 
     def test_two_disk_factory(self):
-        cfg = FastBFSConfig.two_disk(threads=2)
+        cfg = FastBFSConfig(rotate_streams=True, threads=2)
         assert cfg.rotate_streams is True
         assert cfg.threads == 2
 

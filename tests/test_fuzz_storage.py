@@ -186,7 +186,7 @@ def _faulted_run(seed):
     )
     result = engine.run(_fault_fuzz_graph(), machine, root=0)
     report = machine.report()
-    counters = CounterRegistry.from_machine(machine).as_dict()
+    counters = CounterRegistry.from_machine(machine)
     return result.levels, report, spans_to_jsonl(machine.tracer), counters
 
 
@@ -210,9 +210,6 @@ def test_fault_seeds_vary_the_schedule():
     for seed in _FAULT_FUZZ_SEEDS:
         _, _, trace, counters = _faulted_run(seed)
         injected.add(trace)
-        retried += sum(
-            v for (name, _), v in counters.items()
-            if name == "io_retries_total"
-        )
+        retried += counters.total("io_retries_total")
     assert len(injected) == len(list(_FAULT_FUZZ_SEEDS))  # all distinct
     assert retried > 0  # the retry loop really ran across the sweep

@@ -94,7 +94,7 @@ class TestRandomGraph:
 class TestPowerlaw:
     def test_in_degree_skew_with_flattened_head(self):
         g = powerlaw_graph(5000, 50000, exponent=1.9, seed=2)
-        deg = g.in_degrees()
+        deg = np.bincount(g.edges["dst"], minlength=g.num_vertices)
         # Heavy tail, but the head must hold a small share of all edges
         # (the real twitter top account has ~0.2%, not ~50%).
         assert deg.max() > 20 * deg.mean()
@@ -108,7 +108,7 @@ class TestPowerlaw:
     def test_correlated_out_exponent(self):
         g = powerlaw_graph(2000, 40000, exponent=1.9, out_exponent=2.0, seed=3)
         out_deg = g.out_degrees().astype(float)
-        in_deg = g.in_degrees().astype(float)
+        in_deg = np.bincount(g.edges["dst"], minlength=g.num_vertices).astype(float)
         # Rank-correlation: hubs by in-degree also have high out-degree.
         top = np.argsort(in_deg)[-20:]
         assert out_deg[top].mean() > 2 * out_deg.mean()

@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from tests.helpers import graph_from_pairs
+
 from repro.errors import GraphFormatError
 from repro.graph.generators import rmat_graph
-from repro.graph.graph import Graph
 from repro.graph.io import load_graph, save_graph
 
 
@@ -23,7 +24,7 @@ class TestRoundTrip:
         assert np.array_equal(loaded.edges, g.edges)
 
     def test_metadata_roundtrip(self, tmp_path):
-        g = Graph.from_edge_pairs(3, [(0, 1)], name="meta-test")
+        g = graph_from_pairs(3, [(0, 1)], name="meta-test")
         g.meta["scale_divisor"] = np.int64(256)
         g.meta["note"] = "hello"
         save_graph(g, tmp_path / "g.bin")
@@ -32,7 +33,7 @@ class TestRoundTrip:
         assert loaded.meta["note"] == "hello"
 
     def test_empty_graph(self, tmp_path):
-        g = Graph.from_edge_pairs(5, [])
+        g = graph_from_pairs(5, [])
         save_graph(g, tmp_path / "e.bin")
         loaded = load_graph(tmp_path / "e.bin")
         assert loaded.num_edges == 0
@@ -54,7 +55,7 @@ class TestValidation:
             load_graph(path)
 
     def test_corrupt_sidecar(self, tmp_path):
-        g = Graph.from_edge_pairs(3, [(0, 1)])
+        g = graph_from_pairs(3, [(0, 1)])
         path = tmp_path / "g.bin"
         save_graph(g, path)
         (tmp_path / "g.bin.json").write_text("{not json")
@@ -62,7 +63,7 @@ class TestValidation:
             load_graph(path)
 
     def test_missing_key(self, tmp_path):
-        g = Graph.from_edge_pairs(3, [(0, 1)])
+        g = graph_from_pairs(3, [(0, 1)])
         path = tmp_path / "g.bin"
         save_graph(g, path)
         config = json.loads((tmp_path / "g.bin.json").read_text())
@@ -72,90 +73,9 @@ class TestValidation:
             load_graph(path)
 
     def test_truncated_data_detected(self, tmp_path):
-        g = Graph.from_edge_pairs(3, [(0, 1), (1, 2)])
+        g = graph_from_pairs(3, [(0, 1), (1, 2)])
         path = tmp_path / "g.bin"
         save_graph(g, path)
         path.write_bytes(path.read_bytes()[:8])  # drop one edge
         with pytest.raises(GraphFormatError):
             load_graph(path)
-
-
-class TestTextFormat:
-    def test_roundtrip(self, tmp_path):
-        from repro.graph.io import load_edge_list_text, save_edge_list_text
-
-        g = rmat_graph(scale=7, edge_factor=4, seed=2)
-        path = tmp_path / "g.txt"
-        save_edge_list_text(g, path)
-        loaded = load_edge_list_text(path, num_vertices=g.num_vertices)
-        assert loaded.num_vertices == g.num_vertices
-        assert np.array_equal(loaded.edges, g.edges)
-
-    def test_snap_header_parsed(self, tmp_path):
-        from repro.graph.io import load_edge_list_text
-
-        path = tmp_path / "snap.txt"
-        path.write_text(
-            "# Directed graph\n# Nodes: 4 Edges: 3\n"
-            "# FromNodeId\tToNodeId\n0\t1\n1\t2\n2\t3\n"
-        )
-        g = load_edge_list_text(path)
-        assert g.num_vertices == 4
-        assert g.num_edges == 3
-
-    def test_relabel_sparse_ids(self, tmp_path):
-        from repro.graph.io import load_edge_list_text
-
-        path = tmp_path / "sparse.txt"
-        path.write_text("1000\t5000\n5000\t99999\n")
-        g = load_edge_list_text(path, relabel=True)
-        assert g.num_vertices == 3
-        assert g.num_edges == 2
-        assert g.edges["src"].tolist() == [0, 1]
-        assert g.edges["dst"].tolist() == [1, 2]
-
-    def test_empty_file(self, tmp_path):
-        from repro.graph.io import load_edge_list_text
-
-        path = tmp_path / "empty.txt"
-        path.write_text("# nothing\n")
-        g = load_edge_list_text(path)
-        assert g.num_edges == 0
-        assert g.num_vertices == 1
-
-    def test_garbage_rejected(self, tmp_path):
-        from repro.graph.io import load_edge_list_text
-
-        path = tmp_path / "bad.txt"
-        path.write_text("0\tone\n")
-        with pytest.raises(GraphFormatError):
-            load_edge_list_text(path)
-
-    def test_single_column_rejected(self, tmp_path):
-        from repro.graph.io import load_edge_list_text
-
-        path = tmp_path / "one.txt"
-        path.write_text("1\n2\n")
-        with pytest.raises(GraphFormatError):
-            load_edge_list_text(path)
-
-    def test_negative_ids_rejected(self, tmp_path):
-        from repro.graph.io import load_edge_list_text
-
-        path = tmp_path / "neg.txt"
-        path.write_text("-1\t2\n")
-        with pytest.raises(GraphFormatError):
-            load_edge_list_text(path)
-
-    def test_bfs_on_loaded_snap_graph(self, tmp_path):
-        """End to end: SNAP text -> engine run."""
-        from repro.algorithms.reference import bfs_levels
-        from repro.api import run_bfs
-        from repro.graph.io import load_edge_list_text, save_edge_list_text
-
-        g = rmat_graph(scale=7, edge_factor=4, seed=3)
-        path = tmp_path / "g.txt"
-        save_edge_list_text(g, path)
-        loaded = load_edge_list_text(path, num_vertices=g.num_vertices)
-        result = run_bfs(loaded, memory="8MB", root=0)
-        assert np.array_equal(result.levels, bfs_levels(g, 0))

@@ -10,9 +10,7 @@ from repro.graph.types import (
     UNVISITED,
     UPDATE_DTYPE,
     WEIGHTED_EDGE_DTYPE,
-    empty_edges,
     make_edges,
-    make_updates,
 )
 
 
@@ -52,23 +50,3 @@ class TestMakeEdges:
     def test_2d_rejected(self):
         with pytest.raises(GraphError):
             make_edges(np.zeros((2, 2)), np.zeros((2, 2)))
-
-    def test_empty_edges_helper(self):
-        assert empty_edges().dtype == EDGE_DTYPE
-        assert empty_edges(weighted=True).dtype == WEIGHTED_EDGE_DTYPE
-
-
-class TestMakeUpdates:
-    def test_basic(self):
-        u = make_updates([5, 6], [1, 2])
-        assert u.dtype == UPDATE_DTYPE
-        assert u["dst"].tolist() == [5, 6]
-        assert u["payload"].tolist() == [1, 2]
-
-    def test_scalar_payload_broadcasts(self):
-        u = make_updates([1, 2, 3], 7)
-        assert u["payload"].tolist() == [7, 7, 7]
-
-    def test_mismatch_rejected(self):
-        with pytest.raises(GraphError):
-            make_updates([1, 2], [1, 2, 3])

@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.helpers import (
+    by_checker,
     fresh_machine,
+    graph_from_pairs,
     hub_root,
     small_engine_config,
     small_fastbfs_config,
@@ -31,7 +33,6 @@ from repro.graph.generators import (
     rmat_graph,
     star_graph,
 )
-from repro.graph.graph import Graph
 
 
 def all_engines():
@@ -52,7 +53,7 @@ GRAPHS = {
     "whiskered": lambda: attach_whiskers(
         rmat_graph(scale=8, edge_factor=8, seed=5), 12, 3, 6, seed=6
     ),
-    "self-loops": lambda: Graph.from_edge_pairs(
+    "self-loops": lambda: graph_from_pairs(
         5, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 0), (3, 4)]
     ),
 }
@@ -117,19 +118,19 @@ def test_all_engines_agree_pairwise(rmat12):
 
 @pytest.mark.parametrize("graph_name", ["rmat", "whiskered", "grid"])
 def test_full_traversal_under_sanitizer(graph_name):
-    """A full FastBFS traversal with sanitize=True: correct answer, zero VFS
+    """A full FastBFS traversal on a sanitized machine: correct answer, zero VFS
     leaks, zero stay-writer state-machine violations (strict mode would have
     raised on any)."""
     graph = GRAPHS[graph_name]()
     root = hub_root(graph)
-    machine = fresh_machine()
-    engine = FastBFSEngine(small_fastbfs_config(sanitize=True))
+    machine = fresh_machine(sanitize=True)
+    engine = FastBFSEngine(small_fastbfs_config())
     result = engine.run(graph, machine, root=root)
     assert np.array_equal(result.levels, bfs_levels(graph, root))
     sanitizer = machine.sanitizer
     assert sanitizer is not None and sanitizer.finalized
-    assert sanitizer.leaks() == []
-    assert sanitizer.by_checker("stay-state") == []
+    assert by_checker(sanitizer, "vfs-leak") == []
+    assert by_checker(sanitizer, "stay-state") == []
     assert sanitizer.violations == []
     assert result.extras["sanitizer_violations"] == 0.0
 
@@ -153,10 +154,8 @@ def test_engines_sanitize_clean_on_sanitized_machine(engine_name):
 def test_sanitizer_clean_with_rotating_two_disk_config():
     """The Fig. 10 two-disk rotation also keeps the stay protocol clean."""
     graph = GRAPHS["rmat"]()
-    machine = fresh_machine(num_disks=2)
-    engine = FastBFSEngine(
-        small_fastbfs_config(sanitize=True, rotate_streams=True)
-    )
+    machine = fresh_machine(num_disks=2, sanitize=True)
+    engine = FastBFSEngine(small_fastbfs_config(rotate_streams=True))
     result = engine.run(graph, machine, root=hub_root(graph))
     assert np.array_equal(
         result.levels, bfs_levels(graph, hub_root(graph))

@@ -3,7 +3,9 @@
 The paper's claims are checked on four datasets at two divisors
 (``repro.analysis.figures``).  Here the monotonicities those claims assume
 are held universally, over seeded R-MAT graphs (scale 8-10, edge factor 4
-or 16), paths and stars, on one or two HDDs or SSDs:
+or 16), power-law graphs with depth whiskers (256-1024 vertices, the
+shape twitter_rv is built with), paths and stars, on one or two HDDs or
+SSDs:
 
 * (i) FastBFS reads no more edge and stay bytes than X-Stream for the same
   graph and root (Fig. 5 as a universal);
@@ -35,7 +37,13 @@ from repro.analysis.figures import FIGURES
 from repro.analysis.harness import ComparisonRow
 from repro.core.engine import FastBFSEngine
 from repro.engines.xstream import XStreamEngine
-from repro.graph.generators import path_graph, rmat_graph, star_graph
+from repro.graph.generators import (
+    attach_whiskers,
+    path_graph,
+    powerlaw_graph,
+    rmat_graph,
+    star_graph,
+)
 from repro.storage.machine import Machine
 from repro.utils.units import KB
 from tests.helpers import fresh_machine, small_engine_config, small_fastbfs_config
@@ -70,12 +78,25 @@ def budget(examples: int) -> settings:
 
 @st.composite
 def graphs(draw):
-    kind = draw(st.sampled_from(["rmat", "path", "star"]))
+    kind = draw(st.sampled_from(["rmat", "powerlaw", "path", "star"]))
     if kind == "rmat":
         return rmat_graph(
             scale=draw(st.integers(min_value=8, max_value=10)),
             edge_factor=draw(st.sampled_from([4, 16])),
             seed=draw(st.integers(min_value=0, max_value=2**16)),
+        )
+    if kind == "powerlaw":
+        # twitter_rv's shape (graph/datasets.py): power-law in- and
+        # out-degrees, then sparse depth whiskers.
+        n = draw(st.integers(min_value=256, max_value=1024))
+        seed = draw(st.integers(min_value=0, max_value=2**16))
+        core = powerlaw_graph(
+            n, n * draw(st.sampled_from([4, 16])),
+            exponent=1.9, out_exponent=2.0, seed=seed,
+        )
+        return attach_whiskers(
+            core, num_whiskers=max(4, n // 400), min_length=3, max_length=9,
+            seed=seed + 7919,
         )
     if kind == "path":
         return path_graph(draw(st.integers(min_value=2, max_value=120)))

@@ -34,7 +34,6 @@ from repro.obs import (
     Span,
     TraceError,
     Tracer,
-    machine_counters,
     parse_prometheus,
     parse_spans_jsonl,
     read_spans_jsonl,
@@ -107,7 +106,7 @@ class TestTracer:
             clock.charge_compute(3.0)
         sp = tracer.emit("stay_flush", start=0.5, end=2.5, parent_id=anchor, p=3)
         assert sp.parent_id == anchor and sp.finished
-        assert tracer.children_of(anchor) == [sp]
+        assert [s for s in tracer.spans if s.parent_id == anchor] == [sp]
 
     def test_null_tracer_is_a_shared_noop(self):
         null = NullTracer()
@@ -374,9 +373,9 @@ class TestIngestResult:
         result, _, _ = traced
         empty = dataclasses.replace(result, iterations=[], extras={})
         registry = CounterRegistry().ingest_result(empty)
-        assert registry.as_dict() == {
-            ("engine_iterations_total", (("engine", result.engine),)): 0.0
-        }
+        expected = CounterRegistry()
+        expected.set("engine_iterations_total", 0.0, engine=result.engine)
+        assert registry == expected
 
     def test_totals_are_the_per_iteration_sums(self, traced):
         result, _, _ = traced
@@ -405,13 +404,13 @@ class TestIngestResult:
 class TestPrometheusRoundTrip:
     def test_real_run_round_trips_exactly(self, traced, tmp_path):
         result, machine, _ = traced
-        registry = machine_counters(machine, result)
+        registry = CounterRegistry.from_machine(machine).ingest_result(result)
         assert len(registry) > 0
         assert parse_prometheus(to_prometheus(registry)) == registry
 
     def test_write_read_file(self, traced, tmp_path):
         _, machine, _ = traced
-        registry = machine_counters(machine)
+        registry = CounterRegistry.from_machine(machine)
         path = tmp_path / "metrics.prom"
         assert write_prometheus(registry, str(path)) == len(registry)
         assert parse_prometheus(path.read_text()) == registry

@@ -28,7 +28,6 @@ from repro.obs import (
     CounterRegistry,
     Span,
     Tracer,
-    machine_counters,
     write_spans_jsonl,
 )
 from repro.obs.profile import (
@@ -51,7 +50,7 @@ def traced_run():
     result = FastBFSEngine(small_fastbfs_config()).run(
         graph, machine, root=hub_root(graph)
     )
-    registry = machine_counters(machine, result)
+    registry = CounterRegistry.from_machine(machine).ingest_result(result)
     return result, machine, tracer, registry
 
 

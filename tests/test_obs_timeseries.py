@@ -118,6 +118,18 @@ class TestWindows:
         snap = ts.snapshot(windows=1)
         assert [w["index"] for w in snap["windows"]] == [2]
 
+    @pytest.mark.parametrize("windows,indices", [
+        (0, []), (-2, []), (2, [1, 2]), (10, [0, 1, 2]),
+    ])
+    def test_snapshot_keeps_at_most_the_newest_windows(
+        self, ts, clock, windows, indices
+    ):
+        for _ in range(3):
+            ts.record_request("g")
+            clock.advance(5.0)
+        snap = ts.snapshot(windows=windows)
+        assert [w["index"] for w in snap["windows"]] == indices
+
     def test_defaults_and_validation(self):
         ts = TimeSeries(clock=ManualHostClock())
         assert ts.window_seconds == DEFAULT_WINDOW_SECONDS

@@ -35,6 +35,7 @@ from repro.engines.session import run_staged_queries
 from repro.errors import ConfigError, QueueFullError, UnknownGraphError
 from repro.graph.generators import rmat_graph, star_graph
 from repro.obs.exporters import parse_prometheus
+from repro.obs.hostprof import ManualHostClock
 from repro.serve import (
     AdmissionController,
     ArtifactRegistry,
@@ -223,6 +224,14 @@ class TestEndpointSchemas:
 
 
 class TestErrorBodies:
+    @pytest.mark.parametrize("windows", ["0", "-2", "soon"])
+    def test_timeseries_windows_below_one_is_a_400(self, service, windows):
+        status, _, body = request(
+            service, "GET", f"/debug/timeseries?windows={windows}"
+        )
+        assert status == 400
+        assert body["error"]["type"] == "bad_request"
+
     def test_unknown_graph(self, service):
         status, _, body = request(
             service, "POST", "/graphs/nope/bfs", payload={"root": 0}
@@ -433,6 +442,20 @@ class TestErrorBodies:
         )
         assert status == 200
         assert len(body["result"]["ranks"]) == 256
+
+
+class TestServiceClock:
+    def test_timeseries_windows_follow_the_injected_clock(self):
+        clock = ManualHostClock()
+        svc = GraphService(port=0, warmup=(TINY_SPEC,), clock=clock).start()
+        try:
+            request(svc, "POST", "/graphs/tiny/bfs", payload={"root": 1})
+            clock.advance(12)
+            request(svc, "POST", "/graphs/tiny/bfs", payload={"root": 2})
+            _, _, body = request(svc, "GET", "/debug/timeseries")
+            assert [w["index"] for w in body["windows"]] == [0, 2]
+        finally:
+            svc.shutdown()
 
 
 class TestGraphNames:

@@ -14,7 +14,7 @@ class TestScheduling:
         req = tl.schedule(submit=1.0, service=2.0, nbytes=100, kind="read")
         assert req.start == 1.0
         assert req.end == 3.0
-        assert req.queue_delay == 0.0
+        assert req.start - req.submit == 0.0
 
     def test_fifo_queueing(self):
         tl = Timeline()
@@ -22,7 +22,7 @@ class TestScheduling:
         b = tl.schedule(1.0, 2.0, 10, "write")
         assert b.start == a.end == 5.0
         assert b.end == 7.0
-        assert b.queue_delay == 4.0
+        assert b.start - b.submit == 4.0
 
     def test_gap_between_requests(self):
         tl = Timeline()
@@ -66,12 +66,6 @@ class TestScheduling:
         assert tl.bytes_read == 125
         assert tl.bytes_written == 50
 
-    def test_request_count(self):
-        tl = Timeline()
-        for i in range(5):
-            tl.schedule(float(i), 0.1, 1, "read")
-        assert tl.request_count == 5
-
     @pytest.mark.parametrize("args,message", [
         ((0.0, -1.0, 10, "read"), "negative service time -1.0"),
         ((0.0, 1.0, -1, "read"), "negative request size -1"),
@@ -87,7 +81,7 @@ class TestScheduling:
         with pytest.raises(TimelineError) as exc_info:
             tl.schedule(*args)
         assert str(exc_info.value) == message
-        assert tl.request_count == 1 and tl.bytes_read == 10
+        assert tl.bytes_read == 10
 
 
 class TestScheduledRequest:
@@ -102,7 +96,7 @@ class TestScheduledRequest:
             group="g", kind="write", nbytes=8, submit=1.0, service=2.0,
             start=4.0, end=6.0,
         )
-        assert req.queue_delay == 3.0
+        assert req.start - req.submit == 3.0
         assert (req.cancelled, req.fault) == (False, None)
         req.fault = "torn_write"
         req.cancelled = True
@@ -262,15 +256,6 @@ class TestCancellation:
 
 
 class TestQueries:
-    def test_group_end(self):
-        tl = Timeline()
-        tl.schedule(0.0, 1.0, 1, "write", group="g")
-        last = tl.schedule(0.0, 1.0, 1, "write", group="g")
-        assert tl.group_end("g") == last.end
-
-    def test_group_end_missing(self):
-        assert Timeline().group_end("nope") is None
-
     def test_busy_time_partial(self):
         tl = Timeline()
         tl.schedule(0.0, 4.0, 1, "read")  # busy [0, 4)

@@ -29,10 +29,6 @@ class TestDeviceSpec:
         with pytest.raises(StorageError):
             DeviceSpec("x", seek_time=-1.0, read_bandwidth=1, write_bandwidth=1)
 
-    def test_renamed(self):
-        spec = DeviceSpec.hdd().renamed("disk7")
-        assert spec.name == "disk7"
-        assert spec.seek_time == DeviceSpec.hdd().seek_time
 
 
 class TestDeviceTiming:

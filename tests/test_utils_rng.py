@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import rng_from_seed, spawn_rngs
+from repro.utils.rng import rng_from_seed
 
 
 class TestRngFromSeed:
@@ -29,31 +29,3 @@ class TestRngFromSeed:
         a = rng_from_seed(seq).random(4)
         b = rng_from_seed(np.random.SeedSequence(5)).random(4)
         assert np.array_equal(a, b)
-
-
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(0, 5)) == 5
-
-    def test_zero_count(self):
-        assert spawn_rngs(0, 0) == []
-
-    def test_negative_count_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_children_independent(self):
-        children = spawn_rngs(3, 3)
-        streams = [c.integers(0, 10**9, 10) for c in children]
-        assert not np.array_equal(streams[0], streams[1])
-        assert not np.array_equal(streams[1], streams[2])
-
-    def test_children_reproducible(self):
-        a = [c.integers(0, 10**9, 5) for c in spawn_rngs(9, 3)]
-        b = [c.integers(0, 10**9, 5) for c in spawn_rngs(9, 3)]
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
-
-    def test_spawn_from_generator(self):
-        children = spawn_rngs(np.random.default_rng(1), 2)
-        assert len(children) == 2
