@@ -17,8 +17,8 @@ groups, handler); the parser and :func:`main` read that table.
   recorded with ``--host-profile``) or, with ``--graph``/``--dataset``,
   print the per-level convergence profile (Fig. 1 data);
 * ``bench`` — collect a ``BENCH_<seq>.json`` benchmark snapshot
-  (``bench run``) or diff the two newest under the tolerance policy
-  (``bench compare``, nonzero exit on regression);
+  (``bench run``) or byte-compare the two newest (``bench compare``,
+  exit 1 and a table of the differing metrics when they differ);
 * ``chaos`` — sweep seeded fault-injection schedules across engines and
   disk placements; every surviving run must produce bit-identical BFS
   levels (nonzero exit on any violation);
@@ -121,7 +121,8 @@ def _bench_args(p: argparse.ArgumentParser) -> None:
     brun.add_argument("--seed", type=int, default=1)
     bcmp = bsub.add_parser(
         "compare",
-        help="diff the two newest snapshots; exit 1 on regression",
+        help="byte-compare the two newest snapshots; exit 1 on any "
+             "difference",
     )
     bcmp.add_argument("--dir", default=".", dest="bench_dir",
                       help="directory holding BENCH_*.json (default: .)")
@@ -405,7 +406,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return 2
     comparison = compare_latest(args.bench_dir)
     print(comparison.render())
-    return 0 if comparison.ok else 1
+    return 0 if comparison.same else 1
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:

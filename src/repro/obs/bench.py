@@ -10,16 +10,18 @@ byte-identical documents, so a committed snapshot is a reviewable
 statement of the repo's performance claims.  (Host time is measured and
 gated elsewhere: ``BENCHMARK.json`` + ``benchmarks/perf``.)
 
-The *gate* (:func:`compare_snapshots`) diffs the newest snapshot against
-the previous one under per-metric tolerances: each metric declares how
-much drift is tolerated and which direction is a regression (slower,
-more bytes, less trimming).  CI runs ``repro bench run`` + ``repro bench
-compare`` so a PR that quietly degrades the reproduction fails its
-build; improvements update the trajectory by committing the new file.
+The *gate* (:func:`compare_latest`) is byte identity: the newest
+snapshot passes only if its bytes equal the previous one's.  On a
+difference it lists every metric whose value changed, baseline beside
+current; there is no allowance and no better/worse direction, because
+the simulation is deterministic and any change is a model or schedule
+change.  CI runs ``repro bench run`` + ``repro bench compare`` so a PR
+that moves a simulated number fails its build; a deliberate change
+commits the new file.
 
 Scale note: scenarios run at the harness's scale divisor (default from
 ``REPRO_SCALE_DIVISOR``), so a CI snapshot takes seconds, not hours.
-Snapshots at different divisors are never comparable — the gate refuses.
+Snapshots at different divisors differ in their ``divisor`` row.
 """
 
 from __future__ import annotations
@@ -81,40 +83,6 @@ DEFAULT_SCENARIOS: Tuple[Scenario, ...] = (
     Scenario("fastbfs-2disk", "fastbfs-2disk", num_disks=2),
     Scenario("fastbfs-multiquery", "fastbfs", kind="multi-query"),
 )
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Allowed drift for one metric and which direction is a regression.
-
-    ``rel`` is a fraction of the baseline value, ``abs`` an absolute
-    delta; the allowance is ``max(rel * |baseline|, abs)``.  ``worse``
-    is ``"higher"`` (increase is bad: time, bytes), ``"lower"``
-    (decrease is bad: trim effectiveness), or ``"any"`` (must match
-    within the allowance in both directions: iteration counts).
-    """
-
-    rel: float = 0.0
-    abs: float = 0.0
-    worse: str = "higher"
-
-    def allowance(self, baseline: float) -> float:
-        return max(self.rel * abs(baseline), self.abs)
-
-
-#: Per-metric gate policy (see docs/profiling.md for the rationale).
-TOLERANCES: Dict[str, Tolerance] = {
-    "execution_time": Tolerance(rel=0.02, worse="higher"),
-    "input_bytes": Tolerance(rel=0.01, worse="higher"),
-    "total_bytes": Tolerance(rel=0.01, worse="higher"),
-    "iowait_ratio": Tolerance(abs=0.02, worse="higher"),
-    "iterations": Tolerance(abs=0.0, worse="any"),
-    "trim_effectiveness": Tolerance(abs=0.02, worse="lower"),
-    # Multi-query cell: batched/serial edge-scan ratio (lower is better)
-    # and the batched batch's end-to-end time.
-    "edge_scan_amortization": Tolerance(abs=0.01, worse="higher"),
-    "batched_time": Tolerance(rel=0.02, worse="higher"),
-}
 
 
 # ----------------------------------------------------------------------
@@ -328,139 +296,50 @@ def load_snapshot(path: str) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 # comparison (the gate)
 # ----------------------------------------------------------------------
-@dataclass
-class MetricDiff:
-    """One compared metric of one scenario."""
-
-    scenario: str
-    metric: str
-    baseline: float
-    current: float
-    allowance: float
-    verdict: str  # "ok" | "improved" | "regressed"
-
-    def describe(self) -> str:
-        delta = self.current - self.baseline
-        rel = f" ({delta / self.baseline:+.2%})" if self.baseline else ""
-        return (
-            f"{self.scenario}.{self.metric}: {self.baseline:g} -> "
-            f"{self.current:g}{rel} [allowance {self.allowance:g}] "
-            f"{self.verdict.upper()}"
-        )
+def _metrics(doc: object, prefix: str = "") -> Dict[str, str]:
+    """Every leaf of a snapshot as JSON spells it, keyed by dotted path
+    (``scenarios.fastbfs.iterations``)."""
+    if not isinstance(doc, dict):
+        return {prefix: json.dumps(doc)}
+    out: Dict[str, str] = {}
+    for key, value in doc.items():
+        out.update(_metrics(value, f"{prefix}.{key}" if prefix else key))
+    return out
 
 
 @dataclass
 class Comparison:
-    """The gate's verdict: every metric diff plus the regression list."""
+    """The gate's verdict: are the two files the same bytes, and if not,
+    which metrics differ: ``(path, baseline, current)``, "-" if absent."""
 
     baseline_path: str
     current_path: str
-    diffs: List[MetricDiff]
-    problems: List[str]
-
-    @property
-    def regressions(self) -> List[MetricDiff]:
-        return [d for d in self.diffs if d.verdict == "regressed"]
-
-    @property
-    def improvements(self) -> List[MetricDiff]:
-        return [d for d in self.diffs if d.verdict == "improved"]
-
-    @property
-    def ok(self) -> bool:
-        return not self.regressions and not self.problems
+    same: bool
+    rows: List[Tuple[str, str, str]]
 
     def render(self) -> str:
         lines = [
             f"bench compare: {os.path.basename(self.baseline_path)} -> "
             f"{os.path.basename(self.current_path)}"
         ]
-        lines.extend(f"  PROBLEM: {p}" for p in self.problems)
-        for d in self.diffs:
-            if d.verdict != "ok":
-                lines.append("  " + d.describe())
-        changed = sum(1 for d in self.diffs if d.verdict != "ok")
-        lines.append(
-            f"  {len(self.diffs)} metrics compared, {changed} changed, "
-            f"{len(self.regressions)} regressed, "
-            f"{len(self.improvements)} improved"
-        )
-        lines.append("  verdict: " + ("PASS" if self.ok else "FAIL"))
+        if self.same:
+            lines.append("  byte-identical")
+        elif not self.rows:
+            lines.append("  no metric differs: the files differ in formatting")
+        else:
+            cells = [("metric", "baseline", "current")] + self.rows
+            widths = [max(len(row[i]) for row in cells) for i in range(2)]
+            lines.extend(
+                f"  {path:<{widths[0]}}  {base:<{widths[1]}}  {cur}"
+                for path, base, cur in cells
+            )
+            lines.append(f"  {len(self.rows)} metric(s) differ")
+        lines.append("  verdict: " + ("PASS" if self.same else "FAIL"))
         return "\n".join(lines)
 
 
-def _judge(tol: Tolerance, baseline: float, current: float) -> str:
-    allowance = tol.allowance(baseline)
-    delta = current - baseline
-    if abs(delta) <= allowance:
-        return "ok"
-    if tol.worse == "any":
-        return "regressed"
-    worse_is_positive = tol.worse == "higher"
-    if (delta > 0) == worse_is_positive:
-        return "regressed"
-    return "improved"
-
-
-def compare_snapshots(
-    baseline: Dict[str, object],
-    current: Dict[str, object],
-    tolerances: Optional[Dict[str, Tolerance]] = None,
-    baseline_path: str = "<baseline>",
-    current_path: str = "<current>",
-) -> Comparison:
-    """Diff two snapshots under the per-metric tolerance policy.
-
-    Scenarios present in the baseline but missing from the current
-    snapshot (or vice versa) and divisor/seed mismatches are reported as
-    problems — the gate fails on them rather than comparing garbage.
-    """
-    tolerances = tolerances if tolerances is not None else TOLERANCES
-    problems: List[str] = []
-    for key in ("divisor", "seed"):
-        if baseline.get(key) != current.get(key):
-            problems.append(
-                f"{key} mismatch: baseline {baseline.get(key)!r} vs "
-                f"current {current.get(key)!r}; snapshots are not comparable"
-            )
-    base_sc: Dict[str, Dict] = baseline.get("scenarios", {})  # type: ignore[assignment]
-    cur_sc: Dict[str, Dict] = current.get("scenarios", {})  # type: ignore[assignment]
-    for missing in sorted(set(base_sc) - set(cur_sc)):
-        problems.append(f"scenario {missing!r} missing from current snapshot")
-    for added in sorted(set(cur_sc) - set(base_sc)):
-        problems.append(
-            f"scenario {added!r} has no baseline (commit a new snapshot)"
-        )
-
-    diffs: List[MetricDiff] = []
-    for name in sorted(set(base_sc) & set(cur_sc)):
-        for metric, tol in tolerances.items():
-            if metric not in base_sc[name] or metric not in cur_sc[name]:
-                continue
-            b = float(base_sc[name][metric])
-            c = float(cur_sc[name][metric])
-            diffs.append(
-                MetricDiff(
-                    scenario=name,
-                    metric=metric,
-                    baseline=b,
-                    current=c,
-                    allowance=tol.allowance(b),
-                    verdict=_judge(tol, b, c),
-                )
-            )
-    return Comparison(
-        baseline_path=baseline_path,
-        current_path=current_path,
-        diffs=diffs,
-        problems=problems,
-    )
-
-
-def compare_latest(
-    root: str = ".", tolerances: Optional[Dict[str, Tolerance]] = None
-) -> Comparison:
-    """Compare the two newest ``BENCH_*.json`` snapshots under ``root``."""
+def compare_latest(root: str = ".") -> Comparison:
+    """Byte-compare the two newest ``BENCH_*.json`` snapshots under ``root``."""
     files = snapshot_files(root)
     if len(files) < 2:
         raise BenchError(
@@ -468,13 +347,20 @@ def compare_latest(
             f"{len(files)}; run 'repro bench run' first"
         )
     (_, base_path), (_, cur_path) = files[-2], files[-1]
-    return compare_snapshots(
-        load_snapshot(base_path),
-        load_snapshot(cur_path),
-        tolerances=tolerances,
-        baseline_path=base_path,
-        current_path=cur_path,
-    )
+    with open(base_path, "rb") as fh:
+        base_bytes = fh.read()
+    with open(cur_path, "rb") as fh:
+        same = fh.read() == base_bytes
+    rows: List[Tuple[str, str, str]] = []
+    if not same:
+        base = _metrics(load_snapshot(base_path))
+        cur = _metrics(load_snapshot(cur_path))
+        rows = [
+            (path, base.get(path, "-"), cur.get(path, "-"))
+            for path in sorted(set(base) | set(cur))
+            if base.get(path) != cur.get(path)
+        ]
+    return Comparison(base_path, cur_path, same, rows)
 
 
 __all__ = [
@@ -482,15 +368,11 @@ __all__ = [
     "BenchError",
     "Scenario",
     "DEFAULT_SCENARIOS",
-    "Tolerance",
-    "TOLERANCES",
     "collect_snapshot",
     "snapshot_files",
     "snapshot_to_json",
     "write_snapshot",
     "load_snapshot",
-    "MetricDiff",
     "Comparison",
-    "compare_snapshots",
     "compare_latest",
 ]

@@ -14,6 +14,9 @@ Design rules:
 * **Bounded.**  The ring holds at most ``capacity`` windows
   (:class:`collections.deque` with ``maxlen``); a server that runs for a
   week holds exactly as much telemetry as one that ran for an hour.
+* **No lock of its own.**  The ring's owner serializes every call: the
+  service records into it and snapshots it under the one lock that
+  keeps its books (counters, request ring, time series).
 * **No wall-clock reads of its own.**  Window placement needs host time,
   which is taken through a :class:`~repro.obs.hostprof.HostClock` handle
   (default: the shared :data:`~repro.obs.hostprof.HOST_CLOCK`) — the
@@ -28,7 +31,6 @@ Design rules:
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
@@ -99,10 +101,11 @@ def quantile_summary(hist: Optional[Histogram]) -> Dict[str, float]:
 class TimeSeries:
     """Bounded ring of windowed serving-metric aggregates.
 
-    Thread-safe: the HTTP threads and flush leaders all record into the
-    same ring.  Windows are placed on a fixed grid anchored at the
-    clock's value when the ring was created, so a quiet server simply has
-    gaps (missing indices) rather than empty windows.
+    Not thread-safe by itself: the HTTP threads and flush leaders that
+    record into one ring go through its owner's lock.  Windows are placed
+    on a fixed grid anchored at the clock's value when the ring was
+    created, so a quiet server simply has gaps (missing indices) rather
+    than empty windows.
     """
 
     def __init__(
@@ -122,7 +125,6 @@ class TimeSeries:
         self._clock = clock if clock is not None else HOST_CLOCK
         self._origin = self._clock.now()
         self._ring: "deque[_Window]" = deque(maxlen=self.capacity)
-        self._mutex = threading.Lock()
 
     # ------------------------------------------------------------------
     def _current(self) -> _Window:
@@ -150,28 +152,25 @@ class TimeSeries:
         ``errors`` but not into the latency histograms (a 429 has no
         meaningful service time).
         """
-        with self._mutex:
-            gw = self._current().graph(graph)
-            gw.requests += 1
-            if error:
-                gw.errors += 1
-                return
-            gw.queue_wait.observe(queue_wait)
-            gw.service_time.observe(service_time)
+        gw = self._current().graph(graph)
+        gw.requests += 1
+        if error:
+            gw.errors += 1
+            return
+        gw.queue_wait.observe(queue_wait)
+        gw.service_time.observe(service_time)
 
     def record_flush(self, graph: str, flushes: int = 1, queries: int = 0) -> None:
         """Record admission flushes (``queries`` = coalesced roots served)."""
-        with self._mutex:
-            gw = self._current().graph(graph)
-            gw.flushes += int(flushes)
-            gw.flushed_queries += int(queries)
+        gw = self._current().graph(graph)
+        gw.flushes += int(flushes)
+        gw.flushed_queries += int(queries)
 
     def sample_depth(self, graph: str, depth: int) -> None:
         """Record an admission-queue depth observation."""
-        with self._mutex:
-            gw = self._current().graph(graph)
-            gw.queue_depth_last = int(depth)
-            gw.queue_depth_max = max(gw.queue_depth_max, int(depth))
+        gw = self._current().graph(graph)
+        gw.queue_depth_last = int(depth)
+        gw.queue_depth_max = max(gw.queue_depth_max, int(depth))
 
     # ------------------------------------------------------------------
     # reading
@@ -185,9 +184,8 @@ class TimeSeries:
         ``windows`` limits the view to the newest N windows (none for
         N <= 0).
         """
-        with self._mutex:
-            slots = list(self._ring)
-            now = self._clock.now() - self._origin
+        slots = list(self._ring)
+        now = self._clock.now() - self._origin
         if windows is not None:
             slots = slots[-int(windows):] if int(windows) > 0 else []
         out_windows: List[Dict[str, object]] = []
@@ -221,8 +219,7 @@ class TimeSeries:
         }
 
     def __len__(self) -> int:
-        with self._mutex:
-            return len(self._ring)
+        return len(self._ring)
 
 
 __all__ = [

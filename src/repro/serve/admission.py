@@ -3,17 +3,18 @@
 The serving-side half of the MS-BFS amortization argument: batched
 execution (`run_many(mode="batched")`, PR 7) only pays off when many
 concurrent root queries share one edge-scan timeline, and it is admission
-control that *produces* that sharing.  Each registered graph gets one
-:class:`AdmissionController` holding a bounded FIFO of tickets; a ticket
-carries what to run (an algorithm kernel, absent = BFS), so every served
-algorithm waits in the same queue under the same rules.  Concurrent HTTP
-threads enqueue their tickets and then compete for the flush lock
-(leader/follower): whichever thread wins drains the longest queue prefix
-that can share one run — consecutive BFS tickets up to
-:data:`~repro.algorithms.streaming.BATCH_WIDTH`, run as **one** batched
-`run_staged_queries` call, or exactly one ticket of any other algorithm
-— and fulfils every drained ticket's event; the losers just wait on their
-tickets.  A full queue rejects deterministically
+control that *produces* that sharing.  Each registered graph's entry owns
+one :class:`AdmissionController` (``entry.admission``, built by
+:meth:`~repro.serve.registry.ArtifactRegistry.register`) holding a
+bounded FIFO of tickets; a ticket carries what to run (an algorithm
+kernel, absent = BFS), so every served algorithm waits in the same queue
+under the same rules.  Concurrent HTTP threads enqueue their tickets and
+then compete for the flush lock (leader/follower): whichever thread wins
+drains the longest queue prefix that can share one run — consecutive BFS
+tickets up to :data:`~repro.algorithms.streaming.BATCH_WIDTH`, run as
+**one** batched `run_staged_queries` call, or exactly one ticket of any
+other algorithm — and fulfils every drained ticket's event; the losers
+just wait on their tickets.  A full queue rejects deterministically
 (:class:`~repro.errors.QueueFullError`, mapped to HTTP 429 +
 ``Retry-After``).
 
@@ -70,7 +71,9 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Callable, Iterator, List, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING, Callable, Iterator, List, Optional, Sequence, Union,
+)
 
 from repro.algorithms.streaming import BATCH_WIDTH, StreamingAlgorithm
 from repro.engines.session import run_staged_queries
@@ -86,7 +89,9 @@ from repro.errors import (
 from repro.obs.counters import CounterRegistry
 from repro.obs.hostprof import HOST_CLOCK, HostClock
 from repro.obs.tracer import Tracer
-from repro.serve.registry import GraphEntry
+
+if TYPE_CHECKING:  # the registry builds each entry's controller
+    from repro.serve.registry import GraphEntry
 
 #: Bucket bounds for the ``serve_flush_size`` histogram (roots per flush).
 FLUSH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, float(BATCH_WIDTH))
@@ -171,7 +176,6 @@ class AdmissionController:
         clock: Optional[HostClock] = None,
         default_deadline_ms: Optional[float] = None,
         flush_retries: int = 2,
-        max_recoveries: int = DEFAULT_MAX_RECOVERIES,
     ) -> None:
         if capacity < 1:
             raise ServeError(f"queue capacity must be >= 1, got {capacity}")
@@ -183,10 +187,6 @@ class AdmissionController:
         if flush_retries < 1:
             raise ServeError(
                 f"flush_retries must be >= 1, got {flush_retries}"
-            )
-        if max_recoveries < 0:
-            raise ServeError(
-                f"max_recoveries must be >= 0, got {max_recoveries}"
             )
         if default_deadline_ms is not None and default_deadline_ms <= 0:
             raise ServeError(
@@ -202,7 +202,6 @@ class AdmissionController:
         self.clock = clock if clock is not None else HOST_CLOCK
         self.default_deadline_ms = default_deadline_ms
         self.flush_retries = flush_retries
-        self.max_recoveries = max_recoveries
         self._queue: "deque[Ticket]" = deque()
         self._mutex = threading.Lock()     # guards queue + counters
         self._held = False
@@ -369,7 +368,7 @@ class AdmissionController:
         The one place the serving layer touches an entry's machine.
         ``tickets`` share the head's kernel and engine (the flush prefix
         rule).  Returns ``(batch, tracer)``; a ``CrashError`` that outlived
-        the session recovery loop (``max_recoveries``) or an
+        the session recovery loop (:data:`DEFAULT_MAX_RECOVERIES`) or an
         ``IOFaultError`` give-up propagates, and leaves no residue: the
         next attempt starts from the staging checkpoint again.
         """
@@ -392,7 +391,7 @@ class AdmissionController:
                 "request_ids": [t.request_id for t in tickets],
                 **attrs,
             },
-            max_recoveries=self.max_recoveries,
+            max_recoveries=DEFAULT_MAX_RECOVERIES,
         )
         return batch, tracer
 

@@ -79,7 +79,6 @@ from repro.obs.counters import DEFAULT_DURATION_BUCKETS, CounterRegistry
 from repro.obs.exporters import PROMETHEUS_CONTENT_TYPE, to_prometheus
 from repro.obs.hostprof import HOST_CLOCK, HostClock
 from repro.obs.timeseries import TimeSeries, quantile_summary
-from repro.serve.admission import AdmissionController
 from repro.serve.debug import RequestLog, RequestRecord
 from repro.serve.health import STATE_CODES, BreakerPolicy
 from repro.serve.registry import ArtifactRegistry, GraphEntry, parse_graph_spec
@@ -351,12 +350,21 @@ class GraphService:
     ) -> None:
         self.host = host
         self._requested_port = port
-        self.capacity = capacity
         # Host time (deadlines, breaker cooldowns, queue-wait stamps) flows
         # through one injectable clock so fault/chaos tests can drive it.
         self.clock = clock if clock is not None else HOST_CLOCK
-        self.default_deadline_ms = default_deadline_ms
-        self.flush_retries = flush_retries
+        # The books: the counter registry behind /metrics, the request-id
+        # counter, the recent-request ring and the rolling time series,
+        # all under ``_lock``.  It is a leaf: nothing else is acquired
+        # while it is held, so a flush (entry lock) or a breaker
+        # transition (breaker mutex) may take it.
+        self._lock = threading.Lock()
+        self._registry_metrics = CounterRegistry()
+        self._request_count = 0
+        #: Bounded recent-request ring behind ``GET /debug/requests``.
+        self.request_log = RequestLog()
+        #: Rolling windowed metrics behind ``GET /debug/timeseries``.
+        self.timeseries = TimeSeries(clock=self.clock)
         self.registry = ArtifactRegistry(
             engine=engine,
             config=config,
@@ -367,18 +375,12 @@ class GraphService:
             breaker_policy=breaker_policy,
             clock=self.clock,
             on_transition=self._on_breaker_transition,
+            capacity=capacity,
+            flush_retries=flush_retries,
+            default_deadline_ms=default_deadline_ms,
+            metrics_sink=self._merge_metrics,
         )
         self._warmup_specs = tuple(warmup)
-        self._controllers: Dict[str, AdmissionController] = {}
-        self._control_lock = threading.Lock()
-        self._metrics_lock = threading.Lock()
-        self._registry_metrics = CounterRegistry()
-        self._request_lock = threading.Lock()
-        self._request_count = 0
-        #: Bounded recent-request ring behind ``GET /debug/requests``.
-        self.request_log = RequestLog()
-        #: Rolling windowed metrics behind ``GET /debug/timeseries``.
-        self.timeseries = TimeSeries(clock=self.clock)
         self._draining = False
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
@@ -453,9 +455,8 @@ class GraphService:
         admitted request is ever dropped, then the HTTP loop stops.
         """
         self._draining = True
-        with self._control_lock:
-            controllers = list(self._controllers.values())
-        for controller in controllers:
+        for entry in self.registry.entries().values():
+            controller = entry.admission
             controller.stop_accepting()
             controller.release()
             if drain:
@@ -479,47 +480,29 @@ class GraphService:
             staging = CounterRegistry.from_report(entry.staged.staging_report)
             staging.inc("serve_graphs_registered_total", 1.0, graph=name)
             self._merge_metrics(staging)
-        with self._metrics_lock:
-            self._registry_metrics.set(
-                "breaker_state",
-                float(entry.health.state_code()),
-                graph=name,
-            )
+        state = float(entry.health.state_code())
+        with self._lock:
+            self._registry_metrics.set("breaker_state", state, graph=name)
         return entry
-
-    def controller(self, entry: GraphEntry) -> AdmissionController:
-        """The admission controller bound to ``entry`` (created lazily)."""
-        with self._control_lock:
-            controller = self._controllers.get(entry.name)
-            if controller is None or controller.entry is not entry:
-                controller = AdmissionController(
-                    entry,
-                    capacity=self.capacity,
-                    metrics_sink=self._merge_metrics,
-                    clock=self.clock,
-                    default_deadline_ms=self.default_deadline_ms,
-                    flush_retries=self.flush_retries,
-                )
-                self._controllers[entry.name] = controller
-            return controller
 
     # ------------------------------------------------------------------
     # metrics
     # ------------------------------------------------------------------
     def _merge_metrics(self, registry: CounterRegistry) -> None:
-        with self._metrics_lock:
+        with self._lock:
             self._registry_metrics.merge(registry)
-        # Feed the rolling time-series from the same per-flush samples
-        # the admission controller emits (no second accounting source).
-        for name, labels, value in registry.items():
-            if name == "serve_flushes_total":
-                self.timeseries.record_flush(
-                    labels.get("graph", "?"), flushes=int(value)
-                )
-            elif name == "serve_flushed_queries_total":
-                self.timeseries.record_flush(
-                    labels.get("graph", "?"), flushes=0, queries=int(value)
-                )
+            # Feed the rolling time-series from the same per-flush samples
+            # the admission controller emits (no second accounting source).
+            for name, labels, value in registry.items():
+                if name == "serve_flushes_total":
+                    self.timeseries.record_flush(
+                        labels.get("graph", "?"), flushes=int(value)
+                    )
+                elif name == "serve_flushed_queries_total":
+                    self.timeseries.record_flush(
+                        labels.get("graph", "?"), flushes=0,
+                        queries=int(value),
+                    )
 
     def _on_breaker_transition(
         self, name: str, frm: str, to: str, reason: str
@@ -530,7 +513,7 @@ class GraphService:
         while ``breaker_transitions_total`` is an ordinary counter; both
         live directly on the long-lived service registry.
         """
-        with self._metrics_lock:
+        with self._lock:
             self._registry_metrics.inc(
                 "breaker_transitions_total", 1.0,
                 graph=name, **{"from": frm, "to": to},
@@ -541,23 +524,23 @@ class GraphService:
 
     def count_disconnect(self, path: str, request_id: str) -> None:
         """A client hung up mid-response: count it, no stack trace."""
-        with self._metrics_lock:
+        with self._lock:
             self._registry_metrics.inc("client_disconnect_total", 1.0)
 
     def count_timeout(self) -> None:
         """A peer went silent mid-request and its connection was given up."""
-        with self._metrics_lock:
+        with self._lock:
             self._registry_metrics.inc("client_timeout_total", 1.0)
 
     def count_busy(self) -> None:
         """A connection came past MAX_HANDLER_THREADS and was refused."""
-        with self._metrics_lock:
+        with self._lock:
             self._registry_metrics.inc("server_busy_total", 1.0)
 
     def metrics_snapshot(self) -> CounterRegistry:
         """Copy of the service registry (safe to export/reconcile)."""
         snap = CounterRegistry()
-        with self._metrics_lock:
+        with self._lock:
             snap.merge(self._registry_metrics)
         return snap
 
@@ -565,13 +548,14 @@ class GraphService:
         """Account one answered query request, whatever its status.
 
         ``serve_requests_total`` and the wait / service histograms, the
-        rolling time-series and the debug ring all read the one record:
-        a 429 burst or a 504 is explainable after the fact by id, and an
+        rolling time-series and the debug ring all read the one record,
+        in one critical section, so the three views never disagree: a 429
+        burst or a 504 is explainable after the fact by id, and an
         expired ticket's queue wait stays visible in the histograms.
         """
         queue_wait = record.timing.get("queue_wait_seconds")
         sim_seconds = record.timing.get("sim_execution_seconds")
-        with self._metrics_lock:
+        with self._lock:
             self._registry_metrics.inc(
                 "serve_requests_total",
                 1.0,
@@ -593,23 +577,18 @@ class GraphService:
                     buckets=DEFAULT_DURATION_BUCKETS,
                     graph=record.graph,
                 )
-        self.timeseries.record_request(
-            record.graph,
-            queue_wait=queue_wait or 0.0,
-            service_time=sim_seconds or 0.0,
-            error=record.status >= 400,
-        )
-        self.request_log.record(record)
+            self.timeseries.record_request(
+                record.graph,
+                queue_wait=queue_wait or 0.0,
+                service_time=sim_seconds or 0.0,
+                error=record.status >= 400,
+            )
+            self.request_log.record(record)
 
     def next_request_id(self) -> str:
-        with self._request_lock:
+        with self._lock:
             self._request_count += 1
             return f"req-{self._request_count:06d}"
-
-    @property
-    def requests_served(self) -> int:
-        with self._request_lock:
-            return self._request_count
 
     # ------------------------------------------------------------------
     # query execution
@@ -634,8 +613,7 @@ class GraphService:
         parse, encode = _QUERIES[algorithm]
         root_entry, kernel, engine = parse(entry, payload)
         deadline_ms = _extract_deadline(payload)
-        controller = self.controller(entry)
-        ticket = controller.submit(
+        ticket = entry.admission.submit(
             request_id,
             # A root-free algorithm still fills a slot; 0 satisfies the API.
             0 if root_entry is None else root_entry,
@@ -673,7 +651,9 @@ class GraphService:
             "X-Flush-Id": str(ticket.flush_id),
             "X-Flush-Size": str(ticket.flush_size),
         }
-        self.timeseries.sample_depth(entry.name, controller.depth)
+        depth = entry.admission.depth
+        with self._lock:
+            self.timeseries.sample_depth(entry.name, depth)
         self.finish_request(
             RequestRecord(
                 request_id=request_id,
@@ -697,6 +677,8 @@ class GraphService:
 
         ``graphs`` maps each registered name to its breaker state and
         readiness — quarantined graphs are registered but not ready.
+        ``requests_served`` counts the query requests answered, whatever
+        their status: ``serve_requests_total`` summed over its labels.
         """
         graphs = {
             name: {
@@ -705,17 +687,18 @@ class GraphService:
             }
             for name, entry in sorted(self.registry.entries().items())
         }
+        with self._lock:
+            served = self._registry_metrics.total("serve_requests_total")
         return {
             "status": "draining" if self._draining else "ok",
             "graphs": graphs,
-            "requests_served": self.requests_served,
+            "requests_served": int(served),
         }
 
     def stats(self, name: str) -> Dict:
         entry = self.registry.get(name)
-        controller = self.controller(entry)
         payload = entry.stats()
-        payload["admission"] = controller.counters()
+        payload["admission"] = entry.admission.counters()
         snap = self.metrics_snapshot()
         payload["latency"] = {
             "queue_wait_seconds": quantile_summary(
@@ -728,10 +711,12 @@ class GraphService:
         return payload
 
     def debug_requests(self) -> Dict:
-        return {"requests": self.request_log.summaries()}
+        with self._lock:
+            return {"requests": self.request_log.summaries()}
 
     def debug_request(self, request_id: str) -> Dict:
-        record = self.request_log.get(request_id)
+        with self._lock:
+            record = self.request_log.get(request_id)
         if record is None:
             raise _RequestProblem(
                 404, "not_found",
@@ -741,7 +726,8 @@ class GraphService:
         return record.to_dict()
 
     def debug_timeseries(self, windows: Optional[int] = None) -> Dict:
-        return self.timeseries.snapshot(windows=windows)
+        with self._lock:
+            return self.timeseries.snapshot(windows=windows)
 
     def debug_health(self) -> Dict:
         """Full breaker snapshots incl. transition logs, per graph.

@@ -13,12 +13,12 @@ Tickets of one flush share the flush tracer's span list (the admission
 controller hands the same list to every drained ticket), so a 16-wide
 flush costs one trace, not sixteen copies.  The ring is bounded
 (:class:`collections.deque` ``maxlen``) — debugging state never grows
-with uptime.
+with uptime — and has no lock of its own: its owner, the service,
+reads and writes it under the one lock that keeps its books.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from typing import Dict, List, Optional, Sequence
 
@@ -104,36 +104,30 @@ class RequestRecord:
 
 
 class RequestLog:
-    """Thread-safe bounded ring of :class:`RequestRecord` objects."""
+    """Bounded ring of :class:`RequestRecord` objects (owner-locked)."""
 
     def __init__(self, capacity: int = DEFAULT_REQUEST_LOG_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self._ring: "deque[RequestRecord]" = deque(maxlen=self.capacity)
-        self._mutex = threading.Lock()
 
     def record(self, record: RequestRecord) -> None:
-        with self._mutex:
-            self._ring.append(record)
+        self._ring.append(record)
 
     def get(self, request_id: str) -> Optional[RequestRecord]:
         """Newest record with this id (client-supplied ids may repeat)."""
-        with self._mutex:
-            for record in reversed(self._ring):
-                if record.request_id == request_id:
-                    return record
+        for record in reversed(self._ring):
+            if record.request_id == request_id:
+                return record
         return None
 
     def summaries(self) -> List[Dict[str, object]]:
         """Summary lines, newest request first."""
-        with self._mutex:
-            records = list(self._ring)
-        return [r.summary() for r in reversed(records)]
+        return [r.summary() for r in reversed(self._ring)]
 
     def __len__(self) -> int:
-        with self._mutex:
-            return len(self._ring)
+        return len(self._ring)
 
 
 __all__ = [

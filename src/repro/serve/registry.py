@@ -7,11 +7,14 @@ rewinds the pinned machine to the post-staging checkpoint and replays only
 the traversal (see :func:`repro.engines.session.run_staged_queries`).  A
 :class:`GraphEntry` bundles everything one graph needs to serve forever:
 the sealed :class:`~repro.engines.session.StagedGraph`, the warm
-:class:`~repro.storage.machine.Machine`, the quiescent checkpoint and the
-lock that serializes executions on that machine.
+:class:`~repro.storage.machine.Machine`, the quiescent checkpoint, the
+lock that serializes executions on that machine and the graph's
+admission queue.
 
 Registry capacity is bounded (``max_graphs``); registering beyond it
-evicts the least-recently-used entry, dropping its machine and artifact.
+evicts the least-recently-used entry, and the registry holds nothing
+else of it: once its in-flight tickets are answered, its machine, artifact
+and queue are garbage.
 Boot-time warmup takes a list of graph specs (see :func:`parse_graph_spec`)
 so a server starts with its working set already staged.
 
@@ -22,7 +25,8 @@ the artifact is built clean but every query replay runs on faulty
 simulated devices; a :class:`~repro.storage.faults.RetryPolicy` rebuilds
 the engine with I/O-level retries.  Each entry also carries its own
 :class:`~repro.serve.health.CircuitBreaker` — the per-graph
-healthy/degraded/quarantined state machine the admission layer drives.
+healthy/degraded/quarantined state machine the admission layer drives,
+and its own :class:`~repro.serve.admission.AdmissionController`.
 """
 
 from __future__ import annotations
@@ -46,7 +50,9 @@ from repro.graph.generators import (
     star_graph,
 )
 from repro.graph.graph import Graph
+from repro.obs.counters import CounterRegistry
 from repro.obs.hostprof import HostClock
+from repro.serve.admission import AdmissionController
 from repro.serve.health import BreakerPolicy, CircuitBreaker
 from repro.storage.faults import FaultPlan, RetryPolicy
 from repro.storage.machine import Machine
@@ -155,14 +161,20 @@ def parse_graph_spec(
 
 
 class GraphEntry:
-    """One registered graph: sealed artifact, warm machine, serial lock.
+    """One registered graph: sealed artifact, warm machine, serial lock,
+    admission queue.
 
     ``lock`` serializes every execution touching ``machine`` — the machine
     rewinds to ``checkpoint`` around each run, so two concurrent
-    executions would corrupt each other's timelines.  Its one taker is
-    the admission controller, which holds it for the whole of a flush
-    (whatever the algorithm of the tickets it drained).
+    executions would corrupt each other's timelines.  Its taker is
+    :meth:`AdmissionController.flush`, which holds it for the whole of a
+    flush (whatever the algorithm of the tickets it drained); it lives on
+    the entry, not in ``admission``, so a second controller of the same
+    entry (a benchmark's own) cannot run on the machine at the same time.
     """
+
+    #: The graph's admission queue, built by :meth:`ArtifactRegistry.register`.
+    admission: AdmissionController
 
     def __init__(
         self,
@@ -231,6 +243,10 @@ class ArtifactRegistry:
         breaker_policy: Optional[BreakerPolicy] = None,
         clock: Optional[HostClock] = None,
         on_transition: Optional[Callable[[str, str, str, str], None]] = None,
+        capacity: int = 128,
+        flush_retries: int = 2,
+        default_deadline_ms: Optional[float] = None,
+        metrics_sink: Optional[Callable[[CounterRegistry], None]] = None,
     ) -> None:
         engine_class = engine_kind(engine).engine
         # GraphChi's PSW shards are not the scatter/gather staging artifact
@@ -252,10 +268,13 @@ class ArtifactRegistry:
         self.breaker_policy = breaker_policy
         self.clock = clock
         self.on_transition = on_transition
+        #: Every entry's admission settings (see AdmissionController).
+        self.capacity = capacity
+        self.flush_retries = flush_retries
+        self.default_deadline_ms = default_deadline_ms
+        self.metrics_sink = metrics_sink
         self._entries: "OrderedDict[str, GraphEntry]" = OrderedDict()
         self._lock = threading.Lock()
-        #: Names evicted over the registry's lifetime (observability).
-        self.evictions: List[str] = []
 
     def register(
         self,
@@ -301,12 +320,19 @@ class ArtifactRegistry:
                 on_transition=self.on_transition,
             ),
         )
+        entry.admission = AdmissionController(
+            entry,
+            capacity=self.capacity,
+            metrics_sink=self.metrics_sink,
+            clock=self.clock,
+            default_deadline_ms=self.default_deadline_ms,
+            flush_retries=self.flush_retries,
+        )
         with self._lock:
             self._entries.pop(name, None)
             self._entries[name] = entry
             while len(self._entries) > self.max_graphs:
-                evicted, _ = self._entries.popitem(last=False)
-                self.evictions.append(evicted)
+                self._entries.popitem(last=False)
         return entry
 
     def get(self, name: str) -> GraphEntry:

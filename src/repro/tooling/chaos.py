@@ -717,7 +717,7 @@ def _drive_deadlines(service, clock, roots) -> Tuple[int, str]:
     entry = service.registry.get("g")
     if not entry.health.ready:
         return 0, ""  # quarantined trials cannot queue; sweep is elsewhere
-    controller = service.controller(entry)
+    controller = entry.admission
     controller.hold()
     outcomes: Dict[str, Tuple[int, Dict, object]] = {}
     count = 4
@@ -758,7 +758,7 @@ def _reconcile_serve(service, ok_bodies: List[dict]) -> List[str]:
 
     problems: List[str] = []
     entry = service.registry.get("g")
-    controller = service.controller(entry)
+    controller = entry.admission
     _, _, text = _serve_request(service.port, "GET", "/metrics")
     registry = parse_prometheus(text)
     # (1) device bytes/seeks reconcile with the deduped per-flush reports

@@ -9,8 +9,9 @@ Contracts locked down here:
   outside the informational ``host`` section);
 * **host section** — v3 snapshots carry a per-scenario dual-clock
   breakdown that the regression gate provably never reads;
-* **gate behaviour** — improvements pass, regressions beyond tolerance
-  fail with a readable per-metric diff, direction-aware per metric;
+* **gate behaviour** — byte identity: identical files pass, any
+  differing byte fails with a table of the differing metrics (baseline
+  beside current), whichever way a value moved;
 * **sequencing** — ``BENCH_<seq>.json`` naming, newest-pair comparison,
   and the CLI's exit codes.
 """
@@ -27,12 +28,10 @@ from repro.cli import main as cli_main
 from repro.obs.bench import (
     DEFAULT_SCENARIOS,
     SNAPSHOT_SCHEMA_VERSION,
-    TOLERANCES,
     BenchError,
     Scenario,
     collect_snapshot,
     compare_latest,
-    compare_snapshots,
     load_snapshot,
     snapshot_files,
     snapshot_to_json,
@@ -204,81 +203,47 @@ class TestFiles:
 # ----------------------------------------------------------------------
 # the gate
 # ----------------------------------------------------------------------
+def gate(tmp_path, base, cur):
+    """``compare_latest`` over ``base`` then ``cur`` written as snapshots."""
+    write_snapshot(base, root=str(tmp_path))
+    write_snapshot(cur, root=str(tmp_path))
+    return compare_latest(str(tmp_path))
+
+
 class TestGate:
-    def test_identical_snapshots_pass(self):
+    def test_identical_snapshots_pass(self, tmp_path):
         base = synthetic_snapshot()
-        cmp_ = compare_snapshots(base, copy.deepcopy(base))
-        assert cmp_.ok and not cmp_.regressions
+        cmp_ = gate(tmp_path, base, copy.deepcopy(base))
+        assert cmp_.same and not cmp_.rows
         assert "PASS" in cmp_.render()
 
-    def test_improvement_passes_and_is_reported(self):
-        base = synthetic_snapshot()
-        cur = copy.deepcopy(base)
-        cur["scenarios"]["fastbfs"]["execution_time"] = 8.0  # 20% faster
-        cmp_ = compare_snapshots(base, cur)
-        assert cmp_.ok
-        assert [d.metric for d in cmp_.improvements] == ["execution_time"]
-
-    def test_regression_beyond_tolerance_fails_readably(self):
-        base = synthetic_snapshot()
-        cur = copy.deepcopy(base)
-        cur["scenarios"]["fastbfs"]["execution_time"] = 10.5  # +5% > 2%
-        cmp_ = compare_snapshots(base, cur)
-        assert not cmp_.ok
-        (reg,) = cmp_.regressions
-        assert reg.metric == "execution_time"
-        text = cmp_.render()
-        assert "REGRESSED" in text and "FAIL" in text
-        assert "10" in text and "10.5" in text  # both values visible
-
-    def test_drift_within_tolerance_passes(self):
-        base = synthetic_snapshot()
-        cur = copy.deepcopy(base)
-        cur["scenarios"]["fastbfs"]["execution_time"] = 10.1  # +1% < 2%
-        assert compare_snapshots(base, cur).ok
-
-    def test_direction_awareness(self):
-        base = synthetic_snapshot()
-        # Lower trim effectiveness is a regression...
-        worse = copy.deepcopy(base)
-        worse["scenarios"]["fastbfs"]["trim_effectiveness"] = 0.7
-        assert not compare_snapshots(base, worse).ok
-        # ...but higher is an improvement.
-        better = copy.deepcopy(base)
-        better["scenarios"]["fastbfs"]["trim_effectiveness"] = 0.9
-        cmp_ = compare_snapshots(base, better)
-        assert cmp_.ok and cmp_.improvements
-
-    def test_iteration_count_must_match_exactly(self):
+    def test_iteration_count_must_match_exactly(self, tmp_path):
         base = synthetic_snapshot()
         for delta in (-1, 1):
             cur = copy.deepcopy(base)
             cur["scenarios"]["fastbfs"]["iterations"] = 12 + delta
-            assert not compare_snapshots(base, cur).ok
+            cmp_ = gate(tmp_path, base, cur)
+            assert not cmp_.same
+            assert cmp_.rows == [
+                ("scenarios.fastbfs.iterations", "12", str(12 + delta))
+            ]
 
-    def test_divisor_mismatch_is_a_problem(self):
+    def test_divisor_mismatch_is_a_problem(self, tmp_path):
         base = synthetic_snapshot()
         cur = copy.deepcopy(base)
         cur["divisor"] = 4096
-        cmp_ = compare_snapshots(base, cur)
-        assert not cmp_.ok and cmp_.problems
+        cmp_ = gate(tmp_path, base, cur)
+        assert not cmp_.same
+        assert cmp_.rows == [("divisor", "1024", "4096")]
 
-    def test_missing_scenario_is_a_problem(self):
+    def test_missing_scenario_is_a_problem(self, tmp_path):
         base = synthetic_snapshot()
         cur = copy.deepcopy(base)
         del cur["scenarios"]["fastbfs"]
-        cmp_ = compare_snapshots(base, cur)
-        assert not cmp_.ok
-        assert "missing" in cmp_.problems[0]
-
-    def test_tolerance_policy_covers_the_tracked_metrics(self):
-        assert set(TOLERANCES) == {
-            "execution_time", "input_bytes", "total_bytes",
-            "iowait_ratio", "iterations", "trim_effectiveness",
-            "edge_scan_amortization", "batched_time",
-        }
-        assert TOLERANCES["edge_scan_amortization"].worse == "higher"
-        assert TOLERANCES["batched_time"].worse == "higher"
+        cmp_ = gate(tmp_path, base, cur)
+        assert not cmp_.same
+        assert {cur for _, _, cur in cmp_.rows} == {"-"}
+        assert "scenarios.fastbfs.execution_time" in cmp_.render()
 
 
 # ----------------------------------------------------------------------
@@ -299,6 +264,29 @@ class TestCli:
         assert cli_main(["bench", "compare", "--dir", str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "total_bytes" in out and "FAIL" in out
+
+    def test_one_differing_byte_fails_and_prints_the_table(
+        self, tmp_path, capsys
+    ):
+        """No allowance: a one-byte change to a time fails, and the table
+        shows the metric with both values."""
+        text = snapshot_to_json(synthetic_snapshot())
+        (tmp_path / "BENCH_0.json").write_text(text)
+        edited = text.replace('"execution_time": 10.0', '"execution_time": 10.1')
+        assert len(edited) == len(text)
+        assert sum(a != b for a, b in zip(text, edited)) == 1
+        (tmp_path / "BENCH_1.json").write_text(edited)
+        assert cli_main(["bench", "compare", "--dir", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "metric" in out and "baseline" in out and "current" in out
+        (row,) = [line for line in out.splitlines() if "execution_time" in line]
+        assert row.split() == ["scenarios.fastbfs.execution_time", "10.0", "10.1"]
+        assert "1 metric(s) differ" in out and "FAIL" in out
+        # Bytes, not values: the same document laid out differently fails.
+        (tmp_path / "BENCH_2.json").write_text(text.replace("\n", "\r\n"))
+        (tmp_path / "BENCH_1.json").unlink()
+        assert cli_main(["bench", "compare", "--dir", str(tmp_path)]) == 1
+        assert "formatting" in capsys.readouterr().out
 
     def test_bench_run_writes_next_snapshot(self, tmp_path, capsys):
         # Committed baseline (seq 0) + CI run (seq 1) is the real layout;

@@ -11,6 +11,7 @@ admission-control fuzz over the offer/flush primitives.
 
 from __future__ import annotations
 
+import gc
 import http.client
 import json
 import random
@@ -18,6 +19,7 @@ import socket
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -782,7 +784,7 @@ class TestShutdownDrain:
         n = 5
         svc = GraphService(port=0, warmup=(TINY_SPEC,), capacity=n).start()
         entry = svc.registry.get("tiny")
-        controller = svc.controller(entry)
+        controller = entry.admission
         controller.hold()  # tickets accumulate, nobody can flush
         path = f"/graphs/tiny/{algorithm}"
         results = [None] * n
@@ -1195,13 +1197,64 @@ class TestRegistry:
         registry.get("a")  # a is now most recently used
         registry.register("c", star_graph(10))
         assert registry.names() == ["a", "c"]
-        assert registry.evictions == ["b"]
         with pytest.raises(UnknownGraphError):
             registry.get("b")
 
     def test_graphchi_not_servable(self):
         with pytest.raises(ConfigError):
             ArtifactRegistry(engine="graphchi")
+
+
+class TestEviction:
+    def test_evicted_graphs_are_freed(self):
+        """The LRU is the only owner: once a queried graph is evicted,
+        nothing in the service keeps its machine alive."""
+        svc = GraphService(max_graphs=2)
+        machines = []
+        for i in range(6):
+            entry = svc.register(f"g{i}", star_graph(15 + i))
+            machines.append(weakref.ref(entry.machine))
+            body, _ = svc.handle_query(f"g{i}", "bfs", {"root": 0}, f"r{i}")
+            assert body["result"]["levels"][0] == 0
+        del entry
+        gc.collect()
+        assert [i for i, m in enumerate(machines) if m() is not None] == [
+            4, 5,
+        ]
+        assert svc.registry.names() == ["g4", "g5"]
+
+    def test_ticket_queued_on_an_evicted_entry_is_answered_once(self):
+        svc = GraphService(max_graphs=1)
+        entry = svc.register("old", star_graph(15))
+        controller = entry.admission
+        controller.hold()
+        answers = []
+        worker = threading.Thread(
+            target=lambda: answers.append(
+                svc.handle_query("old", "bfs", {"root": 3}, "in-flight")
+            )
+        )
+        worker.start()
+        for _ in range(2000):
+            if controller.depth:
+                break
+            threading.Event().wait(0.005)
+        assert controller.depth == 1
+        svc.register("new", star_graph(16))  # evicts "old" mid-flight
+        assert svc.registry.names() == ["new"]
+        controller.release()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        ((body, _),) = answers
+        assert body["request_id"] == "in-flight"
+        assert body["result"]["levels"][3] == 0
+        counters = controller.counters()
+        assert (counters["accepted"], counters["flushes"]) == (1, 1)
+        assert counters["queue_depth"] == 0
+        assert entry.queries_served == 1
+        ring = svc.debug_requests()["requests"]
+        assert [r["request_id"] for r in ring] == ["in-flight"]
+        assert svc.metrics_snapshot().total("serve_requests_total") == 1.0
 
 
 class TestReportMergeRoundTrip:

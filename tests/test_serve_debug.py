@@ -15,20 +15,31 @@ surface added on top of the query API:
   admission counters and latency quantile summaries;
 * **flush attribution** — 16 concurrent BFS requests: every response's
   request id appears in exactly one flush's ``query`` span attrs,
-  leaders and coalesced followers alike.
+  leaders and coalesced followers alike;
+* **one set of books** — ``/healthz`` ``requests_served`` is the query
+  requests answered (``serve_requests_total``), and concurrent
+  ``finish_request`` calls leave ``/metrics``, ``/debug/timeseries`` and
+  the request ring with equal, exact totals.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import sys
 import threading
 
 import pytest
 
+from repro.obs.exporters import parse_prometheus
+from repro.obs.hostprof import ManualHostClock
 from repro.serve import GraphService
 from repro.serve.app import REQUEST_ID_PATTERN
-from repro.serve.debug import DEFAULT_REQUEST_LOG_CAPACITY
+from repro.serve.debug import (
+    DEFAULT_REQUEST_LOG_CAPACITY,
+    RequestLog,
+    RequestRecord,
+)
 
 TINY_SPEC = "tiny@rmat:scale=8,edge_factor=8,seed=7"
 
@@ -296,3 +307,79 @@ class TestConcurrentFlushAttribution:
             assert all_ids.count(body["request_id"]) == 1
         # The flushes partition the burst.
         assert sum(flush_sizes.values()) == self.N
+
+
+# ----------------------------------------------------------------------
+# one set of books: counters, request ring and time series agree
+# ----------------------------------------------------------------------
+class TestServiceBooks:
+    def test_requests_served_counts_answered_queries(self):
+        """Id-carrying queries count, GETs without an id do not, and so
+        does a query answered with an error."""
+        svc = GraphService(port=0, warmup=(TINY_SPEC,)).start()
+        try:
+            for i in range(5):
+                run_bfs(svc, i + 1, rid=f"mine-{i}")
+            status, _, _ = request(
+                svc, "POST", "/graphs/tiny/bfs", {"root": -1},
+                headers={"X-Request-Id": "mine-bad"},
+            )
+            assert status == 400
+            for _ in range(3):
+                _, _, text = request(svc, "GET", "/metrics")
+            _, _, health = request(svc, "GET", "/healthz")
+        finally:
+            svc.shutdown()
+        served = parse_prometheus(text).total("serve_requests_total")
+        assert served == 6.0
+        assert health["requests_served"] == 6
+
+    def test_concurrent_requests_keep_the_three_views_equal(self):
+        """N threads finishing requests at once: every view counts each
+        of them exactly once (a lost update under a per-view lock, or
+        none, shows as a short count)."""
+        threads_n, per_thread = 8, 1000
+        total = threads_n * per_thread
+        svc = GraphService(clock=ManualHostClock())
+        svc.request_log = RequestLog(capacity=total)
+
+        def pound(t):
+            for i in range(per_thread):
+                svc.finish_request(
+                    RequestRecord(
+                        request_id=f"t{t}-{i}", graph="g", algorithm="bfs",
+                        status=200 if i % 3 else 504,
+                        timing={
+                            "queue_wait_seconds": 0.001,
+                            "sim_execution_seconds": 0.1,
+                        },
+                    )
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=pound, args=(t,))
+                for t in range(threads_n)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        metrics = svc.metrics_snapshot()
+        (window,) = svc.debug_timeseries()["windows"]
+        g = window["graphs"]["g"]
+        ring = svc.debug_requests()["requests"]
+        assert metrics.total("serve_requests_total") == total
+        assert g["requests"] == total
+        assert len(ring) == total
+        assert len({r["request_id"] for r in ring}) == total
+        errors = metrics.total("serve_requests_total", status=504)
+        assert g["errors"] == errors == threads_n * len(range(0, per_thread, 3))
+        waits = metrics.histogram("serve_queue_wait_seconds", graph="g")
+        assert waits.count == total
+        assert g["queue_wait"]["count"] == total - errors

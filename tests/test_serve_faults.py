@@ -205,7 +205,7 @@ class TestBreakerOverHTTP:
                 ("quarantined", "probing"),
                 ("probing", "quarantined"),
             ]
-            counters = svc.controller(entry).counters()
+            counters = entry.admission.counters()
             assert counters["serial_fallbacks"] == 4
             registry = svc.metrics_snapshot()
             assert registry.total("breaker_state", graph="g") == 3.0
@@ -271,7 +271,7 @@ class TestDeadlines:
         svc = make_service(clock=clock)
         try:
             entry = svc.register("g", GRAPH)
-            controller = svc.controller(entry)
+            controller = entry.admission
             controller.hold()
             outcomes = {}
 
@@ -313,7 +313,7 @@ class TestDeadlines:
         svc = make_service(clock=clock, default_deadline_ms=50.0)
         try:
             entry = svc.register("g", GRAPH)
-            controller = svc.controller(entry)
+            controller = entry.admission
             controller.hold()
             out = {}
             t = threading.Thread(
@@ -386,7 +386,7 @@ class TestDeadlines:
         svc = make_service(clock=clock)
         try:
             entry = svc.register("g", GRAPH)
-            controller = svc.controller(entry)
+            controller = entry.admission
             controller.hold()
             out = {}
             t = threading.Thread(
@@ -461,7 +461,7 @@ class TestDrainUnderFaults:
         )
         try:
             entry = svc.register("g", GRAPH)
-            controller = svc.controller(entry)
+            controller = entry.admission
             kwargs = ticket_kwargs(entry, algorithm)
             controller.hold()
             tickets = [
@@ -487,12 +487,12 @@ class TestDrainUnderFaults:
             kwargs = ticket_kwargs(entry, algorithm)
             for _ in range(3):
                 with pytest.raises(FlushFailedError):
-                    svc.controller(entry).submit("x", 3, **kwargs)
+                    entry.admission.submit("x", 3, **kwargs)
             assert entry.health.state == "quarantined"
             with pytest.raises(GraphQuarantinedError) as exc:
-                svc.controller(entry).offer("y", 3, **kwargs)
+                entry.admission.offer("y", 3, **kwargs)
             assert exc.value.retry_after > 0
-            assert svc.controller(entry).depth == 0
+            assert entry.admission.depth == 0
         finally:
             svc.shutdown()
 
@@ -518,7 +518,7 @@ class TestDrainUnderFaults:
         svc = make_service(fault_plan=BROKEN_PLAN)
         try:
             entry = svc.register("g", GRAPH)
-            controller = svc.controller(entry)
+            controller = entry.admission
             ticket = controller.offer(
                 "queued", 3, **ticket_kwargs(entry, algorithm)
             )
@@ -546,7 +546,7 @@ class TestDrainUnderFaults:
         svc = make_service(fault_plan=BROKEN_PLAN)
         try:
             entry = svc.register("g", GRAPH)
-            controller = svc.controller(entry)
+            controller = entry.admission
             controller.hold()
             out = {}
             t = threading.Thread(

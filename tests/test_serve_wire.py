@@ -115,7 +115,7 @@ class TestOneWritePerResponse:
         assert b"# TYPE " in body
 
     def test_typed_problem_with_extras(self, offline):
-        controller = offline.controller(offline.registry.get("tiny"))
+        controller = offline.registry.get("tiny").admission
         controller.hold()
         try:
             controller.offer("held", 3)  # the queue (capacity 1) is now full
