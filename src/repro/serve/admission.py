@@ -9,14 +9,15 @@ one :class:`AdmissionController` (``entry.admission``, built by
 bounded FIFO of tickets; a ticket carries what to run (an algorithm
 kernel, absent = BFS), so every served algorithm waits in the same queue
 under the same rules.  Concurrent HTTP threads enqueue their tickets and
-then compete for the flush lock (leader/follower): whichever thread wins
-drains the longest queue prefix that can share one run — consecutive BFS
-tickets up to :data:`~repro.algorithms.streaming.BATCH_WIDTH`, run as
-**one** batched `run_staged_queries` call, or exactly one ticket of any
-other algorithm — and fulfils every drained ticket's event; the losers
-just wait on their tickets.  A full queue rejects deterministically
-(:class:`~repro.errors.QueueFullError`, mapped to HTTP 429 +
-``Retry-After``).
+wait on the entry's monitor (leader/follower): when no flush is running,
+a thread whose ticket is still queued drains the longest queue prefix
+that can share one run — consecutive BFS tickets up to
+:data:`~repro.algorithms.streaming.BATCH_WIDTH`, run as **one** batched
+`run_staged_queries` call, or exactly one ticket of any other algorithm
+— runs it with no lock held, marks every drained ticket done and wakes
+the waiters; a thread whose ticket is done returns.  A full queue
+rejects deterministically (:class:`~repro.errors.QueueFullError`, mapped
+to HTTP 429 + ``Retry-After``).
 
 The controller's state machine is exposed as synchronous primitives —
 :meth:`offer`, :meth:`flush`, :meth:`drain_pending` — so the accept/reject
@@ -69,15 +70,15 @@ service's ``/debug/requests`` ring.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from typing import (
-    TYPE_CHECKING, Callable, Iterator, List, Optional, Sequence, Union,
+    TYPE_CHECKING, Callable, Iterator, List, Optional, Sequence, Tuple, Union,
 )
 
 from repro.algorithms.streaming import BATCH_WIDTH, StreamingAlgorithm
 from repro.engines.session import run_staged_queries
 from repro.errors import (
+    ConfigError,
     CrashError,
     DeadlineExceededError,
     FlushFailedError,
@@ -115,7 +116,6 @@ class Ticket:
         request_id: str,
         entry: Union[int, Sequence[int]],
         enqueued_at: float = 0.0,
-        deadline_at: Optional[float] = None,
         deadline_ms: Optional[float] = None,
         algorithm: Optional[StreamingAlgorithm] = None,
         engine=None,
@@ -129,9 +129,12 @@ class Ticket:
         self.engine = engine
         self.enqueued_at = enqueued_at
         self.queue_wait = 0.0
-        self.deadline_at = deadline_at    # absolute host-clock expiry
         self.deadline_ms = deadline_ms    # as requested (for the 504 body)
-        self.done = threading.Event()
+        #: Absolute host-clock expiry.
+        self.deadline_at = (
+            None if deadline_ms is None else enqueued_at + deadline_ms / 1000.0
+        )
+        self.done = False           # set under the entry's monitor
         self.result = None          # EngineResult once fulfilled
         self.report = None          # its run's delta IOReport
         self.flush_id: Optional[str] = None
@@ -164,8 +167,30 @@ class FlushRecord:
         return len(self.tickets)
 
 
+def check_admission_settings(
+    capacity: int,
+    flush_retries: int,
+    default_deadline_ms: Optional[float],
+    batch_width: int = BATCH_WIDTH,
+) -> None:
+    """Refuse settings no admission queue can serve with (ConfigError)."""
+    if capacity < 1:
+        raise ConfigError(f"queue capacity must be >= 1, got {capacity}")
+    if not 1 <= batch_width <= BATCH_WIDTH:
+        raise ConfigError(f"batch width must be in [1, {BATCH_WIDTH}], got {batch_width}")
+    if flush_retries < 1:
+        raise ConfigError(f"flush_retries must be >= 1, got {flush_retries}")
+    if default_deadline_ms is not None and default_deadline_ms <= 0:
+        raise ConfigError(f"default_deadline_ms must be > 0, got {default_deadline_ms}")
+
+
 class AdmissionController:
-    """Bounded, coalescing admission queue for one registered graph."""
+    """Bounded, coalescing admission queue for one registered graph.
+
+    Its queue, counters, flags and tickets' ``done`` live under
+    ``entry.monitor``; a flush holds it only to take its prefix and to
+    hand the tickets back, never during the run.
+    """
 
     def __init__(
         self,
@@ -177,21 +202,9 @@ class AdmissionController:
         default_deadline_ms: Optional[float] = None,
         flush_retries: int = 2,
     ) -> None:
-        if capacity < 1:
-            raise ServeError(f"queue capacity must be >= 1, got {capacity}")
-        if not 1 <= batch_width <= BATCH_WIDTH:
-            raise ServeError(
-                f"batch width must be in [1, {BATCH_WIDTH}], "
-                f"got {batch_width}"
-            )
-        if flush_retries < 1:
-            raise ServeError(
-                f"flush_retries must be >= 1, got {flush_retries}"
-            )
-        if default_deadline_ms is not None and default_deadline_ms <= 0:
-            raise ServeError(
-                f"default_deadline_ms must be > 0, got {default_deadline_ms}"
-            )
+        check_admission_settings(
+            capacity, flush_retries, default_deadline_ms, batch_width
+        )
         self.entry = entry
         self.capacity = capacity
         self.batch_width = batch_width
@@ -203,7 +216,6 @@ class AdmissionController:
         self.default_deadline_ms = default_deadline_ms
         self.flush_retries = flush_retries
         self._queue: "deque[Ticket]" = deque()
-        self._mutex = threading.Lock()     # guards queue + counters
         self._held = False
         self._closed = False
         self._flush_count = 0
@@ -237,10 +249,10 @@ class AdmissionController:
         :class:`ServeError`.  ``deadline_ms`` (or the controller default)
         stamps an absolute host-clock deadline on the ticket.
         """
-        self.entry.health.admit()
         if deadline_ms is None:
             deadline_ms = self.default_deadline_ms
-        with self._mutex:
+        with self.entry.monitor:
+            self.entry.health.admit()
             if self._closed:
                 raise ServeError(
                     f"graph {self.entry.name!r} is shutting down"
@@ -254,26 +266,16 @@ class AdmissionController:
                     f"({pending}/{self.capacity})",
                     retry_after=float(max(1, flushes_needed)),
                 )
-            now = self.clock.now()
             ticket = Ticket(
-                request_id,
-                entry,
-                enqueued_at=now,
-                deadline_at=(
-                    now + deadline_ms / 1000.0
-                    if deadline_ms is not None
-                    else None
-                ),
-                deadline_ms=deadline_ms,
-                algorithm=algorithm,
-                engine=engine,
+                request_id, entry, enqueued_at=self.clock.now(),
+                deadline_ms=deadline_ms, algorithm=algorithm, engine=engine,
             )
             self._queue.append(ticket)
             self._accepted += 1
             return ticket
 
     def _flush_sizes(self) -> Iterator[int]:
-        """Sizes of the flushes that would drain the queue (mutex held).
+        """Sizes of the flushes that would drain the queue (monitor held).
 
         Each flush takes the longest queue prefix that can share one run:
         consecutive BFS tickets up to ``batch_width``, or exactly one
@@ -298,9 +300,10 @@ class AdmissionController:
         """Drain the queue prefix that can share one run, and run it.
 
         The prefix rule is :meth:`_flush_sizes`'s.  Serialized on the
-        entry lock (the machine rewinds to the staging checkpoint around
-        the run).  Returns None when the queue was empty.  Every drained
-        ticket is fulfilled — already-expired tickets get
+        entry's ``flushing`` flag (the machine rewinds to the staging
+        checkpoint around the run); no lock is held during the run.
+        Returns None when the queue was empty.  Every drained ticket is
+        fulfilled — already-expired tickets get
         :class:`DeadlineExceededError`, tickets drained while the breaker
         is open get :class:`GraphQuarantinedError` (the machine is not
         touched), engine failures that survive retries and the serial
@@ -308,16 +311,23 @@ class AdmissionController:
         dropped.  A post-flush deadline check catches tickets whose flush
         outlived their budget.
         """
-        with self.entry.lock:
-            with self._mutex:
-                if not self._queue:
-                    return None
-                tickets = [
-                    self._queue.popleft()
-                    for _ in range(next(self._flush_sizes()))
-                ]
-                self._flush_count += 1
-                flush_id = f"{self.entry.name}-flush-{self._flush_count:06d}"
+        with self.entry.monitor:
+            self.entry.monitor.wait_for(lambda: not self.entry.flushing)
+            taken = self._take()
+        return None if taken is None else self._run(*taken)
+
+    def _take(self) -> Optional[Tuple[str, List[Ticket]]]:
+        """Pop the next prefix and claim the machine (monitor held)."""
+        if not self._queue:
+            return None
+        tickets = [self._queue.popleft() for _ in range(next(self._flush_sizes()))]
+        self._flush_count += 1
+        self.entry.flushing = True
+        return f"{self.entry.name}-flush-{self._flush_count:06d}", tickets
+
+    def _run(self, flush_id: str, tickets: List[Ticket]) -> FlushRecord:
+        """Run a taken prefix; then mark it done and wake every waiter."""
+        try:
             drained_at = self.clock.now()
             for t in tickets:
                 t.queue_wait = drained_at - t.enqueued_at
@@ -328,37 +338,35 @@ class AdmissionController:
                 if t.deadline_at is not None and drained_at > t.deadline_at
             ]
             runnable = [t for t in tickets if t not in expired]
-            try:
-                if expired:
-                    self._expire_tickets(expired, "queued")
-                if not runnable:
-                    record = FlushRecord(flush_id, tickets, None, None, [])
-                elif not self.entry.health.allow_flush():
-                    self._quarantine_tickets(runnable, flush_id)
-                    record = FlushRecord(flush_id, tickets, None, None, [])
-                else:
-                    executed = self._execute(flush_id, runnable)
-                    finished_at = self.clock.now()
-                    late = [
-                        t for t in runnable
-                        if t.deadline_at is not None
-                        and finished_at > t.deadline_at
-                    ]
-                    if late:
-                        self._expire_tickets(late, "post-flush")
-                    record = FlushRecord(
-                        flush_id, tickets,
-                        executed.report, executed.registry, executed.spans,
-                    )
-            except BaseException as exc:
-                for t in tickets:
-                    if t.error is None:
-                        t.error = exc
-                    t.done.set()
-                raise
+            if expired:
+                self._expire_tickets(expired, "queued")
+            if runnable and not self.entry.health.allow_flush():
+                self._quarantine_tickets(runnable, flush_id)
+                runnable = []
+            if not runnable:
+                return FlushRecord(flush_id, tickets, None, None, [])
+            executed = self._execute(flush_id, runnable)
+            finished_at = self.clock.now()
+            late = [
+                t for t in runnable
+                if t.deadline_at is not None and finished_at > t.deadline_at
+            ]
+            if late:
+                self._expire_tickets(late, "post-flush")
+            return FlushRecord(
+                flush_id, tickets, executed.report, executed.registry, executed.spans
+            )
+        except BaseException as exc:
             for t in tickets:
-                t.done.set()
-            return record
+                if t.error is None:
+                    t.error = exc
+            raise
+        finally:
+            with self.entry.monitor:
+                self.entry.flushing = False
+                for t in tickets:
+                    t.done = True
+                self.entry.monitor.notify_all()
 
     def _attempt(
         self, tickets: List[Ticket], run_id: str, mode: str, **attrs: object
@@ -508,7 +516,7 @@ class AdmissionController:
             # the chaos harness reconciles against the span trace.
             for name, labels, value in injector.delta_samples(fault_base):
                 registry.inc(name, value, graph=entry.name, **labels)
-        with self._mutex:
+        with entry.monitor:
             entry.queries_served += served
             entry.flushes += 1
             self._flush_retries_total += retries
@@ -527,7 +535,6 @@ class AdmissionController:
 
     def _expire_tickets(self, tickets: List[Ticket], where: str) -> None:
         """Fulfil expired tickets with typed 504s; count, never drop."""
-        registry = CounterRegistry()
         for t in tickets:
             budget = t.deadline_ms if t.deadline_ms is not None else 0.0
             t.error = DeadlineExceededError(
@@ -537,31 +544,27 @@ class AdmissionController:
                 deadline_ms=budget,
                 queue_wait=t.queue_wait,
             )
-            registry.inc(
-                "deadline_exceeded_total", 1.0,
-                graph=self.entry.name, where=where,
-            )
-        with self._mutex:
+        with self.entry.monitor:
             self._deadline_expired += len(tickets)
-        if self.metrics_sink is not None:
-            self.metrics_sink(registry)
+        self._count("deadline_exceeded_total", len(tickets), where=where)
 
     def _quarantine_tickets(
         self, tickets: List[Ticket], flush_id: str
     ) -> None:
         """Fail tickets drained while the breaker is open (machine untouched)."""
-        registry = CounterRegistry()
         for t in tickets:
             t.error = GraphQuarantinedError(
                 f"graph {self.entry.name!r} was quarantined while request "
                 f"{t.request_id} was queued; flush {flush_id} rejected",
                 retry_after=self.entry.health.retry_after(),
             )
-        registry.inc(
-            "serve_quarantine_rejections_total", float(len(tickets)),
-            graph=self.entry.name,
-        )
+        self._count("serve_quarantine_rejections_total", len(tickets))
+
+    def _count(self, name: str, count: int, **labels: str) -> None:
+        """Hand one counter delta of this graph to the metrics sink."""
         if self.metrics_sink is not None:
+            registry = CounterRegistry()
+            registry.inc(name, float(count), graph=self.entry.name, **labels)
             self.metrics_sink(registry)
 
     def drain_pending(self) -> int:
@@ -578,16 +581,17 @@ class AdmissionController:
     # ------------------------------------------------------------------
     def hold(self) -> None:
         """Stop :meth:`submit` threads from flushing (tickets still queue)."""
-        with self._mutex:
+        with self.entry.monitor:
             self._held = True
 
     def release(self) -> None:
-        with self._mutex:
+        with self.entry.monitor:
             self._held = False
+            self.entry.monitor.notify_all()
 
     def stop_accepting(self) -> None:
         """Reject new offers from now on (shutdown)."""
-        with self._mutex:
+        with self.entry.monitor:
             self._closed = True
 
     # ------------------------------------------------------------------
@@ -597,41 +601,40 @@ class AdmissionController:
         self,
         request_id: str,
         entry: Union[int, Sequence[int]],
-        poll_interval: float = 0.005,
         deadline_ms: Optional[float] = None,
         algorithm: Optional[StreamingAlgorithm] = None,
         engine=None,
     ) -> Ticket:
-        """Admit, then leader-or-wait until the ticket is fulfilled.
+        """Admit, then lead or wait until the ticket is fulfilled.
 
-        The calling thread loops: if its ticket is already fulfilled it
-        returns; otherwise it tries to run a flush itself (becoming this
-        round's leader) unless the controller is held.  Each flush retires
-        at least one ticket while the queue is non-empty, so the loop
-        terminates.  Only this ticket's own failure re-raises here (typed:
-        engine, flush, quarantine, deadline; or whatever a flush it rode
-        in raised).  A flush this thread led for other tickets may raise
-        too, but :meth:`flush` has already stored that error on each of
-        them and woken their callers, so the loop goes on to its own.
+        The calling thread waits on the monitor until its ticket is done
+        (then it returns: an answered follower never leads) or no flush
+        runs and the controller is not held; its ticket is then queued,
+        so it takes the next prefix in that critical section and runs it
+        (this round's leader).  Each flush retires at least one ticket, so
+        the loop terminates.  Only this ticket's own failure re-raises
+        here (typed: engine, flush, quarantine, deadline; or whatever a
+        flush it rode in raised); a flush it led for others stores its
+        error on their tickets, so the loop goes on to its own.
         """
         ticket = self.offer(
             request_id, entry, deadline_ms=deadline_ms,
             algorithm=algorithm, engine=engine,
         )
-        while not ticket.done.is_set():
-            with self._mutex:
-                held = self._held
-            if held:
-                ticket.done.wait(poll_interval)
-                continue
+        monitor = self.entry.monitor
+        while True:
+            with monitor:
+                monitor.wait_for(
+                    lambda: ticket.done or not (self.entry.flushing or self._held)
+                )
+                if ticket.done:
+                    break
+                taken = self._take()
             try:
-                self.flush()
+                self._run(*taken)
             except Exception as exc:
-                # flush() stored the failure on every ticket it drained
-                # and woke their callers: only this ticket's is ours.
                 if ticket.error is exc:
                     raise
-            ticket.done.wait(poll_interval)
         if ticket.error is not None:
             raise ticket.error
         return ticket
@@ -641,11 +644,11 @@ class AdmissionController:
     # ------------------------------------------------------------------
     @property
     def depth(self) -> int:
-        with self._mutex:
+        with self.entry.monitor:
             return len(self._queue)
 
     def counters(self) -> dict:
-        with self._mutex:
+        with self.entry.monitor:
             return {
                 "queue_depth": len(self._queue),
                 "capacity": self.capacity,
@@ -666,4 +669,5 @@ __all__ = [
     "FLUSH_SIZE_BUCKETS",
     "FlushRecord",
     "Ticket",
+    "check_admission_settings",
 ]

@@ -356,8 +356,8 @@ class GraphService:
         # The books: the counter registry behind /metrics, the request-id
         # counter, the recent-request ring and the rolling time series,
         # all under ``_lock``.  It is a leaf: nothing else is acquired
-        # while it is held, so a flush (entry lock) or a breaker
-        # transition (breaker mutex) may take it.
+        # while it is held, so a graph's monitor holder (a breaker
+        # transition) may take it.
         self._lock = threading.Lock()
         self._registry_metrics = CounterRegistry()
         self._request_count = 0
@@ -447,11 +447,11 @@ class GraphService:
             while self._thread.is_alive():
                 self._thread.join(timeout=0.5)
 
-    def shutdown(self, drain: bool = True) -> None:
-        """Stop serving.  ``drain=True`` fulfills every queued ticket first.
+    def shutdown(self) -> None:
+        """Stop serving, fulfilling every queued ticket first.
 
         New query/registration requests are rejected (503) the moment this
-        is called; queued BFS tickets are flushed to completion so no
+        is called; queued tickets are flushed to completion so no
         admitted request is ever dropped, then the HTTP loop stops.
         """
         self._draining = True
@@ -459,8 +459,7 @@ class GraphService:
             controller = entry.admission
             controller.stop_accepting()
             controller.release()
-            if drain:
-                controller.drain_pending()
+            controller.drain_pending()
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()

@@ -33,9 +33,8 @@ deterministic reason strings.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, ContextManager, Dict, List, Optional
 
 from repro.errors import ConfigError, GraphQuarantinedError
 from repro.obs.hostprof import HOST_CLOCK, HostClock
@@ -98,16 +97,19 @@ class BreakerPolicy:
 class CircuitBreaker:
     """The health state machine for one registered graph.
 
-    Thread-safe; every mutation happens under one mutex.  The admission
-    layer reports exactly one success or failure event per flush
-    (:meth:`record_flush_success` / :meth:`record_flush_failure`) and
-    gates new requests through :meth:`admit`.  ``on_transition`` (if set)
-    is called for every state change — the service wires it to the
+    Runs under its owner's reentrant ``lock`` (an entry passes its
+    monitor, so the breaker shares the admission queue's critical
+    section).  The admission layer reports exactly one success or failure
+    event per flush (:meth:`record_flush_success` /
+    :meth:`record_flush_failure`) and gates new requests through
+    :meth:`admit`.  ``on_transition`` (if set) is called, ``lock`` held,
+    for every state change — the service wires it to the
     ``breaker_state`` gauge and ``breaker_transitions_total`` counter.
     """
 
     def __init__(
         self,
+        lock: ContextManager,
         name: str = "",
         policy: Optional[BreakerPolicy] = None,
         clock: Optional[HostClock] = None,
@@ -117,7 +119,7 @@ class CircuitBreaker:
         self.policy = policy if policy is not None else BreakerPolicy()
         self.clock = clock if clock is not None else HOST_CLOCK
         self.on_transition = on_transition
-        self._mutex = threading.Lock()
+        self._lock = lock
         self.state = HEALTHY
         self.consecutive_failures = 0
         self.failures_total = 0
@@ -139,7 +141,7 @@ class CircuitBreaker:
         :class:`~repro.errors.GraphQuarantinedError` carrying the exact
         remaining ``Retry-After`` — the graph's machine is never touched.
         """
-        with self._mutex:
+        with self._lock:
             self._maybe_reopen()
             if self.state != QUARANTINED:
                 return
@@ -158,13 +160,13 @@ class CircuitBreaker:
         path fails its drained tickets with typed quarantine errors when
         this returns False.
         """
-        with self._mutex:
+        with self._lock:
             self._maybe_reopen()
             return self.state != QUARANTINED
 
     def record_flush_success(self) -> None:
         """One flush completed in batched mode: close toward healthy."""
-        with self._mutex:
+        with self._lock:
             self.successes_total += 1
             self.consecutive_failures = 0
             if self.state in (DEGRADED, PROBING):
@@ -172,7 +174,7 @@ class CircuitBreaker:
 
     def record_flush_failure(self, reason: str = "") -> None:
         """One flush exhausted its batched retries (fallback or failure)."""
-        with self._mutex:
+        with self._lock:
             self.failures_total += 1
             self.consecutive_failures += 1
             why = f": {reason}" if reason else ""
@@ -194,7 +196,7 @@ class CircuitBreaker:
                 )
 
     # ------------------------------------------------------------------
-    # internals (mutex held)
+    # internals (lock held)
     # ------------------------------------------------------------------
     def _maybe_reopen(self) -> None:
         if (
@@ -235,14 +237,14 @@ class CircuitBreaker:
 
     def retry_after(self) -> float:
         """Suggested client backoff: remaining cooldown, else one flush."""
-        with self._mutex:
+        with self._lock:
             if self.state == QUARANTINED and self.reopen_at is not None:
                 return max(0.0, self.reopen_at - self.clock.now())
             return 1.0
 
     @property
     def ready(self) -> bool:
-        with self._mutex:
+        with self._lock:
             return self.state in READY_STATES
 
     def state_code(self) -> int:
@@ -250,7 +252,7 @@ class CircuitBreaker:
 
     def snapshot(self, include_transitions: bool = True) -> Dict[str, object]:
         """JSON-safe view for ``/graphs/{name}/stats`` and ``/debug/health``."""
-        with self._mutex:
+        with self._lock:
             out: Dict[str, object] = {
                 "state": self.state,
                 "ready": self.state in READY_STATES,
@@ -268,12 +270,6 @@ class CircuitBreaker:
             if include_transitions:
                 out["transitions"] = [dict(t) for t in self.transitions]
             return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CircuitBreaker({self.name!r}, state={self.state}, "
-            f"failures={self.consecutive_failures})"
-        )
 
 
 __all__ = [

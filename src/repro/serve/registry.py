@@ -8,7 +8,7 @@ the traversal (see :func:`repro.engines.session.run_staged_queries`).  A
 :class:`GraphEntry` bundles everything one graph needs to serve forever:
 the sealed :class:`~repro.engines.session.StagedGraph`, the warm
 :class:`~repro.storage.machine.Machine`, the quiescent checkpoint, the
-lock that serializes executions on that machine and the graph's
+monitor that serializes executions on that machine and the graph's
 admission queue.
 
 Registry capacity is bounded (``max_graphs``); registering beyond it
@@ -52,7 +52,7 @@ from repro.graph.generators import (
 from repro.graph.graph import Graph
 from repro.obs.counters import CounterRegistry
 from repro.obs.hostprof import HostClock
-from repro.serve.admission import AdmissionController
+from repro.serve.admission import AdmissionController, check_admission_settings
 from repro.serve.health import BreakerPolicy, CircuitBreaker
 from repro.storage.faults import FaultPlan, RetryPolicy
 from repro.storage.machine import Machine
@@ -161,16 +161,16 @@ def parse_graph_spec(
 
 
 class GraphEntry:
-    """One registered graph: sealed artifact, warm machine, serial lock,
-    admission queue.
+    """One registered graph: sealed artifact, warm machine, monitor,
+    breaker, admission queue.
 
-    ``lock`` serializes every execution touching ``machine`` — the machine
-    rewinds to ``checkpoint`` around each run, so two concurrent
-    executions would corrupt each other's timelines.  Its taker is
-    :meth:`AdmissionController.flush`, which holds it for the whole of a
-    flush (whatever the algorithm of the tickets it drained); it lives on
-    the entry, not in ``admission``, so a second controller of the same
-    entry (a benchmark's own) cannot run on the machine at the same time.
+    ``monitor``, the graph's one sync primitive, guards the admission
+    queue, its tickets' ``done`` flags, the serving counters, the breaker
+    and ``flushing``: set while a flush runs on ``machine`` (which rewinds
+    to ``checkpoint`` around each run, so two runs at once would corrupt
+    each other), and waited on by the next flush.  It lives on the entry,
+    not in ``admission``, so a second controller of the entry (a
+    benchmark's own) cannot run on the machine at the same time.
     """
 
     #: The graph's admission queue, built by :meth:`ArtifactRegistry.register`.
@@ -185,7 +185,9 @@ class GraphEntry:
         staged: StagedGraph,
         checkpoint,
         fault_plan: Optional[FaultPlan] = None,
-        health: Optional[CircuitBreaker] = None,
+        breaker_policy: Optional[BreakerPolicy] = None,
+        clock: Optional[HostClock] = None,
+        on_transition: Optional[Callable[[str, str, str, str], None]] = None,
     ) -> None:
         self.name = name
         self.graph = graph
@@ -194,8 +196,12 @@ class GraphEntry:
         self.staged = staged
         self.checkpoint = checkpoint
         self.fault_plan = fault_plan
-        self.health = health if health is not None else CircuitBreaker(name)
-        self.lock = threading.RLock()
+        self.monitor = threading.Condition()
+        self.flushing = False
+        self.health = CircuitBreaker(
+            self.monitor, name, policy=breaker_policy, clock=clock,
+            on_transition=on_transition,
+        )
         #: Monotonic serving counters, maintained by the admission layer.
         self.queries_served = 0
         self.flushes = 0
@@ -258,6 +264,7 @@ class ArtifactRegistry:
             )
         if max_graphs < 1:
             raise ConfigError(f"max_graphs must be >= 1, got {max_graphs}")
+        check_admission_settings(capacity, flush_retries, default_deadline_ms)
         self.engine_name = engine
         self._make_engine = lambda: make_engine(engine, config)
         self._machine_factory = machine_factory or Machine.commodity_server
@@ -313,12 +320,9 @@ class ArtifactRegistry:
             staged,
             checkpoint,
             fault_plan=fault_plan,
-            health=CircuitBreaker(
-                name,
-                policy=self.breaker_policy,
-                clock=self.clock,
-                on_transition=self.on_transition,
-            ),
+            breaker_policy=self.breaker_policy,
+            clock=self.clock,
+            on_transition=self.on_transition,
         )
         entry.admission = AdmissionController(
             entry,
@@ -363,10 +367,6 @@ class ArtifactRegistry:
     def __contains__(self, name: str) -> bool:
         with self._lock:
             return name in self._entries
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
     def warmup(self, specs: Sequence[str]) -> List[GraphEntry]:
         """Register every spec in order (see :func:`parse_graph_spec`)."""

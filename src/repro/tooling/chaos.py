@@ -858,7 +858,7 @@ def _run_serve_trial(
         trial.retries = injector.total("io_retries")
         trial.recoveries = injector.total("crash_recoveries")
     finally:
-        service.shutdown(drain=True)
+        service.shutdown()
     # Determinism: a fresh service + clock under the same seed must replay
     # the identical status sequence AND health transition log.
     clock2 = ManualHostClock()
@@ -867,7 +867,7 @@ def _run_serve_trial(
         statuses2, _, problem = _drive_sequence(replay, clock2, roots)
         transitions2 = _serve_transitions(replay.port)
     finally:
-        replay.shutdown(drain=True)
+        replay.shutdown()
     if problem:
         trial.detail = f"replay: {problem}"
         return trial

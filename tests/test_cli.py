@@ -268,6 +268,25 @@ class TestTwoDisks:
         assert result.report.to_dict() == rotated.report.to_dict()
 
 
+class TestServe:
+    def test_bad_admission_setting_exits_before_staging(
+        self, monkeypatch, capsys
+    ):
+        from repro.serve.registry import ArtifactRegistry
+
+        staged, register = [], ArtifactRegistry.register
+
+        def spy(self, name, graph, **kwargs):
+            staged.append(name)
+            return register(self, name, graph, **kwargs)
+
+        monkeypatch.setattr(ArtifactRegistry, "register", spy)
+        assert run_cli(["serve", "--port", "0", "--capacity", "0",
+                        "--warmup", "tiny@star:num_leaves=10"]) == 1
+        assert "queue capacity must be >= 1, got 0" in capsys.readouterr().err
+        assert staged == []
+
+
 class TestDocsEqualCode:
     def test_docstring_lists_every_subcommand(self):
         missing = [name for name in cli.COMMANDS if f"``{name}``" not in cli.__doc__]

@@ -778,8 +778,8 @@ class TestShutdownDrain:
         """Fill a held queue to capacity, overflow it once, shut down.
 
         The overflow is a deterministic 429 whose ``Retry-After`` is the
-        ``flushes`` the backlog needs; ``shutdown(drain=True)`` answers
-        every queued request (``check(i, body)``) in that many flushes.
+        ``flushes`` the backlog needs; ``shutdown()`` answers every
+        queued request (``check(i, body)``) in that many flushes.
         """
         n = 5
         svc = GraphService(port=0, warmup=(TINY_SPEC,), capacity=n).start()
@@ -1088,7 +1088,7 @@ class TestAdmissionFuzz:
         # no lost or duplicated responses: every accepted ticket was
         # fulfilled exactly once with its own query's answer
         for rid, (ticket, algorithm, root) in tickets.items():
-            assert ticket.done.is_set(), rid
+            assert ticket.done, rid
             assert ticket.error is None
             assert answered(ticket, algorithm, root), rid
         counters = controller.counters()
@@ -1168,13 +1168,180 @@ class TestAdmissionFuzz:
         monkeypatch.setattr(controller, "_execute", fail_once)
         mine = controller.submit("mine", 3)
         assert mine.error is None and answered(mine, "bfs", 3)
-        assert queued.done.is_set() and queued.error is boom
+        assert queued.done and queued.error is boom
         assert controller.depth == 0
         # every accepted ticket answered exactly once, each in its own flush
         assert ran == [["x"], ["mine"]]
         counters = controller.counters()
         assert (counters["accepted"], counters["flushes"]) == (2, 2)
         assert counters["queue_depth"] == 0
+
+
+def wait_for(predicate, attempts=4000):
+    """Poll ``predicate`` every 5 ms; its last value after ~20 s."""
+    for _ in range(attempts):
+        if predicate():
+            return True
+        threading.Event().wait(0.005)
+    return predicate()
+
+
+class TestHandOff:
+    def test_answered_follower_does_not_lead(self, monkeypatch):
+        """A follower whose ticket rode in the last flush returns at once;
+        the next flush is led by the thread whose ticket it drains."""
+        registry = ArtifactRegistry(max_graphs=1)
+        entry = registry.register("star", star_graph(15))
+        controller = entry.admission
+        execute, runs = controller._execute, []
+
+        def gated(flush_id, tickets):
+            gate = threading.Event()
+            runs.append((
+                threading.current_thread().name,
+                [t.request_id for t in tickets],
+                gate,
+            ))
+            gate.wait(60)
+            return execute(flush_id, tickets)
+
+        monkeypatch.setattr(controller, "_execute", gated)
+        answers, threads = {}, {}
+
+        def start(rid, root):
+            threads[rid] = threading.Thread(
+                target=lambda: answers.setdefault(
+                    rid, controller.submit(rid, root)
+                ),
+                name=rid, daemon=True,
+            )
+            threads[rid].start()
+
+        try:
+            controller.hold()
+            start("a", 1)
+            assert wait_for(lambda: controller.depth == 1)
+            start("b", 2)
+            assert wait_for(lambda: controller.depth == 2)
+            controller.release()
+            assert wait_for(lambda: len(runs) == 1)
+            leader, drained, _ = runs[0]
+            assert drained == ["a", "b"]
+            follower = "b" if leader == "a" else "a"
+            start("c", 3)  # queued behind the gated [a, b] flush
+            assert wait_for(lambda: controller.depth == 1)
+            runs[0][2].set()
+            assert wait_for(lambda: len(runs) == 2)
+            assert runs[1][:2] == ("c", ["c"])
+            threads[follower].join(timeout=30)
+            threads[leader].join(timeout=30)
+            # both answered while the [c] flush is still at its gate
+            assert not threads[follower].is_alive()
+            assert not threads[leader].is_alive()
+            assert threads["c"].is_alive() and "c" not in answers
+        finally:
+            for run in runs:
+                run[2].set()
+        threads["c"].join(timeout=60)
+        for rid, root in (("a", 1), ("b", 2), ("c", 3)):
+            assert answered(answers[rid], "bfs", root)
+        assert (entry.flushes, entry.queries_served) == (2, 3)
+
+    def test_submit_storm_answers_everyone_once(self):
+        """More submitters than cores at a short switch interval: a lost
+        wake-up hangs a thread (caught by the join timeout), a lost
+        update breaks the counters."""
+        registry = ArtifactRegistry(max_graphs=1)
+        entry = registry.register("star", star_graph(31))
+        controller, n = entry.admission, 24
+        answers = [None] * n
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(
+                    target=lambda i=i: answers.__setitem__(
+                        i, controller.submit(f"s{i}", i)
+                    ),
+                    daemon=True,
+                )
+                for i in range(n)
+            ]
+            for t in threads:
+                t.start()
+            deadline = time.monotonic() + 120
+            for t in threads:
+                t.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i, ticket in enumerate(answers):
+            assert ticket.request_id == f"s{i}" and answered(ticket, "bfs", i)
+        counters = controller.counters()
+        assert (counters["accepted"], counters["queue_depth"]) == (n, 0)
+        assert entry.queries_served == n
+        assert entry.flushes == counters["flushes"] == len(
+            {t.flush_id for t in answers}
+        )
+        assert not entry.flushing
+
+    def test_two_controllers_of_one_entry_never_share_the_machine(
+        self, monkeypatch
+    ):
+        """A benchmark's own controller beside ``entry.admission``: the
+        entry's ``flushing`` flag keeps their runs apart, and the entry's
+        counters are the sum of both controllers' flushes."""
+        registry = ArtifactRegistry(max_graphs=1)
+        entry = registry.register("star", star_graph(31))
+        controllers = [entry.admission, AdmissionController(entry)]
+        attempt, guard = AdmissionController._attempt, threading.Lock()
+        running, widest = [0], [0]
+
+        def exclusive(self, *args, **kwargs):
+            with guard:
+                running[0] += 1
+                widest[0] = max(widest[0], running[0])
+            try:
+                threading.Event().wait(0.002)  # widen any overlap
+                return attempt(self, *args, **kwargs)
+            finally:
+                with guard:
+                    running[0] -= 1
+
+        monkeypatch.setattr(AdmissionController, "_attempt", exclusive)
+        records, errors = [[], []], []
+
+        def drive(index):
+            controller = controllers[index]
+            try:
+                for round_ in range(8):
+                    for slot in range(1 + (round_ + index) % 3):
+                        controller.offer(f"{index}-{round_}-{slot}", slot)
+                    while (record := controller.flush()) is not None:
+                        records[index].append(record)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=drive, args=(i,), daemon=True)
+            for i in range(2)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not errors and not any(t.is_alive() for t in threads)
+        assert widest[0] == 1  # no two runs ever overlapped
+        executed = [r for rs in records for r in rs if r.registry is not None]
+        assert entry.flushes == len(executed) == sum(map(len, records))
+        assert entry.queries_served == sum(r.size for r in executed)
+        for controller, mine in zip(controllers, records):
+            assert controller.counters()["flushes"] == len(mine)
+        for r in executed:
+            for t in r.tickets:
+                slot = int(t.request_id.rsplit("-", 1)[1])
+                assert t.done and t.error is None
+                assert answered(t, "bfs", slot)
 
 
 class TestRegistry:
@@ -1203,6 +1370,17 @@ class TestRegistry:
     def test_graphchi_not_servable(self):
         with pytest.raises(ConfigError):
             ArtifactRegistry(engine="graphchi")
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"capacity": 0}, "queue capacity must be >= 1, got 0"),
+        ({"flush_retries": 0}, "flush_retries must be >= 1, got 0"),
+        ({"default_deadline_ms": -5}, "default_deadline_ms must be > 0"),
+    ])
+    def test_admission_settings_are_checked_where_set(self, setting, message):
+        with pytest.raises(ConfigError, match=message):
+            ArtifactRegistry(**setting)
+        with pytest.raises(ConfigError, match=message):
+            GraphService(**setting)
 
 
 class TestEviction:

@@ -10,8 +10,8 @@ asserts the serving resilience contract end to end over HTTP:
   deterministically and quarantined requests never touch the machine;
 * per-request deadlines expire as typed 504s at dequeue and post-flush;
 * client disconnects mid-response are counted, not crashed on;
-* ``drain_pending`` / ``shutdown(drain=True)`` fulfil every queued
-  ticket with a typed error even when every flush faults.
+* ``drain_pending`` / ``shutdown()`` fulfil every queued ticket with a
+  typed error even when every flush faults.
 
 The out-of-core configuration mirrors the chaos harness: faults fire on
 simulated *device* I/O, so graphs must not be served from memory
@@ -351,7 +351,7 @@ class TestDeadlines:
                 **ticket_kwargs(entry, algorithm),
             )
             controller.flush()
-            assert ticket.done.is_set()
+            assert ticket.done
             assert isinstance(ticket.error, DeadlineExceededError)
             assert "post-flush" in str(ticket.error)
             assert controller.counters()["deadline_expired"] == 1
@@ -472,12 +472,12 @@ class TestDrainUnderFaults:
             assert controller.drain_pending() == 3
             assert controller.depth == 0
             for ticket in tickets:
-                assert ticket.done.is_set()
+                assert ticket.done
                 assert isinstance(ticket.error, FlushFailedError)
             with pytest.raises(FlushFailedError):
                 controller.submit("one-more", 3, **kwargs)
         finally:
-            svc.shutdown(drain=True)  # must not hang
+            svc.shutdown()  # must not hang
 
     @staticmethod
     def quarantined_offer_is_rejected(algorithm):
@@ -528,7 +528,7 @@ class TestDrainUnderFaults:
             injector = entry.machine.fault_injector
             counts_before = injector.counts_snapshot()
             record = controller.flush()
-            assert record.tickets == [ticket] and ticket.done.is_set()
+            assert record.tickets == [ticket] and ticket.done
             assert isinstance(ticket.error, GraphQuarantinedError)
             assert ticket.error.retry_after > 0
             assert injector.counts_snapshot() == counts_before

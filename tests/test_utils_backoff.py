@@ -8,6 +8,8 @@ contract is bit-exact determinism — no jitter, no clamping — so both
 timelines replay identically under a fixed seed.
 """
 
+import threading
+
 import pytest
 
 from repro.serve.health import BreakerPolicy, CircuitBreaker
@@ -48,7 +50,7 @@ class TestExponentialBackoff:
 
     def test_breaker_cooldown_matches_the_shared_curve(self):
         policy = BreakerPolicy(cooldown_base=1.0, cooldown_multiplier=2.0)
-        breaker = CircuitBreaker("g", policy=policy)
+        breaker = CircuitBreaker(threading.RLock(), "g", policy=policy)
         # Before any quarantine the schedule is the first-attempt value.
         assert breaker.cooldown_seconds() == 1.0
         breaker.quarantines = 2
