@@ -27,7 +27,8 @@ from repro.algorithms.streaming import AlgoContext, StagedColumns
 from repro.core.config import FastBFSConfig
 from repro.core.policies import TrimPolicy
 from repro.core.staystream import StayStreamManager
-from repro.engines.base import EdgeCentricEngine, _feeds, _RunState
+from repro.engines.base import EDGE_DISK, EdgeCentricEngine, _feeds, _RunState
+from repro.engines.costs import COST_MODEL
 from repro.engines.result import IterationStats
 from repro.storage.vfs import VirtualFile
 
@@ -58,7 +59,7 @@ class FastBFSEngine(EdgeCentricEngine):
         if rt.in_memory:
             stay_device = machine.ram
         else:
-            stay_index = cfg.stay_disk if cfg.stay_disk is not None else cfg.edge_disk
+            stay_index = cfg.stay_disk if cfg.stay_disk is not None else EDGE_DISK
             stay_device = machine.disk(stay_index)
         rt.stay = StayStreamManager(
             machine.clock, machine.vfs, stay_device, cfg,
@@ -186,10 +187,10 @@ class FastBFSEngine(EdgeCentricEngine):
             kept = cuts[b + 1] - cuts[b]
             stats.edges_eliminated += scanned[b] - kept
             stats.stay_records_written += kept
-            cfg.cost_model.charge(
+            COST_MODEL.charge(
                 rt.machine.clock,
                 "trim",
-                cfg.cost_model.trim_per_edge,
+                COST_MODEL.trim_per_edge,
                 kept,
                 cfg.threads,
                 rt.machine.cores,

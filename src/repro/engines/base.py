@@ -52,7 +52,7 @@ from repro.algorithms.streaming import (
     StagedColumns,
     StreamingAlgorithm,
 )
-from repro.engines.costs import CostModel
+from repro.engines.costs import COST_MODEL
 from repro.engines.result import EngineResult, IterationStats
 from repro.errors import ConfigError, EngineError
 from repro.graph.graph import Graph
@@ -64,6 +64,16 @@ from repro.storage.machine import Machine
 from repro.storage.streams import StreamReader, StreamWriter
 from repro.storage.vfs import VirtualFile
 from repro.utils.units import KB, parse_bytes
+
+#: Working set estimate = IN_MEMORY_FACTOR * edge bytes + vertex bytes.
+#: The factor covers input and output edge streams, both update stream sets,
+#: stream buffers and allocator slack; 6x edge bytes reproduces the paper's
+#: Fig. 9 behaviour (rmat22 fits at 4GB, not at 2GB).
+IN_MEMORY_FACTOR = 6.0
+
+#: Disk index for edge and vertex set files (and stay files, unless
+#: ``stay_disk`` or ``rotate_streams`` places them).
+EDGE_DISK = 0
 
 #: Records of one host run: how much of a stream the kernels, the survivor
 #: selection and the partition routing see per call.  Rounded down to whole
@@ -179,8 +189,6 @@ class EngineConfig:
     num_edge_buffers: int = 2
     #: Size of one update stream buffer.
     update_buffer_bytes: Union[int, str] = 32 * KB
-    #: Fraction of working memory available for one partition's vertex set.
-    vertex_memory_fraction: float = 0.25
     #: Override the planned partition count (None = derive from memory).
     num_partitions: Optional[int] = None
     #: Cap on scatter passes (None = run to convergence).  Fixed-round
@@ -188,18 +196,8 @@ class EngineConfig:
     max_iterations: Optional[int] = None
     #: Allow switching to in-memory mode when the working set fits RAM.
     allow_in_memory: bool = True
-    #: Working set estimate = in_memory_factor * edge bytes + vertex bytes.
-    #: The factor covers input and output edge streams, both update stream
-    #: sets, stream buffers and allocator slack; 6x edge bytes reproduces the
-    #: paper's Fig. 9 behaviour (rmat22 fits at 4GB, not at 2GB).
-    in_memory_factor: float = 6.0
-    #: Disk index for edge/stay files (clamped to available disks).
-    edge_disk: int = 0
     #: Disk index for update files.
     update_disk: int = 0
-    #: Disk index for vertex set files.
-    vertex_disk: int = 0
-    cost_model: CostModel = field(default_factory=CostModel)
     #: Stream-layer recovery from transient I/O faults: bounded retries
     #: with simulated-clock backoff (see repro.storage.faults.RetryPolicy).
     #: Only matters when the machine carries a fault plan — fault-free
@@ -219,13 +217,8 @@ class EngineConfig:
             raise ConfigError("num_partitions must be >= 1")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
-        if not 0 < self.vertex_memory_fraction <= 1:
-            raise ConfigError("vertex_memory_fraction must be in (0, 1]")
-        if self.in_memory_factor < 1.0:
-            raise ConfigError("in_memory_factor must be >= 1")
-        for name in ("edge_disk", "update_disk", "vertex_disk"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+        if self.update_disk < 0:
+            raise ConfigError("update_disk must be >= 0")
 
     def with_(self, **kwargs) -> "EngineConfig":
         """Copy with some fields replaced (sweep helper)."""
@@ -421,23 +414,19 @@ class EdgeCentricEngine:
         # Plan: partition count and device placement.
         n = graph.num_vertices
         vertex_bytes = n * algo.disk_record_bytes
-        working_set = graph.nbytes * cfg.in_memory_factor + vertex_bytes
+        working_set = graph.nbytes * IN_MEMORY_FACTOR + vertex_bytes
         in_memory = bool(
             cfg.allow_in_memory and working_set <= machine.memory_bytes
         )
         count = cfg.num_partitions or plan_partition_count(
-            n,
-            algo.disk_record_bytes,
-            machine.memory_bytes,
-            cfg.vertex_memory_fraction,
+            n, algo.disk_record_bytes, machine.memory_bytes
         )
         part = VertexPartitioning(n, count)
         if in_memory:
             dev_edges = dev_updates = dev_vertices = machine.ram
         else:
-            dev_edges = machine.disk(cfg.edge_disk)
+            dev_edges = dev_vertices = machine.disk(EDGE_DISK)
             dev_updates = machine.disk(cfg.update_disk)
-            dev_vertices = machine.disk(cfg.vertex_disk)
 
         vfs = machine.vfs
         input_file = vfs.create(f"input:{graph.name}", machine.disk(0))
@@ -471,7 +460,7 @@ class EdgeCentricEngine:
                 )
                 for p in part
             ]
-            cm = cfg.cost_model
+            cm = COST_MODEL
             for run, bounds in _host_runs(reader):
                 due, tails = _appends_due(
                     _route(part, run["src"], run, np.arange(len(run)), bounds),
@@ -536,7 +525,7 @@ class EdgeCentricEngine:
                     stats.partitions_skipped += 1
                     continue
                 stats.partitions_processed += 1
-                self.config.cost_model.charge_phase(
+                COST_MODEL.charge_phase(
                     rt.machine.clock, self.config.threads
                 )
                 self._read_vertices(rt, p)
@@ -572,7 +561,7 @@ class EdgeCentricEngine:
                     stats.partitions_skipped += 1
                     continue
                 stats.partitions_processed += 1
-                self.config.cost_model.charge_phase(
+                COST_MODEL.charge_phase(
                     rt.machine.clock, self.config.threads
                 )
                 self._read_vertices(rt, p)
@@ -644,7 +633,7 @@ class EdgeCentricEngine:
         self, rt: _RunState, p: int, ctx: AlgoContext, stats: IterationStats
     ) -> int:
         cfg = self.config
-        cm = cfg.cost_model
+        cm = COST_MODEL
         machine = rt.machine
         lo, hi = rt.partitioning.range_of(p)
         state_view = rt.state[lo:hi]
@@ -729,7 +718,7 @@ class EdgeCentricEngine:
         update_file: VirtualFile,
     ) -> int:
         cfg = self.config
-        cm = cfg.cost_model
+        cm = COST_MODEL
         machine = rt.machine
         lo, _hi = rt.partitioning.range_of(p)
         state_view = rt.state[lo:_hi]

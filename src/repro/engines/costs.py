@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from repro.errors import ConfigError
 from repro.sim.clock import SimClock
 
-__all__ = ["CostModel"]
+__all__ = ["COST_MODEL", "CostModel"]
 
 
 @dataclass(frozen=True)
@@ -105,3 +105,7 @@ class CostModel:
         dt = self.thread_phase_overhead * threads
         clock.charge_compute(dt, category="thread-sync")
         return dt
+
+
+#: The service times every engine charges.
+COST_MODEL = CostModel()

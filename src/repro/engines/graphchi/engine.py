@@ -32,12 +32,12 @@ engines' (paper Fig. 6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.engines.costs import CostModel
+from repro.engines.costs import COST_MODEL
 from repro.engines.graphchi.shards import build_shards
 from repro.engines.result import BatchResult, EngineResult, IterationStats
 from repro.errors import ConfigError, EngineError
@@ -74,36 +74,31 @@ class _PreparedShards:
         return self.sharded.num_intervals
 
 
+#: On-disk bytes per edge in a shard (delta-compressed adjacency plus the
+#: 4-byte value column; GraphChi's source-sorted shards compress adjacency
+#: to ~half the raw 8 bytes).
+EDGE_RECORD_BYTES = 8
+#: Bytes written back per touched edge (the dirty value column only).
+EDGE_VALUE_BYTES = 4
+#: On-disk bytes per vertex value record.
+VERTEX_RECORD_BYTES = 8
+#: One memory shard must fit in this fraction of working memory.
+MEMBUDGET_FRACTION = 0.25
+
+
 @dataclass
 class GraphChiConfig:
     """GraphChi runtime knobs."""
 
     threads: int = 4
-    #: On-disk bytes per edge in a shard (delta-compressed adjacency plus
-    #: the 4-byte value column; GraphChi's source-sorted shards compress
-    #: adjacency to ~half the raw 8 bytes).
-    edge_record_bytes: int = 8
-    #: Bytes written back per touched edge (the dirty value column only).
-    edge_value_bytes: int = 4
-    #: On-disk bytes per vertex value record.
-    vertex_record_bytes: int = 8
-    #: One memory shard must fit in this fraction of working memory.
-    membudget_fraction: float = 0.25
     #: Override the derived shard count.
     num_shards: Optional[int] = None
     #: GraphChi's own interval-level selective scheduling.
     selective_scheduling: bool = True
-    cost_model: CostModel = field(default_factory=CostModel)
 
     def __post_init__(self) -> None:
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
-        if self.edge_record_bytes <= 0 or self.vertex_record_bytes <= 0:
-            raise ConfigError("record sizes must be positive")
-        if self.edge_value_bytes <= 0:
-            raise ConfigError("edge_value_bytes must be positive")
-        if not 0 < self.membudget_fraction <= 1:
-            raise ConfigError("membudget_fraction must be in (0, 1]")
         if self.num_shards is not None and self.num_shards < 1:
             raise ConfigError("num_shards must be >= 1")
 
@@ -124,8 +119,8 @@ class GraphChiEngine:
         cfg = self.config
         if cfg.num_shards is not None:
             return cfg.num_shards
-        edge_bytes = graph.num_edges * cfg.edge_record_bytes
-        budget = machine.memory_bytes * cfg.membudget_fraction
+        edge_bytes = graph.num_edges * EDGE_RECORD_BYTES
+        budget = machine.memory_bytes * MEMBUDGET_FRACTION
         return max(1, int(np.ceil(edge_bytes / budget)))
 
     def run(
@@ -245,7 +240,7 @@ class GraphChiEngine:
 
     def _prepare_body(self, graph: Graph, machine: Machine) -> _PreparedShards:
         cfg = self.config
-        cm = cfg.cost_model
+        cm = COST_MODEL
         disk = machine.disk(0)
         n = graph.num_vertices
 
@@ -261,7 +256,7 @@ class GraphChiEngine:
         e = graph.num_edges
         preprocessing = (
             graph.nbytes / disk.spec.read_bandwidth
-            + (e * cfg.edge_record_bytes) / disk.spec.write_bandwidth
+            + (e * EDGE_RECORD_BYTES) / disk.spec.write_bandwidth
             + cm.graphchi_sort_per_edge * e * max(1.0, np.log2(max(e, 2)))
             / cm.effective_parallelism(cfg.threads, machine.cores)
         )
@@ -302,7 +297,7 @@ class GraphChiEngine:
         baseline: Optional[IOReport] = None,
     ) -> EngineResult:
         cfg = self.config
-        cm = cfg.cost_model
+        cm = COST_MODEL
         clock = machine.clock
         n = graph.num_vertices
         sharded = prep.sharded
@@ -379,13 +374,13 @@ class GraphChiEngine:
                             # --- I/O: vertex values in.
                             self._submit_wait(
                                 machine, vertex_files[j], "read",
-                                (hi - lo) * cfg.vertex_record_bytes,
+                                (hi - lo) * VERTEX_RECORD_BYTES,
                             )
                             # --- I/O: memory shard in (one sequential read)
                             # + the per-load in-memory shard assembly sort.
                             self._submit_wait(
                                 machine, shard_files[j], "read",
-                                len(shard) * cfg.edge_record_bytes,
+                                len(shard) * EDGE_RECORD_BYTES,
                             )
                             if len(shard):
                                 cm.charge(
@@ -402,11 +397,11 @@ class GraphChiEngine:
                                 window_edges += int(windows[k, j])
                                 offset = (
                                     int(window_offsets[k, j])
-                                    * cfg.edge_record_bytes
+                                    * EDGE_RECORD_BYTES
                                 )
                                 self._submit_wait(
                                     machine, shard_files[k], "read",
-                                    int(windows[k, j]) * cfg.edge_record_bytes,
+                                    int(windows[k, j]) * EDGE_RECORD_BYTES,
                                     offset=offset,
                                 )
                             # --- compute: relax interval j's in-edges
@@ -436,21 +431,21 @@ class GraphChiEngine:
                                         continue
                                     offset = (
                                         int(window_offsets[k, j])
-                                        * cfg.edge_value_bytes
+                                        * EDGE_VALUE_BYTES
                                     )
                                     self._submit_wait(
                                         machine, shard_files[k], "write",
                                         int(windows[k, j])
-                                        * cfg.edge_value_bytes,
+                                        * EDGE_VALUE_BYTES,
                                         offset=offset,
                                     )
                                 self._submit_wait(
                                     machine, shard_files[j], "write",
-                                    len(shard) * cfg.edge_value_bytes,
+                                    len(shard) * EDGE_VALUE_BYTES,
                                 )
                                 self._submit_wait(
                                     machine, vertex_files[j], "write",
-                                    (hi - lo) * cfg.vertex_record_bytes,
+                                    (hi - lo) * VERTEX_RECORD_BYTES,
                                 )
                             iv_span.set(
                                 edges_touched=touched, improved=changed

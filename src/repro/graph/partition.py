@@ -106,26 +106,25 @@ class VertexPartitioning:
         return f"VertexPartitioning(V={self.num_vertices}, P={self.count})"
 
 
+#: Fraction of working memory available for one partition's vertex set
+#: (the rest holds stream buffers).
+VERTEX_MEMORY_FRACTION = 0.25
+
+
 def plan_partition_count(
     num_vertices: int,
     vertex_record_bytes: int,
     memory_bytes: int,
-    vertex_memory_fraction: float = 0.25,
     max_partitions: int = 4096,
 ) -> int:
     """Number of partitions so one partition's vertex state fits the budget.
 
     Mirrors X-Stream's rule: vertices (not edges) drive the split, and only
-    a fraction of working memory is available for them (the rest holds
-    stream buffers).
+    :data:`VERTEX_MEMORY_FRACTION` of working memory is available for them.
     """
     if memory_bytes <= 0:
         raise PartitionError("memory budget must be positive")
-    if not 0 < vertex_memory_fraction <= 1:
-        raise PartitionError(
-            f"vertex_memory_fraction must be in (0, 1], got {vertex_memory_fraction}"
-        )
-    budget = memory_bytes * vertex_memory_fraction
+    budget = memory_bytes * VERTEX_MEMORY_FRACTION
     total = num_vertices * vertex_record_bytes
     count = max(1, int(np.ceil(total / budget)))
     if count > max_partitions:

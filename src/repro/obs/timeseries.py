@@ -11,7 +11,7 @@ to serve as JSON from ``GET /debug/timeseries`` and to render in
 
 Design rules:
 
-* **Bounded.**  The ring holds at most ``capacity`` windows
+* **Bounded.**  The ring holds at most :data:`CAPACITY` windows
   (:class:`collections.deque` with ``maxlen``); a server that runs for a
   week holds exactly as much telemetry as one that ran for an hour.
 * **No lock of its own.**  The ring's owner serializes every call: the
@@ -44,10 +44,10 @@ WAIT_BUCKETS: Tuple[float, ...] = (
     0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0
 )
 
-#: Default window width (seconds) and ring capacity: ten minutes of
-#: history at five-second resolution.
-DEFAULT_WINDOW_SECONDS = 5.0
-DEFAULT_CAPACITY = 120
+#: Window width (seconds) and ring capacity: ten minutes of history at
+#: five-second resolution.
+WINDOW_SECONDS = 5.0
+CAPACITY = 120
 
 
 class _GraphWindow:
@@ -108,28 +108,15 @@ class TimeSeries:
     than empty windows.
     """
 
-    def __init__(
-        self,
-        window_seconds: float = DEFAULT_WINDOW_SECONDS,
-        capacity: int = DEFAULT_CAPACITY,
-        clock: Optional[HostClock] = None,
-    ) -> None:
-        if window_seconds <= 0:
-            raise ValueError(
-                f"window_seconds must be positive, got {window_seconds}"
-            )
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.window_seconds = float(window_seconds)
-        self.capacity = int(capacity)
+    def __init__(self, clock: Optional[HostClock] = None) -> None:
         self._clock = clock if clock is not None else HOST_CLOCK
         self._origin = self._clock.now()
-        self._ring: "deque[_Window]" = deque(maxlen=self.capacity)
+        self._ring: "deque[_Window]" = deque(maxlen=CAPACITY)
 
     # ------------------------------------------------------------------
     def _current(self) -> _Window:
         """The window covering *now*, rolling the ring forward if needed."""
-        idx = int((self._clock.now() - self._origin) // self.window_seconds)
+        idx = int((self._clock.now() - self._origin) // WINDOW_SECONDS)
         if not self._ring or self._ring[-1].index != idx:
             self._ring.append(_Window(idx))
         return self._ring[-1]
@@ -148,7 +135,7 @@ class TimeSeries:
 
         ``queue_wait`` is host seconds spent in the admission queue;
         ``service_time`` is the request's *simulated* query seconds (what
-        the ``X-Sim-Elapsed`` header reports).  Errors count toward
+        the ``X-Sim-Execution-Seconds`` header reports).  Errors count toward
         ``errors`` but not into the latency histograms (a 429 has no
         meaningful service time).
         """
@@ -196,7 +183,7 @@ class TimeSeries:
                 graphs[name] = {
                     "requests": gw.requests,
                     "errors": gw.errors,
-                    "rps": gw.requests / self.window_seconds,
+                    "rps": gw.requests / WINDOW_SECONDS,
                     "flushes": gw.flushes,
                     "flushed_queries": gw.flushed_queries,
                     "queue_depth_last": gw.queue_depth_last,
@@ -207,13 +194,13 @@ class TimeSeries:
             out_windows.append(
                 {
                     "index": slot.index,
-                    "start": slot.index * self.window_seconds,
+                    "start": slot.index * WINDOW_SECONDS,
                     "graphs": graphs,
                 }
             )
         return {
-            "window_seconds": self.window_seconds,
-            "capacity": self.capacity,
+            "window_seconds": WINDOW_SECONDS,
+            "capacity": CAPACITY,
             "now": now,
             "windows": out_windows,
         }
@@ -223,9 +210,9 @@ class TimeSeries:
 
 
 __all__ = [
-    "DEFAULT_CAPACITY",
+    "CAPACITY",
     "quantile_summary",
-    "DEFAULT_WINDOW_SECONDS",
     "TimeSeries",
     "WAIT_BUCKETS",
+    "WINDOW_SECONDS",
 ]

@@ -11,7 +11,7 @@ docs/serving.md.
 
 from repro.serve.admission import AdmissionController, FlushRecord, Ticket
 from repro.serve.app import GraphService
-from repro.serve.health import BreakerPolicy, CircuitBreaker
+from repro.serve.health import CircuitBreaker
 from repro.serve.registry import (
     ArtifactRegistry,
     GraphEntry,
@@ -21,7 +21,6 @@ from repro.serve.registry import (
 __all__ = [
     "AdmissionController",
     "ArtifactRegistry",
-    "BreakerPolicy",
     "CircuitBreaker",
     "FlushRecord",
     "GraphEntry",

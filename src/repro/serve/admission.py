@@ -70,6 +70,7 @@ service's ``/debug/requests`` ring.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from typing import (
     TYPE_CHECKING, Callable, Iterator, List, Optional, Sequence, Tuple, Union,
@@ -180,8 +181,14 @@ def check_admission_settings(
         raise ConfigError(f"batch width must be in [1, {BATCH_WIDTH}], got {batch_width}")
     if flush_retries < 1:
         raise ConfigError(f"flush_retries must be >= 1, got {flush_retries}")
-    if default_deadline_ms is not None and default_deadline_ms <= 0:
-        raise ConfigError(f"default_deadline_ms must be > 0, got {default_deadline_ms}")
+    # The per-request rule (``_extract_deadline``): NaN never expires and
+    # fails this comparison, as do the infinities.
+    if default_deadline_ms is not None and not (
+        0 < default_deadline_ms <= sys.float_info.max
+    ):
+        raise ConfigError(
+            f"default_deadline_ms must be > 0 and finite, got {default_deadline_ms}"
+        )
 
 
 class AdmissionController:

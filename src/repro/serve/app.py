@@ -79,10 +79,10 @@ from repro.obs.counters import DEFAULT_DURATION_BUCKETS, CounterRegistry
 from repro.obs.exporters import PROMETHEUS_CONTENT_TYPE, to_prometheus
 from repro.obs.hostprof import HOST_CLOCK, HostClock
 from repro.obs.timeseries import TimeSeries, quantile_summary
-from repro.serve.debug import RequestLog, RequestRecord
-from repro.serve.health import STATE_CODES, BreakerPolicy
+from repro.serve.debug import REQUEST_LOG_CAPACITY, RequestLog, RequestRecord
+from repro.serve.health import STATE_CODES
 from repro.serve.registry import ArtifactRegistry, GraphEntry, parse_graph_spec
-from repro.storage.faults import FaultPlan, RetryPolicy
+from repro.storage.faults import FaultPlan
 
 JSON_CONTENT_TYPE = "application/json"
 
@@ -342,8 +342,6 @@ class GraphService:
         config=None,
         machine_factory=None,
         fault_plan: Optional[FaultPlan] = None,
-        retry: Optional[RetryPolicy] = None,
-        breaker_policy: Optional[BreakerPolicy] = None,
         default_deadline_ms: Optional[float] = None,
         flush_retries: int = 2,
         clock: Optional[HostClock] = None,
@@ -371,8 +369,6 @@ class GraphService:
             machine_factory=machine_factory,
             max_graphs=max_graphs,
             fault_plan=fault_plan,
-            retry=retry,
-            breaker_policy=breaker_policy,
             clock=self.clock,
             on_transition=self._on_breaker_transition,
             capacity=capacity,
@@ -720,7 +716,7 @@ class GraphService:
             raise _RequestProblem(
                 404, "not_found",
                 f"request {request_id!r} is not in the recent-request ring "
-                f"(capacity {self.request_log.capacity})",
+                f"(capacity {REQUEST_LOG_CAPACITY})",
             )
         return record.to_dict()
 

@@ -24,8 +24,8 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.obs.tracer import Span
 
-#: Default number of requests the ring remembers.
-DEFAULT_REQUEST_LOG_CAPACITY = 64
+#: Number of requests the ring remembers.
+REQUEST_LOG_CAPACITY = 64
 
 
 class RequestRecord:
@@ -106,11 +106,8 @@ class RequestRecord:
 class RequestLog:
     """Bounded ring of :class:`RequestRecord` objects (owner-locked)."""
 
-    def __init__(self, capacity: int = DEFAULT_REQUEST_LOG_CAPACITY) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self._ring: "deque[RequestRecord]" = deque(maxlen=self.capacity)
+    def __init__(self) -> None:
+        self._ring: "deque[RequestRecord]" = deque(maxlen=REQUEST_LOG_CAPACITY)
 
     def record(self, record: RequestRecord) -> None:
         self._ring.append(record)
@@ -131,7 +128,7 @@ class RequestLog:
 
 
 __all__ = [
-    "DEFAULT_REQUEST_LOG_CAPACITY",
+    "REQUEST_LOG_CAPACITY",
     "RequestLog",
     "RequestRecord",
 ]

@@ -11,7 +11,7 @@ regimes, and the breaker makes them explicit states on the
     retries): responses still flow but the shared-scan amortization is
     lost, and the state says so before latency graphs do.
 ``quarantined``
-    ``quarantine_after`` consecutive flush failures opened the breaker:
+    :data:`QUARANTINE_AFTER` consecutive flush failures opened the breaker:
     requests are rejected at admission (HTTP 503 + ``Retry-After``)
     **without touching the machine**, for a deterministic cooldown on the
     host clock.
@@ -33,10 +33,9 @@ deterministic reason strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, ContextManager, Dict, List, Optional
 
-from repro.errors import ConfigError, GraphQuarantinedError
+from repro.errors import GraphQuarantinedError
 from repro.obs.hostprof import HOST_CLOCK, HostClock
 from repro.utils.backoff import exponential_backoff
 
@@ -57,41 +56,16 @@ STATE_CODES: Dict[str, int] = {
 #: A graph is ready (``/healthz`` readiness) unless the breaker is open.
 READY_STATES = frozenset({HEALTHY, DEGRADED, PROBING})
 
+#: Consecutive flush failures that degrade a healthy graph, and that
+#: quarantine it.
+DEGRADE_AFTER = 1
+QUARANTINE_AFTER = 3
 
-@dataclass(frozen=True)
-class BreakerPolicy:
-    """Tuning knobs for one graph's circuit breaker.
-
-    ``degrade_after`` / ``quarantine_after`` count *consecutive* flush
-    failures; the quarantine cooldown is
-    ``cooldown_base * cooldown_multiplier ** (quarantines - 1)`` host
-    seconds — deterministic, no jitter.
-    """
-
-    degrade_after: int = 1
-    quarantine_after: int = 3
-    cooldown_base: float = 1.0
-    cooldown_multiplier: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.degrade_after < 1:
-            raise ConfigError(
-                f"degrade_after must be >= 1, got {self.degrade_after}"
-            )
-        if self.quarantine_after < self.degrade_after:
-            raise ConfigError(
-                f"quarantine_after ({self.quarantine_after}) must be >= "
-                f"degrade_after ({self.degrade_after})"
-            )
-        if self.cooldown_base <= 0:
-            raise ConfigError(
-                f"cooldown_base must be > 0, got {self.cooldown_base}"
-            )
-        if self.cooldown_multiplier < 1.0:
-            raise ConfigError(
-                f"cooldown_multiplier must be >= 1, "
-                f"got {self.cooldown_multiplier}"
-            )
+#: The ``n``-th quarantine's cooldown is
+#: ``COOLDOWN_BASE * COOLDOWN_MULTIPLIER ** (n - 1)`` host seconds:
+#: deterministic, no jitter.
+COOLDOWN_BASE = 1.0
+COOLDOWN_MULTIPLIER = 2.0
 
 
 class CircuitBreaker:
@@ -111,12 +85,10 @@ class CircuitBreaker:
         self,
         lock: ContextManager,
         name: str = "",
-        policy: Optional[BreakerPolicy] = None,
         clock: Optional[HostClock] = None,
         on_transition: Optional[Callable[[str, str, str, str], None]] = None,
     ) -> None:
         self.name = name
-        self.policy = policy if policy is not None else BreakerPolicy()
         self.clock = clock if clock is not None else HOST_CLOCK
         self.on_transition = on_transition
         self._lock = lock
@@ -180,14 +152,14 @@ class CircuitBreaker:
             why = f": {reason}" if reason else ""
             if self.state == PROBING:
                 self._quarantine(f"probe flush failed{why}")
-            elif self.consecutive_failures >= self.policy.quarantine_after:
+            elif self.consecutive_failures >= QUARANTINE_AFTER:
                 self._quarantine(
                     f"{self.consecutive_failures} consecutive flush "
                     f"failures{why}"
                 )
             elif (
                 self.state == HEALTHY
-                and self.consecutive_failures >= self.policy.degrade_after
+                and self.consecutive_failures >= DEGRADE_AFTER
             ):
                 self._transition(
                     DEGRADED,
@@ -230,9 +202,7 @@ class CircuitBreaker:
     def cooldown_seconds(self) -> float:
         """The (next) quarantine cooldown — exponential in quarantine count."""
         return exponential_backoff(
-            self.policy.cooldown_base,
-            self.policy.cooldown_multiplier,
-            max(1, self.quarantines),
+            COOLDOWN_BASE, COOLDOWN_MULTIPLIER, max(1, self.quarantines)
         )
 
     def retry_after(self) -> float:
@@ -273,12 +243,15 @@ class CircuitBreaker:
 
 
 __all__ = [
-    "BreakerPolicy",
+    "COOLDOWN_BASE",
+    "COOLDOWN_MULTIPLIER",
     "CircuitBreaker",
     "DEGRADED",
+    "DEGRADE_AFTER",
     "HEALTHY",
     "PROBING",
     "QUARANTINED",
+    "QUARANTINE_AFTER",
     "READY_STATES",
     "STATE_CODES",
 ]

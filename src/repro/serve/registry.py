@@ -18,12 +18,12 @@ and queue are garbage.
 Boot-time warmup takes a list of graph specs (see :func:`parse_graph_spec`)
 so a server starts with its working set already staged.
 
-Faults reach the server here: a registry-wide (or per-registration)
+Faults reach the server here: the registry-wide
 :class:`~repro.storage.faults.FaultPlan` is attached to each entry's
 machine **after** staging and **before** the post-staging checkpoint, so
 the artifact is built clean but every query replay runs on faulty
-simulated devices; a :class:`~repro.storage.faults.RetryPolicy` rebuilds
-the engine with I/O-level retries.  Each entry also carries its own
+simulated devices; the engine config's ``retry`` sets its I/O-level
+retries.  Each entry also carries its own
 :class:`~repro.serve.health.CircuitBreaker` — the per-graph
 healthy/degraded/quarantined state machine the admission layer drives,
 and its own :class:`~repro.serve.admission.AdmissionController`.
@@ -53,8 +53,8 @@ from repro.graph.graph import Graph
 from repro.obs.counters import CounterRegistry
 from repro.obs.hostprof import HostClock
 from repro.serve.admission import AdmissionController, check_admission_settings
-from repro.serve.health import BreakerPolicy, CircuitBreaker
-from repro.storage.faults import FaultPlan, RetryPolicy
+from repro.serve.health import CircuitBreaker
+from repro.storage.faults import FaultPlan
 from repro.storage.machine import Machine
 
 #: Generator spec kinds accepted by :func:`parse_graph_spec`, mapping
@@ -185,7 +185,6 @@ class GraphEntry:
         staged: StagedGraph,
         checkpoint,
         fault_plan: Optional[FaultPlan] = None,
-        breaker_policy: Optional[BreakerPolicy] = None,
         clock: Optional[HostClock] = None,
         on_transition: Optional[Callable[[str, str, str, str], None]] = None,
     ) -> None:
@@ -199,8 +198,7 @@ class GraphEntry:
         self.monitor = threading.Condition()
         self.flushing = False
         self.health = CircuitBreaker(
-            self.monitor, name, policy=breaker_policy, clock=clock,
-            on_transition=on_transition,
+            self.monitor, name, clock=clock, on_transition=on_transition
         )
         #: Monotonic serving counters, maintained by the admission layer.
         self.queries_served = 0
@@ -245,8 +243,6 @@ class ArtifactRegistry:
         machine_factory: Optional[Callable[[], Machine]] = None,
         max_graphs: int = 4,
         fault_plan: Optional[FaultPlan] = None,
-        retry: Optional[RetryPolicy] = None,
-        breaker_policy: Optional[BreakerPolicy] = None,
         clock: Optional[HostClock] = None,
         on_transition: Optional[Callable[[str, str, str, str], None]] = None,
         capacity: int = 128,
@@ -269,10 +265,8 @@ class ArtifactRegistry:
         self._make_engine = lambda: make_engine(engine, config)
         self._machine_factory = machine_factory or Machine.commodity_server
         self.max_graphs = max_graphs
-        #: Defaults for every registration; per-call arguments override.
+        #: Attached to every entry's machine after staging.
         self.fault_plan = fault_plan
-        self.retry = retry
-        self.breaker_policy = breaker_policy
         self.clock = clock
         self.on_transition = on_transition
         #: Every entry's admission settings (see AdmissionController).
@@ -283,34 +277,23 @@ class ArtifactRegistry:
         self._entries: "OrderedDict[str, GraphEntry]" = OrderedDict()
         self._lock = threading.Lock()
 
-    def register(
-        self,
-        name: str,
-        graph: Graph,
-        fault_plan: Optional[FaultPlan] = None,
-        retry: Optional[RetryPolicy] = None,
-    ) -> GraphEntry:
+    def register(self, name: str, graph: Graph) -> GraphEntry:
         """Stage ``graph`` under ``name``; evict LRU beyond capacity.
 
         Staging happens outside the registry lock (it is the slow part);
         if two racers register the same name the later result wins.
         Re-registering an existing name replaces its entry.
 
-        ``fault_plan`` / ``retry`` override the registry-wide defaults for
-        this entry.  Staging always runs on clean devices; the plan is
+        Staging always runs on clean devices; the registry's fault plan is
         attached after staging and before the post-staging
         :meth:`~repro.storage.machine.Machine.checkpoint`, so the
         checkpoint captures the injector's initial schedule state and
         every rewind-and-replay query faces the same fault timeline.
         """
-        fault_plan = fault_plan if fault_plan is not None else self.fault_plan
-        retry = retry if retry is not None else self.retry
         engine = self._make_engine()
-        if retry is not None:
-            engine = type(engine)(engine.config.with_(retry=retry))
         machine = self._machine_factory()
         staged = engine.stage(graph, machine)
-        machine.attach_fault_plan(fault_plan)
+        machine.attach_fault_plan(self.fault_plan)
         checkpoint = machine.checkpoint()
         entry = GraphEntry(
             name,
@@ -319,8 +302,7 @@ class ArtifactRegistry:
             machine,
             staged,
             checkpoint,
-            fault_plan=fault_plan,
-            breaker_policy=self.breaker_policy,
+            fault_plan=self.fault_plan,
             clock=self.clock,
             on_transition=self.on_transition,
         )

@@ -178,35 +178,33 @@ class FaultPlan:
         )
 
 
+#: Simulated seconds before the first retry, and the growth of each
+#: later wait (see :meth:`RetryPolicy.backoff`).
+RETRY_BACKOFF_BASE = 0.002
+RETRY_BACKOFF_MULTIPLIER = 2.0
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded retries with exponential simulated-clock backoff.
 
     ``max_attempts`` counts the first try: 3 means one submit plus at most
     two retries.  The ``n``-th retry waits
-    ``backoff_base * backoff_multiplier ** (n - 1)`` simulated seconds
-    before resubmitting, so recovery cost is visible in the iowait ledger
-    like any other stall.
+    ``RETRY_BACKOFF_BASE * RETRY_BACKOFF_MULTIPLIER ** (n - 1)`` simulated
+    seconds before resubmitting, so recovery cost is visible in the iowait
+    ledger like any other stall.
     """
 
     max_attempts: int = 3
-    backoff_base: float = 0.002
-    backoff_multiplier: float = 2.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ConfigError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_base < 0:
-            raise ConfigError(f"backoff_base must be >= 0, got {self.backoff_base}")
-        if self.backoff_multiplier < 1.0:
-            raise ConfigError(
-                f"backoff_multiplier must be >= 1, got {self.backoff_multiplier}"
-            )
 
     def backoff(self, retry_number: int) -> float:
         """Seconds to wait before retry ``retry_number`` (1-based)."""
         return exponential_backoff(
-            self.backoff_base, self.backoff_multiplier, retry_number
+            RETRY_BACKOFF_BASE, RETRY_BACKOFF_MULTIPLIER, retry_number
         )
 
 

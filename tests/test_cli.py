@@ -9,6 +9,7 @@ from repro import cli
 from repro.analysis.calibration import ENGINES, scaled_machine
 from repro.analysis.harness import default_root
 from repro.cli import main
+from repro.errors import ConfigError
 from repro.graph.datasets import scale_divisor
 from repro.graph.io import load_graph
 from repro.obs.exporters import parse_prometheus
@@ -269,22 +270,37 @@ class TestTwoDisks:
 
 
 class TestServe:
+    @staticmethod
+    def serve_staging(monkeypatch, *flags):
+        """Run ``repro serve`` with ``flags``; return its exit code and the
+        names it tried to stage.  Staging is refused, so a setting that
+        slips through fails here instead of serving forever."""
+        from repro.serve.registry import ArtifactRegistry
+
+        staged = []
+
+        def refuse(self, name, graph):
+            staged.append(name)
+            raise ConfigError("staging reached")
+
+        monkeypatch.setattr(ArtifactRegistry, "register", refuse)
+        code = run_cli(["serve", "--port", "0", *flags,
+                        "--warmup", "tiny@star:num_leaves=10"])
+        return code, staged
+
     def test_bad_admission_setting_exits_before_staging(
         self, monkeypatch, capsys
     ):
-        from repro.serve.registry import ArtifactRegistry
-
-        staged, register = [], ArtifactRegistry.register
-
-        def spy(self, name, graph, **kwargs):
-            staged.append(name)
-            return register(self, name, graph, **kwargs)
-
-        monkeypatch.setattr(ArtifactRegistry, "register", spy)
-        assert run_cli(["serve", "--port", "0", "--capacity", "0",
-                        "--warmup", "tiny@star:num_leaves=10"]) == 1
+        assert self.serve_staging(monkeypatch, "--capacity", "0") == (1, [])
         assert "queue capacity must be >= 1, got 0" in capsys.readouterr().err
-        assert staged == []
+
+    def test_nan_default_deadline_exits_before_staging(
+        self, monkeypatch, capsys
+    ):
+        code = self.serve_staging(monkeypatch, "--default-deadline-ms", "nan")
+        assert code == (1, [])
+        err = capsys.readouterr().err
+        assert "default_deadline_ms must be > 0 and finite, got nan" in err
 
 
 class TestDocsEqualCode:

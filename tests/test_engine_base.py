@@ -30,10 +30,6 @@ class TestEngineConfig:
             dict(num_edge_buffers=0),
             dict(edge_buffer_bytes=0),
             dict(num_partitions=0),
-            dict(vertex_memory_fraction=0.0),
-            dict(vertex_memory_fraction=1.5),
-            dict(in_memory_factor=0.5),
-            dict(edge_disk=-1),
         ],
     )
     def test_invalid_rejected(self, kwargs):

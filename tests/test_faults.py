@@ -86,12 +86,6 @@ class TestFaultSpecValidation:
     def test_retry_policy_validation(self):
         with pytest.raises(ConfigError):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(ConfigError):
-            RetryPolicy(backoff_multiplier=0.5)
-        policy = RetryPolicy(max_attempts=3, backoff_base=0.01,
-                             backoff_multiplier=2.0)
-        assert policy.backoff(1) == pytest.approx(0.01)
-        assert policy.backoff(3) == pytest.approx(0.04)
 
 
 class TestFaultInjector:

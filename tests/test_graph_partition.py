@@ -168,23 +168,21 @@ class TestSplitByPartition:
 class TestPlanPartitionCount:
     def test_fits_in_budget(self):
         # 1M vertices * 8B = 8MB of vertex state; 25% of 16MB = 4MB budget.
-        count = plan_partition_count(10**6, 8, 16 * MB, 0.25)
+        count = plan_partition_count(10**6, 8, 16 * MB)
         assert count == 2
 
     def test_minimum_one(self):
         assert plan_partition_count(10, 8, 16 * MB) == 1
 
     def test_scales_inversely_with_memory(self):
-        big = plan_partition_count(10**6, 8, 32 * MB, 0.25)
-        small = plan_partition_count(10**6, 8, 8 * MB, 0.25)
+        big = plan_partition_count(10**6, 8, 32 * MB)
+        small = plan_partition_count(10**6, 8, 8 * MB)
         assert small > big
 
     def test_rejects_infeasible(self):
         with pytest.raises(PartitionError):
-            plan_partition_count(10**9, 8, 1024, 0.25, max_partitions=100)
+            plan_partition_count(10**9, 8, 1024, max_partitions=100)
 
     def test_rejects_bad_budget(self):
         with pytest.raises(PartitionError):
             plan_partition_count(10, 8, 0)
-        with pytest.raises(PartitionError):
-            plan_partition_count(10, 8, MB, vertex_memory_fraction=0.0)

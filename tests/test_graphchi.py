@@ -71,9 +71,6 @@ class TestConfig:
         "kwargs",
         [
             dict(threads=0),
-            dict(edge_record_bytes=0),
-            dict(edge_value_bytes=0),
-            dict(membudget_fraction=0.0),
             dict(num_shards=0),
         ],
     )

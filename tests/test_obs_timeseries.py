@@ -26,10 +26,10 @@ import pytest
 from repro.obs.counters import Histogram
 from repro.obs.hostprof import ManualHostClock
 from repro.obs.timeseries import (
-    DEFAULT_CAPACITY,
-    DEFAULT_WINDOW_SECONDS,
+    CAPACITY,
     TimeSeries,
     WAIT_BUCKETS,
+    WINDOW_SECONDS,
     quantile_summary,
 )
 
@@ -41,7 +41,7 @@ def clock():
 
 @pytest.fixture()
 def ts(clock):
-    return TimeSeries(window_seconds=5.0, capacity=4, clock=clock)
+    return TimeSeries(clock=clock)
 
 
 # ----------------------------------------------------------------------
@@ -105,12 +105,14 @@ class TestWindows:
         assert [w["start"] for w in snap["windows"]] == [0.0, 5.0, 20.0]
 
     def test_ring_is_bounded(self, ts, clock):
-        for _ in range(10):
+        for _ in range(CAPACITY + 6):
             ts.record_request("g")
-            clock.advance(5.0)
-        assert len(ts) == 4  # capacity
+            clock.advance(WINDOW_SECONDS)
+        assert len(ts) == CAPACITY
         snap = ts.snapshot()
-        assert [w["index"] for w in snap["windows"]] == [6, 7, 8, 9]
+        assert [w["index"] for w in snap["windows"]] == list(
+            range(6, CAPACITY + 6)
+        )
 
     def test_snapshot_windows_limit(self, ts, clock):
         for _ in range(3):
@@ -131,14 +133,6 @@ class TestWindows:
         snap = ts.snapshot(windows=windows)
         assert [w["index"] for w in snap["windows"]] == indices
 
-    def test_defaults_and_validation(self):
-        ts = TimeSeries(clock=ManualHostClock())
-        assert ts.window_seconds == DEFAULT_WINDOW_SECONDS
-        assert ts.capacity == DEFAULT_CAPACITY
-        with pytest.raises(ValueError):
-            TimeSeries(window_seconds=0.0, clock=ManualHostClock())
-        with pytest.raises(ValueError):
-            TimeSeries(capacity=0, clock=ManualHostClock())
 
 
 # ----------------------------------------------------------------------

@@ -1375,6 +1375,9 @@ class TestRegistry:
         ({"capacity": 0}, "queue capacity must be >= 1, got 0"),
         ({"flush_retries": 0}, "flush_retries must be >= 1, got 0"),
         ({"default_deadline_ms": -5}, "default_deadline_ms must be > 0"),
+        # A NaN default never expires; the per-request rule refuses it too.
+        ({"default_deadline_ms": float("nan")}, "must be > 0 and finite, got nan"),
+        ({"default_deadline_ms": float("inf")}, "must be > 0 and finite, got inf"),
     ])
     def test_admission_settings_are_checked_where_set(self, setting, message):
         with pytest.raises(ConfigError, match=message):

@@ -33,13 +33,9 @@ import pytest
 
 from repro.obs.exporters import parse_prometheus
 from repro.obs.hostprof import ManualHostClock
-from repro.serve import GraphService
+from repro.serve import GraphService, debug
 from repro.serve.app import REQUEST_ID_PATTERN
-from repro.serve.debug import (
-    DEFAULT_REQUEST_LOG_CAPACITY,
-    RequestLog,
-    RequestRecord,
-)
+from repro.serve.debug import REQUEST_LOG_CAPACITY, RequestRecord
 
 TINY_SPEC = "tiny@rmat:scale=8,edge_factor=8,seed=7"
 
@@ -186,7 +182,7 @@ class TestDebugRequests:
         )
         assert status == 404
         assert body["error"]["type"] == "not_found"
-        assert str(DEFAULT_REQUEST_LOG_CAPACITY) in body["error"]["message"]
+        assert str(REQUEST_LOG_CAPACITY) in body["error"]["message"]
 
     def test_failed_query_requests_land_in_the_ring(self, service):
         rid = "failed-query-1"
@@ -334,14 +330,15 @@ class TestServiceBooks:
         assert served == 6.0
         assert health["requests_served"] == 6
 
-    def test_concurrent_requests_keep_the_three_views_equal(self):
+    def test_concurrent_requests_keep_the_three_views_equal(self, monkeypatch):
         """N threads finishing requests at once: every view counts each
         of them exactly once (a lost update under a per-view lock, or
         none, shows as a short count)."""
         threads_n, per_thread = 8, 1000
         total = threads_n * per_thread
+        # A ring that holds every request, so a lost one shows.
+        monkeypatch.setattr(debug, "REQUEST_LOG_CAPACITY", total)
         svc = GraphService(clock=ManualHostClock())
-        svc.request_log = RequestLog(capacity=total)
 
         def pound(t):
             for i in range(per_thread):

@@ -36,7 +36,8 @@ from repro.errors import (
 from repro.graph.generators import rmat_graph
 from repro.obs.exporters import parse_prometheus
 from repro.obs.hostprof import ManualHostClock
-from repro.serve import AdmissionController, BreakerPolicy, GraphService
+from repro.serve import AdmissionController, GraphService
+from repro.serve.health import QUARANTINE_AFTER
 from repro.storage.device import DeviceSpec
 from repro.storage.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.storage.machine import IOReport, Machine, merge_reports
@@ -453,23 +454,24 @@ class TestClientDisconnect:
 class TestDrainUnderFaults:
     @staticmethod
     def drain_pending_types_every_ticket(algorithm):
-        svc = make_service(
-            fault_plan=BROKEN_PLAN,
-            # Keep the breaker out of the way: this test pins down drain
-            # semantics, not quarantine (covered above).
-            breaker_policy=BreakerPolicy(quarantine_after=100),
-        )
+        svc = make_service(fault_plan=BROKEN_PLAN)
+        # Keep the breaker out of the way: this test pins down drain
+        # semantics, not quarantine (covered above).  A serial algorithm
+        # flushes each ticket alone, so the drain and the submit after it
+        # are QUARANTINE_AFTER failed flushes and the breaker opens only
+        # on the last.
+        n = QUARANTINE_AFTER - 1
         try:
             entry = svc.register("g", GRAPH)
             controller = entry.admission
             kwargs = ticket_kwargs(entry, algorithm)
             controller.hold()
             tickets = [
-                controller.offer(f"drain-{i}", 3, **kwargs) for i in range(3)
+                controller.offer(f"drain-{i}", 3, **kwargs) for i in range(n)
             ]
-            assert controller.depth == 3
+            assert controller.depth == n
             controller.release()
-            assert controller.drain_pending() == 3
+            assert controller.drain_pending() == n
             assert controller.depth == 0
             for ticket in tickets:
                 assert ticket.done
@@ -485,7 +487,7 @@ class TestDrainUnderFaults:
         try:
             entry = svc.register("g", GRAPH)
             kwargs = ticket_kwargs(entry, algorithm)
-            for _ in range(3):
+            for _ in range(QUARANTINE_AFTER):
                 with pytest.raises(FlushFailedError):
                     entry.admission.submit("x", 3, **kwargs)
             assert entry.health.state == "quarantined"
@@ -522,7 +524,7 @@ class TestDrainUnderFaults:
             ticket = controller.offer(
                 "queued", 3, **ticket_kwargs(entry, algorithm)
             )
-            for _ in range(entry.health.policy.quarantine_after):
+            for _ in range(QUARANTINE_AFTER):
                 entry.health.record_flush_failure("elsewhere")
             assert entry.health.state == "quarantined"
             injector = entry.machine.fault_injector
@@ -558,7 +560,7 @@ class TestDrainUnderFaults:
             )
             t.start()
             assert wait_until(lambda: controller.depth == 1)
-            for _ in range(entry.health.policy.quarantine_after):
+            for _ in range(QUARANTINE_AFTER):
                 entry.health.record_flush_failure("elsewhere")
             counts_before = entry.machine.fault_injector.counts_snapshot()
             controller.release()

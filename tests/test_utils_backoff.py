@@ -12,7 +12,7 @@ import threading
 
 import pytest
 
-from repro.serve.health import BreakerPolicy, CircuitBreaker
+from repro.serve.health import CircuitBreaker
 from repro.storage.faults import RetryPolicy
 from repro.utils.backoff import exponential_backoff
 
@@ -40,7 +40,7 @@ class TestExponentialBackoff:
             exponential_backoff(0.01, 2.0, -3)
 
     def test_retry_policy_backoff_matches_the_shared_curve(self):
-        policy = RetryPolicy()  # base=0.002, multiplier=2.0
+        policy = RetryPolicy()  # RETRY_BACKOFF_BASE 0.002, _MULTIPLIER 2.0
         for attempt in (1, 2, 3):
             assert policy.backoff(attempt) == exponential_backoff(
                 0.002, 2.0, attempt
@@ -49,8 +49,8 @@ class TestExponentialBackoff:
         assert policy.backoff(3) == 0.008
 
     def test_breaker_cooldown_matches_the_shared_curve(self):
-        policy = BreakerPolicy(cooldown_base=1.0, cooldown_multiplier=2.0)
-        breaker = CircuitBreaker(threading.RLock(), "g", policy=policy)
+        # COOLDOWN_BASE 1.0, COOLDOWN_MULTIPLIER 2.0
+        breaker = CircuitBreaker(threading.RLock(), "g")
         # Before any quarantine the schedule is the first-attempt value.
         assert breaker.cooldown_seconds() == 1.0
         breaker.quarantines = 2
