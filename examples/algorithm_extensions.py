@@ -76,12 +76,9 @@ def main() -> None:
 
     rounds = 12
     machine = scaled_machine("4GB", divisor=DIVISOR)
-    pr_engine = FastBFSEngine(
-        scaled_fastbfs_config(DIVISOR, max_iterations=rounds)
-    )
-    pr = pr_engine.run(
-        graph, machine, algorithm=PageRankAlgorithm(graph.out_degrees()),
-        root=0,
+    pr = engine.run(
+        graph, machine,
+        algorithm=PageRankAlgorithm(graph.out_degrees(), rounds), root=0,
     )
     rank = pr.output["rank"]
     oracle = reference_pagerank(graph, rounds)

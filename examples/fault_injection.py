@@ -3,7 +3,8 @@
 layers that absorb them.
 
 1. Transient read/write errors + latency spikes, absorbed by the
-   stream-layer ``RetryPolicy`` — visible as ``io_retries_total``.
+   stream-layer retry loop within the plan's ``max_attempts`` — visible
+   as ``io_retries_total``.
 2. Torn stay writes, caught by the stay writer's per-chunk checksums at
    swap-in time and degraded like a cancellation — same answer, more I/O.
 3. A deterministic mid-query crash (*CrashPoint*), replayed to
@@ -19,7 +20,7 @@ import numpy as np
 
 from repro import FastBFSConfig, FastBFSEngine, Machine, bfs_levels, rmat_graph, run_bfs
 from repro.errors import CrashError
-from repro.storage.faults import FaultPlan, FaultSpec, RetryPolicy
+from repro.storage.faults import FaultPlan, FaultSpec
 
 
 def main() -> None:
@@ -36,11 +37,11 @@ def main() -> None:
             FaultSpec(kind="latency", probability=0.03, delay_seconds=0.005),
         ),
         seed=42,
+        max_attempts=4,
     )
     # Force the out-of-core path: at this scale the edge list would fit in
     # 64MB and nothing would stream (or fault).
-    config = FastBFSConfig(retry=RetryPolicy(max_attempts=4),
-                           allow_in_memory=False)
+    config = FastBFSConfig(allow_in_memory=False)
     result = run_bfs(
         graph, engine="fastbfs", config=config, memory="64MB", root=root,
         fault_plan=flaky,

@@ -5,8 +5,8 @@ trimming is one algorithm-specific optimization on top of it.  PageRank
 demonstrates the generic machinery end to end: a fixed number of dense
 rounds, float payloads riding in the 8-byte update records (the f4 bit
 pattern is viewed as u4 — no format change), per-partition round
-finalization through the ``after_gather`` hook, and the engine's
-``max_iterations`` cap for termination.
+finalization through the ``after_gather`` hook, and the kernel's own
+round count (:attr:`StreamingAlgorithm.rounds`) for termination.
 
 The variant implemented is the classic damped iteration without dangling-
 mass redistribution (each round: ``rank' = (1-d)/N + d * sum of incoming
@@ -30,10 +30,10 @@ class PageRankAlgorithm(StreamingAlgorithm):
     """Damped PageRank for a fixed number of rounds.
 
     The constructor needs the graph's out-degrees (scatter divides each
-    vertex's rank among its out-edges) — pass ``graph.out_degrees()``.
-    Run it with ``EngineConfig(max_iterations=rounds)``; every vertex stays
-    active every round, so without the cap the engine would iterate
-    forever (PageRank has no discrete convergence event).
+    vertex's rank among its out-edges) — pass ``graph.out_degrees()`` —
+    and the number of ``rounds`` to run.  Every vertex stays active every
+    round (PageRank has no discrete convergence event), so the round count
+    is what ends a run: ``rounds`` scatter passes, then the final gather.
     """
 
     name = "pagerank"
@@ -47,7 +47,13 @@ class PageRankAlgorithm(StreamingAlgorithm):
     #: are bit-equal to the same updates applied buffer by buffer.
     gather_run_invariant = True
 
-    def __init__(self, out_degrees: np.ndarray, damping: float = 0.85) -> None:
+    def __init__(
+        self, out_degrees: np.ndarray, rounds: int, damping: float = 0.85
+    ) -> None:
+        # An int: None or infinity would never end the run.
+        if not isinstance(rounds, (int, np.integer)) or rounds < 1:
+            raise EngineError(f"rounds must be an int >= 1, got {rounds!r}")
+        self.rounds = int(rounds)
         if not 0.0 < damping < 1.0:
             raise EngineError(f"damping must be in (0, 1), got {damping}")
         self.out_degrees = np.asarray(out_degrees, dtype=np.float32)

@@ -83,6 +83,10 @@ class StreamingAlgorithm:
     #: gathering them one by one.  The engines then gather a whole host run
     #: in one call; otherwise they call once per modeled buffer.
     gather_run_invariant: bool = False
+    #: Scatter passes a run makes before it stops (the final gather still
+    #: runs), for kernels with no convergence event; None runs until a
+    #: pass generates no update.
+    rounds: Optional[int] = None
 
     def init_state(self, num_vertices: int, roots) -> np.ndarray:
         raise NotImplementedError
@@ -184,14 +188,16 @@ class StreamingAlgorithm:
         return self._check_roots(num_vertices, roots)
 
     def _check_roots(self, num_vertices: int, roots) -> np.ndarray:
-        roots = np.atleast_1d(np.asarray(roots, dtype=np.int64))
+        # Range-check before the int64 conversion: a Python int past int64
+        # (an object array here) would make that raise OverflowError.
+        roots = np.atleast_1d(np.asarray(roots))
         if len(roots) == 0:
             raise EngineError(f"{self.name} needs at least one root vertex")
         if roots.min() < 0 or roots.max() >= num_vertices:
             raise EngineError(
                 f"root out of range [0, {num_vertices}): {roots.tolist()}"
             )
-        return roots
+        return np.asarray(roots, dtype=np.int64)
 
 
 class StagedColumns(dict):

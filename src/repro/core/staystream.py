@@ -202,7 +202,6 @@ class StayStreamManager:
             self.config.stay_buffer_bytes,
             num_buffers=self.config.num_stay_buffers,
             group=f"stay:p{p}:i{iteration}",
-            retry=self.config.retry,
             capacity=input_file.num_records if input_file is not None else 0,
         )
         self._current[p] = writer

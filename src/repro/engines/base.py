@@ -41,7 +41,7 @@ cancellation races and fault-plan positions depend on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -59,7 +59,7 @@ from repro.graph.graph import Graph
 from repro.graph.partition import VertexPartitioning, plan_partition_count
 from repro.sim.timeline import ScheduledRequest
 from repro.storage.device import Device
-from repro.storage.faults import RetryPolicy, submit_with_retry
+from repro.storage.faults import submit_with_retry
 from repro.storage.machine import Machine
 from repro.storage.streams import StreamReader, StreamWriter
 from repro.storage.vfs import VirtualFile
@@ -191,18 +191,10 @@ class EngineConfig:
     update_buffer_bytes: Union[int, str] = 32 * KB
     #: Override the planned partition count (None = derive from memory).
     num_partitions: Optional[int] = None
-    #: Cap on scatter passes (None = run to convergence).  Fixed-round
-    #: algorithms like PageRank set this; the final gather still runs.
-    max_iterations: Optional[int] = None
     #: Allow switching to in-memory mode when the working set fits RAM.
     allow_in_memory: bool = True
     #: Disk index for update files.
     update_disk: int = 0
-    #: Stream-layer recovery from transient I/O faults: bounded retries
-    #: with simulated-clock backoff (see repro.storage.faults.RetryPolicy).
-    #: Only matters when the machine carries a fault plan — fault-free
-    #: runs never enter the retry loop.
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     def __post_init__(self) -> None:
         self.edge_buffer_bytes = parse_bytes(self.edge_buffer_bytes)
@@ -215,14 +207,8 @@ class EngineConfig:
             raise ConfigError("buffer sizes must be positive")
         if self.num_partitions is not None and self.num_partitions < 1:
             raise ConfigError("num_partitions must be >= 1")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ConfigError("max_iterations must be >= 1")
         if self.update_disk < 0:
             raise ConfigError("update_disk must be >= 0")
-
-    def with_(self, **kwargs) -> "EngineConfig":
-        """Copy with some fields replaced (sweep helper)."""
-        return replace(self, **kwargs)
 
 
 class _RunState:
@@ -448,7 +434,6 @@ class EdgeCentricEngine:
                 cfg.edge_buffer_bytes,
                 prefetch=cfg.num_edge_buffers,
                 group="input",
-                retry=cfg.retry,
             )
             writers = [
                 StreamWriter(
@@ -456,7 +441,6 @@ class EdgeCentricEngine:
                     vfs.create(f"edges:p{p}", dev_edges),
                     cfg.edge_buffer_bytes,
                     group=f"partition:p{p}",
-                    retry=cfg.retry,
                 )
                 for p in part
             ]
@@ -574,8 +558,7 @@ class EdgeCentricEngine:
                 rt.algo.after_gather(gather_ctx, rt.state[lo:hi])
                 stats.activated += activated
                 scatter_allowed = (
-                    self.config.max_iterations is None
-                    or iteration < self.config.max_iterations
+                    rt.algo.rounds is None or iteration < rt.algo.rounds
                 )
                 if scatter_allowed and self._should_scatter(rt, p, activated):
                     stats.updates_generated += self._scatter_partition(
@@ -646,7 +629,6 @@ class EdgeCentricEngine:
                 cfg.edge_buffer_bytes,
                 prefetch=cfg.num_edge_buffers,
                 group=f"edges:p{p}",
-                retry=cfg.retry,
             )
             generated = 0
             streamed = 0
@@ -729,7 +711,6 @@ class EdgeCentricEngine:
                 cfg.update_buffer_bytes,
                 prefetch=cfg.num_edge_buffers,
                 group=f"updates:p{p}",
-                retry=cfg.retry,
             )
             activated = 0
             gathered = 0
@@ -778,7 +759,6 @@ class EdgeCentricEngine:
             nbytes=self._vertex_nbytes(rt, p),
             offset=0,
             group="vertices",
-            retry=self.config.retry,
         )
         rt.machine.clock.wait_until(req.end)
 
@@ -791,7 +771,6 @@ class EdgeCentricEngine:
             nbytes=self._vertex_nbytes(rt, p),
             offset=0,
             group="vertices",
-            retry=self.config.retry,
         )
         rt.pending_vertex_writes.append(req)
 
@@ -808,7 +787,6 @@ class EdgeCentricEngine:
                 rt.machine.vfs.create(f"updates:{parity}:p{p}", device),
                 cfg.update_buffer_bytes,
                 group=f"updates:{parity}:p{p}",
-                retry=cfg.retry,
             )
             for p in rt.partitioning
         ]

@@ -32,7 +32,7 @@ engines' (paper Fig. 6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -101,9 +101,6 @@ class GraphChiConfig:
             raise ConfigError("threads must be >= 1")
         if self.num_shards is not None and self.num_shards < 1:
             raise ConfigError("num_shards must be >= 1")
-
-    def with_(self, **kwargs) -> "GraphChiConfig":
-        return replace(self, **kwargs)
 
 
 class GraphChiEngine:

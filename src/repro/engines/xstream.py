@@ -16,8 +16,8 @@ without the protection machinery FastBFS needs.
 
 Fault resilience is likewise inherited from the scaffolding: every edge,
 update and vertex stream goes through
-:func:`~repro.storage.faults.submit_with_retry` under
-``EngineConfig.retry``, and crash/resume works through
+:func:`~repro.storage.faults.submit_with_retry` within the machine's
+fault plan's ``max_attempts``, and crash/resume works through
 :meth:`QuerySession.recover <repro.engines.session.QuerySession.recover>`.
 X-Stream has no stay files, so the checksum-fallback layer simply never
 engages — the chaos harness (``repro chaos``) runs it as the

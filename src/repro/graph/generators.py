@@ -19,12 +19,33 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.graph import Graph
-from repro.graph.types import make_edges
+from repro.graph.types import NO_PARENT, make_edges
 from repro.utils.rng import SeedLike, rng_from_seed
 
 
 #: Largest R-MAT scale :func:`rmat_graph` builds (vertex ids are uint32).
 RMAT_MAX_SCALE = 31
+
+#: Most vertices a generated graph holds: ids are uint32 and the all-ones
+#: id means "no parent".
+_MAX_VERTICES = int(NO_PARENT)
+
+
+def _check_sizes(num_vertices: int, num_edges: int, least: int = 1) -> None:
+    """Refuse a vertex count outside [least, u4 ids] or a negative edge count."""
+    if not least <= num_vertices <= _MAX_VERTICES:
+        raise GraphError(
+            f"num_vertices must be in [{least}, {_MAX_VERTICES}], got {num_vertices}"
+        )
+    if num_edges < 0:
+        raise GraphError(f"num_edges must be >= 0, got {num_edges}")
+
+
+def _seeded(seed: SeedLike) -> np.random.Generator:
+    """The generator's rng; a negative integer seed is refused."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise GraphError(f"seed must be >= 0, got {seed}")
+    return rng_from_seed(seed)
 
 
 def rmat_graph(
@@ -55,7 +76,7 @@ def rmat_graph(
     total = abs(a) + abs(b) + abs(c) + abs(d)
     if total <= 0 or abs(total - 1.0) > 1e-6:
         raise GraphError(f"R-MAT probabilities must sum to 1, got {total}")
-    rng = rng_from_seed(seed)
+    rng = _seeded(seed)
     n = 1 << scale
     m = edge_factor * n
     src = np.zeros(m, dtype=np.uint32)
@@ -90,9 +111,8 @@ def random_graph(
     name: Optional[str] = None,
 ) -> Graph:
     """Uniform directed multigraph: each edge endpoint drawn independently."""
-    if num_vertices <= 0:
-        raise GraphError("num_vertices must be positive")
-    rng = rng_from_seed(seed)
+    _check_sizes(num_vertices, num_edges)
+    rng = _seeded(seed)
     src = rng.integers(0, num_vertices, size=num_edges, dtype=np.uint32)
     dst = rng.integers(0, num_vertices, size=num_edges, dtype=np.uint32)
     return Graph(
@@ -141,15 +161,14 @@ def powerlaw_graph(
     Lomax law.  ``exponent`` ~1.5-2.2 covers social networks; ``head_shift``
     defaults to ``num_vertices/64``.
     """
-    if num_vertices <= 1:
-        raise GraphError("powerlaw_graph needs at least 2 vertices")
+    _check_sizes(num_vertices, num_edges, least=2)
     if exponent <= 1.0:
         raise GraphError(f"exponent must be > 1, got {exponent}")
     if head_shift is None:
         head_shift = max(1.0, num_vertices / 64.0)
     if head_shift <= 0:
         raise GraphError(f"head_shift must be positive, got {head_shift}")
-    rng = rng_from_seed(seed)
+    rng = _seeded(seed)
     relabel = rng.permutation(num_vertices).astype(np.uint32)
     dst = relabel[_lomax_ranks(rng, num_edges, exponent, head_shift, num_vertices)]
     if out_exponent is None:

@@ -7,14 +7,16 @@ control that *produces* that sharing.  Each registered graph's entry owns
 one :class:`AdmissionController` (``entry.admission``, built by
 :meth:`~repro.serve.registry.ArtifactRegistry.register`) holding a
 bounded FIFO of tickets; a ticket carries what to run (an algorithm
-kernel, absent = BFS), so every served algorithm waits in the same queue
-under the same rules.  Concurrent HTTP threads enqueue their tickets and
-wait on the entry's monitor (leader/follower): when no flush is running,
-a thread whose ticket is still queued drains the longest queue prefix
-that can share one run — consecutive BFS tickets up to
-:data:`~repro.algorithms.streaming.BATCH_WIDTH`, run as **one** batched
-`run_staged_queries` call, or exactly one ticket of any other algorithm
-— runs it with no lock held, marks every drained ticket done and wakes
+kernel with its own parameters, such as PageRank's rounds; absent = BFS)
+and always runs on the entry's engine, so every served algorithm waits in
+the same queue under the same rules.  Concurrent HTTP threads enqueue
+their tickets and wait on the entry's monitor (leader/follower): when no
+flush is running, a thread whose ticket is still queued drains the
+longest queue prefix that can share one run — consecutive BFS tickets up
+to the controller's ``batch_width`` (at most
+:data:`~repro.algorithms.streaming.BATCH_WIDTH`), run as **one** batched
+`run_staged_queries` call, or exactly one ticket carrying a kernel —
+runs it with no lock held, marks every drained ticket done and wakes
 the waiters; a thread whose ticket is done returns.  A full queue
 rejects deterministically (:class:`~repro.errors.QueueFullError`, mapped
 to HTTP 429 + ``Retry-After``).
@@ -106,7 +108,7 @@ class Ticket:
     """One admitted request: what to run, waiting for its flush."""
 
     __slots__ = (
-        "request_id", "entry", "algorithm", "engine",
+        "request_id", "entry", "algorithm",
         "enqueued_at", "queue_wait", "deadline_at", "deadline_ms",
         "done", "result", "report", "flush_id", "flush_size", "flush_mode",
         "error", "report_id", "spans",
@@ -119,15 +121,12 @@ class Ticket:
         enqueued_at: float = 0.0,
         deadline_ms: Optional[float] = None,
         algorithm: Optional[StreamingAlgorithm] = None,
-        engine=None,
     ):
         self.request_id = request_id
         self.entry = entry
         #: The kernel to run; None is BFS, the one algorithm with a batched
         #: kernel, so only such tickets share a flush.
         self.algorithm = algorithm
-        #: A per-request engine (PageRank's round cap); None is the entry's.
-        self.engine = engine
         self.enqueued_at = enqueued_at
         self.queue_wait = 0.0
         self.deadline_ms = deadline_ms    # as requested (for the 504 body)
@@ -241,7 +240,6 @@ class AdmissionController:
         entry: Union[int, Sequence[int]],
         deadline_ms: Optional[float] = None,
         algorithm: Optional[StreamingAlgorithm] = None,
-        engine=None,
     ) -> Ticket:
         """Admit one query (a root entry and what to run on it) or raise.
 
@@ -275,7 +273,7 @@ class AdmissionController:
                 )
             ticket = Ticket(
                 request_id, entry, enqueued_at=self.clock.now(),
-                deadline_ms=deadline_ms, algorithm=algorithm, engine=engine,
+                deadline_ms=deadline_ms, algorithm=algorithm,
             )
             self._queue.append(ticket)
             self._accepted += 1
@@ -286,7 +284,7 @@ class AdmissionController:
 
         Each flush takes the longest queue prefix that can share one run:
         consecutive BFS tickets up to ``batch_width``, or exactly one
-        ticket of any other algorithm.
+        ticket carrying a kernel.
         """
         size = 0  # BFS tickets in the run being formed
         for ticket in self._queue:
@@ -380,26 +378,26 @@ class AdmissionController:
     ):
         """Rewind the machine and run ``tickets`` as one staged call, once.
 
-        The one place the serving layer touches an entry's machine.
-        ``tickets`` share the head's kernel and engine (the flush prefix
-        rule).  Returns ``(batch, tracer)``; a ``CrashError`` that outlived
-        the session recovery loop (:data:`DEFAULT_MAX_RECOVERIES`) or an
+        The one place the serving layer touches an entry's machine, always
+        through the entry's engine.  ``tickets`` share the head's kernel
+        (the flush prefix rule: several tickets are all BFS).  Returns
+        ``(batch, tracer)``; a ``CrashError`` that outlived the session
+        recovery loop (:data:`DEFAULT_MAX_RECOVERIES`) or an
         ``IOFaultError`` give-up propagates, and leaves no residue: the
         next attempt starts from the staging checkpoint again.
         """
         entry = self.entry
-        head = tickets[0]
         tracer = Tracer()
         entry.machine.attach_tracer(tracer)
         # Dual-clock: host stamps on the run's spans feed the request
         # trace (/debug/requests/{id}); strictly neutral for sim results.
         tracer.bind_host_clock(self.clock)
         batch = run_staged_queries(
-            head.engine if head.engine is not None else entry.engine,
+            entry.engine,
             entry.staged,
             entry.checkpoint,
             [t.entry for t in tickets],
-            algorithm=head.algorithm,
+            algorithm=tickets[0].algorithm,
             mode=mode,
             span_attrs={
                 "flush_id": run_id,
@@ -610,7 +608,6 @@ class AdmissionController:
         entry: Union[int, Sequence[int]],
         deadline_ms: Optional[float] = None,
         algorithm: Optional[StreamingAlgorithm] = None,
-        engine=None,
     ) -> Ticket:
         """Admit, then lead or wait until the ticket is fulfilled.
 
@@ -625,8 +622,7 @@ class AdmissionController:
         error on their tickets, so the loop goes on to its own.
         """
         ticket = self.offer(
-            request_id, entry, deadline_ms=deadline_ms,
-            algorithm=algorithm, engine=engine,
+            request_id, entry, deadline_ms=deadline_ms, algorithm=algorithm,
         )
         monitor = self.entry.monitor
         while True:

@@ -252,11 +252,11 @@ def _extract_deadline(payload: Dict) -> Optional[float]:
 
 
 # Per algorithm: a payload parser returning what the ticket carries,
-# ``(root entry or None, kernel or None = BFS, per-request engine or
-# None)``, and an encoder of the result's JSON.
+# ``(root entry or None, kernel or None = BFS)``, and an encoder of the
+# result's JSON.
 
 def _parse_bfs(entry: GraphEntry, payload: Dict):
-    return _extract_roots(entry, payload), None, None
+    return _extract_roots(entry, payload), None
 
 
 def _parse_sssp(entry: GraphEntry, payload: Dict):
@@ -268,7 +268,7 @@ def _parse_sssp(entry: GraphEntry, payload: Dict):
         raise _RequestProblem(
             400, "bad_request", "\"max_weight\" must be an int in [1, 2^32)"
         )
-    return root_entry, WeightedSSSPAlgorithm(hash_weights(max_weight)), None
+    return root_entry, WeightedSSSPAlgorithm(hash_weights(max_weight))
 
 
 def _parse_pagerank(entry: GraphEntry, payload: Dict):
@@ -283,15 +283,9 @@ def _parse_pagerank(entry: GraphEntry, payload: Dict):
         raise _RequestProblem(
             400, "bad_request", "\"damping\" must be in (0, 1)"
         )
-    kernel = PageRankAlgorithm(
-        entry.graph.out_degrees(), damping=float(damping)
+    return None, PageRankAlgorithm(
+        entry.graph.out_degrees(), rounds, damping=float(damping)
     )
-    # PageRank has no convergence event: cap the rounds on a per-request
-    # engine sharing the staged artifact's config.
-    engine = type(entry.engine)(
-        entry.engine.config.with_(max_iterations=rounds)
-    )
-    return None, kernel, engine
 
 
 def _encode_bfs(result) -> Dict:
@@ -606,7 +600,7 @@ class GraphService:
                 f"unknown algorithm {algorithm!r}; options: {QUERY_ALGORITHMS}",
             )
         parse, encode = _QUERIES[algorithm]
-        root_entry, kernel, engine = parse(entry, payload)
+        root_entry, kernel = parse(entry, payload)
         deadline_ms = _extract_deadline(payload)
         ticket = entry.admission.submit(
             request_id,
@@ -614,7 +608,6 @@ class GraphService:
             0 if root_entry is None else root_entry,
             deadline_ms=deadline_ms,
             algorithm=kernel,
-            engine=engine,
         )
         report = ticket.report
         body = {

@@ -58,11 +58,12 @@ from repro.storage.faults import FaultPlan
 from repro.storage.machine import Machine
 
 #: Generator spec kinds accepted by :func:`parse_graph_spec`, mapping
-#: ``kind`` to (builder, integer parameter names in builder order, the edge
-#: count the builder would allocate for those parameters).  The estimate
-#: runs before the builder and on anything a client sends: it only has to
-#: be right for parameters the builder accepts (an R-MAT scale the builder
-#: refuses is left for it to refuse, not shifted by).
+#: ``kind`` to (builder, integer parameter names in builder order, the
+#: larger of the vertex and edge counts the builder would allocate for
+#: those parameters).  The estimate runs before the builder and on anything
+#: a client sends: it only has to be right for parameters the builder
+#: accepts (an R-MAT scale the builder refuses is left for it to refuse,
+#: not shifted by).
 _GENERATORS: Dict[str, Tuple[Callable, Tuple[str, ...], Callable[..., int]]] = {
     "rmat": (
         rmat_graph, ("scale", "edge_factor", "seed"),
@@ -72,11 +73,11 @@ _GENERATORS: Dict[str, Tuple[Callable, Tuple[str, ...], Callable[..., int]]] = {
     ),
     "random": (
         random_graph, ("num_vertices", "num_edges", "seed"),
-        lambda num_vertices, num_edges, seed=0: num_edges,
+        lambda num_vertices, num_edges, seed=0: max(num_vertices, num_edges),
     ),
     "powerlaw": (
         powerlaw_graph, ("num_vertices", "num_edges", "seed"),
-        lambda num_vertices, num_edges, seed=0: num_edges,
+        lambda num_vertices, num_edges, seed=0: max(num_vertices, num_edges),
     ),
     "grid": (grid_graph, ("width", "height"), lambda width, height: 2 * width * height),
     "path": (path_graph, ("num_vertices",), lambda num_vertices: num_vertices),
@@ -100,7 +101,7 @@ def parse_graph_spec(
       to serve the graph under (defaults to the graph's own name).
 
     With ``max_edges``, a generator spec whose parameters ask for more
-    edges than that is refused before the generator runs.
+    edges or vertices than that is refused before the generator runs.
     """
     alias: Optional[str] = None
     if "@" in spec:
@@ -147,7 +148,7 @@ def parse_graph_spec(
             if estimate > max_edges:
                 raise ConfigError(
                     f"generator spec {spec!r} asks for about {estimate} "
-                    f"edges; the limit is {max_edges}"
+                    f"edges or vertices; the limit is {max_edges}"
                 )
         graph = builder(**params)
     except TypeError:

@@ -17,13 +17,13 @@ Key pieces:
 * :class:`AsyncStreamWriter` — the dedicated stay-list writer: a private
   buffer pool, fire-and-forget flushes, and cancellation support;
 * :class:`Machine` — clock + devices + memory budget + core count;
-* :class:`FaultPlan` / :class:`FaultInjector` / :class:`RetryPolicy` —
-  deterministic fault injection and the stream-layer retry loop
+* :class:`FaultPlan` / :class:`FaultInjector` — deterministic fault
+  injection and the plan's retry budget for the stream-layer retry loop
   (see :mod:`repro.storage.faults`).
 """
 
 from repro.storage.device import Device, DeviceSpec
-from repro.storage.faults import FaultInjector, FaultPlan, FaultSpec, RetryPolicy
+from repro.storage.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.storage.machine import IOReport, Machine
 from repro.storage.pagecache import PageCache
 from repro.storage.streams import AsyncStreamWriter, StreamReader, StreamWriter
@@ -43,5 +43,4 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "FaultInjector",
-    "RetryPolicy",
 ]

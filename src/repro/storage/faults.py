@@ -6,15 +6,16 @@ are part of the model.  This module makes device misbehaviour a
 first-class, *seeded* input: a :class:`FaultPlan` is a reproducible
 schedule of faults, a :class:`FaultInjector` evaluates it at the single
 choke point every I/O goes through (:meth:`Device.submit
-<repro.storage.device.Device.submit>`), and a :class:`RetryPolicy` is the
-stream-layer answer to the transient subset.
+<repro.storage.device.Device.submit>`), and :func:`submit_with_retry` is
+the stream-layer answer to the transient subset, within the plan's
+``max_attempts`` budget.
 
 Fault taxonomy (``FaultSpec.kind``):
 
 ``transient_error``
     The request fails with :class:`~repro.errors.TransientIOError`; a
-    retry may succeed.  Absorbed by :func:`submit_with_retry` under the
-    engine's :class:`RetryPolicy`.
+    retry may succeed.  Absorbed by :func:`submit_with_retry` within the
+    plan's ``max_attempts``.
 ``persistent_error``
     The request fails with :class:`~repro.errors.PersistentIOError`;
     retrying is pointless and the error propagates as a typed failure.
@@ -154,14 +155,21 @@ class FaultPlan:
     Attach through ``Machine(fault_plan=...)``; the machine builds one
     :class:`FaultInjector` shared by its persistent disks (the RAM
     pseudo-device is exempt — faults model persistent media).
+
+    ``max_attempts`` is the stream layer's budget per request for the
+    plan's transient errors (:func:`submit_with_retry`), counting the
+    first try: 3 means one submit plus at most two retries.
     """
 
     specs: Tuple[FaultSpec, ...] = ()
     seed: int = 0
+    max_attempts: int = 3
 
     def __post_init__(self) -> None:
         # Accept any sequence of specs; freeze to a tuple for hashability.
         object.__setattr__(self, "specs", tuple(self.specs))
+        if self.max_attempts < 1:
+            raise ConfigError(f"max_attempts must be >= 1, got {self.max_attempts}")
 
     @staticmethod
     def crash_point(
@@ -179,33 +187,20 @@ class FaultPlan:
 
 
 #: Simulated seconds before the first retry, and the growth of each
-#: later wait (see :meth:`RetryPolicy.backoff`).
+#: later wait (see :func:`retry_backoff`).
 RETRY_BACKOFF_BASE = 0.002
 RETRY_BACKOFF_MULTIPLIER = 2.0
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retries with exponential simulated-clock backoff.
+def retry_backoff(retry_number: int) -> float:
+    """Simulated seconds to wait before retry ``retry_number`` (1-based).
 
-    ``max_attempts`` counts the first try: 3 means one submit plus at most
-    two retries.  The ``n``-th retry waits
-    ``RETRY_BACKOFF_BASE * RETRY_BACKOFF_MULTIPLIER ** (n - 1)`` simulated
-    seconds before resubmitting, so recovery cost is visible in the iowait
-    ledger like any other stall.
+    ``RETRY_BACKOFF_BASE * RETRY_BACKOFF_MULTIPLIER ** (n - 1)``, so
+    recovery cost is visible in the iowait ledger like any other stall.
     """
-
-    max_attempts: int = 3
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigError(f"max_attempts must be >= 1, got {self.max_attempts}")
-
-    def backoff(self, retry_number: int) -> float:
-        """Seconds to wait before retry ``retry_number`` (1-based)."""
-        return exponential_backoff(
-            RETRY_BACKOFF_BASE, RETRY_BACKOFF_MULTIPLIER, retry_number
-        )
+    return exponential_backoff(
+        RETRY_BACKOFF_BASE, RETRY_BACKOFF_MULTIPLIER, retry_number
+    )
 
 
 @dataclass
@@ -411,14 +406,13 @@ def submit_with_retry(
     nbytes: int,
     offset: int,
     group: str,
-    retry: Optional[RetryPolicy],
 ) -> ScheduledRequest:
-    """Submit one device request, absorbing transient faults under ``retry``.
+    """Submit one device request, absorbing transient faults.
 
     The stream layer's recovery loop: a :class:`~repro.errors.TransientIOError`
-    from the device triggers a simulated-clock backoff
+    (only a fault injector raises one) triggers a simulated-clock backoff
     (``clock.wait_until``, so the stall lands in the iowait ledger) and a
-    resubmit, up to ``retry.max_attempts`` total attempts.  Each retry is
+    resubmit, up to the injector's ``plan.max_attempts`` total attempts.  Each retry is
     traced as an ``io_retry`` span and counted; exhaustion emits an
     ``io_giveup`` span and raises :class:`~repro.errors.IOFaultError`.
     Persistent faults and out-of-space pass straight through — retrying
@@ -431,16 +425,13 @@ def submit_with_retry(
         try:
             return device.submit(clock.now, kind, nbytes, file.file_id, offset, group)
         except TransientIOError as exc:
-            policy = retry if retry is not None else RetryPolicy(max_attempts=1)
             injector = device.injector
-            if attempt >= policy.max_attempts:
-                if injector is not None:
-                    injector.record_giveup(device.name, group, attempt, clock.now)
+            if attempt >= injector.plan.max_attempts:
+                injector.record_giveup(device.name, group, attempt, clock.now)
                 raise IOFaultError(
                     f"{kind} on {device.name!r} (group {group!r}) still failing "
                     f"after {attempt} attempt(s): {exc}"
                 ) from exc
             start = clock.now
-            clock.wait_until(start + policy.backoff(attempt))
-            if injector is not None:
-                injector.record_retry(device.name, group, attempt, start, clock.now)
+            clock.wait_until(start + retry_backoff(attempt))
+            injector.record_retry(device.name, group, attempt, start, clock.now)

@@ -38,7 +38,7 @@ import numpy as np
 from repro.errors import IOFaultError, StorageError
 from repro.sim.clock import SimClock
 from repro.sim.timeline import ScheduledRequest
-from repro.storage.faults import RetryPolicy, submit_with_retry
+from repro.storage.faults import submit_with_retry
 from repro.storage.vfs import VirtualFile, as_one_array
 
 
@@ -57,7 +57,6 @@ class StreamReader:
         buffer_bytes: int,
         prefetch: int = 2,
         group: str = "",
-        retry: Optional[RetryPolicy] = None,
     ) -> None:
         if buffer_bytes <= 0:
             raise StorageError(f"buffer_bytes must be positive, got {buffer_bytes}")
@@ -66,7 +65,6 @@ class StreamReader:
         self.clock = clock
         self.file = file
         self.group = group or f"read:{file.name}"
-        self.retry = retry
         self.prefetch = prefetch
         # Fixed for the reader's life: it reads the records the file held
         # at open, and a file with records has a fixed dtype.
@@ -86,7 +84,7 @@ class StreamReader:
             count = min(self.records_per_buffer, total - first)
             req = submit_with_retry(
                 self.clock, self.file, "read", count * record_size,
-                first * record_size, self.group, self.retry,
+                first * record_size, self.group,
             )
             pending.append((req, first, count))
             self._next_submit = first + count
@@ -114,7 +112,6 @@ class StreamWriter:
         file: VirtualFile,
         buffer_bytes: int,
         group: str = "",
-        retry: Optional[RetryPolicy] = None,
     ) -> None:
         if buffer_bytes <= 0:
             raise StorageError(f"buffer_bytes must be positive, got {buffer_bytes}")
@@ -122,7 +119,6 @@ class StreamWriter:
         self.file = file
         self.buffer_bytes = buffer_bytes
         self.group = group or f"write:{file.name}"
-        self.retry = retry
         #: Simulated time the writer was opened (span anchoring only).
         self.opened_at = clock.now
         self._pending: List[np.ndarray] = []
@@ -202,7 +198,7 @@ class StreamWriter:
 
     def _submit(self, nbytes: int, offset: int) -> ScheduledRequest:
         req = submit_with_retry(
-            self.clock, self.file, "write", nbytes, offset, self.group, self.retry
+            self.clock, self.file, "write", nbytes, offset, self.group
         )
         self._requests.append(req)
         if req.fault == "torn_write":
@@ -283,14 +279,11 @@ class AsyncStreamWriter(StreamWriter):
         buffer_bytes: int,
         num_buffers: int = 4,
         group: str = "",
-        retry: Optional[RetryPolicy] = None,
         capacity: int = 0,
     ) -> None:
         if num_buffers < 1:
             raise StorageError(f"num_buffers must be >= 1, got {num_buffers}")
-        super().__init__(
-            clock, file, buffer_bytes, group or f"stay:{file.name}", retry=retry
-        )
+        super().__init__(clock, file, buffer_bytes, group or f"stay:{file.name}")
         self.num_buffers = num_buffers
         #: Records the private buffer holds (the most the file can grow to).
         self.capacity = capacity

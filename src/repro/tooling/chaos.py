@@ -57,7 +57,7 @@ against the injector and breaker ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -75,7 +75,7 @@ from repro.graph.graph import Graph
 from repro.obs.counters import CounterRegistry
 from repro.obs.tracer import Tracer
 from repro.storage.device import DeviceSpec
-from repro.storage.faults import FaultPlan, FaultSpec, RetryPolicy
+from repro.storage.faults import FaultPlan, FaultSpec
 from repro.storage.machine import Machine
 from repro.utils.rng import rng_from_seed
 from repro.utils.units import KB, MB
@@ -95,6 +95,10 @@ SCENARIOS: Tuple[Tuple[str, int, str], ...] = (
 
 #: Queries per batched chaos cell (hub plus next best-connected roots).
 BATCH_QUERIES = 4
+
+#: I/O attempts per request the sweeps' fault plans allow (one more than
+#: a plan's default, so the transient mix is absorbed more often).
+IO_MAX_ATTEMPTS = 4
 
 #: How many times a single trial will call ``recover()`` before declaring
 #: the crash schedule unrecoverable (each crash spec is one-shot, so this
@@ -278,10 +282,12 @@ def _trial_plan(rng: np.random.Generator, plan_seed: int) -> FaultPlan:
                 max_fires=1,
             )
         )
-    return FaultPlan(specs=tuple(specs), seed=plan_seed)
+    return FaultPlan(
+        specs=tuple(specs), seed=plan_seed, max_attempts=IO_MAX_ATTEMPTS
+    )
 
 
-def _make_engine(name: str, disks: int, retry: RetryPolicy) -> EdgeCentricEngine:
+def _make_engine(name: str, disks: int) -> EdgeCentricEngine:
     """A small out-of-core engine config so streaming paths are exercised."""
     if name == "fastbfs":
         return FastBFSEngine(
@@ -292,7 +298,6 @@ def _make_engine(name: str, disks: int, retry: RetryPolicy) -> EdgeCentricEngine
                 num_partitions=4,
                 allow_in_memory=False,
                 rotate_streams=disks == 2,
-                retry=retry,
             )
         )
     if name == "x-stream":
@@ -302,7 +307,6 @@ def _make_engine(name: str, disks: int, retry: RetryPolicy) -> EdgeCentricEngine
                 update_buffer_bytes=1 * KB,
                 num_partitions=4,
                 allow_in_memory=False,
-                retry=retry,
             )
         )
     raise ConfigError(f"unknown chaos engine {name!r}")
@@ -352,7 +356,7 @@ def _run_trial(
     rng = rng_from_seed(trial_seed)
     plan = _trial_plan(rng, trial_seed)
     machine = _make_machine(disks, plan)
-    engine = _make_engine(engine_name, disks, RetryPolicy(max_attempts=4))
+    engine = _make_engine(engine_name, disks)
     trial = ChaosTrial(
         index=index, engine=engine_name, disks=disks, seed=trial_seed,
         outcome="violation", mode=mode,
@@ -539,7 +543,7 @@ def _serve_request(
 
 def _serve_registry_kwargs() -> dict:
     """How the serve profile stages graphs: tiny buffers, two disks,
-    out-of-core always (faults fire on device I/O), I/O retries on."""
+    out-of-core always (faults fire on device I/O)."""
     return dict(
         engine="fastbfs",
         config=FastBFSConfig(
@@ -549,7 +553,6 @@ def _serve_registry_kwargs() -> dict:
             num_partitions=4,
             allow_in_memory=False,
             rotate_streams=True,
-            retry=RetryPolicy(max_attempts=4),
         ),
         machine_factory=lambda: Machine(
             [DeviceSpec.hdd("hdd0"), DeviceSpec.hdd("hdd1")],
@@ -565,7 +568,9 @@ def _serve_service(profile: str, trial_seed: int, graph: Graph, clock):
 
     service = GraphService(
         port=0,
-        fault_plan=serve_fault_plan(profile, trial_seed),
+        fault_plan=replace(
+            serve_fault_plan(profile, trial_seed), max_attempts=IO_MAX_ATTEMPTS
+        ),
         clock=clock,
         **_serve_registry_kwargs(),
     ).start()
@@ -592,13 +597,11 @@ def _serve_answers(graph: Graph, roots: List[int]) -> Dict[tuple, list]:
         answers["sssp", root] = reference_sssp(graph, root, weights).tolist()
     entry = ArtifactRegistry(**_serve_registry_kwargs()).register("g", graph)
     (clean,) = run_staged_queries(
-        type(entry.engine)(
-            entry.engine.config.with_(max_iterations=SERVE_PAGERANK_ROUNDS)
-        ),
+        entry.engine,
         entry.staged,
         entry.checkpoint,
         [0],
-        algorithm=PageRankAlgorithm(graph.out_degrees()),
+        algorithm=PageRankAlgorithm(graph.out_degrees(), SERVE_PAGERANK_ROUNDS),
     ).queries
     answers["pagerank", None] = clean.output["rank"].tolist()
     return answers

@@ -2,7 +2,7 @@
 
 Two unrelated-looking mechanisms use exactly the same curve:
 
-* :meth:`repro.storage.faults.RetryPolicy.backoff` — how long the stream
+* :func:`repro.storage.faults.retry_backoff` — how long the stream
   layer waits (in *simulated* seconds, charged to the iowait ledger)
   before resubmitting a transiently failed device request;
 * the serving circuit breaker's quarantine cooldown

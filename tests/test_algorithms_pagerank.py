@@ -13,7 +13,7 @@ from tests.helpers import (
 from repro.algorithms.pagerank import PageRankAlgorithm, reference_pagerank
 from repro.core.engine import FastBFSEngine
 from repro.engines.xstream import XStreamEngine
-from repro.errors import ConfigError, EngineError
+from repro.errors import EngineError
 from repro.graph.generators import path_graph, random_graph, rmat_graph
 from repro.graph.graph import Graph
 
@@ -21,30 +21,32 @@ ROUNDS = 8
 
 
 def run_pagerank(graph, engine_cls=XStreamEngine, rounds=ROUNDS, partitions=3):
-    algo = PageRankAlgorithm(graph.out_degrees())
-    engine = engine_cls(
-        small_fastbfs_config(num_partitions=partitions, max_iterations=rounds)
-    )
+    algo = PageRankAlgorithm(graph.out_degrees(), rounds)
+    engine = engine_cls(small_fastbfs_config(num_partitions=partitions))
     return engine.run(graph, fresh_machine(), algorithm=algo, root=0)
 
 
 class TestConstruction:
     def test_bad_damping(self):
         with pytest.raises(EngineError):
-            PageRankAlgorithm(np.ones(3), damping=1.0)
+            PageRankAlgorithm(np.ones(3), ROUNDS, damping=1.0)
 
     def test_negative_degrees(self):
         with pytest.raises(EngineError):
-            PageRankAlgorithm(np.array([-1.0, 2.0]))
+            PageRankAlgorithm(np.array([-1.0, 2.0]), ROUNDS)
 
     def test_degree_size_mismatch(self):
-        algo = PageRankAlgorithm(np.ones(3))
+        algo = PageRankAlgorithm(np.ones(3), ROUNDS)
         with pytest.raises(EngineError):
             algo.init_state(5, None)
 
     def test_max_iterations_validation(self):
-        with pytest.raises(ConfigError):
-            small_fastbfs_config(max_iterations=0)
+        """The iteration cap is the kernel's ``rounds``.  Every vertex stays
+        active every round, so only that count ends a run: a kernel
+        without a finite one is refused."""
+        for rounds in (None, 0, -1, float("inf"), 2.5):
+            with pytest.raises(EngineError, match="rounds"):
+                PageRankAlgorithm(np.ones(3), rounds)
 
 
 class TestCorrectness:
@@ -137,11 +139,3 @@ class TestEngineIntegrationDetails:
         assert np.array_equal(
             result.levels, bfs_levels(rmat10, hub_root(rmat10))
         )
-
-    def test_max_iterations_caps_bfs_early(self):
-        g = path_graph(50)
-        result = FastBFSEngine(
-            small_fastbfs_config(max_iterations=5, num_partitions=2)
-        ).run(g, fresh_machine(), root=0)
-        assert result.levels.max() == 5  # truncated traversal
-        assert (result.levels[6:] == -1).all()

@@ -89,6 +89,16 @@ class TestRunBfs:
         result = run_bfs(graph, roots=[0, 1], memory="8MB")
         assert result.levels[0] == 0 and result.levels[1] == 0
 
+    @pytest.mark.parametrize("roots", [
+        {"root": 2 ** 70}, {"root": -(2 ** 70)}, {"roots": [1, -(2 ** 70)]},
+    ])
+    def test_root_outside_int64_is_a_typed_error(self, graph, roots):
+        """A root int64 cannot hold is out of range like any other."""
+        machine = Machine.commodity_server()
+        with pytest.raises(EngineError, match="out of range"):
+            run_bfs(graph, machine=machine, **roots)
+        assert machine.clock.now == 0.0
+
 
 class TestRunQueries:
     @pytest.mark.parametrize("engine", ENGINES)

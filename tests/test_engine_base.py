@@ -1,5 +1,7 @@
 """Tests for the shared edge-centric engine scaffolding (X-Stream behaviour)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -37,9 +39,13 @@ class TestEngineConfig:
             EngineConfig(**kwargs)
 
     def test_with_copies(self):
+        """A copy with a field replaced leaves the original alone and is
+        validated like a fresh config."""
         cfg = EngineConfig(threads=2)
-        cfg2 = cfg.with_(threads=8)
+        cfg2 = replace(cfg, threads=8)
         assert cfg.threads == 2 and cfg2.threads == 8
+        with pytest.raises(ConfigError):
+            replace(cfg, threads=0)
 
 
 class TestBasicCorrectness:

@@ -38,7 +38,6 @@ from repro.storage.faults import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
-    RetryPolicy,
     submit_with_retry,
 )
 from repro.storage.machine import Machine
@@ -84,8 +83,9 @@ class TestFaultSpecValidation:
         assert plan.seed == 3
 
     def test_retry_policy_validation(self):
+        assert FaultPlan().max_attempts == 3
         with pytest.raises(ConfigError):
-            RetryPolicy(max_attempts=0)
+            FaultPlan(max_attempts=0)
 
 
 class TestFaultInjector:
@@ -213,12 +213,12 @@ class TestRetryLoop:
 
     def test_retries_absorb_transients(self):
         plan = FaultPlan(
-            specs=(FaultSpec(kind="transient_error", max_fires=2),), seed=0
+            specs=(FaultSpec(kind="transient_error", max_fires=2),), seed=0,
+            max_attempts=4,
         )
         clock, device, f = self._setup(plan)
         req = submit_with_retry(
             clock, f, kind="read", nbytes=f.nbytes, offset=0, group="g",
-            retry=RetryPolicy(max_attempts=4),
         )
         assert req.nbytes == f.nbytes
         assert device.injector.total("io_retries") == 2
@@ -231,22 +231,22 @@ class TestRetryLoop:
         )
         clock, device, f = self._setup(plan)
         with pytest.raises(IOFaultError):
+            # The plan's default budget: three attempts.
             submit_with_retry(
                 clock, f, kind="read", nbytes=f.nbytes, offset=0, group="g",
-                retry=RetryPolicy(max_attempts=3),
             )
         assert device.injector.total("io_retries") == 2
         assert device.injector.total("io_giveups") == 1
 
-    def test_no_policy_means_single_attempt(self):
+    def test_one_attempt_budget_gives_up_on_first_fault(self):
         plan = FaultPlan(
-            specs=(FaultSpec(kind="transient_error", max_fires=1),), seed=0
+            specs=(FaultSpec(kind="transient_error", max_fires=1),), seed=0,
+            max_attempts=1,
         )
         clock, device, f = self._setup(plan)
         with pytest.raises(IOFaultError) as exc_info:
             submit_with_retry(
                 clock, f, kind="read", nbytes=f.nbytes, offset=0, group="g",
-                retry=None,
             )
         assert str(exc_info.value).startswith(
             "read on 'd0' (group 'g') still failing after 1 attempt(s): "
@@ -264,7 +264,6 @@ class TestRetryLoop:
         with pytest.raises(PersistentIOError):
             submit_with_retry(
                 clock, f, kind="read", nbytes=f.nbytes, offset=0, group="g",
-                retry=RetryPolicy(max_attempts=5),
             )
         assert device.injector.total("io_retries") == 0
 
@@ -272,16 +271,16 @@ class TestRetryLoop:
         plan = FaultPlan(
             specs=(FaultSpec(kind="transient_error", probability=0.3),),
             seed=7,
+            max_attempts=6,
         )
         clock, device, f_unused = self._setup(plan)
         vfs = VFS()
         f = vfs.create("rw", device)
-        retry = RetryPolicy(max_attempts=6)
-        writer = StreamWriter(clock, f, buffer_bytes=256, retry=retry)
+        writer = StreamWriter(clock, f, buffer_bytes=256)
         for i in range(20):
             writer.append(edges_of(30, start=i * 30))
         writer.close()
-        reader = StreamReader(clock, f, buffer_bytes=256, retry=retry)
+        reader = StreamReader(clock, f, buffer_bytes=256)
         got = np.concatenate(list(reader))
         assert np.array_equal(got, np.concatenate(
             [edges_of(30, start=i * 30) for i in range(20)]
@@ -361,13 +360,14 @@ class TestTornWriteIntegrity:
             specs=(FaultSpec(kind="transient_error", role="stay",
                              probability=1.0),),
             seed=0,
+            max_attempts=1,
         )
         machine = Machine([DeviceSpec.hdd("hdd0")], memory=2 * MB, cores=4,
                           fault_plan=plan)
         machine.attach_tracer(Tracer())
-        result = FastBFSEngine(
-            small_fastbfs_config(retry=RetryPolicy(max_attempts=1))
-        ).run(rmat10, machine, root=root)
+        result = FastBFSEngine(small_fastbfs_config()).run(
+            rmat10, machine, root=root
+        )
         assert np.array_equal(result.levels, bfs_levels(rmat10, root))
         assert result.extras["stay_write_failures"] > 0
         assert result.extras["stay_swaps"] == 0

@@ -9,6 +9,8 @@ is fuzzed too: ``run_many`` answers match the reference per query, and
 checkpointed value.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,12 +135,12 @@ def test_fuzz_trimming_never_changes_bytes_upward_vs_untrimmed(
     if config.trim_start_iteration or config.trim_trigger_fraction:
         # Delayed trimming can legitimately re-scan more (see the ablation
         # bench); restrict the property to immediate trimming.
-        config = config.with_(trim_start_iteration=0,
-                              trim_trigger_fraction=0.0)
+        config = replace(config, trim_start_iteration=0,
+                         trim_trigger_fraction=0.0)
     on = FastBFSEngine(config).run(
         graph, machine_for(2, MB), root=root
     )
-    off = FastBFSEngine(config.with_(trim_enabled=False)).run(
+    off = FastBFSEngine(replace(config, trim_enabled=False)).run(
         graph, machine_for(2, MB), root=root
     )
     assert on.edges_scanned <= off.edges_scanned

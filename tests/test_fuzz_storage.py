@@ -157,7 +157,7 @@ def _faulted_run(seed):
     from repro.obs.counters import CounterRegistry
     from repro.obs.exporters import spans_to_jsonl
     from repro.obs.tracer import Tracer
-    from repro.storage.faults import FaultPlan, FaultSpec, RetryPolicy
+    from repro.storage.faults import FaultPlan, FaultSpec
     from repro.storage.machine import Machine
     from repro.utils.units import KB
 
@@ -169,6 +169,7 @@ def _faulted_run(seed):
                       max_fires=2),
         ),
         seed=seed,
+        max_attempts=4,
     )
     machine = Machine(
         [DeviceSpec.hdd("hdd0")], memory=2 * MB, cores=4, fault_plan=plan
@@ -181,7 +182,6 @@ def _faulted_run(seed):
             stay_buffer_bytes=1 * KB,
             num_partitions=4,
             allow_in_memory=False,
-            retry=RetryPolicy(max_attempts=4),
         )
     )
     result = engine.run(_fault_fuzz_graph(), machine, root=0)

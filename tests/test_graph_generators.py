@@ -135,6 +135,25 @@ class TestPowerlaw:
             powerlaw_graph(1, 10)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: random_graph(5, -1),
+    lambda: powerlaw_graph(5, -1),
+    lambda: rmat_graph(scale=2, seed=-1),
+    lambda: random_graph(5, 1, seed=-1),
+    lambda: powerlaw_graph(5, 1, seed=-1),
+    # past u4 vertex ids: refused before anything is allocated
+    lambda: random_graph(2 ** 32, 1),
+    lambda: powerlaw_graph(2 ** 40, 1),
+], ids=[
+    "random-negative-edges", "powerlaw-negative-edges", "rmat-negative-seed",
+    "random-negative-seed", "powerlaw-negative-seed", "random-past-u4",
+    "powerlaw-past-u4",
+])
+def test_out_of_range_sizes_and_seeds_are_graph_errors(build):
+    with pytest.raises(GraphError):
+        build()
+
+
 class TestStructuredGraphs:
     def test_grid_shape(self):
         g = grid_graph(4, 3)

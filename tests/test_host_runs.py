@@ -171,7 +171,7 @@ class TestScheduleIdentity:
     def test_pagerank(self, monkeypatch, engine, graph):
         self._run(
             monkeypatch, engine, graph,
-            PageRankAlgorithm(graph.out_degrees()), max_iterations=3,
+            PageRankAlgorithm(graph.out_degrees(), 3),
         )
 
     @pytest.mark.parametrize(

@@ -245,12 +245,17 @@ class TestErrorBodies:
 
     def test_bad_root(self, service):
         for payload in ({"root": 9999}, {"root": -1}, {"root": "x"},
-                        {"roots": []}, {}):
-            status, _, body = request(
-                service, "POST", "/graphs/tiny/bfs", payload=payload
-            )
-            assert status == 400, payload
-            assert body["error"]["type"] == "bad_root", payload
+                        {"roots": []}, {},
+                        # past int64
+                        {"root": 1267650600228229401496703205376},
+                        {"roots": [1, -(2 ** 70)]}):
+            for algorithm in ("bfs", "sssp"):
+                status, _, body = request(
+                    service, "POST", f"/graphs/tiny/{algorithm}",
+                    payload=payload,
+                )
+                assert status == 400, payload
+                assert body["error"]["type"] == "bad_root", payload
 
     @pytest.mark.parametrize("algorithm,payload,kind", [
         ("bfs", {"root": True}, "bad_root"),
@@ -329,6 +334,9 @@ class TestErrorBodies:
         "rmat:scale=40,edge_factor=8,seed=1",
         "rmat:scale=-3,edge_factor=8,seed=1",
         "path:num_vertices=0",
+        "random:num_vertices=5,num_edges=-1",
+        "powerlaw:num_vertices=5,num_edges=-1",
+        "rmat:scale=2,seed=-1",
     ])
     def test_register_spec_the_generator_refuses(self, service, spec):
         with pytest.raises(ConfigError) as exc:
@@ -349,6 +357,10 @@ class TestErrorBodies:
          MAX_SPEC_EDGES + 1),
         (f"powerlaw:num_vertices=8,num_edges={MAX_SPEC_EDGES + 1},seed=3",
          MAX_SPEC_EDGES + 1),
+        # the vertex count is held to the same budget
+        (f"powerlaw:num_vertices={MAX_SPEC_EDGES + 1},num_edges=1",
+         MAX_SPEC_EDGES + 1),
+        ("random:num_vertices=5000000000,num_edges=1", 5000000000),
         ("grid:width=4096,height=4096", 2 * 4096 * 4096),
         (f"path:num_vertices={10 ** 400}", 10 ** 400),
         (f"star:num_leaves={MAX_SPEC_EDGES + 1}", MAX_SPEC_EDGES + 1),
@@ -986,12 +998,9 @@ class TestServedEqualsDirect:
             payload={"rounds": rounds},
         )
         assert status == 200
-        engine = type(entry.engine)(
-            entry.engine.config.with_(max_iterations=rounds)
-        )
         (direct,) = run_staged_queries(
-            engine, entry.staged, entry.checkpoint, [0],
-            algorithm=PageRankAlgorithm(entry.graph.out_degrees()),
+            entry.engine, entry.staged, entry.checkpoint, [0],
+            algorithm=PageRankAlgorithm(entry.graph.out_degrees(), rounds),
         ).queries
         assert body["result"]["ranks"] == direct.output["rank"].tolist()
         assert body["result"]["rounds"] == direct.num_iterations
@@ -1003,12 +1012,7 @@ def ticket_kwargs(entry, algorithm):
     if algorithm == "sssp":
         return {"algorithm": WeightedSSSPAlgorithm(hash_weights(4))}
     if algorithm == "pagerank":
-        return {
-            "algorithm": PageRankAlgorithm(entry.graph.out_degrees()),
-            "engine": type(entry.engine)(
-                entry.engine.config.with_(max_iterations=2)
-            ),
-        }
+        return {"algorithm": PageRankAlgorithm(entry.graph.out_degrees(), 2)}
     return {}
 
 

@@ -24,6 +24,7 @@ import json
 import socket
 import struct
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -39,7 +40,7 @@ from repro.obs.hostprof import ManualHostClock
 from repro.serve import AdmissionController, GraphService
 from repro.serve.health import QUARANTINE_AFTER
 from repro.storage.device import DeviceSpec
-from repro.storage.faults import FaultPlan, FaultSpec, RetryPolicy
+from repro.storage.faults import FaultPlan, FaultSpec
 from repro.storage.machine import IOReport, Machine, merge_reports
 from repro.tooling.chaos import serve_fault_plan
 from repro.utils.units import KB, MB
@@ -49,7 +50,7 @@ from tests.test_serve import request, ticket_kwargs
 GRAPH = rmat_graph(scale=8, edge_factor=8, seed=7)
 
 #: Same shape the chaos harness serves under: tiny buffers, two disks,
-#: out-of-core always, I/O-level retries on.
+#: out-of-core always (its plans allow four I/O attempts, cf. ``hostile``).
 CONFIG = FastBFSConfig(
     edge_buffer_bytes=2 * KB,
     update_buffer_bytes=1 * KB,
@@ -57,7 +58,6 @@ CONFIG = FastBFSConfig(
     num_partitions=4,
     allow_in_memory=False,
     rotate_streams=True,
-    retry=RetryPolicy(max_attempts=4),
 )
 
 CRASH_PLAN = FaultPlan(
@@ -222,7 +222,9 @@ class TestSerialEndpointFaultAccounting:
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_failed_sssp_faults_reach_metrics(self, seed):
-        svc = make_service(fault_plan=serve_fault_plan("hostile", seed))
+        svc = make_service(
+            fault_plan=replace(serve_fault_plan("hostile", seed), max_attempts=4)
+        )
         try:
             entry = svc.register("g", GRAPH)
             statuses = [

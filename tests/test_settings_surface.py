@@ -1,7 +1,7 @@
 """The settings surface: docs/architecture.md's "Settings" table equals the
 code, and every knob in it has a caller outside the tests.
 
-The table lists every field of the engine configs and the retry policy and
+The table lists every field of the engine configs and the fault plan and
 every defaulted constructor parameter of the machine and the serve layer.
 A row names the files that set its value (a keyword argument or a string
 constant of that name, found by walking the file's AST), or marks the value
@@ -26,13 +26,13 @@ from repro.engines.graphchi.engine import GraphChiConfig
 from repro.serve.admission import AdmissionController
 from repro.serve.app import GraphService
 from repro.serve.registry import ArtifactRegistry
-from repro.storage.faults import RetryPolicy
+from repro.storage.faults import FaultPlan
 from repro.storage.machine import Machine
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 OWNERS = (
-    EngineConfig, FastBFSConfig, GraphChiConfig, RetryPolicy,
+    EngineConfig, FastBFSConfig, GraphChiConfig, FaultPlan,
     Machine, GraphService, ArtifactRegistry, AdmissionController,
 )
 

@@ -1,7 +1,7 @@
 """Exact-value tests for the shared exponential-backoff schedule.
 
 One curve feeds two mechanisms: the stream layer's simulated I/O retry
-waits (:meth:`repro.storage.faults.RetryPolicy.backoff`) and the serving
+waits (:func:`repro.storage.faults.retry_backoff`) and the serving
 circuit breaker's host-clock quarantine cooldowns
 (:meth:`repro.serve.health.CircuitBreaker.cooldown_seconds`).  The
 contract is bit-exact determinism — no jitter, no clamping — so both
@@ -13,7 +13,7 @@ import threading
 import pytest
 
 from repro.serve.health import CircuitBreaker
-from repro.storage.faults import RetryPolicy
+from repro.storage.faults import retry_backoff
 from repro.utils.backoff import exponential_backoff
 
 
@@ -40,13 +40,13 @@ class TestExponentialBackoff:
             exponential_backoff(0.01, 2.0, -3)
 
     def test_retry_policy_backoff_matches_the_shared_curve(self):
-        policy = RetryPolicy()  # RETRY_BACKOFF_BASE 0.002, _MULTIPLIER 2.0
+        # RETRY_BACKOFF_BASE 0.002, RETRY_BACKOFF_MULTIPLIER 2.0
         for attempt in (1, 2, 3):
-            assert policy.backoff(attempt) == exponential_backoff(
+            assert retry_backoff(attempt) == exponential_backoff(
                 0.002, 2.0, attempt
             )
-        assert policy.backoff(1) == 0.002
-        assert policy.backoff(3) == 0.008
+        assert retry_backoff(1) == 0.002
+        assert retry_backoff(3) == 0.008
 
     def test_breaker_cooldown_matches_the_shared_curve(self):
         # COOLDOWN_BASE 1.0, COOLDOWN_MULTIPLIER 2.0
