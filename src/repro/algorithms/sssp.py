@@ -21,7 +21,11 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from repro.algorithms.streaming import StreamingAlgorithm, _make_updates
+from repro.algorithms.streaming import (
+    StreamingAlgorithm,
+    _make_updates,
+    check_roots,
+)
 from repro.errors import EngineError
 from repro.graph.graph import Graph
 
@@ -65,7 +69,7 @@ class WeightedSSSPAlgorithm(StreamingAlgorithm):
         self.weight_fn = weight_fn if weight_fn is not None else hash_weights()
 
     def init_state(self, num_vertices: int, roots) -> np.ndarray:
-        roots = self._check_roots(num_vertices, roots)
+        roots = check_roots(num_vertices, roots)
         state = np.zeros(num_vertices, dtype=self.state_dtype)
         state["dist"][:] = UNREACHED
         state["dist"][roots] = 0

@@ -179,25 +179,33 @@ class StreamingAlgorithm:
         """
         return base_mask
 
-    def validate_roots(self, num_vertices: int, roots) -> np.ndarray:
-        """Public root validation (raises EngineError on a bad root set).
 
-        The engines' front doors call this before staging so an invalid
-        query fails without mutating the machine.
-        """
-        return self._check_roots(num_vertices, roots)
+def check_roots(num_vertices: int, roots) -> np.ndarray:
+    """The one root rule: a non-empty set of integer vertex ids in range.
 
-    def _check_roots(self, num_vertices: int, roots) -> np.ndarray:
-        # Range-check before the int64 conversion: a Python int past int64
-        # (an object array here) would make that raise OverflowError.
-        roots = np.atleast_1d(np.asarray(roots))
-        if len(roots) == 0:
-            raise EngineError(f"{self.name} needs at least one root vertex")
-        if roots.min() < 0 or roots.max() >= num_vertices:
-            raise EngineError(
-                f"root out of range [0, {num_vertices}): {roots.tolist()}"
-            )
-        return np.asarray(roots, dtype=np.int64)
+    ``roots`` is one vertex id or a sequence (or array) of them.  Every
+    query front door calls this before staging, so a bad root set is an
+    :class:`~repro.errors.EngineError` that leaves the machine untouched.
+    Returns the roots as an ``int64`` array.
+    """
+    if isinstance(roots, np.ndarray):
+        roots = np.atleast_1d(roots)
+    elif not isinstance(roots, (list, tuple)):
+        roots = [roots]
+    if not (isinstance(roots, np.ndarray) and roots.dtype.kind in "iu"):
+        for r in roots:  # a bool is an int to Python, not here
+            if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
+                raise EngineError(f"a root must be an integer, got {r!r}")
+    # Range-check before the int64 conversion: a Python int past int64
+    # (an object array here) would make that raise OverflowError.
+    roots = np.asarray(roots)
+    if len(roots) == 0:
+        raise EngineError("a query needs at least one root vertex")
+    if roots.min() < 0 or roots.max() >= num_vertices:
+        raise EngineError(
+            f"root out of range [0, {num_vertices}): {roots.tolist()}"
+        )
+    return np.asarray(roots, dtype=np.int64)
 
 
 class StagedColumns(dict):
@@ -278,7 +286,7 @@ class BFSAlgorithm(StreamingAlgorithm):
 
     def init_state(self, num_vertices: int, roots) -> np.ndarray:
         return self.init_state_validated(
-            num_vertices, self._check_roots(num_vertices, roots)
+            num_vertices, check_roots(num_vertices, roots)
         )
 
     def init_state_validated(self, num_vertices: int, roots) -> np.ndarray:
@@ -455,7 +463,7 @@ class BatchedBFSAlgorithm(StreamingAlgorithm):
     # state construction
     # ------------------------------------------------------------------
     def init_state(self, num_vertices: int, roots) -> np.ndarray:
-        entries = [self._check_roots(num_vertices, r) for r in roots]
+        entries = [check_roots(num_vertices, r) for r in roots]
         return self.init_state_validated(num_vertices, entries)
 
     def init_state_validated(self, num_vertices: int, roots) -> np.ndarray:

@@ -22,7 +22,7 @@ from repro.engines.base import EngineConfig
 from repro.engines.graphchi import GraphChiConfig, GraphChiEngine
 from repro.engines.result import BatchResult, EngineResult
 from repro.engines.xstream import XStreamEngine
-from repro.errors import ConfigError, EngineError
+from repro.errors import ConfigError
 from repro.graph.graph import Graph
 from repro.obs import (
     CounterRegistry,
@@ -192,12 +192,6 @@ def run_queries(
     attach registries to the batch (``batch.metrics``) and to every query
     (``query.metrics``, built from that query's delta report).
     """
-    if len(roots) == 0:
-        # Validate at the API boundary: an empty batch used to travel all
-        # the way into the engine before failing.
-        raise EngineError(
-            "run_queries needs at least one root entry (got an empty list)"
-        )
     machine = _resolve_machine(machine, machine_kwargs)
     _prepare_tracing(machine, trace_path, host_profile)
     eng = make_engine(engine, config) if isinstance(engine, str) else engine

@@ -209,8 +209,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     machine, engine = _testbed(args, args.engine)
     root = _root(args, graph)
     if args.algorithm == "wcc":
-        wcc = "wcc" if args.engine == "graphchi" else WCCAlgorithm()
-        result = engine.run(graph, machine, algorithm=wcc, root=0)
+        result = engine.run(graph, machine, algorithm=WCCAlgorithm(), root=0)
     elif args.algorithm == "sssp":
         result = engine.run(
             graph, machine,

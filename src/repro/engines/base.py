@@ -54,7 +54,7 @@ from repro.algorithms.streaming import (
 )
 from repro.engines.costs import COST_MODEL
 from repro.engines.result import EngineResult, IterationStats
-from repro.errors import ConfigError, EngineError
+from repro.errors import ConfigError
 from repro.graph.graph import Graph
 from repro.graph.partition import VertexPartitioning, plan_partition_count
 from repro.sim.timeline import ScheduledRequest
@@ -269,12 +269,15 @@ class EdgeCentricEngine:
         """Execute ``algorithm`` (default BFS from ``root``) on ``machine``.
 
         The machine must be fresh (zero clock, empty VFS) so the report
-        covers exactly this run.  This is ``stage()`` plus one
+        covers exactly this run.  This is the one front door,
+        :func:`~repro.engines.session.staged_run`, driving one
         :class:`~repro.engines.session.QuerySession`, with the result's
         report widened from the session's delta to the machine's
         cumulative one (staging + query).  For several traversals of one
         graph use :meth:`run_many`.
         """
+        from repro.engines.session import staged_run
+
         algo = algorithm if algorithm is not None else BFSAlgorithm()
 
         def drive(staged, validated):
@@ -282,8 +285,8 @@ class EdgeCentricEngine:
             result.report = machine.report()
             return result
 
-        return self._staged_run(
-            graph, machine, algo,
+        return staged_run(
+            self, graph, machine, algo,
             [list(roots) if roots is not None else root], "serial", drive,
         )
 
@@ -298,9 +301,9 @@ class EdgeCentricEngine:
         """Run one query per entry of ``roots``, staging the graph once.
 
         Each entry is a root vertex (or a sequence of roots for a
-        multi-source query).  The graph is staged once; every root entry is
-        validated before staging, so a bad query fails before any machine
-        state changes.  (``run_staged_queries`` validates its entries
+        multi-source query).  The graph is staged once, through the same
+        front door as :meth:`run`: every root entry is validated before
+        staging, so a bad query fails before any machine state changes.  (``run_staged_queries`` validates its entries
         again: it is also the serving layer's front door, which has no
         staging step to validate ahead of.)
 
@@ -320,7 +323,7 @@ class EdgeCentricEngine:
 
         Returns a :class:`~repro.engines.result.BatchResult`.
         """
-        from repro.engines.session import run_staged_queries
+        from repro.engines.session import run_staged_queries, staged_run
 
         algo = algorithm if algorithm is not None else BFSAlgorithm()
 
@@ -330,38 +333,13 @@ class EdgeCentricEngine:
                 algorithm=algo, mode=mode,
             )
 
-        return self._staged_run(graph, machine, algo, roots, mode, drive)
-
-    def _staged_run(self, graph, machine, algo, roots, mode, drive):
-        """The body ``run``/``run_many`` share: check the arguments and the
-        machine, stage, ``drive(staged, validated)``, sanitizer epilogue."""
-        from repro.engines.session import validate_entries
-
-        validated = validate_entries(algo, graph.num_vertices, roots, mode)
-        self._check_fresh(machine)
-        sanitizer = machine.sanitizer
-        outcome = drive(self.stage(graph, machine, algorithm=algo), validated)
-        if sanitizer is not None:
-            outcome.extras["sanitizer_past_waits"] = float(sanitizer.past_waits)
-            sanitizer.finalize_run()
-            outcome.extras["sanitizer_violations"] = float(
-                len(sanitizer.violations)
-            )
-        return outcome
+        return staged_run(self, graph, machine, algo, roots, mode, drive)
 
     def session(self, staged, algorithm: Optional[StreamingAlgorithm] = None):
         """A fresh single-use :class:`QuerySession` against ``staged``."""
         from repro.engines.session import QuerySession
 
         return QuerySession(self, staged, algorithm=algorithm)
-
-    def _check_fresh(self, machine: Machine) -> None:
-        if machine.clock.now != 0.0 or len(machine.vfs) != 0:
-            raise EngineError(
-                "machine has already been used; engines need a fresh Machine "
-                "per run (build a new one, or use run_many, which rewinds "
-                "with Machine.checkpoint()/restore() between queries)"
-            )
 
     # ------------------------------------------------------------------
     # planning & input staging

@@ -37,6 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.algorithms.streaming import BFSAlgorithm, StreamingAlgorithm
 from repro.engines.costs import COST_MODEL
 from repro.engines.graphchi.shards import build_shards
 from repro.engines.result import BatchResult, EngineResult, IterationStats
@@ -124,32 +125,43 @@ class GraphChiEngine:
         self,
         graph: Graph,
         machine: Machine,
+        algorithm: Optional[StreamingAlgorithm] = None,
         root: int = 0,
         roots: Optional[Sequence[int]] = None,
-        algorithm: str = "bfs",
     ) -> EngineResult:
-        """Run ``algorithm`` ("bfs" or "wcc") over the PSW machinery.
+        """Execute ``algorithm`` (default BFS from ``root``) over the PSW
+        machinery: the one front door,
+        :func:`~repro.engines.session.staged_run`, driving one
+        :meth:`_run_query`.
 
-        Both are min-propagation fixpoints over in-edges: BFS relaxes
-        ``dist[src] + 1``, WCC relaxes ``label[src]`` (the graph must carry
-        both directions of every edge, e.g. ``Graph.symmetrized()``).
+        The kernel's name picks the relaxation, a min-propagation fixpoint
+        over in-edges: BFS relaxes ``dist[src] + 1``, WCC relaxes
+        ``label[src]`` (the graph must carry both directions of every edge,
+        e.g. ``Graph.symmetrized()``).  Any other kernel is an
+        :class:`~repro.errors.EngineError`.
         """
-        self._check_fresh(machine)
-        root_list = self._check_query(graph, root, roots, algorithm)
-        prep = self._prepare(graph, machine)
-        return self._run_query(graph, machine, prep, root_list, algorithm)
+        from repro.engines.session import staged_run
+
+        algo = self._kernel(algorithm)
+        return staged_run(
+            self, graph, machine, algo,
+            [list(roots) if roots is not None else root], "serial",
+            lambda prep, validated: self._run_query(
+                graph, machine, prep, validated[0], algo.name
+            ),
+        )
 
     def run_many(
         self,
         graph: Graph,
         machine: Machine,
         roots: Sequence,
-        algorithm: str = "bfs",
+        algorithm: Optional[StreamingAlgorithm] = None,
         mode: str = "serial",
     ) -> BatchResult:
         """One query per ``roots`` entry over a single shard build.
 
-        Mirrors the edge-centric engines' batch front door: shards are
+        The same front door and argument rules as :meth:`run`.  Shards are
         built once, the machine is rewound to the post-preparation
         checkpoint between queries, and each query's report is a delta.
         (Sharding charges no simulated I/O here, so the staging report is
@@ -159,75 +171,57 @@ class GraphChiEngine:
         ``extras["batched_fallback"]``), matching the edge-centric
         engines' non-batchable behaviour.
         """
-        if len(roots) == 0:
-            raise EngineError("run_many needs at least one root entry")
-        if mode not in ("serial", "batched"):
-            raise ConfigError(
-                f"run_many mode must be 'serial' or 'batched', got {mode!r}"
+        from repro.engines.session import staged_run
+
+        algo = self._kernel(algorithm)
+
+        def drive(prep, validated):
+            staging_report = machine.report()
+            checkpoint = machine.checkpoint()
+            queries = []
+            for q, root_list in enumerate(validated):
+                if q:
+                    machine.restore(checkpoint)
+                result = self._run_query(
+                    graph, machine, prep, root_list, algo.name,
+                    baseline=staging_report,
+                )
+                result.query_index = q
+                result.extras["query_index"] = float(result.query_index)
+                queries.append(result)
+            extras = {
+                "shards": float(prep.num_intervals),
+                "preprocessing_time": float(prep.preprocessing),
+            }
+            if mode == "batched":
+                extras["batched_fallback"] = 1.0
+            return BatchResult(
+                engine=self.name,
+                algorithm=algo.name,
+                graph_name=graph.name,
+                staging_report=staging_report,
+                queries=queries,
+                extras=extras,
             )
-        self._check_fresh(machine)
-        entries = []
-        for entry in roots:
-            if isinstance(entry, (list, tuple, np.ndarray)):
-                entries.append(self._check_query(graph, 0, entry, algorithm))
-            else:
-                entries.append(self._check_query(graph, int(entry), None, algorithm))
-        prep = self._prepare(graph, machine)
-        staging_report = machine.report()
-        checkpoint = machine.checkpoint()
-        queries = []
-        for q, root_list in enumerate(entries):
-            if q:
-                machine.restore(checkpoint)
-            result = self._run_query(
-                graph, machine, prep, root_list, algorithm,
-                baseline=staging_report,
-            )
-            result.query_index = q
-            result.extras["query_index"] = float(result.query_index)
-            queries.append(result)
-        extras = {
-            "shards": float(prep.num_intervals),
-            "preprocessing_time": float(prep.preprocessing),
-        }
-        if mode == "batched":
-            extras["batched_fallback"] = 1.0
-        return BatchResult(
-            engine=self.name,
-            algorithm=algorithm,
-            graph_name=graph.name,
-            staging_report=staging_report,
-            queries=queries,
-            extras=extras,
-        )
+
+        return staged_run(self, graph, machine, algo, roots, mode, drive)
 
     # ------------------------------------------------------------------
-    def _check_fresh(self, machine: Machine) -> None:
-        if machine.clock.now != 0.0 or len(machine.vfs) != 0:
+    @staticmethod
+    def _kernel(algorithm: Optional[StreamingAlgorithm]) -> StreamingAlgorithm:
+        """The kernel to run; GraphChi has a relaxation for BFS and WCC."""
+        algo = algorithm if algorithm is not None else BFSAlgorithm()
+        if algo.name not in ("bfs", "wcc"):
             raise EngineError(
-                "machine has already been used; GraphChi needs a fresh Machine"
+                f"GraphChi runs the bfs and wcc kernels, got {algo.name!r}"
             )
+        return algo
 
-    def _check_query(
-        self,
-        graph: Graph,
-        root: int,
-        roots: Optional[Sequence[int]],
-        algorithm: str,
-    ) -> list:
-        if algorithm not in ("bfs", "wcc"):
-            raise EngineError(
-                f"GraphChi supports 'bfs' and 'wcc', got {algorithm!r}"
-            )
-        n = graph.num_vertices
-        root_list = list(roots) if roots is not None else [root]
-        for r in root_list:
-            if not 0 <= r < n:
-                raise EngineError(f"root {r} out of range for {n} vertices")
-        return root_list
-
-    def _prepare(self, graph: Graph, machine: Machine) -> _PreparedShards:
-        """Build the reusable shard artifact (GraphChi's staging phase)."""
+    def stage(
+        self, graph: Graph, machine: Machine, algorithm=None
+    ) -> _PreparedShards:
+        """Build the reusable shard artifact (GraphChi's staging phase);
+        the shards serve every kernel, so ``algorithm`` is not read."""
         with machine.tracer.span(
             "stage", engine=self.name, graph=graph.name, edges=graph.num_edges
         ) as stage_span:
@@ -289,7 +283,7 @@ class GraphChiEngine:
         graph: Graph,
         machine: Machine,
         prep: _PreparedShards,
-        root_list: list,
+        root_list: np.ndarray,
         algorithm: str,
         baseline: Optional[IOReport] = None,
     ) -> EngineResult:

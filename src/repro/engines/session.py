@@ -40,6 +40,7 @@ from repro.algorithms.streaming import (
     BatchedBFSAlgorithm,
     BFSAlgorithm,
     StreamingAlgorithm,
+    check_roots,
 )
 from repro.engines.result import BatchResult, EngineResult, IterationStats
 from repro.errors import ConfigError, CrashError, EngineError
@@ -151,7 +152,7 @@ def _release_swapped_files(staged: StagedGraph, rt) -> None:
 
 
 def validate_entries(
-    algo: StreamingAlgorithm, num_vertices: int, roots: Sequence, mode: str
+    num_vertices: int, roots: Sequence, mode: str
 ) -> List[np.ndarray]:
     """The typed checks every query front door makes on its arguments.
 
@@ -163,13 +164,32 @@ def validate_entries(
         raise EngineError("a query batch needs at least one root entry")
     if mode not in ("serial", "batched"):
         raise ConfigError(f"mode must be 'serial' or 'batched', got {mode!r}")
-    return [
-        algo.validate_roots(
-            num_vertices,
-            entry if isinstance(entry, (list, tuple, np.ndarray)) else [entry],
+    return [check_roots(num_vertices, entry) for entry in roots]
+
+
+def staged_run(
+    engine, graph: Graph, machine: Machine, algorithm, roots, mode, drive
+):
+    """The one query front door every engine's ``run``/``run_many`` goes
+    through: validate the arguments, check that the machine is fresh,
+    ``engine.stage(...)``, ``drive(staged, validated)``, then the
+    sanitizer epilogue.  A bad query fails before any machine state
+    changes, and the report of a fresh machine covers exactly this call.
+    """
+    validated = validate_entries(graph.num_vertices, roots, mode)
+    if machine.clock.now != 0.0 or len(machine.vfs) != 0:
+        raise EngineError(
+            "machine has already been used; engines need a fresh Machine "
+            "per run (build a new one, or use run_many, which rewinds "
+            "with Machine.checkpoint()/restore() between queries)"
         )
-        for entry in roots
-    ]
+    sanitizer = machine.sanitizer
+    outcome = drive(engine.stage(graph, machine, algorithm=algorithm), validated)
+    if sanitizer is not None:
+        outcome.extras["sanitizer_past_waits"] = float(sanitizer.past_waits)
+        sanitizer.finalize_run()
+        outcome.extras["sanitizer_violations"] = float(len(sanitizer.violations))
+    return outcome
 
 
 def run_with_recovery(session: "QuerySession", invoke, max_recoveries: int):
@@ -237,7 +257,7 @@ def run_staged_queries(
     crash propagates.  Only meaningful on fault-injected machines.
     """
     algo = algorithm if algorithm is not None else BFSAlgorithm()
-    validated = validate_entries(algo, staged.graph.num_vertices, roots, mode)
+    validated = validate_entries(staged.graph.num_vertices, roots, mode)
     extras: dict = {}
     batched = mode == "batched" and algo.batched(1) is not None
     if mode == "batched" and not batched:
@@ -363,7 +383,7 @@ class QuerySession:
         only.  Raises on reuse: per-query state is consumed by the run.
         """
         if validated_roots is None:
-            validated_roots = self.algorithm.validate_roots(
+            validated_roots = check_roots(
                 self.staged.graph.num_vertices,
                 roots if roots is not None else [root],
             )

@@ -63,7 +63,7 @@ from urllib.parse import parse_qs, urlparse
 
 from repro.algorithms.pagerank import PageRankAlgorithm
 from repro.algorithms.sssp import WeightedSSSPAlgorithm, hash_weights
-from repro.algorithms.streaming import BFSAlgorithm
+from repro.algorithms.streaming import check_roots
 from repro.errors import (
     ConfigError,
     DeadlineExceededError,
@@ -226,9 +226,8 @@ def _extract_roots(entry: GraphEntry, payload: Dict):
         raise _RequestProblem(
             400, "bad_root", "payload needs \"root\" or \"roots\""
         )
-    roots_list = root_entry if isinstance(root_entry, list) else [root_entry]
     # Validate here so a bad root 400s instead of poisoning a batch.
-    BFSAlgorithm().validate_roots(entry.graph.num_vertices, roots_list)
+    check_roots(entry.graph.num_vertices, root_entry)
     return root_entry
 
 

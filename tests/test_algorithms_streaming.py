@@ -14,6 +14,7 @@ from repro.algorithms.streaming import (
     BFSAlgorithm,
     UnitSSSPAlgorithm,
     WCCAlgorithm,
+    check_roots,
 )
 from repro.core.engine import FastBFSEngine
 from repro.engines.base import HOST_RUN_RECORDS
@@ -54,6 +55,35 @@ class TestBFSInit:
 
     def test_trimming_supported(self):
         assert BFSAlgorithm.supports_trimming is True
+
+
+class TestCheckRoots:
+    @pytest.mark.parametrize("roots", [
+        2, np.int32(2), [0, np.uint64(4)], (1, 2),
+        np.array([1, 4]), np.array(3, dtype=np.uint8),
+    ])
+    def test_integers_accepted_as_int64(self, roots):
+        out = check_roots(5, roots)
+        assert out.dtype == np.int64
+        assert out.tolist() == np.atleast_1d(np.asarray(roots)).tolist()
+
+    @pytest.mark.parametrize("roots", [
+        True, 2.0, np.float64(1.0), "3", None, [1, False], [1.5],
+        np.array([1.0]), np.array([True]), [[1, 2]],
+    ], ids=repr)
+    def test_non_integers_refused(self, roots):
+        with pytest.raises(EngineError, match="must be an integer"):
+            check_roots(5, roots)
+
+    @pytest.mark.parametrize("roots", [[], np.array([], dtype=np.int64)])
+    def test_empty_refused(self, roots):
+        with pytest.raises(EngineError, match="at least one root"):
+            check_roots(5, roots)
+
+    @pytest.mark.parametrize("roots", [5, -1, [0, 2 ** 70], -(2 ** 70)])
+    def test_out_of_range_refused(self, roots):
+        with pytest.raises(EngineError, match="out of range"):
+            check_roots(5, roots)
 
 
 class TestBFSScatter:

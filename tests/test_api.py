@@ -145,3 +145,28 @@ class TestRunQueries:
             run_queries(graph, [0, graph.num_vertices], machine=machine)
         assert machine.clock.now == 0.0
         assert len(machine.vfs) == 0
+
+    @pytest.mark.parametrize("engine", ["fastbfs", "x-stream", "graphchi"])
+    @pytest.mark.parametrize("call,kwargs", [
+        pytest.param(run_bfs, {"root": 2.7}, id="root-float"),
+        pytest.param(run_bfs, {"root": True}, id="root-bool"),
+        pytest.param(run_bfs, {"root": np.float64(2.0)}, id="root-np-float"),
+        pytest.param(run_bfs, {"roots": ["3"]}, id="roots-str"),
+        pytest.param(run_bfs, {"roots": [1, 2.5]}, id="roots-float"),
+        pytest.param(run_bfs, {"roots": []}, id="roots-empty"),
+        pytest.param(run_queries, {"roots": [1.9, 3], "mode": "batched"},
+                     id="batch-float"),
+        pytest.param(run_queries, {"roots": ["3"]}, id="batch-str"),
+        pytest.param(run_queries, {"roots": [[]]}, id="batch-empty-entry"),
+    ])
+    def test_non_integer_or_empty_roots_rejected_before_staging(
+        self, graph, engine, call, kwargs
+    ):
+        """Every engine applies the one root rule: a non-integer root
+        (bool, float, str) or an empty root set is a typed error before
+        staging, never a truncated or an empty traversal."""
+        machine = Machine.commodity_server()
+        with pytest.raises(EngineError):
+            call(graph, engine=engine, machine=machine, **kwargs)
+        assert machine.clock.now == 0.0
+        assert len(machine.vfs) == 0

@@ -5,7 +5,9 @@ import pytest
 
 from tests.helpers import fresh_machine, graph_from_pairs, hub_root
 
+from repro.algorithms.pagerank import PageRankAlgorithm
 from repro.algorithms.reference import bfs_levels
+from repro.algorithms.streaming import WCCAlgorithm
 from repro.engines.graphchi import (
     GraphChiConfig,
     GraphChiEngine,
@@ -216,7 +218,7 @@ class TestWCC:
 
         g = rmat_graph(scale=8, edge_factor=2, seed=9).symmetrized()
         result = GraphChiEngine(GraphChiConfig(num_shards=3)).run(
-            g, fresh_machine(), algorithm="wcc"
+            g, fresh_machine(), algorithm=WCCAlgorithm()
         )
         labels = result.output["label"]
         nxg = nx.Graph()
@@ -229,12 +231,11 @@ class TestWCC:
 
     def test_matches_streaming_wcc(self):
         from tests.helpers import small_fastbfs_config
-        from repro.algorithms.streaming import WCCAlgorithm
         from repro.core.engine import FastBFSEngine
 
         g = rmat_graph(scale=7, edge_factor=3, seed=4).symmetrized()
         chi = GraphChiEngine(GraphChiConfig(num_shards=2)).run(
-            g, fresh_machine(), algorithm="wcc"
+            g, fresh_machine(), algorithm=WCCAlgorithm()
         )
         stream = FastBFSEngine(small_fastbfs_config(num_partitions=3)).run(
             g, fresh_machine(), algorithm=WCCAlgorithm(), root=0
@@ -244,11 +245,16 @@ class TestWCC:
     def test_result_metadata(self):
         g = rmat_graph(scale=6, edge_factor=2, seed=1).symmetrized()
         result = GraphChiEngine(GraphChiConfig(num_shards=2)).run(
-            g, fresh_machine(), algorithm="wcc"
+            g, fresh_machine(), algorithm=WCCAlgorithm()
         )
         assert result.algorithm == "wcc"
         assert "parent" not in result.output
 
     def test_unknown_algorithm(self, rmat10):
+        machine = fresh_machine()
         with pytest.raises(EngineError):
-            GraphChiEngine().run(rmat10, fresh_machine(), algorithm="pagerank")
+            GraphChiEngine().run(
+                rmat10, machine,
+                algorithm=PageRankAlgorithm(rmat10.out_degrees(), rounds=3),
+            )
+        assert machine.clock.now == 0.0 and len(machine.vfs) == 0

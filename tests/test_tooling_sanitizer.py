@@ -8,6 +8,7 @@ from tests.helpers import by_checker, fresh_machine, hub_root, small_fastbfs_con
 from repro.core.config import FastBFSConfig
 from repro.core.engine import FastBFSEngine
 from repro.core.staystream import StayStreamManager
+from repro.engines.graphchi import GraphChiConfig, GraphChiEngine
 from repro.errors import EngineError, SanitizerError
 from repro.graph.generators import rmat_graph
 from repro.graph.types import make_edges
@@ -371,6 +372,21 @@ class TestEndToEnd:
         assert by_checker(m.sanitizer, "stay-state") == []
         assert m.sanitizer.violations == []
         assert result.extras["sanitizer_violations"] == 0.0
+
+    @pytest.mark.parametrize("entry", ["run", "run_many"])
+    def test_graphchi_run_sanitized_clean(self, entry):
+        """GraphChi comes in through the engines' one front door, so a run
+        on a sanitized machine gets the same end-of-run checks."""
+        g = rmat_graph(scale=8, edge_factor=6, seed=5)
+        m = Machine.commodity_server(memory="8MB", sanitize=True)
+        engine = GraphChiEngine(GraphChiConfig(num_shards=3))
+        if entry == "run":
+            outcome = engine.run(g, m, root=hub_root(g))
+        else:
+            outcome = engine.run_many(g, m, roots=[0, hub_root(g)])
+        assert m.sanitizer.finalized
+        assert m.sanitizer.violations == []
+        assert outcome.extras["sanitizer_violations"] == 0.0
 
     def test_sanitized_run_matches_unsanitized(self):
         g = rmat_graph(scale=8, edge_factor=6, seed=7)
