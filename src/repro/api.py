@@ -94,13 +94,10 @@ def export_observability(
     in.  Export is strictly post-run: nothing here touches the simulated
     clock or devices.
     """
-    registry = CounterRegistry.from_machine(machine)
+    registry = CounterRegistry.from_machine(machine).ingest_result(result)
     if isinstance(result, BatchResult):
         for q in result.queries:
             q.metrics = CounterRegistry.from_report(q.report).ingest_result(q)
-            registry.ingest_result(q)
-    else:
-        registry.ingest_result(result)
     if machine.tracer.enabled:
         registry.ingest_spans(machine.tracer)
     result.metrics = registry
@@ -187,8 +184,10 @@ def run_queries(
     serial execution (``batch.extras["batched_fallback"]``).
 
     ``trace_path``/``metrics_path`` export the batch's span trace (one
-    ``query`` span per root entry in serial mode; one per batch, with
-    ``query_slot`` markers, in batched mode) and counter snapshot, and
+    ``query`` span per root entry in serial mode; in batched mode one per
+    batch of two or more roots, with ``query_slot`` markers, and a plain
+    serial ``query`` span for a root left alone, such as the 65th) and
+    counter snapshot, and
     attach registries to the batch (``batch.metrics``) and to every query
     (``query.metrics``, built from that query's delta report).
     """

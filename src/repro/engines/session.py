@@ -232,12 +232,18 @@ def run_staged_queries(
     registration and calls this for every request batch; sessions never
     displace the artifact's files, so the checkpoint stays valid forever.
 
-    Modes are as in ``run_many``: ``"serial"`` runs one session per query,
-    ``"batched"`` packs MS-BFS batches of up to
+    Modes are as in ``run_many``: ``"serial"`` cuts the entries into
+    chunks of one, ``"batched"`` into chunks of up to
     :data:`~repro.algorithms.streaming.BATCH_WIDTH`, falling back to
     serial (recorded in ``extras["batched_fallback"]``) for algorithms
-    without a batched kernel.  Either way it is one loop over chunks of
-    root entries, chunk size 1 or ``BATCH_WIDTH``.  Returns a
+    without a batched kernel.  Either way it is one loop over chunks, and
+    the chunk's width picks the session: a chunk of two or more runs as
+    one :class:`BatchedQuerySession` (an MS-BFS batch), a chunk of one as
+    a :class:`QuerySession` on the serial kernel, so a one-root batched
+    call, a 65th root or a one-ticket serving flush is exactly a serial
+    query (same answer, report and iteration stats).  In batched mode
+    every chunk, one-root ones included, adds its timeline to
+    ``shared_iterations`` and ``batch_times``.  Returns a
     :class:`~repro.engines.result.BatchResult` whose ``staging_report`` is
     the artifact's (staging was paid when the artifact was built, not
     here).
@@ -247,8 +253,8 @@ def run_staged_queries(
     serving layer uses it for end-to-end request tracing: it passes
     ``{"flush_id": ..., "request_ids": [...]}`` with one request id per
     root entry, and the ``request_ids`` list is sliced to match each
-    chunk; batched query slots additionally carry their own
-    ``request_id`` on the ``query_slot`` marker.
+    chunk; the query slots of a batch of two or more additionally carry
+    their own ``request_id`` on the ``query_slot`` marker.
 
     ``max_recoveries > 0`` arms :func:`run_with_recovery`: a
     :class:`~repro.errors.CrashError` inside any session triggers up to
@@ -274,7 +280,9 @@ def run_staged_queries(
                 attrs["request_ids"][start:start + width]
             )
         staged.machine.restore(checkpoint)
-        if batched:
+        # A chunk of one is a serial query whatever the mode: the batched
+        # kernel's 64-bit query mask only pays for itself when it is shared.
+        if len(chunk) > 1:
             session = BatchedQuerySession(
                 engine,
                 staged,
@@ -283,21 +291,16 @@ def run_staged_queries(
                 batch_index=index,
                 span_attrs=attrs,
             )
-            results = run_with_recovery(
-                session, lambda: session.run(chunk), max_recoveries
-            )
-            shared_iterations.extend(session.shared_iterations)
-            batch_times.append(session.report.execution_time)
+            invoke = lambda: session.run(chunk)
         else:
             session = QuerySession(
                 engine, staged, algorithm=algo, span_attrs=attrs
             )
-            results = run_with_recovery(
-                session,
-                lambda: [session.run(validated_roots=chunk[0])],
-                max_recoveries,
-            )
-        queries.extend(results)
+            invoke = lambda: [session.run(validated_roots=chunk[0])]
+        queries.extend(run_with_recovery(session, invoke, max_recoveries))
+        if batched:
+            shared_iterations.extend(session.iterations)
+            batch_times.append(session.report.execution_time)
     if batched:
         extras["num_batches"] = float(len(batch_times))
     for q, result in enumerate(queries):
@@ -364,6 +367,10 @@ class QuerySession:
         # fault-injected machines) and the slots of a crashed run.
         self._checkpoint = None
         self._crashed: Optional[list] = None
+        #: Per-pass counters of the timeline (set when the run finishes).
+        self.iterations: List[IterationStats] = []
+        #: Delta report of the timeline (set when the run finishes).
+        self.report: Optional[IOReport] = None
 
     # ------------------------------------------------------------------
     def run(
@@ -432,7 +439,9 @@ class QuerySession:
                 self._mark_slots(rt, slots)
             if sanitizer is not None:
                 sanitizer.finalize_session()
-            return self._results(rt, machine.report().minus(baseline))
+            self.iterations = rt.iterations
+            self.report = machine.report().minus(baseline)
+            return self._results(rt, self.report)
         except CrashError:
             # Remember what was being asked so recover() can replay it.
             # The injected "crash" span was already emitted by the fault
@@ -521,7 +530,7 @@ class QuerySession:
 
 
 class BatchedQuerySession(QuerySession):
-    """One MS-BFS batch: ≤64 queries sharing a single scatter/gather
+    """One MS-BFS batch: 2 to 64 queries sharing a single scatter/gather
     timeline against a :class:`StagedGraph`.
 
     The same driver as :class:`QuerySession` with a :class:`~repro.
@@ -532,8 +541,13 @@ class BatchedQuerySession(QuerySession):
     serial runs.  Per-query iteration stats are synthesized from the
     kernel's per-pass bookkeeping (updates/activated per query per pass);
     shared-scan counters (edges scanned, partitions processed) belong to
-    the batch timeline and are exposed as :attr:`shared_iterations`, with
-    each demuxed query reporting zero edge scans of its own.
+    the batch timeline and are exposed as :attr:`iterations`, with each
+    demuxed query reporting zero edge scans of its own.
+
+    ``run_staged_queries`` opens one only for two or more queries: a
+    width-1 batch would stream the same edges as the serial kernel but
+    write 16-byte update records and round-trip two mask words per vertex
+    per pass, so a query alone runs as a plain :class:`QuerySession`.
     """
 
     def __init__(
@@ -557,10 +571,6 @@ class BatchedQuerySession(QuerySession):
         )
         self.kernel = algorithm
         self.batch_index = batch_index
-        #: Per-pass counters of the shared timeline (set by :meth:`run`).
-        self.shared_iterations: List[IterationStats] = []
-        #: Delta report of the shared timeline (set by :meth:`run`).
-        self.report: Optional[IOReport] = None
 
     # ------------------------------------------------------------------
     def run(self, validated_roots: Sequence) -> List[EngineResult]:
@@ -611,8 +621,6 @@ class BatchedQuerySession(QuerySession):
             )
 
     def _results(self, rt, report: IOReport) -> List[EngineResult]:
-        self.report = report
-        self.shared_iterations = rt.iterations
         return [
             self._demux_query(rt, report, q)
             for q in range(self.kernel.num_queries)
@@ -625,7 +633,7 @@ class BatchedQuerySession(QuerySession):
         ``updates_generated``/``activated`` match what a serial run of the
         slot would report per pass; edge scans and partition scheduling
         happened once for the whole batch and are *not* attributed to any
-        query (they live in :attr:`shared_iterations`).
+        query (they live in :attr:`iterations`).
         """
         kernel = self.kernel
         num_passes = len(rt.iterations)

@@ -54,6 +54,27 @@ DEFAULT_DURATION_BUCKETS: Tuple[float, ...] = (
 )
 
 
+#: Per-iteration counters of an edge scan; an MS-BFS batch's queries
+#: share one scan, so a batched run counts them once per batch.
+SCAN_FIELDS: Tuple[str, ...] = (
+    "edges_scanned",
+    "partitions_processed",
+    "partitions_skipped",
+    "edges_eliminated",
+)
+
+#: Run-level stay-stream counters a result carries in ``extras``.
+STAY_EXTRAS: Tuple[str, ...] = (
+    "stay_swaps",
+    "stay_cancellations",
+    "stay_records_written",
+    "stay_bytes_written",
+    "stay_end_of_run_discards",
+    "stay_integrity_failures",
+    "stay_write_failures",
+)
+
+
 def _key(name: str, labels: Dict[str, object]) -> CounterKey:
     return name, tuple(sorted((k, str(v)) for k, v in labels.items()))
 
@@ -320,39 +341,53 @@ class CounterRegistry:
     # engine-level counters
     # ------------------------------------------------------------------
     def ingest_result(self, result) -> "CounterRegistry":
-        """Fold one :class:`EngineResult`'s run counters into the registry.
+        """Fold one run's engine counters into the registry.
 
-        Each per-iteration counter is summed over the iterations as integers
-        and added once: the same value as one ``inc`` per iteration, since
-        every partial sum is an integer a float holds exactly.  A result
-        without iterations creates none of their series.
+        ``result`` is an :class:`EngineResult`, or a ``BatchResult``
+        folded query by query.  Each per-iteration counter is summed over
+        the iterations as integers and added once: the same value as one
+        ``inc`` per iteration, since every partial sum is an integer a
+        float holds exactly.  A result without iterations creates none of
+        their series.
+
+        In a batched ``BatchResult`` the queries of one MS-BFS batch share
+        a timeline: iterations and ``updates_generated`` stay per query,
+        the scan counters (:data:`SCAN_FIELDS`) are summed once over
+        ``shared_iterations`` (a demuxed query reports no scans of its
+        own), and the stay-stream counters, which every query of a batch
+        carries, are taken once per batch from its slot 0.
         """
+        shared = getattr(result, "mode", None) == "batched"
+        fields = ("updates_generated",) + (() if shared else SCAN_FIELDS)
+        for q in getattr(result, "queries", [result]):
+            slot = q.extras.get("query_slot", 0.0)
+            self._ingest_query(q, fields, stay=not shared or slot == 0.0)
+        if shared:
+            self._sum_iterations(
+                result.engine, result.shared_iterations, SCAN_FIELDS
+            )
+        return self
+
+    def _ingest_query(self, result, fields: Sequence[str], stay: bool) -> None:
         eng = result.engine
         self.inc(
             "engine_iterations_total", float(result.num_iterations), engine=eng
         )
-        if result.iterations:
-            for field in (
-                "edges_scanned",
-                "updates_generated",
-                "partitions_processed",
-                "partitions_skipped",
-                "edges_eliminated",
-            ):
-                total = sum(getattr(it, field) for it in result.iterations)
-                self.inc(f"engine_{field}_total", total, engine=eng)
-        for extra in (
-            "stay_swaps",
-            "stay_cancellations",
-            "stay_records_written",
-            "stay_bytes_written",
-            "stay_end_of_run_discards",
-            "stay_integrity_failures",
-            "stay_write_failures",
-        ):
-            if extra in result.extras:
-                self.inc(f"engine_{extra}_total", result.extras[extra], engine=eng)
-        return self
+        self._sum_iterations(eng, result.iterations, fields)
+        if stay:
+            for extra in STAY_EXTRAS:
+                if extra in result.extras:
+                    self.inc(
+                        f"engine_{extra}_total", result.extras[extra], engine=eng
+                    )
+
+    def _sum_iterations(
+        self, engine: str, iterations, fields: Sequence[str]
+    ) -> None:
+        if iterations:
+            for field in fields:
+                total = sum(getattr(it, field) for it in iterations)
+                self.inc(f"engine_{field}_total", total, engine=engine)
 
     # ------------------------------------------------------------------
     # span-duration histograms

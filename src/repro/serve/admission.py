@@ -15,8 +15,9 @@ flush is running, a thread whose ticket is still queued drains the
 longest queue prefix that can share one run — consecutive BFS tickets up
 to the controller's ``batch_width`` (at most
 :data:`~repro.algorithms.streaming.BATCH_WIDTH`), run as **one** batched
-`run_staged_queries` call, or exactly one ticket carrying a kernel —
-runs it with no lock held, marks every drained ticket done and wakes
+`run_staged_queries` call (a prefix of one BFS ticket runs the serial
+kernel there), or exactly one ticket carrying a kernel — runs it with no
+lock held, marks every drained ticket done and wakes
 the waiters; a thread whose ticket is done returns.  A full queue
 rejects deterministically (:class:`~repro.errors.QueueFullError`, mapped
 to HTTP 429 + ``Retry-After``).
@@ -488,7 +489,7 @@ class AdmissionController:
                 ticket.report_id = report_id
                 ticket.flush_mode = mode
                 ticket.spans = tracer.spans
-                registry.ingest_result(result)
+            registry.ingest_result(batch)
             registry.ingest_spans(tracer)
             spans.extend(tracer.spans)
         served = sum(len(run_tickets) for run_tickets, *_ in runs)

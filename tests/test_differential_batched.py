@@ -16,6 +16,11 @@ differential suite and adds the batching-specific ones: batch widths 1,
 2, 64 (exactly one full mask) and 65 (spills into a second batch),
 early-converging queries (isolated roots that finish in one pass while
 hub queries keep scanning), duplicate roots, and multi-source slots.
+
+A chunk of one runs the serial kernel in either mode, so a one-root
+batched call, the 65th root of a 65-root call and a one-ticket admission
+flush must equal the serial run in report and iteration stats too, not
+only in answers.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from repro.algorithms.reference import bfs_levels
 from repro.algorithms.validation import validate_bfs_result
 from repro.core.engine import FastBFSEngine
 from repro.engines.graphchi import GraphChiEngine
+from repro.engines.session import run_staged_queries
 from repro.engines.xstream import XStreamEngine
 from repro.graph.generators import random_graph, rmat_graph
 from repro.graph.graph import Graph
@@ -243,3 +249,82 @@ def test_bad_mode_rejected(engine):
     graph = random_graph(40, 200, seed=1)
     with pytest.raises(ConfigError):
         engine.run_many(graph, fresh_machine(), roots=[0], mode="parallel")
+
+
+# ----------------------------------------------------------------------
+# A batch of one is a serial query
+# ----------------------------------------------------------------------
+
+
+def _assert_same_query(qs, qb):
+    """Answer, report and per-iteration stats are those of one run."""
+    assert np.array_equal(qs.levels, qb.levels)
+    assert np.array_equal(qs.parents, qb.parents)
+    assert qb.report.execution_time == qs.report.execution_time
+    assert qb.report.bytes_by_role() == qs.report.bytes_by_role()
+    assert qb.report.to_dict() == qs.report.to_dict()
+    assert qb.iterations == qs.iterations
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_one_root_batched_chunk_is_the_serial_query(case):
+    graph = _graph_for(case)
+    cfg = _config_for(case)
+    num_disks, memory_kb = _placement_for(case)
+    if (cfg.rotate_streams or cfg.stay_disk) and num_disks < 2:
+        num_disks = 2
+    engine = FastBFSEngine(cfg)
+    machine = fresh_machine(num_disks=num_disks, memory=memory_kb * 1024)
+    staged = engine.stage(graph, machine)
+    checkpoint = machine.checkpoint()
+    hubs = np.argsort(-graph.out_degrees())
+    for entry in (int(hubs[0]), [int(hubs[1]), int(hubs[2])]):
+        serial, batched = (
+            run_staged_queries(
+                engine, staged, checkpoint, [entry], mode=mode
+            )
+            for mode in ("serial", "batched")
+        )
+        assert batched.mode == "batched"
+        (qs,), (qb,) = serial.queries, batched.queries
+        _assert_same_query(qs, qb)
+        assert qb.edges_scanned > 0
+        # The chunk is still one batch of the batched result.
+        assert batched.batch_times == [qs.report.execution_time]
+        assert batched.shared_iterations == qs.iterations
+        assert batched.edges_scanned == serial.edges_scanned
+        assert batched.total_time == serial.total_time
+
+
+def test_65th_root_runs_alone_as_the_serial_query():
+    graph = random_graph(120, 900, seed=7)
+    deg = graph.out_degrees()
+    candidates = [int(v) for v in np.flatnonzero(deg > 0)]
+    roots = [candidates[i % len(candidates)] for i in range(65)]
+
+    serial, batched = _run_both(graph, small_fastbfs_config(), 1, 256, roots)
+    _assert_same_query(serial.queries[64], batched.queries[64])
+    assert batched.batch_times[1] == serial.queries[64].execution_time
+    tail = batched.shared_iterations[-serial.queries[64].num_iterations:]
+    assert tail == serial.queries[64].iterations
+    ref = bfs_levels(graph, roots[64])
+    assert np.array_equal(batched.queries[64].levels, ref)
+
+
+def test_one_ticket_flush_reports_the_serial_query():
+    from repro.serve import AdmissionController, ArtifactRegistry
+
+    entry = ArtifactRegistry().register(
+        "tiny", rmat_graph(scale=8, edge_factor=8, seed=7)
+    )
+    root = int(np.argmax(entry.graph.out_degrees()))
+    controller = AdmissionController(entry)
+    ticket = controller.offer("r0", root)
+    record = controller.flush()
+    assert record.size == 1 and ticket.flush_mode == "batched"
+    (direct,) = run_staged_queries(
+        entry.engine, entry.staged, entry.checkpoint, [root], mode="serial"
+    ).queries
+    assert record.report.to_dict() == direct.report.to_dict()
+    _assert_same_query(direct, ticket.result)
+    assert np.array_equal(ticket.result.levels, bfs_levels(entry.graph, root))

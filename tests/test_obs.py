@@ -566,6 +566,11 @@ class TestApiSurface:
             assert q.metrics.reconcile(q.report) == []
         names = {s.name for s in read_spans_jsonl(str(trace))}
         assert {"stage", "query", "query_slot", "iteration"} <= names
+        # the shared scan is counted once, not as the demuxed queries' zeros
+        assert batch.edges_scanned > 0
+        assert batch.metrics.get(
+            "engine_edges_scanned_total", engine="fastbfs"
+        ) == batch.edges_scanned
 
     def test_no_export_requested_leaves_metrics_unset(self):
         graph = random_graph(200, 1200, seed=6)

@@ -1007,6 +1007,50 @@ class TestServedEqualsDirect:
         assert body["report"] == direct.report.to_dict()
 
 
+class TestFlushScanCounters:
+    """A BFS flush's metrics delta counts the edges its run scanned: a
+    shared scan once, and a flush of one ticket as its own scan."""
+
+    @pytest.mark.parametrize("width", [1, 2, 64])
+    def test_engine_counters_equal_the_run(self, width):
+        entry = direct_entry()
+        hubs = np.argsort(-entry.graph.out_degrees())
+        roots = [int(hubs[i % 16]) for i in range(width)]
+        controller = AdmissionController(entry)
+        for i, root in enumerate(roots):
+            controller.offer(f"r{i}", root)
+        record = controller.flush()
+        assert record.size == width
+        direct = run_staged_queries(
+            entry.engine, entry.staged, entry.checkpoint, roots,
+            mode="batched",
+        )
+        assert direct.edges_scanned > 0
+        counters = record.registry
+        engine = entry.engine.name
+        assert counters.get(
+            "engine_edges_scanned_total", engine=engine
+        ) == direct.edges_scanned
+        for field in (
+            "partitions_processed", "partitions_skipped", "edges_eliminated"
+        ):
+            assert counters.get(f"engine_{field}_total", engine=engine) == sum(
+                getattr(it, field) for it in direct.shared_iterations
+            ), field
+        assert counters.get(
+            "engine_updates_generated_total", engine=engine
+        ) == sum(q.updates_generated for q in direct.queries)
+        assert counters.get(
+            "engine_iterations_total", engine=engine
+        ) == sum(q.num_iterations for q in direct.queries)
+        # Every query of the batch carries the batch's stay counters.
+        stay = direct.queries[0].extras["stay_records_written"]
+        assert stay > 0
+        assert counters.get(
+            "engine_stay_records_written_total", engine=engine
+        ) == stay
+
+
 def ticket_kwargs(entry, algorithm):
     """What ``offer``/``submit`` take to run ``algorithm`` (cf. serve.app)."""
     if algorithm == "sssp":
