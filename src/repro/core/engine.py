@@ -66,15 +66,12 @@ class FastBFSEngine(EdgeCentricEngine):
             protected=rt.protected_files,
             tracer=machine.tracer,
         )
-        sanitizer = getattr(machine, "sanitizer", None)
-        if sanitizer is not None:
-            sanitizer.watch_staystream(rt.stay)
         rt.trim_policy = TrimPolicy(cfg, rt.algo.supports_trimming)
         rt.trim_active_iteration = -1
         rt.trim_active = False
 
     def _after_run(self, rt: _RunState) -> None:
-        rt.stay.finalize()
+        rt.stay.discard_all()
         stats = rt.stay.stats
         rt.extras.update(
             {

@@ -255,15 +255,3 @@ class StayStreamManager:
             self.stats.end_of_run_discards += 1
         self._pending.clear()
         self._current.clear()
-
-    def finalize(self) -> None:
-        """End-of-run teardown: the public name for :meth:`discard_all`.
-
-        Delegates through the instance attribute so a sanitizer that
-        wrapped ``discard_all`` still observes the terminal transition.
-        """
-        self.discard_all()
-
-    @property
-    def pending_partitions(self) -> Dict[int, AsyncStreamWriter]:
-        return dict(self._pending)

@@ -63,6 +63,7 @@ from repro.storage.faults import submit_with_retry
 from repro.storage.machine import Machine
 from repro.storage.streams import StreamReader, StreamWriter
 from repro.storage.vfs import VirtualFile
+from repro.tooling.sanitizer import check_report
 from repro.utils.units import KB, parse_bytes
 
 #: Working set estimate = IN_MEMORY_FACTOR * edge bytes + vertex bytes.
@@ -363,6 +364,7 @@ class EdgeCentricEngine:
         cfg = self.config
         algo = algorithm if algorithm is not None else BFSAlgorithm()
         baseline = machine.report()
+        files_before = machine.vfs.snapshot()
         with machine.tracer.span(
             "stage", engine=self.name, graph=graph.name, edges=graph.num_edges
         ) as stage_span:
@@ -370,6 +372,7 @@ class EdgeCentricEngine:
             stage_span.set(
                 partitions=staged.partitioning.count, in_memory=staged.in_memory
             )
+        check_report(staged.staging_report, machine.vfs, files_before)
         return staged
 
     def _stage_body(self, graph, machine, cfg, algo, baseline):

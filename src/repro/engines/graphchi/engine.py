@@ -45,6 +45,7 @@ from repro.errors import ConfigError, EngineError
 from repro.graph.graph import Graph
 from repro.graph.types import NO_PARENT, UNVISITED
 from repro.storage.machine import IOReport, Machine
+from repro.tooling.sanitizer import check_report
 
 _INF = np.int32(2**30)
 
@@ -300,6 +301,7 @@ class GraphChiEngine:
         preprocessing = prep.preprocessing
         out_indptr = prep.out_indptr
         out_dst_interval = prep.out_dst_interval
+        files_before = machine.vfs.snapshot()
 
         if algorithm == "bfs":
             dist = np.full(n, _INF, dtype=np.int32)
@@ -461,6 +463,7 @@ class GraphChiEngine:
         report = machine.report()
         if baseline is not None:
             report = report.minus(baseline)
+        check_report(report, machine.vfs, files_before)
         return EngineResult(
             engine=self.name,
             algorithm=algorithm,

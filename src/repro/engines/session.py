@@ -49,6 +49,7 @@ from repro.graph.partition import VertexPartitioning
 from repro.storage.device import Device
 from repro.storage.machine import IOReport, Machine
 from repro.storage.vfs import VirtualFile
+from repro.tooling.sanitizer import check_report
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from repro.engines.base import EdgeCentricEngine
@@ -172,9 +173,9 @@ def staged_run(
 ):
     """The one query front door every engine's ``run``/``run_many`` goes
     through: validate the arguments, check that the machine is fresh,
-    ``engine.stage(...)``, ``drive(staged, validated)``, then the
-    sanitizer epilogue.  A bad query fails before any machine state
-    changes, and the report of a fresh machine covers exactly this call.
+    ``engine.stage(...)``, then ``drive(staged, validated)``.  A bad
+    query fails before any machine state changes, and the report of a
+    fresh machine covers exactly this call.
     """
     validated = validate_entries(graph.num_vertices, roots, mode)
     if machine.clock.now != 0.0 or len(machine.vfs) != 0:
@@ -183,13 +184,7 @@ def staged_run(
             "per run (build a new one, or use run_many, which rewinds "
             "with Machine.checkpoint()/restore() between queries)"
         )
-    sanitizer = machine.sanitizer
-    outcome = drive(engine.stage(graph, machine, algorithm=algorithm), validated)
-    if sanitizer is not None:
-        outcome.extras["sanitizer_past_waits"] = float(sanitizer.past_waits)
-        sanitizer.finalize_run()
-        outcome.extras["sanitizer_violations"] = float(len(sanitizer.violations))
-    return outcome
+    return drive(engine.stage(graph, machine, algorithm=algorithm), validated)
 
 
 def run_with_recovery(session: "QuerySession", invoke, max_recoveries: int):
@@ -409,15 +404,13 @@ class QuerySession:
         staged = self.staged
         machine = staged.machine
         kernel = self.kernel
-        sanitizer = getattr(machine, "sanitizer", None)
-        if sanitizer is not None:
-            sanitizer.begin_session()
         if getattr(machine, "fault_injector", None) is not None:
             # Session entry is a quiescent point (post-staging barrier or
             # post-restore), so this checkpoint is the crash/resume anchor:
             # recover() rewinds here and replays the whole execution.
             self._checkpoint = machine.checkpoint()
         baseline = machine.report()
+        files_before = machine.vfs.snapshot()
 
         rt = _assemble_run_state(staged, kernel)
         self._init_state(rt, slots)
@@ -437,10 +430,14 @@ class QuerySession:
                 _release_swapped_files(staged, rt)
                 q_span.set(iterations=len(rt.iterations))
                 self._mark_slots(rt, slots)
-            if sanitizer is not None:
-                sanitizer.finalize_session()
             self.iterations = rt.iterations
             self.report = machine.report().minus(baseline)
+            check_report(
+                self.report,
+                machine.vfs,
+                files_before,
+                rt.stay.stats if rt.stay is not None else None,
+            )
             return self._results(rt, self.report)
         except CrashError:
             # Remember what was being asked so recover() can replay it.

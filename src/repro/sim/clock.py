@@ -89,13 +89,16 @@ class SimClock:
         """Block (account iowait) until simulated time ``t``.
 
         Returns the waited duration.  Waiting for a time already in the past
-        is a no-op — the request completed while the engine was computing.
+        is a no-op — the request completed while the engine was computing;
+        a negative target is an impossible time.
         """
         if t > self._now:
             waited = t - self._now
             self._iowait_time += waited
             self._now = t
             return waited
+        if t < 0:
+            raise SimulationError(f"cannot wait until negative time {t}")
         return 0.0
 
     def snapshot(self) -> ClockState:

@@ -280,7 +280,6 @@ class Machine:
         memory: Union[int, str] = "4GB",
         cores: int = 4,
         page_cache: Union[int, str, None] = None,
-        sanitize: bool = False,
         fault_plan=None,
     ) -> None:
         if not disks:
@@ -321,12 +320,6 @@ class Machine:
                 dev.injector = self.fault_injector
         #: Span tracer (repro.obs); the shared no-op unless one is attached.
         self.tracer = NULL_TRACER
-        #: Installed runtime checker, if any (see repro.tooling.sanitizer).
-        self.sanitizer = None
-        if sanitize:
-            from repro.tooling.sanitizer import Sanitizer
-
-            Sanitizer().install(self)
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -337,7 +330,6 @@ class Machine:
         cores: int = 4,
         num_disks: int = 1,
         disk_kind: str = "hdd",
-        sanitize: bool = False,
         fault_plan=None,
     ) -> "Machine":
         """The paper's test bed: Xeon X5472-class box, 4GB working memory.
@@ -351,10 +343,7 @@ class Machine:
             specs = [DeviceSpec.ssd(f"ssd{i}") for i in range(num_disks)]
         else:
             raise ConfigError(f"unknown disk kind {disk_kind!r}")
-        return Machine(
-            specs, memory=memory, cores=cores, sanitize=sanitize,
-            fault_plan=fault_plan,
-        )
+        return Machine(specs, memory=memory, cores=cores, fault_plan=fault_plan)
 
     # ------------------------------------------------------------------
     # device access
@@ -442,9 +431,8 @@ class Machine:
     def restore(self, cp: MachineCheckpoint) -> None:
         """Roll the machine back to a checkpoint.
 
-        Files created since the checkpoint are deleted, the clock and every
-        device timeline rewind, and an installed sanitizer is told the
-        rollback is sanctioned (so its monotonicity checker re-anchors).
+        Files created since the checkpoint are deleted, and the clock and
+        every device timeline rewind.
         """
         self.clock.restore(cp.clock_state)
         self.vfs.restore(cp.vfs_state)
@@ -454,8 +442,6 @@ class Machine:
             self.page_cache.restore(cp.cache_state)
         if self.fault_injector is not None and cp.fault_state is not None:
             self.fault_injector.restore(cp.fault_state)
-        if self.sanitizer is not None:
-            self.sanitizer.notify_restore(self.clock.now)
 
     # ------------------------------------------------------------------
     # reporting

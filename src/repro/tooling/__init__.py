@@ -2,10 +2,10 @@
 
 Three layers guard the invariants ordinary tests cannot see:
 
-* :mod:`repro.tooling.sanitizer` — opt-in runtime checkers (``sanitize=True``
-  on a :class:`~repro.storage.machine.Machine`) that
-  watch a live run for VFS leaks, clock regressions, stay-writer
-  state-machine violations, and device I/O that bypasses the cost model.
+* :mod:`repro.tooling.sanitizer` — the runtime checks every engine report
+  passes (no switch): VFS leaks, I/O the cost model never charged or
+  attributed, and stay writers that never reached swap, cancel or discard.
+  The clock guards itself (:class:`~repro.sim.clock.SimClock`).
 * :mod:`repro.tooling.analyzer` — the one static rule engine
   (``repro analyze``): module-local source rules such as "no bare assert"
   and whole-program effect contracts such as "no wall-clock read outside
@@ -14,7 +14,7 @@ Three layers guard the invariants ordinary tests cannot see:
   seeded fault schedules swept across engines and disk placements, every
   surviving run held to bit-identical BFS levels.
 
-See ``docs/correctness_tooling.md`` for the sanitizer's checkers,
+See ``docs/correctness_tooling.md`` for the sanitizer's checks,
 ``docs/static_analysis.md`` for the rule catalogue and
 ``docs/fault_injection.md`` for the chaos regimen.
 """
@@ -26,22 +26,15 @@ from typing import Any
 __all__ = [
     "ChaosReport",
     "ChaosTrial",
-    "Sanitizer",
-    "Violation",
     "run_chaos",
 ]
 
-_SANITIZER_EXPORTS = {"Sanitizer", "Violation"}
 _CHAOS_EXPORTS = {"ChaosReport", "ChaosTrial", "run_chaos"}
 
 
 def __getattr__(name: str) -> Any:
-    # Lazy: the engines import the sanitizer and the chaos harness imports
-    # the engines, so eager exports here would be an import cycle.
-    if name in _SANITIZER_EXPORTS:
-        from repro.tooling import sanitizer
-
-        return getattr(sanitizer, name)
+    # Lazy: the chaos harness imports the engines, which import the
+    # sanitizer from this package, so an eager export would be a cycle.
     if name in _CHAOS_EXPORTS:
         from repro.tooling import chaos
 

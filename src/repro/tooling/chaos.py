@@ -26,9 +26,12 @@ A trial ends in exactly one of four outcomes:
     subclass (persistent media error, retry exhaustion, out of space) —
     the contract for unabsorbable faults.
 ``violation``
-    Anything else: wrong levels, an untyped exception, or an
-    observability mismatch (span trace not reconciling with the
-    injector's counters).  One violation fails the whole sweep.
+    Anything else: wrong levels, an untyped exception, a
+    :class:`~repro.errors.SanitizerError` (the sanitizer's checks run on
+    every session report, so a fault path that leaks a file or skips a
+    charge shows here), or an observability mismatch (span trace not
+    reconciling with the injector's counters).  One violation fails the
+    whole sweep.
 
 Every trial also cross-checks the trace against the counter registry:
 ``io_retry``/``io_giveup``/``crash``/``recover`` span counts must equal
@@ -69,7 +72,7 @@ from repro.engines.base import EdgeCentricEngine, EngineConfig
 from repro.engines.result import EngineResult
 from repro.engines.session import run_staged_queries
 from repro.engines.xstream import XStreamEngine
-from repro.errors import ConfigError, ReproError
+from repro.errors import ConfigError, ReproError, SanitizerError
 from repro.graph.generators import rmat_graph
 from repro.graph.graph import Graph
 from repro.obs.counters import CounterRegistry
@@ -371,6 +374,10 @@ def _run_trial(
             mode="batched" if batched else "serial",
             max_recoveries=MAX_RECOVERIES,
         ).queries
+    except SanitizerError as exc:
+        trial.outcome = "violation"
+        trial.detail = f"protocol violation: {exc}"
+        return trial
     except ReproError as exc:
         trial.outcome = "typed-error"
         trial.detail = f"{type(exc).__name__}: {exc}"

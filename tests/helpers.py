@@ -15,13 +15,13 @@ from repro.utils.units import KB, MB
 
 
 def fresh_machine(num_disks: int = 1, memory: int = 2 * MB, cores: int = 4,
-                  disk_kind: str = "hdd", sanitize: bool = False) -> Machine:
+                  disk_kind: str = "hdd") -> Machine:
     """A small out-of-core test machine."""
     if disk_kind == "hdd":
         specs = [DeviceSpec.hdd(f"hdd{i}") for i in range(num_disks)]
     else:
         specs = [DeviceSpec.ssd(f"ssd{i}") for i in range(num_disks)]
-    return Machine(specs, memory=memory, cores=cores, sanitize=sanitize)
+    return Machine(specs, memory=memory, cores=cores)
 
 
 def slow_stay_disk_machine(write_bandwidth=64 * 1024, memory=2 * MB) -> Machine:
@@ -68,11 +68,6 @@ def graph_from_pairs(num_vertices: int, pairs, name: str = "graph") -> Graph:
     pairs = list(pairs)
     src, dst = zip(*pairs) if pairs else ((), ())
     return Graph.from_arrays(num_vertices, src, dst, name=name)
-
-
-def by_checker(sanitizer, checker):
-    """The sanitizer's violations that one checker raised."""
-    return [v for v in sanitizer.violations if v.checker == checker]
 
 
 def hub_root(graph) -> int:

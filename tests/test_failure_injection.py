@@ -147,7 +147,8 @@ class TestDegradedHardware:
 
 
 class TestEndOfRunCancellation:
-    """StayStreamManager.finalize: terminal discards, traced and counted."""
+    """StayStreamManager.discard_all, the end-of-run teardown: terminal
+    discards, traced and counted."""
 
     def _manager(self, tracer=None):
         from repro.core.staystream import StayStreamManager
@@ -185,9 +186,9 @@ class TestEndOfRunCancellation:
                 mgr.finish_partition(p)
             mgr.open(2, iteration=1)  # still current, not yet finished
             mgr.append(2, self._edges(8))
-            mgr.finalize()
+            mgr.discard_all()
         assert mgr.stats.end_of_run_discards == 3
-        assert mgr.pending_partitions == {}
+        assert mgr._pending == {}
         assert mgr.current(2) is None
         # Discarded stay files are gone from the namespace.
         assert [n for n in vfs.names() if n.startswith("stay:")] == []
@@ -198,7 +199,7 @@ class TestEndOfRunCancellation:
 
     def test_finalize_on_empty_manager_is_a_noop(self):
         mgr, _ = self._manager()
-        mgr.finalize()
+        mgr.discard_all()
         assert mgr.stats.end_of_run_discards == 0
         assert mgr.stats.cancellations == 0
 

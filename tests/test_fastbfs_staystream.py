@@ -37,7 +37,7 @@ class TestLifecycle:
         mgr.open(0, iteration=0)
         mgr.append(0, edges(100))
         mgr.finish_partition(0)
-        assert 0 in mgr.pending_partitions
+        assert 0 in mgr._pending
         assert mgr.stats.files_written == 1
         assert mgr.stats.records_written == 100
 
@@ -55,7 +55,7 @@ class TestLifecycle:
     def test_finish_without_open_is_noop(self, ctx):
         _, _, _, mgr = ctx
         mgr.finish_partition(5)
-        assert mgr.pending_partitions == {}
+        assert mgr._pending == {}
 
     def test_current_accessor(self, ctx):
         _, _, _, mgr = ctx
@@ -209,7 +209,7 @@ class TestErrorPaths:
         mgr.finish_partition(0)
         w = mgr.open(0, iteration=1)
         assert w.file.name == "stay:p0:i1"
-        assert 0 in mgr.pending_partitions
+        assert 0 in mgr._pending
         assert mgr.stats.files_written == 2
 
     def test_double_open_leaves_first_writer_intact(self, ctx):
@@ -229,7 +229,7 @@ class TestDiscardAll:
         mgr.finish_partition(0)
         mgr.open(1, iteration=0)
         mgr.discard_all()
-        assert mgr.pending_partitions == {}
+        assert mgr._pending == {}
         assert mgr.stats.end_of_run_discards == 2
         assert not vfs.exists("stay:p0:i0")
         assert not vfs.exists("stay:p1:i0")
@@ -242,10 +242,10 @@ class TestDiscardAll:
         mgr.finish_partition(0)  # generation "pending"
         mgr.open(1, iteration=0)  # generation "current", never finished
         mgr.open(2, iteration=0)
-        assert len(mgr.pending_partitions) == 1
+        assert len(mgr._pending) == 1
         mgr.discard_all()
         assert mgr.stats.end_of_run_discards == 3
-        assert mgr.pending_partitions == {}
+        assert mgr._pending == {}
         for name in ("stay:p0:i0", "stay:p1:i0", "stay:p2:i0"):
             assert not vfs.exists(name)
 

@@ -693,6 +693,32 @@ class TestChaosHarness:
             for t in b.trials
         ]
 
+    def test_sanitizer_failure_is_a_violation(self, monkeypatch):
+        """A trial whose session breaks the protocol fails the sweep: a
+        SanitizerError is a violation, not an absorbable typed error."""
+        from repro.tooling import chaos
+
+        make_engine = chaos._make_engine
+
+        def leaky(name, disks):
+            engine = make_engine(name, disks)
+            after_run = engine._after_run
+
+            def leave_update_file(rt):
+                after_run(rt)
+                rt.machine.vfs.create("updates:0:p1", rt.dev_updates)
+
+            engine._after_run = leave_update_file
+            return engine
+
+        monkeypatch.setattr(chaos, "_make_engine", leaky)
+        report = chaos.run_chaos("smoke", seed=0, trials=2)
+        assert not report.ok
+        assert any(
+            "[vfs-leak] file 'updates:0:p1'" in t.detail
+            for t in report.violations
+        )
+
     def test_unknown_profile_rejected(self):
         from repro.tooling.chaos import run_chaos
 

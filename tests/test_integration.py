@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.helpers import (
-    by_checker,
     fresh_machine,
     graph_from_pairs,
     hub_root,
@@ -118,49 +117,40 @@ def test_all_engines_agree_pairwise(rmat12):
 
 @pytest.mark.parametrize("graph_name", ["rmat", "whiskered", "grid"])
 def test_full_traversal_under_sanitizer(graph_name):
-    """A full FastBFS traversal on a sanitized machine: correct answer, zero VFS
-    leaks, zero stay-writer state-machine violations (strict mode would have
-    raised on any)."""
+    """A full FastBFS traversal passes the sanitizer's checks, which run on
+    every report (a leak, an uncharged byte or an unterminated stay writer
+    would raise SanitizerError), and gives the reference answer."""
     graph = GRAPHS[graph_name]()
     root = hub_root(graph)
-    machine = fresh_machine(sanitize=True)
     engine = FastBFSEngine(small_fastbfs_config())
-    result = engine.run(graph, machine, root=root)
+    result = engine.run(graph, fresh_machine(), root=root)
     assert np.array_equal(result.levels, bfs_levels(graph, root))
-    sanitizer = machine.sanitizer
-    assert sanitizer is not None and sanitizer.finalized
-    assert by_checker(sanitizer, "vfs-leak") == []
-    assert by_checker(sanitizer, "stay-state") == []
-    assert sanitizer.violations == []
-    assert result.extras["sanitizer_violations"] == 0.0
+    assert result.extras["stay_files_written"] > 0
+    assert not any(key.startswith("sanitizer") for key in result.extras)
 
 
 @pytest.mark.parametrize(
     "engine_name", ["fastbfs", "fastbfs-no-trim", "x-stream"]
 )
 def test_engines_sanitize_clean_on_sanitized_machine(engine_name):
-    """Every edge-centric engine obeys the simulation protocol end to end."""
+    """Every edge-centric engine obeys the simulation protocol end to end:
+    its staging and query reports pass the sanitizer's checks."""
     graph = GRAPHS["rmat"]()
     engine = dict(all_engines())[engine_name]
-    machine = fresh_machine()
-    from repro.tooling.sanitizer import Sanitizer
-
-    Sanitizer(strict=True).install(machine)
-    result = engine.run(graph, machine, root=hub_root(graph))
-    assert machine.sanitizer.violations == []
-    assert result.extras["sanitizer_violations"] == 0.0
+    result = engine.run(graph, fresh_machine(), root=hub_root(graph))
+    assert np.array_equal(result.levels, bfs_levels(graph, hub_root(graph)))
 
 
 def test_sanitizer_clean_with_rotating_two_disk_config():
     """The Fig. 10 two-disk rotation also keeps the stay protocol clean."""
     graph = GRAPHS["rmat"]()
-    machine = fresh_machine(num_disks=2, sanitize=True)
+    machine = fresh_machine(num_disks=2)
     engine = FastBFSEngine(small_fastbfs_config(rotate_streams=True))
     result = engine.run(graph, machine, root=hub_root(graph))
     assert np.array_equal(
         result.levels, bfs_levels(graph, hub_root(graph))
     )
-    assert machine.sanitizer.violations == []
+    assert machine.disks[1].bytes_written > 0
 
 
 def test_trimming_only_reduces_io_never_changes_answer(rmat12):

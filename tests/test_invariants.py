@@ -38,7 +38,7 @@ class RecordingFastBFS(FastBFSEngine):
         super()._post_partition_scatter(rt, p, ctx)  # closes & seals the file
         stay = None
         if had_writer:
-            stay = rt.stay.pending_partitions[p].file.records().copy()
+            stay = rt.stay._pending[p].file.records().copy()
         self.trace.append((ctx.iteration, p, self._current_input, stay))
 
 

@@ -33,6 +33,7 @@ from repro.algorithms.sssp import (
 )
 from repro.algorithms.streaming import WCCAlgorithm
 from repro.api import run_queries
+from repro.core.engine import FastBFSEngine
 from repro.engines.session import run_staged_queries
 from repro.errors import ConfigError, QueueFullError, UnknownGraphError
 from repro.graph.generators import rmat_graph, star_graph
@@ -1005,6 +1006,69 @@ class TestServedEqualsDirect:
         assert body["result"]["ranks"] == direct.output["rank"].tolist()
         assert body["result"]["rounds"] == direct.num_iterations
         assert body["report"] == direct.report.to_dict()
+
+
+class LeaksInOneFlush(FastBFSEngine):
+    """Leaves a transient ``updates:*`` file behind its first query only."""
+
+    leaks = 1
+
+    def _after_run(self, rt):
+        super()._after_run(rt)
+        if self.leaks:
+            self.leaks -= 1
+            rt.machine.vfs.create("updates:0:p1", rt.dev_updates)
+
+
+class TestSanitizedFlush:
+    def test_leaking_flush_answers_500_then_recovers(self):
+        """The sanitizer's checks run in every flush: each ticket of the
+        flush whose run leaked is a 500 naming the checker, the breaker
+        records nothing, and the entry's next flush answers bit for bit."""
+        n = 3
+        svc = GraphService(port=0, warmup=(TINY_SPEC,)).start()
+        try:
+            entry = svc.registry.get("tiny")
+            entry.engine = LeaksInOneFlush(entry.engine.config)
+            controller = entry.admission
+            controller.hold()  # the n tickets coalesce into one flush
+            results = [None] * n
+
+            def fire(i):
+                results[i] = request(
+                    svc, "POST", "/graphs/tiny/bfs", payload={"root": i},
+                    retries=2,
+                )
+
+            threads = [
+                threading.Thread(target=fire, args=(i,)) for i in range(n)
+            ]
+            for t in threads:
+                t.start()
+            assert wait_for(lambda: controller.depth == n)
+            controller.release()
+            for t in threads:
+                t.join(timeout=60)
+            for status, _, body in results:
+                assert status == 500
+                assert body["error"]["type"] == "internal_error"
+                assert "[vfs-leak] file 'updates:0:p1'" in body["error"]["message"]
+            assert entry.health.snapshot()["state"] == "healthy"
+            assert entry.health.transitions == []
+
+            status, _, body = request(
+                svc, "POST", "/graphs/tiny/bfs", payload={"root": 3}
+            )
+            assert status == 200
+        finally:
+            svc.shutdown()
+        direct = direct_entry()
+        (reference,) = run_staged_queries(
+            direct.engine, direct.staged, direct.checkpoint, [3],
+        ).queries
+        assert body["result"]["levels"] == reference.levels.tolist()
+        assert body["result"]["parents"] == reference.parents.tolist()
+        assert body["report"] == reference.report.to_dict()
 
 
 class TestFlushScanCounters:

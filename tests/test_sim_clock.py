@@ -53,6 +53,14 @@ class TestSimClock:
         assert clock.now == 3.0
         assert clock.iowait_time == 0.0
 
+    def test_wait_until_negative_rejected(self):
+        clock = SimClock()
+        clock.charge_compute(1.0)
+        with pytest.raises(SimulationError, match="negative time"):
+            clock.wait_until(-1.0)
+        assert clock.now == 1.0
+        assert clock.iowait_time == 0.0
+
     def test_iowait_ratio(self):
         clock = SimClock()
         clock.charge_compute(1.0)
