@@ -189,7 +189,7 @@ def render(data: dict) -> str:
     ]
     for root, query in zip(data["roots"], batch.queries):
         rows.append([
-            f"query {int(query.extras['query_index'])}",
+            f"query {query.query_index}",
             str(root),
             format_seconds(query.execution_time),
             format_bytes(query.report.bytes_total),

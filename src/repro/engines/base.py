@@ -215,8 +215,10 @@ class EngineConfig:
 class _RunState:
     """Mutable per-query bundle so engines stay reusable across queries.
 
-    This is session-internal state: outside the ``engines``/``core``
-    subsystems nothing may construct one (analyzer rule FB107) — go through
+    Built by ``Engine._open_query``; GraphChi reads only the common head
+    (graph, machine, kernel, state, iterations, extras).  This is
+    session-internal state: outside the ``engines``/``core`` subsystems
+    nothing may construct one (analyzer rule FB107) — go through
     ``engine.run()`` / ``engine.run_many()`` or a
     :class:`~repro.engines.session.QuerySession`.
     """
@@ -248,13 +250,20 @@ class _RunState:
         self.trim_active = False
 
 
-class EdgeCentricEngine:
-    """X-Stream-style scatter/gather engine; subclass hooks add FastBFS."""
+class Engine:
+    """The query front doors every engine inherits.
 
-    name = "edge-centric"
+    ``run``, ``run_many`` and ``session`` are one implementation over
+    :mod:`repro.engines.session`: validate the roots, check that the
+    machine is fresh, ``stage``, then drive query sessions
+    (:class:`~repro.engines.session.QuerySession`), which own the session
+    protocol (entry checkpoint, delta report, ``query`` span, sanitizer
+    check, crash recovery).  An engine supplies ``stage`` and the passes
+    in between: :meth:`_open_query` builds a query's :class:`_RunState`
+    and :meth:`_run_passes` runs it to convergence.
+    """
 
-    def __init__(self, config: Optional[EngineConfig] = None) -> None:
-        self.config = config if config is not None else EngineConfig()
+    name = "engine"
 
     # ------------------------------------------------------------------
     # public API
@@ -279,7 +288,7 @@ class EdgeCentricEngine:
         """
         from repro.engines.session import staged_run
 
-        algo = algorithm if algorithm is not None else BFSAlgorithm()
+        algo = self._kernel(algorithm)
 
         def drive(staged, validated):
             result = self.session(staged, algo).run(validated_roots=validated[0])
@@ -304,9 +313,10 @@ class EdgeCentricEngine:
         Each entry is a root vertex (or a sequence of roots for a
         multi-source query).  The graph is staged once, through the same
         front door as :meth:`run`: every root entry is validated before
-        staging, so a bad query fails before any machine state changes.  (``run_staged_queries`` validates its entries
-        again: it is also the serving layer's front door, which has no
-        staging step to validate ahead of.)
+        staging, so a bad query fails before any machine state changes.
+        (``run_staged_queries`` validates its entries again: it is also the
+        serving layer's front door, which has no staging step to validate
+        ahead of.)
 
         ``mode="serial"`` (default): before every query the machine is
         rewound to the post-staging checkpoint, so every query starts from
@@ -318,15 +328,15 @@ class EdgeCentricEngine:
         advanced by one shared scatter/gather timeline (one edge scan for
         the whole batch) and demultiplexed into per-query results that are
         bit-identical to the serial ones.  The machine is rewound before
-        every *batch*; algorithms without a batched kernel
-        (``algo.batched()`` is None) silently fall back to the serial path,
-        recorded as ``extras["batched_fallback"]``.
+        every *batch*.  Where the artifact cannot run the algorithm
+        batched (no batched kernel, or GraphChi's shards) the queries run
+        serially, recorded as ``extras["batched_fallback"]``.
 
         Returns a :class:`~repro.engines.result.BatchResult`.
         """
         from repro.engines.session import run_staged_queries, staged_run
 
-        algo = algorithm if algorithm is not None else BFSAlgorithm()
+        algo = self._kernel(algorithm)
 
         def drive(staged, validated):
             return run_staged_queries(
@@ -341,6 +351,36 @@ class EdgeCentricEngine:
         from repro.engines.session import QuerySession
 
         return QuerySession(self, staged, algorithm=algorithm)
+
+    # ------------------------------------------------------------------
+    # what an engine supplies
+    # ------------------------------------------------------------------
+    def _kernel(self, algorithm: Optional[StreamingAlgorithm]) -> StreamingAlgorithm:
+        """The kernel a query runs (default BFS); checked before staging."""
+        return algorithm if algorithm is not None else BFSAlgorithm()
+
+    def _open_query(self, staged, kernel: StreamingAlgorithm) -> _RunState:
+        """The per-query bundle of ``kernel`` against ``staged``; the
+        session then sets its ``state``."""
+        rt = _RunState()
+        rt.graph = staged.graph
+        rt.machine = staged.machine
+        rt.algo = kernel
+        return rt
+
+    def _run_passes(self, staged, rt: _RunState) -> None:
+        """Run the query's passes to convergence, leaving the answer in
+        ``rt.state`` and the per-pass counters in ``rt.iterations``."""
+        raise NotImplementedError
+
+
+class EdgeCentricEngine(Engine):
+    """X-Stream-style scatter/gather engine; subclass hooks add FastBFS."""
+
+    name = "edge-centric"
+
+    def __init__(self, config: Optional[EngineConfig] = None) -> None:
+        self.config = config if config is not None else EngineConfig()
 
     # ------------------------------------------------------------------
     # planning & input staging
@@ -468,6 +508,40 @@ class EdgeCentricEngine:
             vertex_files=vertex_files,
             staging_report=machine.report().minus(baseline),
         )
+
+    # ------------------------------------------------------------------
+    # one query
+    # ------------------------------------------------------------------
+    def _open_query(self, staged, kernel: StreamingAlgorithm) -> _RunState:
+        rt = super()._open_query(staged, kernel)
+        rt.partitioning = staged.partitioning
+        rt.in_memory = staged.in_memory
+        rt.dev_edges = staged.dev_edges
+        rt.dev_updates = staged.dev_updates
+        rt.dev_vertices = staged.dev_vertices
+        rt.edge_files = list(staged.edge_files)
+        rt.vertex_files = list(staged.vertex_files)
+        rt.update_in = [None] * staged.partitioning.count
+        rt.extras["partitions"] = float(staged.partitioning.count)
+        rt.extras["in_memory"] = float(staged.in_memory)
+        rt.protected_files = staged.protected_names()
+        return rt
+
+    def _run_passes(self, staged, rt: _RunState) -> None:
+        """The scatter/gather timeline to convergence, then the release of
+        any per-query file swapped in over a staged edge file (a stay file
+        promoted to edge-input duty is session state; the artifact's own
+        files are never displaced)."""
+        self._before_run(rt)
+        pass_updates = self._scatter_only_pass(rt)
+        iteration = 0
+        while pass_updates > 0:
+            iteration += 1
+            pass_updates = self._merged_pass(rt, iteration)
+        self._after_run(rt)
+        for p, f in enumerate(rt.edge_files):
+            if f is not staged.edge_files[p]:
+                rt.machine.vfs.delete_if_exists(f.name)
 
     # ------------------------------------------------------------------
     # passes

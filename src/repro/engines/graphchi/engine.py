@@ -33,21 +33,27 @@ engines' (paper Fig. 6).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from repro.algorithms.streaming import BFSAlgorithm, StreamingAlgorithm
+from repro.algorithms.streaming import StreamingAlgorithm
+from repro.engines.base import Engine, _RunState
 from repro.engines.costs import COST_MODEL
 from repro.engines.graphchi.shards import build_shards
-from repro.engines.result import BatchResult, EngineResult, IterationStats
+from repro.engines.result import IterationStats
 from repro.errors import ConfigError, EngineError
 from repro.graph.graph import Graph
 from repro.graph.types import NO_PARENT, UNVISITED
+from repro.storage.faults import submit_with_retry
 from repro.storage.machine import IOReport, Machine
-from repro.tooling.sanitizer import check_report
 
 _INF = np.int32(2**30)
+
+#: The kernels GraphChi relaxes, by name: a min-propagation over in-edges
+#: of ``value[src] + delta`` (BFS levels; WCC labels, on a graph carrying
+#: both directions of every edge, e.g. ``Graph.symmetrized()``).
+RELAXATION_DELTA = {"bfs": np.int32(1), "wcc": np.int32(0)}
 
 
 @dataclass
@@ -55,13 +61,16 @@ class _PreparedShards:
     """GraphChi's staged artifact: shards + scheduling metadata.
 
     The PSW analogue of the edge-centric engines' ``StagedGraph``: built
-    once per (graph, machine) and reusable across queries.  Shard files
-    carry no VFS data (timing uses explicit byte counts), so preparing
-    them charges no simulated I/O — the ``preprocessing`` estimate is
-    reported separately, matching the paper's methodology of excluding
-    sharding from measured execution.
+    once per (graph, machine), reusable across queries, and read by the
+    same :class:`~repro.engines.session.QuerySession` and
+    ``run_staged_queries``.  Shard files carry no VFS data (timing uses
+    explicit byte counts), so preparing them charges no simulated I/O —
+    the ``preprocessing`` estimate is reported separately, matching the
+    paper's methodology of excluding sharding from measured execution.
     """
 
+    graph: Graph
+    machine: Machine
     sharded: object
     windows: np.ndarray
     window_offsets: np.ndarray
@@ -70,10 +79,22 @@ class _PreparedShards:
     out_indptr: np.ndarray
     out_dst_interval: np.ndarray
     preprocessing: float
+    #: Delta report covering exactly the staging phase.
+    staging_report: IOReport
 
     @property
     def num_intervals(self) -> int:
         return self.sharded.num_intervals
+
+    @staticmethod
+    def compatible_with(algorithm: StreamingAlgorithm) -> bool:
+        """The shards serve every kernel GraphChi has a relaxation for."""
+        return algorithm.name in RELAXATION_DELTA
+
+    @staticmethod
+    def runs_batched(algorithm: StreamingAlgorithm) -> bool:
+        """PSW has no MS-BFS kernel: batched mode runs serial chunks."""
+        return False
 
 
 #: On-disk bytes per edge in a shard (delta-compressed adjacency plus the
@@ -105,8 +126,15 @@ class GraphChiConfig:
             raise ConfigError("num_shards must be >= 1")
 
 
-class GraphChiEngine:
-    """Vertex-centric PSW engine running label-correcting BFS."""
+class GraphChiEngine(Engine):
+    """Vertex-centric PSW engine running label-correcting BFS.
+
+    ``run``, ``run_many`` and ``session`` are :class:`~repro.engines.base.
+    Engine`'s: GraphChi supplies ``stage`` (the shard build) and its PSW
+    interval loop (:meth:`_run_passes`).  The kernel's name picks the
+    relaxation (:data:`RELAXATION_DELTA`); any other kernel is an
+    :class:`~repro.errors.EngineError` before staging.
+    """
 
     name = "graphchi"
 
@@ -122,97 +150,9 @@ class GraphChiEngine:
         budget = machine.memory_bytes * MEMBUDGET_FRACTION
         return max(1, int(np.ceil(edge_bytes / budget)))
 
-    def run(
-        self,
-        graph: Graph,
-        machine: Machine,
-        algorithm: Optional[StreamingAlgorithm] = None,
-        root: int = 0,
-        roots: Optional[Sequence[int]] = None,
-    ) -> EngineResult:
-        """Execute ``algorithm`` (default BFS from ``root``) over the PSW
-        machinery: the one front door,
-        :func:`~repro.engines.session.staged_run`, driving one
-        :meth:`_run_query`.
-
-        The kernel's name picks the relaxation, a min-propagation fixpoint
-        over in-edges: BFS relaxes ``dist[src] + 1``, WCC relaxes
-        ``label[src]`` (the graph must carry both directions of every edge,
-        e.g. ``Graph.symmetrized()``).  Any other kernel is an
-        :class:`~repro.errors.EngineError`.
-        """
-        from repro.engines.session import staged_run
-
-        algo = self._kernel(algorithm)
-        return staged_run(
-            self, graph, machine, algo,
-            [list(roots) if roots is not None else root], "serial",
-            lambda prep, validated: self._run_query(
-                graph, machine, prep, validated[0], algo.name
-            ),
-        )
-
-    def run_many(
-        self,
-        graph: Graph,
-        machine: Machine,
-        roots: Sequence,
-        algorithm: Optional[StreamingAlgorithm] = None,
-        mode: str = "serial",
-    ) -> BatchResult:
-        """One query per ``roots`` entry over a single shard build.
-
-        The same front door and argument rules as :meth:`run`.  Shards are
-        built once, the machine is rewound to the post-preparation
-        checkpoint between queries, and each query's report is a delta.
-        (Sharding charges no simulated I/O here, so the staging report is
-        empty; the preprocessing estimate rides in the extras.)  GraphChi's
-        vertex-centric kernels have no batched (MS-BFS) variant, so
-        ``mode="batched"`` falls back to this serial path (recorded as
-        ``extras["batched_fallback"]``), matching the edge-centric
-        engines' non-batchable behaviour.
-        """
-        from repro.engines.session import staged_run
-
-        algo = self._kernel(algorithm)
-
-        def drive(prep, validated):
-            staging_report = machine.report()
-            checkpoint = machine.checkpoint()
-            queries = []
-            for q, root_list in enumerate(validated):
-                if q:
-                    machine.restore(checkpoint)
-                result = self._run_query(
-                    graph, machine, prep, root_list, algo.name,
-                    baseline=staging_report,
-                )
-                result.query_index = q
-                result.extras["query_index"] = float(result.query_index)
-                queries.append(result)
-            extras = {
-                "shards": float(prep.num_intervals),
-                "preprocessing_time": float(prep.preprocessing),
-            }
-            if mode == "batched":
-                extras["batched_fallback"] = 1.0
-            return BatchResult(
-                engine=self.name,
-                algorithm=algo.name,
-                graph_name=graph.name,
-                staging_report=staging_report,
-                queries=queries,
-                extras=extras,
-            )
-
-        return staged_run(self, graph, machine, algo, roots, mode, drive)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _kernel(algorithm: Optional[StreamingAlgorithm]) -> StreamingAlgorithm:
-        """The kernel to run; GraphChi has a relaxation for BFS and WCC."""
-        algo = algorithm if algorithm is not None else BFSAlgorithm()
-        if algo.name not in ("bfs", "wcc"):
+    def _kernel(self, algorithm: Optional[StreamingAlgorithm]) -> StreamingAlgorithm:
+        algo = super()._kernel(algorithm)
+        if algo.name not in RELAXATION_DELTA:
             raise EngineError(
                 f"GraphChi runs the bfs and wcc kernels, got {algo.name!r}"
             )
@@ -223,14 +163,17 @@ class GraphChiEngine:
     ) -> _PreparedShards:
         """Build the reusable shard artifact (GraphChi's staging phase);
         the shards serve every kernel, so ``algorithm`` is not read."""
+        baseline = machine.report()
         with machine.tracer.span(
             "stage", engine=self.name, graph=graph.name, edges=graph.num_edges
         ) as stage_span:
-            prep = self._prepare_body(graph, machine)
+            prep = self._prepare_body(graph, machine, baseline)
             stage_span.set(partitions=prep.num_intervals, in_memory=False)
         return prep
 
-    def _prepare_body(self, graph: Graph, machine: Machine) -> _PreparedShards:
+    def _prepare_body(
+        self, graph: Graph, machine: Machine, baseline: IOReport
+    ) -> _PreparedShards:
         cfg = self.config
         cm = COST_MODEL
         disk = machine.disk(0)
@@ -269,6 +212,8 @@ class GraphChiEngine:
             side="right",
         )
         return _PreparedShards(
+            graph=graph,
+            machine=machine,
             sharded=sharded,
             windows=windows,
             window_offsets=window_offsets,
@@ -277,42 +222,45 @@ class GraphChiEngine:
             out_indptr=out_indptr,
             out_dst_interval=out_dst_interval,
             preprocessing=preprocessing,
+            staging_report=machine.report().minus(baseline),
         )
 
-    def _run_query(
-        self,
-        graph: Graph,
-        machine: Machine,
-        prep: _PreparedShards,
-        root_list: np.ndarray,
-        algorithm: str,
-        baseline: Optional[IOReport] = None,
-    ) -> EngineResult:
+    def _open_query(self, prep: _PreparedShards, kernel) -> _RunState:
+        rt = super()._open_query(prep, kernel)
+        rt.extras["shards"] = float(prep.num_intervals)
+        rt.extras["preprocessing_time"] = float(prep.preprocessing)
+        return rt
+
+    def _run_passes(self, prep: _PreparedShards, rt: _RunState) -> None:
+        """The PSW interval loop, to the fixpoint.
+
+        Seeds from the kernel's state (BFS: the roots at level 0; WCC:
+        every vertex with its own label) and writes the final levels and
+        parents, or labels, back into it, so ``kernel.result`` builds the
+        output.
+        """
         cfg = self.config
         cm = COST_MODEL
+        machine = rt.machine
         clock = machine.clock
-        n = graph.num_vertices
+        state = rt.state
         sharded = prep.sharded
         p = prep.num_intervals
         windows = prep.windows
         window_offsets = prep.window_offsets
         shard_files = prep.shard_files
         vertex_files = prep.vertex_files
-        preprocessing = prep.preprocessing
         out_indptr = prep.out_indptr
         out_dst_interval = prep.out_dst_interval
-        files_before = machine.vfs.snapshot()
 
-        if algorithm == "bfs":
-            dist = np.full(n, _INF, dtype=np.int32)
-            dist[root_list] = 0
-            delta = np.int32(1)
-            seeds = np.asarray(root_list, dtype=np.int64)
-        else:  # wcc: every vertex seeds its own label
-            dist = np.arange(n, dtype=np.int32)
-            delta = np.int32(0)
-            seeds = np.arange(n, dtype=np.int64)
-        parent = np.full(n, NO_PARENT, dtype=np.uint32)
+        bfs = rt.algo.name == "bfs"
+        delta = RELAXATION_DELTA[rt.algo.name]
+        if bfs:
+            level = state["level"]
+            dist = np.where(level == UNVISITED, _INF, level).astype(np.int32)
+        else:
+            dist = state["label"].astype(np.int32)
+        parent = np.full(len(state), NO_PARENT, dtype=np.uint32)
 
         def shards_touched(vertices: np.ndarray) -> np.ndarray:
             """Intervals receiving out-edges from any of ``vertices``."""
@@ -330,166 +278,129 @@ class GraphChiEngine:
 
         scheduled = np.zeros(p, dtype=bool)
         if cfg.selective_scheduling:
-            scheduled[shards_touched(seeds)] = True
+            scheduled[shards_touched(np.flatnonzero(state["active"]))] = True
         else:
             scheduled[:] = True
 
-        iterations = []
         iteration = 0
-        with machine.tracer.span(
-            "query",
-            engine=self.name,
-            algorithm=algorithm,
-            graph=graph.name,
-            roots=[int(r) for r in root_list],
-        ) as q_span:
-            while scheduled.any():
-                stats = IterationStats(iteration=iteration)
-                iterations.append(stats)
-                next_scheduled = np.zeros(p, dtype=bool)
-                with machine.tracer.span(
-                    "iteration",
-                    iteration=iteration,
-                    frontier=int(scheduled.sum()),
-                ) as it_span:
-                    for j in range(p):
-                        if not scheduled[j]:
-                            stats.partitions_skipped += 1
-                            continue
-                        scheduled[j] = False
-                        stats.partitions_processed += 1
-                        with machine.tracer.span(
-                            "interval", partition=j
-                        ) as iv_span:
-                            cm.charge_phase(clock, cfg.threads)
-                            lo, hi = sharded.interval_range(j)
-                            shard = sharded.shards[j]
-                            # --- I/O: vertex values in.
-                            self._submit_wait(
-                                machine, vertex_files[j], "read",
-                                (hi - lo) * VERTEX_RECORD_BYTES,
+        while scheduled.any():
+            stats = IterationStats(iteration=iteration)
+            rt.iterations.append(stats)
+            next_scheduled = np.zeros(p, dtype=bool)
+            with machine.tracer.span(
+                "iteration",
+                iteration=iteration,
+                frontier=int(scheduled.sum()),
+            ) as it_span:
+                for j in range(p):
+                    if not scheduled[j]:
+                        stats.partitions_skipped += 1
+                        continue
+                    scheduled[j] = False
+                    stats.partitions_processed += 1
+                    with machine.tracer.span("interval", partition=j) as iv_span:
+                        cm.charge_phase(clock, cfg.threads)
+                        lo, hi = sharded.interval_range(j)
+                        shard = sharded.shards[j]
+                        # --- I/O: vertex values in.
+                        self._submit_wait(
+                            machine, vertex_files[j], "read",
+                            (hi - lo) * VERTEX_RECORD_BYTES,
+                        )
+                        # --- I/O: memory shard in (one sequential read) +
+                        # the per-load in-memory shard assembly sort.
+                        self._submit_wait(
+                            machine, shard_files[j], "read",
+                            len(shard) * EDGE_RECORD_BYTES,
+                        )
+                        if len(shard):
+                            cm.charge(
+                                clock, "graphchi-sort",
+                                cm.graphchi_sort_per_edge
+                                * max(1.0, np.log2(len(shard))),
+                                len(shard), cfg.threads, machine.cores,
                             )
-                            # --- I/O: memory shard in (one sequential read)
-                            # + the per-load in-memory shard assembly sort.
+                        # --- I/O: sliding windows of the other shards.
+                        window_edges = 0
+                        for k in range(p):
+                            if k == j or windows[k, j] == 0:
+                                continue
+                            window_edges += int(windows[k, j])
+                            offset = int(window_offsets[k, j]) * EDGE_RECORD_BYTES
                             self._submit_wait(
-                                machine, shard_files[j], "read",
-                                len(shard) * EDGE_RECORD_BYTES,
+                                machine, shard_files[k], "read",
+                                int(windows[k, j]) * EDGE_RECORD_BYTES,
+                                offset=offset,
                             )
-                            if len(shard):
-                                cm.charge(
-                                    clock, "graphchi-sort",
-                                    cm.graphchi_sort_per_edge
-                                    * max(1.0, np.log2(len(shard))),
-                                    len(shard), cfg.threads, machine.cores,
-                                )
-                            # --- I/O: sliding windows of the other shards.
-                            window_edges = 0
+                        # --- compute: relax interval j's in-edges (async
+                        # semantics).
+                        touched = len(shard) + window_edges
+                        cm.charge(
+                            clock, "graphchi-update", cm.graphchi_per_edge,
+                            touched, cfg.threads, machine.cores,
+                        )
+                        stats.edges_scanned += touched
+                        improved = self._relax(shard, dist, parent, delta)
+                        changed = len(improved)
+                        stats.activated += changed
+                        if changed and cfg.selective_scheduling:
+                            hit = shards_touched(improved.astype(np.int64))
+                            later = hit[hit > j]
+                            earlier = hit[hit <= j]
+                            scheduled[later] = True  # same pass (dynamic)
+                            next_scheduled[earlier] = True
+                        elif changed:
+                            next_scheduled[:] = True
+                        if changed:
+                            # --- I/O: dirty value columns + vertex values
+                            # out.
                             for k in range(p):
                                 if k == j or windows[k, j] == 0:
                                     continue
-                                window_edges += int(windows[k, j])
                                 offset = (
-                                    int(window_offsets[k, j])
-                                    * EDGE_RECORD_BYTES
+                                    int(window_offsets[k, j]) * EDGE_VALUE_BYTES
                                 )
                                 self._submit_wait(
-                                    machine, shard_files[k], "read",
-                                    int(windows[k, j]) * EDGE_RECORD_BYTES,
+                                    machine, shard_files[k], "write",
+                                    int(windows[k, j]) * EDGE_VALUE_BYTES,
                                     offset=offset,
                                 )
-                            # --- compute: relax interval j's in-edges
-                            # (async semantics).
-                            touched = len(shard) + window_edges
-                            cm.charge(
-                                clock, "graphchi-update", cm.graphchi_per_edge,
-                                touched, cfg.threads, machine.cores,
+                            self._submit_wait(
+                                machine, shard_files[j], "write",
+                                len(shard) * EDGE_VALUE_BYTES,
                             )
-                            stats.edges_scanned += touched
-                            improved = self._relax(shard, dist, parent, delta)
-                            changed = len(improved)
-                            stats.activated += changed
-                            if changed and cfg.selective_scheduling:
-                                hit = shards_touched(improved.astype(np.int64))
-                                later = hit[hit > j]
-                                earlier = hit[hit <= j]
-                                scheduled[later] = True  # same pass (dynamic)
-                                next_scheduled[earlier] = True
-                            elif changed:
-                                next_scheduled[:] = True
-                            if changed:
-                                # --- I/O: dirty value columns + vertex
-                                # values out.
-                                for k in range(p):
-                                    if k == j or windows[k, j] == 0:
-                                        continue
-                                    offset = (
-                                        int(window_offsets[k, j])
-                                        * EDGE_VALUE_BYTES
-                                    )
-                                    self._submit_wait(
-                                        machine, shard_files[k], "write",
-                                        int(windows[k, j])
-                                        * EDGE_VALUE_BYTES,
-                                        offset=offset,
-                                    )
-                                self._submit_wait(
-                                    machine, shard_files[j], "write",
-                                    len(shard) * EDGE_VALUE_BYTES,
-                                )
-                                self._submit_wait(
-                                    machine, vertex_files[j], "write",
-                                    (hi - lo) * VERTEX_RECORD_BYTES,
-                                )
-                            iv_span.set(
-                                edges_touched=touched, improved=changed
+                            self._submit_wait(
+                                machine, vertex_files[j], "write",
+                                (hi - lo) * VERTEX_RECORD_BYTES,
                             )
-                    it_span.set(
-                        edges_scanned=stats.edges_scanned,
-                        activated=stats.activated,
-                        partitions_processed=stats.partitions_processed,
-                        partitions_skipped=stats.partitions_skipped,
-                    )
-                scheduled = next_scheduled
-                stats.clock_end = clock.now
-                iteration += 1
-            q_span.set(iterations=len(iterations))
+                        iv_span.set(edges_touched=touched, improved=changed)
+                it_span.set(
+                    edges_scanned=stats.edges_scanned,
+                    activated=stats.activated,
+                    partitions_processed=stats.partitions_processed,
+                    partitions_skipped=stats.partitions_skipped,
+                )
+            scheduled = next_scheduled
+            stats.clock_end = clock.now
+            iteration += 1
 
-        if algorithm == "wcc":
-            output = {"label": dist.astype(np.uint32)}
-        else:
-            levels = np.where(dist >= _INF, UNVISITED, dist).astype(np.int32)
+        if bfs:
+            levels = np.where(dist >= _INF, UNVISITED, dist)
             parent[levels == UNVISITED] = NO_PARENT
-            output = {"level": levels, "parent": parent}
-        report = machine.report()
-        if baseline is not None:
-            report = report.minus(baseline)
-        check_report(report, machine.vfs, files_before)
-        return EngineResult(
-            engine=self.name,
-            algorithm=algorithm,
-            graph_name=graph.name,
-            output=output,
-            report=report,
-            iterations=iterations,
-            extras={
-                "shards": float(p),
-                "preprocessing_time": float(preprocessing),
-            },
-        )
+            state["level"] = levels
+            state["parent"] = parent
+        else:
+            state["label"] = dist
 
     # ------------------------------------------------------------------
     @staticmethod
     def _submit_wait(machine, file, kind, nbytes, offset=0):
-        """Synchronous request (GraphChi blocks on each block transfer)."""
+        """Synchronous request (GraphChi blocks on each block transfer),
+        retried within the fault plan's I/O budget like every stream's."""
         if nbytes <= 0:
             return
-        req = file.device.submit(
-            submit_time=machine.clock.now,
-            kind=kind,
-            nbytes=int(nbytes),
-            file_id=file.file_id,
-            offset=int(offset),
-            group=file.name,
+        req = submit_with_retry(
+            machine.clock, file, kind, int(nbytes), int(offset), file.name
         )
         machine.clock.wait_until(req.end)
 

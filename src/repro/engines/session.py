@@ -19,9 +19,14 @@ session via the ``Machine.checkpoint()/restore()`` protocol — amortizing
 staging I/O to ~1/Q of its monolithic cost over Q queries.
 
 There is one session driver, :meth:`QuerySession._execute`, and one
-crash-replay loop, :func:`run_with_recovery`.  Serial execution is the
-one-slot case of the driver; :class:`BatchedQuerySession` runs many slots
-through it by swapping the kernel and overriding a few hooks.
+crash-replay loop, :func:`run_with_recovery`, for every engine: the
+driver keeps the protocol (entry checkpoint, reports, ``query`` span,
+sanitizer check, crash bookkeeping) and asks the engine only for the
+passes (``engine._open_query`` / ``engine._run_passes``: the edge-centric
+scatter/gather timeline, or GraphChi's PSW interval loop over its own
+artifact).  Serial execution is the one-slot case of the driver;
+:class:`BatchedQuerySession` runs many slots through it by swapping the
+kernel and overriding a few hooks.
 
 Session internals (the ``_RunState`` bundle) are private to the engine
 layer; external code must go through the session API (enforced by
@@ -52,7 +57,7 @@ from repro.storage.vfs import VirtualFile
 from repro.tooling.sanitizer import check_report
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
-    from repro.engines.base import EdgeCentricEngine
+    from repro.engines.base import Engine
 
 
 @dataclass
@@ -100,56 +105,15 @@ class StagedGraph:
         """Whether the partition plan is valid for ``algorithm``."""
         return algorithm.disk_record_bytes == self.record_bytes
 
+    def runs_batched(self, algorithm: StreamingAlgorithm) -> bool:
+        """Whether ``algorithm`` has a batched (MS-BFS) kernel to run here."""
+        return algorithm.batched(1) is not None
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"StagedGraph({self.graph.name!r}, partitions={self.num_partitions}, "
             f"in_memory={self.in_memory})"
         )
-
-
-def _assemble_run_state(staged: StagedGraph, kernel: StreamingAlgorithm):
-    """Build the per-query ``_RunState`` bundle from a staged artifact."""
-    from repro.engines.base import _RunState  # local: avoid import cycle
-
-    rt = _RunState()
-    rt.graph = staged.graph
-    rt.machine = staged.machine
-    rt.algo = kernel
-    rt.partitioning = staged.partitioning
-    rt.in_memory = staged.in_memory
-    rt.dev_edges = staged.dev_edges
-    rt.dev_updates = staged.dev_updates
-    rt.dev_vertices = staged.dev_vertices
-    rt.edge_files = list(staged.edge_files)
-    rt.vertex_files = list(staged.vertex_files)
-    rt.update_in = [None] * staged.partitioning.count
-    rt.extras["partitions"] = float(staged.partitioning.count)
-    rt.extras["in_memory"] = float(staged.in_memory)
-    rt.protected_files = staged.protected_names()
-    return rt
-
-
-def _drive_passes(engine: "EdgeCentricEngine", rt) -> None:
-    """Run the scatter/gather timeline to convergence."""
-    engine._before_run(rt)
-    pass_updates = engine._scatter_only_pass(rt)
-    iteration = 0
-    while pass_updates > 0:
-        iteration += 1
-        pass_updates = engine._merged_pass(rt, iteration)
-    engine._after_run(rt)
-
-
-def _release_swapped_files(staged: StagedGraph, rt) -> None:
-    """Delete per-query files swapped in over the staged edge files.
-
-    The artifact's own files are never displaced; any stay file a query
-    promoted to edge-input duty is transient session state.
-    """
-    vfs = staged.machine.vfs
-    for p, f in enumerate(rt.edge_files):
-        if f is not staged.edge_files[p]:
-            vfs.delete_if_exists(f.name)
 
 
 def validate_entries(
@@ -208,7 +172,7 @@ def run_with_recovery(session: "QuerySession", invoke, max_recoveries: int):
 
 
 def run_staged_queries(
-    engine: "EdgeCentricEngine",
+    engine: "Engine",
     staged: StagedGraph,
     checkpoint,
     roots: Sequence,
@@ -230,9 +194,10 @@ def run_staged_queries(
     Modes are as in ``run_many``: ``"serial"`` cuts the entries into
     chunks of one, ``"batched"`` into chunks of up to
     :data:`~repro.algorithms.streaming.BATCH_WIDTH`, falling back to
-    serial (recorded in ``extras["batched_fallback"]``) for algorithms
-    without a batched kernel.  Either way it is one loop over chunks, and
-    the chunk's width picks the session: a chunk of two or more runs as
+    serial (recorded in ``extras["batched_fallback"]``) where the artifact
+    cannot run the algorithm batched (``staged.runs_batched``: no batched
+    kernel, or GraphChi's shards).  Either way it is one loop over chunks,
+    and the chunk's width picks the session: a chunk of two or more runs as
     one :class:`BatchedQuerySession` (an MS-BFS batch), a chunk of one as
     a :class:`QuerySession` on the serial kernel, so a one-root batched
     call, a 65th root or a one-ticket serving flush is exactly a serial
@@ -260,7 +225,7 @@ def run_staged_queries(
     algo = algorithm if algorithm is not None else BFSAlgorithm()
     validated = validate_entries(staged.graph.num_vertices, roots, mode)
     extras: dict = {}
-    batched = mode == "batched" and algo.batched(1) is not None
+    batched = mode == "batched" and staged.runs_batched(algo)
     if mode == "batched" and not batched:
         extras["batched_fallback"] = 1.0
     queries: List[EngineResult] = []
@@ -315,7 +280,8 @@ def run_staged_queries(
 
 
 class QuerySession:
-    """One algorithm execution against a :class:`StagedGraph`.
+    """One algorithm execution against a :class:`StagedGraph` (or
+    GraphChi's shard artifact).
 
     A session owns every piece of per-query state: the vertex state array,
     the update streams, the FastBFS stay-stream manager and trim policy,
@@ -338,7 +304,7 @@ class QuerySession:
 
     def __init__(
         self,
-        engine: "EdgeCentricEngine",
+        engine: "Engine",
         staged: StagedGraph,
         algorithm: Optional[StreamingAlgorithm] = None,
         span_attrs: Optional[dict] = None,
@@ -351,10 +317,8 @@ class QuerySession:
         self.kernel = self.algorithm
         if not staged.compatible_with(self.algorithm):
             raise EngineError(
-                f"staged artifact was planned for {staged.record_bytes}-byte "
-                f"vertex records; algorithm {self.algorithm.name!r} uses "
-                f"{self.algorithm.disk_record_bytes} — re-stage for this "
-                "algorithm"
+                f"the staged artifact cannot run algorithm "
+                f"{self.algorithm.name!r} — re-stage for this algorithm"
             )
         self.span_attrs = dict(span_attrs) if span_attrs else {}
         self._used = False
@@ -412,7 +376,7 @@ class QuerySession:
         baseline = machine.report()
         files_before = machine.vfs.snapshot()
 
-        rt = _assemble_run_state(staged, kernel)
+        rt = engine._open_query(staged, kernel)
         self._init_state(rt, slots)
         if "active" not in rt.state.dtype.names:
             raise EngineError("algorithm state must contain an 'active' field")
@@ -426,8 +390,7 @@ class QuerySession:
                 **self._query_attrs(),
                 **self.span_attrs,
             ) as q_span:
-                _drive_passes(engine, rt)
-                _release_swapped_files(staged, rt)
+                engine._run_passes(staged, rt)
                 q_span.set(iterations=len(rt.iterations))
                 self._mark_slots(rt, slots)
             self.iterations = rt.iterations
@@ -549,7 +512,7 @@ class BatchedQuerySession(QuerySession):
 
     def __init__(
         self,
-        engine: "EdgeCentricEngine",
+        engine: "Engine",
         staged: StagedGraph,
         algorithm: BatchedBFSAlgorithm,
         serial_algorithm: Optional[StreamingAlgorithm] = None,

@@ -252,12 +252,13 @@ class ArtifactRegistry:
         metrics_sink: Optional[Callable[[CounterRegistry], None]] = None,
     ) -> None:
         engine_class = engine_kind(engine).engine
-        # GraphChi's PSW shards are not the scatter/gather staging artifact
-        # the rewind protocol relies on.
+        # Serving is scoped to the edge-centric engines; GraphChi is a
+        # baseline of the paper's measurements.  (Its shard artifact does
+        # rewind and recover through the same query sessions.)
         if not issubclass(engine_class, EdgeCentricEngine):
             raise ConfigError(
-                f"engine {engine!r} is not servable: {engine_class.__name__} "
-                "stages no artifact to rewind"
+                f"engine {engine!r} is not servable: the query service runs "
+                "the edge-centric engines only"
             )
         if max_graphs < 1:
             raise ConfigError(f"max_graphs must be >= 1, got {max_graphs}")

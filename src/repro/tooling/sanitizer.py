@@ -13,8 +13,9 @@ timelines' ``bytes_by_role``, the clock's compute breakdown (both in the
 delta :class:`~repro.storage.machine.IOReport`), the VFS namespace and the
 stay manager's :class:`~repro.core.staystream.StayStats`.
 :func:`check_report` reads them wherever an engine takes a delta report —
-staging, every query session (``run``, ``run_many``, admission flushes,
-chaos trials) and every GraphChi query — and raises
+staging and every query session (``run``, ``run_many``, admission
+flushes, chaos trials; GraphChi's queries run in the same sessions) — and
+raises
 :class:`~repro.errors.SanitizerError` naming each broken checker:
 
 ``vfs-leak``

@@ -1,9 +1,10 @@
 """Differential suite: 30 seeded graph/config/placement scenarios.
 
-Every case runs FastBFS and X-Stream on the same input and checks that
+Every case runs FastBFS, X-Stream and GraphChi on the same input and
+checks that
 
-* both agree exactly with the in-memory reference BFS on levels;
-* both produce a valid parent tree (Graph500 rules, reference-checked);
+* all three agree exactly with the in-memory reference BFS on levels;
+* all three produce a valid parent tree (Graph500 rules, reference-checked);
 * the :class:`~repro.obs.CounterRegistry` sampled from each machine
   reconciles **bit-for-bit** with the run's :class:`IOReport` — per
   device, per stream role, and in the persistent-device totals.
@@ -12,6 +13,8 @@ The scenario matrix deliberately crosses the axes the engines special-case:
 degree skew (powerlaw/R-MAT vs uniform), disconnected components,
 self-loops, trimming thresholds/grace, selective scheduling, partition
 counts, and one- vs two-disk stream placement (with and without rotation).
+GraphChi takes the case's partition count as its shard count and the
+case's selective-scheduling flag as its own interval scheduler's.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import pytest
 from repro.algorithms.reference import bfs_levels
 from repro.algorithms.validation import validate_bfs_result
 from repro.core.engine import FastBFSEngine
+from repro.engines.graphchi import GraphChiConfig, GraphChiEngine
 from repro.engines.xstream import XStreamEngine
 from repro.graph.generators import (
     grid_graph,
@@ -130,26 +134,29 @@ def test_differential_case(case):
     root = _root_for(graph, case)
     ref = bfs_levels(graph, root)
 
-    fb_machine = fresh_machine(num_disks=num_disks, memory=memory_kb * 1024)
-    fb = FastBFSEngine(cfg).run(graph, fb_machine, root=root)
+    engines = {
+        "fastbfs": FastBFSEngine(cfg),
+        "x-stream": XStreamEngine(cfg),
+        "graphchi": GraphChiEngine(GraphChiConfig(
+            num_shards=cfg.num_partitions,
+            selective_scheduling=cfg.selective_scheduling,
+        )),
+    }
+    for name, engine in engines.items():
+        machine = fresh_machine(num_disks=num_disks, memory=memory_kb * 1024)
+        result = engine.run(graph, machine, root=root)
 
-    xs_machine = fresh_machine(num_disks=num_disks, memory=memory_kb * 1024)
-    xs = XStreamEngine(cfg).run(graph, xs_machine, root=root)
-
-    # Level agreement: engine vs engine vs in-memory reference.
-    assert np.array_equal(fb.levels, ref), f"fastbfs levels diverge (case {case})"
-    assert np.array_equal(xs.levels, ref), f"x-stream levels diverge (case {case})"
-
-    # Parent validity under the Graph500 rules, pinned to the reference.
-    for result, name in ((fb, "fastbfs"), (xs, "x-stream")):
+        # Level agreement: engine vs in-memory reference.
+        assert np.array_equal(result.levels, ref), (
+            f"{name} levels diverge (case {case})"
+        )
+        # Parent validity under the Graph500 rules, pinned to the reference.
         report = validate_bfs_result(
             graph, root, result.levels, result.parents, reference_levels=ref
         )
         assert report.ok, f"{name} case {case}: {report.errors}"
-
-    # Counters reconcile exactly with the IOReport on both machines.
-    _assert_counters_reconcile(fb_machine, fb)
-    _assert_counters_reconcile(xs_machine, xs)
+        # Counters reconcile exactly with the IOReport.
+        _assert_counters_reconcile(machine, result)
 
 
 def test_case_matrix_covers_the_advertised_axes():

@@ -13,9 +13,12 @@ from repro.engines.graphchi import (
     GraphChiEngine,
     build_shards,
 )
+from repro.engines.session import run_staged_queries
 from repro.errors import ConfigError, EngineError, PartitionError
 from repro.graph.generators import grid_graph, path_graph, rmat_graph
 from repro.graph.graph import Graph
+from repro.storage.faults import FaultPlan, FaultSpec
+from repro.storage.machine import Machine
 
 
 class TestShards:
@@ -258,3 +261,46 @@ class TestWCC:
                 algorithm=PageRankAlgorithm(rmat10.out_degrees(), rounds=3),
             )
         assert machine.clock.now == 0.0 and len(machine.vfs) == 0
+
+
+class TestFaultPlan:
+    """GraphChi retries and recovers through the shared session, like the
+    edge-centric engines."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return rmat_graph(scale=12, edge_factor=16, seed=3)
+
+    @pytest.fixture(scope="class")
+    def clean(self, graph):
+        return GraphChiEngine().run(graph, self._machine(), root=0)
+
+    @staticmethod
+    def _machine(*specs, **plan):
+        fault_plan = FaultPlan(specs=specs, **plan) if specs else None
+        return Machine.commodity_server(memory="256KB", fault_plan=fault_plan)
+
+    def test_transient_faults_are_retried(self, graph, clean):
+        machine = self._machine(
+            FaultSpec(kind="transient_error", probability=0.2),
+            seed=1, max_attempts=50,
+        )
+        faulted = GraphChiEngine().run(graph, machine, root=0)
+        assert np.array_equal(faulted.levels, clean.levels)
+        assert np.array_equal(faulted.parents, clean.parents)
+        assert machine.fault_injector.total("io_retries") > 0
+
+    def test_crash_recovers_through_the_session(self, graph, clean):
+        machine = self._machine(
+            FaultSpec(kind="crash", probability=0.05, max_fires=1), seed=2
+        )
+        engine = GraphChiEngine()
+        staged = engine.stage(graph, machine)
+        checkpoint = machine.checkpoint()
+        (query,) = run_staged_queries(
+            engine, staged, checkpoint, [0], max_recoveries=1
+        ).queries
+        assert query.extras["recovered"] == 1.0
+        assert np.array_equal(query.levels, clean.levels)
+        assert np.array_equal(query.parents, clean.parents)
+        assert machine.fault_injector.total("crash_recoveries") == 1

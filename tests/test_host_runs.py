@@ -27,6 +27,7 @@ from repro.algorithms.streaming import (
 )
 from repro.core.engine import FastBFSEngine
 from repro.engines import base
+from repro.engines.graphchi import GraphChiConfig, GraphChiEngine
 from repro.engines.xstream import XStreamEngine
 from repro.graph.generators import path_graph, rmat_graph, star_graph
 from repro.graph.types import EDGE_DTYPE
@@ -248,6 +249,13 @@ def _faulted_machine(*specs, seed=0):
     )
 
 
+#: The digest rows also pin GraphChi, which has no host runs to vary.
+DIGEST_ENGINES = {
+    **ENGINES,
+    "graphchi": lambda **kw: GraphChiEngine(GraphChiConfig(num_shards=4, **kw)),
+}
+
+
 def _single(engine, algorithm=None, symmetrize=False, machine=fresh_machine,
             **config):
     def drive(graph):
@@ -256,7 +264,7 @@ def _single(engine, algorithm=None, symmetrize=False, machine=fresh_machine,
         else:
             root = hub_root(graph)
         return [
-            ENGINES[engine](**config).run(
+            DIGEST_ENGINES[engine](**config).run(
                 graph, machine(), algorithm=algorithm and algorithm(), root=root
             )
         ]
@@ -271,6 +279,11 @@ def _batched_64(graph):
     )
     assert batch.mode == "batched"
     return batch.queries
+
+
+def _graphchi_two_roots(graph):
+    roots = [int(v) for v in np.argsort(-graph.out_degrees(), kind="stable")[:2]]
+    return DIGEST_ENGINES["graphchi"]().run_many(graph, fresh_machine(), roots).queries
 
 
 #: scenario -> (drive(graph) -> [EngineResult], the extras the row must show
@@ -310,6 +323,9 @@ DIGEST_SCENARIOS = {
         for engine in ("fastbfs", "fastbfs-extended")
     },
     "fastbfs batched-64": (_batched_64, ()),
+    "graphchi bfs": (_single("graphchi"), ()),
+    "graphchi wcc": (_single("graphchi", WCCAlgorithm, True), ()),
+    "graphchi run_many": (_graphchi_two_roots, ()),
 }
 
 #: scenario -> (digest of the time-path calls, digest of the sealed files).
@@ -373,6 +389,20 @@ SCHEDULE_DIGESTS = {
     "fastbfs batched-64": (
         "72db87221dadb7544a7d5abf730c3aefcc4179fefdb262150b72b27c144164a7",
         "a6dee46f760a89ce35c042afb22d6290459e75c5eec31874d64032905043f9c1",
+    ),
+    # The GraphChi rows were recorded at commit 325c906, while GraphChi still
+    # ran its own query loop; it seals no file, hence the empty-input digest.
+    "graphchi bfs": (
+        "540bce9ee188f60f9ac079540a0a6b28c08bea1f09a513c854047ae620f39c69",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "graphchi wcc": (
+        "e3e52068f52f3b2fe8c05d56157b52b61bf5bf79ba991ffd0a3d7fa7596a9836",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "graphchi run_many": (
+        "24b152a7ba14e828b9cbb0fb4b3005c26ae08caf076bbfe7826e838c7342aec2",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
 }
 
