@@ -23,7 +23,10 @@ and the file seals its chunks by the same rule.  The stay writer makes that the
 rule rather than luck: survivors are selected straight into its private
 buffer (:meth:`AsyncStreamWriter.take_survivors`), so a stay record is
 written once, the file seals by reference, and swap-in can tell that what
-it holds is what was checksummed (:meth:`AsyncStreamWriter.verify_integrity`).
+it holds is what was flushed (:meth:`AsyncStreamWriter.verify_integrity`).
+A flush of that buffer is not checksummed at send either: the ledger keeps
+the read-only view, and its CRC is taken only by a swap-in that has to
+compare it, so a clean stay record is read once.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 import zlib
 from bisect import bisect_left
 from collections import deque
-from typing import Deque, Iterator, List, Optional, Sequence, Tuple
+from typing import Deque, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -191,9 +194,9 @@ class StreamWriter:
     def _on_chunk(self, chunk: np.ndarray, offset: int) -> None:
         """Hook: called with each chunk about to be written (pre-submit).
 
-        The stay writer overrides this to record per-chunk checksums of
-        what was *sent*, so a torn write (which damages what *landed*) is
-        detectable at swap-in.
+        The stay writer overrides this to record what each chunk *sent*,
+        so a torn write (which damages what *landed*) is detectable at
+        swap-in.
         """
 
     def _submit(self, nbytes: int, offset: int) -> ScheduledRequest:
@@ -266,10 +269,12 @@ class AsyncStreamWriter(StreamWriter):
 
     Because a stay file is advisory (an optimization, never the only copy
     of the data), this writer is also where I/O faults degrade instead of
-    propagate: a per-chunk CRC ledger detects torn writes at swap-in, and
-    a write that keeps failing after retries flips :attr:`write_failed` —
-    both degrade the swap to the previous edge file exactly like a
-    cancellation.
+    propagate: a per-chunk ledger of what each flush sent detects torn
+    writes at swap-in, and a write that keeps failing after retries flips
+    :attr:`write_failed` — both degrade the swap to the previous edge file
+    exactly like a cancellation.  A flush of the private buffer is recorded
+    as its read-only view, whose CRC is taken only if swap-in has to compare
+    it; any other chunk is recorded as its CRC, taken at send.
     """
 
     def __init__(
@@ -295,8 +300,10 @@ class AsyncStreamWriter(StreamWriter):
         #: treats a failed writer exactly like a cancellation candidate.
         self.write_failed = False
         self.write_failure: Optional[IOFaultError] = None
-        # (offset, nbytes, crc32 of the bytes sent) per flushed chunk.
-        self._chunk_sums: List[Tuple[int, int, int]] = []
+        # (offset, nbytes, sent) per flushed chunk: ``sent`` is the
+        # read-only view of the private buffer that was flushed, or the
+        # crc32 of any other chunk's bytes, taken at send.
+        self._chunk_sums: List[Tuple[int, int, Union[int, np.ndarray]]] = []
 
     def _live_requests(self) -> List[ScheduledRequest]:
         now = self.clock.now
@@ -338,10 +345,17 @@ class AsyncStreamWriter(StreamWriter):
         super().append(arr)
 
     def _on_chunk(self, chunk: np.ndarray, offset: int) -> None:
-        # crc32 reads the array's own buffer: no copy of the chunk.
-        self._chunk_sums.append(
-            (offset, chunk.nbytes, zlib.crc32(chunk.view(np.uint8)))
-        )
+        # A flushed region of the private buffer is never written again
+        # (take_survivors writes only past ``_taken`` and hands out
+        # read-only views), so its view still holds the bytes sent and its
+        # CRC can wait for a swap-in that compares it.  Any other chunk may
+        # change after send: crc32 it now, from its own buffer (no copy).
+        buffer = self._buffer
+        if buffer is not None and chunk.base is buffer and not chunk.flags.writeable:
+            sent: Union[int, np.ndarray] = chunk
+        else:
+            sent = zlib.crc32(chunk.view(np.uint8))
+        self._chunk_sums.append((offset, chunk.nbytes, sent))
 
     def _submit(self, nbytes: int, offset: int) -> ScheduledRequest:
         live = self._live_requests()
@@ -368,19 +382,22 @@ class AsyncStreamWriter(StreamWriter):
             return dead
 
     def verify_integrity(self) -> List[int]:
-        """Re-checksum every flushed chunk; return offsets that mismatch.
+        """Checksum every flushed chunk; return offsets that mismatch.
 
         Compares the CRC of what each flush *sent* against the bytes the
         file holds now — a torn write shows up as exactly one damaged
-        chunk.  An empty list means the file is intact.
+        chunk.  An empty list means the file is intact.  The sent-side CRC
+        is the one taken at send, or, for a flush of the private buffer,
+        taken here from the view the ledger kept.
 
-        The one case with nothing to re-read: the file's array *is* the
+        The one case with nothing to read: the file's array *is* the
         private buffer (same object behind it, from its first byte through
         the last byte flushed) and is read-only.  Every flush was then a
         view of those very bytes, and nothing could have written to them
-        since.  Anything that stores other bytes (``corrupt_at`` copies a
-        chunk; so does a seal over chunks that are not one array) breaks
-        that identity and gets the full comparison.
+        since, so no CRC is taken at all.  Anything that stores other
+        bytes (``corrupt_at`` copies a chunk; so does a seal over chunks
+        that are not one array) breaks that identity and gets the full
+        comparison.
         """
         bad: List[int] = []
         if not self._chunk_sums:
@@ -396,9 +413,10 @@ class AsyncStreamWriter(StreamWriter):
         ):
             return bad
         data = held.view(np.uint8)
-        for offset, nbytes, crc in self._chunk_sums:
-            stored = zlib.crc32(data[offset : offset + nbytes])
-            if stored != crc:
+        for offset, nbytes, sent in self._chunk_sums:
+            if isinstance(sent, np.ndarray):
+                sent = zlib.crc32(sent.view(np.uint8))
+            if zlib.crc32(data[offset : offset + nbytes]) != sent:
                 bad.append(offset)
         return bad
 

@@ -352,6 +352,60 @@ class TestTornWriteIntegrity:
         ]
         assert len(mismatches) == result.extras["stay_integrity_failures"]
 
+    def test_stay_crc_is_taken_only_by_a_swap_in_that_compares(
+        self, rmat10, monkeypatch
+    ):
+        """A clean traversal takes no CRC at all; a torn one takes them all
+        inside ``verify_integrity``, and still degrades every swap-in."""
+        root = hub_root(rmat10)
+        crc32 = zlib.crc32
+        verify = AsyncStreamWriter.verify_integrity
+        calls = []  # True for each crc32 made inside verify_integrity
+        verifying = []
+
+        def verifying_integrity(writer):
+            verifying.append(1)
+            try:
+                return verify(writer)
+            finally:
+                verifying.pop()
+
+        monkeypatch.setattr(
+            zlib, "crc32",
+            lambda data: calls.append(bool(verifying)) or crc32(data),
+        )
+        monkeypatch.setattr(
+            AsyncStreamWriter, "verify_integrity", verifying_integrity
+        )
+
+        def traverse(plan):
+            machine = Machine([DeviceSpec.hdd("hdd0")], memory=2 * MB,
+                              cores=4, fault_plan=plan)
+            machine.attach_tracer(Tracer())
+            result = FastBFSEngine(small_fastbfs_config()).run(
+                rmat10, machine, root=root
+            )
+            assert np.array_equal(result.levels, bfs_levels(rmat10, root))
+            return machine, result
+
+        traverse(None)
+        assert calls == []
+
+        machine, result = traverse(FaultPlan(
+            specs=(FaultSpec(kind="torn_write", role="stay",
+                             probability=1.0),),
+            seed=0,
+        ))
+        failures = result.extras["stay_integrity_failures"]
+        assert failures > 0
+        mismatches = [
+            s for s in machine.tracer.spans
+            if s.name == "stay_cancel"
+            and s.attrs.get("reason") == "checksum_mismatch"
+        ]
+        assert len(mismatches) == failures
+        assert calls and all(calls)
+
     def test_stay_write_failure_degrades_to_previous_file(self, rmat10):
         """Stay flushes that exhaust their retries mark the writer failed;
         swap-in degrades with reason=write_failure and stays correct."""
@@ -380,17 +434,20 @@ class TestTornWriteIntegrity:
 
 
     # -- a stay file that is the writer's own buffer ---------------------
-    # Swap-in skips the re-read only when the file provably still holds
-    # the very bytes each flush checksummed; the cases below fail on a
-    # design that skips it because the fault injector tagged nothing.
+    # Swap-in skips the comparison only when the file provably still holds
+    # the very bytes each flush sent; the cases below fail on a design
+    # that skips it because the fault injector tagged nothing.
 
     PIECES = (200, 300, 100)  # flushes of 500 (buffer full) and 100 (close)
 
-    def _staged(self, close=True):
+    def _staged(self, close=True, plan=None):
         """A stay file written the way the engine writes one: survivors
         selected into the writer's buffer, read-only views appended."""
         clock = SimClock()
-        f = VFS().create("stay", Device(DeviceSpec.hdd("d0")))
+        device = Device(DeviceSpec.hdd("d0"))
+        if plan is not None:
+            device.injector = FaultInjector(plan, clock=clock)
+        f = VFS().create("stay", device)
         total = sum(self.PIECES)
         writer = AsyncStreamWriter(clock, f, buffer_bytes=8 * 256,
                                    num_buffers=4, capacity=total)
@@ -447,9 +504,19 @@ class TestTornWriteIntegrity:
         assert stored.base is writer._buffer
         assert np.shares_memory(stored, writer._buffer)
         assert np.array_equal(stored, survivors)
-        assert checksummed == [8 * 500, 8 * 100]  # once per flush, at send
+        assert checksummed == []  # nothing at send
         assert writer.verify_integrity() == []
-        assert checksummed == [8 * 500, 8 * 100]  # and swap-in re-reads nothing
+        assert checksummed == []  # and swap-in reads nothing either
+
+    def test_injected_torn_write_into_the_buffer_is_reported(self):
+        plan = FaultPlan(specs=(FaultSpec(kind="torn_write", max_fires=1),),
+                         seed=0)
+        writer, f, _, survivors = self._staged(plan=plan)
+        bad = writer.verify_integrity()
+        assert len(bad) == 1
+        assert bad == f.corruptions  # the one flush the device tore
+        # The damage is in the file's copy; what the flush sent is intact.
+        assert np.array_equal(writer._buffer, survivors)
 
     def test_a_writable_or_shifted_view_of_the_buffer_gets_the_full_check(self):
         """Same base object is not enough: the stored array must be the
