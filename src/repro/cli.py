@@ -516,7 +516,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_graphs=args.max_graphs,
         fault_plan=fault_plan,
         default_deadline_ms=args.default_deadline_ms,
-        flush_retries=args.flush_retries,
     ).start()
     graphs = ", ".join(sorted(service.registry.names())) or "(none)"
     print(f"serving on {service.address}  graphs: {graphs}")
@@ -727,9 +726,6 @@ COMMANDS: Dict[str, Command] = {
                  metavar="MS",
                  help="server-wide per-request deadline; expired requests "
                       "get typed 504s (default: no deadline)"),
-            _arg("--flush-retries", type=int, default=2,
-                 help="batched flush attempts before the serial fallback "
-                      "(default 2)"),
         ),
     ),
     "top": Command(

@@ -151,6 +151,13 @@ def staged_run(
     return drive(engine.stage(graph, machine, algorithm=algorithm), validated)
 
 
+#: Crash/resume replays the serving layer's admission flushes and the
+#: chaos harness arm inside one ``run_staged_queries`` call.  Crash specs
+#: carry ``max_fires`` budgets, so this bounds plans whose crashes never
+#: stop firing, not correct ones.
+MAX_RECOVERIES = 4
+
+
 def run_with_recovery(session: "QuerySession", invoke, max_recoveries: int):
     """Run ``invoke()``; on :class:`CrashError`, replay via ``session.recover()``.
 

@@ -111,11 +111,12 @@ class GraphQuarantinedError(ServeError):
 
 
 class FlushFailedError(ServeError):
-    """A batched flush kept failing after retries and serial fallback.
+    """A served query's run failed and no other schedule was left to try.
 
-    The only way an injected storage fault reaches a serving client:
-    checkpoint-replay retries and the per-ticket serial fallback were all
-    exhausted.  Mapped to HTTP 503 with ``Retry-After``.
+    The only way an injected storage fault reaches a serving client: the
+    run's checkpoint replays did not absorb it, and it was either a
+    ticket's own serial re-run of a failed multi-ticket flush or a run of
+    that ticket alone.  Mapped to HTTP 503 with ``Retry-After``.
     """
 
     def __init__(self, message: str, retry_after: float = 1.0) -> None:

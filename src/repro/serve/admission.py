@@ -32,26 +32,24 @@ drain-on-shutdown tests.
 
 Resilience semantics (entry machines may run fault plans):
 
-* **Flush-level recovery.**  ``run_staged_queries(max_recoveries=...)``
-  absorbs crashes via checkpoint-replay inside one attempt; a batched
-  attempt that still fails (``CrashError`` after exhausted recoveries, or
-  an ``IOFaultError`` give-up) is retried up to ``flush_retries`` times —
-  the machine rewinds to the staging checkpoint between attempts, so a
-  success-after-retry response is bit-identical to a fault-free run.
-* **Serial runs are tried once.**  When every batched attempt fails the
-  flush degrades: each ticket re-runs alone in serial mode (its own delta
-  report, its own ``report_id``).  Shared-scan amortization is lost but
-  individual requests still complete.  A serial-algorithm ticket runs
-  that way from the start.  Only a ticket whose serial run fails surfaces
-  a typed :class:`~repro.errors.FlushFailedError` (HTTP 503 +
+* **Each fault schedule runs once.**  A run rewinds the machine, and so
+  the fault injector, to the staging checkpoint: the same tickets run the
+  same way meet the same faults.  So a flush makes one run, in which
+  ``run_staged_queries(max_recoveries=...)`` replays crashes from the
+  checkpoint (a surviving replay is bit-identical to a fault-free run).
+  If that run still fails (``CrashError`` past the recoveries, or an
+  ``IOFaultError`` give-up) and held two or more BFS tickets, each ticket
+  re-runs alone in serial mode, once (its own delta report and
+  ``report_id``): a different schedule, which can succeed.  A failed run
+  of one ticket, or a failed serial re-run, is final: the ticket gets a
+  typed :class:`~repro.errors.FlushFailedError` (HTTP 503 +
   ``Retry-After``).
 * **Circuit breaking.**  :meth:`offer` gates through
   ``entry.health.admit()`` — a quarantined graph rejects with
   :class:`~repro.errors.GraphQuarantinedError` before anything touches
   the machine; tickets already queued when the breaker opens are failed
   (typed, never dropped) at their flush.  A flush that ran reports one
-  event: a *failure* if it entered the fallback or its serial ticket
-  failed, else a success.
+  event: a *failure* if its first run failed, else a success.
 * **Deadlines.**  Tickets optionally carry an absolute host-clock
   deadline (per-request ``deadline_ms`` or the controller default); it is
   checked at dequeue and again after the flush, and an expired ticket is
@@ -80,7 +78,7 @@ from typing import (
 )
 
 from repro.algorithms.streaming import BATCH_WIDTH, StreamingAlgorithm
-from repro.engines.session import run_staged_queries
+from repro.engines.session import MAX_RECOVERIES, run_staged_queries
 from repro.errors import (
     ConfigError,
     CrashError,
@@ -100,9 +98,6 @@ if TYPE_CHECKING:  # the registry builds each entry's controller
 
 #: Bucket bounds for the ``serve_flush_size`` histogram (roots per flush).
 FLUSH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, float(BATCH_WIDTH))
-
-#: Crash/resume replays armed inside each ``run_staged_queries`` attempt.
-DEFAULT_MAX_RECOVERIES = 4
 
 
 class Ticket:
@@ -170,7 +165,6 @@ class FlushRecord:
 
 def check_admission_settings(
     capacity: int,
-    flush_retries: int,
     default_deadline_ms: Optional[float],
     batch_width: int = BATCH_WIDTH,
 ) -> None:
@@ -179,8 +173,6 @@ def check_admission_settings(
         raise ConfigError(f"queue capacity must be >= 1, got {capacity}")
     if not 1 <= batch_width <= BATCH_WIDTH:
         raise ConfigError(f"batch width must be in [1, {BATCH_WIDTH}], got {batch_width}")
-    if flush_retries < 1:
-        raise ConfigError(f"flush_retries must be >= 1, got {flush_retries}")
     # The per-request rule (``_extract_deadline``): NaN never expires and
     # fails this comparison, as do the infinities.
     if default_deadline_ms is not None and not (
@@ -207,11 +199,8 @@ class AdmissionController:
         metrics_sink: Optional[Callable[[CounterRegistry], None]] = None,
         clock: Optional[HostClock] = None,
         default_deadline_ms: Optional[float] = None,
-        flush_retries: int = 2,
     ) -> None:
-        check_admission_settings(
-            capacity, flush_retries, default_deadline_ms, batch_width
-        )
+        check_admission_settings(capacity, default_deadline_ms, batch_width)
         self.entry = entry
         self.capacity = capacity
         self.batch_width = batch_width
@@ -221,13 +210,13 @@ class AdmissionController:
         # never reads the wall clock directly (analyzer rule FB207).
         self.clock = clock if clock is not None else HOST_CLOCK
         self.default_deadline_ms = default_deadline_ms
-        self.flush_retries = flush_retries
         self._queue: "deque[Ticket]" = deque()
         self._held = False
         self._closed = False
         self._flush_count = 0
         self._accepted = 0
         self._rejected = 0
+        #: Runs repeated: the per-ticket serial re-runs of failed flushes.
         self._flush_retries_total = 0
         self._serial_fallbacks = 0
         self._deadline_expired = 0
@@ -312,8 +301,8 @@ class AdmissionController:
         fulfilled — already-expired tickets get
         :class:`DeadlineExceededError`, tickets drained while the breaker
         is open get :class:`GraphQuarantinedError` (the machine is not
-        touched), engine failures that survive retries and the serial
-        fallback get :class:`FlushFailedError`; nothing is silently
+        touched), engine failures the ladder cannot absorb get
+        :class:`FlushFailedError`; nothing is silently
         dropped.  A post-flush deadline check catches tickets whose flush
         outlived their budget.
         """
@@ -383,9 +372,9 @@ class AdmissionController:
         through the entry's engine.  ``tickets`` share the head's kernel
         (the flush prefix rule: several tickets are all BFS).  Returns
         ``(batch, tracer)``; a ``CrashError`` that outlived the session
-        recovery loop (:data:`DEFAULT_MAX_RECOVERIES`) or an
-        ``IOFaultError`` give-up propagates, and leaves no residue: the
-        next attempt starts from the staging checkpoint again.
+        recovery loop (:data:`~repro.engines.session.MAX_RECOVERIES`) or
+        an ``IOFaultError`` give-up propagates, and leaves no residue: the
+        next run starts from the staging checkpoint again.
         """
         entry = self.entry
         tracer = Tracer()
@@ -405,20 +394,21 @@ class AdmissionController:
                 "request_ids": [t.request_id for t in tickets],
                 **attrs,
             },
-            max_recoveries=DEFAULT_MAX_RECOVERIES,
+            max_recoveries=MAX_RECOVERIES,
         )
         return batch, tracer
 
     def _execute(self, flush_id: str, tickets: List[Ticket]) -> FlushRecord:
         """Run one drained prefix and account it: the one executor.
 
-        BFS tickets run batched, retried whole up to ``flush_retries``
-        times.  Exhausting those attempts enters the serial fallback:
-        each ticket runs alone, once, and a serial-algorithm ticket takes
-        that last step directly.  A ticket whose serial run fails carries
-        a typed :class:`FlushFailedError` chaining the underlying fault.
-        Whatever the route, one metrics delta reaches the sink and exactly
-        one event the entry's circuit breaker.
+        The prefix makes one run: BFS tickets batched, a kernel ticket
+        serial.  If that run fails and held two or more tickets, each
+        re-runs alone, once (the serial fallback, a different schedule);
+        a failed run of one ticket is final, since a re-run would replay
+        the same fault schedule.  A ticket no run answered carries a
+        typed :class:`FlushFailedError` chaining the underlying fault.
+        Whatever the route, one metrics delta reaches the sink and
+        exactly one event the entry's circuit breaker.
         """
         entry = self.entry
         injector = entry.machine.fault_injector
@@ -426,55 +416,40 @@ class AdmissionController:
             injector.counts_snapshot() if injector is not None else None
         )
         runs = []  # (tickets, batch, tracer, report id) of each run that held
-        attempts = 0  # batched attempts made
-        # The first typed failure still standing: the breaker's one event.
-        failure: Optional[FlushFailedError] = None
-        mode = "serial"
-        if tickets[0].algorithm is None:
-            mode = "batched"
-            while not runs and attempts < self.flush_retries:
-                attempts += 1
-                try:
-                    batch, tracer = self._attempt(
-                        tickets, flush_id, mode, attempt=attempts
-                    )
-                except (CrashError, IOFaultError) as exc:
-                    failure = FlushFailedError(
-                        f"flush {flush_id} batched attempt {attempts}/"
-                        f"{self.flush_retries} failed: {type(exc).__name__}",
-                        retry_after=1.0,
-                    )
-                    failure.__cause__ = exc
-                else:
-                    runs.append((tickets, batch, tracer, flush_id))
-                    failure = None
-        fallback = failure is not None
-        if not runs:
-            # No shared run: every ticket runs alone, once.
-            attrs, history = {}, "serial run"
-            if fallback:
-                mode, attrs = "serial_fallback", {"serial_fallback": 1}
-                history = (
-                    f"{attempts} batched attempt(s) "
-                    f"({type(failure.__cause__).__name__}), "
-                    "then serial fallback"
+
+        def run(
+            run_tickets: List[Ticket], run_id: str, run_mode: str,
+            history: str, **attrs: object
+        ) -> Optional[BaseException]:
+            """Make one run; a failure types each of its tickets' errors."""
+            try:
+                batch, tracer = self._attempt(
+                    run_tickets, run_id, run_mode, **attrs
                 )
-            for index, t in enumerate(tickets):
-                run_id = f"{flush_id}-s{index:02d}" if fallback else flush_id
-                try:
-                    batch, tracer = self._attempt(
-                        [t], run_id, "serial", **attrs
-                    )
-                except (CrashError, IOFaultError) as exc:
+            except (CrashError, IOFaultError) as exc:
+                for t in run_tickets:
                     t.error = FlushFailedError(
                         f"flush {flush_id} failed for request "
                         f"{t.request_id}: {history} ({type(exc).__name__})",
                         retry_after=entry.health.cooldown_seconds(),
                     )
                     t.error.__cause__ = exc
-                    failure = failure or t.error
-                else:
-                    runs.append(([t], batch, tracer, run_id))
+                return exc
+            runs.append((run_tickets, batch, tracer, run_id))
+            return None
+
+        mode = "serial" if tickets[0].algorithm is not None else "batched"
+        # The first run's fault, if any: the breaker's one event.
+        failure = run(tickets, flush_id, mode, f"{mode} run")
+        fallback = failure is not None and len(tickets) > 1
+        if fallback:
+            mode = "serial_fallback"
+            history = (
+                f"batched run ({type(failure).__name__}), then serial fallback"
+            )
+            for index, t in enumerate(tickets):
+                run([t], f"{flush_id}-s{index:02d}", "serial", history,
+                    serial_fallback=1)
         registry = CounterRegistry()
         spans: List = []
         report = None
@@ -484,6 +459,7 @@ class AdmissionController:
             report = batch.queries[0].report
             registry.merge(CounterRegistry.from_report(report))
             for ticket, result in zip(run_tickets, batch.queries):
+                ticket.error = None  # a fallback re-run answered it
                 ticket.result = result
                 ticket.report = report
                 ticket.report_id = report_id
@@ -493,7 +469,7 @@ class AdmissionController:
             registry.ingest_spans(tracer)
             spans.extend(tracer.spans)
         served = sum(len(run_tickets) for run_tickets, *_ in runs)
-        retries = max(0, attempts - 1)
+        retries = len(tickets) if fallback else 0  # runs repeated
         registry.inc("serve_flushes_total", 1.0, graph=entry.name)
         registry.inc(
             "serve_flushed_queries_total", float(served), graph=entry.name
@@ -518,7 +494,7 @@ class AdmissionController:
         if fault_base is not None:
             # Injector counters are lifetime (never rewound by restores),
             # so the delta against the pre-flush snapshot also captures
-            # faults from attempts that were rolled back — exactly what
+            # faults from runs that were rolled back — exactly what
             # the chaos harness reconciles against the span trace.
             for name, labels, value in injector.delta_samples(fault_base):
                 registry.inc(name, value, graph=entry.name, **labels)
@@ -530,9 +506,7 @@ class AdmissionController:
         if failure is None:
             entry.health.record_flush_success()
         else:
-            entry.health.record_flush_failure(
-                type(failure.__cause__).__name__
-            )
+            entry.health.record_flush_failure(type(failure).__name__)
         if self.metrics_sink is not None:
             self.metrics_sink(registry)
         # One run is one delta report; fallback tickets each carry theirs.
@@ -669,7 +643,6 @@ class AdmissionController:
 
 __all__ = [
     "AdmissionController",
-    "DEFAULT_MAX_RECOVERIES",
     "FLUSH_SIZE_BUCKETS",
     "FlushRecord",
     "Ticket",

@@ -336,9 +336,10 @@ class GraphService:
         machine_factory=None,
         fault_plan: Optional[FaultPlan] = None,
         default_deadline_ms: Optional[float] = None,
-        flush_retries: int = 2,
         clock: Optional[HostClock] = None,
     ) -> None:
+        if not 0 <= port <= 65535:
+            raise ConfigError(f"port must be in [0, 65535], got {port}")
         self.host = host
         self._requested_port = port
         # Host time (deadlines, breaker cooldowns, queue-wait stamps) flows
@@ -365,7 +366,6 @@ class GraphService:
             clock=self.clock,
             on_transition=self._on_breaker_transition,
             capacity=capacity,
-            flush_retries=flush_retries,
             default_deadline_ms=default_deadline_ms,
             metrics_sink=self._merge_metrics,
         )

@@ -7,9 +7,10 @@ regimes, and the breaker makes them explicit states on the
 ``healthy``
     Batched flushes are completing; full MS-BFS amortization.
 ``degraded``
-    Recent flushes needed the serial fallback (or exhausted their batched
-    retries): responses still flow but the shared-scan amortization is
-    lost, and the state says so before latency graphs do.
+    Recent flushes failed their first run (a multi-ticket flush fell
+    back to serial re-runs, or a ticket failed): responses may still flow
+    but the shared-scan amortization is lost, and the state says so
+    before latency graphs do.
 ``quarantined``
     :data:`QUARANTINE_AFTER` consecutive flush failures opened the breaker:
     requests are rejected at admission (HTTP 503 + ``Retry-After``)
@@ -145,7 +146,7 @@ class CircuitBreaker:
                 self._transition(HEALTHY, "batched flush succeeded")
 
     def record_flush_failure(self, reason: str = "") -> None:
-        """One flush exhausted its batched retries (fallback or failure)."""
+        """One flush's first run failed (then fell back, or failed its ticket)."""
         with self._lock:
             self.failures_total += 1
             self.consecutive_failures += 1

@@ -247,7 +247,6 @@ class ArtifactRegistry:
         clock: Optional[HostClock] = None,
         on_transition: Optional[Callable[[str, str, str, str], None]] = None,
         capacity: int = 128,
-        flush_retries: int = 2,
         default_deadline_ms: Optional[float] = None,
         metrics_sink: Optional[Callable[[CounterRegistry], None]] = None,
     ) -> None:
@@ -262,7 +261,7 @@ class ArtifactRegistry:
             )
         if max_graphs < 1:
             raise ConfigError(f"max_graphs must be >= 1, got {max_graphs}")
-        check_admission_settings(capacity, flush_retries, default_deadline_ms)
+        check_admission_settings(capacity, default_deadline_ms)
         self.engine_name = engine
         self._make_engine = lambda: make_engine(engine, config)
         self._machine_factory = machine_factory or Machine.commodity_server
@@ -273,7 +272,6 @@ class ArtifactRegistry:
         self.on_transition = on_transition
         #: Every entry's admission settings (see AdmissionController).
         self.capacity = capacity
-        self.flush_retries = flush_retries
         self.default_deadline_ms = default_deadline_ms
         self.metrics_sink = metrics_sink
         self._entries: "OrderedDict[str, GraphEntry]" = OrderedDict()
@@ -314,7 +312,6 @@ class ArtifactRegistry:
             metrics_sink=self.metrics_sink,
             clock=self.clock,
             default_deadline_ms=self.default_deadline_ms,
-            flush_retries=self.flush_retries,
         )
         with self._lock:
             self._entries.pop(name, None)

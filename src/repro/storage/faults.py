@@ -50,6 +50,7 @@ the (never-truncated) span trace.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
@@ -168,6 +169,11 @@ class FaultPlan:
     def __post_init__(self) -> None:
         # Accept any sequence of specs; freeze to a tuple for hashability.
         object.__setattr__(self, "specs", tuple(self.specs))
+        # numpy seeds its generators from non-negative integers only.
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ConfigError(
+                f"fault plan seed must be a non-negative integer, got {self.seed!r}"
+            )
         if self.max_attempts < 1:
             raise ConfigError(f"max_attempts must be >= 1, got {self.max_attempts}")
 

@@ -144,7 +144,7 @@ def _resolve_baseline(arg: Optional[str]) -> Optional[Baseline]:
     return None
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.tooling.analyzer",
         description=(
@@ -181,7 +181,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue"
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _build_parser().parse_args(argv)
     if args.list_rules:
         for code, summary in sorted(RULES.items()):
             print(f"{code}  {summary}")

@@ -70,7 +70,7 @@ from repro.core.config import FastBFSConfig
 from repro.core.engine import FastBFSEngine
 from repro.engines.base import EdgeCentricEngine, EngineConfig
 from repro.engines.result import EngineResult
-from repro.engines.session import run_staged_queries
+from repro.engines.session import MAX_RECOVERIES, run_staged_queries
 from repro.engines.xstream import XStreamEngine
 from repro.errors import ConfigError, ReproError, SanitizerError
 from repro.graph.generators import rmat_graph
@@ -102,11 +102,6 @@ BATCH_QUERIES = 4
 #: I/O attempts per request the sweeps' fault plans allow (one more than
 #: a plan's default, so the transient mix is absorbed more often).
 IO_MAX_ATTEMPTS = 4
-
-#: How many times a single trial will call ``recover()`` before declaring
-#: the crash schedule unrecoverable (each crash spec is one-shot, so this
-#: bounds pathological plans, not correct ones).
-MAX_RECOVERIES = 4
 
 #: Span names whose counts must reconcile with injector counters
 #: (span name -> counter name as sampled into the registry).
@@ -411,6 +406,20 @@ def _run_trial(
     return trial
 
 
+def _trial_count(prof: ChaosProfile, seed: int, trials: Optional[int]) -> int:
+    """A sweep's trial count, checked with its seed before trial 0.
+
+    Trial seeds are ``seed * 1_000_003 + index``, so a negative sweep seed
+    gives negative plan seeds, which no fault plan accepts.
+    """
+    if seed < 0:
+        raise ConfigError(f"chaos seed must be >= 0, got {seed}")
+    count = trials if trials is not None else prof.trials
+    if count < 1:
+        raise ConfigError(f"chaos needs at least one trial, got {count}")
+    return count
+
+
 def run_chaos(
     profile: str = "smoke",
     seed: int = 0,
@@ -428,9 +437,7 @@ def run_chaos(
         raise ConfigError(
             f"unknown chaos profile {profile!r}; options: {sorted(PROFILES)}"
         )
-    count = trials if trials is not None else prof.trials
-    if count < 1:
-        raise ConfigError(f"chaos needs at least one trial, got {count}")
+    count = _trial_count(prof, seed, trials)
     if prof.name == "serve":
         return run_serve_chaos(seed=seed, trials=count, prof=prof)
     graph = rmat_graph(
@@ -471,6 +478,7 @@ def serve_fault_plan(profile: str, seed: int = 0) -> FaultPlan:
             f"unknown serve fault profile {profile!r}; options: "
             f"{sorted(SERVE_FAULT_PROFILES)}"
         )
+    plan = FaultPlan(seed=seed)  # its seed rule holds before the draws
     rng = rng_from_seed(seed)
     specs: List[FaultSpec] = [
         FaultSpec(
@@ -509,7 +517,7 @@ def serve_fault_plan(profile: str, seed: int = 0) -> FaultPlan:
                 probability=float(rng.uniform(0.05, 0.15)),
             )
         )
-    return FaultPlan(specs=tuple(specs), seed=seed)
+    return replace(plan, specs=tuple(specs))
 
 
 def _serve_request(
@@ -916,9 +924,7 @@ def run_serve_chaos(
     service and requiring identical statuses and health transitions.
     """
     prof = prof if prof is not None else PROFILES["serve"]
-    count = trials if trials is not None else prof.trials
-    if count < 1:
-        raise ConfigError(f"chaos needs at least one trial, got {count}")
+    count = _trial_count(prof, seed, trials)
     graph = rmat_graph(
         scale=prof.scale, edge_factor=prof.edge_factor, seed=prof.graph_seed
     )
@@ -940,7 +946,6 @@ __all__ = [
     "ChaosProfile",
     "ChaosReport",
     "ChaosTrial",
-    "MAX_RECOVERIES",
     "PROFILES",
     "SCENARIOS",
     "SERVE_BURST",

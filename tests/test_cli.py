@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import re
 import shlex
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from repro.errors import ConfigError
 from repro.graph.datasets import scale_divisor
 from repro.graph.io import load_graph
 from repro.obs.exporters import parse_prometheus
+from repro.tooling.analyzer.runner import _build_parser as analyzer_parser
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -302,18 +304,71 @@ class TestServe:
         err = capsys.readouterr().err
         assert "default_deadline_ms must be > 0 and finite, got nan" in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--port", "70000"], "port must be in [0, 65535], got 70000"),
+        (["--fault-profile", "hostile", "--fault-seed", "-1"],
+         "fault plan seed must be a non-negative integer, got -1"),
+    ])
+    def test_bad_service_setting_exits_before_staging(
+        self, monkeypatch, capsys, flags, message
+    ):
+        assert self.serve_staging(monkeypatch, *flags) == (1, [])
+        assert message in capsys.readouterr().err
+
+
+class TestChaosCommand:
+    def test_negative_seed_exits_typed(self, capsys):
+        assert run_cli(["chaos", "--profile", "smoke", "--seed", "-1"]) == 1
+        assert "chaos seed must be >= 0, got -1" in capsys.readouterr().err
+
 
 class TestDocsEqualCode:
     def test_docstring_lists_every_subcommand(self):
         missing = [name for name in cli.COMMANDS if f"``{name}``" not in cli.__doc__]
         assert not missing
 
-    def test_readme_command_lines_parse(self):
-        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
-        commands = [shlex.split(line, comments=True)[1:]
-                    for line in readme.splitlines() if line.startswith("fastbfs ")]
-        assert commands
-        parser = cli._build_parser()
-        for argv in commands:
-            if not cli.COMMANDS[argv[0]].raw:
-                parser.parse_args(argv)
+    def test_doc_command_lines_parse(self):
+        """Every ``fastbfs ...`` / ``python -m repro ...`` line of a fenced
+        block in README.md and docs/*.md parses, so a flag the CLI drops
+        cannot live on in the docs."""
+        parser, analyzer = cli._build_parser(), analyzer_parser()
+        lines = doc_command_lines()
+        assert len(lines) >= 27
+        failures = []
+        for where, argv in lines:
+            try:
+                if argv[0] == "analyze":  # a raw command: its own parser
+                    analyzer.parse_args(argv[1:])
+                else:
+                    parser.parse_args(argv)
+            except SystemExit:
+                failures.append(f"{where}: {shlex.join(argv)}")
+        assert failures == []
+
+
+#: A CLI line of a fenced doc block: an optional ``$`` prompt and
+#: ``VAR=value`` assignments, then the program.
+DOC_CLI_LINE = re.compile(
+    r"^(?:\$\s+)?(?:\w+=\S*\s+)*(?:fastbfs|python3? -m repro(?:\.cli)?)\s"
+)
+
+
+def doc_command_lines():
+    """``(file, argv after the program)`` of every CLI line in the fenced
+    blocks of README.md and docs/*.md: ``\\`` continuations joined, a
+    trailing ``&`` and comments dropped."""
+    found = []
+    for path in [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]:
+        text = path.read_text(encoding="utf-8")
+        for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S):
+            for line in re.sub(r"\\\n\s*", " ", block).splitlines():
+                if not DOC_CLI_LINE.match(line.strip()):
+                    continue
+                words = shlex.split(line, comments=True)
+                if words[-1] == "&":
+                    words.pop()
+                while words[0] == "$" or "=" in words[0]:
+                    words.pop(0)
+                program = 1 if words[0] == "fastbfs" else 3  # python -m repro
+                found.append((path.name, words[program:]))
+    return found

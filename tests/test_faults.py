@@ -6,6 +6,7 @@ and the chaos harness built on all of it.
 """
 
 import zlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -86,6 +87,21 @@ class TestFaultSpecValidation:
         assert FaultPlan().max_attempts == 3
         with pytest.raises(ConfigError):
             FaultPlan(max_attempts=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_plan_seed_must_be_a_non_negative_integer(self, seed):
+        # numpy would refuse it later, untyped, when the machine is built.
+        with pytest.raises(ConfigError, match="non-negative integer"):
+            FaultPlan(seed=seed)
+
+    def test_numpy_integer_seed_is_accepted(self):
+        assert FaultPlan(seed=np.int64(5)).seed == 5
+
+    def test_serve_fault_plan_checks_the_seed_before_drawing(self):
+        from repro.tooling.chaos import serve_fault_plan
+
+        with pytest.raises(ConfigError, match="got -1"):
+            serve_fault_plan("hostile", -1)
 
 
 class TestFaultInjector:
@@ -791,3 +807,17 @@ class TestChaosHarness:
 
         with pytest.raises(ConfigError):
             run_chaos("hurricane")
+
+    def test_negative_seed_rejected_before_trial_0(self, monkeypatch):
+        from repro.tooling import chaos
+
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(chaos, "_run_trial", no_trial)
+        monkeypatch.setattr(chaos, "_run_serve_trial", no_trial)
+        monkeypatch.setattr(chaos, "rmat_graph", no_trial)
+        sweeps = [partial(chaos.run_chaos, name) for name in chaos.PROFILES]
+        for sweep in sweeps + [chaos.run_serve_chaos]:
+            with pytest.raises(ConfigError, match="chaos seed must be >= 0, got -1"):
+                sweep(seed=-1)

@@ -1485,7 +1485,7 @@ class TestRegistry:
 
     @pytest.mark.parametrize("setting, message", [
         ({"capacity": 0}, "queue capacity must be >= 1, got 0"),
-        ({"flush_retries": 0}, "flush_retries must be >= 1, got 0"),
+        ({"default_deadline_ms": 0}, "default_deadline_ms must be > 0"),
         ({"default_deadline_ms": -5}, "default_deadline_ms must be > 0"),
         # A NaN default never expires; the per-request rule refuses it too.
         ({"default_deadline_ms": float("nan")}, "must be > 0 and finite, got nan"),
@@ -1496,6 +1496,15 @@ class TestRegistry:
             ArtifactRegistry(**setting)
         with pytest.raises(ConfigError, match=message):
             GraphService(**setting)
+
+    @pytest.mark.parametrize("port", [-1, 65536, 70000])
+    def test_out_of_range_port_is_refused_before_staging(self, port):
+        # The constructor refuses it, so no warm-up graph is ever staged
+        # and no socket is bound.
+        with pytest.raises(
+            ConfigError, match=rf"port must be in \[0, 65535\], got {port}"
+        ):
+            GraphService(port=port, warmup=["tiny@star:num_leaves=10"])
 
 
 class TestEviction:
