@@ -34,22 +34,19 @@ Resilience semantics (entry machines may run fault plans):
 
 * **Each fault schedule runs once.**  A run rewinds the machine, and so
   the fault injector, to the staging checkpoint: the same tickets run the
-  same way meet the same faults.  So a flush makes one run, in which
-  ``run_staged_queries(max_recoveries=...)`` replays crashes from the
-  checkpoint (a surviving replay is bit-identical to a fault-free run).
-  If that run still fails (``CrashError`` past the recoveries, or an
-  ``IOFaultError`` give-up) and held two or more BFS tickets, each ticket
-  re-runs alone in serial mode, once (its own delta report and
-  ``report_id``): a different schedule, which can succeed.  A failed run
-  of one ticket, or a failed serial re-run, is final: the ticket gets a
-  typed :class:`~repro.errors.FlushFailedError` (HTTP 503 +
+  same way meet the same faults.  So a flush makes one run, at any width,
+  in which ``run_staged_queries(max_recoveries=...)`` replays crashes from
+  the checkpoint (a surviving replay is bit-identical to a fault-free
+  run).  If that run still fails (``CrashError`` past the recoveries, or
+  an ``IOFaultError`` give-up) the failure is final: every ticket of the
+  flush gets a typed :class:`~repro.errors.FlushFailedError` (HTTP 503 +
   ``Retry-After``).
 * **Circuit breaking.**  :meth:`offer` gates through
   ``entry.health.admit()`` — a quarantined graph rejects with
   :class:`~repro.errors.GraphQuarantinedError` before anything touches
   the machine; tickets already queued when the breaker opens are failed
   (typed, never dropped) at their flush.  A flush that ran reports one
-  event: a *failure* if its first run failed, else a success.
+  event: a *failure* if its run failed, else a success.
 * **Deadlines.**  Tickets optionally carry an absolute host-clock
   deadline (per-request ``deadline_ms`` or the controller default); it is
   checked at dequeue and again after the flush, and an expired ticket is
@@ -59,7 +56,7 @@ Resilience semantics (entry machines may run fault plans):
 Every run attaches a fresh dual-clock
 :class:`~repro.obs.tracer.Tracer` to the machine (tracing is
 timing/byte-neutral; the bound host clock only annotates spans), and
-every flush hands its delta reports, engine counters, span histograms and
+every flush hands its delta report, engine counters, span histograms and
 fault counter deltas (``fault_*``, ``io_retries_total``, ...) to a
 ``metrics_sink`` callback — the service merges them into the long-lived
 ``/metrics`` registry, preserving the exact-reconciliation invariant (see
@@ -107,7 +104,7 @@ class Ticket:
         "request_id", "entry", "algorithm",
         "enqueued_at", "queue_wait", "deadline_at", "deadline_ms",
         "done", "result", "report", "flush_id", "flush_size", "flush_mode",
-        "error", "report_id", "spans",
+        "error", "spans",
     )
 
     def __init__(
@@ -135,14 +132,10 @@ class Ticket:
         self.report = None          # its run's delta IOReport
         self.flush_id: Optional[str] = None
         self.flush_size = 0
-        #: How the executor ran it: ``batched``, ``serial`` (a serial
-        #: algorithm) or ``serial_fallback`` (a degraded batch).
+        #: How the executor ran it: ``batched`` or ``serial`` (a serial
+        #: algorithm).
         self.flush_mode: Optional[str] = None
         self.error: Optional[BaseException] = None
-        #: Report identity for metrics dedup: the flush id, except
-        #: ``{flush_id}-sNN`` for a serial-fallback re-run (each fallback
-        #: ticket carries its own delta report).
-        self.report_id: Optional[str] = None
         self.spans: Optional[list] = None  # its run's span trace
 
 
@@ -216,9 +209,6 @@ class AdmissionController:
         self._flush_count = 0
         self._accepted = 0
         self._rejected = 0
-        #: Runs repeated: the per-ticket serial re-runs of failed flushes.
-        self._flush_retries_total = 0
-        self._serial_fallbacks = 0
         self._deadline_expired = 0
 
     # ------------------------------------------------------------------
@@ -301,7 +291,7 @@ class AdmissionController:
         fulfilled — already-expired tickets get
         :class:`DeadlineExceededError`, tickets drained while the breaker
         is open get :class:`GraphQuarantinedError` (the machine is not
-        touched), engine failures the ladder cannot absorb get
+        touched), engine failures the run cannot absorb get
         :class:`FlushFailedError`; nothing is silently
         dropped.  A post-flush deadline check catches tickets whose flush
         outlived their budget.
@@ -363,9 +353,7 @@ class AdmissionController:
                     t.done = True
                 self.entry.monitor.notify_all()
 
-    def _attempt(
-        self, tickets: List[Ticket], run_id: str, mode: str, **attrs: object
-    ):
+    def _attempt(self, tickets: List[Ticket], flush_id: str, mode: str):
         """Rewind the machine and run ``tickets`` as one staged call, once.
 
         The one place the serving layer touches an entry's machine, always
@@ -390,9 +378,8 @@ class AdmissionController:
             algorithm=tickets[0].algorithm,
             mode=mode,
             span_attrs={
-                "flush_id": run_id,
+                "flush_id": flush_id,
                 "request_ids": [t.request_id for t in tickets],
-                **attrs,
             },
             max_recoveries=MAX_RECOVERIES,
         )
@@ -402,74 +389,47 @@ class AdmissionController:
         """Run one drained prefix and account it: the one executor.
 
         The prefix makes one run: BFS tickets batched, a kernel ticket
-        serial.  If that run fails and held two or more tickets, each
-        re-runs alone, once (the serial fallback, a different schedule);
-        a failed run of one ticket is final, since a re-run would replay
-        the same fault schedule.  A ticket no run answered carries a
-        typed :class:`FlushFailedError` chaining the underlying fault.
-        Whatever the route, one metrics delta reaches the sink and
-        exactly one event the entry's circuit breaker.
+        serial.  A failed run is final at any width, since a re-run would
+        replay the same fault schedule: every ticket then carries a typed
+        :class:`FlushFailedError` chaining the underlying fault.  Either
+        way one metrics delta reaches the sink and exactly one event the
+        entry's circuit breaker.
         """
         entry = self.entry
         injector = entry.machine.fault_injector
         fault_base = (
             injector.counts_snapshot() if injector is not None else None
         )
-        runs = []  # (tickets, batch, tracer, report id) of each run that held
-
-        def run(
-            run_tickets: List[Ticket], run_id: str, run_mode: str,
-            history: str, **attrs: object
-        ) -> Optional[BaseException]:
-            """Make one run; a failure types each of its tickets' errors."""
-            try:
-                batch, tracer = self._attempt(
-                    run_tickets, run_id, run_mode, **attrs
-                )
-            except (CrashError, IOFaultError) as exc:
-                for t in run_tickets:
-                    t.error = FlushFailedError(
-                        f"flush {flush_id} failed for request "
-                        f"{t.request_id}: {history} ({type(exc).__name__})",
-                        retry_after=entry.health.cooldown_seconds(),
-                    )
-                    t.error.__cause__ = exc
-                return exc
-            runs.append((run_tickets, batch, tracer, run_id))
-            return None
-
         mode = "serial" if tickets[0].algorithm is not None else "batched"
-        # The first run's fault, if any: the breaker's one event.
-        failure = run(tickets, flush_id, mode, f"{mode} run")
-        fallback = failure is not None and len(tickets) > 1
-        if fallback:
-            mode = "serial_fallback"
-            history = (
-                f"batched run ({type(failure).__name__}), then serial fallback"
-            )
-            for index, t in enumerate(tickets):
-                run([t], f"{flush_id}-s{index:02d}", "serial", history,
-                    serial_fallback=1)
         registry = CounterRegistry()
-        spans: List = []
+        failure: Optional[BaseException] = None
         report = None
-        for run_tickets, batch, tracer, report_id in runs:
+        spans: List = []
+        try:
+            batch, tracer = self._attempt(tickets, flush_id, mode)
+        except (CrashError, IOFaultError) as exc:
+            failure = exc
+            for t in tickets:
+                t.error = FlushFailedError(
+                    f"flush {flush_id} failed for request {t.request_id}: "
+                    f"{mode} run ({type(exc).__name__})",
+                    retry_after=entry.health.cooldown_seconds(),
+                )
+                t.error.__cause__ = exc
+        else:
             # All queries of one run share a single timeline, hence a
             # single delta report object.
             report = batch.queries[0].report
+            spans = tracer.spans
             registry.merge(CounterRegistry.from_report(report))
-            for ticket, result in zip(run_tickets, batch.queries):
-                ticket.error = None  # a fallback re-run answered it
+            for ticket, result in zip(tickets, batch.queries):
                 ticket.result = result
                 ticket.report = report
-                ticket.report_id = report_id
                 ticket.flush_mode = mode
-                ticket.spans = tracer.spans
+                ticket.spans = spans
             registry.ingest_result(batch)
             registry.ingest_spans(tracer)
-            spans.extend(tracer.spans)
-        served = sum(len(run_tickets) for run_tickets, *_ in runs)
-        retries = len(tickets) if fallback else 0  # runs repeated
+        served = 0 if failure is not None else len(tickets)
         registry.inc("serve_flushes_total", 1.0, graph=entry.name)
         registry.inc(
             "serve_flushed_queries_total", float(served), graph=entry.name
@@ -478,17 +438,9 @@ class AdmissionController:
             "serve_flush_size", float(len(tickets)),
             buckets=FLUSH_SIZE_BUCKETS, graph=entry.name,
         )
-        if retries:
+        if failure is not None:
             registry.inc(
-                "flush_retry_total", float(retries), graph=entry.name
-            )
-        if fallback:
-            registry.inc(
-                "serve_flush_serial_fallback_total", 1.0, graph=entry.name
-            )
-        if served < len(tickets):
-            registry.inc(
-                "serve_flush_failed_total", float(len(tickets) - served),
+                "serve_flush_failed_total", float(len(tickets)),
                 graph=entry.name,
             )
         if fault_base is not None:
@@ -501,17 +453,13 @@ class AdmissionController:
         with entry.monitor:
             entry.queries_served += served
             entry.flushes += 1
-            self._flush_retries_total += retries
-            self._serial_fallbacks += fallback
         if failure is None:
             entry.health.record_flush_success()
         else:
             entry.health.record_flush_failure(type(failure).__name__)
         if self.metrics_sink is not None:
             self.metrics_sink(registry)
-        # One run is one delta report; fallback tickets each carry theirs.
-        shared = report if len(runs) == 1 else None
-        return FlushRecord(flush_id, tickets, shared, registry, spans)
+        return FlushRecord(flush_id, tickets, report, registry, spans)
 
     def _expire_tickets(self, tickets: List[Ticket], where: str) -> None:
         """Fulfil expired tickets with typed 504s; count, never drop."""
@@ -633,8 +581,9 @@ class AdmissionController:
                 "accepted": self._accepted,
                 "rejected": self._rejected,
                 "flushes": self._flush_count,
-                "flush_retries": self._flush_retries_total,
-                "serial_fallbacks": self._serial_fallbacks,
+                # Always 0 (a failed flush is never re-run); kept for
+                # benchmarks/perf, which publishes it.
+                "flush_retries": 0,
                 "deadline_expired": self._deadline_expired,
                 "held": self._held,
                 "closed": self._closed,

@@ -622,7 +622,7 @@ class GraphService:
             },
             "result": encode(ticket.result),
             "report": report.to_dict(),
-            "report_id": ticket.report_id,
+            "report_id": ticket.flush_id,
             "timing": {
                 "queue_wait_seconds": ticket.queue_wait,
                 "sim_execution_seconds": report.execution_time,

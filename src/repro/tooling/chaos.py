@@ -50,18 +50,26 @@ server on a fault-injected registry (one of the named
 (BFS with SSSP and PageRank steps mixed in: every algorithm is a ticket
 of the one admission queue) twice to prove health-state transitions are a
 pure function of the seed, checks every 200 against its query's
-fault-free answer, fires a 16-way concurrent burst asserting no response
-is lost or duplicated and every failure is a typed error, drives an
+fault-free answer, sends a 16-request burst asserting no response is lost
+or duplicated and every failure is a typed error, drives an
 expired-deadline sweep, and finally reconciles ``/metrics`` exactly —
 device bytes against the deduped per-flush reports, and ``fault_*`` /
-``flush_retry_total`` / ``breaker_state`` / ``deadline_exceeded_total``
-against the injector and breaker ground truth.
+``serve_flush_failed_total`` / ``breaker_state`` /
+``deadline_exceeded_total`` against the injector, breaker and driver
+ground truth.
+
+The burst and the deadline sweep are *held* sends (:func:`_held_sends`):
+the graph's admission controller is held, one request thread starts at
+a time and is queued (or already answered) before the next starts, then
+the controller is released.  Queue order is then send order, so the
+flushes the burst makes follow from the prefix rule alone and the whole
+report is a pure function of ``(seed, trials)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -151,7 +159,7 @@ SERVE_PAGERANK_ROUNDS = 2
 #: Where a 200 body of each algorithm carries its answer.
 _ANSWER_FIELDS = {"bfs": "levels", "sssp": "distances", "pagerank": "ranks"}
 
-#: Concurrent clients in the serve-chaos burst phase.
+#: Requests in the serve-chaos burst phase (one flush while healthy).
 SERVE_BURST = 16
 
 #: Error kinds a resilient server is allowed to return for queries.
@@ -637,15 +645,19 @@ def _serve_transitions(port: int) -> List[Tuple[str, str, str]]:
     ]
 
 
-def _drive_sequence(service, clock, roots) -> Tuple[List[int], List[dict], str]:
+def _drive_sequence(
+    service, clock, roots
+) -> Tuple[List[int], List[dict], List[str], str]:
     """Phase A: a fixed single-threaded request sequence, clock-stepped.
 
     Advancing the manual host clock between requests lets quarantine
     cooldowns elapse mid-sequence, so hostile trials walk the full
     healthy -> degraded -> quarantined -> probing cycle deterministically.
+    Returns the statuses, the 200 bodies and the typed error kinds.
     """
     statuses: List[int] = []
     ok_bodies: List[dict] = []
+    errors: List[str] = []
     for i in range(SERVE_SEQUENCE):
         algorithm = SERVE_STEP_ALGORITHMS[i % len(SERVE_STEP_ALGORITHMS)]
         payload = {
@@ -667,99 +679,117 @@ def _drive_sequence(service, clock, roots) -> Tuple[List[int], List[dict], str]:
         elif status in (429, 503, 504):
             kind = body.get("error", {}).get("type") if isinstance(body, dict) else None
             if kind not in SERVE_TYPED_ERRORS:
-                return statuses, ok_bodies, (
+                return statuses, ok_bodies, errors, (
                     f"step {i}: untyped {status} error body {body!r}"
                 )
+            errors.append(kind)
         else:
-            return statuses, ok_bodies, f"step {i}: unexpected status {status}"
+            return statuses, ok_bodies, errors, (
+                f"step {i}: unexpected status {status}"
+            )
         clock.advance(0.4)
-    return statuses, ok_bodies, ""
+    return statuses, ok_bodies, errors, ""
 
 
-def _drive_burst(service, roots, answers) -> Tuple[List[dict], int, str]:
-    """Phase B: a concurrent burst; no response lost, duplicated or untyped."""
+def _held_sends(
+    service,
+    requests: List[Tuple[str, dict]],
+    before_release: Optional[Callable[[], None]] = None,
+) -> Dict[str, Tuple[int, Dict, object]]:
+    """POST ``(request id, payload)`` BFS requests behind a held queue.
+
+    Holds the graph's admission controller and starts one request thread
+    at a time, waiting until its ticket is queued (the depth grew) or it
+    was already answered (a quarantined graph rejects at ``offer``)
+    before starting the next; then runs ``before_release`` and releases.
+    Queue order is send order, so the flushes that follow are fixed by
+    the prefix rule.  Returns every outcome by request id; a second
+    response to one id is kept under ``<id>-dup``.
+    """
     import threading
 
+    controller = service.registry.get("g").admission
     results: Dict[str, Tuple[int, Dict, object]] = {}
     lock = threading.Lock()
 
-    def fire(i: int) -> None:
-        rid = f"burst-{i:02d}"
+    def send(rid: str, payload: dict) -> None:
         out = _serve_request(
             service.port, "POST", "/graphs/g/bfs",
-            payload={"root": roots[i % len(roots)]},
-            request_id=rid,
+            payload=payload, request_id=rid,
         )
         with lock:
-            if rid in results:
-                results[rid + "-dup"] = out
-            else:
-                results[rid] = out
+            results[rid + "-dup" if rid in results else rid] = out
 
-    threads = [
-        threading.Thread(target=fire, args=(i,)) for i in range(SERVE_BURST)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    threads = []
+    controller.hold()
+    try:
+        for rid, payload in requests:
+            depth = controller.depth
+            thread = threading.Thread(target=send, args=(rid, payload))
+            thread.start()
+            threads.append(thread)
+            while controller.depth == depth and thread.is_alive():
+                thread.join(0.001)
+        if before_release is not None:
+            before_release()
+    finally:
+        controller.release()
+    for thread in threads:
+        thread.join()
+    return results
+
+
+def _drive_burst(service, roots, answers) -> Tuple[List[dict], List[str], str]:
+    """Phase B: a held burst; no response lost, duplicated or untyped.
+
+    Returns the 200 bodies and the typed error kinds.
+    """
+    results = _held_sends(service, [
+        (f"burst-{i:02d}", {"root": roots[i % len(roots)]})
+        for i in range(SERVE_BURST)
+    ])
     if len(results) != SERVE_BURST:
-        return [], 0, (
+        return [], [], (
             f"burst lost/duplicated responses: {len(results)} outcomes "
             f"for {SERVE_BURST} requests ({sorted(results)})"
         )
     ok_bodies: List[dict] = []
-    errors = 0
+    errors: List[str] = []
     for i in range(SERVE_BURST):
         rid = f"burst-{i:02d}"
         status, _, body = results[rid]
         if not isinstance(body, dict) or body.get("request_id") != rid:
-            return [], 0, f"{rid}: response id mismatch ({body!r})"
+            return [], [], f"{rid}: response id mismatch ({body!r})"
         if status == 200:
             if _diverges(body, answers):
-                return [], 0, f"{rid}: levels diverge from reference"
+                return [], [], f"{rid}: levels diverge from reference"
             ok_bodies.append(body)
         elif status in (429, 503, 504):
-            errors += 1
-            if body.get("error", {}).get("type") not in SERVE_TYPED_ERRORS:
-                return [], 0, f"{rid}: untyped {status} error {body!r}"
+            kind = body.get("error", {}).get("type")
+            if kind not in SERVE_TYPED_ERRORS:
+                return [], [], f"{rid}: untyped {status} error {body!r}"
+            errors.append(kind)
         else:
-            return [], 0, f"{rid}: unexpected status {status}"
+            return [], [], f"{rid}: unexpected status {status}"
     return ok_bodies, errors, ""
 
 
 def _drive_deadlines(service, clock, roots) -> Tuple[int, str]:
     """Phase C: queue requests behind a held controller, expire them all."""
-    import threading
-
     entry = service.registry.get("g")
     if not entry.health.ready:
         return 0, ""  # quarantined trials cannot queue; sweep is elsewhere
-    controller = entry.admission
-    controller.hold()
-    outcomes: Dict[str, Tuple[int, Dict, object]] = {}
     count = 4
-
-    def fire(i: int) -> None:
-        rid = f"dl-{i:02d}"
-        outcomes[rid] = _serve_request(
-            service.port, "POST", "/graphs/g/bfs",
-            payload={"root": roots[0], "deadline_ms": 50.0},
-            request_id=rid,
-        )
-
-    threads = [threading.Thread(target=fire, args=(i,)) for i in range(count)]
-    for t in threads:
-        t.start()
-    waiter = threading.Event()
-    for _ in range(4000):
-        if controller.depth >= count:
-            break
-        waiter.wait(0.005)
-    clock.advance(0.2)  # 200ms > every 50ms deadline
-    controller.release()
-    for t in threads:
-        t.join()
+    outcomes = _held_sends(
+        service,
+        [
+            (f"dl-{i:02d}", {"root": roots[0], "deadline_ms": 50.0})
+            for i in range(count)
+        ],
+        # 200ms > every 50ms deadline
+        before_release=lambda: clock.advance(0.2),
+    )
+    controller = entry.admission
     if controller.depth != 0:
         return 0, f"deadline sweep left queue depth {controller.depth}"
     for rid in sorted(outcomes):
@@ -769,14 +799,19 @@ def _drive_deadlines(service, clock, roots) -> Tuple[int, str]:
     return count, ""
 
 
-def _reconcile_serve(service, ok_bodies: List[dict]) -> List[str]:
-    """The exact ``/metrics`` cross-check against live ground truth."""
+def _reconcile_serve(
+    service, ok_bodies: List[dict], flush_failed: int
+) -> List[str]:
+    """The exact ``/metrics`` cross-check against live ground truth.
+
+    ``flush_failed`` is the number of ``503 flush_failed`` responses the
+    driver saw.
+    """
     from repro.obs.exporters import parse_prometheus
     from repro.storage.machine import IOReport, merge_reports
 
     problems: List[str] = []
     entry = service.registry.get("g")
-    controller = entry.admission
     _, _, text = _serve_request(service.port, "GET", "/metrics")
     registry = parse_prometheus(text)
     # (1) device bytes/seeks reconcile with the deduped per-flush reports
@@ -789,16 +824,16 @@ def _reconcile_serve(service, ok_bodies: List[dict]) -> List[str]:
         + [IOReport.from_dict(d) for d in unique.values()]
     )
     problems.extend(registry.reconcile(merged))
-    # (2) resilience counters match the admission controller's ledger.
-    ctr = controller.counters()
-    for name, want in (
-        ("flush_retry_total", ctr["flush_retries"]),
-        ("deadline_exceeded_total", ctr["deadline_expired"]),
-        ("serve_flush_serial_fallback_total", ctr["serial_fallbacks"]),
+    # (2) failure counters match the controller's ledger and what the
+    # driver saw on the wire.
+    for name, want, source in (
+        ("deadline_exceeded_total",
+         entry.admission.counters()["deadline_expired"], "controller"),
+        ("serve_flush_failed_total", flush_failed, "responses"),
     ):
         got = registry.total(name)
         if got != float(want):
-            problems.append(f"{name}: metrics {got:g} != controller {want}")
+            problems.append(f"{name}: metrics {got:g} != {source} {want}")
     # (3) the breaker gauge and transition counter match the live breaker.
     got = registry.total("breaker_state", graph="g")
     if got != float(entry.health.state_code()):
@@ -847,7 +882,9 @@ def _run_serve_trial(
     clock = ManualHostClock()
     service = _serve_service(profile, trial_seed, graph, clock)
     try:
-        statuses, seq_bodies, problem = _drive_sequence(service, clock, roots)
+        statuses, seq_bodies, seq_errors, problem = _drive_sequence(
+            service, clock, roots
+        )
         transitions = _serve_transitions(service.port)
         if problem:
             trial.detail = problem
@@ -866,7 +903,10 @@ def _run_serve_trial(
         if problem:
             trial.detail = problem
             return trial
-        problems = _reconcile_serve(service, seq_bodies + burst_bodies)
+        errors = seq_errors + burst_errors
+        problems = _reconcile_serve(
+            service, seq_bodies + burst_bodies, errors.count("flush_failed")
+        )
         if problems:
             trial.detail = "metrics reconcile: " + "; ".join(problems)
             return trial
@@ -882,7 +922,7 @@ def _run_serve_trial(
     clock2 = ManualHostClock()
     replay = _serve_service(profile, trial_seed, graph, clock2)
     try:
-        statuses2, _, problem = _drive_sequence(replay, clock2, roots)
+        statuses2, _, _, problem = _drive_sequence(replay, clock2, roots)
         transitions2 = _serve_transitions(replay.port)
     finally:
         replay.shutdown()
@@ -900,7 +940,7 @@ def _run_serve_trial(
             f"{transitions} != {transitions2}"
         )
         return trial
-    typed = sum(1 for s in statuses if s != 200) + burst_errors + expired
+    typed = len(errors) + expired
     if trial.recoveries:
         trial.outcome = "recovered"
     elif typed:

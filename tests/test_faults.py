@@ -776,6 +776,30 @@ class TestChaosHarness:
             for t in b.trials
         ]
 
+    def test_serve_sweep_is_a_pure_function_of_its_seed(self, monkeypatch):
+        """One trial per serve fault profile, twice: the same report, and
+        the held burst of a healthy graph is one 16-wide flush."""
+        from repro.tooling import chaos
+
+        bursts = []
+        drive_burst = chaos._drive_burst
+
+        def recorded(service, roots, answers):
+            outcome = drive_burst(service, roots, answers)
+            bursts.append(outcome[0])
+            return outcome
+
+        monkeypatch.setattr(chaos, "_drive_burst", recorded)
+        a = chaos.run_serve_chaos(seed=0, trials=3)
+        b = chaos.run_serve_chaos(seed=0, trials=3)
+        assert a.ok
+        assert a.render() == b.render()
+        assert a.trials[0].mode == "serve/transient"
+        burst = bursts[0]
+        assert len(burst) == chaos.SERVE_BURST
+        assert len({body["flush"]["id"] for body in burst}) == 1
+        assert {body["flush"]["size"] for body in burst} == {chaos.SERVE_BURST}
+
     def test_sanitizer_failure_is_a_violation(self, monkeypatch):
         """A trial whose session breaks the protocol fails the sweep: a
         SanitizerError is a violation, not an absorbable typed error."""

@@ -139,8 +139,7 @@ class TestEndpointSchemas:
         assert report.bytes_total > 0
         assert set(body["admission"]) == {
             "queue_depth", "capacity", "accepted", "rejected",
-            "flushes", "flush_retries", "serial_fallbacks",
-            "deadline_expired", "held", "closed",
+            "flushes", "flush_retries", "deadline_expired", "held", "closed",
         }
 
     def test_bfs_response_schema(self, service):

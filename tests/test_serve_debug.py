@@ -243,8 +243,7 @@ class TestStatsSchema:
         }
         assert set(body["admission"]) == {
             "queue_depth", "capacity", "accepted", "rejected",
-            "flushes", "flush_retries", "serial_fallbacks",
-            "deadline_expired", "held", "closed",
+            "flushes", "flush_retries", "deadline_expired", "held", "closed",
         }
         assert body["admission"]["queue_depth"] == 0  # idle right now
         assert body["admission"]["accepted"] >= 1

@@ -206,9 +206,6 @@ class TestBreakerOverHTTP:
                 ("quarantined", "probing"),
                 ("probing", "quarantined"),
             ]
-            counters = entry.admission.counters()
-            # One-ticket flushes: a failed run is final, nothing falls back.
-            assert counters["serial_fallbacks"] == 0
             registry = svc.metrics_snapshot()
             assert registry.total("breaker_state", graph="g") == 3.0
             assert registry.total("breaker_transitions_total", graph="g") == 4.0
@@ -218,51 +215,30 @@ class TestBreakerOverHTTP:
 
 class TestFlushLadder:
     """Each fault schedule runs once: a rewind also rewinds the injector,
-    so only a different schedule (the serial fallback of a multi-ticket
-    flush) is worth running after a failed one."""
+    so a failed run is final at any width."""
 
-    def test_one_ticket_flush_makes_one_run(self):
+    @pytest.mark.parametrize("width", [1, 2, 16])
+    def test_failed_flush_makes_one_run(self, width):
         svc = make_service(fault_plan=BROKEN_PLAN)
         try:
             entry = svc.register("g", GRAPH)
             controller = entry.admission
             cooldown = entry.health.cooldown_seconds()
-            ticket = controller.offer("one", 3)
+            tickets = [controller.offer(f"t{i}", 3 + i) for i in range(width)]
             record = controller.flush()
-            assert record.tickets == [ticket] and ticket.done
-            assert isinstance(ticket.error, FlushFailedError)
-            assert "batched run (PersistentIOError)" in str(ticket.error)
-            assert ticket.error.retry_after == cooldown
+            assert record.tickets == tickets and record.report is None
+            for ticket in tickets:
+                assert ticket.done
+                assert isinstance(ticket.error, FlushFailedError)
+                assert "batched run (PersistentIOError)" in str(ticket.error)
+                assert ticket.error.retry_after == cooldown
             injector = entry.machine.fault_injector
             assert injector.total("fault_persistent_error") == 1
-            counters = controller.counters()
-            assert counters["flush_retries"] == 0
-            assert counters["serial_fallbacks"] == 0
+            assert controller.counters()["flush_retries"] == 0
             assert entry.health.failures_total == 1
             assert entry.health.state == "degraded"
-        finally:
-            svc.shutdown()
-
-    def test_two_ticket_flush_falls_back_once_per_ticket(self):
-        svc = make_service(fault_plan=BROKEN_PLAN)
-        try:
-            entry = svc.register("g", GRAPH)
-            controller = entry.admission
-            tickets = [controller.offer(f"t{i}", 3 + i) for i in range(2)]
-            record = controller.flush()
-            assert record.tickets == tickets
-            for ticket in tickets:
-                assert isinstance(ticket.error, FlushFailedError)
-                assert "then serial fallback" in str(ticket.error)
-            # One batched run, then one serial run per ticket.
-            injector = entry.machine.fault_injector
-            assert injector.total("fault_persistent_error") == 3
-            counters = controller.counters()
-            assert counters["flush_retries"] == 2
-            assert counters["serial_fallbacks"] == 1
-            assert entry.health.failures_total == 1
             registry = svc.metrics_snapshot()
-            assert registry.total("flush_retry_total", graph="g") == 2.0
+            assert registry.total("serve_flush_failed_total", graph="g") == width
         finally:
             svc.shutdown()
 
