@@ -114,7 +114,11 @@ class StreamingAlgorithm:
         """Return ``(updates, sources, eliminate_mask or None)`` for a run of
         edges: ``sources[k]`` is the position, within the run, of the edge
         that produced ``updates[k]`` (ascending), which is how the engine
-        attributes updates to the modeled buffers of the run."""
+        attributes updates to the modeled buffers of the run.
+
+        ``src_local`` is read-only: on a rescan of the same edge records it
+        is a view of one array the engine holds across passes, so a kernel
+        that writes to it raises instead of corrupting the next pass."""
         raise NotImplementedError
 
     def gather(

@@ -238,6 +238,9 @@ class _RunState:
         self.update_in: List[Optional[VirtualFile]] = []
         self.update_writers: List[StreamWriter] = []
         self.pending_vertex_writes: List[ScheduledRequest] = []
+        #: Per partition, the sealed edge records it last scanned and, once
+        #: it scans them again, their sources cast to partition-local int64.
+        self.scanned_sources: Dict[int, Tuple[np.ndarray, Optional[np.ndarray]]] = {}
         self.iterations: List[IterationStats] = []
         self.extras: Dict[str, float] = {}
         #: Staged-artifact file names this query must not delete/displace.
@@ -690,9 +693,15 @@ class EdgeCentricEngine(Engine):
             # The partition's state is read-only for the whole scatter, so
             # one staging of the indexed columns serves every run.
             columns = StagedColumns(state_view, rt.algo.scatter_columns)
+            held = self._held_sources(rt, p, in_file.records(), lo)
+            start = 0
             for run, bounds in _host_runs(reader):
-                src_local = run["src"].astype(np.int64)
-                src_local -= lo
+                if held is None:
+                    src_local = run["src"].astype(np.int64)
+                    src_local -= lo
+                else:
+                    src_local = held[start:start + len(run)]
+                start += len(run)
                 updates, sources, eliminate = rt.algo.scatter(
                     ctx, columns, src_local, run["src"], run["dst"]
                 )
@@ -746,6 +755,29 @@ class EdgeCentricEngine(Engine):
             self._post_partition_scatter(rt, p, ctx)
             sc_span.set(edges_streamed=streamed, updates_produced=generated)
         return generated
+
+    def _held_sources(
+        self, rt: _RunState, p: int, records: np.ndarray, lo: int
+    ) -> Optional[np.ndarray]:
+        """Partition ``p``'s sources as read-only local int64, when it scans
+        ``records`` again; None on a first scan (the run loop casts per run).
+
+        Keyed on the sealed array's identity, not on its file: a file whose
+        array is replaced (``VirtualFile.corrupt_at``) is new input.  Held
+        in the query's state, so it goes with the query.
+        """
+        if records.dtype.names is None:  # empty file that never learned its dtype
+            return None
+        seen, held = rt.scanned_sources.get(p, (None, None))
+        if seen is not records:
+            rt.scanned_sources[p] = (records, None)
+            return None
+        if held is None:
+            held = records["src"].astype(np.int64)
+            held -= lo
+            held.flags.writeable = False
+            rt.scanned_sources[p] = (records, held)
+        return held
 
     def _gather_partition(
         self,

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.pagerank import PageRankAlgorithm
+from repro.algorithms.reference import bfs_levels
 from repro.algorithms.sssp import WeightedSSSPAlgorithm
 from repro.algorithms.streaming import (
     BFSAlgorithm,
@@ -218,6 +219,114 @@ class TestCancellationRaces:
         assert result.extras["stay_cancellations"] > 0
         if extended_trim or write_bandwidth == 16384:
             assert result.extras["stay_swaps"] > 0
+
+
+class _SourceRecorder:
+    """Tags each scatter with its pass and partition, and keeps every
+    ``src_local`` the kernel receives as ``(pass, p, lo, src_local,
+    src_global)``."""
+
+    def __init__(self, engine):
+        self.seen = []
+        self.tag = None
+        scatter_partition = engine._scatter_partition
+
+        def tagged(rt, p, ctx, stats):
+            self.tag = (ctx.iteration, p, rt.partitioning.range_of(p)[0])
+            return scatter_partition(rt, p, ctx, stats)
+
+        engine._scatter_partition = tagged
+        recorder = self
+
+        class Recording(BFSAlgorithm):
+            def scatter(self, ctx, state, src_local, src_global, dst_global):
+                recorder.seen.append((*recorder.tag, src_local, src_global))
+                return super().scatter(ctx, state, src_local, src_global, dst_global)
+
+        self.algorithm = Recording()
+
+
+class TestHeldSources:
+    """A rescan of the same sealed edge records slices one held cast."""
+
+    def test_rescans_slice_one_read_only_cast_per_partition(self, monkeypatch, graph):
+        recorders = []
+
+        def drive():
+            engine = ENGINES["x-stream"]()
+            recorder = _SourceRecorder(engine)
+            recorders.append(recorder)
+            return [
+                engine.run(
+                    graph, fresh_machine(), algorithm=recorder.algorithm,
+                    root=hub_root(graph),
+                )
+            ]
+
+        record_at_every_run_length(monkeypatch, drive)
+        for label, recorder in zip(RUN_LENGTHS, recorders):
+            held = {}
+            for iteration, p, lo, src_local, src_global in recorder.seen:
+                assert np.array_equal(src_local, src_global.astype(np.int64) - lo)
+                if iteration == 0:
+                    assert src_local.flags.owndata and src_local.flags.writeable
+                    continue
+                assert not src_local.flags.writeable, label
+                assert src_local.base is held.setdefault(p, src_local.base), label
+            assert len(held) == 4
+            assert len({id(cast) for cast in held.values()}) == 4
+            assert not any(cast.flags.writeable for cast in held.values())
+            assert max(tag[0] for tag in recorder.seen) > 3
+
+    def test_replaced_records_are_cast_again(self, graph):
+        engine = ENGINES["x-stream"]()
+        recorder = _SourceRecorder(engine)
+        finish_pass = engine._finish_pass
+        corrupted = []
+
+        def corrupt_after_pass_one(rt, stats):
+            finish_pass(rt, stats)
+            if stats.iteration != 1:
+                return
+            # Flip the low byte of a source that stays inside partition 1,
+            # so the damaged file still traverses.
+            edge_file = rt.edge_files[1]
+            lo, hi = rt.partitioning.range_of(1)
+            src = edge_file.records()["src"].astype(np.int64)
+            k = int(np.flatnonzero(((src ^ 0xFF) >= lo) & ((src ^ 0xFF) < hi))[0])
+            edge_file.corrupt_at(k * EDGE_DTYPE.itemsize + EDGE_DTYPE.fields["src"][1])
+            corrupted.append((k, int(src[k] ^ 0xFF)))
+
+        engine._finish_pass = corrupt_after_pass_one
+        result = engine.run(
+            graph, fresh_machine(), algorithm=recorder.algorithm,
+            root=hub_root(graph),
+        )
+        assert result.num_iterations > 3 and corrupted
+        # The files are far shorter than a host run: one run per scan, so a
+        # run's position k is the file's record k.
+        k, damaged = corrupted[0]
+        later = [seen for seen in recorder.seen if seen[0] > 1 and seen[1] == 1]
+        assert len(later) >= 2 and all(seen[4][k] == damaged for seen in later)
+        for _, _, lo, src_local, src_global in recorder.seen:
+            assert np.array_equal(src_local, src_global.astype(np.int64) - lo)
+
+    def test_cancelled_stay_write_rescan_matches_reference(self, graph):
+        config = small_fastbfs_config(
+            cancellation_grace=0.0, num_stay_buffers=64, stay_disk=1,
+        )
+        root = hub_root(graph)
+        engine = FastBFSEngine(config)
+        recorder = _SourceRecorder(engine)
+        result = engine.run(
+            graph, slow_stay_disk_machine(8192), algorithm=recorder.algorithm,
+            root=root,
+        )
+        assert result.extras["stay_cancellations"] > 0
+        # A cancelled stay write sends its partition back to the file it
+        # just scanned: that rescan slices the held cast.
+        assert any(not seen[3].flags.writeable for seen in recorder.seen)
+        assert np.array_equal(result.levels, bfs_levels(graph, root))
 
 
 def schedule_digest(records) -> str:
