@@ -11,11 +11,13 @@ path is *observationally identical* per query:
 * the batch scans strictly fewer edge records than the serial rewind
   whenever more than one query shares a batch.
 
-The matrix reuses the graph/config/placement axes of the main
-differential suite and adds the batching-specific ones: batch widths 1,
-2, 64 (exactly one full mask) and 65 (spills into a second batch),
-early-converging queries (isolated roots that finish in one pass while
-hub queries keep scanning), duplicate roots, and multi-source slots.
+The matrix reuses the graph/config/placement scenarios of the contract
+matrix (``tests/test_contracts.py``, whose ``batched`` column holds every
+engine and batchable kernel to the serial path on two roots) and adds
+the batching-specific ones: batch widths 1, 2, 64 (exactly one full
+mask) and 65 (spills into a second batch), early-converging queries
+(isolated roots that finish in one pass while hub queries keep
+scanning), duplicate roots, and multi-source slots.
 
 A chunk of one runs the serial kernel in either mode, so a one-root
 batched call, the 65th root of a 65-root call and a one-ticket admission
@@ -33,12 +35,11 @@ from repro.algorithms.validation import validate_bfs_result
 from repro.core.engine import FastBFSEngine
 from repro.engines.graphchi import GraphChiEngine
 from repro.engines.session import run_staged_queries
-from repro.engines.xstream import XStreamEngine
 from repro.graph.generators import random_graph, rmat_graph
 from repro.graph.graph import Graph
 from tests.helpers import fresh_machine, small_fastbfs_config
 
-from tests.test_differential import _config_for, _graph_for, _placement_for
+from tests.test_contracts import _config_for, _graph_for, _placement_for
 
 NUM_CASES = 12
 
@@ -61,14 +62,14 @@ def _roots_for(graph: Graph, i: int) -> list:
     return roots
 
 
-def _run_both(graph, cfg, num_disks, memory_kb, roots, engine_cls=FastBFSEngine):
-    serial = engine_cls(cfg).run_many(
+def _run_both(graph, cfg, num_disks, memory_kb, roots):
+    serial = FastBFSEngine(cfg).run_many(
         graph,
         fresh_machine(num_disks=num_disks, memory=memory_kb * 1024),
         roots=roots,
         mode="serial",
     )
-    batched = engine_cls(cfg).run_many(
+    batched = FastBFSEngine(cfg).run_many(
         graph,
         fresh_machine(num_disks=num_disks, memory=memory_kb * 1024),
         roots=roots,
@@ -161,59 +162,6 @@ def test_multi_source_slots_batch_like_serial():
 
     serial, batched = _run_both(graph, small_fastbfs_config(), 1, 256, roots)
     _assert_batch_matches_serial(serial, batched, roots)
-
-
-def test_xstream_bfs_batches_too():
-    """The batched kernel is engine-agnostic: X-Stream BFS shares scans."""
-    from tests.helpers import small_engine_config
-
-    graph = random_graph(80, 500, seed=5)
-    deg = graph.out_degrees()
-    roots = [int(v) for v in np.argsort(-deg)[:3]]
-
-    serial = XStreamEngine(small_engine_config()).run_many(
-        graph,
-        fresh_machine(num_disks=1, memory=256 * 1024),
-        roots=roots,
-        mode="serial",
-    )
-    batched = XStreamEngine(small_engine_config()).run_many(
-        graph,
-        fresh_machine(num_disks=1, memory=256 * 1024),
-        roots=roots,
-        mode="batched",
-    )
-    _assert_batch_matches_serial(serial, batched, roots, graph=graph)
-    assert batched.edges_scanned < serial.edges_scanned
-
-
-def test_unbatchable_algorithm_falls_back_to_serial():
-    """WCC has no batched kernel: mode='batched' silently runs serially."""
-    from repro.algorithms.streaming import WCCAlgorithm
-
-    graph = random_graph(80, 500, seed=5).symmetrized()
-    roots = [0, 1, 2]
-
-    batch = FastBFSEngine(small_fastbfs_config()).run_many(
-        graph,
-        fresh_machine(num_disks=1, memory=256 * 1024),
-        roots=roots,
-        mode="batched",
-        algorithm=WCCAlgorithm(),
-    )
-    assert batch.mode == "serial"
-    assert batch.extras["batched_fallback"] == 1.0
-
-    reference = FastBFSEngine(small_fastbfs_config()).run_many(
-        graph,
-        fresh_machine(num_disks=1, memory=256 * 1024),
-        roots=roots,
-        mode="serial",
-        algorithm=WCCAlgorithm(),
-    )
-    for qs, qb in zip(reference.queries, batch.queries):
-        assert np.array_equal(qs.output["label"], qb.output["label"])
-        assert qs.report.execution_time == qb.report.execution_time
 
 
 def test_serial_mode_unchanged_by_the_refactor():

@@ -5,7 +5,6 @@ import pytest
 
 from tests.helpers import fresh_machine, graph_from_pairs, hub_root
 
-from repro.algorithms.pagerank import PageRankAlgorithm
 from repro.algorithms.reference import bfs_levels
 from repro.algorithms.streaming import WCCAlgorithm
 from repro.engines.graphchi import (
@@ -252,15 +251,6 @@ class TestWCC:
         )
         assert result.algorithm == "wcc"
         assert "parent" not in result.output
-
-    def test_unknown_algorithm(self, rmat10):
-        machine = fresh_machine()
-        with pytest.raises(EngineError):
-            GraphChiEngine().run(
-                rmat10, machine,
-                algorithm=PageRankAlgorithm(rmat10.out_degrees(), rounds=3),
-            )
-        assert machine.clock.now == 0.0 and len(machine.vfs) == 0
 
 
 class TestFaultPlan:

@@ -65,8 +65,7 @@ def test_engine_graph_matrix(graph_name, engine_name):
     engine = dict(all_engines())[engine_name]
     root = hub_root(graph)
     ref = bfs_levels(graph, root)
-    num_disks = 2 if "2disk" in engine_name else 1
-    result = engine.run(graph, fresh_machine(num_disks=num_disks), root=root)
+    result = engine.run(graph, fresh_machine(), root=root)
     assert np.array_equal(result.levels, ref), (
         f"{engine_name} wrong on {graph_name}"
     )
