@@ -34,12 +34,7 @@ import numpy as np
 
 from repro.errors import EngineError
 from repro.graph.types import NO_PARENT, UNVISITED, UPDATE_DTYPE
-from repro.utils.bits import (
-    earlier_bits_in_run,
-    mask_bit_counts,
-    mask_bit_pairs,
-    popcounts64,
-)
+from repro.utils.bits import earlier_bits_in_run, mask_bit_counts, mask_bit_pairs
 
 #: Width of one MS-BFS batch: one query per bit of a ``uint64`` mask word.
 BATCH_WIDTH = 64
@@ -402,13 +397,14 @@ class BatchedBFSAlgorithm(StreamingAlgorithm):
     """MS-BFS: up to :data:`BATCH_WIDTH` concurrent BFS traversals per scan.
 
     Per-vertex state packs one frontier bit and one visited bit per query
-    into ``uint64`` mask words, plus per-query level/parent columns; the
-    shared ``active`` flag (any frontier bit set) keeps the engines'
-    selective scheduling working unchanged.  Scatter emits one update
-    record per frontier edge carrying the *mask* of queries it serves;
-    gather claims each destination per query bit with the same
-    first-update-wins stream order as the serial kernel, so demultiplexed
-    levels/parents are bit-identical to Q serial runs.
+    into ``uint64`` mask words; the shared ``active`` flag (any frontier
+    bit set) keeps the engines' selective scheduling working unchanged.
+    Per-query levels and parents are outputs, not state every pass scans:
+    the kernel holds them as ``(Q, V)`` arrays, one row per query slot.
+    Scatter emits one update record per frontier edge carrying the *mask*
+    of queries it serves; gather claims each destination per query bit
+    with the same first-update-wins stream order as the serial kernel, so
+    demultiplexed levels/parents are bit-identical to Q serial runs.
 
     Trimming generalizes the paper's rule to the batch: an edge is dead
     only when its source is visited for **every live query** (queries that
@@ -422,7 +418,7 @@ class BatchedBFSAlgorithm(StreamingAlgorithm):
     supports_trimming = True
     #: Per pass the two mask words round-trip through the vertex-set files
     #: (16 bytes); per-query levels/parents are written once at visit time
-    #: and live with the result arrays, like the serial kernel's ``active``.
+    #: into the kernel's output rows, like the serial kernel's ``active``.
     disk_record_bytes = 16
     update_dtype = BATCH_UPDATE_DTYPE
     scatter_columns = ("frontier", "visited")
@@ -442,13 +438,7 @@ class BatchedBFSAlgorithm(StreamingAlgorithm):
         self.serial = serial if serial is not None else BFSAlgorithm()
         self.level_output_key = self.serial.level_output_key
         self.state_dtype = np.dtype(
-            [
-                ("frontier", "<u8"),
-                ("visited", "<u8"),
-                ("level", "<i4", (num_queries,)),
-                ("parent", "<u4", (num_queries,)),
-                ("active", "u1"),
-            ]
+            [("frontier", "<u8"), ("visited", "<u8"), ("active", "u1")]
         )
         self._full_mask = np.uint64((1 << num_queries) - 1 if num_queries < 64
                                     else 0xFFFFFFFFFFFFFFFF)
@@ -462,6 +452,10 @@ class BatchedBFSAlgorithm(StreamingAlgorithm):
         self._updates_by_pass: Dict[int, np.ndarray] = {}
         #: Per-query vertices newly claimed at level i (gather of pass i).
         self._activated_by_pass: Dict[int, np.ndarray] = {}
+        #: Row q is slot q's level / parent of every vertex (built by
+        #: ``init_state_validated``, written through flat indices).
+        self._levels = np.empty((self.num_queries, 0), dtype=np.int32)
+        self._parents = np.empty((self.num_queries, 0), dtype=np.uint32)
 
     # ------------------------------------------------------------------
     # state construction
@@ -480,14 +474,15 @@ class BatchedBFSAlgorithm(StreamingAlgorithm):
                 f"{len(slots)} root entries"
             )
         self.reset()
+        shape = (self.num_queries, num_vertices)
+        self._levels = np.full(shape, UNVISITED, dtype=np.int32)
+        self._parents = np.full(shape, NO_PARENT, dtype=np.uint32)
         state = np.zeros(num_vertices, dtype=self.state_dtype)
-        state["level"][:] = UNVISITED
-        state["parent"][:] = NO_PARENT
         frontier = state["frontier"]
         for q, slot_roots in enumerate(slots):
             bit = np.uint64(1 << q)
             frontier[slot_roots] |= bit
-            state["level"][slot_roots, q] = 0
+            self._levels[q, slot_roots] = 0
             state["active"][slot_roots] = 1
         state["visited"][:] = frontier
         return state
@@ -562,9 +557,12 @@ class BatchedBFSAlgorithm(StreamingAlgorithm):
 
         level = ctx.iteration + 1
         winners, queries = mask_bit_pairs(claim, self.num_queries)
-        vertices = dst[winners]
-        state["level"][vertices, queries] = level
-        state["parent"][vertices, queries] = buf["payload"][order[winners]]
+        # ``dst`` is partition-relative; the records carry global ids,
+        # which index the (Q, V) output rows as one flat position each.
+        rows = order.take(winners)
+        at = queries * self._levels.shape[1] + buf["dst"].take(rows)
+        self._levels.put(at, level)
+        self._parents.put(at, buf["payload"].take(rows))
         per_q = self._activated_by_pass.setdefault(
             level, np.zeros(self.num_queries, dtype=np.int64)
         )
@@ -582,15 +580,10 @@ class BatchedBFSAlgorithm(StreamingAlgorithm):
         return buf
 
     def update_weights(self, updates: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+        """Set bits per buffer: one bit is one serial-equivalent update."""
         upto = np.zeros(len(updates) + 1, dtype=np.int64)
-        np.cumsum(popcounts64(updates["mask"]), dtype=np.int64, out=upto[1:])
+        np.cumsum(np.bitwise_count(updates["mask"]), dtype=np.int64, out=upto[1:])
         return np.diff(upto.take(cuts))
-
-    def result(self, state):
-        return {
-            "level": state["level"].copy(),
-            "parent": state["parent"].copy(),
-        }
 
     # ------------------------------------------------------------------
     # per-query demultiplexing (consumed by BatchedQuerySession)
@@ -619,9 +612,9 @@ class BatchedBFSAlgorithm(StreamingAlgorithm):
                 last = i
         return last + 2 if last >= 0 else 1
 
-    def query_output(self, state: np.ndarray, q: int) -> Dict[str, np.ndarray]:
+    def query_output(self, q: int) -> Dict[str, np.ndarray]:
         """Demultiplex slot ``q``'s result arrays (serial key names)."""
         return {
-            self.level_output_key: state["level"][:, q].copy(),
-            "parent": state["parent"][:, q].copy(),
+            self.level_output_key: self._levels[q].copy(),
+            "parent": self._parents[q].copy(),
         }

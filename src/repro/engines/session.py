@@ -622,7 +622,7 @@ class BatchedQuerySession(QuerySession):
             engine=self.engine.name,
             algorithm=self.algorithm.name,
             graph_name=self.staged.graph.name,
-            output=kernel.query_output(rt.state, q),
+            output=kernel.query_output(q),
             report=report,
             iterations=iterations,
             extras=extras,

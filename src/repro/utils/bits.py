@@ -15,12 +15,6 @@ _BYTE_BITS = np.unpackbits(
     np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
 ).astype(np.int64)
 
-#: Set-bit count of every 16-bit value: a ``uint64`` mask is four lookups
-#: instead of a 64-byte ``unpackbits`` expansion.
-_POPCOUNT16 = np.add.outer(
-    _BYTE_BITS.sum(axis=1), _BYTE_BITS.sum(axis=1)
-).ravel().astype(np.uint8)
-
 #: Where byte ``b`` of a mask starts in a histogram over all byte values.
 _BYTE_OFFSETS = np.arange(8) * 256
 
@@ -30,20 +24,6 @@ def _low_bytes(masks: np.ndarray, width: int) -> np.ndarray:
     byte a batch of ``width`` queries can set, and no others."""
     flat = np.ascontiguousarray(masks, dtype="<u8")
     return flat.view(np.uint8).reshape(-1, 8)[:, : (width + 7) // 8]
-
-
-def popcounts64(masks: np.ndarray) -> np.ndarray:
-    """Set bits of each ``uint64`` liveness mask.
-
-    One set bit = one serial-equivalent unit of per-query update work; the
-    batched kernels sum these over each modeled buffer of a run to weight
-    shuffle/gather cost charging (see ``repro.engines.costs``).
-    """
-    flat = np.ascontiguousarray(masks, dtype=np.uint64)
-    # Four byte-sized counts per mask, summed in one multiply: the top byte
-    # of x * 0x01010101 is the sum of x's four bytes (at most 64: no carry).
-    quads = _POPCOUNT16.take(flat.view(np.uint16)).view(np.uint32)
-    return (quads * np.uint32(0x01010101)) >> np.uint32(24)
 
 
 def mask_bit_counts(

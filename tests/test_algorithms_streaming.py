@@ -270,12 +270,13 @@ def gather_per_bit_oracle(algo, ctx, state, dst_local, buf) -> int:
         if not fresh.any():
             continue
         dst = dst[fresh]
+        vertices = buf["dst"][has][fresh]  # global ids: the output columns
         parents = buf["payload"][has][fresh]
         uniq, first_idx = np.unique(dst, return_index=True)
         state["visited"][uniq] |= bit
         state["frontier"][uniq] |= bit
-        state["level"][uniq, q] = level
-        state["parent"][uniq, q] = parents[first_idx]
+        algo._levels[q, vertices[first_idx]] = level
+        algo._parents[q, vertices[first_idx]] = parents[first_idx]
         state["active"][uniq] = 1
         claimed = len(uniq)
         activated += claimed
@@ -296,6 +297,34 @@ def _batch_buffer(dst, payload, mask) -> np.ndarray:
 
 def _full_mask(width: int) -> int:
     return (1 << width) - 1
+
+
+def _outputs(algo) -> dict:
+    """Every slot's level and parent outputs, each as one ``[vertex, query]``
+    table."""
+    return {
+        key: np.stack(
+            [algo.query_output(q)[key] for q in range(algo.num_queries)], axis=1
+        )
+        for key in ("level", "parent")
+    }
+
+
+class TestBatchedState:
+    @pytest.mark.parametrize("width", [1, 2, 63, 64])
+    def test_record_is_two_mask_words_and_the_active_byte(self, width):
+        """Levels and parents are outputs, not per-vertex state: the record
+        every pass scans is 17 bytes at any width."""
+        algo = BatchedBFSAlgorithm(width)
+        assert algo.state_dtype.names == ("frontier", "visited", "active")
+        assert algo.state_dtype.itemsize == 17
+        state = algo.init_state(5, [[q % 5] for q in range(width)])
+        assert state.dtype.itemsize == 17
+        level, parent = _outputs(algo).values()
+        assert level.shape == (5, width)
+        assert level[[q % 5 for q in range(width)], range(width)].tolist() == [0] * width
+        assert int((level == 0).sum()) == width
+        assert (parent == NO_PARENT).all()
 
 
 class TestBatchedGather:
@@ -339,8 +368,11 @@ class TestBatchedGather:
     def _assert_same(self, new, ref, level, returned, expected):
         (algo, state), (ref_algo, ref_state) = new, ref
         assert returned == expected
-        for field in ("frontier", "visited", "level", "parent", "active"):
+        for field in ("frontier", "visited", "active"):
             assert np.array_equal(state[field], ref_state[field]), field
+        theirs = _outputs(ref_algo)
+        for key, table in _outputs(algo).items():
+            assert np.array_equal(table, theirs[key]), key
         assert np.array_equal(
             algo.per_query_activated(level), ref_algo.per_query_activated(level)
         )
@@ -379,9 +411,12 @@ class TestBatchedGather:
         lo, hi = 13, 31
         buf = self._random_buffer(width, rng, lo, hi, 120)
         untouched = new[1].copy()
+        outputs = _outputs(new[0])
         self._gather_both(new, ref, AlgoContext(0), buf, lo=lo, hi=hi)
         outside = np.r_[0:lo, hi:self.NUM_VERTICES]
         assert np.array_equal(new[1][outside], untouched[outside])
+        for key, table in _outputs(new[0]).items():  # every query's row
+            assert np.array_equal(table[outside], outputs[key][outside]), key
 
     def test_overlapping_masks_first_record_wins_each_bit(self):
         algo = BatchedBFSAlgorithm(64)
@@ -398,10 +433,11 @@ class TestBatchedGather:
         # vertex 4: bits 1,2 <- record 0; bits 0,63 <- record 2; bit 3 <-
         # record 3.  vertex 2: bit 0 <- record 1.
         assert claims == 6
-        assert state["parent"][4, [0, 1, 2, 3, 63]].tolist() == [12, 10, 10, 13, 12]
-        assert state["parent"][2, 0] == 11
-        assert state["level"][4, [0, 1, 2, 3, 63]].tolist() == [6] * 5
-        assert state["level"][4, 4] == UNVISITED
+        level, parent = _outputs(algo).values()
+        assert parent[4, [0, 1, 2, 3, 63]].tolist() == [12, 10, 10, 13, 12]
+        assert parent[2, 0] == 11
+        assert level[4, [0, 1, 2, 3, 63]].tolist() == [6] * 5
+        assert level[4, 4] == UNVISITED
         assert int(state["visited"][4]) == 0b1111 | top
         assert int(state["frontier"][4]) == 0b1111 | top
         assert int(state["frontier"][2]) == 0b0001
@@ -415,7 +451,7 @@ class TestBatchedGather:
         state = algo.init_state(3, [[0]] * 8)
         buf = _batch_buffer([1, 1, 1], [5, 6, 7], [0b001, 0b010, 0b100])
         assert algo.gather(AlgoContext(0), state, np.array([1, 1, 1]), buf) == 3
-        assert state["parent"][1, :3].tolist() == [5, 6, 7]
+        assert _outputs(algo)["parent"][1, :3].tolist() == [5, 6, 7]
 
     def test_second_buffer_cannot_reclaim(self):
         algo = BatchedBFSAlgorithm(2)
@@ -425,7 +461,7 @@ class TestBatchedGather:
         dst = np.array([2])
         assert algo.gather(AlgoContext(0), state, dst, first) == 1
         assert algo.gather(AlgoContext(0), state, np.array([2, 2]), second) == 1
-        assert state["parent"][2].tolist() == [7, 8]
+        assert _outputs(algo)["parent"][2].tolist() == [7, 8]
         assert algo.per_query_activated(1).tolist() == [1, 1]
 
     def test_all_stale_buffer_changes_nothing(self):
@@ -433,22 +469,28 @@ class TestBatchedGather:
         state = algo.init_state(4, [[0]] * 64)
         state["visited"][:] = np.uint64(_full_mask(64))
         before = state.copy()
+        outputs = _outputs(algo)
         buf = _batch_buffer([1, 3, 1], [5, 6, 7], [1 << 63, 0b1, _full_mask(64)])
         assert algo.gather(
             AlgoContext(0), state, buf["dst"].astype(np.int64), buf
         ) == 0
         assert np.array_equal(state, before)
+        for key, table in _outputs(algo).items():
+            assert np.array_equal(table, outputs[key]), key
         assert not algo.per_query_activated(1).any()
 
     def test_empty_buffer(self):
         algo = BatchedBFSAlgorithm(9)
         state = algo.init_state(4, [[0]] * 9)
         before = state.copy()
+        outputs = _outputs(algo)
         buf = np.empty(0, dtype=BATCH_UPDATE_DTYPE)
         assert algo.gather(
             AlgoContext(0), state, np.empty(0, dtype=np.int64), buf
         ) == 0
         assert np.array_equal(state, before)
+        for key, table in _outputs(algo).items():
+            assert np.array_equal(table, outputs[key]), key
 
 
 class TestBatchedScatter:

@@ -20,9 +20,9 @@ mask) and 65 (spills into a second batch), early-converging queries
 scanning), duplicate roots, and multi-source slots.
 
 A chunk of one runs the serial kernel in either mode, so a one-root
-batched call, the 65th root of a 65-root call and a one-ticket admission
-flush must equal the serial run in report and iteration stats too, not
-only in answers.
+batched call and the 65th root of a 65-root call must equal the serial
+run in report and iteration stats too, not only in answers (the contract
+matrix's ``flush`` column holds a one-ticket admission flush to it).
 """
 
 from __future__ import annotations
@@ -164,28 +164,6 @@ def test_multi_source_slots_batch_like_serial():
     _assert_batch_matches_serial(serial, batched, roots)
 
 
-def test_serial_mode_unchanged_by_the_refactor():
-    """mode='serial' is the default and still rewinds per query."""
-    graph = random_graph(90, 500, seed=9)
-    deg = graph.out_degrees()
-    roots = [int(v) for v in np.argsort(-deg)[:3]]
-
-    default = FastBFSEngine(small_fastbfs_config()).run_many(
-        graph, fresh_machine(num_disks=1, memory=256 * 1024), roots=roots
-    )
-    explicit = FastBFSEngine(small_fastbfs_config()).run_many(
-        graph,
-        fresh_machine(num_disks=1, memory=256 * 1024),
-        roots=roots,
-        mode="serial",
-    )
-    assert default.mode == explicit.mode == "serial"
-    for qd, qe in zip(default.queries, explicit.queries):
-        assert np.array_equal(qd.levels, qe.levels)
-        assert qd.report.execution_time == qe.report.execution_time
-    assert default.total_time == explicit.total_time
-
-
 @pytest.mark.parametrize(
     "engine",
     [FastBFSEngine(small_fastbfs_config()), GraphChiEngine()],
@@ -257,22 +235,3 @@ def test_65th_root_runs_alone_as_the_serial_query():
     assert tail == serial.queries[64].iterations
     ref = bfs_levels(graph, roots[64])
     assert np.array_equal(batched.queries[64].levels, ref)
-
-
-def test_one_ticket_flush_reports_the_serial_query():
-    from repro.serve import AdmissionController, ArtifactRegistry
-
-    entry = ArtifactRegistry().register(
-        "tiny", rmat_graph(scale=8, edge_factor=8, seed=7)
-    )
-    root = int(np.argmax(entry.graph.out_degrees()))
-    controller = AdmissionController(entry)
-    ticket = controller.offer("r0", root)
-    record = controller.flush()
-    assert record.size == 1 and ticket.flush_mode == "batched"
-    (direct,) = run_staged_queries(
-        entry.engine, entry.staged, entry.checkpoint, [root], mode="serial"
-    ).queries
-    assert record.report.to_dict() == direct.report.to_dict()
-    _assert_same_query(direct, ticket.result)
-    assert np.array_equal(ticket.result.levels, bfs_levels(entry.graph, root))

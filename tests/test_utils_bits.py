@@ -9,13 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.streaming import BATCH_UPDATE_DTYPE
+from repro.algorithms.streaming import BATCH_UPDATE_DTYPE, BatchedBFSAlgorithm
 from repro.utils.bits import (
     _low_bytes,
     earlier_bits_in_run,
     mask_bit_counts,
     mask_bit_pairs,
-    popcounts64,
 )
 
 TOP = 1 << 63
@@ -70,30 +69,78 @@ def mostly_zero_masks(draw):
     return uint64s(masks), width
 
 
+def update_records(masks, step=1) -> np.ndarray:
+    """Update records carrying ``masks``: every ``step``-th record of a
+    larger array, whose ``dst`` and ``payload`` are all ones so that a
+    neighbouring field leaking into a count would show."""
+    records = np.zeros(len(masks) * step, dtype=BATCH_UPDATE_DTYPE)
+    records["dst"] = 0xFFFFFFFF
+    records["payload"] = 0xFFFFFFFF
+    updates = records[::step]
+    updates["mask"] = masks
+    return updates
+
+
+def assert_weights_are_set_bits(updates, cuts) -> list:
+    """``update_weights`` gives each buffer ``[cuts[i], cuts[i+1])`` the
+    set bits of its masks, counted in plain Python; returns the weights."""
+    cuts = np.asarray(cuts, dtype=np.int64)
+    got = BatchedBFSAlgorithm(64).update_weights(updates, cuts)
+    masks = updates["mask"]
+    want = [py_popcount(masks[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+    return want
+
+
+@st.composite
+def cut_updates(draw):
+    """``(updates, cuts)``: any 64-bit masks, as contiguous records or as
+    every third record, cut at ascending positions from 0 to the end;
+    equal neighbouring cuts are empty buffers."""
+    masks = draw(st.lists(st.integers(min_value=0, max_value=ALL), max_size=40))
+    inner = draw(st.lists(
+        st.integers(min_value=0, max_value=len(masks)), max_size=6
+    ))
+    step = draw(st.sampled_from([1, 3]))
+    cuts = [0] + sorted(inner) + [len(masks)]
+    return update_records(uint64s(masks), step), cuts
+
+
 class TestPopcount64:
-    """``popcounts64`` per mask, summed: the total set bits."""
+    """The charge weights: ``BatchedBFSAlgorithm.update_weights`` sums the
+    set bits of each buffer's masks (one bit, one serial update)."""
 
     def test_empty(self):
-        assert int(popcounts64(np.empty(0, dtype=np.uint64)).sum()) == 0
+        assert assert_weights_are_set_bits(update_records(uint64s([])), [0, 0]) == [0]
 
     def test_known_values(self):
         masks = np.array([0, 1, TOP, ALL, TOP | 1, 0xFFFF0000], dtype=np.uint64)
-        assert popcounts64(masks).tolist() == [0, 1, 1, 64, 2, 16]
+        cuts = range(len(masks) + 1)  # one buffer per record
+        weights = assert_weights_are_set_bits(update_records(masks), cuts)
+        assert weights == [0, 1, 1, 64, 2, 16]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_matches_python(self, seed):
         masks = random_masks(seed, 300)
-        assert int(popcounts64(masks).sum()) == py_popcount(masks)
+        assert_weights_are_set_bits(update_records(masks), [0, 300])
 
     def test_strided_structured_field_view(self):
-        updates = np.zeros(50, dtype=BATCH_UPDATE_DTYPE)
-        updates["dst"] = 0xFFFFFFFF  # neighbouring fields must not leak in
-        updates["payload"] = 0xFFFFFFFF
-        updates["mask"] = random_masks(7, 50)
-        view = updates["mask"]
-        assert not view.flags["C_CONTIGUOUS"]
-        assert int(popcounts64(view).sum()) == py_popcount(view)
-        assert int(popcounts64(view[::3]).sum()) == py_popcount(view[::3])
+        updates = update_records(random_masks(7, 50))
+        assert not updates["mask"].flags["C_CONTIGUOUS"]
+        assert_weights_are_set_bits(updates, [0, 50])
+        assert_weights_are_set_bits(update_records(random_masks(7, 17), 3), [0, 17])
+
+    @PROPERTY
+    @example(case=(update_records(uint64s([])), [0, 0, 0]))
+    @example(case=(update_records(uint64s([0, 1, TOP, ALL, TOP | 1, 0xFFFF0000])),
+                   [0, 1, 2, 3, 4, 5, 6]))
+    @example(case=(update_records(uint64s([ALL, ALL, ALL]), 3), [0, 0, 2, 2, 3]))
+    @given(case=cut_updates())
+    def test_weights_are_python_bit_counts(self, case):
+        """Every buffer's weight is the plain-Python count of its masks'
+        set bits, whatever the cuts, empty buffers and record stride."""
+        assert_weights_are_set_bits(*case)
 
 
 class TestMaskBitCounts:
@@ -129,7 +176,7 @@ class TestMaskBitCounts:
 
     def test_column_sum_is_popcount(self):
         masks = random_masks(5, 128)
-        assert int(mask_bit_counts(masks, 64).sum()) == int(popcounts64(masks).sum())
+        assert int(mask_bit_counts(masks, 64).sum()) == py_popcount(masks)
 
     @PROPERTY
     @example(case=(uint64s([]), 7, np.array([], dtype=np.int64)))
