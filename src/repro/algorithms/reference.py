@@ -10,7 +10,7 @@ the edges FastBFS trims).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union, cast
 
 import numpy as np
 
@@ -28,7 +28,7 @@ def _as_csr(graph: Union[Graph, CSRGraph]) -> CSRGraph:
 
 def bfs_levels(graph: Union[Graph, CSRGraph], root: int) -> np.ndarray:
     """BFS levels from ``root``; unreachable vertices get -1."""
-    levels, _ = bfs_parents_and_levels(graph, root)
+    levels, _ = _bfs(_as_csr(graph), root, with_parents=False)
     return levels
 
 
@@ -41,36 +41,48 @@ def bfs_parents_and_levels(
     result deterministic); the root's parent is the NO_PARENT sentinel, as
     are unreachable vertices'.
     """
-    csr = _as_csr(graph)
+    levels, parents = _bfs(_as_csr(graph), root, with_parents=True)
+    return levels, cast(np.ndarray, parents)
+
+
+def _bfs(
+    csr: CSRGraph, root: int, with_parents: bool
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The level loop behind both public functions.
+
+    Each level is a few linear passes over the frontier's adjacency, with
+    no sort of it: the unvisited neighbours take the new level, each keeps
+    its lowest-id frontier source as parent (NO_PARENT is above every
+    vertex id, so ``np.minimum.at`` picks it), and the next frontier is
+    every vertex at the new level, in ascending order.
+    """
     n = csr.num_vertices
     if not 0 <= root < n:
         raise GraphError(f"root {root} out of range for {n} vertices")
     levels = np.full(n, UNVISITED, dtype=np.int32)
-    parents = np.full(n, NO_PARENT, dtype=np.uint32)
+    parents = np.full(n, NO_PARENT, dtype=np.uint32) if with_parents else None
     levels[root] = 0
     frontier = np.array([root], dtype=np.int64)
     depth = 0
     while len(frontier):
-        starts = csr.indptr[frontier]
-        lengths = csr.indptr[frontier + 1] - starts
         neighbors = csr.frontier_neighbors(frontier)
-        sources = np.repeat(frontier, lengths)
-        fresh = levels[neighbors] == UNVISITED
-        cand_dst = neighbors[fresh]
-        cand_src = sources[fresh]
-        if len(cand_dst) == 0:
+        fresh = np.flatnonzero(levels.take(neighbors) == UNVISITED)
+        if len(fresh) == 0:
             break
-        # Deterministic parent: sort by (dst, src), keep the first per dst.
-        order = np.lexsort((cand_src, cand_dst))
-        cand_dst = cand_dst[order]
-        cand_src = cand_src[order]
-        first = np.ones(len(cand_dst), dtype=bool)
-        first[1:] = cand_dst[1:] != cand_dst[:-1]
-        new_dst = cand_dst[first]
+        reached = neighbors.take(fresh)
         depth += 1
-        levels[new_dst] = depth
-        parents[new_dst] = cand_src[first]
-        frontier = new_dst
+        levels[reached] = depth
+        if parents is not None:
+            lengths = csr.indptr.take(frontier + 1) - csr.indptr.take(frontier)
+            sources = np.repeat(frontier.astype(np.uint32), lengths)
+            np.minimum.at(parents, reached, sources.take(fresh))
+        # The next frontier, ascending.  Scanning all V levels costs O(V)
+        # per level, which on a long path or grid outweighs sorting the
+        # few vertices a small level reached.
+        if len(reached) < n >> 6:
+            frontier = np.unique(reached)
+        else:
+            frontier = np.flatnonzero(levels == depth)
     return levels, parents
 
 

@@ -580,10 +580,19 @@ class BatchedBFSAlgorithm(StreamingAlgorithm):
         return buf
 
     def update_weights(self, updates: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-        """Set bits per buffer: one bit is one serial-equivalent update."""
-        upto = np.zeros(len(updates) + 1, dtype=np.int64)
-        np.cumsum(np.bitwise_count(updates["mask"]), dtype=np.int64, out=upto[1:])
-        return np.diff(upto.take(cuts))
+        """Set bits per buffer: one bit is one serial-equivalent update.
+
+        ``np.add.reduceat`` sums each non-empty buffer's counts.  It would
+        give an empty buffer (equal cuts) the next record's count, so those
+        keep their zero, and it sums the last buffer to the end of its
+        input, so that ends at ``cuts[-1]``.
+        """
+        counts = np.bitwise_count(updates["mask"][: cuts[-1]])
+        weights = np.zeros(len(cuts) - 1, dtype=np.int64)
+        full = np.flatnonzero(cuts[1:] > cuts[:-1])
+        if len(full):
+            weights[full] = np.add.reduceat(counts, cuts.take(full), dtype=np.int64)
+        return weights
 
     # ------------------------------------------------------------------
     # per-query demultiplexing (consumed by BatchedQuerySession)

@@ -1,6 +1,6 @@
 """Compressed-sparse-row adjacency, used by the in-memory reference BFS.
 
-Built fully vectorized (counting sort on sources); the engines never touch
+Built fully vectorized (one key sort on sources); the engines never touch
 this — it exists so every out-of-core result can be checked against a
 straightforward in-memory traversal.
 """
@@ -27,13 +27,23 @@ class CSRGraph:
 
     @staticmethod
     def from_graph(graph: Graph) -> "CSRGraph":
+        """The out-adjacency of ``graph``, each row in edge-list order.
+
+        Sorting the unique keys (source, edge position) with the default
+        sort gives the stable order several times faster than
+        ``kind="stable"``; vertex ids are 32-bit and the edge count is
+        below 2**31, so a key fits an int64.
+        """
         src = graph.edges["src"]
         dst = graph.edges["dst"]
         counts = np.bincount(src, minlength=graph.num_vertices)
         indptr = np.zeros(graph.num_vertices + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        order = np.argsort(src, kind="stable")
-        indices = dst[order].astype(np.int64)
+        shift = len(src).bit_length()
+        keys = (src.astype(np.int64) << shift) | np.arange(len(src), dtype=np.int64)
+        keys.sort()
+        order = keys & ((1 << shift) - 1)
+        indices = dst.take(order).astype(np.int64)
         return CSRGraph(graph.num_vertices, indptr, indices)
 
     @property
@@ -46,15 +56,13 @@ class CSRGraph:
         Vectorized slice-gather: no Python-level loop over vertices.
         """
         starts = self.indptr[frontier]
-        stops = self.indptr[frontier + 1]
-        lengths = stops - starts
+        lengths = self.indptr[frontier + 1] - starts
         total = int(lengths.sum())
         if total == 0:
             return np.empty(0, dtype=np.int64)
-        # Classic repeat/cumsum gather of ragged slices.
-        out_offsets = np.zeros(len(frontier) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=out_offsets[1:])
-        idx = np.arange(total, dtype=np.int64)
-        which = np.searchsorted(out_offsets[1:], idx, side="right")
-        within = idx - out_offsets[which]
-        return self.indices[starts[which] + within]
+        # Output slot j, inside the slice of a row that starts at output
+        # offset o, holds indices[row start + j - o].
+        offsets = np.cumsum(lengths) - lengths
+        gather = np.repeat(starts - offsets, lengths)
+        gather += np.arange(total, dtype=np.int64)
+        return self.indices.take(gather)

@@ -81,6 +81,7 @@ from repro.engines.result import EngineResult
 from repro.engines.session import MAX_RECOVERIES, run_staged_queries
 from repro.engines.xstream import XStreamEngine
 from repro.errors import ConfigError, ReproError, SanitizerError
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_graph
 from repro.graph.graph import Graph
 from repro.obs.counters import CounterRegistry
@@ -455,7 +456,8 @@ def run_chaos(
     # plus the next best-connected roots into one MS-BFS batch.
     order = np.argsort(-graph.out_degrees())
     roots = [int(v) for v in order[:BATCH_QUERIES]]
-    references = [bfs_levels(graph, r) for r in roots]
+    csr = CSRGraph.from_graph(graph)
+    references = [bfs_levels(csr, r) for r in roots]
     records: List[ChaosTrial] = []
     for index in range(count):
         engine_name, disks, mode = SCENARIOS[index % len(SCENARIOS)]
@@ -615,8 +617,9 @@ def _serve_answers(graph: Graph, roots: List[int]) -> Dict[tuple, list]:
 
     answers: Dict[tuple, list] = {}
     weights = hash_weights(SERVE_SSSP_MAX_WEIGHT)
+    csr = CSRGraph.from_graph(graph)
     for root in roots:
-        answers["bfs", root] = bfs_levels(graph, root).tolist()
+        answers["bfs", root] = bfs_levels(csr, root).tolist()
         answers["sssp", root] = reference_sssp(graph, root, weights).tolist()
     entry = ArtifactRegistry(**_serve_registry_kwargs()).register("g", graph)
     (clean,) = run_staged_queries(

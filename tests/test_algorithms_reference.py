@@ -1,5 +1,7 @@
 """Tests for the in-memory reference BFS and the convergence profile."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,3 +145,69 @@ class TestLevelProfile:
         g = random_graph(100, 400, seed=8)
         prof = level_profile(g, 0)
         assert sum(prof.frontier_sizes) == (bfs_levels(g, 0) >= 0).sum()
+
+
+def deque_bfs(num_vertices: int, pairs, root: int):
+    """Plain-Python BFS: a vertex's parent is its lowest-id neighbour on the
+    previous level."""
+    adjacency = [[] for _ in range(num_vertices)]
+    for s, d in pairs:
+        adjacency[s].append(d)
+    levels = [int(UNVISITED)] * num_vertices
+    parents = [int(NO_PARENT)] * num_vertices
+    levels[root] = 0
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for v in adjacency[u]:
+            if levels[v] == UNVISITED:
+                levels[v] = levels[u] + 1
+                parents[v] = u
+                queue.append(v)
+            elif levels[v] == levels[u] + 1 and u < parents[v]:
+                parents[v] = u
+    return levels, parents
+
+
+@st.composite
+def multigraph_and_root(draw):
+    """A multigraph over ``n`` reachable-side vertices plus an island of
+    ``m`` more that no edge enters from the first ``n``; self-loops, repeated
+    edges and sinks come from the draw."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    m = draw(st.integers(min_value=0, max_value=6))
+    main = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pairs = draw(st.lists(main, max_size=4 * n))
+    if m:
+        island = st.tuples(st.integers(n, n + m - 1), st.integers(0, n + m - 1))
+        pairs += draw(st.lists(island, max_size=3 * m))
+    pairs = draw(st.permutations(pairs))
+    root = draw(st.integers(0, n - 1))
+    return n + m, pairs, root
+
+
+class TestAgainstDequeBFS:
+    @given(multigraph_and_root())
+    def test_levels_and_lowest_id_parents(self, case):
+        num_vertices, pairs, root = case
+        g = graph_from_pairs(num_vertices, pairs)
+        levels, parents = bfs_parents_and_levels(g, root)
+        want_levels, want_parents = deque_bfs(num_vertices, pairs, root)
+        assert levels.tolist() == want_levels
+        assert parents.tolist() == want_parents
+        assert bfs_levels(g, root).tolist() == want_levels
+        assert levels.dtype == np.int32 and parents.dtype == np.uint32
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_long_path_with_shortcuts(self, seed):
+        """Deep and shallow levels in one search: a 400-vertex path with
+        random extra edges, so some levels reach a vertex or two and some
+        more than V/64, and both ways of taking the next frontier run."""
+        rng = np.random.default_rng(seed)
+        pairs = [(v, v + 1) for v in range(399)]
+        pairs += [tuple(e) for e in rng.integers(0, 400, (60, 2)).tolist()]
+        g = graph_from_pairs(400, pairs)
+        levels, parents = bfs_parents_and_levels(g, 0)
+        want_levels, want_parents = deque_bfs(400, pairs, 0)
+        assert levels.tolist() == want_levels
+        assert parents.tolist() == want_parents

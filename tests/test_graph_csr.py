@@ -35,6 +35,24 @@ class TestBuild:
         g = graph_from_pairs(2, [(0, 1), (0, 1)])
         assert np.diff(CSRGraph.from_graph(g).indptr)[0] == 2
 
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            random_graph(60, 700, seed=2),
+            graph_from_pairs(5, []),
+            graph_from_pairs(7, [(5, 1), (1, 5), (5, 0), (1, 1), (5, 1), (3, 6)]),
+        ],
+        ids=["multigraph", "edgeless", "isolated-vertices"],
+    )
+    def test_rows_keep_edge_list_order(self, graph):
+        csr = CSRGraph.from_graph(graph)
+        src = graph.edges["src"].tolist()
+        dst = graph.edges["dst"].tolist()
+        assert csr.indices.dtype == np.int64
+        for v in range(graph.num_vertices):
+            expected = [d for s, d in zip(src, dst) if s == v]
+            assert neighbors(csr, v).tolist() == expected
+
     def test_validation(self):
         with pytest.raises(GraphError):
             CSRGraph(2, np.array([0, 1]), np.array([1]))  # indptr too short
@@ -53,6 +71,17 @@ class TestFrontierNeighbors:
         ) if len(frontier) else np.array([])
         got = csr.frontier_neighbors(frontier)
         assert np.array_equal(got, expected)
+
+    def test_unsorted_frontier_with_repeats(self):
+        g = random_graph(100, 600, seed=5)
+        csr = CSRGraph.from_graph(g)
+        frontier = np.random.default_rng(1).integers(0, 100, 80)
+        assert len(np.unique(frontier)) < len(frontier)
+        assert (np.diff(frontier) < 0).any()
+        expected = [d for v in frontier.tolist() for d in neighbors(csr, v).tolist()]
+        got = csr.frontier_neighbors(frontier)
+        assert got.tolist() == expected
+        assert got.dtype == np.int64
 
     def test_empty_frontier(self):
         g = random_graph(10, 50, seed=1)
