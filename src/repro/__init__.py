@@ -19,6 +19,7 @@ Quickstart::
 from repro.algorithms import (
     BFSAlgorithm,
     UnitSSSPAlgorithm,
+    BFSAnswerChecker,
     WCCAlgorithm,
     bfs_levels,
     bfs_parents_and_levels,
@@ -87,6 +88,7 @@ __all__ = [
     "bfs_levels",
     "bfs_parents_and_levels",
     "level_profile",
+    "BFSAnswerChecker",
     "validate_bfs_result",
     "teps",
 ]

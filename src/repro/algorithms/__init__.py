@@ -38,7 +38,7 @@ from repro.algorithms.diameter import (
     double_sweep_diameter,
     engine_sweep,
 )
-from repro.algorithms.validation import teps, validate_bfs_result
+from repro.algorithms.validation import BFSAnswerChecker, teps, validate_bfs_result
 
 __all__ = [
     "bfs_levels",
@@ -61,6 +61,7 @@ __all__ = [
     "double_sweep_diameter",
     "DiameterEstimate",
     "engine_sweep",
+    "BFSAnswerChecker",
     "validate_bfs_result",
     "teps",
 ]

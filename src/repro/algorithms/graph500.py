@@ -14,7 +14,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.algorithms.validation import teps, validate_bfs_result
+from repro.algorithms.validation import BFSAnswerChecker, teps
 from repro.errors import EngineError, ValidationError
 from repro.graph.graph import Graph
 from repro.utils.rng import SeedLike, rng_from_seed
@@ -93,15 +93,14 @@ def run_graph500(
     :class:`ValidationError` on the first invalid search tree.
     """
     roots = sample_roots(graph, num_roots, seed)
+    checker = BFSAnswerChecker(graph) if validate else None
     result = Graph500Result()
     for root in roots:
         engine = engine_factory()
         machine = machine_factory()
         run = engine.run(graph, machine, root=int(root))
-        if validate:
-            report = validate_bfs_result(
-                graph, int(root), run.levels, run.parents
-            )
+        if checker is not None:
+            report = checker.check(int(root), run.levels, run.parents)
             if not report.ok:
                 raise ValidationError(
                     f"root {int(root)}: {'; '.join(report.errors[:3])}"

@@ -3,32 +3,36 @@
 The paper's related-work section singles out direction-optimizing search:
 when the frontier is huge, scanning *unvisited* vertices for a visited
 in-neighbor ("bottom-up") touches far fewer edges than expanding the
-frontier ("top-down").  This module implements the in-memory hybrid as an
-extension — the natural next step the paper's trimming points toward, since
-both techniques exploit the same convergence observation from opposite
-directions.
+frontier ("top-down").  Both directions pick the lowest-id parent on the
+previous level, so they find exactly the reference search's levels and
+parents; only the amount of work differs.  This module is therefore the
+reference BFS plus Beamer's switch, priced per level from the levels and
+two degree counts:
+
+* top-down at level ``d`` examines the out-edges of level ``d``;
+* bottom-up examines the in-edges of every vertex deeper than ``d`` or
+  unreached (each scans its in-neighbors for one at level ``d``).
 
 Switching heuristic (Beamer's alpha/beta rule):
 
 * go bottom-up when ``edges_from_frontier > remaining_edges / alpha``;
 * return top-down when ``frontier_size < num_vertices / beta``.
 
-The result is exactly BFS levels (checked against the level-synchronous
-reference in tests); only the amount of work differs, which
-:class:`HybridBFSResult` reports per level.
+:class:`HybridBFSResult` reports the direction and the edges examined per
+level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple, Union
+from typing import List, Union
 
 import numpy as np
 
+from repro.algorithms.reference import bfs_parents_and_levels, level_sums
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
-from repro.graph.types import NO_PARENT, UNVISITED
 
 
 @dataclass
@@ -54,24 +58,6 @@ class HybridBFSResult:
         return "bottom-up" in self.directions
 
 
-def _reverse_csr(graph: Graph) -> CSRGraph:
-    """In-adjacency (CSC of the out-graph) for the bottom-up steps."""
-    rev = Graph(
-        graph.num_vertices,
-        _swap(graph.edges),
-        name=f"{graph.name}-rev",
-        directed=graph.directed,
-    )
-    return CSRGraph.from_graph(rev)
-
-
-def _swap(edges: np.ndarray) -> np.ndarray:
-    out = np.empty(len(edges), dtype=edges.dtype)
-    out["src"] = edges["dst"]
-    out["dst"] = edges["src"]
-    return out
-
-
 def hybrid_bfs(
     graph: Union[Graph],
     root: int,
@@ -85,101 +71,26 @@ def hybrid_bfs(
     in-edges, so correctness does not require symmetry).
     """
     if not isinstance(graph, Graph):
-        raise GraphError("hybrid_bfs needs a Graph (it builds both CSRs)")
+        raise GraphError("hybrid_bfs needs a Graph (it counts in-degrees)")
     n = graph.num_vertices
     if not 0 <= root < n:
         raise GraphError(f"root {root} out of range for {n} vertices")
     if alpha <= 0 or beta <= 0:
         raise GraphError("alpha and beta must be positive")
-    out_csr = CSRGraph.from_graph(graph)
-    in_csr = _reverse_csr(graph)
-    out_deg = (out_csr.indptr[1:] - out_csr.indptr[:-1]).astype(np.int64)
-
-    levels = np.full(n, UNVISITED, dtype=np.int32)
-    parents = np.full(n, NO_PARENT, dtype=np.uint32)
-    levels[root] = 0
-    frontier = np.array([root], dtype=np.int64)
+    csr = CSRGraph.from_graph(graph)
+    levels, parents = bfs_parents_and_levels(csr, root)
+    sizes, out_sums = level_sums(levels, csr.indptr[1:] - csr.indptr[:-1])
+    _, in_sums = level_sums(levels, np.bincount(graph.edges["dst"], minlength=n))
     result = HybridBFSResult(levels=levels, parents=parents)
-    remaining_edges = int(out_deg.sum())
-    depth = 0
-
-    while len(frontier):
-        frontier_edges = int(out_deg[frontier].sum())
+    remaining_edges = unvisited_in_edges = graph.num_edges
+    for size, frontier_edges, level_in_edges in zip(sizes, out_sums, in_sums):
+        unvisited_in_edges -= level_in_edges
         bottom_up = (
-            frontier_edges > remaining_edges / alpha
-            and len(frontier) >= n / beta
+            frontier_edges > remaining_edges / alpha and size >= n / beta
         )
-        if bottom_up:
-            new_frontier, examined = _bottom_up_step(
-                in_csr, levels, parents, depth
-            )
-            result.directions.append("bottom-up")
-        else:
-            new_frontier, examined = _top_down_step(
-                out_csr, levels, parents, frontier, depth
-            )
-            result.directions.append("top-down")
-        result.edges_examined.append(examined)
+        result.directions.append("bottom-up" if bottom_up else "top-down")
+        result.edges_examined.append(
+            unvisited_in_edges if bottom_up else frontier_edges
+        )
         remaining_edges -= frontier_edges
-        depth += 1
-        frontier = new_frontier
     return result
-
-
-def _top_down_step(
-    csr: CSRGraph,
-    levels: np.ndarray,
-    parents: np.ndarray,
-    frontier: np.ndarray,
-    depth: int,
-) -> Tuple[np.ndarray, int]:
-    starts = csr.indptr[frontier]
-    lengths = csr.indptr[frontier + 1] - starts
-    neighbors = csr.frontier_neighbors(frontier)
-    sources = np.repeat(frontier, lengths)
-    fresh = levels[neighbors] == UNVISITED
-    cand_dst = neighbors[fresh]
-    cand_src = sources[fresh]
-    if len(cand_dst) == 0:
-        return np.empty(0, dtype=np.int64), int(lengths.sum())
-    order = np.lexsort((cand_src, cand_dst))
-    cand_dst = cand_dst[order]
-    cand_src = cand_src[order]
-    first = np.ones(len(cand_dst), dtype=bool)
-    first[1:] = cand_dst[1:] != cand_dst[:-1]
-    new = cand_dst[first]
-    levels[new] = depth + 1
-    parents[new] = cand_src[first]
-    return new, int(lengths.sum())
-
-
-def _bottom_up_step(
-    in_csr: CSRGraph,
-    levels: np.ndarray,
-    parents: np.ndarray,
-    depth: int,
-) -> Tuple[np.ndarray, int]:
-    unvisited = np.flatnonzero(levels == UNVISITED)
-    if len(unvisited) == 0:
-        return np.empty(0, dtype=np.int64), 0
-    starts = in_csr.indptr[unvisited]
-    lengths = in_csr.indptr[unvisited + 1] - starts
-    in_neighbors = in_csr.frontier_neighbors(unvisited)
-    owners = np.repeat(unvisited, lengths)
-    # A vertex joins the frontier if ANY in-neighbor is at this depth; the
-    # lowest-id such neighbor becomes the parent (deterministic).
-    hit = levels[in_neighbors] == depth
-    cand_dst = owners[hit]
-    cand_par = in_neighbors[hit]
-    examined = int(lengths.sum())
-    if len(cand_dst) == 0:
-        return np.empty(0, dtype=np.int64), examined
-    order = np.lexsort((cand_par, cand_dst))
-    cand_dst = cand_dst[order]
-    cand_par = cand_par[order]
-    first = np.ones(len(cand_dst), dtype=bool)
-    first[1:] = cand_dst[1:] != cand_dst[:-1]
-    new = cand_dst[first]
-    levels[new] = depth + 1
-    parents[new] = cand_par[first]
-    return new, examined

@@ -140,18 +140,24 @@ class LevelProfile:
         return scanned
 
 
+def level_sums(levels: np.ndarray, weights: np.ndarray) -> Tuple[List[int], List[int]]:
+    """Per BFS level: how many vertices sit at it, and their ``weights`` summed.
+
+    ``weights`` holds one non-negative integer per vertex (a degree, in
+    both callers); unreached vertices count in neither list.
+    """
+    reached = levels != UNVISITED
+    at = levels[reached]
+    sums = np.bincount(at, weights=weights[reached]).astype(np.int64)
+    return np.bincount(at).tolist(), sums.tolist()
+
+
 def level_profile(graph: Union[Graph, CSRGraph], root: int) -> LevelProfile:
     """Compute the BFS convergence profile from ``root``."""
     csr = _as_csr(graph)
-    levels = bfs_levels(csr, root)
-    depth = int(levels.max())
-    out_degrees = (csr.indptr[1:] - csr.indptr[:-1]).astype(np.int64)
-    frontier_sizes: List[int] = []
-    scatter_edges: List[int] = []
-    for d in range(depth + 1):
-        mask = levels == d
-        frontier_sizes.append(int(mask.sum()))
-        scatter_edges.append(int(out_degrees[mask].sum()))
+    frontier_sizes, scatter_edges = level_sums(
+        bfs_levels(csr, root), csr.indptr[1:] - csr.indptr[:-1]
+    )
     return LevelProfile(
         root=root,
         num_vertices=csr.num_vertices,

@@ -10,10 +10,11 @@ from a result and a (simulated) execution time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
+from repro.algorithms.reference import bfs_levels
 from repro.errors import ValidationError
 from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
@@ -34,8 +35,96 @@ class ValidationReport:
             raise ValidationError("; ".join(self.errors[:5]))
 
 
-def _edge_keys(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
-    return src.astype(np.uint64) * np.uint64(n) + dst.astype(np.uint64)
+class BFSAnswerChecker:
+    """Checks BFS answers on one graph against the in-memory reference.
+
+    Built once per graph: it holds the graph's CSR and edge arrays, so
+    each :meth:`check` costs one reference search plus one linear pass
+    over the edges, with no sort.  Every path that returns a BFS answer
+    (``repro run --validate``, the Graph500 protocol, both chaos sweeps
+    and the contract matrix) checks it here.
+
+    An answer is correct when:
+
+    * its levels equal :func:`~repro.algorithms.reference.bfs_levels`
+      from the same root.  The Graph500 level rules then hold without a
+      pass of their own: the reference is a BFS (``tests/
+      test_algorithms_reference.py::TestAgainstDequeBFS`` pins it to a
+      plain queue BFS), so the root has level 0 (rule 1), exactly the
+      reachable vertices are visited (rule 2), and no edge from a visited
+      vertex skips a level (rule 4);
+    * given parents, every visited non-root has one, it is a vertex one
+      level up, and the edge from it exists in the graph (rule 3); no
+      unvisited vertex claims a parent.
+    """
+
+    def __init__(self, graph: Graph) -> None:
+        self.csr = CSRGraph.from_graph(graph)
+        self.src = graph.edges["src"]
+        self.dst = graph.edges["dst"]
+
+    def check(
+        self,
+        root: int,
+        levels: np.ndarray,
+        parents: Optional[np.ndarray] = None,
+    ) -> ValidationReport:
+        """Check one (levels, parents) answer of a search from ``root``."""
+        n = self.csr.num_vertices
+        levels = np.asarray(levels)
+        if levels.shape != (n,):
+            return ValidationReport(False, [f"levels shape {levels.shape} != ({n},)"])
+        if not 0 <= root < n:
+            return ValidationReport(False, [f"root {root} out of range"])
+        errors: List[str] = []
+        reference = bfs_levels(self.csr, root)
+        wrong = np.flatnonzero(levels != reference)
+        if len(wrong):
+            v = int(wrong[0])
+            errors.append(
+                f"levels differ from the reference BFS at {len(wrong)} vertices "
+                f"(vertex {v}: {int(levels[v])}, expected {int(reference[v])})"
+            )
+        if parents is not None:
+            errors.extend(self._parent_errors(root, reference, np.asarray(parents)))
+        visited = levels != UNVISITED
+        depth = int(levels[visited].max()) if visited.any() else 0
+        return ValidationReport(
+            ok=not errors, errors=errors, visited=int(visited.sum()), depth=depth
+        )
+
+    def _parent_errors(
+        self, root: int, levels: np.ndarray, parents: np.ndarray
+    ) -> List[str]:
+        """Rule 3 and the parent half of rule 2, against reference ``levels``."""
+        n = len(levels)
+        if parents.shape != (n,):
+            return [f"parents shape {parents.shape} != ({n},)"]
+        errors: List[str] = []
+        visited = levels != UNVISITED
+        claims = parents != NO_PARENT
+        tree = visited.copy()
+        tree[root] = False
+        if (tree & ~claims).any():
+            errors.append("visited non-root vertex without a parent")
+        if (claims & ~visited).any():
+            errors.append("unvisited vertex claims a parent")
+        children = np.flatnonzero(tree & claims)
+        claimed = parents[children].astype(np.int64)
+        if (claimed >= n).any():
+            errors.append("parent id out of range")
+            return errors
+        bad = int((levels[claimed] != levels[children] - 1).sum())
+        if bad:
+            errors.append(f"{bad} tree edges don't descend one level")
+        # A vertex is confirmed when some graph edge ends at it from the
+        # parent it claims: one pass over the edges, repeats harmless.
+        confirmed = np.zeros(n, dtype=bool)
+        confirmed[self.dst[parents.take(self.dst) == self.src]] = True
+        missing = int((~confirmed[children]).sum())
+        if missing:
+            errors.append(f"{missing} claimed tree edges are not graph edges")
+        return errors
 
 
 def validate_bfs_result(
@@ -45,9 +134,11 @@ def validate_bfs_result(
     parents: Optional[np.ndarray] = None,
     reference_levels: Optional[np.ndarray] = None,
 ) -> ValidationReport:
-    """Check a BFS (levels, parents) result against the input graph.
+    """Check one BFS (levels, parents) result against the input graph.
 
-    Rules (Graph500 spec, adapted to directed graphs):
+    The one-shot form of :class:`BFSAnswerChecker` (which holds the CSR
+    for many answers), under the Graph500 rules adapted to directed
+    graphs:
 
     1. the root has level 0;
     2. a vertex is visited iff its level >= 0; visited non-roots have a
@@ -57,85 +148,11 @@ def validate_bfs_result(
        v is visited with level[v] <= level[u] + 1;
     5. if ``reference_levels`` is given, levels match it exactly.
     """
-    errors: List[str] = []
-    n = graph.num_vertices
-    levels = np.asarray(levels)
-    if levels.shape != (n,):
-        return ValidationReport(False, [f"levels shape {levels.shape} != ({n},)"])
-    if not 0 <= root < n:
-        return ValidationReport(False, [f"root {root} out of range"])
-
-    if levels[root] != 0:
-        errors.append(f"root level is {levels[root]}, expected 0")
-
-    visited = levels != UNVISITED
-    if (levels[visited] < 0).any():
-        errors.append("negative level other than the UNVISITED sentinel")
-
-    src = graph.edges["src"]
-    dst = graph.edges["dst"]
-    # Rule 4: levels never skip along an edge.
-    u_visited = visited[src]
-    if u_visited.any():
-        lv_src = levels[src[u_visited]].astype(np.int64)
-        lv_dst = levels[dst[u_visited]].astype(np.int64)
-        unreached_dst = lv_dst == UNVISITED
-        if unreached_dst.any():
-            errors.append(
-                f"{int(unreached_dst.sum())} edges lead from visited vertices "
-                "to unvisited ones"
-            )
-        skip = (~unreached_dst) & (lv_dst > lv_src + 1)
-        if skip.any():
-            errors.append(f"{int(skip.sum())} edges skip a BFS level")
-
-    if parents is not None:
-        parents = np.asarray(parents)
-        if parents.shape != (n,):
-            errors.append(f"parents shape {parents.shape} != ({n},)")
-        else:
-            is_root = np.zeros(n, dtype=bool)
-            is_root[root] = True
-            tree = visited & ~is_root
-            no_parent = parents == NO_PARENT
-            if (no_parent & tree).any():
-                errors.append("visited non-root vertex without a parent")
-            if (~no_parent & ~visited).any():
-                errors.append("unvisited vertex claims a parent")
-            tv = np.flatnonzero(tree & ~no_parent)
-            if len(tv):
-                p = parents[tv].astype(np.int64)
-                if (p >= n).any():
-                    errors.append("parent id out of range")
-                else:
-                    if (levels[p] != levels[tv] - 1).any():
-                        bad = int((levels[p] != levels[tv] - 1).sum())
-                        errors.append(f"{bad} tree edges don't descend one level")
-                    # Rule 3: tree edges exist in the graph.
-                    graph_keys = np.sort(_edge_keys(src, dst, n))
-                    tree_keys = _edge_keys(p.astype(np.uint32), tv.astype(np.uint32), n)
-                    pos = np.searchsorted(graph_keys, tree_keys)
-                    pos = np.minimum(pos, len(graph_keys) - 1) if len(graph_keys) else pos
-                    present = (
-                        graph_keys[pos] == tree_keys if len(graph_keys) else
-                        np.zeros(len(tree_keys), dtype=bool)
-                    )
-                    if not present.all():
-                        errors.append(
-                            f"{int((~present).sum())} claimed tree edges are not "
-                            "graph edges"
-                        )
-
-    if reference_levels is not None:
-        reference_levels = np.asarray(reference_levels)
-        if not np.array_equal(levels, reference_levels):
-            diff = int((levels != reference_levels).sum())
-            errors.append(f"levels differ from reference at {diff} vertices")
-
-    depth = int(levels[visited].max()) if visited.any() else 0
-    return ValidationReport(
-        ok=not errors, errors=errors, visited=int(visited.sum()), depth=depth
-    )
+    report = BFSAnswerChecker(graph).check(root, levels, parents)
+    if reference_levels is not None and not np.array_equal(levels, reference_levels):
+        report.errors.append("levels differ from reference_levels")
+        report.ok = False
+    return report
 
 
 def traversed_edges(graph: Graph, levels: np.ndarray) -> int:

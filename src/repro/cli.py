@@ -53,10 +53,10 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.algorithms.reference import bfs_levels, level_profile
+from repro.algorithms.reference import level_profile
 from repro.algorithms.sssp import UNREACHED, WeightedSSSPAlgorithm, hash_weights
 from repro.algorithms.streaming import WCCAlgorithm
-from repro.algorithms.validation import teps, validate_bfs_result
+from repro.algorithms.validation import BFSAnswerChecker, teps
 from repro.analysis.calibration import PAPER_ENGINES, engine_kind, scaled_machine
 from repro.analysis.harness import default_root
 from repro.analysis.tables import format_table
@@ -239,9 +239,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print()
         print(result.iteration_table())
     if args.validate:
-        report = validate_bfs_result(
-            graph, root, result.levels, result.parents, bfs_levels(graph, root)
-        )
+        report = BFSAnswerChecker(graph).check(root, result.levels, result.parents)
         if not report.ok:
             print(f"validation: FAILED — {report.errors}", file=sys.stderr)
             return 1

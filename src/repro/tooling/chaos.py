@@ -8,25 +8,25 @@ probabilistic mid-query crash point, and (in some trials) a persistent
 media error — across the FastBFS and X-Stream engines on one- and
 two-disk machines (plus MS-BFS batched-session cells, where a mid-batch
 crash replays the whole shared-scan batch), and holds every surviving
-run to the only acceptable standard: **bit-identical BFS levels**
-against the in-memory reference
-(:func:`repro.algorithms.reference.bfs_levels`).
+run to the only acceptable standard: **the in-memory reference's BFS
+levels, bit for bit, and a valid parent tree**
+(:class:`repro.algorithms.validation.BFSAnswerChecker`).
 
 A trial ends in exactly one of four outcomes:
 
 ``ok``
     The run completed despite injected faults (retries and checksum
-    fallbacks absorbed them) and its levels match the reference.
+    fallbacks absorbed them) and its answer passes the checker.
 ``recovered``
     A crash point killed the query; :meth:`QuerySession.recover
     <repro.engines.session.QuerySession.recover>` replayed it from the
-    staged artifact + entry checkpoint and the levels match the reference.
+    staged artifact + entry checkpoint and the answer passes the checker.
 ``typed-error``
     The run failed, but with a typed :class:`~repro.errors.ReproError`
     subclass (persistent media error, retry exhaustion, out of space) —
     the contract for unabsorbable faults.
 ``violation``
-    Anything else: wrong levels, an untyped exception, a
+    Anything else: wrong levels or parents, an untyped exception, a
     :class:`~repro.errors.SanitizerError` (the sanitizer's checks run on
     every session report, so a fault path that leaks a file or skips a
     charge shows here), or an observability mismatch (span trace not
@@ -50,7 +50,8 @@ server on a fault-injected registry (one of the named
 (BFS with SSSP and PageRank steps mixed in: every algorithm is a ticket
 of the one admission queue) twice to prove health-state transitions are a
 pure function of the seed, checks every 200 against its query's
-fault-free answer, sends a 16-request burst asserting no response is lost
+fault-free answer (BFS bodies through the same checker,
+parents included), sends a 16-request burst asserting no response is lost
 or duplicated and every failure is a typed error, drives an
 expired-deadline sweep, and finally reconciles ``/metrics`` exactly —
 device bytes against the deduped per-flush reports, and ``fault_*`` /
@@ -73,7 +74,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.algorithms.reference import bfs_levels
+from repro.algorithms.validation import BFSAnswerChecker
 from repro.core.config import FastBFSConfig
 from repro.core.engine import FastBFSEngine
 from repro.engines.base import EdgeCentricEngine, EngineConfig
@@ -81,7 +82,6 @@ from repro.engines.result import EngineResult
 from repro.engines.session import MAX_RECOVERIES, run_staged_queries
 from repro.engines.xstream import XStreamEngine
 from repro.errors import ConfigError, ReproError, SanitizerError
-from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_graph
 from repro.graph.graph import Graph
 from repro.obs.counters import CounterRegistry
@@ -157,8 +157,8 @@ SERVE_STEP_ALGORITHMS = ("bfs", "bfs", "sssp", "bfs", "bfs", "pagerank")
 SERVE_SSSP_MAX_WEIGHT = 4
 SERVE_PAGERANK_ROUNDS = 2
 
-#: Where a 200 body of each algorithm carries its answer.
-_ANSWER_FIELDS = {"bfs": "levels", "sssp": "distances", "pagerank": "ranks"}
+#: Where a 200 SSSP or PageRank body carries its answer.
+_ANSWER_FIELDS = {"sssp": "distances", "pagerank": "ranks"}
 
 #: Requests in the serve-chaos burst phase (one flush while healthy).
 SERVE_BURST = 16
@@ -358,7 +358,7 @@ def _run_trial(
     trial_seed: int,
     graph: Graph,
     roots: List[int],
-    references: List[np.ndarray],
+    checker: BFSAnswerChecker,
 ) -> ChaosTrial:
     rng = rng_from_seed(trial_seed)
     plan = _trial_plan(rng, trial_seed)
@@ -396,13 +396,10 @@ def _run_trial(
         trial.recoveries = injector.total("crash_recoveries")
     if results is not None:
         for q, result in enumerate(results):
-            levels = np.asarray(result.output["level"])
-            if not np.array_equal(levels, references[q]):
+            report = checker.check(roots[q], result.levels, result.parents)
+            if not report.ok:
                 trial.outcome = "violation"
-                trial.detail = (
-                    f"query {q} levels diverge from reference at "
-                    f"{int(np.argmax(levels != references[q]))}"
-                )
+                trial.detail = f"query {q}: " + "; ".join(report.errors)
                 return trial
         recovered = "recovered" in results[0].extras
         trial.outcome = "recovered" if recovered else "ok"
@@ -456,8 +453,7 @@ def run_chaos(
     # plus the next best-connected roots into one MS-BFS batch.
     order = np.argsort(-graph.out_degrees())
     roots = [int(v) for v in order[:BATCH_QUERIES]]
-    csr = CSRGraph.from_graph(graph)
-    references = [bfs_levels(csr, r) for r in roots]
+    checker = BFSAnswerChecker(graph)
     records: List[ChaosTrial] = []
     for index in range(count):
         engine_name, disks, mode = SCENARIOS[index % len(SCENARIOS)]
@@ -465,7 +461,7 @@ def run_chaos(
         records.append(
             _run_trial(
                 index, engine_name, disks, mode, trial_seed, graph, roots,
-                references,
+                checker,
             )
         )
     return ChaosReport(profile=prof.name, seed=seed, trials=records)
@@ -603,13 +599,15 @@ def _serve_service(profile: str, trial_seed: int, graph: Graph, clock):
     return service
 
 
-def _serve_answers(graph: Graph, roots: List[int]) -> Dict[tuple, list]:
-    """The fault-free answer of every query the serve profile sends,
-    keyed ``(algorithm, root)`` as a 200 body names them.
+def _serve_oracle(graph: Graph, roots: List[int]) -> Callable[[dict], bool]:
+    """Whether a 200 body is wrong, for every query the serve profile sends.
 
-    BFS and SSSP have in-memory references.  PageRank is float32, equal
-    to its reference only within accumulation-order noise, so its oracle
-    is a clean direct run on an identically staged artifact.
+    A BFS body's levels and parents go through the :class:`BFSAnswerChecker`.
+    SSSP and PageRank bodies must equal their query's fault-free answer,
+    keyed ``(algorithm, root)`` as a body names them: SSSP's is the
+    in-memory reference; PageRank is float32, equal to its reference only
+    within accumulation-order noise, so its answer is a clean direct run
+    on an identically staged artifact.
     """
     from repro.algorithms.pagerank import PageRankAlgorithm
     from repro.algorithms.sssp import hash_weights, reference_sssp
@@ -617,9 +615,7 @@ def _serve_answers(graph: Graph, roots: List[int]) -> Dict[tuple, list]:
 
     answers: Dict[tuple, list] = {}
     weights = hash_weights(SERVE_SSSP_MAX_WEIGHT)
-    csr = CSRGraph.from_graph(graph)
     for root in roots:
-        answers["bfs", root] = bfs_levels(csr, root).tolist()
         answers["sssp", root] = reference_sssp(graph, root, weights).tolist()
     entry = ArtifactRegistry(**_serve_registry_kwargs()).register("g", graph)
     (clean,) = run_staged_queries(
@@ -630,14 +626,16 @@ def _serve_answers(graph: Graph, roots: List[int]) -> Dict[tuple, list]:
         algorithm=PageRankAlgorithm(graph.out_degrees(), SERVE_PAGERANK_ROUNDS),
     ).queries
     answers["pagerank", None] = clean.output["rank"].tolist()
-    return answers
+    checker = BFSAnswerChecker(graph)
 
+    def diverges(body: dict) -> bool:
+        algorithm, result = body["algorithm"], body["result"]
+        if algorithm == "bfs":
+            report = checker.check(body["root"], result["levels"], result["parents"])
+            return not report.ok
+        return result[_ANSWER_FIELDS[algorithm]] != answers[algorithm, body["root"]]
 
-def _diverges(body: dict, answers: Dict[tuple, list]) -> bool:
-    """Whether a 200 body differs from its query's fault-free answer."""
-    algorithm = body["algorithm"]
-    got = body["result"][_ANSWER_FIELDS[algorithm]]
-    return got != answers[algorithm, body["root"]]
+    return diverges
 
 
 def _serve_transitions(port: int) -> List[Tuple[str, str, str]]:
@@ -742,7 +740,7 @@ def _held_sends(
     return results
 
 
-def _drive_burst(service, roots, answers) -> Tuple[List[dict], List[str], str]:
+def _drive_burst(service, roots, diverges) -> Tuple[List[dict], List[str], str]:
     """Phase B: a held burst; no response lost, duplicated or untyped.
 
     Returns the 200 bodies and the typed error kinds.
@@ -764,8 +762,8 @@ def _drive_burst(service, roots, answers) -> Tuple[List[dict], List[str], str]:
         if not isinstance(body, dict) or body.get("request_id") != rid:
             return [], [], f"{rid}: response id mismatch ({body!r})"
         if status == 200:
-            if _diverges(body, answers):
-                return [], [], f"{rid}: levels diverge from reference"
+            if diverges(body):
+                return [], [], f"{rid}: answer diverges from reference"
             ok_bodies.append(body)
         elif status in (429, 503, 504):
             kind = body.get("error", {}).get("type")
@@ -874,7 +872,7 @@ def _run_serve_trial(
     trial_seed: int,
     graph: Graph,
     roots: List[int],
-    answers: Dict[tuple, list],
+    diverges: Callable[[dict], bool],
 ) -> ChaosTrial:
     from repro.obs.hostprof import ManualHostClock
 
@@ -893,11 +891,11 @@ def _run_serve_trial(
             trial.detail = problem
             return trial
         for body in seq_bodies:
-            if _diverges(body, answers):
+            if diverges(body):
                 trial.detail = f"sequence response {body['request_id']} diverges"
                 return trial
         burst_bodies, burst_errors, problem = _drive_burst(
-            service, roots, answers
+            service, roots, diverges
         )
         if problem:
             trial.detail = problem
@@ -973,13 +971,13 @@ def run_serve_chaos(
     )
     order = np.argsort(-graph.out_degrees())
     roots = [int(v) for v in order[:BATCH_QUERIES]]
-    answers = _serve_answers(graph, roots)
+    diverges = _serve_oracle(graph, roots)
     records: List[ChaosTrial] = []
     for index in range(count):
         profile = SERVE_FAULT_PROFILES[index % len(SERVE_FAULT_PROFILES)]
         trial_seed = seed * 1_000_003 + index
         records.append(
-            _run_serve_trial(index, profile, trial_seed, graph, roots, answers)
+            _run_serve_trial(index, profile, trial_seed, graph, roots, diverges)
         )
     return ChaosReport(profile="serve", seed=seed, trials=records)
 

@@ -11,6 +11,7 @@ from repro.algorithms.validation import validate_bfs_result
 from repro.errors import GraphError
 from repro.graph.generators import (
     grid_graph,
+    powerlaw_graph,
     path_graph,
     random_graph,
     rmat_graph,
@@ -100,3 +101,37 @@ class TestDirectionSwitching:
         result = hybrid_bfs(g, root)
         assert len(result.directions) == len(result.edges_examined)
         assert len(result.directions) >= result.depth
+
+
+class TestPinnedTrace:
+    """The per-level trace, recorded literally.  ``directions`` and
+    ``edges_examined`` follow from the levels and two degree counts, so
+    any way of computing them must reproduce these lists exactly."""
+
+    @pytest.mark.parametrize(
+        "make, root, constants, directions, examined",
+        [
+            pytest.param(
+                lambda: rmat_graph(scale=10, edge_factor=16, seed=4), 329, {},
+                "TBBT", [1072, 2435, 18, 26], id="rmat-bottom-up",
+            ),
+            pytest.param(
+                lambda: random_graph(300, 1500, seed=3), 7,
+                {"alpha": 3.0, "beta": 40.0},
+                "TTTBBBT", [4, 24, 133, 792, 57, 1, 7], id="random-alpha-beta",
+            ),
+            pytest.param(
+                lambda: powerlaw_graph(2000, 16000, seed=5), 0, {},
+                "TTTTBBBTTTTT", [5, 44, 248, 914, 2370, 1254, 862, 525, 261, 51, 12, 11],
+                id="directed-powerlaw",
+            ),
+            pytest.param(
+                lambda: star_graph(200, out=False), 0, {}, "T", [0], id="in-star",
+            ),
+        ],
+    )
+    def test_trace(self, make, root, constants, directions, examined):
+        result = hybrid_bfs(make(), root, **constants)
+        names = {"T": "top-down", "B": "bottom-up"}
+        assert result.directions == [names[c] for c in directions]
+        assert result.edges_examined == examined

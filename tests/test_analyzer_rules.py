@@ -11,6 +11,8 @@ un-checkpointed attribute.
 import shutil
 from pathlib import Path
 
+import pytest
+
 from repro.tooling.analyzer import RULES, analyze_paths, analyze_sources
 from repro.tooling.report import Baseline, BaselineEntry, render
 
@@ -21,6 +23,13 @@ REPO_ROOT = HERE.parent
 
 def run_fixture(case, baseline=None):
     return analyze_paths([str(FIXTURES / case)], baseline=baseline)
+
+
+@pytest.fixture(scope="module")
+def src_analysis():
+    """The shipped tree analyzed once, with no baseline, for the tests
+    that only read its findings."""
+    return analyze_paths([str(REPO_ROOT / "src" / "repro")])
 
 
 def codes(result):
@@ -183,11 +192,10 @@ class TestFB207WallclockChokePoint:
         # handle) stay clean.
         assert {f.line for f in result.findings} == {10, 14}
 
-    def test_real_hostprof_is_the_only_wallclock_site_in_src(self):
+    def test_real_hostprof_is_the_only_wallclock_site_in_src(self, src_analysis):
         """Acceptance: the shipped tree's wall-clock reads all live in
         repro/obs/hostprof.py — FB207 holds with no baseline entries."""
-        result = analyze_paths([str(REPO_ROOT / "src" / "repro")])
-        assert not any(f.code == "FB207" for f in result.findings)
+        assert not any(f.code == "FB207" for f in src_analysis.findings)
 
 
 class TestFB208ServeTypedErrors:
@@ -229,11 +237,10 @@ class TestFB208ServeTypedErrors:
         assert result.findings == []
         assert result.unused_baseline == []
 
-    def test_live_serve_tree_has_no_untyped_handlers(self):
+    def test_live_serve_tree_has_no_untyped_handlers(self, src_analysis):
         """Acceptance: every except in the shipped ``repro/serve/`` tree
         re-raises, builds a typed error, or funnels — no baseline."""
-        result = analyze_paths([str(REPO_ROOT / "src" / "repro")])
-        assert not any(f.code == "FB208" for f in result.findings)
+        assert not any(f.code == "FB208" for f in src_analysis.findings)
 
 
 class TestFB209UnreachedCode:
@@ -322,9 +329,8 @@ class TestMergedTree:
         assert result.findings == [], "\n".join(str(f) for f in result.findings)
         assert result.unused_baseline == []
 
-    def test_the_baselined_cases_are_exactly_the_documented_ones(self):
-        result = analyze_paths([str(REPO_ROOT / "src" / "repro")])
-        assert {(f.code, f.symbol) for f in result.findings} == {
+    def test_the_baselined_cases_are_exactly_the_documented_ones(self, src_analysis):
+        assert {(f.code, f.symbol) for f in src_analysis.findings} == {
             ("FB206", "repro.storage.faults.FaultInjector._fires"),
             ("FB206", "repro.storage.faults.FaultInjector._counts"),
             ("FB206", "repro.storage.machine.Machine.tracer"),

@@ -9,10 +9,11 @@ checks all of it.  Rows are (engine, kernel, scenario): every
 and scenarios that cross the axes the engines special-case.  Columns are
 the query paths, one :class:`Cell` method each (docs/correctness_tooling.md
 "Contracts" has the table).  Every cell checks its answers against the
-in-memory reference, BFS parents under the Graph500 rules (as Buluç et
-al., arXiv 1705.04590, check a BFS), the machine's counters against its
-report, and its report against the ``run`` query's where the path's
-contract says they are equal.  The BFS ``run`` column covers every
+in-memory reference (BFS levels and parents through the one held
+:class:`~repro.algorithms.validation.BFSAnswerChecker`, under the
+Graph500 rules as Buluç et al., arXiv 1705.04590, check a BFS), the
+machine's counters against its report, and its report against the
+``run`` query's where the path's contract says they are equal.  The BFS ``run`` column covers every
 scenario (``tests/test_differential.py``); the full rows run on a seeded
 deal of them that still covers every axis (:data:`CELL_SCENARIOS`).
 """
@@ -30,7 +31,7 @@ from repro.algorithms.pagerank import PageRankAlgorithm, reference_pagerank
 from repro.algorithms.reference import bfs_levels
 from repro.algorithms.sssp import WeightedSSSPAlgorithm, reference_sssp
 from repro.algorithms.streaming import BFSAlgorithm, UnitSSSPAlgorithm, WCCAlgorithm
-from repro.algorithms.validation import validate_bfs_result
+from repro.algorithms.validation import BFSAnswerChecker
 from repro.analysis.calibration import ENGINES
 from repro.engines.base import EdgeCentricEngine
 from repro.engines.graphchi import GraphChiConfig
@@ -218,9 +219,8 @@ def _input_for(kernel: str, i: int) -> Graph:
 
 
 def _reference(kernel: str, graph: Graph, root: int) -> np.ndarray:
-    """The in-memory answer of ``kernel`` on ``graph`` from ``root``."""
-    if kernel in ("bfs", "unit-sssp"):
-        return bfs_levels(graph, root)
+    """The in-memory answer of ``kernel`` on ``graph`` from ``root``; BFS
+    answers (unit SSSP's too) go through the :class:`BFSAnswerChecker`."""
     if kernel == "sssp":
         return reference_sssp(graph, root)
     if kernel == "pagerank":
@@ -234,13 +234,8 @@ def _reference(kernel: str, graph: Graph, root: int) -> np.ndarray:
     return labels
 
 
-def _assert_answer(kernel, graph, root, expected, result, where) -> None:
-    if kernel in ("bfs", "unit-sssp"):
-        assert np.array_equal(result.levels, expected), f"{where}: levels"
-        report = validate_bfs_result(graph, root, result.levels, result.parents,
-                                     reference_levels=expected)
-        assert report.ok, f"{where}: {report.errors}"
-    elif kernel == "sssp":
+def _assert_answer(kernel, expected, result, where) -> None:
+    if kernel == "sssp":
         assert np.array_equal(result.output["distance"], expected), where
     elif kernel == "pagerank":
         # Float32 sums in stream order against the oracle's edge order.
@@ -297,6 +292,8 @@ class Cell:
         self.batches = (kernel in BATCHED_KERNELS
                         and isinstance(self.engine, EdgeCentricEngine))
         self._expected: dict = {}
+        self.checker = (BFSAnswerChecker(self.graph)
+                        if kernel in ("bfs", "unit-sssp") else None)
 
     def algorithm(self):
         return KERNELS[self.kernel](self.graph)
@@ -309,10 +306,13 @@ class Cell:
         ``same_as``'s)."""
         where = (f"{self.engine_name}/{self.kernel}/scenario {self.case}/"
                  f"{column} root {root}")
-        if root not in self._expected:
-            self._expected[root] = _reference(self.kernel, self.graph, root)
-        _assert_answer(self.kernel, self.graph, root, self._expected[root],
-                       result, where)
+        if self.checker is not None:
+            verdict = self.checker.check(root, result.levels, result.parents)
+            assert verdict.ok, f"{where}: {verdict.errors}"
+        else:
+            if root not in self._expected:
+                self._expected[root] = _reference(self.kernel, self.graph, root)
+            _assert_answer(self.kernel, self._expected[root], result, where)
         if same_as is None:
             return
         _assert_same_output(result, same_as, where)

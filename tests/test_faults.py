@@ -826,6 +826,51 @@ class TestChaosHarness:
             for t in report.violations
         )
 
+    def test_a_wrong_parent_is_a_violation(self, monkeypatch):
+        """An engine answer with the reference levels but one parent
+        swapped for a non-edge fails the sweep: chaos checks parents."""
+        from repro.tooling import chaos
+
+        run_queries = chaos.run_staged_queries
+
+        def one_wrong_parent(*args, **kwargs):
+            batch = run_queries(*args, **kwargs)
+            for result in batch.queries:
+                result.output["parent"] = _phantom_parent(
+                    "smoke", result.levels, result.parents
+                )
+            return batch
+
+        monkeypatch.setattr(chaos, "run_staged_queries", one_wrong_parent)
+        report = chaos.run_chaos("smoke", seed=0, trials=2)
+        assert [t.outcome for t in report.trials] == ["violation"] * 2
+        for trial in report.trials:
+            assert trial.detail == (
+                "query 0: 1 claimed tree edges are not graph edges"
+            )
+
+    def test_a_wrong_served_parent_is_a_violation(self, monkeypatch):
+        """A served 200 BFS body with the reference levels but one parent
+        swapped for a non-edge fails the serve sweep."""
+        from repro.tooling import chaos
+
+        request = chaos._serve_request
+
+        def one_wrong_parent(port, method, path, *args, **kwargs):
+            status, headers, body = request(port, method, path, *args, **kwargs)
+            if status == 200 and path.endswith("/bfs"):
+                result = body["result"]
+                result["parents"] = _phantom_parent(
+                    "serve", np.array(result["levels"]),
+                    np.array(result["parents"], dtype=np.uint32),
+                ).tolist()
+            return status, headers, body
+
+        monkeypatch.setattr(chaos, "_serve_request", one_wrong_parent)
+        (trial,) = chaos.run_serve_chaos(seed=0, trials=1).trials
+        assert trial.outcome == "violation"
+        assert trial.detail.endswith("diverges")
+
     def test_unknown_profile_rejected(self):
         from repro.tooling.chaos import run_chaos
 
@@ -845,3 +890,22 @@ class TestChaosHarness:
         for sweep in sweeps + [chaos.run_serve_chaos]:
             with pytest.raises(ConfigError, match="chaos seed must be >= 0, got -1"):
                 sweep(seed=-1)
+
+
+def _phantom_parent(profile, levels, parents):
+    """A copy of ``parents`` in which the first vertex two levels down
+    claims, as its parent, a vertex one level up with no edge to it in
+    the graph of chaos profile ``profile``."""
+    from repro.graph.generators import rmat_graph
+    from repro.tooling.chaos import PROFILES
+
+    prof = PROFILES[profile]
+    graph = rmat_graph(scale=prof.scale, edge_factor=prof.edge_factor, seed=prof.graph_seed)
+    edges = set(zip(graph.edges["src"].tolist(), graph.edges["dst"].tolist()))
+    child = int(np.flatnonzero(levels == 2)[0])
+    stranger = next(
+        int(u) for u in np.flatnonzero(levels == 1) if (int(u), child) not in edges
+    )
+    out = parents.copy()
+    out[child] = stranger
+    return out
