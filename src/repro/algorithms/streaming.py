@@ -22,7 +22,9 @@ invariant under concatenating buffers says so (``gather_run_invariant``).
 vertices are marked once and never revisited), false for label-correcting
 algorithms like WCC/weighted SSSP, where the engines fall back to plain
 streaming.  This is exactly the BFS-specific nature of the paper's
-optimization, kept explicit in the API.
+optimization, kept explicit in the API.  Every engine's rescans rely on it
+too: a rescan of the same edge records hands a trimming kernel only the
+edges it has not eliminated (``repro.engines.base``).
 """
 
 from __future__ import annotations
@@ -57,7 +59,10 @@ class StreamingAlgorithm:
     """Base class; subclasses define state layout and kernels."""
 
     name: str = "abstract"
-    #: True when update-generating edges can be eliminated (BFS pattern).
+    #: True when update-generating edges can be eliminated (BFS pattern):
+    #: an edge the eliminate mask marks in one pass is never selected in a
+    #: later one.  FastBFS's stay files rely on it, and so do the engines'
+    #: rescans, which stop handing such an edge to ``scatter``.
     supports_trimming: bool = False
     #: In-memory per-vertex record. Must contain an ``active`` u1 field.
     state_dtype: np.dtype = np.dtype([("active", "u1")])
@@ -106,14 +111,18 @@ class StreamingAlgorithm:
         src_global: np.ndarray,
         dst_global: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        """Return ``(updates, sources, eliminate_mask or None)`` for a run of
-        edges: ``sources[k]`` is the position, within the run, of the edge
-        that produced ``updates[k]`` (ascending), which is how the engine
-        attributes updates to the modeled buffers of the run.
+        """Return ``(updates, sources, eliminate_mask or None)`` for edges
+        of a run: ``sources[k]`` is the position, within the edges passed,
+        of the edge that produced ``updates[k]`` (ascending), and the mask
+        has one entry per edge passed.  The engine maps ``sources`` to the
+        run's modeled buffers.
 
-        ``src_local`` is read-only: on a rescan of the same edge records it
-        is a view of one array the engine holds across passes, so a kernel
-        that writes to it raises instead of corrupting the next pass."""
+        The edges passed may be a subset of the run, in stream order: on a
+        rescan of the same edge records a trimming kernel gets only the
+        edges it has not eliminated (see ``supports_trimming``).  On a
+        rescan ``src_local`` is read-only, a view of an array the engine
+        holds across passes, so a kernel that writes to it raises instead
+        of corrupting the next pass."""
         raise NotImplementedError
 
     def gather(

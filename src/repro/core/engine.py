@@ -152,6 +152,9 @@ class FastBFSEngine(EdgeCentricEngine):
                 input_file=rt.edge_files[p],
             )
 
+    def _selects_survivors(self, rt: _RunState, p: int) -> bool:
+        return rt.stay.current(p) is not None
+
     def _on_scatter_run(
         self,
         rt: _RunState,

@@ -36,7 +36,10 @@ buffer where the writer's own rule (:meth:`StreamWriter.flush_buffers`)
 says it flushes, one slice holding everything since its last flush, and
 after the run the tail, which fills no buffer (:func:`_appends_due`).  The
 order of device requests and clock charges is an invariant: stay-file
-cancellation races and fault-plan positions depend on it.
+cancellation races and fault-plan positions depend on it.  When a
+partition scans the same records again, the kernel of a run may see only
+its live edges (:class:`_HeldEdges`); the replay still steps and charges
+every buffer of the file.
 """
 
 from __future__ import annotations
@@ -81,6 +84,13 @@ EDGE_DISK = 0
 #: modeled buffers (at least one).  Host granularity only; nothing the
 #: simulation charges depends on it, which is why it is not a config field.
 HOST_RUN_RECORDS = 1 << 18
+
+#: A rescan compacts a partition's held edges to the live ones once at
+#: least this share of them is dead.  Each compaction then at least halves
+#: the set, so all of a query's compactions together copy no more than
+#: its first rescan holds (docs/profiling.md, "A rescan hands the kernel
+#: only the live edges").  Host work only, like ``HOST_RUN_RECORDS``.
+COMPACT_DEAD_SHARE = 0.5
 
 
 def _host_runs(reader: StreamReader) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
@@ -147,6 +157,83 @@ def _feeds(
         flushes[b] = records[start:stop]
         start = stop
     return flushes, records[start:]
+
+
+class _HeldEdges:
+    """One partition's sealed edge records as its rescans in one query see
+    them.
+
+    A first scan casts per run and, for a trimming kernel, keeps references
+    to the kernel's eliminate masks (``masks``).  The first rescan turns
+    them into ``dead``; every rescan (:meth:`rescan`) compacts ``edges`` to
+    the live ones, in stream order, once :data:`COMPACT_DEAD_SHARE` of them
+    is dead, and holds ``src``, the sources of ``edges`` as read-only
+    partition-local ``int64``.  ``positions`` are the file positions of
+    ``edges`` (None until the first compaction: ``edges`` is the file).
+    Sound because a trimming kernel never selects an edge it eliminated
+    (:attr:`StreamingAlgorithm.supports_trimming`).
+    """
+
+    def __init__(self, records: np.ndarray, trims: bool) -> None:
+        self.records = records
+        self.masks: Optional[List[np.ndarray]] = [] if trims else None
+        self.dead: Optional[np.ndarray] = None
+        self.edges = records
+        self.positions: Optional[np.ndarray] = None
+        self.src: Optional[np.ndarray] = None
+
+    def rescan(self, lo: int) -> None:
+        """Ready the set for a rescan: the first one builds ``dead`` from
+        the first scan's masks; any one compacts when due; ``src`` is cast
+        after a compaction or when missing."""
+        if self.masks is not None:
+            self.dead = (
+                np.concatenate(self.masks) if self.masks
+                else np.zeros(len(self.records), dtype=bool)
+            )
+            self.masks = None
+        if self.dead is not None:
+            dead = np.count_nonzero(self.dead)
+            if dead and dead >= COMPACT_DEAD_SHARE * len(self.dead):
+                keep = np.flatnonzero(~self.dead)
+                self.src = None
+                self.edges = self.edges[keep]
+                self.positions = (
+                    keep if self.positions is None else self.positions[keep]
+                )
+                self.dead = np.zeros(len(keep), dtype=bool)
+        if self.src is None:
+            src = self.edges["src"].astype(np.int64)
+            src -= lo
+            src.flags.writeable = False
+            self.src = src
+
+    def keep(self, eliminate: Optional[np.ndarray]) -> None:
+        """Keep a first scan's eliminate mask for the run it covers."""
+        if self.masks is not None:
+            if eliminate is None:
+                self.masks = None
+            else:
+                self.masks.append(eliminate)
+
+    def spend(
+        self, i: int, j: int, eliminate: Optional[np.ndarray],
+        sources: np.ndarray, start: int,
+    ) -> np.ndarray:
+        """Mark what the kernel eliminated in ``edges[i:j]`` dead, and map
+        its ``sources`` to positions in the run that begins at ``start``."""
+        if eliminate is not None:
+            self.dead[i:j] |= eliminate
+        if self.positions is None:
+            return sources
+        return self.positions[i:j].take(sources) - start
+
+    def span(self, start: int, stop: int) -> Tuple[int, int]:
+        """Where the file positions ``[start, stop)`` lie in ``edges``."""
+        if self.positions is None:
+            return start, stop
+        i, j = np.searchsorted(self.positions, (start, stop)).tolist()
+        return i, j
 
 
 _Append = Tuple[StreamWriter, np.ndarray]
@@ -238,9 +325,9 @@ class _RunState:
         self.update_in: List[Optional[VirtualFile]] = []
         self.update_writers: List[StreamWriter] = []
         self.pending_vertex_writes: List[ScheduledRequest] = []
-        #: Per partition, the sealed edge records it last scanned and, once
-        #: it scans them again, their sources cast to partition-local int64.
-        self.scanned_sources: Dict[int, Tuple[np.ndarray, Optional[np.ndarray]]] = {}
+        #: Per partition, the sealed edge records it last scanned, as its
+        #: rescans see them.
+        self.held_edges: Dict[int, _HeldEdges] = {}
         self.iterations: List[IterationStats] = []
         self.extras: Dict[str, float] = {}
         #: Staged-artifact file names this query must not delete/displace.
@@ -693,21 +780,41 @@ class EdgeCentricEngine(Engine):
             # The partition's state is read-only for the whole scatter, so
             # one staging of the indexed columns serves every run.
             columns = StagedColumns(state_view, rt.algo.scatter_columns)
-            held = self._held_sources(rt, p, in_file.records(), lo)
+            held = self._held_edges(rt, p, in_file.records(), lo)
+            rescan = held is not None and held.src is not None
+            # A rescan hands the kernel only the edges it has not eliminated,
+            # unless survivors are selected: they include the edges dead
+            # only here, so each run then goes to the kernel whole.
+            live = (
+                rescan and held.dead is not None
+                and not self._selects_survivors(rt, p)
+            )
             start = 0
             for run, bounds in _host_runs(reader):
-                if held is None:
-                    src_local = run["src"].astype(np.int64)
-                    src_local -= lo
+                stop = start + len(run)
+                trim = None
+                if live:
+                    i, j = held.span(start, stop)
+                    edges = held.edges[i:j]
+                    updates, sources, eliminate = rt.algo.scatter(
+                        ctx, columns, held.src[i:j], edges["src"], edges["dst"]
+                    )
+                    sources = held.spend(i, j, eliminate, sources, start)
                 else:
-                    src_local = held[start:start + len(run)]
-                start += len(run)
-                updates, sources, eliminate = rt.algo.scatter(
-                    ctx, columns, src_local, run["src"], run["dst"]
-                )
-                trim = self._on_scatter_run(
-                    rt, p, columns, run, src_local, eliminate, bounds, stats
-                )
+                    if rescan and held.positions is None:
+                        src_local = held.src[start:stop]
+                    else:
+                        src_local = run["src"].astype(np.int64)
+                        src_local -= lo
+                    updates, sources, eliminate = rt.algo.scatter(
+                        ctx, columns, src_local, run["src"], run["dst"]
+                    )
+                    if not rescan:
+                        held.keep(eliminate)
+                    trim = self._on_scatter_run(
+                        rt, p, columns, run, src_local, eliminate, bounds, stats
+                    )
+                start = stop
                 sent = np.searchsorted(sources, bounds)
                 # Batched kernels weight the charge by liveness-mask
                 # popcount (one unit per query served); serial kernels
@@ -756,11 +863,12 @@ class EdgeCentricEngine(Engine):
             sc_span.set(edges_streamed=streamed, updates_produced=generated)
         return generated
 
-    def _held_sources(
+    def _held_edges(
         self, rt: _RunState, p: int, records: np.ndarray, lo: int
-    ) -> Optional[np.ndarray]:
-        """Partition ``p``'s sources as read-only local int64, when it scans
-        ``records`` again; None on a first scan (the run loop casts per run).
+    ) -> Optional[_HeldEdges]:
+        """Partition ``p``'s held edge set for a scan of ``records``: a
+        fresh one on a first scan (``src`` None), the same one, readied by
+        :meth:`_HeldEdges.rescan`, when it scans them again.
 
         Keyed on the sealed array's identity, not on its file: a file whose
         array is replaced (``VirtualFile.corrupt_at``) is new input.  Held
@@ -768,15 +876,13 @@ class EdgeCentricEngine(Engine):
         """
         if records.dtype.names is None:  # empty file that never learned its dtype
             return None
-        seen, held = rt.scanned_sources.get(p, (None, None))
-        if seen is not records:
-            rt.scanned_sources[p] = (records, None)
-            return None
-        if held is None:
-            held = records["src"].astype(np.int64)
-            held -= lo
-            held.flags.writeable = False
-            rt.scanned_sources[p] = (records, held)
+        held = rt.held_edges.get(p)
+        if held is None or held.records is not records:
+            held = rt.held_edges[p] = _HeldEdges(
+                records, rt.algo.supports_trimming
+            )
+        else:
+            held.rescan(lo)
         return held
 
     def _gather_partition(
@@ -918,6 +1024,12 @@ class EdgeCentricEngine(Engine):
     def _pre_partition_scatter(self, rt: _RunState, p: int, ctx: AlgoContext) -> None:
         """Hook before streaming a partition's edges."""
 
+    def _selects_survivors(self, rt: _RunState, p: int) -> bool:
+        """True when partition ``p``'s scatter selects the surviving edges
+        of every run (:meth:`_on_scatter_run`), so a rescan hands the kernel
+        whole runs; X-Stream never does."""
+        return False
+
     def _on_scatter_run(
         self,
         rt: _RunState,
@@ -929,7 +1041,9 @@ class EdgeCentricEngine(Engine):
         bounds: np.ndarray,
         stats: IterationStats,
     ) -> Optional[Callable[[int], None]]:
-        """Hook per host run of edges, after its scatter kernel.
+        """Hook per host run of edges the kernel saw whole, after it ran
+        (every run but those of a rescan that :meth:`_selects_survivors`
+        leaves to the live edges).
 
         May return ``replay(b)``, which the schedule replay calls for each
         modeled buffer ``b`` of the run between that buffer's scatter and

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import json
 import re
+import selectors
 import socket
 import sys
 import threading
@@ -391,6 +392,44 @@ class GraphService:
             request_queue_size = 128
             # One slot per live handler thread.
             handler_slots = threading.BoundedSemaphore(MAX_HANDLER_THREADS)
+
+            def __init__(self, *args) -> None:
+                super().__init__(*args)
+                self.stopping = False
+                self.stopped = threading.Event()
+                # Guards ``waker``: the loop's end of a socket pair, open
+                # only while the loop runs.
+                self.wake_lock = threading.Lock()
+                self.waker: Optional[socket.socket] = None
+
+            def serve_forever(self, poll_interval=None) -> None:
+                # socketserver's loop wakes every ``poll_interval`` to look
+                # for a shutdown; this one sleeps until a connection or
+                # shutdown's byte on the socket pair arrives.
+                wake, waker = socket.socketpair()
+                with wake, waker, selectors.DefaultSelector() as selector:
+                    selector.register(self, selectors.EVENT_READ)
+                    selector.register(wake, selectors.EVENT_READ)
+                    with self.wake_lock:
+                        self.waker = waker
+                    try:
+                        while not self.stopping:
+                            ready = selector.select()
+                            if self.stopping:
+                                break
+                            if any(key.fileobj is self for key, _ in ready):
+                                self._handle_request_noblock()
+                    finally:
+                        with self.wake_lock:
+                            self.waker = None
+                            self.stopped.set()
+
+            def shutdown(self) -> None:
+                self.stopping = True
+                with self.wake_lock:
+                    if self.waker is not None:
+                        self.waker.send(b"\0")
+                self.stopped.wait()
 
             def process_request(self, request, client_address):
                 # The accept thread: past the cap, answer here and close.

@@ -222,39 +222,118 @@ class TestCancellationRaces:
 
 
 class _SourceRecorder:
-    """Tags each scatter with its pass and partition, and keeps every
-    ``src_local`` the kernel receives as ``(pass, p, lo, src_local,
-    src_global)``."""
+    """Wraps ``algorithm.scatter`` on ``engine``'s runs and keeps, per call,
+    ``(pass, p, lo, records, src_local, src_global, dst_global)``, where
+    ``records`` is the sealed array the partition's scan reads."""
 
-    def __init__(self, engine):
+    def __init__(self, engine, algorithm):
         self.seen = []
         self.tag = None
-        scatter_partition = engine._scatter_partition
+        held_edges = engine._held_edges
 
-        def tagged(rt, p, ctx, stats):
-            self.tag = (ctx.iteration, p, rt.partitioning.range_of(p)[0])
-            return scatter_partition(rt, p, ctx, stats)
+        def tagged(rt, p, records, lo):
+            self.tag = (len(rt.iterations) - 1, p, lo, records)
+            return held_edges(rt, p, records, lo)
 
-        engine._scatter_partition = tagged
-        recorder = self
+        engine._held_edges = tagged
+        scatter = algorithm.scatter
 
-        class Recording(BFSAlgorithm):
-            def scatter(self, ctx, state, src_local, src_global, dst_global):
-                recorder.seen.append((*recorder.tag, src_local, src_global))
-                return super().scatter(ctx, state, src_local, src_global, dst_global)
+        def recording(ctx, state, src_local, src_global, dst_global):
+            self.seen.append((*self.tag, src_local, src_global, dst_global))
+            return scatter(ctx, state, src_local, src_global, dst_global)
 
-        self.algorithm = Recording()
+        algorithm.scatter = recording
+        self.algorithm = algorithm
+
+    def scans(self):
+        """``{(pass, p): (lo, records, calls)}``: one partition's scan, with
+        the ``(src_local, src_global, dst_global)`` of each kernel call."""
+        scans = {}
+        for iteration, p, lo, records, *arrays in self.seen:
+            scans.setdefault((iteration, p), (lo, records, []))[2].append(arrays)
+        return scans
+
+
+def stream_positions(records, src, dst):
+    """Where each edge ``(src[k], dst[k])`` sits in ``records``, matched in
+    order; raises ValueError unless the edges are a subsequence of
+    ``records``: in stream order, and none from elsewhere.  Identical
+    records have one source, so a trimming kernel keeps or drops them
+    together, and the earliest match is the edge handed."""
+    def keys(s, d):
+        return (s.astype(np.int64) << 32 | d).tolist()
+
+    file_keys, at, k = keys(records["src"], records["dst"]), [], 0
+    for key in keys(src, dst):
+        k = file_keys.index(key, k) + 1
+        at.append(k - 1)
+    return np.array(at, dtype=np.int64)
+
+
+def concatenated(calls, column):
+    return np.concatenate([call[column] for call in calls])
 
 
 class TestHeldSources:
-    """A rescan of the same sealed edge records slices one held cast."""
+    """What the kernel sees when a partition scans the same sealed edge
+    records again: for a trimming kernel the edges it has not eliminated,
+    otherwise slices of one held cast of every edge."""
 
-    def test_rescans_slice_one_read_only_cast_per_partition(self, monkeypatch, graph):
+    @pytest.mark.parametrize("share", [base.COMPACT_DEAD_SHARE, 0.0])
+    def test_bfs_rescan_sees_every_live_edge_in_stream_order(
+        self, monkeypatch, graph, share
+    ):
+        monkeypatch.setattr(base, "COMPACT_DEAD_SHARE", share)
         recorders = []
 
         def drive():
             engine = ENGINES["x-stream"]()
-            recorder = _SourceRecorder(engine)
+            recorder = _SourceRecorder(engine, BFSAlgorithm())
+            recorders.append(recorder)
+            return [
+                engine.run(
+                    graph, fresh_machine(), algorithm=recorder.algorithm,
+                    root=hub_root(graph),
+                )
+            ]
+
+        levels = record_at_every_run_length(monkeypatch, drive)[0].levels
+        for label, recorder in zip(RUN_LENGTHS, recorders):
+            handed = streamed = 0
+            for (iteration, p), (lo, records, calls) in recorder.scans().items():
+                for src_local, src_global, _ in calls:
+                    assert np.array_equal(src_local, src_global.astype(np.int64) - lo)
+                    assert src_local.flags.writeable == (iteration == 0), label
+                at = stream_positions(
+                    records, concatenated(calls, 1), concatenated(calls, 2)
+                )
+                # An edge is spent once its source was active: at the pass
+                # of the source's level.
+                level = levels[records["src"]]
+                spent = (level >= 0) & (level < iteration)
+                assert np.isin(np.flatnonzero(~spent), at).all(), label
+                dead = np.count_nonzero(spent[at])
+                assert dead == 0 or dead < share * len(at), (label, iteration, p)
+                if iteration:
+                    handed += len(at)
+                    streamed += len(records)
+            assert 0 < handed < streamed / 2, label
+
+    @pytest.mark.parametrize("kernel", ["wcc", "pagerank", "weighted-sssp"])
+    def test_other_kernels_see_every_edge_from_one_held_cast(
+        self, monkeypatch, graph, kernel
+    ):
+        if kernel == "wcc":
+            graph, algorithm = graph.symmetrized(), lambda: WCCAlgorithm()
+        elif kernel == "pagerank":
+            algorithm = lambda: PageRankAlgorithm(graph.out_degrees(), 3)
+        else:
+            algorithm = lambda: WeightedSSSPAlgorithm()
+        recorders = []
+
+        def drive():
+            engine = ENGINES["x-stream"]()
+            recorder = _SourceRecorder(engine, algorithm())
             recorders.append(recorder)
             return [
                 engine.run(
@@ -266,21 +345,27 @@ class TestHeldSources:
         record_at_every_run_length(monkeypatch, drive)
         for label, recorder in zip(RUN_LENGTHS, recorders):
             held = {}
-            for iteration, p, lo, src_local, src_global in recorder.seen:
-                assert np.array_equal(src_local, src_global.astype(np.int64) - lo)
-                if iteration == 0:
-                    assert src_local.flags.owndata and src_local.flags.writeable
-                    continue
-                assert not src_local.flags.writeable, label
-                assert src_local.base is held.setdefault(p, src_local.base), label
-            assert len(held) == 4
+            for (iteration, p), (lo, records, calls) in recorder.scans().items():
+                assert np.array_equal(concatenated(calls, 1), records["src"])
+                assert np.array_equal(concatenated(calls, 2), records["dst"])
+                for src_local, src_global, _ in calls:
+                    assert np.array_equal(src_local, src_global.astype(np.int64) - lo)
+                    if iteration == 0:
+                        assert src_local.flags.owndata and src_local.flags.writeable
+                        continue
+                    assert not src_local.flags.writeable, label
+                    assert src_local.base is held.setdefault(p, src_local.base)
+                    assert len(src_local.base) == len(records)
+            assert len(held) == 4, label
             assert len({id(cast) for cast in held.values()}) == 4
-            assert not any(cast.flags.writeable for cast in held.values())
-            assert max(tag[0] for tag in recorder.seen) > 3
 
-    def test_replaced_records_are_cast_again(self, graph):
+    def test_replaced_records_reset_the_set(self, monkeypatch, graph):
+        # Compact at every rescan, so the set the damage resets is not
+        # the whole file.
+        monkeypatch.setattr(base, "COMPACT_DEAD_SHARE", 0.0)
+        root = hub_root(graph)
         engine = ENGINES["x-stream"]()
-        recorder = _SourceRecorder(engine)
+        recorder = _SourceRecorder(engine, BFSAlgorithm())
         finish_pass = engine._finish_pass
         corrupted = []
 
@@ -288,28 +373,87 @@ class TestHeldSources:
             finish_pass(rt, stats)
             if stats.iteration != 1:
                 return
-            # Flip the low byte of a source that stays inside partition 1,
-            # so the damaged file still traverses.
-            edge_file = rt.edge_files[1]
-            lo, hi = rt.partitioning.range_of(1)
+            # Flip the low byte of a source that stays inside the root's
+            # partition, so the damaged file still traverses.
+            p = int(rt.partitioning.partition_of(np.array([root]))[0])
+            edge_file = rt.edge_files[p]
+            lo, hi = rt.partitioning.range_of(p)
             src = edge_file.records()["src"].astype(np.int64)
             k = int(np.flatnonzero(((src ^ 0xFF) >= lo) & ((src ^ 0xFF) < hi))[0])
             edge_file.corrupt_at(k * EDGE_DTYPE.itemsize + EDGE_DTYPE.fields["src"][1])
-            corrupted.append((k, int(src[k] ^ 0xFF)))
+            corrupted.append((p, k, int(src[k] ^ 0xFF)))
 
         engine._finish_pass = corrupt_after_pass_one
         result = engine.run(
-            graph, fresh_machine(), algorithm=recorder.algorithm,
-            root=hub_root(graph),
+            graph, fresh_machine(), algorithm=recorder.algorithm, root=root,
         )
         assert result.num_iterations > 3 and corrupted
-        # The files are far shorter than a host run: one run per scan, so a
-        # run's position k is the file's record k.
-        k, damaged = corrupted[0]
-        later = [seen for seen in recorder.seen if seen[0] > 1 and seen[1] == 1]
-        assert len(later) >= 2 and all(seen[4][k] == damaged for seen in later)
-        for _, _, lo, src_local, src_global in recorder.seen:
-            assert np.array_equal(src_local, src_global.astype(np.int64) - lo)
+        p, k, damaged = corrupted[0]
+        scans = recorder.scans()
+        lo, before, calls = scans[(1, p)]
+        # Pass 1 no longer hands the root's edges: pass 0 spent them.
+        assert len(concatenated(calls, 1)) < len(before)
+        lo, after, calls = scans[(2, p)]
+        assert after is not before
+        # The damaged array is new input: scanned whole, cast per run.
+        assert np.array_equal(concatenated(calls, 1), after["src"])
+        assert concatenated(calls, 1)[k] == damaged
+        assert all(call[0].flags.writeable for call in calls)
+        later = [scan for (i, q), scan in scans.items() if i > 2 and q == p]
+        assert later
+        for lo, records, calls in later:
+            assert records is after
+            stream_positions(records, concatenated(calls, 1), concatenated(calls, 2))
+            assert not any(call[0].flags.writeable for call in calls)
+        for lo, _, calls in scans.values():
+            for src_local, src_global, _ in calls:
+                assert np.array_equal(src_local, src_global.astype(np.int64) - lo)
+
+    @pytest.mark.parametrize("share", [base.COMPACT_DEAD_SHARE, 0.0])
+    def test_stay_writer_on_a_rescanned_file_sees_whole_runs(
+        self, monkeypatch, graph, share
+    ):
+        """FastBFS trimming from pass 2 scans the staged files in passes 0
+        and 1, then trims them: survivors include the edges spent in pass
+        0, so the kernel sees pass 2's runs whole, and the run equals one
+        where every rescan is handed whole."""
+        monkeypatch.setattr(base, "COMPACT_DEAD_SHARE", share)
+        root = hub_root(graph)
+
+        def run(whole):
+            engine = ENGINES["fastbfs"](trim_start_iteration=2)
+            if whole:
+                engine._selects_survivors = lambda rt, p: True
+            recorder = _SourceRecorder(engine, BFSAlgorithm())
+            result = engine.run(
+                graph, fresh_machine(), algorithm=recorder.algorithm, root=root
+            )
+            return result, recorder.scans()
+
+        def recorded(whole):
+            with monkeypatch.context() as patch:
+                patch.setattr(base, "HOST_RUN_RECORDS", run_records)
+                return ScheduleRecorder(patch), *run(whole)
+
+        for label, run_records in RUN_LENGTHS.items():
+            live, result, scans = recorded(whole=False)
+            whole, whole_result, _ = recorded(whole=True)
+            assert_same_sequence("time-path call", whole.calls, live.calls, label)
+            assert_same_sequence("sealed file", whole.sealed, live.sealed, label)
+            assert_same_results([whole_result], [result])
+            assert result.extras["stay_bytes_written"] > 0
+            assert np.array_equal(result.levels, bfs_levels(graph, root))
+            rescanned = 0
+            for (iteration, p), (lo, records, calls) in scans.items():
+                if iteration != 2 or scans[(1, p)][1] is not records:
+                    continue
+                rescanned += 1
+                assert np.array_equal(concatenated(calls, 1), records["src"])
+                assert np.array_equal(concatenated(calls, 2), records["dst"])
+            assert rescanned == 4, label
+            hub = [len(concatenated(scans[(1, p)][2], 1)) < len(scans[(1, p)][1])
+                   for p in range(4)]
+            assert any(hub) == (share == 0.0), label
 
     def test_cancelled_stay_write_rescan_matches_reference(self, graph):
         config = small_fastbfs_config(
@@ -317,15 +461,15 @@ class TestHeldSources:
         )
         root = hub_root(graph)
         engine = FastBFSEngine(config)
-        recorder = _SourceRecorder(engine)
+        recorder = _SourceRecorder(engine, BFSAlgorithm())
         result = engine.run(
             graph, slow_stay_disk_machine(8192), algorithm=recorder.algorithm,
             root=root,
         )
         assert result.extras["stay_cancellations"] > 0
         # A cancelled stay write sends its partition back to the file it
-        # just scanned: that rescan slices the held cast.
-        assert any(not seen[3].flags.writeable for seen in recorder.seen)
+        # just scanned: that rescan reads held edges.
+        assert any(not seen[4].flags.writeable for seen in recorder.seen)
         assert np.array_equal(result.levels, bfs_levels(graph, root))
 
 

@@ -15,7 +15,10 @@ SSDs:
 * (iv) faster disks never make a traversal slower;
 * (v) a batched traversal scans at least as many edges as its largest
   serial query and at most as many as all of them together;
-* (vi) threads beyond the core count never speed a traversal up (Fig. 8).
+* (vi) threads beyond the core count never speed a traversal up (Fig. 8);
+* (vii) a kernel with ``supports_trimming`` never selects an edge it
+  eliminated in an earlier pass: the paper's trimming rule (§II-C1), which
+  FastBFS's stay files and every engine's rescans rely on.
 
 Hypothesis runs derandomized: tier-1 sees the same examples every time.
 ``--hypothesis-profile=ci`` (registered in ``conftest.py``) scales every
@@ -33,6 +36,14 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.streaming import (
+    AlgoContext,
+    BatchedBFSAlgorithm,
+    BFSAlgorithm,
+    StagedColumns,
+    StreamingAlgorithm,
+    UnitSSSPAlgorithm,
+)
 from repro.analysis.figures import FIGURES
 from repro.analysis.harness import ComparisonRow
 from repro.core.engine import FastBFSEngine
@@ -371,3 +382,102 @@ def test_more_memory_is_never_slower_out_of_core(setup, memory, name):
     else:
         smaller, larger = sweep["time"]
         assert larger <= smaller, (memory, smaller, larger)
+
+
+#: Every kernel with ``supports_trimming``, by the batch width it runs at
+#: (1: a serial kernel, whose one slot may hold several roots).
+TRIMMING_KERNELS = {
+    "bfs": (BFSAlgorithm, 1),
+    "unit-sssp": (UnitSSSPAlgorithm, 1),
+    "batched-2": (lambda: BatchedBFSAlgorithm(2), 2),
+    "batched-64": (lambda: BatchedBFSAlgorithm(64), 64),
+}
+
+
+def selected_after_elimination(kernel, graph, slots) -> int:
+    """Run ``kernel`` from ``slots`` (one root set per query) over
+    ``graph`` as one partition scanned whole, pass by pass in the engines'
+    order, and count the updates it generates from edges it eliminated in
+    an earlier pass."""
+    roots = slots if isinstance(kernel, BatchedBFSAlgorithm) else slots[0]
+    state = kernel.init_state_validated(graph.num_vertices, roots)
+    src, dst = graph.edges["src"], graph.edges["dst"]
+    src_local = src.astype(np.int64)
+    dead = np.zeros(graph.num_edges, dtype=bool)
+    late = 0
+    for iteration in range(graph.num_vertices + 1):
+        ctx = AlgoContext(iteration)
+        updates, sources, eliminate = kernel.scatter(
+            ctx, StagedColumns(state, kernel.scatter_columns),
+            src_local, src, dst,
+        )
+        late += int(np.count_nonzero(dead[sources]))
+        dead |= eliminate
+        state["active"][:] = 0
+        kernel.after_partition_scatter(ctx, state)
+        if not len(updates):
+            return late
+        columns = StagedColumns(state, kernel.gather_columns)
+        kernel.gather(
+            ctx, columns, updates["dst"].astype(np.int64),
+            kernel.gather_payload(updates),
+        )
+        columns.write_back()
+        kernel.after_gather(ctx, state)
+    raise AssertionError("the traversal did not converge")
+
+
+@st.composite
+def trimming_runs(draw):
+    """``(kernel name, graph, slots)``: each slot one to three roots."""
+    name = draw(st.sampled_from(sorted(TRIMMING_KERNELS)))
+    graph = draw(graphs())
+    vertex = st.integers(min_value=0, max_value=graph.num_vertices - 1)
+    width = TRIMMING_KERNELS[name][1]
+    slots = draw(st.lists(
+        st.lists(vertex, min_size=1, max_size=3),
+        min_size=width, max_size=width,
+    ))
+    return name, graph, [np.array(slot, dtype=np.int64) for slot in slots]
+
+
+@budget(96)
+@given(trimming_runs())
+def test_an_eliminated_edge_is_never_selected_again(run):
+    """Property (vii).  X-Stream's rescans hand the kernel only the edges
+    it has not eliminated (``repro.engines.base._HeldEdges``), so an edge
+    that broke this would lose its update there, as a trimmed one would
+    in FastBFS's stay file."""
+    name, graph, slots = run
+    kernel = TRIMMING_KERNELS[name][0]()
+    assert selected_after_elimination(kernel, graph, slots) == 0
+
+
+def test_every_trimming_kernel_is_held_to_the_elimination_property():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    trimming = {
+        cls for cls in subclasses(StreamingAlgorithm)
+        if cls.supports_trimming and cls.__module__.startswith("repro.")
+    }
+    held = {type(make()) for make, _ in TRIMMING_KERNELS.values()}
+    assert trimming == held
+
+
+class _ForgetfulBFS(BFSAlgorithm):
+    """Breaks the contract: eliminates every edge it scans."""
+
+    def scatter(self, ctx, state, src_local, src_global, dst_global):
+        updates, sources, _ = super().scatter(
+            ctx, state, src_local, src_global, dst_global
+        )
+        return updates, sources, np.ones(len(src_local), dtype=bool)
+
+
+def test_the_elimination_check_catches_a_kernel_that_breaks_it():
+    slots = [np.array([0], dtype=np.int64)]
+    assert selected_after_elimination(BFSAlgorithm(), path_graph(5), slots) == 0
+    assert selected_after_elimination(_ForgetfulBFS(), path_graph(5), slots) == 3

@@ -834,6 +834,15 @@ class TestShutdownDrain:
         with pytest.raises(OSError):
             request(svc, "GET", "/healthz", timeout=2)
 
+    def test_idle_shutdown_returns_at_once(self):
+        # The serve loop sleeps until shutdown wakes it: no poll to wait out.
+        svc = GraphService(port=0).start()
+        assert request(svc, "GET", "/healthz")[0] == 200
+        started = time.perf_counter()
+        svc.shutdown()
+        assert time.perf_counter() - started < 0.05
+        svc.shutdown()  # a second call finds the loop stopped
+
     def test_shutdown_fulfills_queued_tickets(self):
         def check(i, body):
             assert body["result"]["levels"][i] == 0
