@@ -124,14 +124,10 @@ class StayStreamManager:
                 )
             self._emit_span("stay_flush", p, writer, end=writer.ready_at())
             new_file = writer.file
-            old_name = current_file.name
-            if old_name in self.protected:
-                # The displaced file belongs to a shared staged artifact:
-                # serve the stay file under its own name and leave the
-                # artifact intact for the next query session.
-                self.stats.swaps += 1
-                return new_file, "swap"
-            self.vfs.replace(new_file.name, old_name)
+            # A displaced file of a shared staged artifact stays intact for
+            # the next query session: the stay file keeps its own name.
+            if current_file.name not in self.protected:
+                self.vfs.replace(new_file.name, current_file.name)
             self.stats.swaps += 1
             return new_file, "swap"
         return self._cancel(p, writer, current_file, reason="not_ready")

@@ -22,8 +22,8 @@ Faults reach the server here: the registry-wide
 :class:`~repro.storage.faults.FaultPlan` is attached to each entry's
 machine **after** staging and **before** the post-staging checkpoint, so
 the artifact is built clean but every query replay runs on faulty
-simulated devices; the engine config's ``retry`` sets its I/O-level
-retries.  Each entry also carries its own
+simulated devices; the plan's ``max_attempts`` sets the stream layer's
+I/O-level retries per request.  Each entry also carries its own
 :class:`~repro.serve.health.CircuitBreaker` — the per-graph
 healthy/degraded/quarantined state machine the admission layer drives,
 and its own :class:`~repro.serve.admission.AdmissionController`.

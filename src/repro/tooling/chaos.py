@@ -75,12 +75,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.algorithms.validation import BFSAnswerChecker
+from repro.analysis.calibration import engine_kind
 from repro.core.config import FastBFSConfig
 from repro.core.engine import FastBFSEngine
-from repro.engines.base import EdgeCentricEngine, EngineConfig
+from repro.engines.base import EdgeCentricEngine
 from repro.engines.result import EngineResult
 from repro.engines.session import MAX_RECOVERIES, run_staged_queries
-from repro.engines.xstream import XStreamEngine
 from repro.errors import ConfigError, ReproError, SanitizerError
 from repro.graph.generators import rmat_graph
 from repro.graph.graph import Graph
@@ -295,28 +295,18 @@ def _trial_plan(rng: np.random.Generator, plan_seed: int) -> FaultPlan:
 
 
 def _make_engine(name: str, disks: int) -> EdgeCentricEngine:
-    """A small out-of-core engine config so streaming paths are exercised."""
-    if name == "fastbfs":
-        return FastBFSEngine(
-            FastBFSConfig(
-                edge_buffer_bytes=2 * KB,
-                update_buffer_bytes=1 * KB,
-                stay_buffer_bytes=1 * KB,
-                num_partitions=4,
-                allow_in_memory=False,
-                rotate_streams=disks == 2,
-            )
-        )
-    if name == "x-stream":
-        return XStreamEngine(
-            EngineConfig(
-                edge_buffer_bytes=2 * KB,
-                update_buffer_bytes=1 * KB,
-                num_partitions=4,
-                allow_in_memory=False,
-            )
-        )
-    raise ConfigError(f"unknown chaos engine {name!r}")
+    """The :data:`~repro.analysis.calibration.ENGINES` row ``name`` means on
+    ``disks`` disks (two rotate FastBFS's streams), with small buffers and
+    never in memory, so the streaming paths are exercised."""
+    kind = engine_kind(name, disks)
+    stay = {"stay_buffer_bytes": 1 * KB} if kind.engine is FastBFSEngine else {}
+    return kind.scaled(
+        edge_buffer_bytes=2 * KB,
+        update_buffer_bytes=1 * KB,
+        num_partitions=4,
+        allow_in_memory=False,
+        **stay,
+    )
 
 
 def _make_machine(disks: int, plan: FaultPlan) -> Machine:

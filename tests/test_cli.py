@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -345,6 +346,53 @@ class TestDocsEqualCode:
                 failures.append(f"{where}: {shlex.join(argv)}")
         assert failures == []
 
+    def test_doc_test_citations_name_real_tests(self):
+        """Every ``tests/<file>.py::<name>`` cited in README.md and
+        docs/*.md names a test class, function or method that exists, so a
+        retired or renamed test cannot live on as a doc's evidence."""
+        citations = doc_test_citations()
+        assert len(citations) >= 15
+        missing = [f"{where}: tests/{module}.py::{'::'.join(names)}"
+                   for where, module, names in citations
+                   if not _defines_test(module, names)]
+        assert missing == []
+
+
+def doc_files():
+    return [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
+
+
+#: A test cited in prose: ``tests/<file>.py::<name>[::<method>]``.
+DOC_TEST_CITATION = re.compile(r"tests/(\w+)\.py((?:::\w+)+)")
+
+
+def doc_test_citations():
+    """``(file, test module, [name, method...])`` of every test citation in
+    README.md and docs/*.md; a citation wrapped after a ``::`` is joined."""
+    found = []
+    for path in doc_files():
+        text = re.sub(r"::\s*\n\s*", "::", path.read_text(encoding="utf-8"))
+        for match in DOC_TEST_CITATION.finditer(text):
+            found.append((path.name, match.group(1), match.group(2).split("::")[1:]))
+    return found
+
+
+def _defines_test(module: str, names: list) -> bool:
+    """``tests/<module>.py`` defines the test class or function ``names[0]``
+    and, given more names, each as a test method of the class before it."""
+    path = REPO_ROOT / "tests" / f"{module}.py"
+    if not path.exists():
+        return False
+    body = ast.parse(path.read_text(encoding="utf-8")).body
+    for name in names:
+        node = next((n for n in body
+                     if isinstance(n, (ast.ClassDef, ast.FunctionDef))
+                     and n.name == name and name.lower().startswith("test")), None)
+        if node is None:
+            return False
+        body = node.body if isinstance(node, ast.ClassDef) else []
+    return True
+
 
 #: A CLI line of a fenced doc block: an optional ``$`` prompt and
 #: ``VAR=value`` assignments, then the program.
@@ -358,7 +406,7 @@ def doc_command_lines():
     blocks of README.md and docs/*.md: ``\\`` continuations joined, a
     trailing ``&`` and comments dropped."""
     found = []
-    for path in [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]:
+    for path in doc_files():
         text = path.read_text(encoding="utf-8")
         for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S):
             for line in re.sub(r"\\\n\s*", " ", block).splitlines():

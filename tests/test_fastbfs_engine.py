@@ -6,14 +6,13 @@ import pytest
 from tests.helpers import fresh_machine, hub_root, small_fastbfs_config
 
 from repro.algorithms.reference import bfs_levels
-from repro.algorithms.streaming import UnitSSSPAlgorithm, WCCAlgorithm
-from repro.algorithms.validation import validate_bfs_result
+from repro.algorithms.streaming import WCCAlgorithm
 from repro.core.config import FastBFSConfig
 from repro.core.engine import FastBFSEngine
 from repro.engines.base import EngineConfig
 from repro.engines.xstream import XStreamEngine
 from repro.errors import ConfigError
-from repro.graph.generators import grid_graph, path_graph, rmat_graph
+from repro.graph.generators import rmat_graph
 
 
 class TestConfig:
@@ -48,66 +47,16 @@ class TestConfig:
 
 
 class TestCorrectness:
-    @pytest.mark.parametrize("partitions", [1, 2, 5, 8])
-    def test_matches_reference_across_partitions(self, rmat10, partitions):
-        root = hub_root(rmat10)
-        ref = bfs_levels(rmat10, root)
-        engine = FastBFSEngine(small_fastbfs_config(num_partitions=partitions))
-        result = engine.run(rmat10, fresh_machine(), root=root)
-        assert np.array_equal(result.levels, ref)
-        validate_bfs_result(rmat10, root, result.levels, result.parents,
-                            ref).raise_if_failed()
-
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            dict(trim_enabled=False),
-            dict(selective_scheduling=False),
-            dict(trim_enabled=False, selective_scheduling=False),
-            dict(extended_trim=True),
-            dict(trim_start_iteration=3),
-            dict(trim_trigger_fraction=0.2),
-            dict(num_stay_buffers=1),
-            dict(cancellation_grace=0.0),
-            dict(num_edge_buffers=4),
-        ],
-    )
-    def test_feature_matrix_same_levels(self, rmat10, overrides):
-        root = hub_root(rmat10)
-        ref = bfs_levels(rmat10, root)
-        engine = FastBFSEngine(small_fastbfs_config(**overrides))
-        result = engine.run(rmat10, fresh_machine(), root=root)
-        assert np.array_equal(result.levels, ref), overrides
-
-    def test_grid_high_diameter(self, grid):
-        ref = bfs_levels(grid, 0)
-        result = FastBFSEngine(small_fastbfs_config()).run(
-            grid, fresh_machine(), root=0
-        )
-        assert np.array_equal(result.levels, ref)
+    """FastBFS's answer on every graph kind, partition count, placement and
+    feature switch is the contract matrix's (``tests/test_contracts.py``)
+    and ``tests/test_fuzz_engines.py``'s; no scenario there is a path, the
+    graph with the most levels per vertex."""
 
     def test_path_extreme_diameter(self, path):
         result = FastBFSEngine(small_fastbfs_config(num_partitions=3)).run(
             path, fresh_machine(), root=0
         )
         assert result.levels.tolist() == list(range(64))
-
-    def test_two_disk_same_levels(self, rmat10):
-        root = hub_root(rmat10)
-        ref = bfs_levels(rmat10, root)
-        engine = FastBFSEngine(
-            small_fastbfs_config(rotate_streams=True)
-        )
-        result = engine.run(rmat10, fresh_machine(num_disks=2), root=root)
-        assert np.array_equal(result.levels, ref)
-
-    def test_unit_sssp(self, rmat10):
-        root = hub_root(rmat10)
-        ref = bfs_levels(rmat10, root)
-        result = FastBFSEngine(small_fastbfs_config()).run(
-            rmat10, fresh_machine(), algorithm=UnitSSSPAlgorithm(), root=root
-        )
-        assert np.array_equal(result.output["distance"], ref)
 
 
 class TestTrimming:

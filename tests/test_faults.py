@@ -19,9 +19,7 @@ from tests.helpers import (
 )
 
 from repro.algorithms.reference import bfs_levels
-from repro.algorithms.streaming import BFSAlgorithm
 from repro.core.engine import FastBFSEngine
-from repro.engines.session import BatchedQuerySession, run_with_recovery
 from repro.errors import (
     ConfigError,
     CrashError,
@@ -590,52 +588,13 @@ class TestTornWriteIntegrity:
 
 
 class TestCrashRecovery:
+    """``recover()``'s refusals and a crash outside a session.  That a
+    crash-recovered query, serial or batched, is the clean one bit for bit
+    is the contract matrix's ``crash`` column (``tests/test_contracts.py``)."""
+
     def _machine(self, plan=None):
         return Machine([DeviceSpec.hdd("hdd0")], memory=2 * MB, cores=4,
                        fault_plan=plan)
-
-    @pytest.mark.parametrize("kind", ["serial", "batched"])
-    def test_crash_and_recover_bit_identical(self, rmat10, kind):
-        root = hub_root(rmat10)
-        baseline = FastBFSEngine(small_fastbfs_config()).run(
-            rmat10, self._machine(), root=root
-        )
-        machine = self._machine(FaultPlan.crash_point(after_index=80))
-        machine.attach_tracer(Tracer())
-        engine = FastBFSEngine(small_fastbfs_config())
-        staged = engine.stage(rmat10, machine)
-        if kind == "serial":
-            session = engine.session(staged)
-            first_run = lambda: [session.run(root=root)]  # noqa: E731
-        else:
-            algo = BFSAlgorithm()
-            session = BatchedQuerySession(
-                engine, staged, algo.batched(1), serial_algorithm=algo
-            )
-            first_run = lambda: session.run([np.array([root])])  # noqa: E731
-        crashes = []
-
-        def invoke():
-            try:
-                return first_run()
-            except CrashError:
-                crashes.append(session)
-                raise
-
-        (result,) = run_with_recovery(session, invoke, 1)
-        assert crashes == [session]
-        assert np.array_equal(result.levels, baseline.levels)
-        assert result.extras["recovered"] == 1.0
-        injector = machine.fault_injector
-        assert injector.total("fault_crash") == 1
-        assert injector.total("crash_recoveries") == 1
-        names = [s.name for s in machine.tracer.spans]
-        assert names.count("crash") == 1
-        assert names.count("recover") == 1
-        # The trace keeps the crashed attempt's device requests; the
-        # rewound timelines, and so the byte counters, do not.
-        io_bytes = sum(sp.attrs["bytes"] for sp in machine.tracer.io_spans())
-        assert io_bytes > machine.counters().total("device_bytes_total")
 
     def test_recover_without_crash_is_an_error(self, rmat10):
         machine = self._machine(FaultPlan(seed=0))
