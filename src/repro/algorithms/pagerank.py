@@ -21,7 +21,12 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.algorithms.streaming import AlgoContext, StreamingAlgorithm, _make_updates
+from repro.algorithms.streaming import (
+    AlgoContext,
+    StreamingAlgorithm,
+    VertexState,
+    _make_updates,
+)
 from repro.errors import EngineError
 from repro.graph.graph import Graph
 
@@ -41,8 +46,6 @@ class PageRankAlgorithm(StreamingAlgorithm):
     state_dtype = np.dtype(
         [("rank", "<f4"), ("accum", "<f4"), ("active", "u1")]
     )
-    scatter_columns = ("active", "rank")
-    gather_columns = ("accum",)
     #: ``np.add.at`` accumulates in index order, so float32 sums over a run
     #: are bit-equal to the same updates applied buffer by buffer.
     gather_run_invariant = True
@@ -62,13 +65,13 @@ class PageRankAlgorithm(StreamingAlgorithm):
         self.damping = np.float32(damping)
         self.num_vertices = len(self.out_degrees)
 
-    def init_state(self, num_vertices: int, roots=None) -> np.ndarray:
+    def init_state(self, num_vertices: int, roots=None) -> VertexState:
         if num_vertices != self.num_vertices:
             raise EngineError(
                 f"out_degrees were built for {self.num_vertices} vertices, "
                 f"graph has {num_vertices}"
             )
-        state = np.zeros(num_vertices, dtype=self.state_dtype)
+        state = VertexState.zeros(self.state_dtype, num_vertices)
         state["rank"][:] = np.float32(1.0 / num_vertices)
         state["active"][:] = 1
         return state

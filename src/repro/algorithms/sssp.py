@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.algorithms.streaming import (
     StreamingAlgorithm,
+    VertexState,
     _make_updates,
     check_roots,
 )
@@ -60,17 +61,15 @@ class WeightedSSSPAlgorithm(StreamingAlgorithm):
     name = "sssp"
     supports_trimming = False
     state_dtype = np.dtype([("dist", "<u4"), ("active", "u1")])
-    scatter_columns = ("active", "dist")
-    gather_columns = ("dist",)
     # gather_run_invariant stays False: a vertex whose distance improves in
     # two buffers is counted in each.
 
     def __init__(self, weight_fn: Optional[WeightFn] = None) -> None:
         self.weight_fn = weight_fn if weight_fn is not None else hash_weights()
 
-    def init_state(self, num_vertices: int, roots) -> np.ndarray:
+    def init_state(self, num_vertices: int, roots) -> VertexState:
         roots = check_roots(num_vertices, roots)
-        state = np.zeros(num_vertices, dtype=self.state_dtype)
+        state = VertexState.zeros(self.state_dtype, num_vertices)
         state["dist"][:] = UNREACHED
         state["dist"][roots] = 0
         state["active"][roots] = 1

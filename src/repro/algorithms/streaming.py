@@ -3,9 +3,10 @@
 The engines (X-Stream, FastBFS) are generic BSP scatter/gather machines; an
 algorithm object supplies the per-edge and per-update semantics:
 
-* ``state`` — one structured-array record per vertex.  The ``active`` field
-  marks vertices updated in the previous gather (the current frontier); the
-  engine clears a partition's flags after scattering it.
+* ``state`` — a :class:`VertexState`, one contiguous column per field of
+  the kernel's ``state_dtype``.  The ``active`` column marks vertices
+  updated in the previous gather (the current frontier); the engine clears
+  a partition's flags after scattering it.
 * ``scatter`` — given the active flags and an edge buffer, produce update
   records and (optionally) the eliminate mask that drives FastBFS trimming.
 * ``gather`` — apply a partition's update stream, activating newly changed
@@ -64,20 +65,13 @@ class StreamingAlgorithm:
     #: later one.  FastBFS's stay files rely on it, and so do the engines'
     #: rescans, which stop handing such an edge to ``scatter``.
     supports_trimming: bool = False
-    #: In-memory per-vertex record. Must contain an ``active`` u1 field.
+    #: Per-vertex fields, held as one column each (:class:`VertexState`).
+    #: Must contain an ``active`` u1 field.
     state_dtype: np.dtype = np.dtype([("active", "u1")])
     #: Bytes per vertex as charged for on-disk vertex-set I/O.
     disk_record_bytes: int = 8
     #: On-disk layout of one update record (batched kernels widen this).
     update_dtype: np.dtype = UPDATE_DTYPE
-    #: State columns ``scatter`` indexes once per edge, and ``gather`` once
-    #: per update.  The engines hand the kernel contiguous working copies of
-    #: these (:class:`StagedColumns`), staged once per partition pass:
-    #: element lookups on the packed record array cost several times more,
-    #: and every staged column costs O(partition vertices) per pass, so name
-    #: only the ones indexed per element.
-    scatter_columns: Tuple[str, ...] = ("active",)
-    gather_columns: Tuple[str, ...] = ()
     #: True when ``gather`` over the concatenation of consecutive update
     #: buffers leaves the same state *and returns the same count* as
     #: gathering them one by one.  The engines then gather a whole host run
@@ -88,10 +82,10 @@ class StreamingAlgorithm:
     #: pass generates no update.
     rounds: Optional[int] = None
 
-    def init_state(self, num_vertices: int, roots) -> np.ndarray:
+    def init_state(self, num_vertices: int, roots) -> "VertexState":
         raise NotImplementedError
 
-    def init_state_validated(self, num_vertices: int, roots) -> np.ndarray:
+    def init_state_validated(self, num_vertices: int, roots) -> "VertexState":
         """Build state from roots the engine boundary already validated.
 
         ``engine.run()``/``run_many()`` validate every root entry before
@@ -216,29 +210,60 @@ def check_roots(num_vertices: int, roots) -> np.ndarray:
     return np.asarray(roots, dtype=np.int64)
 
 
-class StagedColumns(dict):
-    """Contiguous working copies of some columns of a partition's state.
+class VertexState:
+    """A query's per-vertex state: one contiguous array per field.
 
-    ``columns[name]`` is the working copy of a staged column and the
-    strided view into the record array of any other, so a kernel indexes
-    ``state[name]`` the same way whether it is handed the record array or
-    this.  Staging copies each column once (O(partition vertices)), so the
-    engines do it once per partition pass, never per run.  Writes to a
-    staged column reach the record array at :meth:`write_back`.
+    ``state[name]`` is field ``name``'s column, and any other index (a
+    partition's ``state[lo:hi]``) gives a state over those rows of every
+    column: a slice is a view, so a kernel's writes through it land in the
+    query's columns.  Kernels index the columns directly, so a per-element
+    lookup never strides over the other fields and clearing a column is one
+    contiguous fill.  ``dtype`` is the record the columns make up (what the
+    vertex files charge per vertex is ``disk_record_bytes``, not this).
     """
 
-    def __init__(self, state: np.ndarray, names) -> None:
-        super().__init__(
-            (name, np.ascontiguousarray(state[name])) for name in names
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns: Dict[str, np.ndarray]) -> None:
+        self._columns = columns
+
+    @classmethod
+    def zeros(cls, dtype: np.dtype, num_vertices: int) -> "VertexState":
+        return cls({
+            name: np.zeros(num_vertices, dtype=dtype.fields[name][0])
+            for name in dtype.names
+        })
+
+    def __getitem__(self, key):
+        if isinstance(key, str):
+            return self._columns[key]
+        return VertexState(
+            {name: column[key] for name, column in self._columns.items()}
         )
-        self.state = state
 
-    def __missing__(self, name: str) -> np.ndarray:
-        return self.state[name]
+    def __setitem__(self, name: str, value) -> None:
+        self._columns[name][...] = value
 
-    def write_back(self) -> None:
-        for name, column in self.items():
-            self.state[name] = column
+    def __len__(self) -> int:
+        return len(next(iter(self._columns.values())))
+
+    @property
+    def dtype(self) -> np.dtype:
+        return np.dtype(
+            [(name, column.dtype) for name, column in self._columns.items()]
+        )
+
+    def copy(self) -> "VertexState":
+        return VertexState(
+            {name: column.copy() for name, column in self._columns.items()}
+        )
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The state as one record array (a copy), e.g. to compare two."""
+        records = np.empty(len(self), dtype=self.dtype)
+        for name, column in self._columns.items():
+            records[name] = column
+        return records if dtype is None else records.astype(dtype)
 
 
 def _make_updates(dst: np.ndarray, payload: np.ndarray) -> np.ndarray:
@@ -287,19 +312,18 @@ class BFSAlgorithm(StreamingAlgorithm):
     #: Key the per-query hop-count array is published under in ``result()``
     #: (also used when demultiplexing a batched run).
     level_output_key = "level"
-    gather_columns = ("level",)
     #: The first update in stream order wins and a vertex is claimed once,
     #: so where the buffer boundaries fall changes nothing.
     gather_run_invariant = True
 
-    def init_state(self, num_vertices: int, roots) -> np.ndarray:
+    def init_state(self, num_vertices: int, roots) -> VertexState:
         return self.init_state_validated(
             num_vertices, check_roots(num_vertices, roots)
         )
 
-    def init_state_validated(self, num_vertices: int, roots) -> np.ndarray:
+    def init_state_validated(self, num_vertices: int, roots) -> VertexState:
         roots = np.atleast_1d(np.asarray(roots, dtype=np.int64))
-        state = np.zeros(num_vertices, dtype=self.state_dtype)
+        state = VertexState.zeros(self.state_dtype, num_vertices)
         state["level"][:] = UNVISITED
         state["parent"][:] = NO_PARENT
         state["level"][roots] = 0
@@ -315,15 +339,25 @@ class BFSAlgorithm(StreamingAlgorithm):
         return _make_updates(dst_global[sel], src_global[sel]), sel, mask
 
     def gather(self, ctx, state, dst_local, payload) -> int:
-        fresh = np.flatnonzero(state["level"].take(dst_local) == UNVISITED)
+        level = state["level"]
+        fresh = np.flatnonzero(level.take(dst_local) == UNVISITED)
         if len(fresh) == 0:
             return 0
         # First update to arrive wins (stream order), matching the paper's
-        # "marks the corresponding destination vertices as visited".
-        dst, order, is_start = _by_destination(dst_local, fresh)
-        uniq = dst[is_start]
-        state["level"][uniq] = ctx.iteration + 1
-        state["parent"][uniq] = payload[order[is_start]]
+        # "marks the corresponding destination vertices as visited": the
+        # least position offered to each destination, found in one pass
+        # over the fresh updates, no sort.  The scratch is the destinations'
+        # own parent entries: an unvisited vertex holds NO_PARENT, above any
+        # position of a run (under 2**32 records), and every entry the pass
+        # lowers is claimed, so it is overwritten with the parent next.
+        dst = dst_local.take(fresh)
+        pos = fresh.astype(np.uint32)  # one dtype keeps ufunc.at's fast loop
+        parent = state["parent"]
+        np.minimum.at(parent, dst, pos)
+        won = parent.take(dst) == pos
+        uniq = dst[won]
+        parent[uniq] = payload[pos[won]]
+        level[uniq] = ctx.iteration + 1
         state["active"][uniq] = 1
         return len(uniq)
 
@@ -374,13 +408,11 @@ class WCCAlgorithm(StreamingAlgorithm):
     name = "wcc"
     supports_trimming = False
     state_dtype = np.dtype([("label", "<u4"), ("active", "u1")])
-    scatter_columns = ("active", "label")
-    gather_columns = ("label",)
     # gather_run_invariant stays False: a vertex that improves in two
     # buffers is counted in each, so the count depends on the boundaries.
 
-    def init_state(self, num_vertices: int, roots=None) -> np.ndarray:
-        state = np.zeros(num_vertices, dtype=self.state_dtype)
+    def init_state(self, num_vertices: int, roots=None) -> VertexState:
+        state = VertexState.zeros(self.state_dtype, num_vertices)
         state["label"][:] = np.arange(num_vertices, dtype=np.uint32)
         state["active"][:] = 1  # every vertex broadcasts its label once
         return state
@@ -430,8 +462,6 @@ class BatchedBFSAlgorithm(StreamingAlgorithm):
     #: into the kernel's output rows, like the serial kernel's ``active``.
     disk_record_bytes = 16
     update_dtype = BATCH_UPDATE_DTYPE
-    scatter_columns = ("frontier", "visited")
-    gather_columns = ("visited",)
     #: Sorting by (destination, stream position) gives first-wins per
     #: (vertex, query) across a whole run, as it does within one buffer.
     gather_run_invariant = True
@@ -469,11 +499,11 @@ class BatchedBFSAlgorithm(StreamingAlgorithm):
     # ------------------------------------------------------------------
     # state construction
     # ------------------------------------------------------------------
-    def init_state(self, num_vertices: int, roots) -> np.ndarray:
+    def init_state(self, num_vertices: int, roots) -> VertexState:
         entries = [check_roots(num_vertices, r) for r in roots]
         return self.init_state_validated(num_vertices, entries)
 
-    def init_state_validated(self, num_vertices: int, roots) -> np.ndarray:
+    def init_state_validated(self, num_vertices: int, roots) -> VertexState:
         """``roots`` is one entry per query slot: a root vertex or a root
         set for a multi-source slot (already validated at the boundary)."""
         slots = [np.atleast_1d(np.asarray(r, dtype=np.int64)) for r in roots]
@@ -486,7 +516,7 @@ class BatchedBFSAlgorithm(StreamingAlgorithm):
         shape = (self.num_queries, num_vertices)
         self._levels = np.full(shape, UNVISITED, dtype=np.int32)
         self._parents = np.full(shape, NO_PARENT, dtype=np.uint32)
-        state = np.zeros(num_vertices, dtype=self.state_dtype)
+        state = VertexState.zeros(self.state_dtype, num_vertices)
         frontier = state["frontier"]
         for q, slot_roots in enumerate(slots):
             bit = np.uint64(1 << q)

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.algorithms.streaming import AlgoContext, StagedColumns
+from repro.algorithms.streaming import AlgoContext, VertexState
 from repro.core.config import FastBFSConfig
 from repro.core.policies import TrimPolicy
 from repro.core.staystream import StayStreamManager
@@ -159,7 +159,7 @@ class FastBFSEngine(EdgeCentricEngine):
         self,
         rt: _RunState,
         p: int,
-        columns: StagedColumns,
+        state: VertexState,
         run: np.ndarray,
         src_local: np.ndarray,
         eliminate: Optional[np.ndarray],
@@ -170,7 +170,7 @@ class FastBFSEngine(EdgeCentricEngine):
             return None
         cfg: FastBFSConfig = self.config  # type: ignore[assignment]
         if cfg.extended_trim:
-            eliminate = rt.algo.extended_eliminate(columns, src_local, eliminate)
+            eliminate = rt.algo.extended_eliminate(state, src_local, eliminate)
         # Select the run's survivors once, into the stay writer's own
         # buffer; each modeled buffer's share of them is a slice, found
         # from where the buffer bounds fall among the surviving positions.

@@ -52,8 +52,8 @@ import numpy as np
 from repro.algorithms.streaming import (
     AlgoContext,
     BFSAlgorithm,
-    StagedColumns,
     StreamingAlgorithm,
+    VertexState,
 )
 from repro.engines.costs import COST_MODEL
 from repro.engines.result import EngineResult, IterationStats
@@ -204,7 +204,8 @@ class _HeldEdges:
                 self.dead = np.zeros(len(keep), dtype=bool)
         if self.src is None:
             src = self.edges["src"].astype(np.int64)
-            src -= lo
+            if lo:
+                src -= lo
             src.flags.writeable = False
             self.src = src
 
@@ -314,7 +315,7 @@ class _RunState:
         self.graph: Graph = None  # type: ignore[assignment]
         self.machine: Machine = None  # type: ignore[assignment]
         self.algo: StreamingAlgorithm = None  # type: ignore[assignment]
-        self.state: np.ndarray = None  # type: ignore[assignment]
+        self.state: VertexState = None  # type: ignore[assignment]
         self.partitioning: VertexPartitioning = None  # type: ignore[assignment]
         self.in_memory = False
         self.dev_edges: Device = None  # type: ignore[assignment]
@@ -777,9 +778,6 @@ class EdgeCentricEngine(Engine):
             )
             generated = 0
             streamed = 0
-            # The partition's state is read-only for the whole scatter, so
-            # one staging of the indexed columns serves every run.
-            columns = StagedColumns(state_view, rt.algo.scatter_columns)
             held = self._held_edges(rt, p, in_file.records(), lo)
             rescan = held is not None and held.src is not None
             # A rescan hands the kernel only the edges it has not eliminated,
@@ -797,7 +795,7 @@ class EdgeCentricEngine(Engine):
                     i, j = held.span(start, stop)
                     edges = held.edges[i:j]
                     updates, sources, eliminate = rt.algo.scatter(
-                        ctx, columns, held.src[i:j], edges["src"], edges["dst"]
+                        ctx, state_view, held.src[i:j], edges["src"], edges["dst"]
                     )
                     sources = held.spend(i, j, eliminate, sources, start)
                 else:
@@ -805,14 +803,15 @@ class EdgeCentricEngine(Engine):
                         src_local = held.src[start:stop]
                     else:
                         src_local = run["src"].astype(np.int64)
-                        src_local -= lo
+                        if lo:
+                            src_local -= lo
                     updates, sources, eliminate = rt.algo.scatter(
-                        ctx, columns, src_local, run["src"], run["dst"]
+                        ctx, state_view, src_local, run["src"], run["dst"]
                     )
                     if not rescan:
                         held.keep(eliminate)
                     trim = self._on_scatter_run(
-                        rt, p, columns, run, src_local, eliminate, bounds, stats
+                        rt, p, state_view, run, src_local, eliminate, bounds, stats
                     )
                 start = stop
                 sent = np.searchsorted(sources, bounds)
@@ -907,15 +906,15 @@ class EdgeCentricEngine(Engine):
             )
             activated = 0
             gathered = 0
-            columns = StagedColumns(state_view, rt.algo.gather_columns)
             whole_run = rt.algo.gather_run_invariant
             for run, bounds in _host_runs(reader):
                 dst_local = run["dst"].astype(np.int64)
-                dst_local -= lo
+                if lo:
+                    dst_local -= lo
                 payload = rt.algo.gather_payload(run)
                 weights = rt.algo.update_weights(run, bounds).tolist()
                 if whole_run:
-                    activated += rt.algo.gather(ctx, columns, dst_local, payload)
+                    activated += rt.algo.gather(ctx, state_view, dst_local, payload)
                 for b, weight in enumerate(weights):
                     gathered += len(next(reader))
                     cm.charge(
@@ -931,9 +930,8 @@ class EdgeCentricEngine(Engine):
                         # end (it says so): apply them one by one.
                         cut = slice(bounds[b], bounds[b + 1])
                         activated += rt.algo.gather(
-                            ctx, columns, dst_local[cut], payload[cut]
+                            ctx, state_view, dst_local[cut], payload[cut]
                         )
-            columns.write_back()
             g_span.set(updates_gathered=gathered, activated=activated)
         return activated
 
@@ -1034,7 +1032,7 @@ class EdgeCentricEngine(Engine):
         self,
         rt: _RunState,
         p: int,
-        columns: StagedColumns,
+        state: VertexState,
         run: np.ndarray,
         src_local: np.ndarray,
         eliminate: Optional[np.ndarray],

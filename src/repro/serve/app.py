@@ -802,7 +802,16 @@ class _Handler(BaseHTTPRequestHandler):
         # (and answer with the id of) the previous request's.
         self.path = ""
         self.headers = self.MessageClass()
-        super().handle_one_request()
+        try:
+            super().handle_one_request()
+        except ConnectionError:
+            # The peer reset the connection while the next request was
+            # read.  A client that drops an answer the kernel had already
+            # taken in whole (loopback buffers hold more than 100 KB) shows
+            # up only here, as the reset its unread bytes cause: count it
+            # as the hang-up it is, without a handler traceback.
+            self.close_connection = True
+            self.service.count_disconnect(self.path, "")
 
     def send_error(self, code, message=None, explain=None) -> None:
         """Refusals ``BaseHTTPRequestHandler`` makes on its own (bad request

@@ -22,8 +22,9 @@ them instead of a concatenation (:func:`~repro.storage.vfs.as_one_array`),
 and the file seals its chunks by the same rule.  The stay writer makes that the
 rule rather than luck: survivors are selected straight into its private
 buffer (:meth:`AsyncStreamWriter.take_survivors`), so a stay record is
-written once, the file seals by reference, and swap-in can tell that what
-it holds is what was flushed (:meth:`AsyncStreamWriter.verify_integrity`).
+written once, the file seals as a view of that buffer without a walk over
+its chunks, and swap-in can tell that what it holds is what was flushed
+(:meth:`AsyncStreamWriter.verify_integrity`).
 A flush of that buffer is not checksummed at send either: the ledger keeps
 the read-only view, and its CRC is taken only by a swap-in that has to
 compare it, so a clean stay record is read once.
@@ -250,7 +251,13 @@ class StreamWriter:
         else:
             self.flush()
         self.closed = True
-        self.file.seal()
+        self.file.seal(self._whole())
+
+    def _whole(self) -> Optional[np.ndarray]:
+        """Hook: the written records as one view, when the writer knows
+        them to be one (see :meth:`VirtualFile.seal`); None to let the file
+        join its chunks."""
+        return None
 
 
 class AsyncStreamWriter(StreamWriter):
@@ -264,8 +271,9 @@ class AsyncStreamWriter(StreamWriter):
     The private buffers are real on the host too: ``capacity`` records,
     allocated once, that :meth:`take_survivors` selects into and whose
     consecutive read-only views are what gets appended.  The file's chunks
-    are then that buffer, in order, and it seals by reference, so a stay
-    record exists once.  Nothing else ever holds the buffer writable.
+    are then that buffer, in order, and it seals as the buffer's prefix by
+    reference, so a stay record exists once.  Nothing else ever holds the
+    buffer writable.
 
     Because a stay file is advisory (an optimization, never the only copy
     of the data), this writer is also where I/O faults degrade instead of
@@ -294,6 +302,7 @@ class AsyncStreamWriter(StreamWriter):
         self.capacity = capacity
         self._buffer: Optional[np.ndarray] = None  # allocated at first use
         self._taken = 0  # records of it selected so far
+        self._views_only = True  # every flush so far sent a view of it
         self.pool_waits = 0  # times the engine stalled on buffer exhaustion
         self.cancelled = False
         #: Flipped when a flush keeps failing after retries; the manager
@@ -317,7 +326,9 @@ class AsyncStreamWriter(StreamWriter):
         """Select ``run[keep]`` into the private buffer.
 
         Returns a read-only view of the selected records, for the caller
-        to :meth:`append` in consecutive slices.
+        to :meth:`append` in consecutive slices, once each and in the order
+        taken (as the engine's replay does), so what the file holds is the
+        buffer's prefix.
         """
         start = self._taken
         stop = start + len(keep)
@@ -355,7 +366,22 @@ class AsyncStreamWriter(StreamWriter):
             sent: Union[int, np.ndarray] = chunk
         else:
             sent = zlib.crc32(chunk.view(np.uint8))
+            self._views_only = False
         self._chunk_sums.append((offset, chunk.nbytes, sent))
+
+    def _whole(self) -> Optional[np.ndarray]:
+        # Each flush sent a read-only view of the buffer, the views were
+        # appended in the order taken, and together they hold every record
+        # taken: the file is the buffer's prefix.
+        if (
+            self._buffer is None
+            or not self._views_only
+            or self.file.num_records != self._taken
+        ):
+            return None
+        whole = self._buffer[: self._taken]
+        whole.flags.writeable = False
+        return whole
 
     def _submit(self, nbytes: int, offset: int) -> ScheduledRequest:
         live = self._live_requests()

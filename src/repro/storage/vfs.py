@@ -6,7 +6,8 @@ path).  Files are append-only while open, then sealed into one contiguous
 array for zero-copy streamed reads.  When the appended arrays already are
 one array in memory (:func:`joined_view`: a writer that appended consecutive
 views of its own buffer), sealing keeps that array by reference, without a
-copy.
+copy; a writer that knows its chunks make up its buffer's prefix hands that
+view to :meth:`VirtualFile.seal`, which then needs no walk over them.
 
 The VFS supports the file-level operations FastBFS needs each iteration:
 create, delete, and atomic *replace* (swapping a freshly written stay file in
@@ -158,11 +159,21 @@ class VirtualFile:
                 base += chunk.nbytes
         self.corruptions.append(offset)
 
-    def seal(self) -> None:
-        """Freeze the chunks as one contiguous array (idempotent)."""
+    def seal(self, whole: Optional[np.ndarray] = None) -> None:
+        """Freeze the chunks as one contiguous array (idempotent).
+
+        ``whole`` is what the writer knows the chunks to be as one array, a
+        view of the buffer they were all sliced from.  It is kept by
+        reference when no corruption was recorded, it holds the file's
+        bytes, and every chunk still is a view of that buffer: a chunk
+        replaced by a copy (``corrupt_at``, or damage no injector tagged)
+        takes the general path, so the stored bytes are what it holds.
+        """
         self._check_alive()
         if self._sealed is None:
-            if self._chunks:
+            if whole is not None and self._is_whole(whole):
+                self._sealed = whole
+            elif self._chunks:
                 # By reference when the chunks are one array in memory (a
                 # writer that appended consecutive views of its own buffer).
                 self._sealed = as_one_array(self._chunks)
@@ -170,6 +181,16 @@ class VirtualFile:
                 dtype = self._dtype if self._dtype is not None else np.uint8
                 self._sealed = np.empty(0, dtype=dtype)
             self._chunks = []
+
+    def _is_whole(self, whole: np.ndarray) -> bool:
+        base = whole.base
+        return (
+            not self.corruptions
+            and base is not None
+            and whole.dtype == self._dtype
+            and whole.nbytes == self._nbytes
+            and all(chunk.base is base for chunk in self._chunks)
+        )
 
     def records(self) -> np.ndarray:
         """The full contents as one contiguous array (seals the file)."""

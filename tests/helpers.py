@@ -105,9 +105,9 @@ class ScheduleRecorder:
             recorder.calls.append(("wait", t))
             return wait(self, t)
 
-        def record_seal(self):
+        def record_seal(self, whole=None):
             first = self._sealed is None
-            seal(self)
+            seal(self, whole)
             if first:
                 recorder.sealed.append((self.name, self._sealed.tobytes()))
 

@@ -13,7 +13,7 @@ from repro.algorithms.graph500 import (
 )
 from repro.core.engine import FastBFSEngine
 from repro.errors import EngineError, ValidationError
-from repro.graph.generators import rmat_graph, star_graph
+from repro.graph.generators import star_graph
 
 
 class TestSampleRoots:

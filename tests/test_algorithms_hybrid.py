@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.hybrid import hybrid_bfs
-from repro.algorithms.reference import bfs_levels, bfs_parents_and_levels
+from repro.algorithms.reference import bfs_levels
 from repro.algorithms.validation import validate_bfs_result
 from repro.errors import GraphError
 from repro.graph.generators import (

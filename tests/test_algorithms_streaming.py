@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.pagerank import PageRankAlgorithm
 from repro.algorithms.sssp import WeightedSSSPAlgorithm
@@ -14,6 +16,7 @@ from repro.algorithms.streaming import (
     BFSAlgorithm,
     UnitSSSPAlgorithm,
     WCCAlgorithm,
+    _by_destination,
     check_roots,
 )
 from repro.core.engine import FastBFSEngine
@@ -55,6 +58,34 @@ class TestBFSInit:
 
     def test_trimming_supported(self):
         assert BFSAlgorithm.supports_trimming is True
+
+
+class TestVertexState:
+    def test_a_write_through_a_slice_lands_in_the_parent_column(self):
+        state = BFSAlgorithm().init_state(8, [0])
+        part = state[2:6]
+        assert len(part) == 4
+        part["level"][1] = 7
+        part["active"][:] = 1
+        assert state["level"][3] == 7
+        assert state["active"].tolist() == [1, 0, 1, 1, 1, 1, 0, 0]
+        # A kernel handed the slice writes the query's columns too.
+        claimed = BFSAlgorithm().gather(
+            AlgoContext(4), part, np.array([0, 2, 0]),
+            np.array([9, 8, 7], dtype=np.uint32),
+        )
+        assert claimed == 2
+        assert state["level"][[2, 4]].tolist() == [5, 5]
+        assert state["parent"][[2, 4]].tolist() == [9, 8]
+
+    def test_columns_are_contiguous_and_the_record_is_their_fields(self):
+        state = BFSAlgorithm().init_state(5, [2])
+        assert state.dtype == BFSAlgorithm.state_dtype
+        for name in state.dtype.names:
+            assert state[name].flags.c_contiguous
+        records = np.asarray(state)
+        assert records.dtype == BFSAlgorithm.state_dtype
+        assert records["level"].tolist() == [-1, -1, 0, -1, -1]
 
 
 class TestCheckRoots:
@@ -185,6 +216,69 @@ class TestBFSGather:
         out = algo.result(state)
         out["level"][0] = 99
         assert state["level"][0] == 0
+
+
+def gather_by_sort(ctx, state, dst_local, payload) -> int:
+    """The sort rule ``BFSAlgorithm.gather`` is held to: stable-sort the
+    fresh updates by destination and let the first of each run of equal
+    destinations claim it."""
+    fresh = np.flatnonzero(state["level"][dst_local] == UNVISITED)
+    if len(fresh) == 0:
+        return 0
+    dst, order, is_start = _by_destination(dst_local, fresh)
+    uniq = dst[is_start]
+    state["level"][uniq] = ctx.iteration + 1
+    state["parent"][uniq] = payload[order[is_start]]
+    state["active"][uniq] = 1
+    return len(uniq)
+
+
+@st.composite
+def gather_inputs(draw):
+    """``(state, dst_local, payload, cuts)``: few vertices, so destinations
+    repeat; a random visited set (levels 0-3, any parent) and active set;
+    and random cuts of the updates into the runs gathered one by one."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    state = BFSAlgorithm().init_state(n, [0])
+    visited = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    for v in np.flatnonzero(visited):
+        state["level"][v] = draw(st.integers(min_value=0, max_value=3))
+        state["parent"][v] = draw(st.integers(min_value=0, max_value=2**32 - 2))
+    state["active"][:] = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    count = draw(st.integers(min_value=0, max_value=60))
+    dst = draw(st.lists(
+        st.integers(min_value=0, max_value=n - 1), min_size=count, max_size=count
+    ))
+    payload = draw(st.lists(
+        st.integers(min_value=0, max_value=2**32 - 2), min_size=count, max_size=count
+    ))
+    cuts = sorted(draw(st.lists(
+        st.integers(min_value=0, max_value=count), max_size=4
+    )))
+    return (
+        state, np.array(dst, dtype=np.int64),
+        np.array(payload, dtype=np.uint32), [0, *cuts, count],
+    )
+
+
+class TestFirstArrivalProperty:
+    """``BFSAlgorithm.gather`` finds each destination's first fresh update
+    in one pass (``np.minimum.at``); the sort it replaced is the rule."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(gather_inputs(), st.integers(min_value=0, max_value=5))
+    def test_matches_the_sort_rule_run_by_run(self, inputs, iteration):
+        state, dst_local, payload, cuts = inputs
+        expected = state.copy()
+        ctx = AlgoContext(iteration)
+        for start, stop in zip(cuts, cuts[1:]):
+            run = slice(start, stop)
+            claimed = BFSAlgorithm().gather(ctx, state, dst_local[run], payload[run])
+            assert claimed == gather_by_sort(
+                ctx, expected, dst_local[run], payload[run]
+            )
+            for field in ("level", "parent", "active"):
+                assert np.array_equal(state[field], expected[field]), field
 
 
 class TestUnitSSSP:

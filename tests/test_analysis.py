@@ -27,7 +27,7 @@ from repro.analysis.tables import (
 from repro.errors import ConfigError
 from repro.graph.generators import rmat_graph
 from repro.storage.device import DeviceSpec
-from repro.utils.units import GB, MB
+from repro.utils.units import MB
 
 DIV = 4096  # tiny datasets for harness tests
 

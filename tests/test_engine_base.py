@@ -12,8 +12,7 @@ from repro.algorithms.streaming import WCCAlgorithm
 from repro.engines.base import EngineConfig
 from repro.engines.xstream import XStreamEngine
 from repro.errors import ConfigError, EngineError
-from repro.graph.generators import path_graph, rmat_graph, star_graph
-from repro.graph.graph import Graph
+from repro.graph.generators import rmat_graph
 from repro.utils.units import KB, MB
 
 

@@ -1,7 +1,6 @@
 """Unit tests for EngineResult / IterationStats presentation."""
 
 import numpy as np
-import pytest
 
 from repro.engines.result import EngineResult, IterationStats
 from repro.storage.machine import IOReport

@@ -3,7 +3,6 @@ starved devices — correctness must survive every degraded mode.
 """
 
 import numpy as np
-import pytest
 
 from tests.helpers import (
     fresh_machine,
@@ -14,7 +13,6 @@ from tests.helpers import (
 
 from repro.algorithms.reference import bfs_levels
 from repro.core.engine import FastBFSEngine
-from repro.graph.generators import rmat_graph
 from repro.storage.device import DeviceSpec
 from repro.storage.machine import Machine
 from repro.utils.units import MB

@@ -522,6 +522,83 @@ class TestTornWriteIntegrity:
         assert writer.verify_integrity() == []
         assert checksummed == []  # and swap-in reads nothing either
 
+    def _traverse_verifying(self, graph, monkeypatch, plan=None):
+        """A FastBFS run on one disk; returns the result and, per swap-in
+        that compared, ``(writer, bad offsets, stored records)``."""
+        import repro.storage.vfs as vfs_module
+
+        verify = AsyncStreamWriter.verify_integrity
+        seal = VirtualFile.seal
+        joined_view = vfs_module.joined_view
+        verified, sealing_stay, joined_in_stay_seal = [], [], []
+
+        def recording_verify(writer):
+            bad = verify(writer)
+            verified.append((writer, bad, writer.file.records()))
+            return bad
+
+        def recording_seal(file, whole=None):
+            sealing_stay.append(file.name.startswith("stay:"))
+            try:
+                return seal(file, whole)
+            finally:
+                sealing_stay.pop()
+
+        def recording_joined_view(arrays):
+            joined_in_stay_seal.append(bool(sealing_stay and sealing_stay[-1]))
+            return joined_view(arrays)
+
+        monkeypatch.setattr(AsyncStreamWriter, "verify_integrity", recording_verify)
+        monkeypatch.setattr(VirtualFile, "seal", recording_seal)
+        monkeypatch.setattr(vfs_module, "joined_view", recording_joined_view)
+        root = hub_root(graph)
+        machine = Machine([DeviceSpec.hdd("hdd0")], memory=2 * MB, cores=4,
+                          fault_plan=plan)
+        machine.attach_tracer(Tracer())
+        result = FastBFSEngine(small_fastbfs_config()).run(graph, machine, root=root)
+        assert np.array_equal(result.levels, bfs_levels(graph, root))
+        return machine, result, verified, joined_in_stay_seal
+
+    def test_a_clean_pass_seals_each_stay_file_as_its_buffer(
+        self, rmat10, monkeypatch
+    ):
+        """Every stay file a clean traversal swaps in holds its writer's
+        buffer by reference, and sealing one walks no chunks."""
+        _, result, verified, joined_in_stay_seal = self._traverse_verifying(
+            rmat10, monkeypatch
+        )
+        assert result.extras["stay_swaps"] > 0
+        assert len(verified) == result.extras["stay_swaps"]
+        for writer, bad, stored in verified:
+            assert bad == []
+            assert stored.base is writer._buffer
+            assert np.shares_memory(stored, writer._buffer)
+            assert not stored.flags.writeable
+        assert not any(joined_in_stay_seal)
+
+    def test_a_torn_stay_flush_still_fails_the_check_and_cancels_the_swap(
+        self, rmat10, monkeypatch
+    ):
+        plan = FaultPlan(
+            specs=(FaultSpec(kind="torn_write", role="stay", max_fires=1),),
+            seed=0,
+        )
+        machine, result, verified, _ = self._traverse_verifying(
+            rmat10, monkeypatch, plan=plan
+        )
+        torn = [(writer, bad, stored) for writer, bad, stored in verified if bad]
+        assert len(torn) == 1 == result.extras["stay_integrity_failures"]
+        (writer, bad, stored), = torn
+        assert bad == writer.file.corruptions
+        assert stored.base is not writer._buffer  # sealed by the general path
+        mismatches = [
+            s for s in machine.tracer.spans
+            if s.name == "stay_cancel"
+            and s.attrs.get("reason") == "checksum_mismatch"
+        ]
+        assert len(mismatches) == 1
+        assert result.extras["stay_swaps"] == len(verified) - 1
+
     def test_injected_torn_write_into_the_buffer_is_reported(self):
         plan = FaultPlan(specs=(FaultSpec(kind="torn_write", max_fires=1),),
                          seed=0)

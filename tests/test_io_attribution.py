@@ -1,6 +1,5 @@
 """Tests for per-stream-role byte attribution."""
 
-import numpy as np
 import pytest
 
 from tests.helpers import fresh_machine, hub_root, small_fastbfs_config

@@ -40,7 +40,6 @@ from repro.algorithms.streaming import (
     AlgoContext,
     BatchedBFSAlgorithm,
     BFSAlgorithm,
-    StagedColumns,
     StreamingAlgorithm,
     UnitSSSPAlgorithm,
 )
@@ -408,8 +407,7 @@ def selected_after_elimination(kernel, graph, slots) -> int:
     for iteration in range(graph.num_vertices + 1):
         ctx = AlgoContext(iteration)
         updates, sources, eliminate = kernel.scatter(
-            ctx, StagedColumns(state, kernel.scatter_columns),
-            src_local, src, dst,
+            ctx, state, src_local, src, dst
         )
         late += int(np.count_nonzero(dead[sources]))
         dead |= eliminate
@@ -417,12 +415,10 @@ def selected_after_elimination(kernel, graph, slots) -> int:
         kernel.after_partition_scatter(ctx, state)
         if not len(updates):
             return late
-        columns = StagedColumns(state, kernel.gather_columns)
         kernel.gather(
-            ctx, columns, updates["dst"].astype(np.int64),
+            ctx, state, updates["dst"].astype(np.int64),
             kernel.gather_payload(updates),
         )
-        columns.write_back()
         kernel.after_gather(ctx, state)
     raise AssertionError("the traversal did not converge")
 

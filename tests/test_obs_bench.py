@@ -19,7 +19,6 @@ Contracts locked down here:
 from __future__ import annotations
 
 import copy
-import json
 
 import pytest
 

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import io
 import json
+import select
 import socket
 import struct
 import sys
 import threading
+import time
 from email.utils import parsedate_to_datetime
 from http import HTTPStatus
 from types import SimpleNamespace
@@ -478,6 +480,37 @@ class TestSockets:
             conn.send(http_request("GET", "/healthz"))
             assert conn.read_response()[0] == 200
         assert seen and all(seen)
+
+    def test_reset_after_the_kernel_took_the_whole_answer_is_counted_once(
+        self, capsys
+    ):
+        """The client resets only once the answer has reached it, so the
+        server's write of it succeeded: the reset shows up on the read of
+        the next request, and is counted there, once, with no traceback."""
+        svc = GraphService(
+            port=0, warmup=("big@rmat:scale=13,edge_factor=8,seed=7",)
+        ).start()
+        threads_before = threading.active_count()
+        try:
+            request = http_request("POST", "/graphs/big/bfs", b'{"root": 3}')
+            sock = socket.create_connection(("127.0.0.1", svc.port))
+            try:
+                sock.sendall(request)
+                assert select.select([sock], [], [], 30)[0], "no answer came"
+                time.sleep(0.2)  # the rest of the write lands in the buffers
+                sock.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+            finally:
+                sock.close()
+            assert wait_until(
+                lambda: threading.active_count() <= threads_before
+            ), "a handler thread never ended"
+            total = svc.metrics_snapshot().total("client_disconnect_total")
+            assert total == 1.0
+        finally:
+            svc.shutdown()
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_reset_before_a_large_answer_is_counted_without_traceback(
         self, capsys

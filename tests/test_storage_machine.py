@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.storage.device import DeviceSpec
-from repro.storage.machine import IOReport, Machine
+from repro.storage.machine import Machine
 from repro.utils.units import GB, MB
 
 

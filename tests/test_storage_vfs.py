@@ -6,7 +6,7 @@ import pytest
 from repro.errors import StorageError
 from repro.graph.types import EDGE_DTYPE, make_edges
 from repro.storage.device import Device, DeviceSpec
-from repro.storage.vfs import VFS, VirtualFile, as_one_array, joined_view
+from repro.storage.vfs import VFS, as_one_array, joined_view
 
 
 @pytest.fixture

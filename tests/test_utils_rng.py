@@ -1,7 +1,6 @@
 """Tests for deterministic RNG helpers."""
 
 import numpy as np
-import pytest
 
 from repro.utils.rng import rng_from_seed
 
