@@ -13,7 +13,7 @@ Run:  python examples/multi_disk_pipeline.py
 
 import numpy as np
 
-from repro import FastBFSConfig, FastBFSEngine, XStreamEngine, build_dataset
+from repro import FastBFSEngine, XStreamEngine, build_dataset
 from repro.analysis.calibration import (
     scaled_engine_config,
     scaled_fastbfs_config,

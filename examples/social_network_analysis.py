@@ -11,7 +11,7 @@ Run:  python examples/social_network_analysis.py
 
 import numpy as np
 
-from repro import build_dataset, run_bfs
+from repro import build_dataset
 from repro.analysis.calibration import ENGINES, PAPER_ENGINES, scaled_machine
 from repro.analysis.tables import format_table
 from repro.utils.units import format_bytes, format_seconds

@@ -10,7 +10,7 @@ figure of merit is the harmonic mean).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 import numpy as np
 

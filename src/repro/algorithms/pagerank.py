@@ -17,12 +17,11 @@ against networkx.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from repro.algorithms.streaming import (
-    AlgoContext,
     StreamingAlgorithm,
     VertexState,
     _make_updates,

@@ -83,19 +83,9 @@ class StreamingAlgorithm:
     rounds: Optional[int] = None
 
     def init_state(self, num_vertices: int, roots) -> "VertexState":
+        """A query's initial state from ``roots``, which a kernel that
+        takes roots checks (:func:`check_roots`) first."""
         raise NotImplementedError
-
-    def init_state_validated(self, num_vertices: int, roots) -> "VertexState":
-        """Build state from roots the engine boundary already validated.
-
-        ``engine.run()``/``run_many()`` validate every root entry before
-        staging (so a bad query fails without touching the machine) and
-        hand the validated arrays through the session to this entry point,
-        avoiding a second validation pass.  The default simply defers to
-        :meth:`init_state`; algorithms with non-trivial root checks
-        override both and share the body.
-        """
-        return self.init_state(num_vertices, roots)
 
     def scatter(
         self,
@@ -317,12 +307,7 @@ class BFSAlgorithm(StreamingAlgorithm):
     gather_run_invariant = True
 
     def init_state(self, num_vertices: int, roots) -> VertexState:
-        return self.init_state_validated(
-            num_vertices, check_roots(num_vertices, roots)
-        )
-
-    def init_state_validated(self, num_vertices: int, roots) -> VertexState:
-        roots = np.atleast_1d(np.asarray(roots, dtype=np.int64))
+        roots = check_roots(num_vertices, roots)
         state = VertexState.zeros(self.state_dtype, num_vertices)
         state["level"][:] = UNVISITED
         state["parent"][:] = NO_PARENT
@@ -339,25 +324,15 @@ class BFSAlgorithm(StreamingAlgorithm):
         return _make_updates(dst_global[sel], src_global[sel]), sel, mask
 
     def gather(self, ctx, state, dst_local, payload) -> int:
-        level = state["level"]
-        fresh = np.flatnonzero(level.take(dst_local) == UNVISITED)
+        fresh = np.flatnonzero(state["level"].take(dst_local) == UNVISITED)
         if len(fresh) == 0:
             return 0
         # First update to arrive wins (stream order), matching the paper's
-        # "marks the corresponding destination vertices as visited": the
-        # least position offered to each destination, found in one pass
-        # over the fresh updates, no sort.  The scratch is the destinations'
-        # own parent entries: an unvisited vertex holds NO_PARENT, above any
-        # position of a run (under 2**32 records), and every entry the pass
-        # lowers is claimed, so it is overwritten with the parent next.
-        dst = dst_local.take(fresh)
-        pos = fresh.astype(np.uint32)  # one dtype keeps ufunc.at's fast loop
-        parent = state["parent"]
-        np.minimum.at(parent, dst, pos)
-        won = parent.take(dst) == pos
-        uniq = dst[won]
-        parent[uniq] = payload[pos[won]]
-        level[uniq] = ctx.iteration + 1
+        # "marks the corresponding destination vertices as visited".
+        dst, order, is_start = _by_destination(dst_local, fresh)
+        uniq = dst[is_start]
+        state["level"][uniq] = ctx.iteration + 1
+        state["parent"][uniq] = payload[order[is_start]]
         state["active"][uniq] = 1
         return len(uniq)
 
@@ -492,7 +467,7 @@ class BatchedBFSAlgorithm(StreamingAlgorithm):
         #: Per-query vertices newly claimed at level i (gather of pass i).
         self._activated_by_pass: Dict[int, np.ndarray] = {}
         #: Row q is slot q's level / parent of every vertex (built by
-        #: ``init_state_validated``, written through flat indices).
+        #: ``init_state``, written through flat indices).
         self._levels = np.empty((self.num_queries, 0), dtype=np.int32)
         self._parents = np.empty((self.num_queries, 0), dtype=np.uint32)
 
@@ -500,13 +475,9 @@ class BatchedBFSAlgorithm(StreamingAlgorithm):
     # state construction
     # ------------------------------------------------------------------
     def init_state(self, num_vertices: int, roots) -> VertexState:
-        entries = [check_roots(num_vertices, r) for r in roots]
-        return self.init_state_validated(num_vertices, entries)
-
-    def init_state_validated(self, num_vertices: int, roots) -> VertexState:
         """``roots`` is one entry per query slot: a root vertex or a root
-        set for a multi-source slot (already validated at the boundary)."""
-        slots = [np.atleast_1d(np.asarray(r, dtype=np.int64)) for r in roots]
+        set for a multi-source slot."""
+        slots = [check_roots(num_vertices, r) for r in roots]
         if len(slots) != self.num_queries:
             raise EngineError(
                 f"batched kernel of width {self.num_queries} got "

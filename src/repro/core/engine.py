@@ -56,14 +56,14 @@ class FastBFSEngine(EdgeCentricEngine):
     def _before_run(self, rt: _RunState) -> None:
         cfg: FastBFSConfig = self.config  # type: ignore[assignment]
         machine = rt.machine
-        if rt.in_memory:
+        if rt.staged.in_memory:
             stay_device = machine.ram
         else:
             stay_index = cfg.stay_disk if cfg.stay_disk is not None else EDGE_DISK
             stay_device = machine.disk(stay_index)
         rt.stay = StayStreamManager(
             machine.clock, machine.vfs, stay_device, cfg,
-            protected=rt.protected_files,
+            protected=rt.staged.protected_names(),
             tracer=machine.tracer,
         )
         rt.trim_policy = TrimPolicy(cfg, rt.algo.supports_trimming)
@@ -134,13 +134,13 @@ class FastBFSEngine(EdgeCentricEngine):
         a two-disk machine reads and writes never contend (paper Fig. 10).
         """
         cfg: FastBFSConfig = self.config  # type: ignore[assignment]
-        if rt.in_memory or not cfg.rotate_streams:
+        if rt.staged.in_memory or not cfg.rotate_streams:
             return None
         return rt.machine.disk((iteration + 1) % 2)
 
     def _update_device(self, rt: _RunState, iteration: int):
         rotated = self._write_disk(rt, iteration)
-        return rotated if rotated is not None else rt.dev_updates
+        return rotated if rotated is not None else rt.staged.dev_updates
 
     def _pre_partition_scatter(self, rt: _RunState, p: int, ctx: AlgoContext) -> None:
         if self._trimming_active(rt, ctx.iteration):

@@ -303,26 +303,24 @@ class EngineConfig:
 class _RunState:
     """Mutable per-query bundle so engines stay reusable across queries.
 
-    Built by ``Engine._open_query``; GraphChi reads only the common head
-    (graph, machine, kernel, state, iterations, extras).  This is
-    session-internal state: outside the ``engines``/``core`` subsystems
-    nothing may construct one (analyzer rule FB107) — go through
-    ``engine.run()`` / ``engine.run_many()`` or a
+    Built by ``Engine._open_query``: the staged artifact the query runs
+    against (``staged``, whose layout the passes read: partitioning,
+    devices, vertex files), the machine, and per-query state only.
+    GraphChi reads only the common head (machine, kernel, state,
+    iterations, extras).  This is session-internal state: outside the
+    ``engines``/``core`` subsystems nothing may construct one (analyzer
+    rule FB107) — go through ``engine.run()`` / ``engine.run_many()`` or a
     :class:`~repro.engines.session.QuerySession`.
     """
 
     def __init__(self) -> None:
-        self.graph: Graph = None  # type: ignore[assignment]
+        self.staged = None  # StagedGraph, or GraphChi's prepared shards
         self.machine: Machine = None  # type: ignore[assignment]
         self.algo: StreamingAlgorithm = None  # type: ignore[assignment]
         self.state: VertexState = None  # type: ignore[assignment]
-        self.partitioning: VertexPartitioning = None  # type: ignore[assignment]
-        self.in_memory = False
-        self.dev_edges: Device = None  # type: ignore[assignment]
-        self.dev_updates: Device = None  # type: ignore[assignment]
-        self.dev_vertices: Device = None  # type: ignore[assignment]
+        #: The edge file each partition scans; a swapped-in stay file
+        #: replaces the staged one for the rest of the query.
         self.edge_files: List[VirtualFile] = []
-        self.vertex_files: List[VirtualFile] = []
         self.update_in: List[Optional[VirtualFile]] = []
         self.update_writers: List[StreamWriter] = []
         self.pending_vertex_writes: List[ScheduledRequest] = []
@@ -331,8 +329,6 @@ class _RunState:
         self.held_edges: Dict[int, _HeldEdges] = {}
         self.iterations: List[IterationStats] = []
         self.extras: Dict[str, float] = {}
-        #: Staged-artifact file names this query must not delete/displace.
-        self.protected_files: frozenset = frozenset()
         # FastBFS session state (attached by FastBFSEngine._before_run;
         # declared here so the per-query ownership is explicit).
         self.stay = None  # StayStreamManager
@@ -382,7 +378,7 @@ class Engine:
         algo = self._kernel(algorithm)
 
         def drive(staged, validated):
-            result = self.session(staged, algo).run(validated_roots=validated[0])
+            result = self.session(staged, algo).run(roots=validated[0])
             result.report = machine.report()
             return result
 
@@ -454,7 +450,7 @@ class Engine:
         """The per-query bundle of ``kernel`` against ``staged``; the
         session then sets its ``state``."""
         rt = _RunState()
-        rt.graph = staged.graph
+        rt.staged = staged
         rt.machine = staged.machine
         rt.algo = kernel
         return rt
@@ -605,17 +601,10 @@ class EdgeCentricEngine(Engine):
     # ------------------------------------------------------------------
     def _open_query(self, staged, kernel: StreamingAlgorithm) -> _RunState:
         rt = super()._open_query(staged, kernel)
-        rt.partitioning = staged.partitioning
-        rt.in_memory = staged.in_memory
-        rt.dev_edges = staged.dev_edges
-        rt.dev_updates = staged.dev_updates
-        rt.dev_vertices = staged.dev_vertices
         rt.edge_files = list(staged.edge_files)
-        rt.vertex_files = list(staged.vertex_files)
         rt.update_in = [None] * staged.partitioning.count
         rt.extras["partitions"] = float(staged.partitioning.count)
         rt.extras["in_memory"] = float(staged.in_memory)
-        rt.protected_files = staged.protected_names()
         return rt
 
     def _run_passes(self, staged, rt: _RunState) -> None:
@@ -642,7 +631,7 @@ class EdgeCentricEngine(Engine):
         ctx = AlgoContext(0)
         stats = IterationStats(iteration=0)
         rt.iterations.append(stats)
-        part = rt.partitioning
+        part = rt.staged.partitioning
         active_per_part = self._active_per_partition(rt)
         with rt.machine.tracer.span(
             "iteration", iteration=0, frontier=int(active_per_part.sum())
@@ -684,7 +673,7 @@ class EdgeCentricEngine(Engine):
             "iteration", iteration=iteration, frontier=int(frontier)
         ) as it_span:
             self._open_update_writers(rt, iteration=iteration)
-            for p in rt.partitioning:
+            for p in rt.staged.partitioning:
                 update_file = prev_updates[p]
                 has_updates = update_file is not None and update_file.num_records > 0
                 if not self._should_process_partition(rt, p, has_updates, 0):
@@ -700,7 +689,7 @@ class EdgeCentricEngine(Engine):
                     if has_updates
                     else 0
                 )
-                lo, hi = rt.partitioning.range_of(p)
+                lo, hi = rt.staged.partitioning.range_of(p)
                 rt.algo.after_gather(gather_ctx, rt.state[lo:hi])
                 stats.activated += activated
                 scatter_allowed = (
@@ -764,7 +753,7 @@ class EdgeCentricEngine(Engine):
         cfg = self.config
         cm = COST_MODEL
         machine = rt.machine
-        lo, hi = rt.partitioning.range_of(p)
+        lo, hi = rt.staged.partitioning.range_of(p)
         state_view = rt.state[lo:hi]
         with machine.tracer.span("scatter", partition=p) as sc_span:
             in_file = self._edge_input_file(rt, p, ctx, stats)
@@ -822,7 +811,7 @@ class EdgeCentricEngine(Engine):
                 produced = np.diff(sent).tolist()
                 due, tails = _appends_due(
                     _route(
-                        rt.partitioning, updates["dst"], updates, sources, bounds
+                        rt.staged.partitioning, updates["dst"], updates, sources, bounds
                     ),
                     rt.update_writers,
                 )
@@ -894,7 +883,7 @@ class EdgeCentricEngine(Engine):
         cfg = self.config
         cm = COST_MODEL
         machine = rt.machine
-        lo, _hi = rt.partitioning.range_of(p)
+        lo, _hi = rt.staged.partitioning.range_of(p)
         state_view = rt.state[lo:_hi]
         with machine.tracer.span("gather", partition=p) as g_span:
             reader = StreamReader(
@@ -939,10 +928,10 @@ class EdgeCentricEngine(Engine):
     # vertex set I/O (timing anchors; state array is the data path)
     # ------------------------------------------------------------------
     def _vertex_nbytes(self, rt: _RunState, p: int) -> int:
-        return rt.partitioning.size_of(p) * rt.algo.disk_record_bytes
+        return rt.staged.partitioning.size_of(p) * rt.algo.disk_record_bytes
 
     def _read_vertices(self, rt: _RunState, p: int) -> None:
-        f = rt.vertex_files[p]
+        f = rt.staged.vertex_files[p]
         req = submit_with_retry(
             rt.machine.clock,
             f,
@@ -954,7 +943,7 @@ class EdgeCentricEngine(Engine):
         rt.machine.clock.wait_until(req.end)
 
     def _write_vertices(self, rt: _RunState, p: int) -> None:
-        f = rt.vertex_files[p]
+        f = rt.staged.vertex_files[p]
         req = submit_with_retry(
             rt.machine.clock,
             f,
@@ -979,19 +968,19 @@ class EdgeCentricEngine(Engine):
                 cfg.update_buffer_bytes,
                 group=f"updates:{parity}:p{p}",
             )
-            for p in rt.partitioning
+            for p in rt.staged.partitioning
         ]
 
     def _update_device(self, rt: _RunState, iteration: int) -> Device:
         """Device for the update streams written during ``iteration``."""
-        return rt.dev_updates
+        return rt.staged.dev_updates
 
     def _active_per_partition(self, rt: _RunState) -> np.ndarray:
         active = np.flatnonzero(rt.state["active"])
-        counts = np.zeros(rt.partitioning.count, dtype=np.int64)
+        counts = np.zeros(rt.staged.partitioning.count, dtype=np.int64)
         if len(active):
-            parts = rt.partitioning.partition_of(active)
-            counts += np.bincount(parts, minlength=rt.partitioning.count)
+            parts = rt.staged.partitioning.partition_of(active)
+            counts += np.bincount(parts, minlength=rt.staged.partitioning.count)
         return counts
 
     # ------------------------------------------------------------------

@@ -263,7 +263,7 @@ def run_staged_queries(
             session = QuerySession(
                 engine, staged, algorithm=algo, span_attrs=attrs
             )
-            invoke = lambda: [session.run(validated_roots=chunk[0])]
+            invoke = lambda: [session.run(roots=chunk[0])]
         queries.extend(run_with_recovery(session, invoke, max_recoveries))
         if batched:
             shared_iterations.extend(session.iterations)
@@ -340,27 +340,16 @@ class QuerySession:
 
     # ------------------------------------------------------------------
     def run(
-        self,
-        root: int = 0,
-        roots: Optional[Sequence[int]] = None,
-        validated_roots: Optional[np.ndarray] = None,
+        self, root: int = 0, roots: Optional[Sequence[int]] = None
     ) -> EngineResult:
         """Execute the session's algorithm from ``root`` (or ``roots``).
 
-        ``validated_roots`` is the boundary-validation passthrough: the
-        engine front doors validate every root entry before staging and
-        hand the validated array here.  Callers driving a session directly
-        may omit it — the roots are then validated here.
-
-        Returns an :class:`EngineResult` whose report covers this query
-        only.  Raises on reuse: per-query state is consumed by the run.
+        The kernel's ``init_state`` checks the roots, before the session
+        touches the machine.  Returns an :class:`EngineResult` whose report
+        covers this query only.  Raises on reuse: per-query state is
+        consumed by the run.
         """
-        if validated_roots is None:
-            validated_roots = check_roots(
-                self.staged.graph.num_vertices,
-                roots if roots is not None else [root],
-            )
-        return self._execute([validated_roots])[0]
+        return self._execute([roots if roots is not None else [root]])[0]
 
     # ------------------------------------------------------------------
     def _execute(self, slots: list) -> List[EngineResult]:
@@ -370,11 +359,15 @@ class QuerySession:
                 f"{type(self).__name__} is single-use: open another "
                 "session for the next execution"
             )
-        self._used = True
         engine = self.engine
         staged = self.staged
         machine = staged.machine
         kernel = self.kernel
+        rt = engine._open_query(staged, kernel)
+        self._init_state(rt, slots)  # checks the roots; the machine is untouched
+        if "active" not in rt.state.dtype.names:
+            raise EngineError("algorithm state must contain an 'active' field")
+        self._used = True
         if getattr(machine, "fault_injector", None) is not None:
             # Session entry is a quiescent point (post-staging barrier or
             # post-restore), so this checkpoint is the crash/resume anchor:
@@ -382,11 +375,6 @@ class QuerySession:
             self._checkpoint = machine.checkpoint()
         baseline = machine.report()
         files_before = machine.vfs.snapshot()
-
-        rt = engine._open_query(staged, kernel)
-        self._init_state(rt, slots)
-        if "active" not in rt.state.dtype.names:
-            raise EngineError("algorithm state must contain an 'active' field")
         try:
             with machine.tracer.span(
                 "query",
@@ -470,7 +458,7 @@ class QuerySession:
     # ------------------------------------------------------------------
     def _init_state(self, rt, slots: list) -> None:
         """Build ``rt.state`` for ``slots``."""
-        rt.state = self.kernel.init_state_validated(
+        rt.state = self.kernel.init_state(
             self.staged.graph.num_vertices, slots[0]
         )
 
@@ -540,24 +528,19 @@ class BatchedQuerySession(QuerySession):
         self.batch_index = batch_index
 
     # ------------------------------------------------------------------
-    def run(self, validated_roots: Sequence) -> List[EngineResult]:
-        """Execute the batch; one validated root entry per query slot.
-
-        ``validated_roots`` comes from the engine boundary; each entry is
-        the validated root array of one slot (multi-source slots are
-        allowed).  Returns one demultiplexed :class:`EngineResult` per
-        slot, in order.
+    def run(self, roots: Sequence) -> List[EngineResult]:
+        """Execute the batch; one root entry per query slot (a root vertex
+        or a sequence of roots for a multi-source slot).  Returns one
+        demultiplexed :class:`EngineResult` per slot, in order.
         """
-        return self._execute(
-            [np.atleast_1d(np.asarray(r)) for r in validated_roots]
-        )
+        return self._execute([np.atleast_1d(np.asarray(r)) for r in roots])
 
     # ------------------------------------------------------------------
     # hooks: many slots per timeline
     # ------------------------------------------------------------------
     def _init_state(self, rt, slots: list) -> None:
         rt.extras["batch_size"] = float(self.kernel.num_queries)
-        rt.state = self.kernel.init_state_validated(
+        rt.state = self.kernel.init_state(
             self.staged.graph.num_vertices, slots
         )
 

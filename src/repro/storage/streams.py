@@ -16,14 +16,14 @@ path (device timelines + the engine clock):
   only block when the pool is exhausted, a readiness query, and
   cancellation.
 
-A written record is copied as rarely as the arrays allow: a flush whose
-pending arrays are consecutive views of one array submits one view over
-them instead of a concatenation (:func:`~repro.storage.vfs.as_one_array`),
-and the file seals its chunks by the same rule.  The stay writer makes that the
-rule rather than luck: survivors are selected straight into its private
-buffer (:meth:`AsyncStreamWriter.take_survivors`), so a stay record is
-written once, the file seals as a view of that buffer without a walk over
-its chunks, and swap-in can tell that what it holds is what was flushed
+A flush of one pending array submits that array; a flush of several
+joins them into one byte copy (:func:`~repro.storage.vfs.as_one_array`).
+The stay writer is the one writer that owns the buffer its records live
+in, so it is the one that joins without a copy: survivors are selected
+straight into its private buffer (:meth:`AsyncStreamWriter.take_survivors`),
+a flush of consecutive read-only views of that buffer submits one view of
+it, and the file seals as the buffer's prefix, so a stay record is written
+once and swap-in can tell that what it holds is what was flushed
 (:meth:`AsyncStreamWriter.verify_integrity`).
 A flush of that buffer is not checksummed at send either: the ledger keeps
 the read-only view, and its CRC is taken only by a swap-in that has to
@@ -182,7 +182,7 @@ class StreamWriter:
         """Submit buffered records as one device write (non-blocking)."""
         if not self._pending:
             return None
-        chunk = as_one_array(self._pending)
+        chunk = self._join(self._pending)
         offset = self.file.nbytes
         self._on_chunk(chunk, offset)
         self.file.append_records(chunk)
@@ -191,6 +191,10 @@ class StreamWriter:
         self._pending_bytes = 0
         self.flush_count += 1
         return req
+
+    def _join(self, pending: List[np.ndarray]) -> np.ndarray:
+        """Hook: the pending arrays as the one chunk a flush writes."""
+        return as_one_array(pending)
 
     def _on_chunk(self, chunk: np.ndarray, offset: int) -> None:
         """Hook: called with each chunk about to be written (pre-submit).
@@ -270,8 +274,9 @@ class AsyncStreamWriter(StreamWriter):
 
     The private buffers are real on the host too: ``capacity`` records,
     allocated once, that :meth:`take_survivors` selects into and whose
-    consecutive read-only views are what gets appended.  The file's chunks
-    are then that buffer, in order, and it seals as the buffer's prefix by
+    consecutive read-only views are what gets appended.  A flush joins
+    them into one view of the buffer (:meth:`_join`), the file's chunks are
+    then that buffer, in order, and it seals as the buffer's prefix by
     reference, so a stay record exists once.  Nothing else ever holds the
     buffer writable.
 
@@ -354,6 +359,29 @@ class AsyncStreamWriter(StreamWriter):
             # stop spending buffers and device bandwidth on it.
             return
         super().append(arr)
+
+    def _join(self, pending: List[np.ndarray]) -> np.ndarray:
+        # Read-only slices of the private buffer, each starting where the
+        # one before it ended (a carry from one host run and the next run's
+        # slice), are one view of the buffer; anything else is a copy.
+        buffer = self._buffer
+        if buffer is None or len(pending) == 1:
+            return as_one_array(pending)
+        start = next_byte = pending[0].ctypes.data
+        for part in pending:
+            if (
+                part.base is not buffer
+                or part.dtype is not buffer.dtype
+                or part.flags.writeable
+                or not part.flags.c_contiguous
+                or part.ctypes.data != next_byte
+            ):
+                return as_one_array(pending)
+            next_byte += part.nbytes
+        first = (start - buffer.ctypes.data) // buffer.itemsize
+        joined = buffer[first : first + (next_byte - start) // buffer.itemsize]
+        joined.flags.writeable = False
+        return joined
 
     def _on_chunk(self, chunk: np.ndarray, offset: int) -> None:
         # A flushed region of the private buffer is never written again

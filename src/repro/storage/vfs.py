@@ -3,11 +3,10 @@
 A :class:`VirtualFile` stores real numpy record arrays (the engines' data
 path) while its timing lives on the owning device's timeline (the time
 path).  Files are append-only while open, then sealed into one contiguous
-array for zero-copy streamed reads.  When the appended arrays already are
-one array in memory (:func:`joined_view`: a writer that appended consecutive
-views of its own buffer), sealing keeps that array by reference, without a
-copy; a writer that knows its chunks make up its buffer's prefix hands that
-view to :meth:`VirtualFile.seal`, which then needs no walk over them.
+array for zero-copy streamed reads: a file of one chunk keeps it, one of
+several is joined into one byte copy (:func:`as_one_array`), and a writer
+that knows its chunks make up its own buffer's prefix hands that view to
+:meth:`VirtualFile.seal`, which keeps it by reference instead.
 
 The VFS supports the file-level operations FastBFS needs each iteration:
 create, delete, and atomic *replace* (swapping a freshly written stay file in
@@ -25,46 +24,8 @@ from repro.errors import StorageError
 from repro.storage.device import Device
 
 
-def joined_view(arrays: Sequence[np.ndarray]) -> Optional[np.ndarray]:
-    """One view over ``arrays`` if joining them needs no copy, else None.
-
-    That is the case when every array is a plain slice of the same 1-D
-    base array and each begins at the byte after the one before it.  The
-    result is a slice of that base, read-only if any of its parts is.
-    """
-    first = arrays[0]
-    base = first.base
-    if (
-        type(base) is not np.ndarray
-        or arrays[-1].base is not base
-        or base.ndim != 1
-        or not base.flags.c_contiguous
-        or first.dtype != base.dtype
-        or first.strides != base.strides
-    ):
-        return None
-    origin = first.ctypes.data
-    next_byte = origin + first.nbytes
-    writeable = first.flags.writeable
-    for arr in arrays[1:]:
-        if (
-            arr.base is not base
-            or arr.dtype != base.dtype
-            or arr.strides != base.strides
-            or arr.ctypes.data != next_byte
-        ):
-            return None
-        next_byte += arr.nbytes
-        writeable = writeable and arr.flags.writeable
-    start = (origin - base.ctypes.data) // base.itemsize
-    joined = base[start : start + (next_byte - origin) // base.itemsize]
-    if not writeable:
-        joined.flags.writeable = False
-    return joined
-
-
 def as_one_array(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """``arrays`` as one array: a view if they are one in memory, else a copy.
+    """``arrays`` as one array: the array itself if there is one, else a copy.
 
     1-D record arrays that share one structured dtype object and are
     C-contiguous are copied as bytes into a fresh array of that dtype:
@@ -73,9 +34,6 @@ def as_one_array(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """
     if len(arrays) == 1:
         return arrays[0]
-    joined = joined_view(arrays)
-    if joined is not None:
-        return joined
     dtype = arrays[0].dtype
     if dtype.names is None or not all(
         arr.dtype is dtype and arr.ndim == 1 and arr.flags.c_contiguous
@@ -174,8 +132,6 @@ class VirtualFile:
             if whole is not None and self._is_whole(whole):
                 self._sealed = whole
             elif self._chunks:
-                # By reference when the chunks are one array in memory (a
-                # writer that appended consecutive views of its own buffer).
                 self._sealed = as_one_array(self._chunks)
             else:
                 dtype = self._dtype if self._dtype is not None else np.uint8

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.tooling.analyzer.callgraph import CallGraph
-from repro.tooling.analyzer.symbols import FunctionInfo, SymbolTable
+from repro.tooling.analyzer.symbols import SymbolTable
 
 CLOCK_ADVANCE = "CLOCK_ADVANCE"
 DEVICE_IO = "DEVICE_IO"

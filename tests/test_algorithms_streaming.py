@@ -16,7 +16,6 @@ from repro.algorithms.streaming import (
     BFSAlgorithm,
     UnitSSSPAlgorithm,
     WCCAlgorithm,
-    _by_destination,
     check_roots,
 )
 from repro.core.engine import FastBFSEngine
@@ -218,19 +217,18 @@ class TestBFSGather:
         assert state["level"][0] == 0
 
 
-def gather_by_sort(ctx, state, dst_local, payload) -> int:
-    """The sort rule ``BFSAlgorithm.gather`` is held to: stable-sort the
-    fresh updates by destination and let the first of each run of equal
-    destinations claim it."""
-    fresh = np.flatnonzero(state["level"][dst_local] == UNVISITED)
-    if len(fresh) == 0:
-        return 0
-    dst, order, is_start = _by_destination(dst_local, fresh)
-    uniq = dst[is_start]
-    state["level"][uniq] = ctx.iteration + 1
-    state["parent"][uniq] = payload[order[is_start]]
-    state["active"][uniq] = 1
-    return len(uniq)
+def first_arrival_loop(ctx, state, dst_local, payload) -> int:
+    """The rule ``BFSAlgorithm.gather`` is held to, one record at a time in
+    stream order: the first record to reach an unvisited destination
+    claims it, and the records after it find it visited."""
+    claimed = 0
+    for v, parent in zip(dst_local.tolist(), payload.tolist()):
+        if state["level"][v] == UNVISITED:
+            state["level"][v] = ctx.iteration + 1
+            state["parent"][v] = parent
+            state["active"][v] = 1
+            claimed += 1
+    return claimed
 
 
 @st.composite
@@ -262,19 +260,21 @@ def gather_inputs(draw):
 
 
 class TestFirstArrivalProperty:
-    """``BFSAlgorithm.gather`` finds each destination's first fresh update
-    in one pass (``np.minimum.at``); the sort it replaced is the rule."""
+    """``BFSAlgorithm.gather`` claims each destination with a sort by
+    (destination, stream position), as the batched gather does
+    (``_by_destination``); a record-by-record loop in stream order is the
+    rule it must match."""
 
     @settings(derandomize=True, deadline=None)
     @given(gather_inputs(), st.integers(min_value=0, max_value=5))
-    def test_matches_the_sort_rule_run_by_run(self, inputs, iteration):
+    def test_matches_a_first_arrival_loop(self, inputs, iteration):
         state, dst_local, payload, cuts = inputs
         expected = state.copy()
         ctx = AlgoContext(iteration)
         for start, stop in zip(cuts, cuts[1:]):
             run = slice(start, stop)
             claimed = BFSAlgorithm().gather(ctx, state, dst_local[run], payload[run])
-            assert claimed == gather_by_sort(
+            assert claimed == first_arrival_loop(
                 ctx, expected, dst_local[run], payload[run]
             )
             for field in ("level", "parent", "active"):

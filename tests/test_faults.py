@@ -523,48 +523,41 @@ class TestTornWriteIntegrity:
         assert checksummed == []  # and swap-in reads nothing either
 
     def _traverse_verifying(self, graph, monkeypatch, plan=None):
-        """A FastBFS run on one disk; returns the result and, per swap-in
-        that compared, ``(writer, bad offsets, stored records)``."""
-        import repro.storage.vfs as vfs_module
-
+        """A FastBFS run on one disk; returns the result, per swap-in that
+        compared ``(writer, bad offsets, stored records)``, and per stay
+        file its writer closed ``(writer, sealed records)``."""
         verify = AsyncStreamWriter.verify_integrity
-        seal = VirtualFile.seal
-        joined_view = vfs_module.joined_view
-        verified, sealing_stay, joined_in_stay_seal = [], [], []
+        close = AsyncStreamWriter.close
+        verified, sealed = [], []
 
         def recording_verify(writer):
             bad = verify(writer)
             verified.append((writer, bad, writer.file.records()))
             return bad
 
-        def recording_seal(file, whole=None):
-            sealing_stay.append(file.name.startswith("stay:"))
-            try:
-                return seal(file, whole)
-            finally:
-                sealing_stay.pop()
-
-        def recording_joined_view(arrays):
-            joined_in_stay_seal.append(bool(sealing_stay and sealing_stay[-1]))
-            return joined_view(arrays)
+        def recording_close(writer, drain=True):
+            was_closed = writer.closed
+            close(writer, drain)
+            if not was_closed:
+                sealed.append((writer, writer.file.records()))
 
         monkeypatch.setattr(AsyncStreamWriter, "verify_integrity", recording_verify)
-        monkeypatch.setattr(VirtualFile, "seal", recording_seal)
-        monkeypatch.setattr(vfs_module, "joined_view", recording_joined_view)
+        monkeypatch.setattr(AsyncStreamWriter, "close", recording_close)
         root = hub_root(graph)
         machine = Machine([DeviceSpec.hdd("hdd0")], memory=2 * MB, cores=4,
                           fault_plan=plan)
         machine.attach_tracer(Tracer())
         result = FastBFSEngine(small_fastbfs_config()).run(graph, machine, root=root)
         assert np.array_equal(result.levels, bfs_levels(graph, root))
-        return machine, result, verified, joined_in_stay_seal
+        return machine, result, verified, sealed
 
     def test_a_clean_pass_seals_each_stay_file_as_its_buffer(
         self, rmat10, monkeypatch
     ):
-        """Every stay file a clean traversal swaps in holds its writer's
-        buffer by reference, and sealing one walks no chunks."""
-        _, result, verified, joined_in_stay_seal = self._traverse_verifying(
+        """Every stay file a clean traversal writes seals as its writer's
+        buffer, from its first byte, by reference; so every swap-in finds
+        it intact without a CRC."""
+        _, result, verified, sealed = self._traverse_verifying(
             rmat10, monkeypatch
         )
         assert result.extras["stay_swaps"] > 0
@@ -572,9 +565,12 @@ class TestTornWriteIntegrity:
         for writer, bad, stored in verified:
             assert bad == []
             assert stored.base is writer._buffer
-            assert np.shares_memory(stored, writer._buffer)
+        written = [(writer, stored) for writer, stored in sealed if len(stored)]
+        assert written
+        for writer, stored in written:
+            assert stored.base is writer._buffer
+            assert stored.ctypes.data == writer._buffer.ctypes.data
             assert not stored.flags.writeable
-        assert not any(joined_in_stay_seal)
 
     def test_a_torn_stay_flush_still_fails_the_check_and_cancels_the_swap(
         self, rmat10, monkeypatch
@@ -849,7 +845,7 @@ class TestChaosHarness:
 
             def leave_update_file(rt):
                 after_run(rt)
-                rt.machine.vfs.create("updates:0:p1", rt.dev_updates)
+                rt.machine.vfs.create("updates:0:p1", rt.staged.dev_updates)
 
             engine._after_run = leave_update_file
             return engine

@@ -375,9 +375,9 @@ class TestHeldSources:
                 return
             # Flip the low byte of a source that stays inside the root's
             # partition, so the damaged file still traverses.
-            p = int(rt.partitioning.partition_of(np.array([root]))[0])
+            p = int(rt.staged.partitioning.partition_of(np.array([root]))[0])
             edge_file = rt.edge_files[p]
-            lo, hi = rt.partitioning.range_of(p)
+            lo, hi = rt.staged.partitioning.range_of(p)
             src = edge_file.records()["src"].astype(np.int64)
             k = int(np.flatnonzero(((src ^ 0xFF) >= lo) & ((src ^ 0xFF) < hi))[0])
             edge_file.corrupt_at(k * EDGE_DTYPE.itemsize + EDGE_DTYPE.fields["src"][1])

@@ -399,7 +399,7 @@ def selected_after_elimination(kernel, graph, slots) -> int:
     order, and count the updates it generates from edges it eliminated in
     an earlier pass."""
     roots = slots if isinstance(kernel, BatchedBFSAlgorithm) else slots[0]
-    state = kernel.init_state_validated(graph.num_vertices, roots)
+    state = kernel.init_state(graph.num_vertices, roots)
     src, dst = graph.edges["src"], graph.edges["dst"]
     src_local = src.astype(np.int64)
     dead = np.zeros(graph.num_edges, dtype=bool)

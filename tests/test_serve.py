@@ -1025,7 +1025,7 @@ class LeaksInOneFlush(FastBFSEngine):
         super()._after_run(rt)
         if self.leaks:
             self.leaks -= 1
-            rt.machine.vfs.create("updates:0:p1", rt.dev_updates)
+            rt.machine.vfs.create("updates:0:p1", rt.staged.dev_updates)
 
 
 class TestSanitizedFlush:

@@ -1,5 +1,7 @@
 """Tests for stream readers/writers, prefetch overlap, async stay writer."""
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,21 +147,23 @@ class TestStreamWriter:
         with pytest.raises(StorageError):
             w.append(edges(1))
 
-    def test_consecutive_views_are_written_without_a_copy(self, setup, monkeypatch):
+    def test_views_it_does_not_own_are_copied(self, setup):
         clock, device, vfs = setup
         f = vfs.create("f", device)
         w = StreamWriter(clock, f, buffer_bytes=10 * RECORD)
         whole = edges(30)
-        monkeypatch.setattr(np, "concatenate", None)  # would raise if called
         w.append(whole[0:4])
         w.append(whole[4:9])
         w.append(whole[9:12])  # flush of three consecutive views
-        w.append(whole[12:30])  # flush of one array that continues the file
-        assert w.flush_count == 2
+        assert w.flush_count == 1
+        (chunk,) = f._chunks
+        assert not np.shares_memory(chunk, whole)
+        assert chunk.tobytes() == whole[0:12].tobytes()
+        w.append(whole[12:30])  # flush of one array: written as it is
+        assert f._chunks[1].base is whole
         w.close()
-        monkeypatch.undo()
-        assert f.records().base is whole
-        assert np.array_equal(f.records(), whole)
+        assert not np.shares_memory(f.records(), whole)
+        assert f.records().tobytes() == whole.tobytes()
 
     def test_unrelated_arrays_are_still_concatenated(self, setup):
         clock, device, vfs = setup
@@ -291,6 +295,63 @@ class TestAsyncStreamWriter:
         return clock, AsyncStreamWriter(
             clock, f, buffer_bytes=buffer_records * RECORD, num_buffers=num_buffers
         )
+
+    def test_carry_and_next_run_flush_as_one_view(self, setup, monkeypatch):
+        """A host run's carried tail and the next run's slice flush as one
+        read-only view of the private buffer, with no copy and no CRC."""
+        clock, device, vfs = setup
+        f = vfs.create("stay", device)
+        w = AsyncStreamWriter(clock, f, buffer_bytes=10 * RECORD, capacity=30)
+        monkeypatch.setattr(np, "concatenate", None)  # would raise if called
+        monkeypatch.setattr(zlib, "crc32", None)  # no CRC at send
+        first = w.take_survivors(edges(30), np.arange(0, 30, 5))  # 6 records
+        w.append(first)  # a host run's tail, carried
+        second = w.take_survivors(edges(30, start=100), np.arange(10))
+        w.append(second[:4])  # the next run's slice fills the buffer
+        assert w.flush_count == 1
+        (chunk,) = f._chunks
+        assert chunk.base is w._buffer and not chunk.flags.writeable
+        assert chunk.ctypes.data == w._buffer.ctypes.data and len(chunk) == 10
+        (_, _, sent), = w._chunk_sums
+        assert sent is chunk  # the ledger keeps the view
+        w.append(second[4:])
+        w.close()
+        monkeypatch.undo()
+        held = f.records()
+        assert held.base is w._buffer and not held.flags.writeable
+        assert held.ctypes.data == w._buffer.ctypes.data and len(held) == 16
+        assert held.tobytes() == np.concatenate([first, second]).tobytes()
+        assert w.verify_integrity() == []
+
+    @pytest.mark.parametrize("parts", [
+        lambda t, w, o: [t[0:5], t[6:10]],
+        lambda t, w, o: [t[0:5], t[4:10]],
+        lambda t, w, o: [t[5:10], t[0:5]],
+        lambda t, w, o: [t[0:5], t[0:5], t[10:15]],
+        lambda t, w, o: [t[0:5], o[5:10]],
+        lambda t, w, o: [w, w],
+        lambda t, w, o: [t[0:10:2], t[10:20:2]],
+        lambda t, w, o: [t[0:5]["src"], t[5:10]["src"]],
+        lambda t, w, o: [t.view(np.uint64)[0:5], t.view(np.uint64)[5:10]],
+        lambda t, w, o: [w[0:5], t[5:10]],
+    ], ids=[
+        "gap", "overlap", "reorder", "repeat", "other-array", "owner",
+        "strided", "field", "dtype", "writable",
+    ])
+    def test_copies_anything_else(self, setup, parts):
+        """What is not consecutive read-only slices of the private buffer,
+        in order, is flushed as a copy of its bytes."""
+        clock, device, vfs = setup
+        w = AsyncStreamWriter(
+            clock, vfs.create("stay", device), buffer_bytes=RECORD, capacity=20
+        )
+        taken = w.take_survivors(edges(20), np.arange(20))
+        other = edges(20, start=50)
+        other.flags.writeable = False
+        arrays = parts(taken, w._buffer, other)
+        joined = w._join(arrays)
+        assert not np.shares_memory(joined, w._buffer)
+        assert joined.tobytes() == np.concatenate(arrays).tobytes()
 
     def test_fire_and_forget_until_pool_exhausted(self, setup):
         clock, w = self._writer(setup, num_buffers=2, buffer_records=10**5)

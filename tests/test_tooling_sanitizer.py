@@ -72,7 +72,7 @@ class LeavesUpdateFile(FastBFSEngine):
 
     def _after_run(self, rt):
         super()._after_run(rt)
-        rt.machine.vfs.create("updates:0:p1", rt.dev_updates)
+        rt.machine.vfs.create("updates:0:p1", rt.staged.dev_updates)
 
 
 class SubmitsUnlabelledRead(FastBFSEngine):
