@@ -62,7 +62,8 @@ def rmat_graph(
     """Graph500-specification R-MAT generator.
 
     ``2**scale`` vertices, ``edge_factor * 2**scale`` directed edges drawn by
-    recursively descending a 2x2 probability matrix ``[[a, b], [c, d]]``.
+    recursively descending a 2x2 probability matrix ``[[a, b], [c, d]]``
+    (each in [0, 1], summing to 1).
     Graph500 defaults (a=0.57, b=c=0.19, d=0.05) give the heavy-tailed degree
     distribution that makes BFS converge sharply — the effect FastBFS
     exploits.  ``permute`` relabels vertices randomly (Graph500 requires it
@@ -73,8 +74,11 @@ def rmat_graph(
         raise GraphError(f"scale must be in [0, {RMAT_MAX_SCALE}], got {scale}")
     if edge_factor <= 0:
         raise GraphError(f"edge_factor must be positive, got {edge_factor}")
-    total = abs(a) + abs(b) + abs(c) + abs(d)
-    if total <= 0 or abs(total - 1.0) > 1e-6:
+    for label, p in (("a", a), ("b", b), ("c", c), ("d", d)):
+        if not 0.0 <= p <= 1.0:
+            raise GraphError(f"R-MAT {label} must be in [0, 1], got {p}")
+    total = a + b + c + d
+    if abs(total - 1.0) > 1e-6:
         raise GraphError(f"R-MAT probabilities must sum to 1, got {total}")
     rng = _seeded(seed)
     n = 1 << scale
@@ -82,16 +86,33 @@ def rmat_graph(
     src = np.zeros(m, dtype=np.uint32)
     dst = np.zeros(m, dtype=np.uint32)
     # Descend one bit position at a time across all edges simultaneously.
+    # The dst bit is 1 with probability d/(c+d) where the src bit is 1 and
+    # b/(a+b) where it is 0: a draw below the lower of the two sets it on
+    # either side, one below only the higher sets it where that one applies.
     p_src1 = c + d  # probability the source bit is 1
+    p_dst_if1 = d / (c + d) if c + d > 0 else 0.0
+    p_dst_if0 = b / (a + b) if a + b > 0 else 0.0
+    low, high = min(p_dst_if1, p_dst_if0), max(p_dst_if1, p_dst_if0)
+    draw = np.empty(m, dtype=np.float64)
+    src_bit = np.empty(m, dtype=bool)
+    dst_bit = np.empty(m, dtype=bool)
+    below_high = np.empty(m, dtype=bool)
     for _ in range(scale):
-        r_src = rng.random(m)
-        src_bit = r_src < p_src1
-        # Conditional probability that dst bit is 1 given the src bit.
-        p_dst1 = np.where(src_bit, d / (c + d) if c + d > 0 else 0.0,
-                          b / (a + b) if a + b > 0 else 0.0)
-        dst_bit = rng.random(m) < p_dst1
-        src = (src << np.uint32(1)) | src_bit.astype(np.uint32)
-        dst = (dst << np.uint32(1)) | dst_bit.astype(np.uint32)
+        rng.random(out=draw)
+        np.less(draw, p_src1, out=src_bit)
+        rng.random(out=draw)
+        np.less(draw, low, out=dst_bit)
+        if high > low:
+            np.less(draw, high, out=below_high)
+            if p_dst_if1 > p_dst_if0:
+                below_high &= src_bit
+            else:  # below the higher and src bit 0, with no temporary
+                np.greater(below_high, src_bit, out=below_high)
+            dst_bit |= below_high
+        src <<= np.uint32(1)
+        src |= src_bit
+        dst <<= np.uint32(1)
+        dst |= dst_bit
     if permute and scale > 0:
         relabel = rng.permutation(n).astype(np.uint32)
         src = relabel[src]

@@ -30,7 +30,10 @@ def as_one_array(arrays: Sequence[np.ndarray]) -> np.ndarray:
     1-D record arrays that share one structured dtype object and are
     C-contiguous are copied as bytes into a fresh array of that dtype:
     ``np.concatenate`` would first promote the dtype field by field, in
-    Python, on every call.  The copy owns its data, like a concatenation.
+    Python, on every call.  The byte windows are taken with
+    ``np.frombuffer``, since ``arr.view(np.uint8)`` of a structured dtype
+    runs numpy's Python-level view check once per array.  The copy owns
+    its data, like a concatenation.
     """
     if len(arrays) == 1:
         return arrays[0]
@@ -41,7 +44,10 @@ def as_one_array(arrays: Sequence[np.ndarray]) -> np.ndarray:
     ):
         return np.concatenate(arrays)
     out = np.empty(sum(len(arr) for arr in arrays), dtype=dtype)
-    np.concatenate([arr.view(np.uint8) for arr in arrays], out=out.view(np.uint8))
+    np.concatenate(
+        [np.frombuffer(arr, np.uint8) for arr in arrays],
+        out=np.frombuffer(out, np.uint8),
+    )
     return out
 
 

@@ -1,5 +1,7 @@
 """Tests for the scaled dataset registry (Table II stand-ins)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,28 @@ class TestBuild:
     def test_divisor_too_large_for_small_rmat(self):
         with pytest.raises(ConfigError):
             build_dataset("rmat22", divisor=2**20, cache=False)
+
+
+#: sha256 of ``build_dataset(name, divisor=1024, cache=False).edges``: a
+#: change to a generator must leave every byte of every dataset as it was
+#: (rmat27 at 1024 is also rmat25 at 256, the traverse workloads' graph).
+EDGE_SHA256 = {
+    "rmat22": "a877990a8587ce0f1d254b5077a90c55d8800adc9ec2ad832d84e7bd36132581",
+    "rmat25": "04065123ad7ed4ad7dde8b1143a122520a3629061d9de696c38aa82005626dba",
+    "rmat27": "5fd8a37fa39e016da562ecbfc389aca642adc14a6e657e27fa6d3c5885b947f0",
+    "twitter_rv": "42b4be9632f1e84a4f7e09996d82ea82ab4ac35cf7dc2ac7888f4a415454d9fd",
+    "friendster": "178291e16425dfd2ba3d21c0c9e1116ce41ebfe48c080309688b2bbb911eda3b",
+}
+
+
+class TestPinnedBytes:
+    def test_every_dataset_is_pinned(self):
+        assert set(EDGE_SHA256) == set(DATASETS)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_SHA256))
+    def test_edges_are_byte_identical(self, name):
+        graph = build_dataset(name, divisor=1024, cache=False)
+        assert hashlib.sha256(graph.edges.tobytes()).hexdigest() == EDGE_SHA256[name]
 
 
 class TestScaleDivisor:

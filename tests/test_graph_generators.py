@@ -15,6 +15,8 @@ from repro.graph.generators import (
     rmat_graph,
     star_graph,
 )
+from repro.graph.types import make_edges
+from repro.utils.rng import rng_from_seed
 
 
 class TestRmat:
@@ -61,6 +63,21 @@ class TestRmat:
         with pytest.raises(GraphError):
             rmat_graph(scale=4, a=0.5, b=0.5, c=0.5, d=0.5)
 
+    @pytest.mark.parametrize("probs, bad", [
+        ((0.8, -0.1, 0.05, 0.05), "b"),
+        ((-0.5, 1.5, 0.0, 0.0), "a"),
+        ((0.0, 0.0, 1.25, -0.25), "c"),
+        ((0.57, 0.19, 0.19, float("nan")), "d"),
+        ((0.57, 0.19, 0.19, 0.0), "probabilities"),
+        ((0.0, 0.0, 0.0, 0.0), "probabilities"),
+    ])
+    def test_each_probability_is_checked(self, probs, bad):
+        """Each probability is in [0, 1] and they sum to 1: a negative one
+        whose absolute values sum to 1 is refused too, by name."""
+        a, b, c, d = probs
+        with pytest.raises(GraphError, match=f"^R-MAT {bad} "):
+            rmat_graph(scale=4, a=a, b=b, c=c, d=d)
+
     def test_bad_edge_factor(self):
         with pytest.raises(GraphError):
             rmat_graph(scale=4, edge_factor=0)
@@ -71,6 +88,80 @@ class TestRmat:
         g = rmat_graph(scale=scale, edge_factor=4, seed=seed)
         assert g.edges["src"].max() < g.num_vertices
         assert g.edges["dst"].max() < g.num_vertices
+
+
+def rmat_oracle(scale, edge_factor, a, b, c, d, seed, permute):
+    """``rmat_graph``'s edges as its first vectorized loop drew them: fresh
+    draw arrays and a per-edge threshold at every bit level."""
+    rng = rng_from_seed(seed)
+    n = 1 << scale
+    m = edge_factor * n
+    src = np.zeros(m, dtype=np.uint32)
+    dst = np.zeros(m, dtype=np.uint32)
+    # Descend one bit position at a time across all edges simultaneously.
+    p_src1 = c + d  # probability the source bit is 1
+    for _ in range(scale):
+        r_src = rng.random(m)
+        src_bit = r_src < p_src1
+        # Conditional probability that dst bit is 1 given the src bit.
+        p_dst1 = np.where(src_bit, d / (c + d) if c + d > 0 else 0.0,
+                          b / (a + b) if a + b > 0 else 0.0)
+        dst_bit = rng.random(m) < p_dst1
+        src = (src << np.uint32(1)) | src_bit.astype(np.uint32)
+        dst = (dst << np.uint32(1)) | dst_bit.astype(np.uint32)
+    if permute and scale > 0:
+        relabel = rng.permutation(n).astype(np.uint32)
+        src = relabel[src]
+        dst = relabel[dst]
+    return make_edges(src, dst)
+
+
+def _normalized(weights):
+    total = sum(weights)
+    return tuple(w / total for w in weights)
+
+
+#: (a, b, c, d) corners of the dst-bit rule: its threshold given src bit 1,
+#: d/(c+d), below, above and equal to the one given src bit 0, b/(a+b), and
+#: each side of the matrix empty.
+RMAT_CORNERS = [
+    (0.57, 0.19, 0.19, 0.05),
+    (0.25, 0.05, 0.3, 0.4),
+    (0.4, 0.1, 0.4, 0.1),
+    (0.6, 0.4, 0.0, 0.0),
+    (0.0, 0.0, 0.3, 0.7),
+    (1.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 1.0),
+]
+
+rmat_probabilities = st.one_of(
+    st.sampled_from(RMAT_CORNERS),
+    st.lists(st.integers(0, 20), min_size=4, max_size=4)
+    .filter(lambda w: sum(w) > 0)
+    .map(_normalized),
+)
+
+
+class TestRmatOracle:
+    """The bit loop reuses one draw buffer and compares against two scalar
+    thresholds; it must give the oracle's edges byte for byte."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        scale=st.integers(0, 10),
+        edge_factor=st.integers(1, 8),
+        probs=rmat_probabilities,
+        seed=st.integers(0, 2**32 - 1),
+        permute=st.booleans(),
+    )
+    def test_matches_the_per_edge_threshold_loop(
+        self, scale, edge_factor, probs, seed, permute
+    ):
+        a, b, c, d = probs
+        graph = rmat_graph(scale, edge_factor, a, b, c, d, seed=seed, permute=permute)
+        expected = rmat_oracle(scale, edge_factor, a, b, c, d, seed, permute)
+        assert graph.edges.dtype == expected.dtype
+        assert graph.edges.tobytes() == expected.tobytes()
 
 
 class TestRandomGraph:

@@ -179,6 +179,22 @@ class TestByteJoin:
         assert joined.flags.writeable and joined.base is None
         assert np.array_equal(joined, edges(9))
 
+    def test_byte_join_of_views_owns_a_copy(self):
+        """Read-only slices, an empty part and a writeable one join into
+        an array that owns its bytes: writing a part afterwards leaves
+        the join as it was."""
+        whole = edges(20)
+        whole.flags.writeable = False
+        tail = edges(6, start=40)
+        parts = [whole[3:9], whole[9:9], tail, whole[15:]]
+        expected = np.concatenate(parts).tobytes()
+        joined = as_one_array(parts)
+        assert joined.dtype is EDGE_DTYPE
+        assert joined.flags.owndata and joined.flags.writeable
+        assert joined.tobytes() == expected
+        tail["src"] = 0
+        assert joined.tobytes() == expected
+
     @pytest.mark.parametrize("parts", [
         lambda: [edges(4), edges(3).astype(np.dtype(EDGE_DTYPE.descr))],
         lambda: [edges(8)[::2], edges(3)],
