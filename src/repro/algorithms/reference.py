@@ -126,19 +126,6 @@ class LevelProfile:
             left -= scattered
         return fractions
 
-    def total_scanned_without_trimming(self) -> int:
-        """Edges X-Stream scans: the whole list, every level."""
-        return self.num_edges * len(self.scatter_edges)
-
-    def total_scanned_with_trimming(self) -> int:
-        """Edges FastBFS scans: the shrinking stay list."""
-        left = self.num_edges
-        scanned = 0
-        for scattered in self.scatter_edges:
-            scanned += left
-            left -= scattered
-        return scanned
-
 
 def level_sums(levels: np.ndarray, weights: np.ndarray) -> Tuple[List[int], List[int]]:
     """Per BFS level: how many vertices sit at it, and their ``weights`` summed.

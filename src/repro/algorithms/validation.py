@@ -1,23 +1,30 @@
-"""Graph500-style validation of BFS results, and TEPS.
+"""Graph500-style validation of BFS results, their scan volumes, and TEPS.
 
 BFS is the Graph500 kernel (paper §I), so we validate engine output the way
 the benchmark does: the (parent, level) pair must describe a genuine BFS
 tree of the input graph, and every vertex reachable from the root must be in
-it.  ``teps`` computes the benchmark's traversed-edges-per-second figure
-from a result and a (simulated) execution time.
+it.  How much an edge-centric engine read to get there is a closed form of
+the same reference levels (:meth:`BFSAnswerChecker.pass_volumes`).
+``teps`` computes the benchmark's traversed-edges-per-second figure from a
+result and a (simulated) execution time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.algorithms.reference import bfs_levels
+from repro.core.engine import FastBFSEngine
+from repro.core.policies import TrimPolicy
+from repro.engines.base import EdgeCentricEngine
+from repro.engines.result import IterationStats
 from repro.errors import ValidationError
 from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
+from repro.graph.partition import VertexPartitioning
 from repro.graph.types import NO_PARENT, UNVISITED
 
 
@@ -92,6 +99,74 @@ class BFSAnswerChecker:
         return ValidationReport(
             ok=not errors, errors=errors, visited=int(visited.sum()), depth=depth
         )
+
+    def pass_volumes(
+        self,
+        engine: EdgeCentricEngine,
+        partitioning: VertexPartitioning,
+        roots: Union[int, Sequence[int]],
+    ) -> List[Tuple[int, int, int]]:
+        """Each pass's ``(edges_scanned, updates_generated,
+        stay_records_written)`` of a BFS or unit-SSSP run of ``engine``
+        over ``partitioning``: from one root a serial query's
+        ``iterations``, from two or more one MS-BFS batch's
+        ``shared_iterations``.
+
+        A closed form of the reference levels; no engine runs.  Let an
+        edge's level be its source's (never, if unreached).  Pass *i*
+        scans the edges not yet trimmed of the scheduled partitions: under
+        FastBFS's selective scheduling those holding a vertex at level *i*
+        in some query, else all of them.  Its updates are the scanned
+        edges at level *i* in some query (one record serves every query of
+        a batch); the run ends after a pass with none.  Where
+        :class:`~repro.core.policies.TrimPolicy`, fed these counts, says
+        FastBFS trims, the scanned edges it eliminates are trimmed and the
+        rest are its stay records: a serial query eliminates its updates
+        (the paper's rule), or every scanned edge at level *i* or less
+        under ``extended_trim``; a batch, the edges at level *i* or less
+        in every live query, a query being live while it generated
+        updates in the pass before.  X-Stream never trims nor skips.
+
+        Holds for runs without stay cancellations: a cancelled stay file
+        leaves its partition on the older, longer input.
+        """
+        levels = np.stack([bfs_levels(self.csr, r) for r in np.atleast_1d(roots)])
+        levels[levels == UNVISITED] = np.iinfo(levels.dtype).max
+        edge_levels = levels[:, self.src]
+        owner = partitioning.partition_of(np.arange(self.csr.num_vertices))
+        edge_owner = owner.take(self.src)
+        fastbfs = isinstance(engine, FastBFSEngine)
+        policy = TrimPolicy(engine.config, True) if fastbfs else None
+        selective = fastbfs and engine.config.selective_scheduling
+        dead = np.zeros(len(self.src), dtype=bool)
+        live = np.ones(len(levels), dtype=bool)
+        passes: List[IterationStats] = []
+        while not passes or passes[-1].updates_generated:
+            i = len(passes)
+            scanned = ~dead
+            if selective:
+                scanned &= np.isin(edge_owner, owner[(levels == i).any(axis=0)])
+            at_level = edge_levels == i
+            updates = scanned & at_level.any(axis=0)
+            stats = IterationStats(
+                i, int(np.count_nonzero(scanned)), int(np.count_nonzero(updates))
+            )
+            if policy is not None and policy.trimming_active(
+                i, passes[-1] if passes else None
+            ):
+                if len(levels) > 1:
+                    trimmed = scanned & (edge_levels[live] <= i).all(axis=0)
+                elif engine.config.extended_trim:
+                    trimmed = scanned & (edge_levels[0] <= i)
+                else:
+                    trimmed = updates
+                dead |= trimmed
+                stats.stay_records_written = (
+                    stats.edges_scanned - int(np.count_nonzero(trimmed))
+                )
+            live = (at_level & scanned).any(axis=1)
+            passes.append(stats)
+        return [stats.volume for stats in passes]
 
     def _parent_errors(
         self, root: int, levels: np.ndarray, parents: np.ndarray

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,6 +27,13 @@ class IterationStats:
     stay_swaps: int = 0
     stay_cancellations: int = 0
     clock_end: float = 0.0
+
+    @property
+    def volume(self) -> Tuple[int, int, int]:
+        """``(edges_scanned, updates_generated, stay_records_written)``,
+        the pass as ``BFSAnswerChecker.pass_volumes`` predicts it."""
+        return (self.edges_scanned, self.updates_generated,
+                self.stay_records_written)
 
 
 @dataclass

@@ -79,7 +79,7 @@ from repro.analysis.calibration import engine_kind
 from repro.core.config import FastBFSConfig
 from repro.core.engine import FastBFSEngine
 from repro.engines.base import EdgeCentricEngine
-from repro.engines.result import EngineResult
+from repro.engines.result import BatchResult
 from repro.engines.session import MAX_RECOVERIES, run_staged_queries
 from repro.errors import ConfigError, ReproError, SanitizerError
 from repro.graph.generators import rmat_graph
@@ -358,16 +358,16 @@ def _run_trial(
         index=index, engine=engine_name, disks=disks, seed=trial_seed,
         outcome="violation", mode=mode,
     )
-    results: Optional[List[EngineResult]] = None
+    batch: Optional[BatchResult] = None
+    batched = mode == "batched"
+    query_roots = roots if batched else roots[:1]
     try:
         staged = engine.stage(graph, machine)
-        batched = mode == "batched"
-        results = run_staged_queries(
-            engine, staged, machine.checkpoint(),
-            roots if batched else [roots[0]],
+        batch = run_staged_queries(
+            engine, staged, machine.checkpoint(), query_roots,
             mode="batched" if batched else "serial",
             max_recoveries=MAX_RECOVERIES,
-        ).queries
+        )
     except SanitizerError as exc:
         trial.outcome = "violation"
         trial.detail = f"protocol violation: {exc}"
@@ -384,12 +384,26 @@ def _run_trial(
         trial.faults_injected = injector.faults_injected
         trial.retries = injector.total("io_retries")
         trial.recoveries = injector.total("crash_recoveries")
-    if results is not None:
+    if batch is not None:
+        results = batch.queries
         for q, result in enumerate(results):
             report = checker.check(roots[q], result.levels, result.parents)
             if not report.ok:
                 trial.outcome = "violation"
                 trial.detail = f"query {q}: " + "; ".join(report.errors)
+                return trial
+        # A cancelled stay file leaves its partition on the longer input,
+        # which the volume formula does not model.
+        if not results[0].extras.get("stay_cancellations"):
+            iterations = batch.shared_iterations if batched else results[0].iterations
+            volumes = [it.volume for it in iterations]
+            expected = checker.pass_volumes(engine, staged.partitioning, query_roots)
+            if volumes != expected:
+                trial.outcome = "violation"
+                trial.detail = (
+                    f"(scanned, updates, stay) per pass {volumes}, "
+                    f"expected {expected}"
+                )
                 return trial
         recovered = "recovered" in results[0].extras
         trial.outcome = "recovered" if recovered else "ok"

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.algorithms.validation import BFSAnswerChecker
 from repro.core.config import FastBFSConfig
 from repro.engines.base import EngineConfig
 from repro.graph.graph import Graph
+from repro.graph.partition import VertexPartitioning
 from repro.sim.clock import SimClock
 from repro.storage.device import Device, DeviceSpec
 from repro.storage.machine import Machine
@@ -72,6 +74,25 @@ def graph_from_pairs(num_vertices: int, pairs, name: str = "graph") -> Graph:
 
 def hub_root(graph) -> int:
     return int(np.argmax(graph.out_degrees()))
+
+
+def assert_reference_volumes(graph, engine, roots, iterations, extras) -> None:
+    """``iterations``, a run of ``engine`` from ``roots`` (several: one
+    batch), read the volumes :meth:`BFSAnswerChecker.pass_volumes` gives
+    over the run's partitioning, unless it cancelled a stay file (the
+    formula has no cancellation term)."""
+    if extras.get("stay_cancellations"):
+        return
+    partitioning = VertexPartitioning(graph.num_vertices, int(extras["partitions"]))
+    expected = BFSAnswerChecker(graph).pass_volumes(engine, partitioning, roots)
+    assert [it.volume for it in iterations] == expected, (roots, expected)
+
+
+def checked_run(engine, graph, machine, root):
+    """``engine.run`` from ``root``, held to :func:`assert_reference_volumes`."""
+    result = engine.run(graph, machine, root=root)
+    assert_reference_volumes(graph, engine, root, result.iterations, result.extras)
+    return result
 
 
 class ScheduleRecorder:

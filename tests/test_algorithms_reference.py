@@ -133,14 +133,6 @@ class TestLevelProfile:
         fractions = prof.useful_fraction
         assert fractions[min(3, len(fractions) - 1)] < 0.55
 
-    def test_scan_totals(self):
-        g = rmat_graph(scale=8, edge_factor=8, seed=2)
-        prof = level_profile(g, int(np.argmax(g.out_degrees())))
-        without = prof.total_scanned_without_trimming()
-        with_trim = prof.total_scanned_with_trimming()
-        assert with_trim < without
-        assert without == g.num_edges * (prof.depth + 1)
-
     def test_frontier_sums_to_reachable(self):
         g = random_graph(100, 400, seed=8)
         prof = level_profile(g, 0)

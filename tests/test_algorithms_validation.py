@@ -1,18 +1,21 @@
-"""Tests for Graph500-style BFS validation and TEPS."""
+"""Tests for Graph500-style BFS validation, pass volumes and TEPS."""
 
 import numpy as np
 import pytest
 
-from tests.helpers import graph_from_pairs
+from tests.helpers import fresh_machine, graph_from_pairs, small_fastbfs_config
 
 from repro.algorithms.reference import bfs_parents_and_levels
 from repro.algorithms.validation import (
+    BFSAnswerChecker,
     teps,
     traversed_edges,
     validate_bfs_result,
 )
+from repro.core.engine import FastBFSEngine
 from repro.errors import ValidationError
 from repro.graph.generators import path_graph, rmat_graph
+from repro.graph.partition import VertexPartitioning
 from repro.graph.types import NO_PARENT, UNVISITED
 
 
@@ -136,6 +139,23 @@ class TestDuplicateEdges:
         parents = np.array([NO_PARENT, 0, 0, 2], dtype=np.uint32)
         report = validate_bfs_result(multigraph, 0, levels, parents)
         assert report.errors == ["1 claimed tree edges are not graph edges"]
+
+
+class TestPassVolumes:
+    def test_a_hand_worked_cycle(self):
+        """On the cycle 0->1->2->3->0 a query from 0 trims one edge a
+        pass.  A batch from 0, 2 and 0 sends one record per edge at level
+        *i* in some query, however many share it, and trims an edge once
+        its source is visited in every query."""
+        graph = graph_from_pairs(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        engine = FastBFSEngine(small_fastbfs_config(num_partitions=1))
+        checker, one = BFSAnswerChecker(graph), VertexPartitioning(4, 1)
+        assert checker.pass_volumes(engine, one, 0) == [
+            (4, 1, 3), (3, 1, 2), (2, 1, 1), (1, 1, 0), (0, 0, 0)]
+        batch = [(4, 2, 4), (4, 2, 4), (4, 2, 2), (2, 2, 0), (0, 0, 0)]
+        assert checker.pass_volumes(engine, one, [0, 2, 0]) == batch
+        ran = engine.run_many(graph, fresh_machine(), [0, 2, 0], mode="batched")
+        assert [it.volume for it in ran.shared_iterations] == batch
 
 
 class TestTeps:

@@ -167,6 +167,18 @@ class TestProfile:
         assert "frontier" in text
         assert "saved by trimming" in text
 
+    def test_scans_saved_are_fastbfs_against_x_stream(self, tmp_path, capsys):
+        """FastBFS's scans by the volume formula against X-Stream's, which
+        runs one pass more than the depth when the deepest level has
+        out-edges (E x (depth + 1) read 62.2% here)."""
+        out = str(tmp_path / "g.bin")
+        run_cli(["generate", "rmat", out, "--scale", "10", "--edge-factor",
+                 "8", "--seed", "7"])
+        capsys.readouterr()
+        assert run_cli(["profile", "--graph", out]) == 0
+        text = capsys.readouterr().out
+        assert text.endswith("edge scans saved by trimming: 67.6%\n")
+
     @pytest.mark.parametrize("name", ["missing.jsonl", "."])
     def test_unreadable_trace_is_a_typed_error(self, tmp_path, capsys, name):
         path = str(tmp_path / name)

@@ -12,7 +12,9 @@ the query paths, one :class:`Cell` method each (docs/correctness_tooling.md
 in-memory reference (BFS levels and parents through the one held
 :class:`~repro.algorithms.validation.BFSAnswerChecker`, under the
 Graph500 rules as Buluç et al., arXiv 1705.04590, check a BFS), the
-machine's counters against its report, and its report against the
+edge-centric rows' BFS passes against the volumes the checker
+derives from the reference levels (``BFSAnswerChecker.pass_volumes``),
+the machine's counters against its report, and its report against the
 ``run`` query's where the path's contract says they are equal.  The BFS ``run`` column covers every
 scenario (``tests/test_differential.py``); the full rows run on a seeded
 deal of them that still covers every axis (:data:`CELL_SCENARIOS`).
@@ -45,7 +47,7 @@ from repro.obs import CounterRegistry
 from repro.obs.tracer import Tracer
 from repro.serve import ArtifactRegistry
 from repro.storage.faults import FaultPlan, FaultSpec
-from tests.helpers import fresh_machine, small_fastbfs_config
+from tests.helpers import assert_reference_volumes, fresh_machine, small_fastbfs_config
 
 # ----------------------------------------------------------------------
 # Scenarios (deterministic in the scenario index)
@@ -294,21 +296,27 @@ class Cell:
         self._expected: dict = {}
         self.checker = (BFSAnswerChecker(self.graph)
                         if kernel in ("bfs", "unit-sssp") else None)
+        #: The edge-centric BFS passes have the checker's volume formula.
+        self.volumes = self.checker is not None and isinstance(
+            self.engine, EdgeCentricEngine)
 
     def algorithm(self):
         return KERNELS[self.kernel](self.graph)
 
     def check(self, root: int, result, column: str, same_as=None,
               report=None) -> None:
-        """``result`` is the reference answer from ``root``; given
-        ``same_as``, it is also that query bit for bit: every output
-        array (parents included), every pass, and ``report`` (default
-        ``same_as``'s)."""
+        """``result`` is the reference answer from ``root``, and a query
+        of its own reads the volumes the levels give (a batch's slot
+        shares its passes: :meth:`check_volumes`); given ``same_as``, it
+        is also that query bit for bit: every output array (parents
+        included), every pass, and ``report`` (default ``same_as``'s)."""
         where = (f"{self.engine_name}/{self.kernel}/scenario {self.case}/"
                  f"{column} root {root}")
         if self.checker is not None:
             verdict = self.checker.check(root, result.levels, result.parents)
             assert verdict.ok, f"{where}: {verdict.errors}"
+            if "query_slot" not in result.extras:
+                self.check_volumes(root, result.iterations, result.extras, where)
         else:
             if root not in self._expected:
                 self._expected[root] = _reference(self.kernel, self.graph, root)
@@ -319,6 +327,15 @@ class Cell:
         assert result.iterations == same_as.iterations, where
         report = same_as.report if report is None else report
         assert result.report.to_dict() == report.to_dict(), where
+
+    def check_volumes(self, roots, iterations, extras, where) -> None:
+        """The passes read the volume formula's for ``roots`` (several:
+        one batch); no run of the matrix cancels a stay file, which the
+        formula has no term for."""
+        if self.volumes:
+            assert not extras.get("stay_cancellations"), where
+            assert_reference_volumes(self.graph, self.engine, roots,
+                                     iterations, extras)
 
     def run_query(self, machine):
         return self.engine.run(self.graph, machine,
@@ -385,11 +402,8 @@ class Cell:
             assert batch.mode == "batched"
             assert "batched_fallback" not in batch.extras
             assert batch.extras["num_batches"] == len(batch.batch_times) == 1
-            # One shared scan reads no more edge records than two rewinds,
-            # and fewer when the second query traverses too.
-            assert batch.edges_scanned <= serial.edges_scanned
-            if self.graph.out_degrees()[self.roots[1]] > 0:
-                assert batch.edges_scanned < serial.edges_scanned
+            self.check_volumes(self.roots, batch.shared_iterations,
+                               batch.queries[0].extras, "batched")
         else:
             assert batch.mode == "serial"
             assert batch.extras["batched_fallback"] == 1.0
@@ -435,6 +449,8 @@ class Cell:
             for root, mine, theirs in zip(self.roots, batch.queries,
                                           self.batched_batch.queries):
                 self.check(root, mine, "traced batch", same_as=theirs)
+            self.check_volumes(self.roots, batch.shared_iterations,
+                               batch.queries[0].extras, "traced batch")
 
     def crash(self) -> None:
         """A crash point halfway through the query, attached after
@@ -465,6 +481,8 @@ class Cell:
                                           self.batched_batch.queries):
                 self.check(root, mine, "crash batch", same_as=theirs)
                 assert mine.extras["recovered"] == 1.0
+            self.check_volumes(self.roots, batch.shared_iterations,
+                               batch.queries[0].extras, "crash batch")
             _assert_one_crash_recovered(machine)
 
     def transient(self) -> None:
@@ -486,8 +504,6 @@ class Cell:
         assert injector.total("io_giveups") == 0
         assert _device_bytes(result.report) == _device_bytes(self.result.report)
         assert result.report.execution_time > self.result.report.execution_time
-        assert ([it.edges_scanned for it in result.iterations]
-                == [it.edges_scanned for it in self.result.iterations])
         _assert_reconciles(machine, result.report)
 
     # ------------------------------------------------------------------

@@ -5,7 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tests.helpers import fresh_machine, graph_from_pairs, hub_root, small_engine_config
+from tests.helpers import (
+    checked_run, fresh_machine, graph_from_pairs, hub_root, small_engine_config,
+)
 
 from repro.algorithms.reference import bfs_levels
 from repro.algorithms.streaming import WCCAlgorithm
@@ -63,7 +65,7 @@ class TestBasicCorrectness:
 
     def test_path_runs_one_pass_per_level(self, path):
         engine = XStreamEngine(small_engine_config(num_partitions=2))
-        result = engine.run(path, fresh_machine(), root=0)
+        result = checked_run(engine, path, fresh_machine(), 0)
         assert result.levels[-1] == 63
         assert result.num_iterations == 64
 
@@ -129,7 +131,7 @@ class TestXStreamTraits:
     def test_scans_full_graph_every_iteration(self, rmat10):
         """X-Stream's weakness: edges scanned = E per scatter pass."""
         engine = XStreamEngine(small_engine_config())
-        result = engine.run(rmat10, fresh_machine(), root=hub_root(rmat10))
+        result = checked_run(engine, rmat10, fresh_machine(), hub_root(rmat10))
         for it in result.iterations:
             assert it.edges_scanned == rmat10.num_edges
             assert it.partitions_skipped == 0
@@ -178,11 +180,12 @@ class TestInMemoryMode:
         assert t_ram.execution_time < t_disk.execution_time / 2
 
     def test_in_memory_same_levels(self, rmat10):
+        """Same levels, and the passes of the volume formula."""
         root = hub_root(rmat10)
         ref = bfs_levels(rmat10, root)
-        result = XStreamEngine(EngineConfig()).run(
-            rmat10, fresh_machine(memory=64 * MB), root=root
-        )
+        result = checked_run(XStreamEngine(EngineConfig()), rmat10,
+                             fresh_machine(memory=64 * MB), root)
+        assert result.extras["in_memory"] == 1.0
         assert np.array_equal(result.levels, ref)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tests.helpers import fresh_machine, hub_root, small_fastbfs_config
+from tests.helpers import checked_run, fresh_machine, hub_root, small_fastbfs_config
 
 from repro.algorithms.reference import bfs_levels
 from repro.algorithms.streaming import WCCAlgorithm
@@ -59,12 +59,16 @@ class TestCorrectness:
         assert result.levels.tolist() == list(range(64))
 
 
+def trimming_run(graph, root, **config):
+    """FastBFS on ``small_fastbfs_config(**config)`` from ``root``, its
+    passes held to the volume formula (:func:`tests.helpers.checked_run`)."""
+    engine = FastBFSEngine(small_fastbfs_config(**config))
+    return checked_run(engine, graph, fresh_machine(), root)
+
+
 class TestTrimming:
     def test_stay_files_shrink_scanned_edges(self, rmat10):
-        root = hub_root(rmat10)
-        result = FastBFSEngine(
-            small_fastbfs_config(selective_scheduling=False)
-        ).run(rmat10, fresh_machine(), root=root)
+        result = trimming_run(rmat10, hub_root(rmat10), selective_scheduling=False)
         scanned = [it.edges_scanned for it in result.iterations]
         assert scanned[0] == rmat10.num_edges
         # After swaps take effect the scan volume decreases.
@@ -73,54 +77,41 @@ class TestTrimming:
 
     def test_trimmed_scans_less_than_untrimmed(self, rmat10):
         root = hub_root(rmat10)
-        trimmed = FastBFSEngine(small_fastbfs_config()).run(
-            rmat10, fresh_machine(), root=root
-        )
-        untrimmed = FastBFSEngine(
-            small_fastbfs_config(trim_enabled=False)
-        ).run(rmat10, fresh_machine(), root=root)
+        trimmed = trimming_run(rmat10, root)
+        untrimmed = trimming_run(rmat10, root, trim_enabled=False)
         assert trimmed.edges_scanned < untrimmed.edges_scanned
         assert trimmed.report.bytes_read < untrimmed.report.bytes_read
 
     def test_eliminated_edges_equal_updates_without_extended(self, rmat10):
         """Paper rule: eliminate exactly the update-generating edges."""
-        result = FastBFSEngine(small_fastbfs_config()).run(
-            rmat10, fresh_machine(), root=hub_root(rmat10)
-        )
+        result = trimming_run(rmat10, hub_root(rmat10))
         for it in result.iterations:
             if it.stay_records_written or it.edges_eliminated:
                 assert it.edges_eliminated <= it.updates_generated or \
                     it.updates_generated == 0
 
     def test_extended_trim_eliminates_more(self, rmat10):
-        root = hub_root(rmat10)
-        base = FastBFSEngine(
-            small_fastbfs_config(selective_scheduling=False)
-        ).run(rmat10, fresh_machine(), root=root)
-        ext = FastBFSEngine(
-            small_fastbfs_config(selective_scheduling=False, extended_trim=True)
-        ).run(rmat10, fresh_machine(), root=root)
+        base, ext = (
+            trimming_run(rmat10, hub_root(rmat10), selective_scheduling=False,
+                         extended_trim=extended)
+            for extended in (False, True)
+        )
         assert ext.edges_scanned <= base.edges_scanned
 
     def test_trim_start_iteration_delays(self, rmat10):
-        result = FastBFSEngine(
-            small_fastbfs_config(trim_start_iteration=2, selective_scheduling=False)
-        ).run(rmat10, fresh_machine(), root=hub_root(rmat10))
+        result = trimming_run(rmat10, hub_root(rmat10), trim_start_iteration=2,
+                              selective_scheduling=False)
         assert result.iterations[0].stay_records_written == 0
         assert result.iterations[1].stay_records_written == 0
         assert result.iterations[1].edges_scanned == rmat10.num_edges
 
     def test_trigger_fraction_skips_slow_convergence(self, grid):
         """On a grid the frontier is tiny; a 10% trigger never fires."""
-        result = FastBFSEngine(
-            small_fastbfs_config(trim_trigger_fraction=0.10)
-        ).run(grid, fresh_machine(), root=0)
+        result = trimming_run(grid, 0, trim_trigger_fraction=0.10)
         assert result.extras["stay_files_written"] == 0.0
 
     def test_trigger_fraction_fires_on_rmat(self, rmat10):
-        result = FastBFSEngine(
-            small_fastbfs_config(trim_trigger_fraction=0.10)
-        ).run(rmat10, fresh_machine(), root=hub_root(rmat10))
+        result = trimming_run(rmat10, hub_root(rmat10), trim_trigger_fraction=0.10)
         assert result.extras["stay_files_written"] > 0
 
     def test_no_trimming_for_wcc(self):

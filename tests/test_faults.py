@@ -881,6 +881,26 @@ class TestChaosHarness:
                 "query 0: 1 claimed tree edges are not graph edges"
             )
 
+    def test_a_wrong_pass_volume_is_a_violation(self, monkeypatch):
+        """A clean trial whose run reports one edge more in one pass than
+        the reference levels give fails the sweep: chaos checks volumes."""
+        from repro.tooling import chaos
+
+        run_queries = chaos.run_staged_queries
+
+        def one_edge_more(*args, **kwargs):
+            batch = run_queries(*args, **kwargs)
+            (result,) = batch.queries
+            assert not result.extras["stay_cancellations"]
+            result.iterations[1].edges_scanned += 1
+            return batch
+
+        monkeypatch.setattr(chaos, "run_staged_queries", one_edge_more)
+        report = chaos.run_chaos("smoke", seed=0, trials=2)
+        assert [t.outcome for t in report.trials] == ["violation"] * 2
+        for trial in report.trials:
+            assert trial.detail.startswith("(scanned, updates, stay) per pass")
+
     def test_a_wrong_served_parent_is_a_violation(self, monkeypatch):
         """A served 200 BFS body with the reference levels but one parent
         swapped for a non-edge fails the serve sweep."""

@@ -1,9 +1,11 @@
 """Hypothesis fuzzing of the full engine stack.
 
 Random graphs x random engine configurations: the BFS answer must always
-equal the in-memory reference, no matter how the machine or the engine is
-configured — partitions, buffer sizes, prefetch depth, trimming policy,
-grace, thread counts, disks, memory budgets.  The batch/session protocol
+equal the in-memory reference, and a run that cancels no stay file must
+read the volume formula's passes (``tests.helpers.checked_run``), no
+matter how the machine or the engine is configured — partitions, buffer
+sizes, prefetch depth, trimming policy, grace, thread counts, disks,
+memory budgets, in memory or out of core.  The batch/session protocol
 is fuzzed too: ``run_many`` answers match the reference per query, and
 ``Machine.restore`` rolls every observability counter back to exactly its
 checkpointed value.
@@ -16,16 +18,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.reference import bfs_levels
+from repro.algorithms.validation import BFSAnswerChecker
 from repro.core.config import FastBFSConfig
 from repro.core.engine import FastBFSEngine
 from repro.engines.base import EngineConfig
 from repro.engines.graphchi import GraphChiConfig, GraphChiEngine
 from repro.engines.xstream import XStreamEngine
 from repro.graph.generators import random_graph
+from repro.graph.partition import VertexPartitioning
 from repro.obs.counters import CounterRegistry
 from repro.storage.device import DeviceSpec
 from repro.storage.machine import Machine
 from repro.utils.units import KB, MB
+from tests.helpers import checked_run
 
 
 def machine_for(num_disks: int, memory: int) -> Machine:
@@ -69,7 +74,7 @@ def test_fuzz_fastbfs_always_correct(n, m_factor, seed, config, num_disks,
     root = seed % n
     ref = bfs_levels(graph, root)
     machine = machine_for(num_disks, memory_kb * KB)
-    result = FastBFSEngine(config).run(graph, machine, root=root)
+    result = checked_run(FastBFSEngine(config), graph, machine, root)
     assert np.array_equal(result.levels, ref)
     # Accounting sanity under every configuration.
     assert result.report.execution_time >= 0
@@ -98,7 +103,7 @@ def test_fuzz_xstream_always_correct(n, seed, threads, partitions,
         allow_in_memory=allow_in_memory,
     )
     machine = machine_for(1, MB)
-    result = XStreamEngine(config).run(graph, machine, root=root)
+    result = checked_run(XStreamEngine(config), graph, machine, root)
     assert np.array_equal(result.levels, bfs_levels(graph, root))
 
 
@@ -127,23 +132,22 @@ def test_fuzz_graphchi_always_correct(n, seed, shards, selective):
 def test_fuzz_trimming_never_changes_bytes_upward_vs_untrimmed(
     n, seed, config
 ):
-    """With identical settings except trimming, trimming never *increases*
-    edges scanned (it may add writes, never reads of edge data)."""
+    """With identical settings except trimming, immediate trimming never
+    *increases* edges scanned (it may add writes, never reads of edge
+    data): by the volume formula, which ``test_fuzz_fastbfs_always_correct``
+    holds the engine to under the same configs."""
     graph = random_graph(n, 5 * n, seed=seed)
-    root = seed % n
-    if config.trim_start_iteration or config.trim_trigger_fraction:
-        # Delayed trimming can legitimately re-scan more (see the ablation
-        # bench); restrict the property to immediate trimming.
-        config = replace(config, trim_start_iteration=0,
-                         trim_trigger_fraction=0.0)
-    on = FastBFSEngine(config).run(
-        graph, machine_for(2, MB), root=root
+    # Delayed trimming can legitimately re-scan more (see the ablation
+    # bench); restrict the property to immediate trimming.
+    config = replace(config, trim_start_iteration=0, trim_trigger_fraction=0.0)
+    checker = BFSAnswerChecker(graph)
+    partitioning = VertexPartitioning(n, config.num_partitions)
+    on, off = (
+        sum(scanned for scanned, _, _ in checker.pass_volumes(
+            FastBFSEngine(c), partitioning, seed % n))
+        for c in (config, replace(config, trim_enabled=False))
     )
-    off = FastBFSEngine(replace(config, trim_enabled=False)).run(
-        graph, machine_for(2, MB), root=root
-    )
-    assert on.edges_scanned <= off.edges_scanned
-    assert np.array_equal(on.levels, off.levels)
+    assert on <= off
 
 
 @given(

@@ -18,7 +18,13 @@ SSDs:
 * (vi) threads beyond the core count never speed a traversal up (Fig. 8);
 * (vii) a kernel with ``supports_trimming`` never selects an edge it
   eliminated in an earlier pass: the paper's trimming rule (§II-C1), which
-  FastBFS's stay files and every engine's rescans rely on.
+  FastBFS's stay files and every engine's rescans rely on;
+* (viii) every run behind (i)-(vi) that cancels no stay file scans,
+  generates and keeps, pass by pass, the volumes
+  :meth:`~repro.algorithms.validation.BFSAnswerChecker.pass_volumes`
+  derives from the reference levels: on paths, stars, whiskered
+  power-law graphs, planned partition counts and SSDs, which the
+  contract matrix (``tests/test_contracts.py``) does not have.
 
 Hypothesis runs derandomized: tier-1 sees the same examples every time.
 ``--hypothesis-profile=ci`` (registered in ``conftest.py``) scales every
@@ -56,7 +62,10 @@ from repro.graph.generators import (
 )
 from repro.storage.machine import Machine
 from repro.utils.units import KB
-from tests.helpers import fresh_machine, small_engine_config, small_fastbfs_config
+from tests.helpers import (
+    assert_reference_volumes, checked_run, fresh_machine, small_engine_config,
+    small_fastbfs_config,
+)
 
 ENGINES = st.sampled_from(["fastbfs", "x-stream"])
 
@@ -158,8 +167,9 @@ def test_fastbfs_reads_no_more_edge_bytes_than_xstream(setup):
     """
     graph, (root,), machine, config = setup
     results = {
-        name: engine(name, machine["num_disks"], **config).run(
-            graph, fresh_machine(**machine), root=root
+        name: checked_run(
+            engine(name, machine["num_disks"], **config), graph,
+            fresh_machine(**machine), root,
         )
         for name in ("fastbfs", "x-stream")
     }
@@ -180,13 +190,18 @@ def test_fastbfs_reads_no_more_edge_bytes_than_xstream(setup):
 def edges_scanned(setup, name):
     """``(per serial query, batched)`` edge records streamed for ``setup``."""
     graph, roots, machine, config = setup
+    eng = engine(name, machine["num_disks"], **config)
     scanned = {
-        mode: engine(name, machine["num_disks"], **config).run_many(
-            graph, fresh_machine(**machine), roots, mode=mode
-        )
+        mode: eng.run_many(graph, fresh_machine(**machine), roots, mode=mode)
         for mode in ("serial", "batched")
     }
     assert scanned["batched"].mode == "batched"
+    for root, query in zip(roots, scanned["serial"].queries):
+        assert_reference_volumes(graph, eng, root, query.iterations, query.extras)
+    assert_reference_volumes(
+        graph, eng, roots, scanned["batched"].shared_iterations,
+        scanned["batched"].queries[0].extras,
+    )
     serial = [query.edges_scanned for query in scanned["serial"].queries]
     return serial, scanned["batched"].edges_scanned
 
@@ -237,8 +252,8 @@ def execution_time(name, machine, setup, **config):
     """Simulated seconds of ``name`` on ``machine`` for ``setup``'s graph
     and first root, with ``config`` over the setup's own."""
     graph, (root,), _, base = setup
-    return engine(name, len(machine.disks), **base, **config).run(
-        graph, machine, root=root
+    return checked_run(
+        engine(name, len(machine.disks), **base, **config), graph, machine, root
     ).execution_time
 
 
@@ -366,8 +381,9 @@ def test_more_memory_is_never_slower_out_of_core(setup, memory, name):
     """
     graph, (root,), machine, _ = setup
     runs = [
-        engine(name, machine["num_disks"], num_partitions=None).run(
-            graph, fresh_machine(memory=budget_bytes, **machine), root=root
+        checked_run(
+            engine(name, machine["num_disks"], num_partitions=None), graph,
+            fresh_machine(memory=budget_bytes, **machine), root,
         )
         for budget_bytes in memory
     ]
