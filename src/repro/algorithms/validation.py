@@ -17,7 +17,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.algorithms.reference import bfs_levels
-from repro.core.engine import FastBFSEngine
 from repro.core.policies import TrimPolicy
 from repro.engines.base import EdgeCentricEngine
 from repro.engines.result import IterationStats
@@ -125,7 +124,9 @@ class BFSAnswerChecker:
         (the paper's rule), or every scanned edge at level *i* or less
         under ``extended_trim``; a batch, the edges at level *i* or less
         in every live query, a query being live while it generated
-        updates in the pass before.  X-Stream never trims nor skips.
+        updates in the pass before.  The engine's own config says what it
+        does: X-Stream's pins trimming and selective scheduling off, so it
+        never trims nor skips.
 
         Holds for runs without stay cancellations: a cancelled stay file
         leaves its partition on the older, longer input.
@@ -135,9 +136,8 @@ class BFSAnswerChecker:
         edge_levels = levels[:, self.src]
         owner = partitioning.partition_of(np.arange(self.csr.num_vertices))
         edge_owner = owner.take(self.src)
-        fastbfs = isinstance(engine, FastBFSEngine)
-        policy = TrimPolicy(engine.config, True) if fastbfs else None
-        selective = fastbfs and engine.config.selective_scheduling
+        policy = TrimPolicy(engine.config, True)
+        selective = engine.config.selective_scheduling
         dead = np.zeros(len(self.src), dtype=bool)
         live = np.ones(len(levels), dtype=bool)
         passes: List[IterationStats] = []
@@ -151,7 +151,7 @@ class BFSAnswerChecker:
             stats = IterationStats(
                 i, int(np.count_nonzero(scanned)), int(np.count_nonzero(updates))
             )
-            if policy is not None and policy.trimming_active(
+            if policy.trimming_active(
                 i, passes[-1] if passes else None
             ):
                 if len(levels) > 1:

@@ -1,7 +1,8 @@
 """FastBFS — the paper's contribution.
 
-:class:`FastBFSEngine` extends the shared edge-centric scaffolding with the
-three mechanisms of §II/§III:
+:class:`FastBFSEngine` is the shared edge-centric pass loop
+(:class:`~repro.engines.base.EdgeCentricEngine`) with the three mechanisms
+of §II/§III on, as its :class:`FastBFSConfig` sets them:
 
 1. **asynchronous trimming** — update-generating edges are dropped; the
    survivors stream to a per-partition *stay file* through a dedicated

@@ -14,8 +14,10 @@ from repro.utils.units import KB, parse_bytes
 class FastBFSConfig(EngineConfig):
     """All the FastBFS-specific knobs from paper §II-C and §III.
 
-    * ``trim_enabled`` — master switch (off = behaves like X-Stream plus
-      selective scheduling).
+    * ``trim_enabled`` — master switch for the stay streams.  Off, with
+      ``selective_scheduling`` and ``rotate_streams`` off too, the
+      edge-centric loop is X-Stream: the ``x-stream`` config
+      :class:`~repro.engines.xstream.XStreamEngine` pins.
     * ``trim_start_iteration`` / ``trim_trigger_fraction`` — the deferred
       trimming policy for slow-converging (high-diameter) graphs: trimming
       begins at the given iteration AND once the previous iteration

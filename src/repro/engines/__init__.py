@@ -1,10 +1,11 @@
 """Out-of-core graph engines on the simulated storage substrate.
 
-* :class:`~repro.engines.base.EdgeCentricEngine` — the shared scatter/gather
-  scaffolding (streaming partitions, update shuffle, merged gather+scatter
-  passes, in-memory mode) that X-Stream defined and FastBFS inherits.
+* :class:`~repro.engines.base.EdgeCentricEngine` — the one scatter/gather
+  pass loop (streaming partitions, update shuffle, merged gather+scatter
+  passes, in-memory mode) that X-Stream defined, with FastBFS's additions
+  inline, each switched by the engine's config.
 * :class:`~repro.engines.xstream.XStreamEngine` — the X-Stream baseline:
-  the base engine with no trimming and no selective scheduling.
+  that loop with trimming, selective scheduling and rotation pinned off.
 * :class:`~repro.engines.graphchi.GraphChiEngine` — the GraphChi baseline:
   vertex-centric parallel sliding windows over sorted shards.
 * The FastBFS engine itself lives in :mod:`repro.core` (it is the paper's

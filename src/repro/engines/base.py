@@ -17,10 +17,17 @@ scatter/gather iterations over streaming partitions (paper §II-A):
    in-memory mode: the input is read from disk once and every stream lives
    on the RAM pseudo-device (the Fig. 9 cliff).
 
-Subclass hooks (``_should_process_partition``, ``_edge_input_file``,
-``_pre_partition_scatter``, ``_on_scatter_run``, ``_post_partition_scatter``,
-...) are where FastBFS adds trimming, cancellation and selective scheduling
-without duplicating the pipeline.
+FastBFS's additions (paper §II-C, §III) run inline in the same loop, each
+switched by the engine's :class:`~repro.core.config.FastBFSConfig`: at
+scatter entry the partition's pending stay file is swapped in or cancelled
+(:meth:`~repro.core.staystream.StayStreamManager.resolve_input`); where
+the trim policy says so, the scatter selects each host run's surviving
+edges into a stay writer; ``selective_scheduling`` skips partitions with
+no frontier; ``rotate_streams`` alternates the disk a pass writes to; the
+end of a run discards the outstanding stay files and reports the
+``stay_*`` counters.  :class:`~repro.core.engine.FastBFSEngine` runs its
+config as given; :class:`~repro.engines.xstream.XStreamEngine` pins every
+addition off.
 
 Modeled buffers and host runs.  What the simulation is *charged* is one
 device request and one or two compute charges per modeled stream buffer
@@ -44,7 +51,7 @@ every buffer of the file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -329,12 +336,12 @@ class _RunState:
         self.held_edges: Dict[int, _HeldEdges] = {}
         self.iterations: List[IterationStats] = []
         self.extras: Dict[str, float] = {}
-        # FastBFS session state (attached by FastBFSEngine._before_run;
-        # declared here so the per-query ownership is explicit).
+        # Stay streams and the trim policy, set by an edge-centric run.
         self.stay = None  # StayStreamManager
         self.trim_policy = None  # TrimPolicy
-        self.trim_active_iteration = -1
-        self.trim_active = False
+        #: The trim policy's call for the current pass: whether its
+        #: scatters write stay streams.
+        self.trimming = False
 
 
 class Engine:
@@ -462,12 +469,22 @@ class Engine:
 
 
 class EdgeCentricEngine(Engine):
-    """X-Stream-style scatter/gather engine; subclass hooks add FastBFS."""
+    """X-Stream's scatter/gather engine with FastBFS's additions, each
+    switched by the engine's :class:`~repro.core.config.FastBFSConfig`."""
 
     name = "edge-centric"
 
     def __init__(self, config: Optional[EngineConfig] = None) -> None:
-        self.config = config if config is not None else EngineConfig()
+        from repro.core.config import FastBFSConfig
+
+        if config is None:
+            config = FastBFSConfig()
+        elif not isinstance(config, FastBFSConfig):
+            # A plain EngineConfig takes FastBFS's defaults for the rest.
+            config = FastBFSConfig(
+                **{f.name: getattr(config, f.name) for f in fields(EngineConfig)}
+            )
+        self.config = config
 
     # ------------------------------------------------------------------
     # planning & input staging
@@ -608,17 +625,38 @@ class EdgeCentricEngine(Engine):
         return rt
 
     def _run_passes(self, staged, rt: _RunState) -> None:
-        """The scatter/gather timeline to convergence, then the release of
-        any per-query file swapped in over a staged edge file (a stay file
-        promoted to edge-input duty is session state; the artifact's own
-        files are never displaced)."""
-        self._before_run(rt)
+        """The scatter/gather timeline to convergence; then the discard of
+        every outstanding stay file, the ``stay_*`` counters, and the
+        release of any per-query file swapped in over a staged edge file (a
+        stay file promoted to edge-input duty is session state; the
+        artifact's own files are never displaced)."""
+        from repro.core.policies import TrimPolicy
+        from repro.core.staystream import StayStreamManager
+
+        cfg = self.config
+        machine = rt.machine
+        if staged.in_memory:
+            stay_device = machine.ram
+        else:
+            stay_device = machine.disk(
+                cfg.stay_disk if cfg.stay_disk is not None else EDGE_DISK
+            )
+        rt.stay = StayStreamManager(
+            machine.clock, machine.vfs, stay_device, cfg,
+            protected=staged.protected_names(),
+            tracer=machine.tracer,
+        )
+        rt.trim_policy = TrimPolicy(cfg, rt.algo.supports_trimming)
         pass_updates = self._scatter_only_pass(rt)
         iteration = 0
         while pass_updates > 0:
             iteration += 1
             pass_updates = self._merged_pass(rt, iteration)
-        self._after_run(rt)
+        rt.stay.discard_all()
+        rt.extras.update(
+            (f"stay_{name}", float(value))
+            for name, value in asdict(rt.stay.stats).items()
+        )
         for p, f in enumerate(rt.edge_files):
             if f is not staged.edge_files[p]:
                 rt.machine.vfs.delete_if_exists(f.name)
@@ -626,11 +664,19 @@ class EdgeCentricEngine(Engine):
     # ------------------------------------------------------------------
     # passes
     # ------------------------------------------------------------------
+    def _open_pass(self, rt: _RunState, iteration: int) -> IterationStats:
+        """Start pass ``iteration``'s counters and take the trim policy's
+        call on whether its scatters write stay streams."""
+        previous = rt.iterations[-1] if rt.iterations else None
+        rt.trimming = rt.trim_policy.trimming_active(iteration, previous)
+        stats = IterationStats(iteration=iteration)
+        rt.iterations.append(stats)
+        return stats
+
     def _scatter_only_pass(self, rt: _RunState) -> int:
         """Iteration 0: scatter the initial frontier, no gather yet."""
         ctx = AlgoContext(0)
-        stats = IterationStats(iteration=0)
-        rt.iterations.append(stats)
+        stats = self._open_pass(rt, 0)
         part = rt.staged.partitioning
         active_per_part = self._active_per_partition(rt)
         with rt.machine.tracer.span(
@@ -638,9 +684,9 @@ class EdgeCentricEngine(Engine):
         ) as it_span:
             self._open_update_writers(rt, iteration=0)
             for p in part:
-                if not self._should_process_partition(
-                    rt, p, False, int(active_per_part[p])
-                ):
+                # Selective scheduling (§II-C3): skip a partition with no
+                # frontier; X-Stream touches every partition every pass.
+                if self.config.selective_scheduling and not active_per_part[p]:
                     stats.partitions_skipped += 1
                     continue
                 stats.partitions_processed += 1
@@ -663,8 +709,7 @@ class EdgeCentricEngine(Engine):
         """Gather iteration-1's updates and scatter this iteration, merged."""
         gather_ctx = AlgoContext(iteration - 1)
         scatter_ctx = AlgoContext(iteration)
-        stats = IterationStats(iteration=iteration)
-        rt.iterations.append(stats)
+        stats = self._open_pass(rt, iteration)
         prev_updates = rt.update_in
         frontier = sum(
             f.num_records for f in prev_updates if f is not None
@@ -676,7 +721,7 @@ class EdgeCentricEngine(Engine):
             for p in rt.staged.partitioning:
                 update_file = prev_updates[p]
                 has_updates = update_file is not None and update_file.num_records > 0
-                if not self._should_process_partition(rt, p, has_updates, 0):
+                if self.config.selective_scheduling and not has_updates:
                     stats.partitions_skipped += 1
                     continue
                 stats.partitions_processed += 1
@@ -694,8 +739,8 @@ class EdgeCentricEngine(Engine):
                 stats.activated += activated
                 scatter_allowed = (
                     rt.algo.rounds is None or iteration < rt.algo.rounds
-                )
-                if scatter_allowed and self._should_scatter(rt, p, activated):
+                ) and (activated > 0 or not self.config.selective_scheduling)
+                if scatter_allowed:
                     stats.updates_generated += self._scatter_partition(
                         rt, p, scatter_ctx, stats
                     )
@@ -756,8 +801,22 @@ class EdgeCentricEngine(Engine):
         lo, hi = rt.staged.partitioning.range_of(p)
         state_view = rt.state[lo:hi]
         with machine.tracer.span("scatter", partition=p) as sc_span:
-            in_file = self._edge_input_file(rt, p, ctx, stats)
-            self._pre_partition_scatter(rt, p, ctx)
+            # The cross-iteration swap (§II-C2): the stay file the last
+            # trimming scatter wrote becomes the input, or is cancelled.
+            in_file, outcome = rt.stay.resolve_input(p, rt.edge_files[p])
+            if outcome == "swap":
+                rt.edge_files[p] = in_file
+                stats.stay_swaps += 1
+            elif outcome == "cancel":
+                stats.stay_cancellations += 1
+            stay = (
+                rt.stay.open(
+                    p, ctx.iteration,
+                    device=self._write_disk(rt, ctx.iteration),
+                    input_file=in_file,
+                )
+                if rt.trimming else None
+            )
             reader = StreamReader(
                 machine.clock,
                 in_file,
@@ -770,12 +829,9 @@ class EdgeCentricEngine(Engine):
             held = self._held_edges(rt, p, in_file.records(), lo)
             rescan = held is not None and held.src is not None
             # A rescan hands the kernel only the edges it has not eliminated,
-            # unless survivors are selected: they include the edges dead
-            # only here, so each run then goes to the kernel whole.
-            live = (
-                rescan and held.dead is not None
-                and not self._selects_survivors(rt, p)
-            )
+            # unless it writes a stay file: its survivors include the edges
+            # dead only here, so each run then goes to the kernel whole.
+            live = rescan and held.dead is not None and stay is None
             start = 0
             for run, bounds in _host_runs(reader):
                 stop = start + len(run)
@@ -799,9 +855,11 @@ class EdgeCentricEngine(Engine):
                     )
                     if not rescan:
                         held.keep(eliminate)
-                    trim = self._on_scatter_run(
-                        rt, p, state_view, run, src_local, eliminate, bounds, stats
-                    )
+                    if stay is not None and eliminate is not None:
+                        trim = self._select_survivors(
+                            rt, p, state_view, run, src_local, eliminate,
+                            bounds, stats,
+                        )
                 start = stop
                 sent = np.searchsorted(sources, bounds)
                 # Batched kernels weight the charge by liveness-mask
@@ -847,9 +905,57 @@ class EdgeCentricEngine(Engine):
                 generated += len(updates)
             state_view["active"][:] = 0
             rt.algo.after_partition_scatter(ctx, state_view)
-            self._post_partition_scatter(rt, p, ctx)
+            rt.stay.finish_partition(p)
             sc_span.set(edges_streamed=streamed, updates_produced=generated)
         return generated
+
+    def _select_survivors(
+        self,
+        rt: _RunState,
+        p: int,
+        state: VertexState,
+        run: np.ndarray,
+        src_local: np.ndarray,
+        eliminate: np.ndarray,
+        bounds: np.ndarray,
+        stats: IterationStats,
+    ) -> Callable[[int], None]:
+        """Select a host run's surviving edges into partition ``p``'s stay
+        writer, once, and return ``replay(b)``, which the schedule replay
+        calls for each modeled buffer ``b`` of the run between its scatter
+        and shuffle charges: it charges the buffer's trim and appends the
+        survivors at the buffers where the stay writer flushes
+        (:func:`_feeds`), the tail at the run's last buffer."""
+        cfg = self.config
+        if cfg.extended_trim:
+            eliminate = rt.algo.extended_eliminate(state, src_local, eliminate)
+        # Each modeled buffer's share of the survivors is a slice, found
+        # from where the buffer bounds fall among the surviving positions.
+        keep = np.flatnonzero(~eliminate)
+        survivors = rt.stay.stage_survivors(p, run, keep)
+        cuts = np.searchsorted(keep, bounds).tolist()
+        scanned = np.diff(bounds).tolist()
+        flushes, tail = _feeds(rt.stay.current(p), survivors, cuts)
+        if len(tail):
+            flushes[len(scanned) - 1] = tail
+
+        def replay(b: int) -> None:
+            kept = cuts[b + 1] - cuts[b]
+            stats.edges_eliminated += scanned[b] - kept
+            stats.stay_records_written += kept
+            COST_MODEL.charge(
+                rt.machine.clock,
+                "trim",
+                COST_MODEL.trim_per_edge,
+                kept,
+                cfg.threads,
+                rt.machine.cores,
+            )
+            records = flushes.get(b)
+            if records is not None:
+                rt.stay.append(p, records)
+
+        return replay
 
     def _held_edges(
         self, rt: _RunState, p: int, records: np.ndarray, lo: int
@@ -960,7 +1066,9 @@ class EdgeCentricEngine(Engine):
     def _open_update_writers(self, rt: _RunState, iteration: int) -> None:
         cfg = self.config
         parity = iteration % 2
-        device = self._update_device(rt, iteration)
+        device = self._write_disk(rt, iteration)
+        if device is None:
+            device = rt.staged.dev_updates
         rt.update_writers = [
             StreamWriter(
                 rt.machine.clock,
@@ -971,9 +1079,17 @@ class EdgeCentricEngine(Engine):
             for p in rt.staged.partitioning
         ]
 
-    def _update_device(self, rt: _RunState, iteration: int) -> Device:
-        """Device for the update streams written during ``iteration``."""
-        return rt.staged.dev_updates
+    def _write_disk(self, rt: _RunState, iteration: int) -> Optional[Device]:
+        """Target disk for streams produced during ``iteration``.
+
+        With ``rotate_streams`` every write of iteration *i* (stay-out and
+        updates) lands on disk ``(i+1) % 2`` and is read back from there in
+        iteration *i+1*, so on a two-disk machine reads and writes never
+        contend (paper Fig. 10).  ``None``: the stream's own device.
+        """
+        if rt.staged.in_memory or not self.config.rotate_streams:
+            return None
+        return rt.machine.disk((iteration + 1) % 2)
 
     def _active_per_partition(self, rt: _RunState) -> np.ndarray:
         active = np.flatnonzero(rt.state["active"])
@@ -982,63 +1098,3 @@ class EdgeCentricEngine(Engine):
             parts = rt.staged.partitioning.partition_of(active)
             counts += np.bincount(parts, minlength=rt.staged.partitioning.count)
         return counts
-
-    # ------------------------------------------------------------------
-    # subclass hooks (X-Stream semantics by default)
-    # ------------------------------------------------------------------
-    def _before_run(self, rt: _RunState) -> None:
-        """Called after planning/staging, before iteration 0."""
-
-    def _after_run(self, rt: _RunState) -> None:
-        """Called after the final pass, before the result is assembled."""
-
-    def _should_process_partition(
-        self, rt: _RunState, p: int, has_updates: bool, initial_active: int
-    ) -> bool:
-        """X-Stream touches every partition every pass (its weakness)."""
-        return True
-
-    def _should_scatter(self, rt: _RunState, p: int, activated: int) -> bool:
-        """X-Stream streams the full edge list even with an empty frontier."""
-        return True
-
-    def _edge_input_file(
-        self, rt: _RunState, p: int, ctx: AlgoContext, stats: IterationStats
-    ) -> VirtualFile:
-        """Which edge file scatter streams for partition ``p``."""
-        return rt.edge_files[p]
-
-    def _pre_partition_scatter(self, rt: _RunState, p: int, ctx: AlgoContext) -> None:
-        """Hook before streaming a partition's edges."""
-
-    def _selects_survivors(self, rt: _RunState, p: int) -> bool:
-        """True when partition ``p``'s scatter selects the surviving edges
-        of every run (:meth:`_on_scatter_run`), so a rescan hands the kernel
-        whole runs; X-Stream never does."""
-        return False
-
-    def _on_scatter_run(
-        self,
-        rt: _RunState,
-        p: int,
-        state: VertexState,
-        run: np.ndarray,
-        src_local: np.ndarray,
-        eliminate: Optional[np.ndarray],
-        bounds: np.ndarray,
-        stats: IterationStats,
-    ) -> Optional[Callable[[int], None]]:
-        """Hook per host run of edges the kernel saw whole, after it ran
-        (every run but those of a rescan that :meth:`_selects_survivors`
-        leaves to the live edges).
-
-        May return ``replay(b)``, which the schedule replay calls for each
-        modeled buffer ``b`` of the run between that buffer's scatter and
-        shuffle charges (FastBFS selects the run's surviving edges here and
-        replays the trim charge per buffer and the stay appends at the
-        buffers where the stay writer flushes, see :func:`_feeds`).
-        """
-        return None
-
-    def _post_partition_scatter(self, rt: _RunState, p: int, ctx: AlgoContext) -> None:
-        """Hook after a partition's scatter finished."""

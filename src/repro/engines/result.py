@@ -53,8 +53,7 @@ class EngineResult:
     iterations: List[IterationStats] = field(default_factory=list)
     extras: Dict[str, float] = field(default_factory=dict)
     #: Position of this query within a ``run_many`` batch (None for a
-    #: standalone run).  ``extras["query_index"]`` is emitted from this
-    #: field for backward compatibility — the field is the source of truth.
+    #: standalone run).
     query_index: Optional[int] = None
     #: Per-run counter snapshot (repro.obs); attached by the api/harness
     #: front doors when observability export is requested.

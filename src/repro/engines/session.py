@@ -272,7 +272,6 @@ def run_staged_queries(
         extras["num_batches"] = float(len(batch_times))
     for q, result in enumerate(queries):
         result.query_index = q
-        result.extras["query_index"] = float(result.query_index)
     return BatchResult(
         engine=engine.name,
         algorithm=algo.name,

@@ -2,18 +2,14 @@
 
 Two kinds of rule share one table (:data:`RULES`), one dispatcher
 (:func:`run_all_rules`) and one finding type.  The *local* rules
-(FB102-FB110, FB205, FB208) walk one module's AST, scoped by the module's
-subsystem; the *whole-program* rules consume the symbol table / call
-graph / effect tables and judge *reach*.  ``docs/static_analysis.md`` has
+(FB102, FB104-FB110, FB205, FB208) walk one module's AST, scoped by the
+module's subsystem; the *whole-program* rules consume the symbol table /
+call graph / effect tables and judge *reach*.  ``docs/static_analysis.md`` has
 the one catalogue table with scopes.
 
 FB102  bare-assert
     No ``assert`` in library code: it vanishes under ``python -O``.  Raise
     a :class:`~repro.errors.ReproError` subclass instead.
-FB103  scatter-hook-pairing
-    A class overriding ``_pre_partition_scatter`` must also override
-    ``_post_partition_scatter``, or per-partition resources (stay
-    writers) leak across partitions.
 FB104  direct-virtualfile
     ``VirtualFile`` is constructed only inside ``storage/vfs.py``; files
     built elsewhere bypass the namespace and the leak tracking.
@@ -138,7 +134,6 @@ from repro.tooling.report import Finding
 
 RULES: Dict[str, str] = {
     "FB102": "bare assert in library code (stripped under python -O)",
-    "FB103": "_pre_partition_scatter without _post_partition_scatter",
     "FB104": "direct VirtualFile construction outside storage/vfs.py",
     "FB105": "mutation of SimClock internals outside sim/clock.py",
     "FB106": "Timeline.schedule call outside Device.submit",
@@ -235,7 +230,7 @@ def run_all_rules(project: Project) -> List[Finding]:
 
 
 # ----------------------------------------------------------------------
-# FB102-FB110
+# FB102, FB104-FB110
 # ----------------------------------------------------------------------
 
 #: Subsystems that own per-query run state and run under injected faults.
@@ -247,7 +242,7 @@ _SERVE_EXECUTION_CALLS = frozenset({"run_staged_queries", "attach_tracer"})
 
 
 def check_local_rules(project: Project) -> List[Finding]:
-    """FB102-FB110, one AST pass per module of the ``repro`` package.
+    """FB102 and FB104-FB110, one AST pass per module of the ``repro`` package.
 
     Modules outside the package are exempt, so a ``tests/`` tree handed
     to the analyzer may assert and build fixtures by hand.
@@ -285,26 +280,6 @@ class _LocalRulesVisitor(ast.NodeVisitor):
             "bare assert is stripped under python -O; raise a ReproError "
             "subclass instead",
         )
-        self.generic_visit(node)
-
-    # -- FB103 ---------------------------------------------------------
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        methods = {
-            stmt.name
-            for stmt in node.body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        if (
-            "_pre_partition_scatter" in methods
-            and "_post_partition_scatter" not in methods
-        ):
-            self._flag(
-                node,
-                "FB103",
-                f"class {node.name} overrides _pre_partition_scatter but "
-                "not _post_partition_scatter; per-partition resources "
-                "must be closed by the paired hook",
-            )
         self.generic_visit(node)
 
     # -- FB104 / FB106 / FB107 / FB108 / FB110 -------------------------

@@ -74,7 +74,8 @@ def check_report(
 
     ``report`` is a delta report and ``files_before`` the
     ``vfs.snapshot()`` taken together with its baseline; ``stay`` is the
-    stay manager's stats after its end-of-run teardown, for FastBFS runs.
+    stay manager's stats after its end-of-run teardown, for edge-centric
+    runs.
     """
     violations: List[str] = []
     for name, f in vfs.snapshot().items():

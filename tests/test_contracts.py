@@ -397,7 +397,7 @@ class Cell:
                 assert mine.updates_generated == theirs.updates_generated
             else:
                 self.check(root, mine, "batched", same_as=theirs)
-            assert mine.query_index == mine.extras["query_index"] == q
+            assert mine.query_index == q
         if self.batches:
             assert batch.mode == "batched"
             assert "batched_fallback" not in batch.extras

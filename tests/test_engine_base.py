@@ -7,6 +7,7 @@ import pytest
 
 from tests.helpers import (
     checked_run, fresh_machine, graph_from_pairs, hub_root, small_engine_config,
+    small_fastbfs_config,
 )
 
 from repro.algorithms.reference import bfs_levels
@@ -128,19 +129,37 @@ class TestMachineContract:
 
 
 class TestXStreamTraits:
-    def test_scans_full_graph_every_iteration(self, rmat10):
-        """X-Stream's weakness: edges scanned = E per scatter pass."""
-        engine = XStreamEngine(small_engine_config())
-        result = checked_run(engine, rmat10, fresh_machine(), hub_root(rmat10))
+    @pytest.mark.parametrize(
+        "config",
+        [
+            small_engine_config(),
+            small_fastbfs_config(
+                trim_enabled=True, extended_trim=True,
+                selective_scheduling=True, rotate_streams=True, stay_disk=1,
+            ),
+        ],
+        ids=["engine-config", "every-fastbfs-addition"],
+    )
+    def test_scans_full_graph_every_iteration(self, rmat10, config):
+        """X-Stream's weakness: edges scanned = E per scatter pass, whatever
+        FastBFS additions its config turns on.  The volume formula reads
+        the engine's own config, so it would follow an X-Stream that
+        trimmed; these counts do not."""
+        engine = XStreamEngine(config)
+        result = checked_run(
+            engine, rmat10, fresh_machine(num_disks=2), hub_root(rmat10)
+        )
+        assert result.num_iterations > 2
         for it in result.iterations:
             assert it.edges_scanned == rmat10.num_edges
             assert it.partitions_skipped == 0
+        assert result.extras["stay_files_written"] == 0.0
 
     def test_no_stay_files(self, rmat10):
         result = XStreamEngine(small_engine_config()).run(
             rmat10, fresh_machine(), root=0
         )
-        assert "stay_files_written" not in result.extras
+        assert result.extras["stay_files_written"] == 0.0
 
     def test_update_parity_files_cleaned_up(self, rmat10):
         machine = fresh_machine()

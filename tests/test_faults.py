@@ -841,13 +841,13 @@ class TestChaosHarness:
 
         def leaky(name, disks):
             engine = make_engine(name, disks)
-            after_run = engine._after_run
+            run_passes = engine._run_passes
 
-            def leave_update_file(rt):
-                after_run(rt)
+            def leave_update_file(staged, rt):
+                run_passes(staged, rt)
                 rt.machine.vfs.create("updates:0:p1", rt.staged.dev_updates)
 
-            engine._after_run = leave_update_file
+            engine._run_passes = leave_update_file
             return engine
 
         monkeypatch.setattr(chaos, "_make_engine", leaky)

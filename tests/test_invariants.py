@@ -26,20 +26,18 @@ class RecordingFastBFS(FastBFSEngine):
     def __init__(self, config):
         super().__init__(config)
         self.trace = []  # (iteration, partition, input_edges, stay_edges)
-        self._current_input = None
 
-    def _edge_input_file(self, rt, p, ctx, stats):
-        f = super()._edge_input_file(rt, p, ctx, stats)
-        self._current_input = f.records().copy()
-        return f
-
-    def _post_partition_scatter(self, rt, p, ctx):
-        had_writer = rt.stay.current(p) is not None
-        super()._post_partition_scatter(rt, p, ctx)  # closes & seals the file
-        stay = None
-        if had_writer:
-            stay = rt.stay._pending[p].file.records().copy()
-        self.trace.append((ctx.iteration, p, self._current_input, stay))
+    def _scatter_partition(self, rt, p, ctx, stats):
+        generated = super()._scatter_partition(rt, p, ctx, stats)
+        # The scatter's input stays its partition's edge file until the
+        # next swap; the stay file it wrote, closed and sealed, is the one
+        # pending for that swap.
+        writer = rt.stay._pending.get(p)
+        stay = writer.file.records().copy() if writer is not None else None
+        self.trace.append(
+            (ctx.iteration, p, rt.edge_files[p].records().copy(), stay)
+        )
+        return generated
 
 
 @pytest.fixture(scope="module")

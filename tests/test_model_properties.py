@@ -11,7 +11,8 @@ SSDs:
   graph and root (Fig. 5 as a universal);
 * (ii) an engine on two disks is never slower than on one (Fig. 10);
 * (iii) a larger memory budget never makes an out-of-core traversal
-  slower (Fig. 9);
+  slower, and crossing into in-memory mode drops the time as sharply as
+  Fig. 9 claims (a strict xfail for both engines: a model finding);
 * (iv) faster disks never make a traversal slower;
 * (v) a batched traversal scans at least as many edges as its largest
   serial query and at most as many as all of them together;
@@ -367,36 +368,69 @@ RMAT9_ON_ONE_HDD = (
 @example(setup=RMAT9_ON_ONE_HDD, memory=[4 * KB, 8 * KB])
 @given(setup=setups(), memory=MEMORY)
 def test_more_memory_is_never_slower_out_of_core(setup, memory, name):
-    """Property (iii), the non-strict form of Fig. 9's "4GB turns on
-    in-memory mode and drops execution time sharply".
+    """Property (iii): a larger memory budget never makes an out-of-core
+    traversal slower (Fig. 9's flat 256MB-2GB line, non-strict).
 
     The partitions are planned from the budget (no ``num_partitions``
-    override).  While both runs stay out of core, the larger budget must
-    not be slower.  Where it crosses into in-memory mode, the claim applies
-    as stated and is evaluated through its ``holds``.  Both in memory is
-    outside the property.
+    override); the engines stay out of core (``allow_in_memory=False``).
+    Crossing into in-memory mode is :func:`test_crossing_into_memory`.
 
     It holds for X-Stream.  FastBFS breaks it (``RMAT9_ON_ONE_HDD``), so
     its case is a strict xfail pinned to that counterexample.
     """
+    smaller, larger = sweep_memory(setup, memory, name)["time"]
+    assert larger <= smaller, (memory, smaller, larger)
+
+
+def sweep_memory(setup, memory, name, **config):
+    """Fig. 9's sweep of ``name`` over the budgets ``memory``: each run's
+    simulated time and in-memory flag, partitions planned from the budget."""
     graph, (root,), machine, _ = setup
     runs = [
         checked_run(
-            engine(name, machine["num_disks"], num_partitions=None), graph,
-            fresh_machine(memory=budget_bytes, **machine), root,
+            engine(name, machine["num_disks"], num_partitions=None, **config),
+            graph, fresh_machine(memory=budget_bytes, **machine), root,
         )
         for budget_bytes in memory
     ]
-    sweep = {
+    return {
         "time": [run.execution_time for run in runs],
         "in_memory": [run.extras["in_memory"] for run in runs],
     }
-    assume(sweep["in_memory"] != [1.0, 1.0])
-    if sweep["in_memory"] == [0.0, 1.0]:
-        assert IN_MEMORY_CLIFF.holds(sweep), sweep
-    else:
-        smaller, larger = sweep["time"]
-        assert larger <= smaller, (memory, smaller, larger)
+
+
+#: A counterexample to the in-memory cliff for both engines: Hypothesis
+#: shrank FastBFS's to this star (4KB out of core, 8KB in memory, 0.66 of
+#: the out-of-core time) and X-Stream's to ``star_graph(147)`` at 8KB ->
+#: 16KB (0.63); X-Stream breaks it here too (0.63).
+STAR74_ON_ONE_SSD = (
+    star_graph(74), [0], {"num_disks": 1, "disk_kind": "ssd"}, {},
+)
+
+#: Why the crossing case is a strict xfail for either engine.
+IN_MEMORY_FINDING = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="a model finding (EXPERIMENTS.md, 'In-memory mode saves less "
+           "than the cliff claims on small graphs'): in-memory mode removes "
+           "I/O wait only, and there compute is over half the time",
+)
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param("x-stream", marks=IN_MEMORY_FINDING),
+    pytest.param("fastbfs", marks=IN_MEMORY_FINDING),
+])
+@budget(64)
+@example(setup=STAR74_ON_ONE_SSD, memory=[4 * KB, 8 * KB])
+@given(setup=setups(), memory=MEMORY)
+def test_crossing_into_memory(setup, memory, name):
+    """Property (iii)'s other half: where the larger budget crosses into
+    in-memory mode, Fig. 9's "4GB turns on in-memory mode and drops
+    execution time sharply" applies as stated and is evaluated through its
+    ``holds``.  Sweeps that do not cross are outside it."""
+    sweep = sweep_memory(setup, memory, name, allow_in_memory=True)
+    assume(sweep["in_memory"] == [0.0, 1.0])
+    assert IN_MEMORY_CLIFF.holds(sweep), sweep
 
 
 #: Every kernel with ``supports_trimming``, by the batch width it runs at

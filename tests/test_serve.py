@@ -1021,8 +1021,8 @@ class LeaksInOneFlush(FastBFSEngine):
 
     leaks = 1
 
-    def _after_run(self, rt):
-        super()._after_run(rt)
+    def _run_passes(self, staged, rt):
+        super()._run_passes(staged, rt)
         if self.leaks:
             self.leaks -= 1
             rt.machine.vfs.create("updates:0:p1", rt.staged.dev_updates)

@@ -1,4 +1,4 @@
-"""The analyzer's module-local source rules (FB102-FB110).
+"""The analyzer's module-local source rules (FB102, FB104-FB110).
 
 These began as a separate per-file lint pass; they are now rules of
 :mod:`repro.tooling.analyzer` like any other, so every case runs through
@@ -121,36 +121,6 @@ class TestBareAssertRule:
         assert analyze(src, "tests/test_fake.py") == []
         assert analyze(src, "tests/helpers.py") == []
         assert analyze(src, "scratch.py") == []
-
-
-class TestHookPairingRule:
-    def test_pre_without_post_flagged(self):
-        src = (
-            "class MyEngine:\n"
-            "    def _pre_partition_scatter(self, rt, p, ctx):\n"
-            "        pass\n"
-        )
-        out = analyze(src, OTHER_PATH)
-        assert codes(out) == ["FB103"]
-        assert out[0].line == 1
-
-    def test_both_hooks_clean(self):
-        src = (
-            "class MyEngine:\n"
-            "    def _pre_partition_scatter(self, rt, p, ctx):\n"
-            "        pass\n"
-            "    def _post_partition_scatter(self, rt, p, ctx):\n"
-            "        pass\n"
-        )
-        assert analyze(src, OTHER_PATH) == []
-
-    def test_post_only_clean(self):
-        src = (
-            "class MyEngine:\n"
-            "    def _post_partition_scatter(self, rt, p, ctx):\n"
-            "        pass\n"
-        )
-        assert analyze(src, OTHER_PATH) == []
 
 
 class TestVirtualFileRule:
@@ -318,7 +288,7 @@ class TestSuppression:
         assert analyze(src, SIM_PATH) == []
 
     def test_wrong_code_noqa_still_flags(self):
-        src = self.SRC.format(noqa="  # noqa: FB103")
+        src = self.SRC.format(noqa="  # noqa: FB104")
         assert codes(analyze(src, SIM_PATH)) == ["FB102"]
 
 
@@ -326,12 +296,6 @@ class TestSuppression:
 #: code -> (module path, line that replaces the marker).
 PLANTED = {
     "FB102": (OTHER_PATH, "assert batch"),
-    "FB103": (
-        ENGINES_PATH,
-        "class Half:\n"
-        "        def _pre_partition_scatter(self, rt, p, ctx):\n"
-        "            return None",
-    ),
     "FB104": (OTHER_PATH, "VirtualFile('stay:0', batch)"),
     "FB105": (STORAGE_PATH, "batch.clock._compute_time = 0.0"),
     "FB106": (ENGINES_PATH, "batch.dev.timeline.schedule(submit=0, service=1)"),
@@ -393,7 +357,7 @@ class TestHarness:
 
     def test_rule_catalogue_is_complete(self):
         assert sorted(RULES) == [
-            "FB102", "FB103", "FB104", "FB105", "FB106", "FB107", "FB108",
+            "FB102", "FB104", "FB105", "FB106", "FB107", "FB108",
             "FB109", "FB110", "FB200", "FB201", "FB202", "FB203", "FB204",
             "FB205", "FB206", "FB207", "FB208", "FB209",
         ]
@@ -407,7 +371,7 @@ class TestHarness:
 
     def test_repo_source_tree_is_clean(self):
         """Acceptance gate: the shipped src/repro has zero findings under
-        all 19 rules, and the committed baseline has no stale entry."""
+        all 18 rules, and the committed baseline has no stale entry."""
         result = analyze_paths(
             [str(REPO_ROOT / "src" / "repro")],
             baseline=Baseline.load(str(REPO_ROOT / "analyzer_baseline.json")),

@@ -70,16 +70,16 @@ def run_through(front_door, engine, graph):
 class LeavesUpdateFile(FastBFSEngine):
     """Leaves one transient ``updates:*`` file behind every query."""
 
-    def _after_run(self, rt):
-        super()._after_run(rt)
+    def _run_passes(self, staged, rt):
+        super()._run_passes(staged, rt)
         rt.machine.vfs.create("updates:0:p1", rt.staged.dev_updates)
 
 
 class SubmitsUnlabelledRead(FastBFSEngine):
     """Moves 4 KB with an empty stream-group label every query."""
 
-    def _after_run(self, rt):
-        super()._after_run(rt)
+    def _run_passes(self, staged, rt):
+        super()._run_passes(staged, rt)
         clock = rt.machine.clock
         f = rt.edge_files[0]
         req = f.device.submit(
@@ -89,23 +89,16 @@ class SubmitsUnlabelledRead(FastBFSEngine):
         clock.wait_until(req.end)
 
 
-class ForgetsDiscards(StayStreamManager):
-    """Stats that miss the end-of-run discards' terminal count."""
+def forget_discards(monkeypatch):
+    """Stay stats that miss the end-of-run discards' terminal count."""
+    discard_all = StayStreamManager.discard_all
 
-    def discard_all(self):
+    def forgetful(self):
         counted = self.stats.end_of_run_discards
-        super().discard_all()
+        discard_all(self)
         self.stats.end_of_run_discards = counted
 
-
-class MiscountsStays(FastBFSEngine):
-    def _before_run(self, rt):
-        super()._before_run(rt)
-        stay = rt.stay
-        rt.stay = ForgetsDiscards(
-            stay.clock, stay.vfs, stay.device, stay.config,
-            protected=stay.protected, tracer=stay.tracer,
-        )
+    monkeypatch.setattr(StayStreamManager, "discard_all", forgetful)
 
 
 def skip_scatter_charges(monkeypatch):
@@ -370,8 +363,11 @@ class TestStayStateChecker:
         check(m, start, mgr.stats)
 
     @pytest.mark.parametrize("front_door", FRONT_DOORS)
-    def test_stats_missing_a_terminal_count_raises(self, front_door, graph):
-        engine = MiscountsStays(small_fastbfs_config())
+    def test_stats_missing_a_terminal_count_raises(
+        self, monkeypatch, front_door, graph
+    ):
+        forget_discards(monkeypatch)
+        engine = FastBFSEngine(small_fastbfs_config())
         with pytest.raises(SanitizerError, match=r"\[stay-state\]"):
             run_through(front_door, engine, graph)
 
