@@ -30,7 +30,6 @@ from repro.algorithms import (
 from repro.api import make_engine, profile_trace, run_bfs
 from repro.core import FastBFSConfig, FastBFSEngine
 from repro.engines import (
-    EngineConfig,
     EngineResult,
     GraphChiConfig,
     GraphChiEngine,
@@ -74,7 +73,6 @@ __all__ = [
     "FastBFSEngine",
     "FastBFSConfig",
     "XStreamEngine",
-    "EngineConfig",
     "GraphChiEngine",
     "GraphChiConfig",
     "EngineResult",

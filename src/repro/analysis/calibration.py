@@ -43,7 +43,6 @@ from typing import Any, Callable, Dict, NamedTuple, Union
 
 from repro.core.config import FastBFSConfig
 from repro.core.engine import FastBFSEngine
-from repro.engines.base import EngineConfig
 from repro.engines.graphchi import GraphChiConfig, GraphChiEngine
 from repro.engines.xstream import XStreamEngine
 from repro.errors import ConfigError
@@ -95,14 +94,14 @@ def scaled_machine(
 
 def scaled_engine_config(
     divisor: int = SCALE_DIVISOR, **overrides
-) -> EngineConfig:
+) -> FastBFSConfig:
     """X-Stream config with paper buffer sizes scaled down."""
     base = dict(
         edge_buffer_bytes=scaled_bytes(PAPER_EDGE_BUFFER, divisor),
         update_buffer_bytes=scaled_bytes(PAPER_UPDATE_BUFFER, divisor),
     )
     base.update(overrides)
-    return EngineConfig(**base)
+    return FastBFSConfig(**base)
 
 
 def scaled_fastbfs_config(

@@ -17,8 +17,8 @@ from __future__ import annotations
 from typing import Optional, Sequence, Union
 
 from repro.analysis.calibration import ENGINES, make_engine
+from repro.core.config import FastBFSConfig
 from repro.core.engine import FastBFSEngine
-from repro.engines.base import EngineConfig
 from repro.engines.graphchi import GraphChiConfig, GraphChiEngine
 from repro.engines.result import BatchResult, EngineResult
 from repro.engines.xstream import XStreamEngine
@@ -45,7 +45,7 @@ __all__ = [
 
 #: Anything run_bfs accepts as an engine instance.
 AnyEngine = Union[FastBFSEngine, XStreamEngine, GraphChiEngine]
-AnyEngineConfig = Union[EngineConfig, GraphChiConfig]
+AnyEngineConfig = Union[FastBFSConfig, GraphChiConfig]
 
 
 def _resolve_machine(

@@ -1,18 +1,23 @@
-"""FastBFS configuration: the base engine knobs plus trimming controls."""
+"""The edge-centric engines' one config: the streaming knobs X-Stream's
+loop reads plus FastBFS's trimming controls."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from repro.engines.base import EngineConfig
 from repro.errors import ConfigError
 from repro.utils.units import KB, parse_bytes
 
 
 @dataclass
-class FastBFSConfig(EngineConfig):
-    """All the FastBFS-specific knobs from paper §II-C and §III.
+class FastBFSConfig:
+    """Every knob of the edge-centric loop: the streaming fields first,
+    then the FastBFS ones from paper §II-C and §III.
+
+    Sizes accept ints or strings ("64KB").  Defaults are pre-scaled for the
+    reduced-scale reproduction datasets (see ``repro.analysis.calibration``
+    for the scaling rules that map them back to the paper's values).
 
     * ``trim_enabled`` — master switch for the stay streams.  Off, with
       ``selective_scheduling`` and ``rotate_streams`` off too, the
@@ -45,6 +50,19 @@ class FastBFSConfig(EngineConfig):
       Overrides ``stay_disk``/``update_disk``; a no-op on one disk.
     """
 
+    threads: int = 4
+    #: Size of one edge streaming buffer (paper: chosen for sequential BW).
+    edge_buffer_bytes: Union[int, str] = 64 * KB
+    #: Number of edge buffers = read prefetch depth (paper §III).
+    num_edge_buffers: int = 2
+    #: Size of one update stream buffer.
+    update_buffer_bytes: Union[int, str] = 32 * KB
+    #: Override the planned partition count (None = derive from memory).
+    num_partitions: Optional[int] = None
+    #: Allow switching to in-memory mode when the working set fits RAM.
+    allow_in_memory: bool = True
+    #: Disk index for update files.
+    update_disk: int = 0
     trim_enabled: bool = True
     trim_start_iteration: int = 0
     trim_trigger_fraction: float = 0.0
@@ -57,7 +75,18 @@ class FastBFSConfig(EngineConfig):
     rotate_streams: bool = False
 
     def __post_init__(self) -> None:
-        super().__post_init__()
+        self.edge_buffer_bytes = parse_bytes(self.edge_buffer_bytes)
+        self.update_buffer_bytes = parse_bytes(self.update_buffer_bytes)
+        if self.threads < 1:
+            raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        if self.num_edge_buffers < 1:
+            raise ConfigError("num_edge_buffers must be >= 1")
+        if self.edge_buffer_bytes <= 0 or self.update_buffer_bytes <= 0:
+            raise ConfigError("buffer sizes must be positive")
+        if self.num_partitions is not None and self.num_partitions < 1:
+            raise ConfigError("num_partitions must be >= 1")
+        if self.update_disk < 0:
+            raise ConfigError("update_disk must be >= 0")
         self.stay_buffer_bytes = parse_bytes(self.stay_buffer_bytes)
         if self.stay_buffer_bytes <= 0:
             raise ConfigError("stay_buffer_bytes must be positive")

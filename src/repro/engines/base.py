@@ -6,10 +6,11 @@ scatter/gather iterations over streaming partitions (paper §II-A):
 1. an initial pass splits the raw edge list into per-partition out-edge
    files (a single sequential read + sequential writes — the "no expensive
    preprocessing" property);
-2. iteration 0 is a pure scatter pass; every later pass merges "gather of
-   iteration i" with "scatter of iteration i+1" per partition so each
-   partition's vertex set is read once per pass (the staging optimization
-   FastBFS inherits from X-Stream, §III);
+2. every iteration is one pass of the same body
+   (:meth:`EdgeCentricEngine._pass`): per partition, the gather of the
+   previous pass's updates and this iteration's scatter share one load of
+   the vertex set (the staging optimization FastBFS inherits from
+   X-Stream, §III); pass 0 has nothing to gather and scatters the roots;
 3. updates are shuffled into per-destination-partition update files using
    two alternating stream sets (in/out parity, §III), with a drain barrier
    before the pass that consumes them;
@@ -18,8 +19,9 @@ scatter/gather iterations over streaming partitions (paper §II-A):
    on the RAM pseudo-device (the Fig. 9 cliff).
 
 FastBFS's additions (paper §II-C, §III) run inline in the same loop, each
-switched by the engine's :class:`~repro.core.config.FastBFSConfig`: at
-scatter entry the partition's pending stay file is swapped in or cancelled
+switched by the engine's :class:`~repro.core.config.FastBFSConfig` (the
+one edge-centric config): at scatter entry the partition's pending stay
+file is swapped in or cancelled
 (:meth:`~repro.core.staystream.StayStreamManager.resolve_input`); where
 the trim policy says so, the scatter selects each host run's surviving
 edges into a stay writer; ``selective_scheduling`` skips partitions with
@@ -51,8 +53,8 @@ every buffer of the file.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from dataclasses import asdict
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,9 +64,17 @@ from repro.algorithms.streaming import (
     StreamingAlgorithm,
     VertexState,
 )
+from repro.core.config import FastBFSConfig
+from repro.core.policies import TrimPolicy
+from repro.core.staystream import StayStreamManager
 from repro.engines.costs import COST_MODEL
 from repro.engines.result import EngineResult, IterationStats
-from repro.errors import ConfigError
+from repro.engines.session import (
+    QuerySession,
+    StagedGraph,
+    run_staged_queries,
+    staged_run,
+)
 from repro.graph.graph import Graph
 from repro.graph.partition import VertexPartitioning, plan_partition_count
 from repro.sim.timeline import ScheduledRequest
@@ -74,7 +84,6 @@ from repro.storage.machine import Machine
 from repro.storage.streams import StreamReader, StreamWriter
 from repro.storage.vfs import VirtualFile
 from repro.tooling.sanitizer import check_report
-from repro.utils.units import KB, parse_bytes
 
 #: Working set estimate = IN_MEMORY_FACTOR * edge bytes + vertex bytes.
 #: The factor covers input and output edge streams, both update stream sets,
@@ -269,44 +278,6 @@ def _appends_due(
     return due, tails
 
 
-@dataclass
-class EngineConfig:
-    """Runtime knobs shared by the streaming engines.
-
-    Sizes accept ints or strings ("64KB").  Defaults are pre-scaled for the
-    reduced-scale reproduction datasets (see ``repro.analysis.calibration``
-    for the scaling rules that map them back to the paper's values).
-    """
-
-    threads: int = 4
-    #: Size of one edge streaming buffer (paper: chosen for sequential BW).
-    edge_buffer_bytes: Union[int, str] = 64 * KB
-    #: Number of edge buffers = read prefetch depth (paper §III).
-    num_edge_buffers: int = 2
-    #: Size of one update stream buffer.
-    update_buffer_bytes: Union[int, str] = 32 * KB
-    #: Override the planned partition count (None = derive from memory).
-    num_partitions: Optional[int] = None
-    #: Allow switching to in-memory mode when the working set fits RAM.
-    allow_in_memory: bool = True
-    #: Disk index for update files.
-    update_disk: int = 0
-
-    def __post_init__(self) -> None:
-        self.edge_buffer_bytes = parse_bytes(self.edge_buffer_bytes)
-        self.update_buffer_bytes = parse_bytes(self.update_buffer_bytes)
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
-        if self.num_edge_buffers < 1:
-            raise ConfigError("num_edge_buffers must be >= 1")
-        if self.edge_buffer_bytes <= 0 or self.update_buffer_bytes <= 0:
-            raise ConfigError("buffer sizes must be positive")
-        if self.num_partitions is not None and self.num_partitions < 1:
-            raise ConfigError("num_partitions must be >= 1")
-        if self.update_disk < 0:
-            raise ConfigError("update_disk must be >= 0")
-
-
 class _RunState:
     """Mutable per-query bundle so engines stay reusable across queries.
 
@@ -337,8 +308,8 @@ class _RunState:
         self.iterations: List[IterationStats] = []
         self.extras: Dict[str, float] = {}
         # Stay streams and the trim policy, set by an edge-centric run.
-        self.stay = None  # StayStreamManager
-        self.trim_policy = None  # TrimPolicy
+        self.stay: Optional[StayStreamManager] = None
+        self.trim_policy: Optional[TrimPolicy] = None
         #: The trim policy's call for the current pass: whether its
         #: scatters write stay streams.
         self.trimming = False
@@ -380,8 +351,6 @@ class Engine:
         cumulative one (staging + query).  For several traversals of one
         graph use :meth:`run_many`.
         """
-        from repro.engines.session import staged_run
-
         algo = self._kernel(algorithm)
 
         def drive(staged, validated):
@@ -428,8 +397,6 @@ class Engine:
 
         Returns a :class:`~repro.engines.result.BatchResult`.
         """
-        from repro.engines.session import run_staged_queries, staged_run
-
         algo = self._kernel(algorithm)
 
         def drive(staged, validated):
@@ -442,8 +409,6 @@ class Engine:
 
     def session(self, staged, algorithm: Optional[StreamingAlgorithm] = None):
         """A fresh single-use :class:`QuerySession` against ``staged``."""
-        from repro.engines.session import QuerySession
-
         return QuerySession(self, staged, algorithm=algorithm)
 
     # ------------------------------------------------------------------
@@ -474,17 +439,8 @@ class EdgeCentricEngine(Engine):
 
     name = "edge-centric"
 
-    def __init__(self, config: Optional[EngineConfig] = None) -> None:
-        from repro.core.config import FastBFSConfig
-
-        if config is None:
-            config = FastBFSConfig()
-        elif not isinstance(config, FastBFSConfig):
-            # A plain EngineConfig takes FastBFS's defaults for the rest.
-            config = FastBFSConfig(
-                **{f.name: getattr(config, f.name) for f in fields(EngineConfig)}
-            )
-        self.config = config
+    def __init__(self, config: Optional[FastBFSConfig] = None) -> None:
+        self.config = config if config is not None else FastBFSConfig()
 
     # ------------------------------------------------------------------
     # planning & input staging
@@ -520,8 +476,6 @@ class EdgeCentricEngine(Engine):
         return staged
 
     def _stage_body(self, graph, machine, cfg, algo, baseline):
-        from repro.engines.session import StagedGraph
-
         # Plan: partition count and device placement.
         n = graph.num_vertices
         vertex_bytes = n * algo.disk_record_bytes
@@ -630,9 +584,6 @@ class EdgeCentricEngine(Engine):
         release of any per-query file swapped in over a staged edge file (a
         stay file promoted to edge-input duty is session state; the
         artifact's own files are never displaced)."""
-        from repro.core.policies import TrimPolicy
-        from repro.core.staystream import StayStreamManager
-
         cfg = self.config
         machine = rt.machine
         if staged.in_memory:
@@ -647,11 +598,9 @@ class EdgeCentricEngine(Engine):
             tracer=machine.tracer,
         )
         rt.trim_policy = TrimPolicy(cfg, rt.algo.supports_trimming)
-        pass_updates = self._scatter_only_pass(rt)
         iteration = 0
-        while pass_updates > 0:
+        while self._pass(rt, iteration) > 0:
             iteration += 1
-            pass_updates = self._merged_pass(rt, iteration)
         rt.stay.discard_all()
         rt.extras.update(
             (f"stay_{name}", float(value))
@@ -664,95 +613,64 @@ class EdgeCentricEngine(Engine):
     # ------------------------------------------------------------------
     # passes
     # ------------------------------------------------------------------
-    def _open_pass(self, rt: _RunState, iteration: int) -> IterationStats:
-        """Start pass ``iteration``'s counters and take the trim policy's
-        call on whether its scatters write stay streams."""
+    def _pass(self, rt: _RunState, iteration: int) -> int:
+        """Pass ``iteration``: per partition, gather the updates the last
+        pass shuffled to it, then scatter this iteration, sharing one
+        vertex load (the staging X-Stream does, §III).  Pass 0 gathers
+        nothing: its frontier is the roots.  Returns the updates it
+        generated; the run ends at a pass that generates none."""
+        cfg = self.config
+        gather_ctx = AlgoContext(iteration - 1)
+        scatter_ctx = AlgoContext(iteration)
         previous = rt.iterations[-1] if rt.iterations else None
         rt.trimming = rt.trim_policy.trimming_active(iteration, previous)
         stats = IterationStats(iteration=iteration)
         rt.iterations.append(stats)
-        return stats
-
-    def _scatter_only_pass(self, rt: _RunState) -> int:
-        """Iteration 0: scatter the initial frontier, no gather yet."""
-        ctx = AlgoContext(0)
-        stats = self._open_pass(rt, 0)
         part = rt.staged.partitioning
-        active_per_part = self._active_per_partition(rt)
+        update_in = rt.update_in
+        if iteration:
+            frontier = [0 if f is None else f.num_records for f in update_in]
+        else:
+            frontier = self._active_per_partition(rt).tolist()
         with rt.machine.tracer.span(
-            "iteration", iteration=0, frontier=int(active_per_part.sum())
+            "iteration", iteration=iteration, frontier=sum(frontier)
         ) as it_span:
-            self._open_update_writers(rt, iteration=0)
+            self._open_update_writers(rt, iteration=iteration)
             for p in part:
                 # Selective scheduling (§II-C3): skip a partition with no
                 # frontier; X-Stream touches every partition every pass.
-                if self.config.selective_scheduling and not active_per_part[p]:
+                if cfg.selective_scheduling and not frontier[p]:
                     stats.partitions_skipped += 1
                     continue
                 stats.partitions_processed += 1
-                COST_MODEL.charge_phase(
-                    rt.machine.clock, self.config.threads
-                )
+                COST_MODEL.charge_phase(rt.machine.clock, cfg.threads)
                 self._read_vertices(rt, p)
-                stats.updates_generated += self._scatter_partition(rt, p, ctx, stats)
-                self._write_vertices(rt, p)
-            self._finish_pass(rt, stats)
-            it_span.set(
-                edges_scanned=stats.edges_scanned,
-                updates_generated=stats.updates_generated,
-                partitions_processed=stats.partitions_processed,
-                partitions_skipped=stats.partitions_skipped,
-            )
-        return stats.updates_generated
-
-    def _merged_pass(self, rt: _RunState, iteration: int) -> int:
-        """Gather iteration-1's updates and scatter this iteration, merged."""
-        gather_ctx = AlgoContext(iteration - 1)
-        scatter_ctx = AlgoContext(iteration)
-        stats = self._open_pass(rt, iteration)
-        prev_updates = rt.update_in
-        frontier = sum(
-            f.num_records for f in prev_updates if f is not None
-        )
-        with rt.machine.tracer.span(
-            "iteration", iteration=iteration, frontier=int(frontier)
-        ) as it_span:
-            self._open_update_writers(rt, iteration=iteration)
-            for p in rt.staged.partitioning:
-                update_file = prev_updates[p]
-                has_updates = update_file is not None and update_file.num_records > 0
-                if self.config.selective_scheduling and not has_updates:
-                    stats.partitions_skipped += 1
-                    continue
-                stats.partitions_processed += 1
-                COST_MODEL.charge_phase(
-                    rt.machine.clock, self.config.threads
-                )
-                self._read_vertices(rt, p)
-                activated = (
-                    self._gather_partition(rt, p, gather_ctx, update_file)
-                    if has_updates
-                    else 0
-                )
-                lo, hi = rt.staged.partitioning.range_of(p)
-                rt.algo.after_gather(gather_ctx, rt.state[lo:hi])
-                stats.activated += activated
-                scatter_allowed = (
-                    rt.algo.rounds is None or iteration < rt.algo.rounds
-                ) and (activated > 0 or not self.config.selective_scheduling)
-                if scatter_allowed:
+                scatters = True
+                if iteration:
+                    activated = (
+                        self._gather_partition(rt, p, gather_ctx, update_in[p])
+                        if frontier[p]
+                        else 0
+                    )
+                    lo, hi = part.range_of(p)
+                    rt.algo.after_gather(gather_ctx, rt.state[lo:hi])
+                    stats.activated += activated
+                    scatters = (
+                        rt.algo.rounds is None or iteration < rt.algo.rounds
+                    ) and (activated > 0 or not cfg.selective_scheduling)
+                if scatters:
                     stats.updates_generated += self._scatter_partition(
                         rt, p, scatter_ctx, stats
                     )
                 self._write_vertices(rt, p)
-            for f in prev_updates:
+            for f in update_in:
                 if f is not None:
                     rt.machine.vfs.delete(f.name)
             self._finish_pass(rt, stats)
             it_span.set(
                 edges_scanned=stats.edges_scanned,
                 updates_generated=stats.updates_generated,
-                activated=stats.activated,
+                **({"activated": stats.activated} if iteration else {}),
                 partitions_processed=stats.partitions_processed,
                 partitions_skipped=stats.partitions_skipped,
             )

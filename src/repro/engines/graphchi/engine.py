@@ -47,6 +47,7 @@ from repro.graph.graph import Graph
 from repro.graph.types import NO_PARENT, UNVISITED
 from repro.storage.faults import submit_with_retry
 from repro.storage.machine import IOReport, Machine
+from repro.tooling.sanitizer import check_report
 
 _INF = np.int32(2**30)
 
@@ -164,11 +165,13 @@ class GraphChiEngine(Engine):
         """Build the reusable shard artifact (GraphChi's staging phase);
         the shards serve every kernel, so ``algorithm`` is not read."""
         baseline = machine.report()
+        files_before = machine.vfs.snapshot()
         with machine.tracer.span(
             "stage", engine=self.name, graph=graph.name, edges=graph.num_edges
         ) as stage_span:
             prep = self._prepare_body(graph, machine, baseline)
             stage_span.set(partitions=prep.num_intervals, in_memory=False)
+        check_report(prep.staging_report, machine.vfs, files_before)
         return prep
 
     def _prepare_body(

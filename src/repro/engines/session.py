@@ -47,6 +47,7 @@ from repro.algorithms.streaming import (
     StreamingAlgorithm,
     check_roots,
 )
+from repro.core.config import FastBFSConfig
 from repro.engines.result import BatchResult, EngineResult, IterationStats
 from repro.errors import ConfigError, CrashError, EngineError
 from repro.graph.graph import Graph
@@ -73,7 +74,7 @@ class StagedGraph:
 
     graph: Graph
     machine: Machine
-    config: object  # EngineConfig (kept loose to avoid an import cycle)
+    config: FastBFSConfig
     record_bytes: int
     partitioning: VertexPartitioning
     in_memory: bool

@@ -6,9 +6,10 @@ iteration regardless of frontier size, and nothing is ever trimmed.  Its
 strengths (sequential bandwidth, no preprocessing, in-memory mode when the
 graph fits) all live in :class:`EdgeCentricEngine`; its weakness —
 "indiscriminately traverses the whole graph in every iteration" (paper
-§IV-B) — is the ``x-stream`` config: whatever config the engine is given
-runs with ``trim_enabled``, ``selective_scheduling`` and
-``rotate_streams`` off and ``stay_disk=None``.
+§IV-B) — is the ``x-stream`` config: whatever
+:class:`~repro.core.config.FastBFSConfig` the engine is given runs with
+``trim_enabled``, ``selective_scheduling`` and ``rotate_streams`` off and
+``stay_disk=None``.
 
 The staged-graph/query-session split, fault resilience and crash/resume
 are the loop's own.  X-Stream writes no stay files, so its ``stay_*``
@@ -22,7 +23,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-from repro.engines.base import EdgeCentricEngine, EngineConfig
+from repro.core.config import FastBFSConfig
+from repro.engines.base import EdgeCentricEngine
 
 
 class XStreamEngine(EdgeCentricEngine):
@@ -30,7 +32,7 @@ class XStreamEngine(EdgeCentricEngine):
 
     name = "x-stream"
 
-    def __init__(self, config: Optional[EngineConfig] = None) -> None:
+    def __init__(self, config: Optional[FastBFSConfig] = None) -> None:
         super().__init__(config)
         self.config = replace(
             self.config,

@@ -6,7 +6,6 @@ import numpy as np
 
 from repro.algorithms.validation import BFSAnswerChecker
 from repro.core.config import FastBFSConfig
-from repro.engines.base import EngineConfig
 from repro.graph.graph import Graph
 from repro.graph.partition import VertexPartitioning
 from repro.sim.clock import SimClock
@@ -41,7 +40,7 @@ def slow_stay_disk_machine(write_bandwidth=64 * 1024, memory=2 * MB) -> Machine:
     return Machine(specs, memory=memory)
 
 
-def small_engine_config(**overrides) -> EngineConfig:
+def small_engine_config(**overrides) -> FastBFSConfig:
     """Out-of-core config with tiny buffers so streaming paths are exercised."""
     base = dict(
         edge_buffer_bytes=2 * KB,
@@ -50,7 +49,7 @@ def small_engine_config(**overrides) -> EngineConfig:
         allow_in_memory=False,
     )
     base.update(overrides)
-    return EngineConfig(**base)
+    return FastBFSConfig(**base)
 
 
 def small_fastbfs_config(**overrides) -> FastBFSConfig:

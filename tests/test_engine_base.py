@@ -1,6 +1,9 @@
 """Tests for the shared edge-centric engine scaffolding (X-Stream behaviour)."""
 
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +13,10 @@ from tests.helpers import (
     small_fastbfs_config,
 )
 
+import repro
 from repro.algorithms.reference import bfs_levels
 from repro.algorithms.streaming import WCCAlgorithm
-from repro.engines.base import EngineConfig
+from repro.core.config import FastBFSConfig
 from repro.engines.xstream import XStreamEngine
 from repro.errors import ConfigError, EngineError
 from repro.graph.generators import rmat_graph
@@ -21,10 +25,10 @@ from repro.utils.units import KB, MB
 
 class TestEngineConfig:
     def test_defaults_valid(self):
-        EngineConfig()
+        FastBFSConfig()
 
     def test_string_sizes_parsed(self):
-        cfg = EngineConfig(edge_buffer_bytes="64KB", update_buffer_bytes="1KB")
+        cfg = FastBFSConfig(edge_buffer_bytes="64KB", update_buffer_bytes="1KB")
         assert cfg.edge_buffer_bytes == 64 * KB
 
     @pytest.mark.parametrize(
@@ -38,12 +42,12 @@ class TestEngineConfig:
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
-            EngineConfig(**kwargs)
+            FastBFSConfig(**kwargs)
 
     def test_with_copies(self):
         """A copy with a field replaced leaves the original alone and is
         validated like a fresh config."""
-        cfg = EngineConfig(threads=2)
+        cfg = FastBFSConfig(threads=2)
         cfg2 = replace(cfg, threads=8)
         assert cfg.threads == 2 and cfg2.threads == 8
         with pytest.raises(ConfigError):
@@ -171,7 +175,7 @@ class TestXStreamTraits:
 
 class TestInMemoryMode:
     def test_in_memory_when_fits(self, rmat10):
-        cfg = EngineConfig(num_partitions=2)
+        cfg = FastBFSConfig(num_partitions=2)
         machine = fresh_machine(memory=64 * MB)
         result = XStreamEngine(cfg).run(rmat10, machine, root=hub_root(rmat10))
         assert result.extras["in_memory"] == 1.0
@@ -179,21 +183,21 @@ class TestInMemoryMode:
         assert result.report.bytes_read <= 2 * rmat10.nbytes
 
     def test_out_of_core_when_tight(self, rmat10):
-        cfg = EngineConfig(num_partitions=2)
+        cfg = FastBFSConfig(num_partitions=2)
         machine = fresh_machine(memory=64 * KB)
         result = XStreamEngine(cfg).run(rmat10, machine, root=hub_root(rmat10))
         assert result.extras["in_memory"] == 0.0
 
     def test_allow_in_memory_false(self, rmat10):
-        cfg = EngineConfig(num_partitions=2, allow_in_memory=False)
+        cfg = FastBFSConfig(num_partitions=2, allow_in_memory=False)
         machine = fresh_machine(memory=64 * MB)
         result = XStreamEngine(cfg).run(rmat10, machine, root=hub_root(rmat10))
         assert result.extras["in_memory"] == 0.0
 
     def test_in_memory_is_faster(self, rmat10):
         root = hub_root(rmat10)
-        slow = XStreamEngine(EngineConfig(num_partitions=2, allow_in_memory=False))
-        fast = XStreamEngine(EngineConfig(num_partitions=2))
+        slow = XStreamEngine(FastBFSConfig(num_partitions=2, allow_in_memory=False))
+        fast = XStreamEngine(FastBFSConfig(num_partitions=2))
         t_disk = slow.run(rmat10, fresh_machine(memory=64 * MB), root=root)
         t_ram = fast.run(rmat10, fresh_machine(memory=64 * MB), root=root)
         assert t_ram.execution_time < t_disk.execution_time / 2
@@ -202,7 +206,7 @@ class TestInMemoryMode:
         """Same levels, and the passes of the volume formula."""
         root = hub_root(rmat10)
         ref = bfs_levels(rmat10, root)
-        result = checked_run(XStreamEngine(EngineConfig()), rmat10,
+        result = checked_run(XStreamEngine(FastBFSConfig()), rmat10,
                              fresh_machine(memory=64 * MB), root)
         assert result.extras["in_memory"] == 1.0
         assert np.array_equal(result.levels, ref)
@@ -244,3 +248,32 @@ class TestIterationStats:
         )
         reachable = int((bfs_levels(rmat10, root) >= 0).sum())
         assert sum(it.activated for it in result.iterations) == reachable - 1
+
+
+#: The modules of the engine/core import cluster: ``engines.base`` imports
+#: ``core`` and ``engines.session`` at module level, and ``core`` imports
+#: ``engines.base`` back.
+IMPORT_CLUSTER = (
+    "repro.engines.base", "repro.engines.session", "repro.engines.xstream",
+    "repro.engines.graphchi", "repro.core", "repro.core.config",
+    "repro.core.policies", "repro.core.staystream", "repro.core.engine",
+    "repro.algorithms.validation", "repro.analysis.calibration", "repro.api",
+)
+
+
+def test_each_cluster_module_imports_first():
+    """Every module of the cluster imports in an interpreter that holds
+    no ``repro`` module yet (one subprocess, the cache emptied before each
+    import)."""
+    script = (
+        "import importlib, sys\n"
+        f"for name in {IMPORT_CLUSTER!r}:\n"
+        "    for key in [k for k in sys.modules if k.split('.')[0] == 'repro']:\n"
+        "        del sys.modules[key]\n"
+        "    importlib.import_module(name)\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=src, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr

@@ -9,7 +9,6 @@ from repro.algorithms.reference import bfs_levels
 from repro.algorithms.streaming import WCCAlgorithm
 from repro.core.config import FastBFSConfig
 from repro.core.engine import FastBFSEngine
-from repro.engines.base import EngineConfig
 from repro.engines.xstream import XStreamEngine
 from repro.errors import ConfigError
 from repro.graph.generators import rmat_graph
@@ -40,10 +39,10 @@ class TestConfig:
         assert cfg.rotate_streams is True
         assert cfg.threads == 2
 
-    def test_engine_upgrades_plain_config(self):
-        engine = FastBFSEngine(EngineConfig(threads=2))
-        assert isinstance(engine.config, FastBFSConfig)
-        assert engine.config.threads == 2
+    def test_engine_defaults_to_fastbfs_config(self):
+        assert FastBFSEngine().config == FastBFSConfig()
+        cfg = FastBFSConfig(threads=2)
+        assert FastBFSEngine(cfg).config is cfg
 
 
 class TestCorrectness:
@@ -168,8 +167,8 @@ class TestPerformanceShape:
             small_fastbfs_config(num_partitions=2)
         )
         xs = XStreamEngine(
-            EngineConfig(edge_buffer_bytes=2048, update_buffer_bytes=1024,
-                         num_partitions=2, allow_in_memory=False)
+            FastBFSConfig(edge_buffer_bytes=2048, update_buffer_bytes=1024,
+                          num_partitions=2, allow_in_memory=False)
         ).run(rmat12, fresh_machine(), root=root)
         assert fb.report.bytes_read < xs.report.bytes_read
         assert np.array_equal(fb.levels, xs.levels)

@@ -21,7 +21,6 @@ from repro.algorithms.reference import bfs_levels
 from repro.algorithms.validation import BFSAnswerChecker
 from repro.core.config import FastBFSConfig
 from repro.core.engine import FastBFSEngine
-from repro.engines.base import EngineConfig
 from repro.engines.graphchi import GraphChiConfig, GraphChiEngine
 from repro.engines.xstream import XStreamEngine
 from repro.graph.generators import random_graph
@@ -95,7 +94,7 @@ def test_fuzz_xstream_always_correct(n, seed, threads, partitions,
                                      buffer_bytes, allow_in_memory):
     graph = random_graph(n, 4 * n, seed=seed)
     root = seed % n
-    config = EngineConfig(
+    config = FastBFSConfig(
         threads=threads,
         num_partitions=partitions,
         edge_buffer_bytes=buffer_bytes,

@@ -21,7 +21,6 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import FastBFSConfig
-from repro.engines.base import EngineConfig
 from repro.engines.graphchi.engine import GraphChiConfig
 from repro.serve.admission import AdmissionController
 from repro.serve.app import GraphService
@@ -32,7 +31,7 @@ from repro.storage.machine import Machine
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 OWNERS = (
-    EngineConfig, FastBFSConfig, GraphChiConfig, FaultPlan,
+    FastBFSConfig, GraphChiConfig, FaultPlan,
     Machine, GraphService, ArtifactRegistry, AdmissionController,
 )
 
@@ -48,11 +47,7 @@ _PATH = re.compile(r"`((?:src|benchmarks|examples)/[\w/]+\.py)`")
 def settings(owner) -> list:
     """The owner's settable names, in declaration order."""
     if dataclasses.is_dataclass(owner):
-        names = [f.name for f in dataclasses.fields(owner)]
-        if owner is FastBFSConfig:  # only the fields it adds
-            inherited = {f.name for f in dataclasses.fields(EngineConfig)}
-            names = [n for n in names if n not in inherited]
-        return names
+        return [f.name for f in dataclasses.fields(owner)]
     params = inspect.signature(owner.__init__).parameters.values()
     return [p.name for p in params if p.default is not p.empty]
 

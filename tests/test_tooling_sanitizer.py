@@ -435,6 +435,15 @@ class LeakyGraphChi(GraphChiEngine):
         GraphChiEngine._submit_wait(machine, file, kind, nbytes, offset)
 
 
+class LeakyGraphChiStaging(GraphChiEngine):
+    """Leaves a transient file behind its shard build."""
+
+    def _prepare_body(self, graph, machine, baseline):
+        prep = super()._prepare_body(graph, machine, baseline)
+        machine.vfs.create("updates:leak", machine.disk(0))
+        return prep
+
+
 class TestEndToEnd:
     def test_full_fastbfs_run_sanitized_clean(self):
         """A full traversal on a plain machine passes every check and adds
@@ -465,3 +474,9 @@ class TestEndToEnd:
                 engine.run(graph, m, root=hub_root(graph))
             else:
                 engine.run_many(graph, m, roots=[0, hub_root(graph)])
+
+    def test_graphchi_staging_leak_raises(self, graph):
+        """GraphChi's staging report is checked like the edge-centric one."""
+        engine = LeakyGraphChiStaging(GraphChiConfig(num_shards=3))
+        with pytest.raises(SanitizerError, match=r"\[vfs-leak\].*updates:leak"):
+            engine.stage(graph, fresh_machine(memory=8 * 1024 * 1024))
