@@ -14,11 +14,7 @@ Run:  python examples/multi_disk_pipeline.py
 import numpy as np
 
 from repro import FastBFSEngine, XStreamEngine, build_dataset
-from repro.analysis.calibration import (
-    scaled_engine_config,
-    scaled_fastbfs_config,
-    scaled_machine,
-)
+from repro.analysis.calibration import scaled_fastbfs_config, scaled_machine
 from repro.analysis.tables import format_table
 from repro.utils.units import format_bytes, format_seconds
 
@@ -34,7 +30,7 @@ def main() -> None:
 
     machine = scaled_machine("4GB", divisor=DIVISOR)
     runs["x-stream (1 disk)"] = XStreamEngine(
-        scaled_engine_config(DIVISOR)
+        scaled_fastbfs_config(DIVISOR)
     ).run(graph, machine, root=root)
 
     machine = scaled_machine("4GB", divisor=DIVISOR)

@@ -26,7 +26,6 @@ from repro.algorithms.sssp import (
     hash_weights,
     reference_sssp,
 )
-from repro.algorithms.hybrid import HybridBFSResult, hybrid_bfs
 from repro.algorithms.pagerank import PageRankAlgorithm, reference_pagerank
 from repro.algorithms.graph500 import (
     Graph500Result,
@@ -51,8 +50,6 @@ __all__ = [
     "WeightedSSSPAlgorithm",
     "hash_weights",
     "reference_sssp",
-    "hybrid_bfs",
-    "HybridBFSResult",
     "PageRankAlgorithm",
     "reference_pagerank",
     "run_graph500",

@@ -127,28 +127,21 @@ class LevelProfile:
         return fractions
 
 
-def level_sums(levels: np.ndarray, weights: np.ndarray) -> Tuple[List[int], List[int]]:
-    """Per BFS level: how many vertices sit at it, and their ``weights`` summed.
+def level_profile(graph: Union[Graph, CSRGraph], root: int) -> LevelProfile:
+    """Compute the BFS convergence profile from ``root``.
 
-    ``weights`` holds one non-negative integer per vertex (a degree, in
-    both callers); unreached vertices count in neither list.
+    Per level: how many vertices sit at it, and their out-degrees summed;
+    unreached vertices count in neither list.
     """
+    csr = _as_csr(graph)
+    levels = bfs_levels(csr, root)
     reached = levels != UNVISITED
     at = levels[reached]
-    sums = np.bincount(at, weights=weights[reached]).astype(np.int64)
-    return np.bincount(at).tolist(), sums.tolist()
-
-
-def level_profile(graph: Union[Graph, CSRGraph], root: int) -> LevelProfile:
-    """Compute the BFS convergence profile from ``root``."""
-    csr = _as_csr(graph)
-    frontier_sizes, scatter_edges = level_sums(
-        bfs_levels(csr, root), csr.indptr[1:] - csr.indptr[:-1]
-    )
+    degrees = (csr.indptr[1:] - csr.indptr[:-1])[reached]
     return LevelProfile(
         root=root,
         num_vertices=csr.num_vertices,
         num_edges=csr.num_edges,
-        frontier_sizes=frontier_sizes,
-        scatter_edges=scatter_edges,
+        frontier_sizes=np.bincount(at).tolist(),
+        scatter_edges=np.bincount(at, weights=degrees).astype(np.int64).tolist(),
     )

@@ -16,7 +16,6 @@
 
 from repro.analysis.calibration import (
     SCALE_DIVISOR,
-    scaled_engine_config,
     scaled_fastbfs_config,
     scaled_graphchi_config,
     scaled_machine,
@@ -27,7 +26,6 @@ from repro.analysis import paper
 __all__ = [
     "SCALE_DIVISOR",
     "scaled_machine",
-    "scaled_engine_config",
     "scaled_fastbfs_config",
     "scaled_graphchi_config",
     "ExperimentRunner",

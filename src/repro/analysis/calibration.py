@@ -92,22 +92,11 @@ def scaled_machine(
     return Machine(specs, memory=scaled_bytes(memory, divisor), cores=cores)
 
 
-def scaled_engine_config(
-    divisor: int = SCALE_DIVISOR, **overrides
-) -> FastBFSConfig:
-    """X-Stream config with paper buffer sizes scaled down."""
-    base = dict(
-        edge_buffer_bytes=scaled_bytes(PAPER_EDGE_BUFFER, divisor),
-        update_buffer_bytes=scaled_bytes(PAPER_UPDATE_BUFFER, divisor),
-    )
-    base.update(overrides)
-    return FastBFSConfig(**base)
-
-
 def scaled_fastbfs_config(
     divisor: int = SCALE_DIVISOR, **overrides
 ) -> FastBFSConfig:
-    """FastBFS config with paper buffer sizes scaled down."""
+    """Edge-centric config with paper buffer sizes scaled down (X-Stream
+    shares it: it opens no stay writer, so its stay buffer is unread)."""
     base = dict(
         edge_buffer_bytes=scaled_bytes(PAPER_EDGE_BUFFER, divisor),
         update_buffer_bytes=scaled_bytes(PAPER_UPDATE_BUFFER, divisor),
@@ -115,6 +104,10 @@ def scaled_fastbfs_config(
     )
     base.update(overrides)
     return FastBFSConfig(**base)
+
+
+#: The old X-Stream builder's name, still imported by the perf harness.
+scaled_engine_config = scaled_fastbfs_config
 
 
 def scaled_graphchi_config(
@@ -145,7 +138,7 @@ ENGINES: Dict[str, EngineKind] = {
     "fastbfs-2disk": EngineKind(
         FastBFSEngine, partial(scaled_fastbfs_config, rotate_streams=True)
     ),
-    "x-stream": EngineKind(XStreamEngine, scaled_engine_config),
+    "x-stream": EngineKind(XStreamEngine, scaled_fastbfs_config),
     "graphchi": EngineKind(GraphChiEngine, scaled_graphchi_config),
 }
 

@@ -77,7 +77,6 @@ import numpy as np
 from repro.algorithms.validation import BFSAnswerChecker
 from repro.analysis.calibration import engine_kind
 from repro.core.config import FastBFSConfig
-from repro.core.engine import FastBFSEngine
 from repro.engines.base import EdgeCentricEngine
 from repro.engines.result import BatchResult
 from repro.engines.session import MAX_RECOVERIES, run_staged_queries
@@ -298,14 +297,12 @@ def _make_engine(name: str, disks: int) -> EdgeCentricEngine:
     """The :data:`~repro.analysis.calibration.ENGINES` row ``name`` means on
     ``disks`` disks (two rotate FastBFS's streams), with small buffers and
     never in memory, so the streaming paths are exercised."""
-    kind = engine_kind(name, disks)
-    stay = {"stay_buffer_bytes": 1 * KB} if kind.engine is FastBFSEngine else {}
-    return kind.scaled(
+    return engine_kind(name, disks).scaled(
         edge_buffer_bytes=2 * KB,
         update_buffer_bytes=1 * KB,
+        stay_buffer_bytes=1 * KB,
         num_partitions=4,
         allow_in_memory=False,
-        **stay,
     )
 
 

@@ -40,18 +40,6 @@ def slow_stay_disk_machine(write_bandwidth=64 * 1024, memory=2 * MB) -> Machine:
     return Machine(specs, memory=memory)
 
 
-def small_engine_config(**overrides) -> FastBFSConfig:
-    """Out-of-core config with tiny buffers so streaming paths are exercised."""
-    base = dict(
-        edge_buffer_bytes=2 * KB,
-        update_buffer_bytes=1 * KB,
-        num_partitions=4,
-        allow_in_memory=False,
-    )
-    base.update(overrides)
-    return FastBFSConfig(**base)
-
-
 def small_fastbfs_config(**overrides) -> FastBFSConfig:
     base = dict(
         edge_buffer_bytes=2 * KB,

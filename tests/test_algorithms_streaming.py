@@ -30,7 +30,6 @@ from repro.utils.bits import mask_bit_counts
 from tests.helpers import (
     fresh_machine,
     hub_root,
-    small_engine_config,
     small_fastbfs_config,
 )
 
@@ -644,7 +643,7 @@ class TestKernelGranularity:
         # One partition, every edge in one modeled edge buffer, one update
         # record per modeled update buffer.
         return XStreamEngine(
-            small_engine_config(
+            small_fastbfs_config(
                 num_partitions=1, edge_buffer_bytes=64 * 1024,
                 update_buffer_bytes=UPDATE_DTYPE.itemsize,
             )
@@ -685,7 +684,7 @@ class TestKernelGranularity:
         "make_engine",
         [
             lambda **kw: FastBFSEngine(small_fastbfs_config(**kw)),
-            lambda **kw: XStreamEngine(small_engine_config(**kw)),
+            lambda **kw: XStreamEngine(small_fastbfs_config(**kw)),
         ],
         ids=["fastbfs", "x-stream"],
     )

@@ -5,10 +5,10 @@ import pytest
 
 from repro.analysis import figures, paper
 from repro.analysis.calibration import (
+    ENGINES,
     SCALE_DIVISOR,
     scaled_bytes,
     scaled_device,
-    scaled_engine_config,
     scaled_fastbfs_config,
     scaled_machine,
 )
@@ -56,10 +56,14 @@ class TestCalibration:
         assert m.disks[0].spec.kind == "ssd"
 
     def test_scaled_configs_buffer_sizes(self):
-        cfg = scaled_engine_config(256)
-        assert cfg.edge_buffer_bytes == 64 * 1024  # 16MB / 256
-        fb = scaled_fastbfs_config(256)
-        assert fb.stay_buffer_bytes == 32 * 1024  # 8MB / 256
+        for divisor in (256, 1024):
+            cfg = scaled_fastbfs_config(divisor)
+            assert cfg.edge_buffer_bytes == 16 * MB // divisor
+            assert cfg.update_buffer_bytes == 8 * MB // divisor
+            assert cfg.stay_buffer_bytes == 8 * MB // divisor
+        # X-Stream and FastBFS scale through the one builder.
+        assert ENGINES["x-stream"].scaled_config is scaled_fastbfs_config
+        assert ENGINES["fastbfs"].scaled_config is scaled_fastbfs_config
 
 
 class TestPaperClaims:

@@ -228,4 +228,4 @@ class TestBaselineFlow:
             baseline=Baseline.load(str(REPO_ROOT / "analyzer_baseline.json")),
         )
         assert result.ok
-        assert len(result.baselined) == 10
+        assert len(result.baselined) == 8

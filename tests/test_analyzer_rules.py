@@ -335,8 +335,6 @@ class TestMergedTree:
             ("FB206", "repro.storage.faults.FaultInjector._counts"),
             ("FB206", "repro.storage.machine.Machine.tracer"),
             ("FB206", "repro.storage.machine.Machine.fault_plan"),
-            ("FB209", "repro.algorithms.hybrid.HybridBFSResult"),
-            ("FB209", "repro.algorithms.hybrid.hybrid_bfs"),
             ("FB209", "repro.sim.timeline.Timeline.pending_requests"),
             ("FB209", "repro.storage.device.Device.used_bytes"),
             ("FB209", "repro.storage.pagecache.PageCache.contains"),

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from tests.helpers import (
-    checked_run, fresh_machine, graph_from_pairs, hub_root, small_engine_config,
-    small_fastbfs_config,
+    checked_run, fresh_machine, graph_from_pairs, hub_root, small_fastbfs_config,
 )
 
 import repro
@@ -57,26 +56,26 @@ class TestEngineConfig:
 class TestBasicCorrectness:
     def test_bfs_matches_reference(self, rmat10):
         root = hub_root(rmat10)
-        engine = XStreamEngine(small_engine_config())
+        engine = XStreamEngine(small_fastbfs_config())
         result = engine.run(rmat10, fresh_machine(), root=root)
         assert np.array_equal(result.levels, bfs_levels(rmat10, root))
 
     def test_star_one_iteration_plus_drain(self, star):
-        engine = XStreamEngine(small_engine_config(num_partitions=2))
+        engine = XStreamEngine(small_fastbfs_config(num_partitions=2))
         result = engine.run(star, fresh_machine(), root=0)
         assert (result.levels[1:] == 1).all()
         # scatter-0 generates, pass-1 gathers and generates nothing.
         assert result.num_iterations == 2
 
     def test_path_runs_one_pass_per_level(self, path):
-        engine = XStreamEngine(small_engine_config(num_partitions=2))
+        engine = XStreamEngine(small_fastbfs_config(num_partitions=2))
         result = checked_run(engine, path, fresh_machine(), 0)
         assert result.levels[-1] == 63
         assert result.num_iterations == 64
 
     def test_empty_frontier_root_sink(self):
         g = graph_from_pairs(4, [(1, 2)])
-        result = XStreamEngine(small_engine_config(num_partitions=2)).run(
+        result = XStreamEngine(small_fastbfs_config(num_partitions=2)).run(
             g, fresh_machine(), root=0
         )
         assert result.levels.tolist() == [0, -1, -1, -1]
@@ -84,7 +83,7 @@ class TestBasicCorrectness:
 
     def test_multiple_roots(self, rmat10):
         roots = [0, 17, 100]
-        engine = XStreamEngine(small_engine_config())
+        engine = XStreamEngine(small_fastbfs_config())
         result = engine.run(rmat10, fresh_machine(), roots=roots)
         far = np.int64(1) << 40
         dists = np.stack([bfs_levels(rmat10, r) for r in roots]).astype(np.int64)
@@ -98,7 +97,7 @@ class TestBasicCorrectness:
     def test_partition_count_invariance(self, rmat10, partitions):
         root = hub_root(rmat10)
         ref = bfs_levels(rmat10, root)
-        engine = XStreamEngine(small_engine_config(num_partitions=partitions))
+        engine = XStreamEngine(small_fastbfs_config(num_partitions=partitions))
         result = engine.run(rmat10, fresh_machine(), root=root)
         assert np.array_equal(result.levels, ref)
         assert result.extras["partitions"] == min(partitions, rmat10.num_vertices)
@@ -108,8 +107,8 @@ class TestBasicCorrectness:
         root = hub_root(rmat10)
         ref = bfs_levels(rmat10, root)
         engine = XStreamEngine(
-            small_engine_config(edge_buffer_bytes=buffer_bytes,
-                                update_buffer_bytes=buffer_bytes)
+            small_fastbfs_config(edge_buffer_bytes=buffer_bytes,
+                                 update_buffer_bytes=buffer_bytes)
         )
         assert np.array_equal(
             engine.run(rmat10, fresh_machine(), root=root).levels, ref
@@ -119,13 +118,13 @@ class TestBasicCorrectness:
 class TestMachineContract:
     def test_used_machine_rejected(self, rmat10):
         machine = fresh_machine()
-        engine = XStreamEngine(small_engine_config())
+        engine = XStreamEngine(small_fastbfs_config())
         engine.run(rmat10, machine, root=0)
         with pytest.raises(EngineError):
             engine.run(rmat10, machine, root=0)
 
     def test_engine_reusable_with_fresh_machines(self, rmat10):
-        engine = XStreamEngine(small_engine_config())
+        engine = XStreamEngine(small_fastbfs_config())
         a = engine.run(rmat10, fresh_machine(), root=0)
         b = engine.run(rmat10, fresh_machine(), root=0)
         assert np.array_equal(a.levels, b.levels)
@@ -136,7 +135,7 @@ class TestXStreamTraits:
     @pytest.mark.parametrize(
         "config",
         [
-            small_engine_config(),
+            small_fastbfs_config(),
             small_fastbfs_config(
                 trim_enabled=True, extended_trim=True,
                 selective_scheduling=True, rotate_streams=True, stay_disk=1,
@@ -160,15 +159,15 @@ class TestXStreamTraits:
         assert result.extras["stay_files_written"] == 0.0
 
     def test_no_stay_files(self, rmat10):
-        result = XStreamEngine(small_engine_config()).run(
+        result = XStreamEngine(small_fastbfs_config()).run(
             rmat10, fresh_machine(), root=0
         )
         assert result.extras["stay_files_written"] == 0.0
 
     def test_update_parity_files_cleaned_up(self, rmat10):
         machine = fresh_machine()
-        XStreamEngine(small_engine_config()).run(machine=machine, graph=rmat10,
-                                                 root=hub_root(rmat10))
+        XStreamEngine(small_fastbfs_config()).run(machine=machine, graph=rmat10,
+                                                  root=hub_root(rmat10))
         leftovers = [n for n in machine.vfs.names() if n.startswith("updates:")]
         assert leftovers == []
 
@@ -217,7 +216,7 @@ class TestWCCOnBaseEngine:
         import networkx as nx
 
         g = rmat_graph(scale=8, edge_factor=2, seed=9).symmetrized()
-        engine = XStreamEngine(small_engine_config(num_partitions=3))
+        engine = XStreamEngine(small_fastbfs_config(num_partitions=3))
         result = engine.run(g, fresh_machine(), algorithm=WCCAlgorithm(), root=0)
         labels = result.output["label"]
         nxg = nx.Graph()
@@ -231,7 +230,7 @@ class TestWCCOnBaseEngine:
 
 class TestIterationStats:
     def test_updates_monotone_bookkeeping(self, rmat10):
-        result = XStreamEngine(small_engine_config()).run(
+        result = XStreamEngine(small_fastbfs_config()).run(
             rmat10, fresh_machine(), root=hub_root(rmat10)
         )
         assert result.iterations[-1].updates_generated == 0
@@ -243,7 +242,7 @@ class TestIterationStats:
 
     def test_activated_sums_to_reachable_minus_roots(self, rmat10):
         root = hub_root(rmat10)
-        result = XStreamEngine(small_engine_config()).run(
+        result = XStreamEngine(small_fastbfs_config()).run(
             rmat10, fresh_machine(), root=root
         )
         reachable = int((bfs_levels(rmat10, root) >= 0).sum())

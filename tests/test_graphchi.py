@@ -100,14 +100,14 @@ class TestExecution:
         assert result.num_iterations < 64  # far fewer passes than levels
 
     def test_async_fewer_iterations_than_bsp(self, rmat10):
-        from tests.helpers import small_engine_config
+        from tests.helpers import small_fastbfs_config
         from repro.engines.xstream import XStreamEngine
 
         root = hub_root(rmat10)
         gc = GraphChiEngine(GraphChiConfig(num_shards=4)).run(
             rmat10, fresh_machine(), root=root
         )
-        xs = XStreamEngine(small_engine_config()).run(
+        xs = XStreamEngine(small_fastbfs_config()).run(
             rmat10, fresh_machine(), root=root
         )
         assert gc.num_iterations <= xs.num_iterations
@@ -174,14 +174,14 @@ class TestIOModel:
         assert result.report.bytes_written > 0
 
     def test_heavier_than_xstream_per_iteration(self, rmat10):
-        from tests.helpers import small_engine_config
+        from tests.helpers import small_fastbfs_config
         from repro.engines.xstream import XStreamEngine
 
         root = hub_root(rmat10)
         gc = GraphChiEngine(
             GraphChiConfig(num_shards=4, selective_scheduling=False)
         ).run(rmat10, fresh_machine(), root=root)
-        xs = XStreamEngine(small_engine_config()).run(
+        xs = XStreamEngine(small_fastbfs_config()).run(
             rmat10, fresh_machine(), root=root
         )
         gc_per_iter = gc.report.bytes_total / gc.num_iterations

@@ -42,12 +42,11 @@ from tests.helpers import (
     fresh_machine,
     hub_root,
     slow_stay_disk_machine,
-    small_engine_config,
     small_fastbfs_config,
 )
 
-#: Edge records per modeled edge buffer under the ``small_*_config`` helpers.
-EDGE_BUFFER_RECORDS = small_engine_config().edge_buffer_bytes // EDGE_DTYPE.itemsize
+#: Edge records per modeled edge buffer under ``small_fastbfs_config``.
+EDGE_BUFFER_RECORDS = small_fastbfs_config().edge_buffer_bytes // EDGE_DTYPE.itemsize
 
 #: ``HOST_RUN_RECORDS`` values under test.  The first is today's behaviour
 #: by construction (a run never holds less than one modeled buffer).
@@ -107,7 +106,7 @@ ENGINES = {
     "fastbfs-extended": lambda **kw: FastBFSEngine(
         small_fastbfs_config(extended_trim=True, **kw)
     ),
-    "x-stream": lambda **kw: XStreamEngine(small_engine_config(**kw)),
+    "x-stream": lambda **kw: XStreamEngine(small_fastbfs_config(**kw)),
 }
 
 

@@ -16,7 +16,6 @@ import pytest
 from tests.helpers import (
     fresh_machine,
     hub_root,
-    small_engine_config,
     small_fastbfs_config,
 )
 
@@ -30,7 +29,7 @@ def all_engines():
     return [
         ("fastbfs", FastBFSEngine(small_fastbfs_config())),
         ("fastbfs-no-trim", FastBFSEngine(small_fastbfs_config(trim_enabled=False))),
-        ("x-stream", XStreamEngine(small_engine_config())),
+        ("x-stream", XStreamEngine(small_fastbfs_config())),
     ]
 
 

@@ -64,8 +64,7 @@ from repro.graph.generators import (
 from repro.storage.machine import Machine
 from repro.utils.units import KB
 from tests.helpers import (
-    assert_reference_volumes, checked_run, fresh_machine, small_engine_config,
-    small_fastbfs_config,
+    assert_reference_volumes, checked_run, fresh_machine, small_fastbfs_config,
 )
 
 ENGINES = st.sampled_from(["fastbfs", "x-stream"])
@@ -147,7 +146,7 @@ def engine(name, num_disks, **config):
         return FastBFSEngine(
             small_fastbfs_config(rotate_streams=num_disks == 2, **config)
         )
-    return XStreamEngine(small_engine_config(update_disk=num_disks - 1, **config))
+    return XStreamEngine(small_fastbfs_config(update_disk=num_disks - 1, **config))
 
 
 def edge_and_stay_reads(result) -> int:

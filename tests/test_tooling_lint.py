@@ -377,7 +377,7 @@ class TestHarness:
             baseline=Baseline.load(str(REPO_ROOT / "analyzer_baseline.json")),
         )
         assert result.findings == [], "\n".join(map(str, result.findings))
-        assert len(result.baselined) == 10
+        assert len(result.baselined) == 8
         assert result.unused_baseline == []
 
     def test_lint_paths_on_single_file(self, tmp_path):
