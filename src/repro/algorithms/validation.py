@@ -104,32 +104,34 @@ class BFSAnswerChecker:
         engine: EdgeCentricEngine,
         partitioning: VertexPartitioning,
         roots: Union[int, Sequence[int]],
+        cancels: Sequence[Tuple[int, int]] = (),
     ) -> List[Tuple[int, int, int]]:
         """Each pass's ``(edges_scanned, updates_generated,
         stay_records_written)`` of a BFS or unit-SSSP run of ``engine``
         over ``partitioning``: from one root a serial query's
         ``iterations``, from two or more one MS-BFS batch's
-        ``shared_iterations``.
+        ``shared_iterations``; ``cancels`` are the run's ``(pass,
+        partition)`` stay cancellations (its passes' ``stay_cancelled``).
 
         A closed form of the reference levels; no engine runs.  Let an
         edge's level be its source's (never, if unreached).  Pass *i*
-        scans the edges not yet trimmed of the scheduled partitions: under
-        FastBFS's selective scheduling those holding a vertex at level *i*
-        in some query, else all of them.  Its updates are the scanned
-        edges at level *i* in some query (one record serves every query of
-        a batch); the run ends after a pass with none.  Where
+        scatters the scheduled partitions: under FastBFS's selective
+        scheduling those holding a vertex at level *i* in some query, else
+        all of them.  A scheduled partition first swaps out the edges its
+        last stay file trimmed, which were pending until this scatter, or,
+        if the pass cancels that file, keeps them.  It then scans its
+        edges not yet swapped out.  Its updates are the scanned edges at
+        level *i* in some query (one record serves every query of a
+        batch); the run ends after a pass with none.  Where
         :class:`~repro.core.policies.TrimPolicy`, fed these counts, says
-        FastBFS trims, the scanned edges it eliminates are trimmed and the
-        rest are its stay records: a serial query eliminates its updates
-        (the paper's rule), or every scanned edge at level *i* or less
-        under ``extended_trim``; a batch, the edges at level *i* or less
-        in every live query, a query being live while it generated
-        updates in the pass before.  The engine's own config says what it
-        does: X-Stream's pins trimming and selective scheduling off, so it
-        never trims nor skips.
-
-        Holds for runs without stay cancellations: a cancelled stay file
-        leaves its partition on the older, longer input.
+        FastBFS trims, the scanned edges it eliminates are trimmed (and
+        pending) and the rest are its stay records: a serial query
+        eliminates its updates (the paper's rule), or every scanned edge at
+        level *i* or less under ``extended_trim``; a batch, the edges at
+        level *i* or less in every live query, a query being live while it
+        generated updates in the pass before.  The engine's own config
+        says what it does: X-Stream's pins trimming and selective
+        scheduling off, so it never trims nor skips.
         """
         levels = np.stack([bfs_levels(self.csr, r) for r in np.atleast_1d(roots)])
         levels[levels == UNVISITED] = np.iinfo(levels.dtype).max
@@ -139,6 +141,7 @@ class BFSAnswerChecker:
         policy = TrimPolicy(engine.config, True)
         selective = engine.config.selective_scheduling
         dead = np.zeros(len(self.src), dtype=bool)
+        pending = np.zeros(len(self.src), dtype=bool)
         live = np.ones(len(levels), dtype=bool)
         passes: List[IterationStats] = []
         while not passes or passes[-1].updates_generated:
@@ -146,6 +149,12 @@ class BFSAnswerChecker:
             scanned = ~dead
             if selective:
                 scanned &= np.isin(edge_owner, owner[(levels == i).any(axis=0)])
+            # A scheduled partition's scatter swaps out the edges its last
+            # stay file trimmed, or keeps them if it cancels that file.
+            kept = np.isin(edge_owner, [p for j, p in cancels if j == i])
+            dead |= pending & scanned & ~kept
+            pending &= ~scanned
+            scanned &= ~dead
             at_level = edge_levels == i
             updates = scanned & at_level.any(axis=0)
             stats = IterationStats(
@@ -160,7 +169,7 @@ class BFSAnswerChecker:
                     trimmed = scanned & (edge_levels[0] <= i)
                 else:
                     trimmed = updates
-                dead |= trimmed
+                pending |= trimmed
                 stats.stay_records_written = (
                     stats.edges_scanned - int(np.count_nonzero(trimmed))
                 )

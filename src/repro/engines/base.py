@@ -726,7 +726,7 @@ class EdgeCentricEngine(Engine):
                 rt.edge_files[p] = in_file
                 stats.stay_swaps += 1
             elif outcome == "cancel":
-                stats.stay_cancellations += 1
+                stats.stay_cancelled.append(p)
             stay = (
                 rt.stay.open(
                     p, ctx.iteration,

@@ -25,7 +25,9 @@ class IterationStats:
     edges_eliminated: int = 0
     stay_records_written: int = 0
     stay_swaps: int = 0
-    stay_cancellations: int = 0
+    #: Partitions whose pending stay file this pass's scatter cancelled
+    #: (not ready, write failure or checksum mismatch), in scatter order.
+    stay_cancelled: List[int] = field(default_factory=list)
     clock_end: float = 0.0
 
     @property
@@ -99,7 +101,7 @@ class EngineResult:
                 f"{it.updates_generated:>9,}  {it.activated:>9,}  "
                 f"{f'{it.partitions_processed}/{it.partitions_skipped}':>14}  "
                 f"{it.stay_records_written:>9,}  "
-                f"{f'{it.stay_swaps}/{it.stay_cancellations}':>11}  "
+                f"{f'{it.stay_swaps}/{len(it.stay_cancelled)}':>11}  "
                 f"{format_seconds(it.clock_end):>9}"
             )
         return "\n".join(lines)

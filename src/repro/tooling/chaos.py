@@ -389,19 +389,19 @@ def _run_trial(
                 trial.outcome = "violation"
                 trial.detail = f"query {q}: " + "; ".join(report.errors)
                 return trial
-        # A cancelled stay file leaves its partition on the longer input,
-        # which the volume formula does not model.
-        if not results[0].extras.get("stay_cancellations"):
-            iterations = batch.shared_iterations if batched else results[0].iterations
-            volumes = [it.volume for it in iterations]
-            expected = checker.pass_volumes(engine, staged.partitioning, query_roots)
-            if volumes != expected:
-                trial.outcome = "violation"
-                trial.detail = (
-                    f"(scanned, updates, stay) per pass {volumes}, "
-                    f"expected {expected}"
-                )
-                return trial
+        iterations = batch.shared_iterations if batched else results[0].iterations
+        volumes = [it.volume for it in iterations]
+        expected = checker.pass_volumes(
+            engine, staged.partitioning, query_roots,
+            [(it.iteration, p) for it in iterations for p in it.stay_cancelled],
+        )
+        if volumes != expected:
+            trial.outcome = "violation"
+            trial.detail = (
+                f"(scanned, updates, stay) per pass {volumes}, "
+                f"expected {expected}"
+            )
+            return trial
         recovered = "recovered" in results[0].extras
         trial.outcome = "recovered" if recovered else "ok"
     problems = _reconcile(machine)

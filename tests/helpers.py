@@ -66,13 +66,13 @@ def hub_root(graph) -> int:
 def assert_reference_volumes(graph, engine, roots, iterations, extras) -> None:
     """``iterations``, a run of ``engine`` from ``roots`` (several: one
     batch), read the volumes :meth:`BFSAnswerChecker.pass_volumes` gives
-    over the run's partitioning, unless it cancelled a stay file (the
-    formula has no cancellation term)."""
-    if extras.get("stay_cancellations"):
-        return
+    over the run's partitioning and stay cancellations."""
     partitioning = VertexPartitioning(graph.num_vertices, int(extras["partitions"]))
-    expected = BFSAnswerChecker(graph).pass_volumes(engine, partitioning, roots)
-    assert [it.volume for it in iterations] == expected, (roots, expected)
+    cancels = [(it.iteration, p) for it in iterations for p in it.stay_cancelled]
+    expected = BFSAnswerChecker(graph).pass_volumes(
+        engine, partitioning, roots, cancels
+    )
+    assert [it.volume for it in iterations] == expected, (roots, cancels, expected)
 
 
 def checked_run(engine, graph, machine, root):

@@ -330,10 +330,8 @@ class Cell:
 
     def check_volumes(self, roots, iterations, extras, where) -> None:
         """The passes read the volume formula's for ``roots`` (several:
-        one batch); no run of the matrix cancels a stay file, which the
-        formula has no term for."""
+        one batch) and the run's stay cancellations."""
         if self.volumes:
-            assert not extras.get("stay_cancellations"), where
             assert_reference_volumes(self.graph, self.engine, roots,
                                      iterations, extras)
 

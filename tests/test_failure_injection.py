@@ -5,7 +5,9 @@ starved devices — correctness must survive every degraded mode.
 import numpy as np
 
 from tests.helpers import (
+    checked_run,
     fresh_machine,
+    graph_from_pairs,
     hub_root,
     slow_stay_disk_machine,
     small_fastbfs_config,
@@ -28,32 +30,37 @@ def slow_write_machine(write_bandwidth=0.5 * MB, memory=2 * MB):
 
 
 class TestForcedCancellation:
+    """Each run cancels and still reads the volume formula fed its
+    cancels: a cancelled partition rescans its older edge file."""
+
     def test_zero_grace_with_slow_stay_disk_cancels(self, rmat12):
         root = hub_root(rmat12)
-        ref = bfs_levels(rmat12, root)
         engine = FastBFSEngine(
             small_fastbfs_config(
                 cancellation_grace=0.0, num_stay_buffers=64, stay_disk=1
             )
         )
-        result = engine.run(rmat12, slow_stay_disk_machine(), root=root)
+        result = checked_run(engine, rmat12, slow_stay_disk_machine(), root)
         assert result.extras["stay_cancellations"] > 0
-        assert np.array_equal(result.levels, ref)
+        assert np.array_equal(result.levels, bfs_levels(rmat12, root))
 
     def test_cancellation_falls_back_to_previous_file(self, rmat12):
         """After a cancel, the next iteration rescans the old edge file —
         more I/O than the happy path, same answer."""
         root = hub_root(rmat12)
-        happy = FastBFSEngine(small_fastbfs_config()).run(
-            rmat12, fresh_machine(), root=root
+        happy = checked_run(
+            FastBFSEngine(small_fastbfs_config()), rmat12, fresh_machine(), root
         )
-        degraded = FastBFSEngine(
-            small_fastbfs_config(
-                cancellation_grace=0.0, num_stay_buffers=64, stay_disk=1
-            )
-        ).run(rmat12, slow_stay_disk_machine(), root=root)
+        degraded = checked_run(
+            FastBFSEngine(
+                small_fastbfs_config(
+                    cancellation_grace=0.0, num_stay_buffers=64, stay_disk=1
+                )
+            ),
+            rmat12, slow_stay_disk_machine(), root,
+        )
         assert degraded.extras["stay_cancellations"] > 0
-        assert degraded.edges_scanned >= happy.edges_scanned
+        assert degraded.edges_scanned > happy.edges_scanned
         assert np.array_equal(degraded.levels, happy.levels)
 
     def test_nonempty_stays_all_cancelled(self, rmat12):
@@ -64,17 +71,38 @@ class TestForcedCancellation:
                 cancellation_grace=0.0, num_stay_buffers=1024, stay_disk=1
             )
         )
-        result = engine.run(
-            rmat12, slow_stay_disk_machine(write_bandwidth=1024), root=root
+        result = checked_run(
+            engine, rmat12, slow_stay_disk_machine(write_bandwidth=1024), root
         )
         assert np.array_equal(result.levels, bfs_levels(rmat12, root))
         assert result.extras["stay_cancellations"] > 0
-        # Edge volume never shrinks via a non-empty swap: scans match the
-        # untrimmed engine until partitions converge outright.
-        untrimmed = FastBFSEngine(
-            small_fastbfs_config(trim_enabled=False)
-        ).run(rmat12, fresh_machine(), root=root)
-        assert result.edges_scanned >= untrimmed.edges_scanned
+
+    def test_pending_stay_waits_for_the_next_scheduled_scatter(self):
+        """BFS levels alternate between the two partitions, so each one
+        sits out every other pass: its stay file stays pending across the
+        skipped pass and the scatter after it cancels the file, rescanning
+        the edges the file had trimmed."""
+        blocks = [range(0, 1), range(500, 550), range(100, 150),
+                  range(550, 600), range(150, 200)]  # one level each
+        graph = graph_from_pairs(1000, [
+            (u, blocks[k + 1][(i + t) % len(blocks[k + 1])])
+            for k in range(4) for i, u in enumerate(blocks[k])
+            for t in range(8 if k else 50)
+        ])
+        engine = FastBFSEngine(
+            small_fastbfs_config(
+                cancellation_grace=0.0, num_stay_buffers=64, stay_disk=1,
+                num_partitions=2,
+            )
+        )
+        result = checked_run(
+            engine, graph, slow_stay_disk_machine(write_bandwidth=1024), 0
+        )
+        assert [it.partitions_skipped for it in result.iterations] == [1] * 5
+        assert [it.stay_cancelled for it in result.iterations] == [
+            [], [], [0], [1], [0]
+        ]
+        assert np.array_equal(result.levels, bfs_levels(graph, 0))
 
 
 class TestBufferPoolExhaustion:
@@ -220,7 +248,9 @@ class TestEndOfRunCancellation:
         cancels = [s for s in machine.tracer.spans if s.name == "stay_cancel"]
         mid_run = [s for s in cancels if s.attrs["end_of_run"] is False]
         end_of_run = [s for s in cancels if s.attrs["end_of_run"] is True]
-        assert len(mid_run) == result.extras["stay_cancellations"]
+        cancelled = [p for it in result.iterations for p in it.stay_cancelled]
+        assert len(mid_run) == len(cancelled) == result.extras["stay_cancellations"]
+        assert sorted(s.attrs["partition"] for s in mid_run) == sorted(cancelled)
         assert len(end_of_run) == result.extras["stay_end_of_run_discards"]
         assert {s.attrs["reason"] for s in mid_run} <= {
             "not_ready", "write_failure", "checksum_mismatch"

@@ -13,6 +13,7 @@ import pytest
 
 from tests.helpers import (
     ScheduleRecorder,
+    checked_run,
     fresh_machine,
     hub_root,
     small_fastbfs_config,
@@ -433,8 +434,8 @@ class TestTornWriteIntegrity:
         machine = Machine([DeviceSpec.hdd("hdd0")], memory=2 * MB, cores=4,
                           fault_plan=plan)
         machine.attach_tracer(Tracer())
-        result = FastBFSEngine(small_fastbfs_config()).run(
-            rmat10, machine, root=root
+        result = checked_run(
+            FastBFSEngine(small_fastbfs_config()), rmat10, machine, root
         )
         assert np.array_equal(result.levels, bfs_levels(rmat10, root))
         assert result.extras["stay_write_failures"] > 0
@@ -649,7 +650,7 @@ class TestTornWriteIntegrity:
             copied.setdefault(self.file_id, []).append(damaged.nbytes)
 
         monkeypatch.setattr(VirtualFile, "corrupt_at", measured)
-        result = FastBFSEngine(config).run(rmat10, machine, root=root)
+        result = checked_run(FastBFSEngine(config), rmat10, machine, root)
         assert np.array_equal(result.levels, bfs_levels(rmat10, root))
         assert max(len(sizes) for sizes in copied.values()) >= 64
         # A flush holds less than a stay buffer plus one edge buffer's survivors.

@@ -1,11 +1,12 @@
 """Hypothesis fuzzing of the full engine stack.
 
 Random graphs x random engine configurations: the BFS answer must always
-equal the in-memory reference, and a run that cancels no stay file must
-read the volume formula's passes (``tests.helpers.checked_run``), no
-matter how the machine or the engine is configured — partitions, buffer
-sizes, prefetch depth, trimming policy, grace, thread counts, disks,
-memory budgets, in memory or out of core.  The batch/session protocol
+equal the in-memory reference, and the run must read the volume
+formula's passes, fed its own stay cancellations
+(``tests.helpers.checked_run``), no matter how the machine or the engine
+is configured — partitions, buffer sizes, prefetch depth, trimming
+policy, grace, thread counts, disks, memory budgets, in memory or out of
+core.  The batch/session protocol
 is fuzzed too: ``run_many`` answers match the reference per query, and
 ``Machine.restore`` rolls every observability counter back to exactly its
 checkpointed value.

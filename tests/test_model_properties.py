@@ -20,12 +20,13 @@ SSDs:
 * (vii) a kernel with ``supports_trimming`` never selects an edge it
   eliminated in an earlier pass: the paper's trimming rule (§II-C1), which
   FastBFS's stay files and every engine's rescans rely on;
-* (viii) every run behind (i)-(vi) that cancels no stay file scans,
-  generates and keeps, pass by pass, the volumes
+* (viii) every run behind (i)-(vi) scans, generates and keeps, pass by
+  pass, the volumes
   :meth:`~repro.algorithms.validation.BFSAnswerChecker.pass_volumes`
-  derives from the reference levels: on paths, stars, whiskered
-  power-law graphs, planned partition counts and SSDs, which the
-  contract matrix (``tests/test_contracts.py``) does not have.
+  derives from the reference levels and the run's stay cancellations: on
+  paths, stars, whiskered power-law graphs, planned partition counts and
+  SSDs, which the contract matrix (``tests/test_contracts.py``) does not
+  have.
 
 Hypothesis runs derandomized: tier-1 sees the same examples every time.
 ``--hypothesis-profile=ci`` (registered in ``conftest.py``) scales every
