@@ -41,20 +41,15 @@ from repro.storage.vfs import VFS, VirtualFile
 
 @dataclass
 class StayStats:
-    """Cumulative trimming counters for one run.
+    """Cumulative trimming counters for one run that no pass counts.
 
-    ``cancellations`` counts every mid-run degradation to the previous
-    edge file — the timing cancels of paper §IV.B plus the fault-driven
-    ones broken out below (``integrity_failures`` for checksum mismatches
-    at swap-in, ``write_failures`` for flushes that kept failing after
-    retries).  Each mid-run cancellation emits one ``stay_cancel`` span
-    with ``end_of_run=False``, so the two countings always agree.
+    Swaps, cancellations and stay records are the passes' to count
+    (``IterationStats``).  ``integrity_failures`` (checksum mismatches at
+    swap-in) and ``write_failures`` (flushes that kept failing after
+    retries) break out the fault-driven cancellations.
     """
 
     files_written: int = 0
-    swaps: int = 0
-    cancellations: int = 0
-    records_written: int = 0
     bytes_written: int = 0
     pool_waits: int = 0
     end_of_run_discards: int = 0
@@ -128,7 +123,6 @@ class StayStreamManager:
             # the next query session: the stay file keeps its own name.
             if current_file.name not in self.protected:
                 self.vfs.replace(new_file.name, current_file.name)
-            self.stats.swaps += 1
             return new_file, "swap"
         return self._cancel(p, writer, current_file, reason="not_ready")
 
@@ -145,7 +139,6 @@ class StayStreamManager:
             "stay_cancel", p, writer, end=self.clock.now,
             end_of_run=False, reason=reason,
         )
-        self.stats.cancellations += 1
         self.vfs.delete(writer.file.name)
         return current_file, "cancel"
 
@@ -177,17 +170,17 @@ class StayStreamManager:
         self,
         p: int,
         iteration: int,
+        input_file: VirtualFile,
         device: Optional[Device] = None,
-        input_file: Optional[VirtualFile] = None,
     ) -> AsyncStreamWriter:
         """Create the stay-out writer for partition ``p`` this iteration.
 
-        ``device`` overrides the manager's default target (used by the
-        two-disk rotation, which alternates the stay-out disk per
-        iteration).  ``input_file`` is the edge file being trimmed: a stay
-        file never outgrows it, so its record count is the capacity of the
-        writer's private buffer (without it nothing can be staged, only
-        appended).
+        ``input_file`` is the edge file being trimmed: a stay file never
+        outgrows it, so its record count is the capacity of the writer's
+        private buffer, the only place its records can come from
+        (:meth:`stage_survivors`).  ``device`` overrides the manager's
+        default target (used by the two-disk rotation, which alternates the
+        stay-out disk per iteration).
         """
         if p in self._current:
             raise EngineError(f"stay writer for partition {p} already open")
@@ -196,9 +189,9 @@ class StayStreamManager:
             self.clock,
             file,
             self.config.stay_buffer_bytes,
+            capacity=input_file.num_records,
             num_buffers=self.config.num_stay_buffers,
             group=f"stay:p{p}:i{iteration}",
-            capacity=input_file.num_records if input_file is not None else 0,
         )
         self._current[p] = writer
         self._iteration_of[id(writer)] = iteration
@@ -220,15 +213,14 @@ class StayStreamManager:
         if writer is None:
             raise EngineError(f"no open stay writer for partition {p}")
         writer.append(records)
-        self.stats.records_written += len(records)
         self.stats.bytes_written += records.nbytes
 
     def finish_partition(self, p: int) -> None:
-        """Close ``p``'s stay-out writer *without* draining (async flush)."""
+        """Close ``p``'s stay-out writer; its flushes land in the background."""
         writer = self._current.pop(p, None)
         if writer is None:
             return
-        writer.close(drain=False)
+        writer.close()
         self.stats.pool_waits += writer.pool_waits
         self._pending[p] = writer
 

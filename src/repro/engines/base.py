@@ -543,7 +543,7 @@ class EdgeCentricEngine(Engine):
                 for writer, records in tails:
                     writer.append(records)
             for w in writers:
-                w.close(drain=False)
+                w.close()
             last_ends = [w.last_end for w in writers if w.last_end is not None]
             if last_ends:
                 machine.clock.wait_until(max(last_ends))
@@ -602,10 +602,13 @@ class EdgeCentricEngine(Engine):
         while self._pass(rt, iteration) > 0:
             iteration += 1
         rt.stay.discard_all()
-        rt.extras.update(
-            (f"stay_{name}", float(value))
-            for name, value in asdict(rt.stay.stats).items()
+        counts, passes = asdict(rt.stay.stats), rt.iterations
+        counts.update(
+            swaps=sum(it.stay_swaps for it in passes),
+            cancellations=sum(len(it.stay_cancelled) for it in passes),
+            records_written=sum(it.stay_records_written for it in passes),
         )
+        rt.extras.update((f"stay_{k}", float(v)) for k, v in counts.items())
         for p, f in enumerate(rt.edge_files):
             if f is not staged.edge_files[p]:
                 rt.machine.vfs.delete_if_exists(f.name)
@@ -685,7 +688,7 @@ class EdgeCentricEngine(Engine):
             new_updates: List[Optional[VirtualFile]] = []
             ends = []
             for w in rt.update_writers:
-                w.close(drain=False)
+                w.close()
                 if w.last_end is not None:
                     ends.append(w.last_end)
                 if w.file.num_records > 0:

@@ -395,6 +395,7 @@ class QuerySession:
                 machine.vfs,
                 files_before,
                 rt.stay.stats if rt.stay is not None else None,
+                rt.iterations,
             )
             return self._results(rt, self.report)
         except CrashError:

@@ -9,8 +9,9 @@ path (device timelines + the engine clock):
   edge-streaming pipeline X-Stream (and FastBFS) use to overlap I/O and
   compute.
 * :class:`StreamWriter` — buffered appends whose flushes are queued on the
-  device without blocking the engine; :meth:`StreamWriter.drain` is the
-  barrier ("updates must be durable before the gather phase starts").
+  device without blocking the engine; a caller that needs them durable
+  ("updates must be durable before the gather phase starts") waits on
+  :attr:`StreamWriter.last_end`.
 * :class:`AsyncStreamWriter` — the dedicated stay-list writer thread of
   FastBFS §III: a private pool of edge buffers, fire-and-forget flushes that
   only block when the pool is exhausted, a readiness query, and
@@ -18,16 +19,14 @@ path (device timelines + the engine clock):
 
 A flush of one pending array submits that array; a flush of several
 joins them into one byte copy (:func:`~repro.storage.vfs.as_one_array`).
-The stay writer is the one writer that owns the buffer its records live
-in, so it is the one that joins without a copy: survivors are selected
-straight into its private buffer (:meth:`AsyncStreamWriter.take_survivors`),
-a flush of consecutive read-only views of that buffer submits one view of
-it, and the file seals as the buffer's prefix, so a stay record is written
-once and swap-in can tell that what it holds is what was flushed
-(:meth:`AsyncStreamWriter.verify_integrity`).
-A flush of that buffer is not checksummed at send either: the ledger keeps
-the read-only view, and its CRC is taken only by a swap-in that has to
-compare it, so a clean stay record is read once.
+The stay writer owns the buffer its records live in and appends nothing
+else: survivors are selected straight into its private buffer
+(:meth:`AsyncStreamWriter.take_survivors`), appended as the read-only
+views it handed out, in the order taken, and each flush submits the
+buffer's next stretch, so the file seals as the buffer's prefix and a stay
+record is written once.  Nothing is checksummed at send: the buffer still
+holds what each flush sent, so a CRC is taken only by a swap-in that has
+to compare it (:meth:`AsyncStreamWriter.verify_integrity`).
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from __future__ import annotations
 import zlib
 from bisect import bisect_left
 from collections import deque
-from typing import Deque, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -108,7 +107,7 @@ class StreamReader:
 
 
 class StreamWriter:
-    """Buffered appender; flushes are queued writes, ``drain()`` is a barrier."""
+    """Buffered appender; flushes are queued writes, durable at ``last_end``."""
 
     def __init__(
         self,
@@ -184,7 +183,6 @@ class StreamWriter:
             return None
         chunk = self._join(self._pending)
         offset = self.file.nbytes
-        self._on_chunk(chunk, offset)
         self.file.append_records(chunk)
         req = self._submit(chunk.nbytes, offset)
         self._pending = []
@@ -196,14 +194,6 @@ class StreamWriter:
         """Hook: the pending arrays as the one chunk a flush writes."""
         return as_one_array(pending)
 
-    def _on_chunk(self, chunk: np.ndarray, offset: int) -> None:
-        """Hook: called with each chunk about to be written (pre-submit).
-
-        The stay writer overrides this to record what each chunk *sent*,
-        so a torn write (which damages what *landed*) is detectable at
-        swap-in.
-        """
-
     def _submit(self, nbytes: int, offset: int) -> ScheduledRequest:
         req = submit_with_retry(
             self.clock, self.file, "write", nbytes, offset, self.group
@@ -214,13 +204,6 @@ class StreamWriter:
             # damage the stored copy so readers see what the medium holds.
             self.file.corrupt_at(offset)
         return req
-
-    def drain(self) -> None:
-        """Flush and block until every submitted write has completed."""
-        self.flush()
-        end = self.last_end
-        if end is not None:
-            self.clock.wait_until(end)
 
     def _unsettled(self) -> List[ScheduledRequest]:
         """The requests past the cancelled-or-landed prefix."""
@@ -246,14 +229,11 @@ class StreamWriter:
             ends.append(self._settled_end)
         return max(ends) if ends else None
 
-    def close(self, drain: bool = True) -> None:
-        """Flush remaining records; optionally barrier; seal the file."""
+    def close(self) -> None:
+        """Flush remaining records and seal the file; never waits on writes."""
         if self.closed:
             return
-        if drain:
-            self.drain()
-        else:
-            self.flush()
+        self.flush()
         self.closed = True
         self.file.seal(self._whole())
 
@@ -273,21 +253,20 @@ class AsyncStreamWriter(StreamWriter):
     cross-iteration swap logic (condition 2).
 
     The private buffers are real on the host too: ``capacity`` records,
-    allocated once, that :meth:`take_survivors` selects into and whose
-    consecutive read-only views are what gets appended.  A flush joins
-    them into one view of the buffer (:meth:`_join`), the file's chunks are
-    then that buffer, in order, and it seals as the buffer's prefix by
-    reference, so a stay record exists once.  Nothing else ever holds the
-    buffer writable.
+    allocated once, that :meth:`take_survivors` selects into.  :meth:`append`
+    takes only the next of those records, as the read-only views
+    :meth:`take_survivors` handed out, so a flush is the buffer's next
+    stretch (:meth:`_join`), the file's chunks are that buffer, in order,
+    and it seals as the buffer's prefix by reference: a stay record exists
+    once.  Nothing else ever holds the buffer writable.
 
     Because a stay file is advisory (an optimization, never the only copy
     of the data), this writer is also where I/O faults degrade instead of
     propagate: a per-chunk ledger of what each flush sent detects torn
     writes at swap-in, and a write that keeps failing after retries flips
     :attr:`write_failed` — both degrade the swap to the previous edge file
-    exactly like a cancellation.  A flush of the private buffer is recorded
-    as its read-only view, whose CRC is taken only if swap-in has to compare
-    it; any other chunk is recorded as its CRC, taken at send.
+    exactly like a cancellation.  The ledger keeps where each flush
+    started; the buffer still holds what it sent.
     """
 
     def __init__(
@@ -295,9 +274,9 @@ class AsyncStreamWriter(StreamWriter):
         clock: SimClock,
         file: VirtualFile,
         buffer_bytes: int,
+        capacity: int,
         num_buffers: int = 4,
         group: str = "",
-        capacity: int = 0,
     ) -> None:
         if num_buffers < 1:
             raise StorageError(f"num_buffers must be >= 1, got {num_buffers}")
@@ -306,18 +285,18 @@ class AsyncStreamWriter(StreamWriter):
         #: Records the private buffer holds (the most the file can grow to).
         self.capacity = capacity
         self._buffer: Optional[np.ndarray] = None  # allocated at first use
+        self._address = 0  # of its first byte (``ndarray.ctypes`` is slow)
         self._taken = 0  # records of it selected so far
-        self._views_only = True  # every flush so far sent a view of it
+        self._flushed = 0  # records of it flushed so far
         self.pool_waits = 0  # times the engine stalled on buffer exhaustion
         self.cancelled = False
         #: Flipped when a flush keeps failing after retries; the manager
         #: treats a failed writer exactly like a cancellation candidate.
         self.write_failed = False
         self.write_failure: Optional[IOFaultError] = None
-        # (offset, nbytes, sent) per flushed chunk: ``sent`` is the
-        # read-only view of the private buffer that was flushed, or the
-        # crc32 of any other chunk's bytes, taken at send.
-        self._chunk_sums: List[Tuple[int, int, Union[int, np.ndarray]]] = []
+        # Byte offset of each flush, in the file and the buffer alike (the
+        # file is the buffer's flushed prefix).
+        self._flush_starts: List[int] = []
 
     def _live_requests(self) -> List[ScheduledRequest]:
         now = self.clock.now
@@ -345,6 +324,7 @@ class AsyncStreamWriter(StreamWriter):
             )
         if self._buffer is None:
             self._buffer = np.empty(self.capacity, dtype=run.dtype)
+            self._address = self._buffer.ctypes.data
         taken = self._buffer[start:stop]
         # mode="clip" writes into ``out`` directly ("raise" goes through a
         # temporary); ``keep`` indexes ``run``, so nothing is ever clipped.
@@ -354,60 +334,45 @@ class AsyncStreamWriter(StreamWriter):
         return taken
 
     def append(self, arr: np.ndarray) -> None:
+        """Append the next taken records; anything else is a StorageError."""
         if self.write_failed:
             # Degraded: the file will be discarded at swap time anyway, so
             # stop spending buffers and device bandwidth on it.
             return
+        buffer = self._buffer
+        at = self.file.nbytes + self._pending_bytes
+        if not (
+            buffer is not None
+            and arr.base is buffer
+            and arr.dtype is buffer.dtype
+            and not arr.flags.writeable
+            and arr.flags.c_contiguous
+            and arr.ctypes.data == self._address + at
+            and at + arr.nbytes <= self._taken * buffer.itemsize
+        ):
+            raise StorageError(
+                f"stay writer for {self.file.name!r} appends only the next "
+                "of its taken records, as the read-only views taken"
+            )
         super().append(arr)
 
     def _join(self, pending: List[np.ndarray]) -> np.ndarray:
-        # Read-only slices of the private buffer, each starting where the
-        # one before it ended (a carry from one host run and the next run's
-        # slice), are one view of the buffer; anything else is a copy.
+        # ``append`` took only the next taken records: what is pending is
+        # the buffer's next stretch, flushed as one read-only view of it.
         buffer = self._buffer
-        if buffer is None or len(pending) == 1:
-            return as_one_array(pending)
-        start = next_byte = pending[0].ctypes.data
-        for part in pending:
-            if (
-                part.base is not buffer
-                or part.dtype is not buffer.dtype
-                or part.flags.writeable
-                or not part.flags.c_contiguous
-                or part.ctypes.data != next_byte
-            ):
-                return as_one_array(pending)
-            next_byte += part.nbytes
-        first = (start - buffer.ctypes.data) // buffer.itemsize
-        joined = buffer[first : first + (next_byte - start) // buffer.itemsize]
-        joined.flags.writeable = False
-        return joined
-
-    def _on_chunk(self, chunk: np.ndarray, offset: int) -> None:
-        # A flushed region of the private buffer is never written again
-        # (take_survivors writes only past ``_taken`` and hands out
-        # read-only views), so its view still holds the bytes sent and its
-        # CRC can wait for a swap-in that compares it.  Any other chunk may
-        # change after send: crc32 it now, from its own buffer (no copy).
-        buffer = self._buffer
-        if buffer is not None and chunk.base is buffer and not chunk.flags.writeable:
-            sent: Union[int, np.ndarray] = chunk
-        else:
-            sent = zlib.crc32(chunk.view(np.uint8))
-            self._views_only = False
-        self._chunk_sums.append((offset, chunk.nbytes, sent))
+        start = self._flushed
+        self._flushed += self._pending_bytes // buffer.itemsize
+        self._flush_starts.append(start * buffer.itemsize)
+        chunk = buffer[start : self._flushed]
+        chunk.flags.writeable = False
+        return chunk
 
     def _whole(self) -> Optional[np.ndarray]:
-        # Each flush sent a read-only view of the buffer, the views were
-        # appended in the order taken, and together they hold every record
-        # taken: the file is the buffer's prefix.
-        if (
-            self._buffer is None
-            or not self._views_only
-            or self.file.num_records != self._taken
-        ):
+        # Every flush sent the buffer's next stretch: the file is the
+        # buffer's flushed prefix.
+        if not self._flushed:
             return None
-        whole = self._buffer[: self._taken]
+        whole = self._buffer[: self._flushed]
         whole.flags.writeable = False
         return whole
 
@@ -438,41 +403,37 @@ class AsyncStreamWriter(StreamWriter):
     def verify_integrity(self) -> List[int]:
         """Checksum every flushed chunk; return offsets that mismatch.
 
-        Compares the CRC of what each flush *sent* against the bytes the
-        file holds now — a torn write shows up as exactly one damaged
-        chunk.  An empty list means the file is intact.  The sent-side CRC
-        is the one taken at send, or, for a flush of the private buffer,
-        taken here from the view the ledger kept.
+        Compares the CRC of what each flush *sent* (its stretch of the
+        buffer, which nothing writes again) against the bytes the file
+        holds now — a torn write shows up as exactly one damaged chunk.  An
+        empty list means the file is intact.
 
         The one case with nothing to read: the file's array *is* the
-        private buffer (same object behind it, from its first byte through
-        the last byte flushed) and is read-only.  Every flush was then a
-        view of those very bytes, and nothing could have written to them
-        since, so no CRC is taken at all.  Anything that stores other
-        bytes (``corrupt_at`` copies a chunk; so does a seal over chunks
-        that are not one array) breaks that identity and gets the full
-        comparison.
+        buffer's flushed prefix (same object behind it, from its first
+        byte) and is read-only.  The file then holds the very bytes that
+        were sent, so no CRC is taken at all.  Anything that stores other
+        bytes (``corrupt_at`` copies a chunk) breaks that identity and gets
+        the full comparison.
         """
-        bad: List[int] = []
-        if not self._chunk_sums:
-            return bad
+        starts = self._flush_starts
+        if not starts:
+            return []
+        buffer = self._buffer
+        end = self._flushed * buffer.itemsize
         held = self.file.records()
-        last_offset, last_nbytes, _ = self._chunk_sums[-1]
         if (
-            self._buffer is not None
-            and held.base is self._buffer
+            held.base is buffer
             and not held.flags.writeable
-            and held.ctypes.data == self._buffer.ctypes.data
-            and held.nbytes == last_offset + last_nbytes
+            and held.ctypes.data == buffer.ctypes.data
+            and held.nbytes == end
         ):
-            return bad
-        data = held.view(np.uint8)
-        for offset, nbytes, sent in self._chunk_sums:
-            if isinstance(sent, np.ndarray):
-                sent = zlib.crc32(sent.view(np.uint8))
-            if zlib.crc32(data[offset : offset + nbytes]) != sent:
-                bad.append(offset)
-        return bad
+            return []
+        data, sent = held.view(np.uint8), buffer.view(np.uint8)
+        return [
+            start
+            for start, stop in zip(starts, starts[1:] + [end])
+            if zlib.crc32(data[start:stop]) != zlib.crc32(sent[start:stop])
+        ]
 
     def ready_at(self) -> float:
         """Time at which every submitted write will have completed."""

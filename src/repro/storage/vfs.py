@@ -215,11 +215,9 @@ class VFS:
     def __init__(self) -> None:
         self._files: Dict[str, VirtualFile] = {}
 
-    def create(self, name: str, device: Device, overwrite: bool = False) -> VirtualFile:
+    def create(self, name: str, device: Device) -> VirtualFile:
         if name in self._files:
-            if not overwrite:
-                raise StorageError(f"file {name!r} already exists")
-            self.delete(name)
+            raise StorageError(f"file {name!r} already exists")
         f = VirtualFile(name, device)
         self._files[name] = f
         return f

@@ -10,8 +10,9 @@ correctness assertion.
 
 The run already keeps the ledgers these rules are about: the device
 timelines' ``bytes_by_role``, the clock's compute breakdown (both in the
-delta :class:`~repro.storage.machine.IOReport`), the VFS namespace and the
-stay manager's :class:`~repro.core.staystream.StayStats`.
+delta :class:`~repro.storage.machine.IOReport`), the VFS namespace, the
+stay manager's :class:`~repro.core.staystream.StayStats` and the run's
+per-pass :class:`~repro.engines.result.IterationStats`.
 :func:`check_report` reads them wherever an engine takes a delta report —
 staging and every query session (``run``, ``run_many``, admission
 flushes, chaos trials; GraphChi's queries run in the same sessions) — and
@@ -28,8 +29,9 @@ raises
     compute category is missing from the report's compute breakdown.
 ``stay-state``
     After the stay manager's end-of-run teardown, every stay file it
-    opened was swapped, cancelled or discarded:
-    ``files_written == swaps + cancellations + end_of_run_discards``.
+    opened was swapped or cancelled by a pass, or discarded by the
+    teardown: the manager's ``files_written`` equals the passes'
+    ``stay_swaps`` and ``stay_cancelled`` plus its ``end_of_run_discards``.
 
 The fourth rule, ``clock``, is the clock's own:
 :class:`~repro.sim.clock.SimClock` rejects negative compute charges and
@@ -39,13 +41,14 @@ private state.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SanitizerError
 from repro.sim.timeline import Timeline
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.core.staystream import StayStats
+    from repro.engines.result import IterationStats
     from repro.storage.machine import IOReport
     from repro.storage.vfs import VFS, VirtualFile
 
@@ -68,14 +71,15 @@ def check_report(
     vfs: "VFS",
     files_before: Mapping[str, "VirtualFile"],
     stay: Optional["StayStats"] = None,
+    iterations: Sequence["IterationStats"] = (),
 ) -> None:
     """Raise :class:`SanitizerError` if the run behind ``report`` broke
     the simulation protocol.
 
     ``report`` is a delta report and ``files_before`` the
     ``vfs.snapshot()`` taken together with its baseline; ``stay`` is the
-    stay manager's stats after its end-of-run teardown, for edge-centric
-    runs.
+    stay manager's stats after its end-of-run teardown and ``iterations``
+    the run's passes, for edge-centric runs.
     """
     violations: List[str] = []
     for name, f in vfs.snapshot().items():
@@ -103,12 +107,14 @@ def check_report(
                 "charge)"
             )
     if stay is not None:
-        ended = stay.swaps + stay.cancellations + stay.end_of_run_discards
+        swaps = sum(it.stay_swaps for it in iterations)
+        cancels = sum(len(it.stay_cancelled) for it in iterations)
+        ended = swaps + cancels + stay.end_of_run_discards
         if stay.files_written != ended:
             violations.append(
                 f"[stay-state] {stay.files_written} stay files opened but "
-                f"{ended} reached swap/cancel/discard ({stay.swaps} swapped, "
-                f"{stay.cancellations} cancelled, "
+                f"{ended} reached swap/cancel/discard ({swaps} swapped, "
+                f"{cancels} cancelled, "
                 f"{stay.end_of_run_discards} discarded)"
             )
     if violations:

@@ -15,8 +15,8 @@ from repro.graph.generators import (
 )
 
 # A larger example budget, for CI's `pytest tests/test_model_properties.py
-# tests/test_utils_bits.py --hypothesis-profile=ci`; tier-1 keeps
-# Hypothesis's default profile.
+# tests/test_utils_bits.py tests/test_fuzz_storage.py ...
+# --hypothesis-profile=ci`; tier-1 keeps Hypothesis's default profile.
 settings.register_profile("ci", max_examples=800)
 
 

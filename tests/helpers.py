@@ -11,6 +11,7 @@ from repro.graph.partition import VertexPartitioning
 from repro.sim.clock import SimClock
 from repro.storage.device import Device, DeviceSpec
 from repro.storage.machine import Machine
+from repro.storage.streams import AsyncStreamWriter
 from repro.storage.vfs import VirtualFile
 from repro.utils.units import KB, MB
 
@@ -61,6 +62,22 @@ def graph_from_pairs(num_vertices: int, pairs, name: str = "graph") -> Graph:
 
 def hub_root(graph) -> int:
     return int(np.argmax(graph.out_degrees()))
+
+
+def stay_append(target, records: np.ndarray, p: int = 0) -> np.ndarray:
+    """Append ``records`` to a stay writer, or to partition ``p``'s open
+    writer of a ``StayStreamManager``, the one way stay records enter one:
+    selected into the writer's buffer (``take_survivors`` /
+    ``stage_survivors``), then appended as the read-only view taken, which
+    is returned."""
+    keep = np.arange(len(records))
+    if isinstance(target, AsyncStreamWriter):
+        taken = target.take_survivors(records, keep)
+        target.append(taken)
+    else:
+        taken = target.stage_survivors(p, records, keep)
+        target.append(p, taken)
+    return taken
 
 
 def assert_reference_volumes(graph, engine, roots, iterations, extras) -> None:

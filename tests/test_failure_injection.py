@@ -11,6 +11,7 @@ from tests.helpers import (
     hub_root,
     slow_stay_disk_machine,
     small_fastbfs_config,
+    stay_append,
 )
 
 from repro.algorithms.reference import bfs_levels
@@ -205,32 +206,37 @@ class TestEndOfRunCancellation:
 
         tracer = Tracer()
         mgr, vfs = self._manager(tracer=tracer)
+        input_file = vfs.create("edges:p0", mgr.device)
+        input_file.append_records(self._edges(40))
         with tracer.span("query"):
             for p in (0, 1):
-                mgr.open(p, iteration=1)
-                mgr.append(p, self._edges(40))
+                mgr.open(p, iteration=1, input_file=input_file)
+                stay_append(mgr, self._edges(40), p)
                 mgr.finish_partition(p)
-            mgr.open(2, iteration=1)  # still current, not yet finished
-            mgr.append(2, self._edges(8))
+            # still current, not yet finished
+            mgr.open(2, iteration=1, input_file=input_file)
+            stay_append(mgr, self._edges(8), 2)
             mgr.discard_all()
         assert mgr.stats.end_of_run_discards == 3
         assert mgr._pending == {}
         assert mgr.current(2) is None
         # Discarded stay files are gone from the namespace.
         assert [n for n in vfs.names() if n.startswith("stay:")] == []
+        assert vfs.names() == ["edges:p0"]
         cancels = [s for s in tracer.spans if s.name == "stay_cancel"]
         assert len(cancels) == 3
         assert all(s.attrs["end_of_run"] is True for s in cancels)
         assert all(s.attrs["reason"] == "end_of_run" for s in cancels)
 
     def test_finalize_on_empty_manager_is_a_noop(self):
+        from repro.core.staystream import StayStats
+
         mgr, _ = self._manager()
         mgr.discard_all()
-        assert mgr.stats.end_of_run_discards == 0
-        assert mgr.stats.cancellations == 0
+        assert mgr.stats == StayStats()
 
     def test_run_reconciles_cancellations_with_spans(self, rmat12):
-        """StayStats.cancellations == mid-run stay_cancel spans, and
+        """The passes' stay cancellations == mid-run stay_cancel spans, and
         end-of-run discards are traced separately — the two countings
         always agree with the extras the engine reports."""
         from repro.obs.tracer import Tracer

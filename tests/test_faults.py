@@ -17,6 +17,7 @@ from tests.helpers import (
     fresh_machine,
     hub_root,
     small_fastbfs_config,
+    stay_append,
 )
 
 from repro.algorithms.reference import bfs_levels
@@ -314,9 +315,10 @@ class TestTornWriteIntegrity:
         vfs = VFS()
         f = vfs.create("stay", device)
         writer = AsyncStreamWriter(clock, f, buffer_bytes=8 * 256,
-                                   num_buffers=4)
-        writer.append(edges_of(200))
-        writer.close(drain=True)
+                                   capacity=200, num_buffers=4)
+        stay_append(writer, edges_of(200))
+        writer.close()
+        clock.wait_until(writer.last_end)
         assert f.corruptions  # the medium really flipped a byte
         bad = writer.verify_integrity()
         assert bad  # and the checksum layer caught it
@@ -327,20 +329,18 @@ class TestTornWriteIntegrity:
         vfs = VFS()
         f = vfs.create("stay", device)
         writer = AsyncStreamWriter(clock, f, buffer_bytes=8 * 256,
-                                   num_buffers=4)
-        writer.append(edges_of(200))
-        writer.append(edges_of(300, start=200))  # fills the buffer: one flush
-        writer.append(edges_of(100, start=500))  # flushed by close
-        writer.close(drain=True)
+                                   capacity=600, num_buffers=4)
+        stay_append(writer, edges_of(200))
+        stay_append(writer, edges_of(300, start=200))  # fills the buffer: one flush
+        stay_append(writer, edges_of(100, start=500))  # flushed by close
+        writer.close()
+        clock.wait_until(writer.last_end)
         assert writer.verify_integrity() == []
-        # The ledger is over the bytes each flushed chunk occupies in the
-        # file (checksummed from the array's buffer, never from a copy).
-        raw = f.records().tobytes()
-        assert [nbytes for _, nbytes, _ in writer._chunk_sums] == [8 * 500, 8 * 100]
-        assert all(
-            crc == zlib.crc32(raw[offset:offset + nbytes])
-            for offset, nbytes, crc in writer._chunk_sums
-        )
+        # The ledger is where each flush starts in the file, which is where
+        # its bytes start in the buffer that still holds them.
+        assert writer._flush_starts == [0, 8 * 500]
+        assert f.records().tobytes() == writer._buffer.tobytes()
+        assert f.records().tobytes() == edges_of(600).tobytes()
 
     def test_torn_stay_degrades_to_previous_file(self, rmat10):
         """Every stay flush torn: swap-ins fail their checksum and the run
@@ -473,7 +473,8 @@ class TestTornWriteIntegrity:
             writer.append(views[-1])
             start += 2 * count
         if close:
-            writer.close(drain=True)
+            writer.close()
+            clock.wait_until(writer.last_end)
         return writer, f, views, run[::2]
 
     def test_hand_damaged_chunk_is_reported_without_the_injector(self):
@@ -491,7 +492,7 @@ class TestTornWriteIntegrity:
         damaged = chunk.copy()
         damaged.view(np.uint8)[3] ^= 0xFF
         f._chunks[0] = damaged
-        writer.close(drain=True)
+        writer.close()
         assert f.corruptions == []
         assert writer.verify_integrity() == [0]
 
@@ -536,9 +537,9 @@ class TestTornWriteIntegrity:
             verified.append((writer, bad, writer.file.records()))
             return bad
 
-        def recording_close(writer, drain=True):
+        def recording_close(writer):
             was_closed = writer.closed
-            close(writer, drain)
+            close(writer)
             if not was_closed:
                 sealed.append((writer, writer.file.records()))
 

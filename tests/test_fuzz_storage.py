@@ -17,6 +17,7 @@ from repro.storage.device import Device, DeviceSpec
 from repro.storage.streams import AsyncStreamWriter, StreamReader, StreamWriter
 from repro.storage.vfs import VFS
 from repro.utils.units import MB
+from tests.helpers import stay_append
 
 RECORD = EDGE_DTYPE.itemsize
 
@@ -40,7 +41,7 @@ def edges_of(values):
     read_buffer_records=st.integers(min_value=1, max_value=64),
     prefetch=st.integers(min_value=1, max_value=5),
 )
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)
 def test_write_read_roundtrip(chunks, buffer_records, read_buffer_records,
                               prefetch):
     """Whatever a writer appends, a reader streams back identically."""
@@ -81,18 +82,20 @@ def test_write_read_roundtrip(chunks, buffer_records, read_buffer_records,
     num_buffers=st.integers(min_value=1, max_value=6),
     cancel_at_end=st.booleans(),
 )
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)
 def test_async_writer_invariants(ops, num_buffers, cancel_at_end):
     clock, device, vfs = _make_setup()
     f = vfs.create("stay", device)
     writer = AsyncStreamWriter(
-        clock, f, buffer_bytes=32 * RECORD, num_buffers=num_buffers
+        clock, f, buffer_bytes=32 * RECORD,
+        capacity=sum(value for op, value in ops if op == "append"),
+        num_buffers=num_buffers,
     )
     appended = 0
     last_now = clock.now
     for op, value in ops:
         if op == "append":
-            writer.append(edges_of(np.arange(value)))
+            stay_append(writer, edges_of(np.arange(value)))
             appended += value
         else:
             clock.charge_compute(value)
@@ -106,9 +109,13 @@ def test_async_writer_invariants(ops, num_buffers, cancel_at_end):
         for v in device.timeline.bytes_by_role().values():
             assert v >= 0
     else:
-        writer.close(drain=True)
+        writer.close()
+        if appended:
+            clock.wait_until(writer.last_end)
+            assert f.records().base is writer._buffer  # sealed by reference
         assert f.num_records == appended
         assert writer.is_ready()
+        assert writer.verify_integrity() == []
     # Timeline packing: live requests are FIFO and non-overlapping.
     pending = device.timeline.pending_requests()
     for a, b in zip(pending, pending[1:]):
@@ -120,7 +127,7 @@ def test_async_writer_invariants(ops, num_buffers, cancel_at_end):
                    max_size=40),
     kinds=st.lists(st.sampled_from(["read", "write"]), min_size=1, max_size=40),
 )
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)
 def test_device_service_times_positive_and_additive(sizes, kinds):
     clock, device, vfs = _make_setup(seek=0.002)
     t = 0.0

@@ -5,7 +5,7 @@ Golden contracts locked down here:
 * **breakdown completeness** — per-query stage totals (stages + ``other``
   + ``overhead``) sum exactly to the query span's duration;
 * **stay accounting** — flush/cancel span counts match the engine's own
-  :class:`StayStats` counters (``stay_swaps``, ``stay_cancellations``,
+  ``stay_*`` counters (``stay_swaps``, ``stay_cancellations``,
   ``stay_end_of_run_discards``), and overlap time is bounded by both the
   flush time and the scatter time;
 * **no-trim runs** — with ``trim_enabled=False`` the profile shows zero

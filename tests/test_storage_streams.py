@@ -15,7 +15,7 @@ from repro.storage.device import Device, DeviceSpec
 from repro.storage.streams import AsyncStreamWriter, StreamReader, StreamWriter
 from repro.storage.vfs import VFS
 from repro.utils.units import MB
-from tests.helpers import fresh_machine
+from tests.helpers import fresh_machine, stay_append
 
 RECORD = EDGE_DTYPE.itemsize  # 8 bytes
 
@@ -199,17 +199,23 @@ class TestStreamWriter:
         assert clock.now == 0.0  # fire-and-forget
 
     def test_drain_is_barrier(self, setup):
+        """``close`` does not wait; waiting on ``last_end`` after it is the
+        barrier."""
         clock, device, vfs = setup
-        w = StreamWriter(clock, vfs.create("f", device), buffer_bytes=RECORD)
-        w.append(edges(10**6))
-        w.drain()
+        w = StreamWriter(clock, vfs.create("f", device), buffer_bytes=10**7)
+        w.append(edges(10**6))  # below the buffer: flushed by close
+        w.close()
+        assert clock.now == 0.0
+        clock.wait_until(w.last_end)
         assert clock.now == pytest.approx(8 * 10**6 / (100 * MB))
         assert clock.iowait_time > 0
 
     def test_drain_empty_writer(self, setup):
         clock, device, vfs = setup
         w = StreamWriter(clock, vfs.create("f", device), buffer_bytes=8)
-        w.drain()
+        w.close()
+        assert w.last_end is None  # nothing to wait for
+        assert w._requests == []
         assert clock.now == 0.0
 
     def test_records_written_counter(self, setup):
@@ -289,11 +295,12 @@ class TestFlushBuffers:
 
 
 class TestAsyncStreamWriter:
-    def _writer(self, setup, num_buffers=2, buffer_records=100):
+    def _writer(self, setup, num_buffers=2, buffer_records=100, capacity=10**6):
         clock, device, vfs = setup
         f = vfs.create("stay", device)
         return clock, AsyncStreamWriter(
-            clock, f, buffer_bytes=buffer_records * RECORD, num_buffers=num_buffers
+            clock, f, buffer_bytes=buffer_records * RECORD, capacity=capacity,
+            num_buffers=num_buffers,
         )
 
     def test_carry_and_next_run_flush_as_one_view(self, setup, monkeypatch):
@@ -312,11 +319,11 @@ class TestAsyncStreamWriter:
         (chunk,) = f._chunks
         assert chunk.base is w._buffer and not chunk.flags.writeable
         assert chunk.ctypes.data == w._buffer.ctypes.data and len(chunk) == 10
-        (_, _, sent), = w._chunk_sums
-        assert sent is chunk  # the ledger keeps the view
+        assert w._flush_starts == [0]  # the ledger keeps only the offset
         w.append(second[4:])
         w.close()
         monkeypatch.undo()
+        assert w._flush_starts == [0, 10 * RECORD]
         held = f.records()
         assert held.base is w._buffer and not held.flags.writeable
         assert held.ctypes.data == w._buffer.ctypes.data and len(held) == 16
@@ -330,7 +337,7 @@ class TestAsyncStreamWriter:
         lambda t, w, o: [t[0:5], t[0:5], t[10:15]],
         lambda t, w, o: [t[0:5], o[5:10]],
         lambda t, w, o: [w, w],
-        lambda t, w, o: [t[0:10:2], t[10:20:2]],
+        lambda t, w, o: [t[0:10:2]],
         lambda t, w, o: [t[0:5]["src"], t[5:10]["src"]],
         lambda t, w, o: [t.view(np.uint64)[0:5], t.view(np.uint64)[5:10]],
         lambda t, w, o: [w[0:5], t[5:10]],
@@ -339,34 +346,50 @@ class TestAsyncStreamWriter:
         "strided", "field", "dtype", "writable",
     ])
     def test_copies_anything_else(self, setup, parts):
-        """What is not consecutive read-only slices of the private buffer,
-        in order, is flushed as a copy of its bytes."""
+        """Nothing else is copied any more: what is not the next taken
+        records, as a read-only view of the private buffer, is refused with
+        a typed error, and nothing is submitted."""
         clock, device, vfs = setup
         w = AsyncStreamWriter(
-            clock, vfs.create("stay", device), buffer_bytes=RECORD, capacity=20
+            clock, vfs.create("stay", device), buffer_bytes=10 * RECORD,
+            capacity=20,
         )
         taken = w.take_survivors(edges(20), np.arange(20))
         other = edges(20, start=50)
         other.flags.writeable = False
-        arrays = parts(taken, w._buffer, other)
-        joined = w._join(arrays)
-        assert not np.shares_memory(joined, w._buffer)
-        assert joined.tobytes() == np.concatenate(arrays).tobytes()
+        with pytest.raises(StorageError, match="appends only the next"):
+            for part in parts(taken, w._buffer, other):
+                w.append(part)
+        assert w._requests == [] and w.file.num_records == 0
+        assert w.records_written <= 5  # at most a valid first part pending
+
+    def test_records_not_yet_taken_are_refused(self, setup):
+        """A read-only view of the buffer past what ``take_survivors``
+        selected holds no survivor: it is refused even where it would be
+        next."""
+        clock, w = self._writer(setup, capacity=20)
+        taken = w.take_survivors(edges(10), np.arange(10))
+        ahead = w._buffer[10:15]
+        ahead.flags.writeable = False
+        w.append(taken)
+        with pytest.raises(StorageError, match="appends only the next"):
+            w.append(ahead)
+        assert w.records_written == 10
 
     def test_fire_and_forget_until_pool_exhausted(self, setup):
         clock, w = self._writer(setup, num_buffers=2, buffer_records=10**5)
-        w.append(edges(10**5))  # flush 1 in flight
-        w.append(edges(10**5))  # flush 2 in flight
+        stay_append(w, edges(10**5))  # flush 1 in flight
+        stay_append(w, edges(10**5))  # flush 2 in flight
         assert clock.now == 0.0
         assert w.buffers_in_flight == 2
-        w.append(edges(10**5))  # pool exhausted -> must wait for oldest
+        stay_append(w, edges(10**5))  # pool exhausted -> must wait for oldest
         assert clock.now > 0.0
         assert w.pool_waits == 1
 
     def test_ready_at_tracks_last_write(self, setup):
         clock, w = self._writer(setup, buffer_records=10**5)
         assert w.is_ready()
-        w.append(edges(10**5))
+        stay_append(w, edges(10**5))
         assert not w.is_ready()
         assert w.is_ready(grace=1.0)  # write lands well within a second
         clock.wait_until(w.ready_at())
@@ -375,7 +398,7 @@ class TestAsyncStreamWriter:
     def test_cancel_drops_queued_requests(self, setup):
         clock, w = self._writer(setup, num_buffers=4, buffer_records=10**5)
         for i in range(3):
-            w.append(edges(10**5))
+            stay_append(w, edges(10**5))
         dev = w.file.device
         before = dev.bytes_written
         dropped = w.cancel()
@@ -389,7 +412,7 @@ class TestAsyncStreamWriter:
         cancel count are what a rescan of all requests gives."""
         clock, w = self._writer(setup, num_buffers=3, buffer_records=10**4)
         for i in range(12):
-            w.append(edges(10**4 + 1000 * i))
+            stay_append(w, edges(10**4 + 1000 * i))
             clock.charge_compute(0.0004 * (i % 4))
             live = [r for r in w._requests if not r.cancelled and r.end > clock.now]
             assert w._live_requests() == live
@@ -404,27 +427,32 @@ class TestAsyncStreamWriter:
 
     def test_cancel_discards_unflushed_records(self, setup):
         clock, w = self._writer(setup, buffer_records=1000)
-        w.append(edges(5))  # below threshold, never submitted
+        stay_append(w, edges(5))  # below threshold, never submitted
         w.cancel()
         # Cancelling closed the writer without writing the tail.
         assert w.closed
+        assert w._requests == [] and w.file.num_records == 0
 
     def test_num_buffers_validation(self, setup):
         clock, device, vfs = setup
         with pytest.raises(StorageError):
-            AsyncStreamWriter(clock, vfs.create("f", device), 8, num_buffers=0)
+            AsyncStreamWriter(
+                clock, vfs.create("f", device), 8, capacity=1, num_buffers=0
+            )
 
     def test_more_buffers_fewer_waits(self, setup):
         clock1, device1, vfs1 = SimClock(), Device(DeviceSpec.hdd()), VFS()
         w_small = AsyncStreamWriter(
-            clock1, vfs1.create("a", device1), 100 * RECORD, num_buffers=1
+            clock1, vfs1.create("a", device1), 100 * RECORD, capacity=800,
+            num_buffers=1,
         )
         clock2, device2, vfs2 = SimClock(), Device(DeviceSpec.hdd()), VFS()
         w_big = AsyncStreamWriter(
-            clock2, vfs2.create("b", device2), 100 * RECORD, num_buffers=16
+            clock2, vfs2.create("b", device2), 100 * RECORD, capacity=800,
+            num_buffers=16,
         )
         for i in range(8):
-            w_small.append(edges(100))
-            w_big.append(edges(100))
+            stay_append(w_small, edges(100))
+            stay_append(w_big, edges(100))
         assert w_big.pool_waits < w_small.pool_waits
         assert clock2.now <= clock1.now

@@ -228,12 +228,6 @@ class TestVFS:
         with pytest.raises(StorageError):
             vfs.create("x", device)
 
-    def test_create_overwrite(self, vfs, device):
-        old = vfs.create("x", device)
-        new = vfs.create("x", device, overwrite=True)
-        assert vfs.get("x") is new
-        assert old.deleted
-
     def test_get_missing(self, vfs):
         with pytest.raises(StorageError):
             vfs.get("nope")

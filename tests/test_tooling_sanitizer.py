@@ -11,13 +11,14 @@ break one ledger inside a real engine run and expect the run to raise
 import numpy as np
 import pytest
 
-from tests.helpers import fresh_machine, hub_root, small_fastbfs_config
+from tests.helpers import fresh_machine, hub_root, small_fastbfs_config, stay_append
 
 from repro.core.config import FastBFSConfig
 from repro.core.engine import FastBFSEngine
 from repro.core.staystream import StayStreamManager
 from repro.engines.costs import CostModel
 from repro.engines.graphchi import GraphChiConfig, GraphChiEngine
+from repro.engines.result import IterationStats
 from repro.engines.session import run_staged_queries
 from repro.errors import EngineError, SanitizerError, SimulationError
 from repro.graph.generators import rmat_graph
@@ -37,11 +38,22 @@ def begin(machine):
     return machine.report(), machine.vfs.snapshot()
 
 
-def check(machine, start, stay=None):
+def check(machine, start, stay=None, iterations=()):
     baseline, files_before = start
     check_report(
-        machine.report().minus(baseline), machine.vfs, files_before, stay
+        machine.report().minus(baseline), machine.vfs, files_before, stay,
+        iterations,
     )
+
+
+def one_pass(p, outcome):
+    """The pass whose scatter of ``p`` resolved its stay file as ``outcome``
+    (``resolve_input``'s), as the engine records it."""
+    return [IterationStats(
+        iteration=1,
+        stay_swaps=int(outcome == "swap"),
+        stay_cancelled=[p] if outcome == "cancel" else [],
+    )]
 
 
 @pytest.fixture(scope="module")
@@ -252,45 +264,69 @@ class TestStayStateChecker:
         )
         return StayStreamManager(machine.clock, machine.vfs, machine.disks[0], cfg)
 
-    def test_full_swap_lifecycle_clean(self):
-        m = fresh_machine()
-        start = begin(m)
+    @staticmethod
+    def _edge_file(machine, n):
+        """The edge file a stay file trims (it survives the session)."""
+        old = machine.vfs.create("edges:p0", machine.disks[0])
+        old.append_records(edges(n))
+        return old
+
+    def _swapped(self, m):
+        """A manager whose one stay file was swapped in, then torn down."""
         mgr = self._manager(m)
-        old = m.vfs.create("edges:p0", m.disks[0])
-        mgr.open(0, iteration=0)
+        old = self._edge_file(m, 10)
+        mgr.open(0, iteration=0, input_file=old)
         m.clock.charge_compute(1e-9, category="trim")  # protocol: trim charge
-        mgr.append(0, edges(10))
+        stay_append(mgr, edges(10))
         mgr.finish_partition(0)
         m.clock.charge_compute(1.0)
         _, outcome = mgr.resolve_input(0, old)
         assert outcome == "swap"
         mgr.discard_all()
-        check(m, start, mgr.stats)
+        return mgr
+
+    def test_full_swap_lifecycle_clean(self):
+        m = fresh_machine()
+        start = begin(m)
+        mgr = self._swapped(m)
+        check(m, start, mgr.stats, one_pass(0, "swap"))
+
+    def test_swap_no_pass_recorded_flagged(self):
+        """The swaps and cancels are the passes' to count: without the pass
+        that swapped, the file was opened and never ended."""
+        m = fresh_machine()
+        start = begin(m)
+        mgr = self._swapped(m)
+        with pytest.raises(SanitizerError, match=(
+            r"\[stay-state\] 1 stay files opened but 0 reached"
+        )):
+            check(m, start, mgr.stats)
 
     def test_cancel_lifecycle_clean(self):
         m = fresh_machine()
         start = begin(m)
         mgr = self._manager(m)
-        old = m.vfs.create("edges:p0", m.disks[0])
-        mgr.open(0, iteration=0)
+        old = self._edge_file(m, 10**6)
+        mgr.open(0, iteration=0, input_file=old)
         m.clock.charge_compute(1e-9, category="trim")
-        mgr.append(0, edges(10**6))  # too slow to land within the grace
+        stay_append(mgr, edges(10**6))  # too slow to land within the grace
         mgr.finish_partition(0)
         _, outcome = mgr.resolve_input(0, old)
         assert outcome == "cancel"
         mgr.discard_all()
         # The displaced edges file survives; no stay writer left behind.
-        check(m, start, mgr.stats)
+        check(m, start, mgr.stats, one_pass(0, outcome))
 
     def test_discard_all_terminalizes_everything(self):
         m = fresh_machine()
         start = begin(m)
         mgr = self._manager(m)
-        mgr.open(0, iteration=0)
+        old = self._edge_file(m, 10)
+        mgr.open(0, iteration=0, input_file=old)
         m.clock.charge_compute(1e-9, category="trim")
-        mgr.append(0, edges(5))
+        stay_append(mgr, edges(5))
         mgr.finish_partition(0)
-        mgr.open(1, iteration=0)
+        mgr.open(1, iteration=0, input_file=old)
         mgr.discard_all()
         assert mgr.stats.end_of_run_discards == 2
         check(m, start, mgr.stats)
@@ -299,9 +335,9 @@ class TestStayStateChecker:
         m = fresh_machine()
         start = begin(m)
         mgr = self._manager(m)
-        mgr.open(0, iteration=0)
+        mgr.open(0, iteration=0, input_file=self._edge_file(m, 10))
         m.clock.charge_compute(1e-9, category="trim")
-        mgr.append(0, edges(5))
+        stay_append(mgr, edges(5))
         # Neither finished nor discarded: both a stay-state violation and a
         # VFS leak of the stay file.
         with pytest.raises(SanitizerError) as info:
@@ -316,9 +352,10 @@ class TestStayStateChecker:
         m = fresh_machine()
         start = begin(m)
         mgr = self._manager(m)
-        mgr.open(0, iteration=0)
+        old = self._edge_file(m, 10)
+        mgr.open(0, iteration=0, input_file=old)
         with pytest.raises(EngineError, match="already open"):
-            mgr.open(0, iteration=0)
+            mgr.open(0, iteration=0, input_file=old)
         assert mgr.stats.files_written == 1
         mgr.discard_all()
         check(m, start, mgr.stats)
@@ -329,7 +366,7 @@ class TestStayStateChecker:
         mgr = self._manager(m)
         with pytest.raises(EngineError, match="no open stay writer"):
             mgr.append(2, edges(1))
-        assert mgr.stats.records_written == 0
+        assert mgr.stats.bytes_written == 0
         mgr.discard_all()
         check(m, start, mgr.stats)
 
@@ -348,8 +385,7 @@ class TestStayStateChecker:
         m = fresh_machine()
         start = begin(m)
         mgr = self._manager(m)
-        old = m.vfs.create("edges:p0", m.disks[0])
-        old.append_records(edges(10))
+        old = self._edge_file(m, 10)
         mgr.open(0, iteration=0, input_file=old)
         m.clock.charge_compute(1e-9, category="trim")
         mgr.append(0, mgr.stage_survivors(0, old.records(), np.arange(4)))
@@ -358,7 +394,7 @@ class TestStayStateChecker:
             EngineError, match="no open stay writer for partition 0"
         ):
             mgr.stage_survivors(0, old.records(), np.arange(2))
-        assert mgr.stats.records_written == 4
+        assert mgr.stats.bytes_written == edges(4).nbytes
         mgr.discard_all()
         check(m, start, mgr.stats)
 
@@ -431,7 +467,8 @@ class LeakyGraphChi(GraphChiEngine):
 
     @staticmethod
     def _submit_wait(machine, file, kind, nbytes, offset=0):
-        machine.vfs.create("updates:chi", file.device, overwrite=True)
+        machine.vfs.delete_if_exists("updates:chi")
+        machine.vfs.create("updates:chi", file.device)
         GraphChiEngine._submit_wait(machine, file, kind, nbytes, offset)
 
 
