@@ -43,14 +43,13 @@ from repro.storage.vfs import VFS, VirtualFile
 class StayStats:
     """Cumulative trimming counters for one run that no pass counts.
 
-    Swaps, cancellations and stay records are the passes' to count
-    (``IterationStats``).  ``integrity_failures`` (checksum mismatches at
-    swap-in) and ``write_failures`` (flushes that kept failing after
-    retries) break out the fault-driven cancellations.
+    Swaps, cancellations and stay records (and so stay bytes) are the
+    passes' to count (``IterationStats``).  ``integrity_failures``
+    (checksum mismatches at swap-in) and ``write_failures`` (flushes that
+    kept failing after retries) break out the fault-driven cancellations.
     """
 
     files_written: int = 0
-    bytes_written: int = 0
     pool_waits: int = 0
     end_of_run_discards: int = 0
     integrity_failures: int = 0
@@ -213,7 +212,6 @@ class StayStreamManager:
         if writer is None:
             raise EngineError(f"no open stay writer for partition {p}")
         writer.append(records)
-        self.stats.bytes_written += records.nbytes
 
     def finish_partition(self, p: int) -> None:
         """Close ``p``'s stay-out writer; its flushes land in the background."""

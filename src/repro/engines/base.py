@@ -603,10 +603,12 @@ class EdgeCentricEngine(Engine):
             iteration += 1
         rt.stay.discard_all()
         counts, passes = asdict(rt.stay.stats), rt.iterations
+        records = sum(it.stay_records_written for it in passes)
         counts.update(
             swaps=sum(it.stay_swaps for it in passes),
             cancellations=sum(len(it.stay_cancelled) for it in passes),
-            records_written=sum(it.stay_records_written for it in passes),
+            records_written=records,
+            bytes_written=records * staged.input_file.record_size,
         )
         rt.extras.update((f"stay_{k}", float(v)) for k, v in counts.items())
         for p, f in enumerate(rt.edge_files):

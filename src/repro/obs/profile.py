@@ -20,6 +20,10 @@ questions the paper's evaluation sections ask of it:
 * **Lanes** — the one Gantt renderer: a lane per span name and, from
   the ``io`` spans, a lane per device and (role, kind) — the device view
   ``repro gantt`` draws and the per-query lanes of ``repro profile``.
+* **Host clock** — on dual-clock traces, :meth:`TraceProfile.on_host_clock`
+  is this same analysis run over the spans' host stamps, so the host
+  table (``repro profile --host``) is the simulated stage arithmetic on
+  host seconds, not a second copy of it.
 
 Every entry point takes any trace source through :func:`load_spans`, so
 a live tracer and its exported JSONL give the same report and Gantt.
@@ -30,7 +34,7 @@ machine, or tracer.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
@@ -250,8 +254,6 @@ class IterationBreakdown:
     span: Span
     #: Stage name -> summed child-span seconds (only stages that ran).
     stages: Dict[str, float] = field(default_factory=dict)
-    #: Stage name -> summed child-span *host* seconds (dual-clock traces).
-    host_stages: Dict[str, float] = field(default_factory=dict)
 
     @property
     def duration(self) -> float:
@@ -261,15 +263,6 @@ class IterationBreakdown:
     def other(self) -> float:
         """Iteration time not inside any named stage child."""
         return max(0.0, self.duration - sum(self.stages.values()))
-
-    @property
-    def host_duration(self) -> float:
-        return self.span.host_duration
-
-    @property
-    def host_other(self) -> float:
-        """Host iteration time not inside any named stage child."""
-        return max(0.0, self.host_duration - sum(self.host_stages.values()))
 
     @property
     def frontier(self) -> int:
@@ -283,12 +276,6 @@ class IterationBreakdown:
         """Stage seconds including the ``other`` residual; sums to duration."""
         out = dict(self.stages)
         out["other"] = self.other
-        return out
-
-    def host_breakdown(self) -> Dict[str, float]:
-        """Host stage seconds + ``other``; sums to :attr:`host_duration`."""
-        out = dict(self.host_stages)
-        out["other"] = self.host_other
         return out
 
 
@@ -357,23 +344,6 @@ class QueryProfile:
         )
 
     @property
-    def host_timed(self) -> bool:
-        """True when this query was traced with a host clock attached."""
-        return self.span.host_timed
-
-    @property
-    def host_duration(self) -> float:
-        return self.span.host_duration
-
-    @property
-    def host_overhead(self) -> float:
-        """Host query time outside every iteration span."""
-        return max(
-            0.0,
-            self.host_duration - sum(it.host_duration for it in self.iterations),
-        )
-
-    @property
     def edges_scanned(self) -> int:
         return sum(it.edges_scanned for it in self.iterations)
 
@@ -389,24 +359,6 @@ class QueryProfile:
             for name, secs in it.breakdown().items():
                 totals[name] = totals.get(name, 0.0) + secs
         totals["overhead"] = self.overhead
-        return totals
-
-    def host_stage_totals(self) -> Dict[str, float]:
-        """Host stage seconds over the query; sums to its host duration.
-
-        Same keys and arithmetic as :meth:`stage_totals`, on the host
-        clock: ``other`` is host time inside an iteration but outside
-        named stages, ``overhead`` host time inside the query but outside
-        every iteration — so the totals sum to the query span's host
-        duration by construction.  Empty on single-clock traces.
-        """
-        if not self.host_timed:
-            return {}
-        totals: Dict[str, float] = {}
-        for it in self.iterations:
-            for name, secs in it.host_breakdown().items():
-                totals[name] = totals.get(name, 0.0) + secs
-        totals["overhead"] = self.host_overhead
         return totals
 
     def critical_path(self) -> List[Tuple[str, float]]:
@@ -467,23 +419,16 @@ def _build_query_profile(
     for sp in direct:
         if sp.name == "iteration" and sp.finished:
             stages: Dict[str, float] = {}
-            host_stages: Dict[str, float] = {}
             for child in children.get(sp.span_id, []):
                 if child.name in STAGE_NAMES and child.finished:
                     stages[child.name] = (
                         stages.get(child.name, 0.0) + child.duration
                     )
-                    if child.host_timed:
-                        host_stages[child.name] = (
-                            host_stages.get(child.name, 0.0)
-                            + child.host_duration
-                        )
             iterations.append(
                 IterationBreakdown(
                     iteration=int(sp.attrs.get("iteration", len(iterations))),
                     span=sp,
                     stages=stages,
-                    host_stages=host_stages,
                 )
             )
         elif sp.name == "stay_flush" and sp.finished:
@@ -545,10 +490,23 @@ class TraceProfile:
     # ------------------------------------------------------------------
     # dual-clock host breakdown
     # ------------------------------------------------------------------
-    @property
-    def host_timed(self) -> bool:
-        """True when at least one query was traced with a host clock."""
-        return any(q.host_timed for q in self.queries)
+    def on_host_clock(self) -> Optional[TraceProfile]:
+        """This profile on the host clock: the same analysis over the
+        host-timed spans, each re-timed to its host stamps.
+
+        Every stage, ``other`` and ``overhead`` figure of the view is the
+        simulated arithmetic run on host seconds, so each query's
+        :meth:`~QueryProfile.stage_totals` sums to its span's host
+        duration.  Spans without host stamps (``emit()`` markers, the
+        ``io`` spans) are left out.  ``None`` when no ``query`` span is
+        host-timed (single-clock traces).
+        """
+        timed = [sp for sp in self.spans if sp.host_timed]
+        if not any(sp.name == "query" for sp in timed):
+            return None
+        return TraceProfile(
+            [replace(sp, start=sp.host_start, end=sp.host_end) for sp in timed]
+        )
 
     def host(self) -> Dict[str, object]:
         """Host wall-clock breakdown of the trace (dual-clock runs).
@@ -563,21 +521,23 @@ class TraceProfile:
              "stages": {name: {"host_seconds", "sim_seconds",
                                "host_seconds_per_sim_second"}, ...}}
 
-        Stage host seconds sum exactly to ``host_seconds`` (the summed
-        host duration of the query spans) because each query's
-        :meth:`~QueryProfile.host_stage_totals` sums to its span's host
-        duration by construction.  Empty dict on single-clock traces.
+        Each host-timed query is paired with its query in
+        :meth:`on_host_clock`, and the stage host seconds are that view's
+        :meth:`~QueryProfile.stage_totals`, so they sum exactly to
+        ``host_seconds`` (the summed host duration of the query spans).
+        Empty dict on single-clock traces.
         """
-        timed = [q for q in self.queries if q.host_timed]
-        if not timed:
+        view = self.on_host_clock()
+        if view is None:
             return {}
-        host_seconds = sum(q.host_duration for q in timed)
+        timed = [q for q in self.queries if q.span.host_timed]
+        host_seconds = sum(hq.duration for hq in view.queries)
         sim_seconds = sum(q.duration for q in timed)
         edges = sum(q.edges_scanned for q in timed)
         stages: Dict[str, Dict[str, float]] = {}
-        for q in timed:
+        for q, hq in zip(timed, view.queries):
             sim_totals = q.stage_totals()
-            for name, secs in q.host_stage_totals().items():
+            for name, secs in hq.stage_totals().items():
                 entry = stages.setdefault(
                     name, {"host_seconds": 0.0, "sim_seconds": 0.0}
                 )

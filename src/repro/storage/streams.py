@@ -58,8 +58,8 @@ class StreamReader:
         clock: SimClock,
         file: VirtualFile,
         buffer_bytes: int,
-        prefetch: int = 2,
-        group: str = "",
+        prefetch: int,
+        group: str,
     ) -> None:
         if buffer_bytes <= 0:
             raise StorageError(f"buffer_bytes must be positive, got {buffer_bytes}")
@@ -67,7 +67,7 @@ class StreamReader:
             raise StorageError(f"prefetch depth must be >= 1, got {prefetch}")
         self.clock = clock
         self.file = file
-        self.group = group or f"read:{file.name}"
+        self.group = group
         self.prefetch = prefetch
         # Fixed for the reader's life: it reads the records the file held
         # at open, and a file with records has a fixed dtype.
@@ -114,14 +114,14 @@ class StreamWriter:
         clock: SimClock,
         file: VirtualFile,
         buffer_bytes: int,
-        group: str = "",
+        group: str,
     ) -> None:
         if buffer_bytes <= 0:
             raise StorageError(f"buffer_bytes must be positive, got {buffer_bytes}")
         self.clock = clock
         self.file = file
         self.buffer_bytes = buffer_bytes
-        self.group = group or f"write:{file.name}"
+        self.group = group
         #: Simulated time the writer was opened (span anchoring only).
         self.opened_at = clock.now
         self._pending: List[np.ndarray] = []
@@ -275,12 +275,12 @@ class AsyncStreamWriter(StreamWriter):
         file: VirtualFile,
         buffer_bytes: int,
         capacity: int,
-        num_buffers: int = 4,
-        group: str = "",
+        num_buffers: int,
+        group: str,
     ) -> None:
         if num_buffers < 1:
             raise StorageError(f"num_buffers must be >= 1, got {num_buffers}")
-        super().__init__(clock, file, buffer_bytes, group or f"stay:{file.name}")
+        super().__init__(clock, file, buffer_bytes, group)
         self.num_buffers = num_buffers
         #: Records the private buffer holds (the most the file can grow to).
         self.capacity = capacity

@@ -59,7 +59,7 @@ class TestLifecycle:
         assert 0 in mgr._pending
         assert mgr.stats.files_written == 1
         assert writer.records_written == 100
-        assert mgr.stats.bytes_written == edges(100).nbytes
+        assert writer.file.nbytes == edges(100).nbytes
 
     def test_double_open_rejected(self, ctx):
         _, _, _, mgr = ctx
@@ -113,7 +113,7 @@ class TestStagedSurvivors:
         assert np.array_equal(f.records(), expected)
         assert f.records().base is writer._buffer
         assert writer.records_written == len(expected)
-        assert mgr.stats.bytes_written == expected.nbytes
+        assert f.nbytes == expected.nbytes
 
     def test_staging_past_the_capacity_is_a_typed_error(self, ctx):
         old, mgr = self._trimmed(ctx, 10)
@@ -137,9 +137,11 @@ class TestStagedSurvivors:
         staged = mgr.stage_survivors(0, old.records(), np.arange(4))
         with pytest.raises(StorageError, match="appends only the next"):
             mgr.append(0, staged[1:])
+        writer = mgr.current(0)
         mgr.append(0, staged)
-        assert mgr.current(0).records_written == 4
-        assert mgr.stats.bytes_written == staged.nbytes
+        assert writer.records_written == 4
+        mgr.finish_partition(0)
+        assert writer.file.nbytes == staged.nbytes
 
     def test_stage_without_open_rejected(self, ctx):
         _, _, _, mgr = ctx

@@ -292,11 +292,11 @@ class TestRetryLoop:
         clock, device, f_unused = self._setup(plan)
         vfs = VFS()
         f = vfs.create("rw", device)
-        writer = StreamWriter(clock, f, buffer_bytes=256)
+        writer = StreamWriter(clock, f, buffer_bytes=256, group="write:rw")
         for i in range(20):
             writer.append(edges_of(30, start=i * 30))
         writer.close()
-        reader = StreamReader(clock, f, buffer_bytes=256)
+        reader = StreamReader(clock, f, buffer_bytes=256, prefetch=2, group="read:rw")
         got = np.concatenate(list(reader))
         assert np.array_equal(got, np.concatenate(
             [edges_of(30, start=i * 30) for i in range(20)]
@@ -315,7 +315,7 @@ class TestTornWriteIntegrity:
         vfs = VFS()
         f = vfs.create("stay", device)
         writer = AsyncStreamWriter(clock, f, buffer_bytes=8 * 256,
-                                   capacity=200, num_buffers=4)
+                                   capacity=200, num_buffers=4, group="stay:stay")
         stay_append(writer, edges_of(200))
         writer.close()
         clock.wait_until(writer.last_end)
@@ -329,7 +329,7 @@ class TestTornWriteIntegrity:
         vfs = VFS()
         f = vfs.create("stay", device)
         writer = AsyncStreamWriter(clock, f, buffer_bytes=8 * 256,
-                                   capacity=600, num_buffers=4)
+                                   capacity=600, num_buffers=4, group="stay:stay")
         stay_append(writer, edges_of(200))
         stay_append(writer, edges_of(300, start=200))  # fills the buffer: one flush
         stay_append(writer, edges_of(100, start=500))  # flushed by close
@@ -465,7 +465,7 @@ class TestTornWriteIntegrity:
         f = VFS().create("stay", device)
         total = sum(self.PIECES)
         writer = AsyncStreamWriter(clock, f, buffer_bytes=8 * 256,
-                                   num_buffers=4, capacity=total)
+                                   num_buffers=4, capacity=total, group="stay:stay")
         run, views, start = edges_of(2 * total), [], 0
         for count in self.PIECES:
             keep = np.arange(start, start + 2 * count, 2)  # every other edge

@@ -47,7 +47,7 @@ def test_write_read_roundtrip(chunks, buffer_records, read_buffer_records,
     """Whatever a writer appends, a reader streams back identically."""
     clock, device, vfs = _make_setup()
     f = vfs.create("f", device)
-    writer = StreamWriter(clock, f, buffer_bytes=buffer_records * RECORD)
+    writer = StreamWriter(clock, f, buffer_bytes=buffer_records * RECORD, group="write:f")
     expected = []
     counter = 0
     for n in chunks:
@@ -57,7 +57,8 @@ def test_write_read_roundtrip(chunks, buffer_records, read_buffer_records,
         expected.append(chunk)
     writer.close()
     reader = StreamReader(
-        clock, f, buffer_bytes=read_buffer_records * RECORD, prefetch=prefetch
+        clock, f, buffer_bytes=read_buffer_records * RECORD, prefetch=prefetch,
+        group="read:f",
     )
     got = list(reader)
     flat_expected = (
@@ -89,7 +90,7 @@ def test_async_writer_invariants(ops, num_buffers, cancel_at_end):
     writer = AsyncStreamWriter(
         clock, f, buffer_bytes=32 * RECORD,
         capacity=sum(value for op, value in ops if op == "append"),
-        num_buffers=num_buffers,
+        num_buffers=num_buffers, group="stay:stay",
     )
     appended = 0
     last_now = clock.now

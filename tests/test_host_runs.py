@@ -780,7 +780,8 @@ class TestHostRuns:
         monkeypatch.setattr(base, "HOST_RUN_RECORDS", run_records)
         machine, file = self._file(num_records)
         reader = StreamReader(
-            machine.clock, file, buffer_records * EDGE_DTYPE.itemsize
+            machine.clock, file, buffer_records * EDGE_DTYPE.itemsize,
+            prefetch=2, group="read:edges",
         )
         seen = []
         for run, bounds in base._host_runs(reader):

@@ -225,17 +225,84 @@ class TestAttribution:
     def test_query_host_stage_totals_partition_host_duration(
         self, hosted_profile
     ):
-        for q in hosted_profile.queries:
-            totals = q.host_stage_totals()
-            assert sum(totals.values()) == pytest.approx(
-                q.host_duration, rel=1e-9
+        view = hosted_profile.on_host_clock()
+        assert len(view.queries) == len(hosted_profile.queries)
+        for q in view.queries:
+            assert sum(q.stage_totals().values()) == pytest.approx(
+                q.span.host_duration, rel=1e-9
             )
+            for it in q.iterations:
+                assert sum(it.breakdown().values()) == pytest.approx(
+                    it.span.host_duration, rel=1e-9
+                )
+
+    def test_hand_built_trace_host_profile_is_exact(self):
+        # Dyadic stamps make every sum exact.  The emitted query and
+        # shuffle spans carry no host stamps: the query is left out of
+        # both clocks' totals, and the shuffle stage, which has no
+        # host-timed child, is absent from the host stages.
+        sim, host = _SimStub(), ManualHostClock()
+        tracer = Tracer().bind_clock(sim).bind_host_clock(host)
+
+        def step(sim_seconds, host_seconds):
+            sim.now += sim_seconds
+            host.advance(host_seconds)
+
+        tracer.emit("query", 0.0, 8.0, edges_scanned=64)
+        with tracer.span("query"):
+            step(0.5, 0.25)
+            with tracer.span("iteration", iteration=0, edges_scanned=8):
+                with tracer.span("scatter"):
+                    step(1.0, 0.5)
+                with tracer.span("gather"):
+                    step(0.25, 0.125)
+                step(0.25, 0.0625)
+            with tracer.span("iteration", iteration=1, edges_scanned=4) as it:
+                with tracer.span("scatter"):
+                    step(0.5, 0.25)
+                step(0.125, 0.03125)
+                tracer.emit(
+                    "shuffle", sim.now - 0.125, sim.now, parent_id=it.span_id
+                )
+            step(0.25, 0.5)
+
+        prof = profile_trace(tracer)
+        assert "shuffle" in prof.queries[1].stage_totals()
+        assert prof.host() == {
+            "host_seconds": 1.71875,
+            "sim_seconds": 2.875,
+            "host_seconds_per_sim_second": 1.71875 / 2.875,
+            "edges_scanned": 12,
+            "edges_scanned_per_host_second": 12 / 1.71875,
+            "stages": {
+                "gather": {
+                    "host_seconds": 0.125,
+                    "sim_seconds": 0.25,
+                    "host_seconds_per_sim_second": 0.5,
+                },
+                "other": {
+                    "host_seconds": 0.09375,
+                    "sim_seconds": 0.25,
+                    "host_seconds_per_sim_second": 0.375,
+                },
+                "overhead": {
+                    "host_seconds": 0.75,
+                    "sim_seconds": 0.75,
+                    "host_seconds_per_sim_second": 1.0,
+                },
+                "scatter": {
+                    "host_seconds": 0.75,
+                    "sim_seconds": 1.5,
+                    "host_seconds_per_sim_second": 0.5,
+                },
+            },
+        }
 
     def test_single_clock_trace_has_empty_host_view(self, graph):
         _, _, tracer = run_pair(graph, host=False)
         prof = profile_trace(tracer)
         assert prof.host() == {}
-        assert not prof.host_timed
+        assert prof.on_host_clock() is None
         assert "no host stamps" in prof.report_text(host=True)
 
     def test_report_text_host_section(self, hosted_profile):

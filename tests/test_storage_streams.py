@@ -42,7 +42,7 @@ class TestStreamReader:
         f = vfs.create("f", device)
         f.append_records(edges(1000))
         f.seal()
-        reader = StreamReader(clock, f, buffer_bytes=64 * RECORD)
+        reader = StreamReader(clock, f, buffer_bytes=64 * RECORD, prefetch=2, group="read:f")
         out = np.concatenate(list(reader))
         assert np.array_equal(out, f.records())
 
@@ -51,7 +51,7 @@ class TestStreamReader:
         f = vfs.create("f", device)
         f.append_records(edges(100))
         f.seal()
-        reader = StreamReader(clock, f, buffer_bytes=32 * RECORD)
+        reader = StreamReader(clock, f, buffer_bytes=32 * RECORD, prefetch=2, group="read:f")
         sizes = [len(buf) for buf in reader]
         assert sizes == [32, 32, 32, 4]
         assert reader.buffers_read == 4
@@ -60,7 +60,7 @@ class TestStreamReader:
         clock, device, vfs = setup
         f = vfs.create("f", device)
         f.seal()
-        assert list(StreamReader(clock, f, buffer_bytes=1024)) == []
+        assert list(StreamReader(clock, f, buffer_bytes=1024, prefetch=2, group="read:f")) == []
         assert clock.now == 0.0  # no I/O charged
 
     def test_time_charged_as_iowait(self, setup):
@@ -68,7 +68,7 @@ class TestStreamReader:
         f = vfs.create("f", device)
         f.append_records(edges(1000))
         f.seal()
-        list(StreamReader(clock, f, buffer_bytes=100 * RECORD))
+        list(StreamReader(clock, f, buffer_bytes=100 * RECORD, prefetch=2, group="read:f"))
         expected = 1000 * RECORD / (100 * MB)
         assert clock.now == pytest.approx(expected)
         assert clock.iowait_time == pytest.approx(expected)
@@ -81,7 +81,9 @@ class TestStreamReader:
         f.seal()
         buffer_records = 1000
         io_per_buffer = buffer_records * RECORD / (100 * MB)
-        reader = StreamReader(clock, f, buffer_bytes=buffer_records * RECORD, prefetch=2)
+        reader = StreamReader(
+            clock, f, buffer_bytes=buffer_records * RECORD, prefetch=2, group="read:f"
+        )
         for _ in reader:
             clock.charge_compute(io_per_buffer * 2)  # compute-bound
         # Perfect overlap: total = first read + 2 computes.
@@ -95,7 +97,9 @@ class TestStreamReader:
         f.seal()
         buffer_records = 1000
         io_per_buffer = buffer_records * RECORD / (100 * MB)
-        reader = StreamReader(clock, f, buffer_bytes=buffer_records * RECORD, prefetch=1)
+        reader = StreamReader(
+            clock, f, buffer_bytes=buffer_records * RECORD, prefetch=1, group="read:f"
+        )
         for _ in reader:
             clock.charge_compute(io_per_buffer)
         # prefetch=1 still submits the next read before compute (inside
@@ -106,16 +110,16 @@ class TestStreamReader:
         clock, device, vfs = setup
         f = vfs.create("f", device)
         with pytest.raises(StorageError):
-            StreamReader(clock, f, buffer_bytes=0)
+            StreamReader(clock, f, buffer_bytes=0, prefetch=2, group="read:f")
         with pytest.raises(StorageError):
-            StreamReader(clock, f, buffer_bytes=100, prefetch=0)
+            StreamReader(clock, f, buffer_bytes=100, prefetch=0, group="read:f")
 
 
 class TestStreamWriter:
     def test_buffered_appends_flush_on_threshold(self, setup):
         clock, device, vfs = setup
         f = vfs.create("f", device)
-        w = StreamWriter(clock, f, buffer_bytes=10 * RECORD)
+        w = StreamWriter(clock, f, buffer_bytes=10 * RECORD, group="write:f")
         w.append(edges(4))
         assert w.flush_count == 0
         w.append(edges(7, start=4))  # 11 records >= threshold
@@ -125,7 +129,7 @@ class TestStreamWriter:
     def test_close_writes_remainder(self, setup):
         clock, device, vfs = setup
         f = vfs.create("f", device)
-        w = StreamWriter(clock, f, buffer_bytes=1000 * RECORD)
+        w = StreamWriter(clock, f, buffer_bytes=1000 * RECORD, group="write:f")
         w.append(edges(5))
         w.close()
         assert f.num_records == 5
@@ -136,13 +140,13 @@ class TestStreamWriter:
     def test_append_empty_noop(self, setup):
         clock, device, vfs = setup
         f = vfs.create("f", device)
-        w = StreamWriter(clock, f, buffer_bytes=8)
+        w = StreamWriter(clock, f, buffer_bytes=8, group="write:f")
         w.append(edges(0))
         assert w.flush_count == 0
 
     def test_append_after_close_rejected(self, setup):
         clock, device, vfs = setup
-        w = StreamWriter(clock, vfs.create("f", device), buffer_bytes=8)
+        w = StreamWriter(clock, vfs.create("f", device), buffer_bytes=8, group="write:f")
         w.close()
         with pytest.raises(StorageError):
             w.append(edges(1))
@@ -150,7 +154,7 @@ class TestStreamWriter:
     def test_views_it_does_not_own_are_copied(self, setup):
         clock, device, vfs = setup
         f = vfs.create("f", device)
-        w = StreamWriter(clock, f, buffer_bytes=10 * RECORD)
+        w = StreamWriter(clock, f, buffer_bytes=10 * RECORD, group="write:f")
         whole = edges(30)
         w.append(whole[0:4])
         w.append(whole[4:9])
@@ -168,7 +172,7 @@ class TestStreamWriter:
     def test_unrelated_arrays_are_still_concatenated(self, setup):
         clock, device, vfs = setup
         f = vfs.create("f", device)
-        w = StreamWriter(clock, f, buffer_bytes=10 * RECORD)
+        w = StreamWriter(clock, f, buffer_bytes=10 * RECORD, group="write:f")
         whole = edges(30)
         w.append(whole[0:4])
         w.append(whole[5:9])  # skips a record
@@ -180,7 +184,7 @@ class TestStreamWriter:
 
     def test_last_end_skips_landed_requests_without_losing_them(self, setup):
         clock, device, vfs = setup
-        w = StreamWriter(clock, vfs.create("f", device), buffer_bytes=RECORD)
+        w = StreamWriter(clock, vfs.create("f", device), buffer_bytes=RECORD, group="write:f")
         assert w.last_end is None
         ends = []
         for i in range(5):
@@ -194,7 +198,7 @@ class TestStreamWriter:
 
     def test_writes_do_not_block_engine(self, setup):
         clock, device, vfs = setup
-        w = StreamWriter(clock, vfs.create("f", device), buffer_bytes=RECORD)
+        w = StreamWriter(clock, vfs.create("f", device), buffer_bytes=RECORD, group="write:f")
         w.append(edges(10**6))  # 8MB write queued
         assert clock.now == 0.0  # fire-and-forget
 
@@ -202,7 +206,7 @@ class TestStreamWriter:
         """``close`` does not wait; waiting on ``last_end`` after it is the
         barrier."""
         clock, device, vfs = setup
-        w = StreamWriter(clock, vfs.create("f", device), buffer_bytes=10**7)
+        w = StreamWriter(clock, vfs.create("f", device), buffer_bytes=10**7, group="write:f")
         w.append(edges(10**6))  # below the buffer: flushed by close
         w.close()
         assert clock.now == 0.0
@@ -212,7 +216,7 @@ class TestStreamWriter:
 
     def test_drain_empty_writer(self, setup):
         clock, device, vfs = setup
-        w = StreamWriter(clock, vfs.create("f", device), buffer_bytes=8)
+        w = StreamWriter(clock, vfs.create("f", device), buffer_bytes=8, group="write:f")
         w.close()
         assert w.last_end is None  # nothing to wait for
         assert w._requests == []
@@ -220,7 +224,7 @@ class TestStreamWriter:
 
     def test_records_written_counter(self, setup):
         clock, device, vfs = setup
-        w = StreamWriter(clock, vfs.create("f", device), buffer_bytes=8)
+        w = StreamWriter(clock, vfs.create("f", device), buffer_bytes=8, group="write:f")
         w.append(edges(3))
         w.append(edges(2))
         assert w.records_written == 5
@@ -233,7 +237,7 @@ class TestFlushBuffers:
     def _writer(buffer_bytes, name="f"):
         machine = fresh_machine()
         file = machine.vfs.create(name, machine.disk(0))
-        return StreamWriter(machine.clock, file, buffer_bytes)
+        return StreamWriter(machine.clock, file, buffer_bytes, group=f"write:{file.name}")
 
     @given(
         record_bytes=st.sampled_from([1, 3, 8, 12, 20]),
@@ -300,7 +304,7 @@ class TestAsyncStreamWriter:
         f = vfs.create("stay", device)
         return clock, AsyncStreamWriter(
             clock, f, buffer_bytes=buffer_records * RECORD, capacity=capacity,
-            num_buffers=num_buffers,
+            num_buffers=num_buffers, group="stay:stay",
         )
 
     def test_carry_and_next_run_flush_as_one_view(self, setup, monkeypatch):
@@ -308,7 +312,10 @@ class TestAsyncStreamWriter:
         read-only view of the private buffer, with no copy and no CRC."""
         clock, device, vfs = setup
         f = vfs.create("stay", device)
-        w = AsyncStreamWriter(clock, f, buffer_bytes=10 * RECORD, capacity=30)
+        w = AsyncStreamWriter(
+            clock, f, buffer_bytes=10 * RECORD, capacity=30, num_buffers=4,
+            group="stay:stay",
+        )
         monkeypatch.setattr(np, "concatenate", None)  # would raise if called
         monkeypatch.setattr(zlib, "crc32", None)  # no CRC at send
         first = w.take_survivors(edges(30), np.arange(0, 30, 5))  # 6 records
@@ -352,7 +359,7 @@ class TestAsyncStreamWriter:
         clock, device, vfs = setup
         w = AsyncStreamWriter(
             clock, vfs.create("stay", device), buffer_bytes=10 * RECORD,
-            capacity=20,
+            capacity=20, num_buffers=4, group="stay:stay",
         )
         taken = w.take_survivors(edges(20), np.arange(20))
         other = edges(20, start=50)
@@ -437,19 +444,19 @@ class TestAsyncStreamWriter:
         clock, device, vfs = setup
         with pytest.raises(StorageError):
             AsyncStreamWriter(
-                clock, vfs.create("f", device), 8, capacity=1, num_buffers=0
+                clock, vfs.create("f", device), 8, capacity=1, num_buffers=0, group="stay:f"
             )
 
     def test_more_buffers_fewer_waits(self, setup):
         clock1, device1, vfs1 = SimClock(), Device(DeviceSpec.hdd()), VFS()
         w_small = AsyncStreamWriter(
             clock1, vfs1.create("a", device1), 100 * RECORD, capacity=800,
-            num_buffers=1,
+            num_buffers=1, group="stay:a",
         )
         clock2, device2, vfs2 = SimClock(), Device(DeviceSpec.hdd()), VFS()
         w_big = AsyncStreamWriter(
             clock2, vfs2.create("b", device2), 100 * RECORD, capacity=800,
-            num_buffers=16,
+            num_buffers=16, group="stay:b",
         )
         for i in range(8):
             stay_append(w_small, edges(100))

@@ -366,7 +366,7 @@ class TestStayStateChecker:
         mgr = self._manager(m)
         with pytest.raises(EngineError, match="no open stay writer"):
             mgr.append(2, edges(1))
-        assert mgr.stats.bytes_written == 0
+        assert mgr.stats.files_written == 0
         mgr.discard_all()
         check(m, start, mgr.stats)
 
@@ -386,7 +386,7 @@ class TestStayStateChecker:
         start = begin(m)
         mgr = self._manager(m)
         old = self._edge_file(m, 10)
-        mgr.open(0, iteration=0, input_file=old)
+        writer = mgr.open(0, iteration=0, input_file=old)
         m.clock.charge_compute(1e-9, category="trim")
         mgr.append(0, mgr.stage_survivors(0, old.records(), np.arange(4)))
         mgr.finish_partition(0)
@@ -394,7 +394,7 @@ class TestStayStateChecker:
             EngineError, match="no open stay writer for partition 0"
         ):
             mgr.stage_survivors(0, old.records(), np.arange(2))
-        assert mgr.stats.bytes_written == edges(4).nbytes
+        assert writer.file.nbytes == edges(4).nbytes
         mgr.discard_all()
         check(m, start, mgr.stats)
 
