@@ -38,23 +38,31 @@ is decoupled from that: the three streaming loops (staging split, scatter,
 gather) cut a file into host runs of :data:`HOST_RUN_RECORDS` records
 (whole modeled buffers), run the kernel, the survivor selection and the
 partition routing once per run, and derive every per-buffer count from that
-one result.  The per-buffer loop then only replays the schedule: it steps
-the :class:`StreamReader` and issues the charges in the order a
+one result.  The replay then only issues the schedule: it steps the
+:class:`StreamReader` and issues the charges in the order a
 buffer-at-a-time loop would, and it feeds each writer once per flush: at a
 buffer where the writer's own rule (:meth:`StreamWriter.flush_buffers`)
 says it flushes, one slice holding everything since its last flush, and
 after the run the tail, which fills no buffer (:func:`_appends_due`).  The
 order of device requests and clock charges is an invariant: stay-file
-cancellation races and fault-plan positions depend on it.  When a
-partition scans the same records again, the kernel of a run may see only
-its live edges (:class:`_HeldEdges`); the replay still steps and charges
-every buffer of the file.
+cancellation races and fault-plan positions depend on it.  A buffer that
+writes (a writer flush or a stay append is due at it) is stepped on its
+own.  The charges of the *quiet* buffers between are queued across host
+runs (:class:`_Quiet`) and replayed with one :meth:`StreamReader.replay`
+before the next buffer that writes and before the partition's end, which
+is safe because no kernel, route or survivor selection reads the clock or
+a device; the reader computes a long enough stretch whose every read is
+waited on in closed form.  Queues are built only for a reader that
+:attr:`~StreamReader.takes_stretches`.  When a partition scans the same
+records again, the kernel of a run may see only its live edges
+(:class:`_HeldEdges`); the replay still steps and charges every buffer of
+the file.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -179,14 +187,16 @@ class _HeldEdges:
     """One partition's sealed edge records as its rescans in one query see
     them.
 
-    A first scan casts per run and, for a trimming kernel, keeps references
-    to the kernel's eliminate masks (``masks``).  The first rescan turns
-    them into ``dead``; every rescan (:meth:`rescan`) compacts ``edges`` to
-    the live ones, in stream order, once :data:`COMPACT_DEAD_SHARE` of them
-    is dead, and holds ``src``, the sources of ``edges`` as read-only
-    partition-local ``int64``.  ``positions`` are the file positions of
-    ``edges`` (None until the first compaction: ``edges`` is the file).
-    Sound because a trimming kernel never selects an edge it eliminated
+    A first scan casts per run or, when it writes no stay file, into one
+    held array (``cast``) that the first rescan takes over; for a trimming
+    kernel it keeps references to the kernel's eliminate masks
+    (``masks``).  The first rescan turns them into ``dead``; every rescan
+    (:meth:`rescan`) compacts ``edges`` to the live ones, in stream order,
+    once :data:`COMPACT_DEAD_SHARE` of them is dead, and holds ``src``, the
+    sources of ``edges`` as read-only partition-local ``int64``.
+    ``positions`` are the file positions of ``edges`` (None until the first
+    compaction: ``edges`` is the file).  Sound because a trimming kernel
+    never selects an edge it eliminated
     (:attr:`StreamingAlgorithm.supports_trimming`).
     """
 
@@ -197,11 +207,13 @@ class _HeldEdges:
         self.edges = records
         self.positions: Optional[np.ndarray] = None
         self.src: Optional[np.ndarray] = None
+        self.cast: Optional[np.ndarray] = None
 
     def rescan(self, lo: int) -> None:
         """Ready the set for a rescan: the first one builds ``dead`` from
-        the first scan's masks; any one compacts when due; ``src`` is cast
-        after a compaction or when missing."""
+        the first scan's masks; any one compacts when due; ``src`` is taken
+        from the first scan's ``cast`` or cast after a compaction or when
+        missing."""
         if self.masks is not None:
             self.dead = (
                 np.concatenate(self.masks) if self.masks
@@ -219,9 +231,15 @@ class _HeldEdges:
                 )
                 self.dead = np.zeros(len(keep), dtype=bool)
         if self.src is None:
-            src = self.edges["src"].astype(np.int64)
-            if lo:
-                src -= lo
+            if self.cast is not None:
+                src = self.cast
+                if self.positions is not None:
+                    src = src[self.positions]
+                self.cast = None
+            else:
+                src = self.edges["src"].astype(np.int64)
+                if lo:
+                    src -= lo
             src.flags.writeable = False
             self.src = src
 
@@ -251,6 +269,52 @@ class _HeldEdges:
             return start, stop
         i, j = np.searchsorted(self.positions, (start, stop)).tolist()
         return i, j
+
+
+class _Quiet:
+    """The charges of one scan's quiet modeled buffers, those whose replay
+    submits no write, queued across host runs for one
+    :meth:`StreamReader.replay`.
+
+    Nothing a run computes on the host (kernel, routing, survivor
+    selection) reads the clock or a device, so the queue may wait until
+    the next buffer that writes (:meth:`step`) or the scan's end
+    (:meth:`replay`).  Built only for a reader that
+    :attr:`~StreamReader.takes_stretches`.
+    """
+
+    def __init__(self, reader: StreamReader, categories: Tuple[str, ...]) -> None:
+        self.reader = reader
+        self.categories = categories
+        self.queued: List[np.ndarray] = []
+        #: The current run's first buffer neither queued nor stepped.
+        self.next = 0
+
+    def add(self, charges: np.ndarray) -> None:
+        """Queue buffers with ``charges[k, i]`` per category ``k``."""
+        if charges.shape[1]:
+            self.queued.append(charges)
+
+    def step(self, charges: np.ndarray, b: int) -> None:
+        """Replay the queue up to buffer ``b`` of the run with
+        ``charges``, which the caller then steps on its own."""
+        self.add(charges[:, self.next:b])
+        self.next = b + 1
+        self.replay()
+
+    def end_run(self, charges: np.ndarray) -> None:
+        """Queue the rest of the run with ``charges``."""
+        self.add(charges[:, self.next:])
+        self.next = 0
+
+    def replay(self) -> None:
+        """Replay everything queued."""
+        if self.queued:
+            queued, self.queued = self.queued, []
+            self.reader.replay(
+                self.categories,
+                queued[0] if len(queued) == 1 else np.concatenate(queued, axis=1),
+            )
 
 
 _Append = Tuple[StreamWriter, np.ndarray]
@@ -747,10 +811,19 @@ class EdgeCentricEngine(Engine):
                 prefetch=cfg.num_edge_buffers,
                 group=f"edges:p{p}",
             )
+            quiet = (
+                _Quiet(reader, ("scatter", "trim", "shuffle"))
+                if reader.takes_stretches else None
+            )
             generated = 0
             streamed = 0
             held = self._held_edges(rt, p, in_file.records(), lo)
             rescan = held is not None and held.src is not None
+            # A first scan that writes no stay file casts its sources into
+            # one held array, which the first rescan reuses.
+            cast = None
+            if held is not None and not rescan and stay is None:
+                cast = held.cast = np.empty(len(held.records), dtype=np.int64)
             # A rescan hands the kernel only the edges it has not eliminated,
             # unless it writes a stay file: its survivors include the edges
             # dead only here, so each run then goes to the kernel whole.
@@ -758,7 +831,7 @@ class EdgeCentricEngine(Engine):
             start = 0
             for run, bounds in _host_runs(reader):
                 stop = start + len(run)
-                trim = None
+                kept = flushes = None
                 if live:
                     i, j = held.span(start, stop)
                     edges = held.edges[i:j]
@@ -770,7 +843,11 @@ class EdgeCentricEngine(Engine):
                     if rescan and held.positions is None:
                         src_local = held.src[start:stop]
                     else:
-                        src_local = run["src"].astype(np.int64)
+                        if cast is None:
+                            src_local = run["src"].astype(np.int64)
+                        else:
+                            src_local = cast[start:stop]
+                            src_local[...] = run["src"]
                         if lo:
                             src_local -= lo
                     updates, sources, eliminate = rt.algo.scatter(
@@ -779,53 +856,84 @@ class EdgeCentricEngine(Engine):
                     if not rescan:
                         held.keep(eliminate)
                     if stay is not None and eliminate is not None:
-                        trim = self._select_survivors(
+                        kept, flushes = self._select_survivors(
                             rt, p, state_view, run, src_local, eliminate,
                             bounds, stats,
                         )
                 start = stop
+                stats.edges_scanned += len(run)
+                streamed += len(run)
                 sent = np.searchsorted(sources, bounds)
                 # Batched kernels weight the charge by liveness-mask
                 # popcount (one unit per query served); serial kernels
                 # weight by record count — identical values there.
-                weights = rt.algo.update_weights(updates, sent).tolist()
-                produced = np.diff(sent).tolist()
+                weights = rt.algo.update_weights(updates, sent)
+                produced = np.diff(sent)
                 due, tails = _appends_due(
                     _route(
                         rt.staged.partitioning, updates["dst"], updates, sources, bounds
                     ),
                     rt.update_writers,
                 )
-                # Replay the run's schedule, one modeled buffer at a time;
-                # a writer is fed only where it flushes, and its tail after.
-                for b, weight in enumerate(weights):
-                    count = len(next(reader))
-                    stats.edges_scanned += count
-                    streamed += count
+                # Replay the run's schedule, one modeled buffer at a time; a
+                # writer is fed only where it flushes, and its tail after.
+                # With a quiet queue, only the buffers that write step one
+                # at a time; it replays the rest in stretches.
+                steps = range(len(produced))
+                if quiet is not None:
+                    steps = sorted(due.keys() | (flushes or {}).keys())
+                    charges = np.stack((
+                        cm.charges(cm.scatter_per_edge, np.diff(bounds),
+                                   cfg.threads, machine.cores),
+                        cm.charges(cm.trim_per_edge, kept, cfg.threads, machine.cores)
+                        if kept is not None else np.zeros(len(produced)),
+                        cm.charges(cm.shuffle_per_update,
+                                   np.where(produced > 0, weights, 0),
+                                   cfg.threads, machine.cores),
+                    ))
+                kept = kept.tolist() if kept is not None else None
+                weights, produced = weights.tolist(), produced.tolist()
+                for b in steps:
+                    if quiet is not None:
+                        quiet.step(charges, b)
                     cm.charge(
                         machine.clock,
                         "scatter",
                         cm.scatter_per_edge,
-                        count,
+                        len(next(reader)),
                         cfg.threads,
                         machine.cores,
                     )
-                    if trim is not None:
-                        trim(b)
+                    if kept is not None:
+                        cm.charge(
+                            machine.clock,
+                            "trim",
+                            cm.trim_per_edge,
+                            kept[b],
+                            cfg.threads,
+                            machine.cores,
+                        )
+                        records = flushes.get(b)
+                        if records is not None:
+                            rt.stay.append(p, records)
                     if produced[b]:
                         cm.charge(
                             machine.clock,
                             "shuffle",
                             cm.shuffle_per_update,
-                            weight,
+                            weights[b],
                             cfg.threads,
                             machine.cores,
                         )
                         for writer, records in due.get(b, ()):
                             writer.append(records)
+                if quiet is not None:
+                    quiet.end_run(charges)
                 for writer, records in tails:
                     writer.append(records)
                 generated += len(updates)
+            if quiet is not None:
+                quiet.replay()
             state_view["active"][:] = 0
             rt.algo.after_partition_scatter(ctx, state_view)
             rt.stay.finish_partition(p)
@@ -842,43 +950,27 @@ class EdgeCentricEngine(Engine):
         eliminate: np.ndarray,
         bounds: np.ndarray,
         stats: IterationStats,
-    ) -> Callable[[int], None]:
+    ) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
         """Select a host run's surviving edges into partition ``p``'s stay
-        writer, once, and return ``replay(b)``, which the schedule replay
-        calls for each modeled buffer ``b`` of the run between its scatter
-        and shuffle charges: it charges the buffer's trim and appends the
-        survivors at the buffers where the stay writer flushes
-        (:func:`_feeds`), the tail at the run's last buffer."""
-        cfg = self.config
-        if cfg.extended_trim:
+        writer, once, and count them into ``stats``.  Returns ``(kept,
+        flushes)``: the survivors of each modeled buffer ``b`` of the run,
+        whose trim the replay charges between the buffer's scatter and
+        shuffle charges, and what it appends there, at the buffers where
+        the stay writer flushes (:func:`_feeds`) and the tail at the run's
+        last buffer."""
+        if self.config.extended_trim:
             eliminate = rt.algo.extended_eliminate(state, src_local, eliminate)
         # Each modeled buffer's share of the survivors is a slice, found
         # from where the buffer bounds fall among the surviving positions.
         keep = np.flatnonzero(~eliminate)
+        stats.edges_eliminated += len(run) - len(keep)
+        stats.stay_records_written += len(keep)
         survivors = rt.stay.stage_survivors(p, run, keep)
-        cuts = np.searchsorted(keep, bounds).tolist()
-        scanned = np.diff(bounds).tolist()
-        flushes, tail = _feeds(rt.stay.current(p), survivors, cuts)
+        cuts = np.searchsorted(keep, bounds)
+        flushes, tail = _feeds(rt.stay.current(p), survivors, cuts.tolist())
         if len(tail):
-            flushes[len(scanned) - 1] = tail
-
-        def replay(b: int) -> None:
-            kept = cuts[b + 1] - cuts[b]
-            stats.edges_eliminated += scanned[b] - kept
-            stats.stay_records_written += kept
-            COST_MODEL.charge(
-                rt.machine.clock,
-                "trim",
-                COST_MODEL.trim_per_edge,
-                kept,
-                cfg.threads,
-                rt.machine.cores,
-            )
-            records = flushes.get(b)
-            if records is not None:
-                rt.stay.append(p, records)
-
-        return replay
+            flushes[len(bounds) - 2] = tail
+        return np.diff(cuts), flushes
 
     def _held_edges(
         self, rt: _RunState, p: int, records: np.ndarray, lo: int
@@ -922,19 +1014,33 @@ class EdgeCentricEngine(Engine):
                 prefetch=cfg.num_edge_buffers,
                 group=f"updates:p{p}",
             )
+            quiet = _Quiet(reader, ("gather",)) if reader.takes_stretches else None
             activated = 0
             gathered = 0
-            whole_run = rt.algo.gather_run_invariant
             for run, bounds in _host_runs(reader):
                 dst_local = run["dst"].astype(np.int64)
                 if lo:
                     dst_local -= lo
                 payload = rt.algo.gather_payload(run)
-                weights = rt.algo.update_weights(run, bounds).tolist()
-                if whole_run:
+                if rt.algo.gather_run_invariant:
                     activated += rt.algo.gather(ctx, state_view, dst_local, payload)
-                for b, weight in enumerate(weights):
-                    gathered += len(next(reader))
+                else:
+                    # The kernel's count depends on where the buffers end
+                    # (it says so): apply them one by one.
+                    for b in range(len(bounds) - 1):
+                        cut = slice(bounds[b], bounds[b + 1])
+                        activated += rt.algo.gather(
+                            ctx, state_view, dst_local[cut], payload[cut]
+                        )
+                gathered += len(run)
+                weights = rt.algo.update_weights(run, bounds)
+                if quiet is not None:
+                    quiet.add(cm.charges(
+                        cm.gather_per_update, weights, cfg.threads, machine.cores
+                    )[None])
+                    continue
+                for weight in weights.tolist():
+                    next(reader)
                     cm.charge(
                         machine.clock,
                         "gather",
@@ -943,13 +1049,8 @@ class EdgeCentricEngine(Engine):
                         cfg.threads,
                         machine.cores,
                     )
-                    if not whole_run:
-                        # The kernel's count depends on where the buffers
-                        # end (it says so): apply them one by one.
-                        cut = slice(bounds[b], bounds[b + 1])
-                        activated += rt.algo.gather(
-                            ctx, state_view, dst_local[cut], payload[cut]
-                        )
+            if quiet is not None:
+                quiet.replay()
             g_span.set(updates_gathered=gathered, activated=activated)
         return activated
 

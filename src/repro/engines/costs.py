@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ConfigError
 from repro.sim.clock import SimClock
 
@@ -96,6 +98,20 @@ class CostModel:
         dt = per_item * count / par + sync + self.buffer_overhead
         if dt > 0.0:
             clock.charge_compute(dt, category)
+        return dt
+
+    def charges(
+        self, per_item: float, counts: np.ndarray, threads: int, cores: int
+    ) -> np.ndarray:
+        """What :meth:`charge` would charge for each buffer's ``counts[b]``
+        items, 0.0 where it charges nothing: the same operands in the same
+        order, so the same floats."""
+        par = cores if cores < threads else threads
+        if not par > 1:
+            par = 1
+        sync = self.thread_sync_per_buffer * threads if threads > 1 else 0.0
+        dt = per_item * counts / par + sync + self.buffer_overhead
+        dt[(counts <= 0) | ~(dt > 0.0)] = 0.0
         return dt
 
     def charge_phase(self, clock: SimClock, threads: int) -> float:

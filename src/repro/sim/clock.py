@@ -18,9 +18,16 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Sequence
+
+import numpy as np
 
 from repro.errors import SimulationError
+
+
+def _fold(start: float, terms: np.ndarray) -> float:
+    """``start + terms[0] + terms[1] + ...``, added left to right."""
+    return float(np.add.accumulate(np.concatenate(([start], terms)))[-1])
 
 
 @dataclass(frozen=True)
@@ -100,6 +107,41 @@ class SimClock:
         if t < 0:
             raise SimulationError(f"cannot wait until negative time {t}")
         return 0.0
+
+    def run_stretch(
+        self,
+        waits: np.ndarray,
+        categories: Sequence[str],
+        charges: np.ndarray,
+    ) -> bool:
+        """For each ``i`` in order, ``wait_until(waits[i])`` and then
+        ``charge_compute(charges[k, i], categories[k])`` for each positive
+        ``charges[k, i]`` (``categories`` distinct), in one call, when
+        every wait blocks (or lands on the current time).  Otherwise change
+        nothing and return False.
+
+        The waits then set the clock, so the time after buffer ``i`` is
+        ``waits[i]`` plus its charges, and every ledger is a left fold of
+        its terms in the per-call order (``np.add.accumulate``, strict
+        left to right; adding a 0.0 leaves a float as it is): the same
+        floats the calls one at a time leave.
+        """
+        if (charges < 0).any():
+            raise SimulationError("cannot charge negative compute time")
+        done = waits
+        for row in charges:
+            done = done + row
+        if waits[0] < self._now or (waits[1:] < done[:-1]).any():
+            return False
+        waited = waits - np.concatenate(([self._now], done[:-1]))
+        self._iowait_time = _fold(self._iowait_time, waited)
+        self._compute_time = _fold(self._compute_time, charges.T.ravel())
+        by_category = self._compute_by_category
+        for category, terms in zip(categories, charges):
+            if (terms > 0.0).any():
+                by_category[category] = _fold(by_category[category], terms)
+        self._now = float(done[-1])
+        return True
 
     def snapshot(self) -> ClockState:
         """Capture the clock's full state for a later :meth:`restore`."""

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import TimelineError
 
 
@@ -161,6 +163,76 @@ class Timeline:
         by_kind[kind] = by_kind.get(kind, 0) + nbytes
         by_group[key] = group_bytes + nbytes
         return req
+
+    def packed_ends(self, services: np.ndarray) -> np.ndarray:
+        """Where requests of ``services`` appended now, each submitted by
+        the time the device frees up, would end: back to back from
+        :attr:`free_at`."""
+        return np.add.accumulate(np.concatenate(([self.free_at], services)))[1:]
+
+    def schedule_packed(
+        self,
+        submits: np.ndarray,
+        services: np.ndarray,
+        ends: np.ndarray,
+        nbytes: np.ndarray,
+        group: str,
+        held_from: int,
+    ) -> List[ScheduledRequest]:
+        """Append the reads :meth:`packed_ends` placed, submitted at
+        ``submits`` (ascending, each by the time the one before it ends),
+        leaving what :meth:`schedule` of each in turn leaves: the byte
+        ledgers, ``_last_submit``, and the queue with the head requests
+        that end by the last submit settled in FIFO order.  Builds a
+        :class:`ScheduledRequest` only for a request still queued or at
+        index ``held_from`` or later, and returns the latter, which the
+        caller holds.
+        """
+        if not len(submits):
+            return []
+        if submits[0] < self._last_submit - 1e-12:
+            raise TimelineError(
+                f"submissions must be monotonic: {submits[0]} after {self._last_submit}"
+            )
+        starts = np.concatenate(([self.free_at], ends[:-1])).tolist()
+        # Each schedule() prunes before it appends, so the last one settles
+        # the head requests, its own excepted, that end by its submit.
+        watermark = float(submits[-1])
+        queue = self._queue
+        settled = 0
+        for req in queue:
+            if req.end > watermark:
+                break
+            self._settled_end = req.end
+            self._settled_busy += req.service
+            settled += 1
+        del queue[:settled]
+        fresh_settled = 0
+        if not queue:
+            fresh_settled = int(np.searchsorted(ends[:-1], watermark, side="right"))
+            if fresh_settled:
+                self._settled_end = float(ends[fresh_settled - 1])
+                self._settled_busy = float(
+                    np.add.accumulate(
+                        np.concatenate(([self._settled_busy], services[:fresh_settled]))
+                    )[-1]
+                )
+        if watermark > self._last_submit:
+            self._last_submit = watermark
+        total = int(nbytes.sum())
+        self._bytes_by_kind["read"] = self._bytes_by_kind.get("read", 0) + total
+        key = (group, "read")
+        self._bytes_by_group[key] = self._bytes_by_group.get(key, 0) + total
+        first = min(fresh_settled, held_from)
+        built = [
+            ScheduledRequest(group, "read", size, submit, service, start, end)
+            for size, submit, service, start, end in zip(
+                nbytes[first:].tolist(), submits[first:].tolist(),
+                services[first:].tolist(), starts[first:], ends[first:].tolist(),
+            )
+        ]
+        queue.extend(built[fresh_settled - first:])
+        return built[held_from - first:]
 
     def _prune(self, watermark: float) -> None:
         """Retire queue-head requests that finished at or before ``watermark``.

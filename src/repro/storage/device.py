@@ -18,7 +18,9 @@ compute model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import OutOfSpaceError, StorageError
 from repro.sim.timeline import ScheduledRequest, Timeline
@@ -223,6 +225,42 @@ class Device:
         if self.tracer is not None:
             self.tracer.record_request(spec.name, req)
         return req
+
+    def plan_reads(
+        self, file_id: int, offset: int, nbytes: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Service times and ends of reads of consecutive extents of one
+        file, ``nbytes[j]`` bytes each from ``offset`` on, were each
+        submitted by the time the one before it ends; changes nothing.
+        Only the first can seek.  For a device without a fault injector,
+        page cache or tracer, which each must see every request."""
+        seeks = np.zeros(len(nbytes), dtype=np.int64)
+        if self.spec.seek_time > 0.0 and self._head != (file_id, offset):
+            seeks[0] = 1
+        services = self.service_time("read", nbytes, seeks)
+        return services, self.timeline.packed_ends(services)
+
+    def submit_reads(
+        self,
+        submits: np.ndarray,
+        file_id: int,
+        offset: int,
+        nbytes: np.ndarray,
+        services: np.ndarray,
+        ends: np.ndarray,
+        group: str,
+        held_from: int,
+    ) -> List[ScheduledRequest]:
+        """Queue the reads :meth:`plan_reads` planned, submitted at
+        ``submits``: what :meth:`submit` of each in turn leaves, head and
+        seek count included.  Returns the requests from index
+        ``held_from`` on (:meth:`Timeline.schedule_packed`)."""
+        if self.spec.seek_time > 0.0 and self._head != (file_id, offset):
+            self._seek_count += 1
+        self._head = (file_id, offset + int(nbytes.sum()))
+        return self.timeline.schedule_packed(
+            submits, services, ends, nbytes, group, held_from
+        )
 
     # ------------------------------------------------------------------
     # checkpoint protocol

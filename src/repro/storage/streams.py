@@ -44,6 +44,12 @@ from repro.sim.timeline import ScheduledRequest
 from repro.storage.faults import submit_with_retry
 from repro.storage.vfs import VirtualFile, as_one_array
 
+#: Fewest modeled buffers :meth:`StreamReader.replay` computes in closed
+#: form; a shorter stretch steps its buffers one at a time.  Host
+#: granularity only, like ``engines.base.HOST_RUN_RECORDS``: the schedule
+#: is the same either way, which is why it is not a config field.
+MIN_STRETCH_BUFFERS = 24
+
 
 class StreamReader:
     """Sequential buffered reader with prefetch.
@@ -104,6 +110,96 @@ class StreamReader:
         self._fill()  # keep the pipeline full while we go compute
         self.buffers_read += 1
         return self.file.read_records(start, count)
+
+    @property
+    def takes_stretches(self) -> bool:
+        """Whether :meth:`replay` can compute a stretch in closed form: the
+        file spans :data:`MIN_STRETCH_BUFFERS` buffers and its device has
+        no fault injector, page cache or tracer, which each must see every
+        request."""
+        device = self.file.device
+        return (
+            device.injector is None
+            and device.cache is None
+            and device.tracer is None
+            and self._total > (MIN_STRETCH_BUFFERS - 1) * self.records_per_buffer
+        )
+
+    def replay(self, categories: Sequence[str], charges: np.ndarray) -> int:
+        """Read the next ``charges.shape[1]`` buffers, charging after buffer
+        ``i`` each positive ``charges[k, i]`` as compute of
+        ``categories[k]``, and return the records read.
+
+        The per-buffer path, ``next(self)`` and then those
+        ``charge_compute`` calls, is the reference.  A stretch of at least
+        :data:`MIN_STRETCH_BUFFERS` buffers on a reader that
+        :attr:`takes_stretches`, whose every read the engine waits on, is
+        computed in closed form instead: the reads' ends are a running sum
+        of their service times from the device's free time
+        (:meth:`Device.plan_reads`), and the clock, device and timeline
+        each apply the stretch in one call (:meth:`SimClock.run_stretch`,
+        :meth:`Device.submit_reads`), leaving the same state, float for
+        float, with no call per buffer.
+        """
+        count = charges.shape[1]
+        if count >= MIN_STRETCH_BUFFERS and self.takes_stretches:
+            self._fill()
+            records = self._run_stretch(categories, charges)
+            if records is not None:
+                return records
+        clock = self.clock
+        records = 0
+        for row in charges.T.tolist():
+            records += len(next(self))
+            for category, seconds in zip(categories, row):
+                if seconds > 0.0:
+                    clock.charge_compute(seconds, category)
+        return records
+
+    def _run_stretch(
+        self, categories: Sequence[str], charges: np.ndarray
+    ) -> Optional[int]:
+        """:meth:`replay`'s closed form on a filled pipeline; None, having
+        changed nothing, when some read of the stretch is not waited on."""
+        count = charges.shape[1]
+        pending = self._pending
+        held = len(pending)
+        per_buffer, size = self.records_per_buffer, self._record_size
+        first = self._next_submit
+        # Buffer i's post-wait fill submits read i while records remain.
+        reads = min(count, -(-(self._total - first) // per_buffer))
+        if count > held + reads:
+            return None  # past the end: the per-buffer path raises
+        starts = first + per_buffer * np.arange(reads, dtype=np.int64)
+        sizes = np.minimum(per_buffer, self._total - starts) * size
+        device, file_id, offset = self.file.device, self.file.file_id, first * size
+        services = ends = sizes
+        if reads:
+            services, ends = device.plan_reads(file_id, offset, sizes)
+        waits = np.concatenate(
+            ([req.end for req, _, _ in pending], ends)
+        )[:count]
+        if not self.clock.run_stretch(waits, categories, charges):
+            return None
+        held_from = max(0, count - held)
+        requests = []
+        if reads:
+            requests = device.submit_reads(
+                waits[:reads], file_id, offset, sizes, services, ends,
+                self.group, held_from,
+            )
+        done = list(pending)[:count]
+        records = sum(n for _, _, n in done) + int(sizes[:held_from].sum()) // size
+        for _ in done:
+            pending.popleft()
+        pending.extend(zip(
+            requests,
+            starts[held_from:].tolist(),
+            (sizes[held_from:] // size).tolist(),
+        ))
+        self._next_submit = first + int(sizes.sum()) // size
+        self.buffers_read += count
+        return records
 
 
 class StreamWriter:

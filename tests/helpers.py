@@ -106,15 +106,23 @@ class ScheduleRecorder:
     kind, nbytes, offset, group, submit time), ``SimClock.charge_compute``
     (``"charge"``, seconds, category) and ``SimClock.wait_until``
     (``"wait"``, target); ``sealed`` the name and bytes of every file at the
-    ``seal`` that froze it.  Patches last as long as ``monkeypatch`` does.
+    ``seal`` that froze it.  A stretch of buffers a ``StreamReader``
+    replays in closed form (``SimClock.run_stretch``, then
+    ``Device.submit_reads``) is expanded into the tuples its per-buffer
+    path records: per buffer its wait, the read its refill submits, and its
+    positive charges; ``stretches`` counts them.  Patches last as long as
+    ``monkeypatch`` does.
     """
 
     def __init__(self, monkeypatch) -> None:
         self.calls = []
         self.sealed = []
+        self.stretches = 0
         recorder = self
         submit, charge = Device.submit, SimClock.charge_compute
         wait, seal = SimClock.wait_until, VirtualFile.seal
+        run_stretch, submit_reads = SimClock.run_stretch, Device.submit_reads
+        stretch_at = []  # where the last stretch's expansion begins
 
         def record_submit(self, submit_time, kind, nbytes, file_id, offset, group=""):
             recorder.calls.append(
@@ -130,6 +138,40 @@ class ScheduleRecorder:
             recorder.calls.append(("wait", t))
             return wait(self, t)
 
+        def record_stretch(self, waits, categories, charges):
+            if not run_stretch(self, waits, categories, charges):
+                return False
+            recorder.stretches += 1
+            stretch_at[:] = [len(recorder.calls)]
+            for wait_at, row in zip(waits.tolist(), charges.T.tolist()):
+                recorder.calls.append(("wait", wait_at))
+                recorder.calls.extend(
+                    ("charge", seconds, category)
+                    for category, seconds in zip(categories, row)
+                    if seconds > 0.0
+                )
+            return True
+
+        def record_submit_reads(self, submits, file_id, offset, nbytes,
+                                services, ends, group, held_from):
+            # Read j is submitted by buffer j's refill, right after its wait.
+            offsets = offset + np.cumsum(nbytes) - nbytes
+            reads = iter(zip(nbytes.tolist(), offsets.tolist(), submits.tolist()))
+            stretch = recorder.calls[stretch_at[0]:]
+            del recorder.calls[stretch_at[0]:]
+            for call in stretch:
+                recorder.calls.append(call)
+                read = next(reads, None) if call[0] == "wait" else None
+                if read is not None:
+                    size, at, submit_time = read
+                    recorder.calls.append(
+                        ("submit", self.name, "read", size, at, group, submit_time)
+                    )
+            return submit_reads(
+                self, submits, file_id, offset, nbytes, services, ends, group,
+                held_from,
+            )
+
         def record_seal(self, whole=None):
             first = self._sealed is None
             seal(self, whole)
@@ -140,6 +182,8 @@ class ScheduleRecorder:
         monkeypatch.setattr(SimClock, "charge_compute", record_charge)
         monkeypatch.setattr(SimClock, "wait_until", record_wait)
         monkeypatch.setattr(VirtualFile, "seal", record_seal)
+        monkeypatch.setattr(SimClock, "run_stretch", record_stretch)
+        monkeypatch.setattr(Device, "submit_reads", record_submit_reads)
 
     @property
     def submits(self) -> list:

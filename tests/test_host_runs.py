@@ -35,6 +35,7 @@ from repro.graph.types import EDGE_DTYPE
 from repro.storage.device import DeviceSpec
 from repro.storage.faults import FaultPlan, FaultSpec
 from repro.storage.machine import Machine
+from repro.storage import streams
 from repro.storage.streams import AsyncStreamWriter, StreamReader, StreamWriter
 from repro.utils.units import MB
 from tests.helpers import (
@@ -349,10 +350,9 @@ class TestHeldSources:
                 assert np.array_equal(concatenated(calls, 2), records["dst"])
                 for src_local, src_global, _ in calls:
                     assert np.array_equal(src_local, src_global.astype(np.int64) - lo)
-                    if iteration == 0:
-                        assert src_local.flags.owndata and src_local.flags.writeable
-                        continue
-                    assert not src_local.flags.writeable, label
+                    # The first scan fills the held cast run by run (it
+                    # writes no stay file); every rescan reads it.
+                    assert src_local.flags.writeable == (iteration == 0), label
                     assert src_local.base is held.setdefault(p, src_local.base)
                     assert len(src_local.base) == len(records)
             assert len(held) == 4, label
@@ -680,7 +680,9 @@ class TestScheduleDigests:
     """
 
     @staticmethod
-    def record(monkeypatch, graph, scenario):
+    def record(monkeypatch, graph, scenario, stretches=None):
+        """The two digests of ``scenario``; ``stretches``, if given, gets
+        the number of stretches its readers replayed in closed form."""
         drive, must_show = DIGEST_SCENARIOS[scenario]
         with monkeypatch.context() as patch:
             recorder = ScheduleRecorder(patch)
@@ -700,6 +702,8 @@ class TestScheduleDigests:
         for key in must_show:
             assert results[0].extras[key] > 0, key
         assert any(call[0] == "submit" for call in recorder.calls)
+        if stretches is not None:
+            stretches.append(recorder.stretches)
         return schedule_digest(recorder.calls), schedule_digest(recorder.sealed)
 
     @pytest.mark.parametrize("scenario", DIGEST_SCENARIOS)
@@ -708,6 +712,21 @@ class TestScheduleDigests:
         want_calls, want_sealed = SCHEDULE_DIGESTS[scenario]
         assert calls == want_calls, "time-path calls moved"
         assert sealed == want_sealed, "sealed file bytes moved"
+
+    @pytest.mark.parametrize("scenario", DIGEST_SCENARIOS)
+    def test_stretches_keep_the_recorded_schedule(self, monkeypatch, graph, scenario):
+        # The fixture's partition files are about 8 buffers long, shorter
+        # than a stretch at the real minimum: at one buffer, every reader
+        # of an untraced, fault-free device replays its quiet buffers in
+        # closed form wherever each read is waited on.
+        monkeypatch.setattr(streams, "MIN_STRETCH_BUFFERS", 1)
+        stretches = []
+        calls, sealed = self.record(monkeypatch, graph, scenario, stretches)
+        want_calls, want_sealed = SCHEDULE_DIGESTS[scenario]
+        assert calls == want_calls, "time-path calls moved"
+        assert sealed == want_sealed, "sealed file bytes moved"
+        if scenario in ("fastbfs bfs", "x-stream bfs"):
+            assert stretches[0] > 0
 
     def test_digest_does_not_depend_on_repr(self):
         plain = [("submit", "hdd0", 4096, 0.5), ("wait", 2)]
